@@ -7,10 +7,11 @@
 //! cargo run --release -p kamino-bench --bin bench_report -- --json --out path.json
 //! ```
 //!
-//! The `--json` mode writes `BENCH_synthesis.json` (deterministic keys,
-//! stable schema) so future PRs can diff fit latency and synthesis
-//! throughput against this one. `KAMINO_BENCH_FAST=1` shrinks the run
-//! ~10× for CI smoke; `KAMINO_BENCH_N` overrides the row count.
+//! Prints one row per phase (fit, then a synthesis round per shard
+//! count). The `--json` mode also writes `BENCH_synthesis.json`
+//! (deterministic keys, stable schema) so fit latency and synthesis
+//! throughput can be diffed across revisions. `KAMINO_BENCH_FAST=1`
+//! shrinks the run ~10× (150-row fit, 300-row draws) for CI smoke.
 //!
 //! `--dump-rows PATH` additionally writes the synthesized rows (CSV with
 //! header) from a fresh snapshot restore. The fit, the snapshot, and the
@@ -18,7 +19,6 @@
 //! configuration must produce byte-identical dumps — CI diffs them as a
 //! determinism guard over the whole fit→snapshot→synthesize path.
 
-use kamino_bench::report::Table;
 use kamino_core::{fit_kamino, KaminoConfig};
 use kamino_datasets::Corpus;
 use kamino_dp::Budget;
@@ -76,10 +76,7 @@ fn main() {
 
     let fast = std::env::var("KAMINO_BENCH_FAST").is_ok_and(|v| v == "1");
     let corpus = Corpus::Adult;
-    let n: usize = std::env::var("KAMINO_BENCH_N")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if fast { 150 } else { 800 });
+    let n: usize = if fast { 150 } else { 800 };
     let train_scale = if fast { 0.03 } else { 0.2 };
     let synth_rows = if fast { 300 } else { 2_000 };
     let shard_counts = [1usize, 2, 4];
@@ -124,27 +121,25 @@ fn main() {
         });
     }
 
-    let mut table = Table::new(
-        "Synthesis throughput baseline (fit once, sample many)",
-        &["Phase", "Shards", "Rows", "Seconds", "Rows/sec"],
+    println!("Synthesis throughput baseline (fit once, sample many)");
+    println!(
+        "{:<10}  {:>6}  {:>6}  {:>8}  {:>8}",
+        "Phase", "Shards", "Rows", "Seconds", "Rows/sec"
     );
-    table.row(vec![
-        "fit".into(),
-        "-".into(),
-        format!("{n}"),
-        format!("{fit_seconds:.3}"),
-        "-".into(),
-    ]);
+    println!(
+        "{:<10}  {:>6}  {n:>6}  {fit_seconds:>8.3}  {:>8}",
+        "fit", "-", "-"
+    );
     for s in &samples {
-        table.row(vec![
-            "synthesize".into(),
-            format!("{}", s.shards),
-            format!("{}", s.rows),
-            format!("{:.3}", s.seconds),
-            format!("{:.0}", s.rows_per_sec()),
-        ]);
+        println!(
+            "{:<10}  {:>6}  {:>6}  {:>8.3}  {:>8.0}",
+            "synthesize",
+            s.shards,
+            s.rows,
+            s.seconds,
+            s.rows_per_sec()
+        );
     }
-    table.emit("bench_report");
 
     if let Some(path) = &trace_out {
         std::fs::write(path, obs.chrome_trace_json()).unwrap_or_else(|e| {

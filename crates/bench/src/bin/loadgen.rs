@@ -7,23 +7,17 @@
 //! ```
 //!
 //! The workload is "fetch N synthetic rows per request" on keep-alive
-//! connections, measured across serving architectures:
+//! connections, measured across serving configurations:
 //!
-//! * `threaded_baseline` — a faithful reconstruction of the pre-pool
-//!   server: blocking accept loop, one thread per connection, each
-//!   request sampled inline as a single `sample(n)` draw (the old
-//!   server drew whole request batches). Built from the same public
-//!   parser/model APIs, so the comparison is architecture-for-
-//!   architecture on identical hardware and an identically-specced
-//!   model.
 //! * `direct` — the epoll event loop with pooling disabled
-//!   (`--pool-batches 0`), same single-draw-per-request semantics.
+//!   (`--pool-batches 0`): each request is sampled inline as a single
+//!   whole-request draw.
 //! * `pooled_hot` — the event loop with the speculation ring warm;
 //!   clients stream the same N rows as aligned `--pool-rows` chunks the
 //!   ring pre-sampled. Pooling fixes the draw granularity at the ring's
 //!   batch size, which sidesteps the superlinear per-draw cost of the
-//!   constraint-repair pass on large draws — that, plus taking sampling
-//!   off the request critical path, is where the speedup comes from.
+//!   constraint-repair pass on large draws, and takes sampling off the
+//!   request critical path.
 //! * `pooled_c2` / `pooled_c4` — the pooled path under 2 and 4
 //!   concurrent clients (scaling behavior of the single event loop).
 //!
@@ -41,20 +35,15 @@
 //! when the server is run without `--max-queue`/`--request-timeout`, as
 //! here, keeping the document byte-stable).
 
-use std::io::{BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 
-use kamino_core::{fit_kamino, FittedKamino, KaminoConfig};
-use kamino_dp::Budget;
 use kamino_obs::metrics::LATENCY_BUCKETS_S;
 use kamino_obs::{clock, ObsHandle};
-use kamino_serve::http;
 use kamino_serve::{Json, ServeConfig, Server};
 
 /// Worker threads per event-loop scenario server.
@@ -243,7 +232,7 @@ fn read_full_response(stream: &mut TcpStream, buf: &mut [u8]) -> Vec<u8> {
 
 /// One keep-alive client: `requests` back-to-back `/synthesize` streams on
 /// a single connection. `batch = None` requests the whole stream as one
-/// draw (pre-pool semantics); `Some(b)` streams aligned `b`-row chunks.
+/// draw; `Some(b)` streams aligned `b`-row chunks.
 /// Overloaded replies (429/503, or a stream cut by a deadline trailer)
 /// back off deterministically and retry. Returns the raw bytes of the
 /// first response so the caller can validate row counts once, plus the
@@ -442,162 +431,6 @@ fn run_scenario(name: &'static str, pooled: bool, clients: usize, cfg: &LoadCfg)
     }
 }
 
-/// The pre-pool architecture, reconstructed: blocking accept loop, one
-/// thread per connection, every `/synthesize` request sampled inline as a
-/// single whole-request draw under the model mutex.
-fn run_threaded_baseline(cfg: &LoadCfg) -> ScenarioResult {
-    let obs = ObsHandle::enabled();
-    // the same model spec the event-loop scenarios fit over HTTP
-    let d = kamino_datasets::adult_like(cfg.fit_rows, 3);
-    let mut kcfg = KaminoConfig::new(Budget::new(1.0, 1e-6));
-    kcfg.train_scale = cfg.train_scale;
-    kcfg.seed = 17;
-    let fitted = fit_kamino(&d.schema, &d.instance, &d.dcs, &kcfg);
-    let header = kamino_data::csv::header_line(fitted.schema()).expect("csv header");
-    let model = Arc::new(Mutex::new(fitted));
-
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind baseline");
-    let addr = listener.local_addr().expect("local addr");
-    let stop = Arc::new(AtomicBool::new(false));
-    let accept = {
-        let (stop, model, obs, header) = (
-            Arc::clone(&stop),
-            Arc::clone(&model),
-            obs.clone(),
-            header.clone(),
-        );
-        thread::spawn(move || {
-            for conn in listener.incoming() {
-                if stop.load(Ordering::Relaxed) {
-                    break;
-                }
-                let Ok(stream) = conn else { break };
-                let (model, obs, header) = (Arc::clone(&model), obs.clone(), header.clone());
-                thread::spawn(move || baseline_conn(stream, &model, &obs, &header));
-            }
-        })
-    };
-
-    let t0 = clock::now_nanos();
-    let outcomes: Vec<(Vec<u8>, ClientStats)> = thread::scope(|s| {
-        let workers: Vec<_> = (0..1)
-            .map(|_| s.spawn(|| client_loop(addr, 1, None, cfg)))
-            .collect();
-        workers
-            .into_iter()
-            .map(|w| w.join().expect("client panicked"))
-            .collect()
-    });
-    let secs = clock::secs_since(t0);
-    for (first, _) in &outcomes {
-        assert_eq!(
-            response_rows(first),
-            cfg.rows_per_request,
-            "threaded_baseline: short stream"
-        );
-    }
-    let requests = cfg.requests_per_client;
-    let (p50_ms, p99_ms) = latency_quantiles(&obs, requests as u64, "threaded_baseline");
-
-    stop.store(true, Ordering::Relaxed);
-    let _ = TcpStream::connect(addr); // unblock the accept loop
-    accept.join().expect("baseline accept loop panicked");
-
-    ScenarioResult {
-        name: "threaded_baseline",
-        clients: 1,
-        pooled: false,
-        requests,
-        rows_streamed: requests * cfg.rows_per_request,
-        retries_429: outcomes.iter().map(|(_, s)| s.retries_429).sum(),
-        retries_503: outcomes.iter().map(|(_, s)| s.retries_503).sum(),
-        secs,
-        rps: requests as f64 / secs,
-        p50_ms,
-        p99_ms,
-        pool_hits: 0,
-    }
-}
-
-/// One baseline connection: blocking parse → inline sample → chunked
-/// write, looping while the client keeps the connection alive.
-fn baseline_conn(stream: TcpStream, model: &Mutex<FittedKamino>, obs: &ObsHandle, header: &str) {
-    stream.set_nodelay(true).ok(); // the pre-pool server set nodelay too
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    let mut w = stream;
-    loop {
-        let req = match http::read_request(&mut reader) {
-            Ok(r) => r,
-            Err(_) => return, // disconnect or malformed: drop, like the old server
-        };
-        let close = req.wants_close();
-        let t0 = clock::now_nanos();
-        let served = serve_baseline_request(&req, &mut w, model, header, close);
-        if served {
-            obs.histogram(
-                "kamino_http_request_duration_seconds",
-                &[
-                    ("method", "POST"),
-                    ("route", "/models/{id}/synthesize"),
-                    ("status", "200"),
-                ],
-                LATENCY_BUCKETS_S,
-            )
-            .observe(clock::secs_since(t0));
-        }
-        if close {
-            return;
-        }
-    }
-}
-
-/// Handles one parsed baseline request; `true` when it was a successful
-/// synthesize stream (the only route the latency histogram tracks).
-fn serve_baseline_request(
-    req: &http::Request,
-    w: &mut TcpStream,
-    model: &Mutex<FittedKamino>,
-    header: &str,
-    close: bool,
-) -> bool {
-    if req.path == "/healthz" {
-        let _ = http::write_response(
-            w,
-            "200 OK",
-            "application/json",
-            b"{\"status\":\"ok\"}",
-            close,
-        );
-        return false;
-    }
-    let Some(n) = req.query_usize("n").filter(|&n| n > 0) else {
-        let _ = http::write_response(w, "400 Bad Request", "text/plain", b"bad n", close);
-        return false;
-    };
-    let batch = req.query_usize("batch").unwrap_or(n).clamp(1, n);
-    if http::start_chunked(w, "200 OK", "text/csv").is_err() {
-        return false;
-    }
-    let _ = http::write_chunk(w, header.as_bytes());
-    let mut remaining = n;
-    while remaining > 0 {
-        let take = batch.min(remaining);
-        let text = {
-            let mut guard = model.lock().expect("model mutex");
-            let inst = guard.sample(take);
-            kamino_data::csv::rows_text(guard.schema(), &inst).expect("encode csv")
-        };
-        if http::write_chunk(w, text.as_bytes()).is_err() {
-            return false;
-        }
-        remaining -= take;
-    }
-    http::finish_chunked(w).is_ok()
-}
-
 fn scenario_json(r: &ScenarioResult) -> Json {
     Json::obj([
         ("name", Json::Str(r.name.to_string())),
@@ -652,16 +485,15 @@ fn main() -> ExitCode {
         cfg.requests_per_client,
         cfg.rows_per_request
     );
-    let mut results = vec![run_threaded_baseline(&cfg)];
-    let scenarios = [
+    let results: Vec<ScenarioResult> = [
         ("direct", false, 1usize),
         ("pooled_hot", true, 1),
         ("pooled_c2", true, 2),
         ("pooled_c4", true, 4),
-    ];
-    for (name, pooled, clients) in scenarios {
-        results.push(run_scenario(name, pooled, clients, &cfg));
-    }
+    ]
+    .into_iter()
+    .map(|(name, pooled, clients)| run_scenario(name, pooled, clients, &cfg))
+    .collect();
     for r in &results {
         println!(
             "  {:<18} {} client(s): {:.0} rps, p50 {:.2} ms, p99 {:.2} ms, {} pool hits, \
@@ -669,11 +501,6 @@ fn main() -> ExitCode {
             r.name, r.clients, r.rps, r.p50_ms, r.p99_ms, r.pool_hits, r.retries_429, r.retries_503
         );
     }
-
-    let baseline_rps = results[0].rps;
-    let pooled_rps = results[2].rps;
-    let speedup = pooled_rps / baseline_rps;
-    println!("  pooled_hot vs threaded_baseline: {speedup:.2}x sustained RPS");
 
     let doc = Json::obj([
         ("schema_version", Json::Num(1.0)),
@@ -693,16 +520,11 @@ fn main() -> ExitCode {
                 ("threads", Json::Num(THREADS as f64)),
                 ("backoff_base_ms", Json::Num(BACKOFF_BASE_MS as f64)),
                 ("backoff_cap_ms", Json::Num(BACKOFF_CAP_MS as f64)),
-                ("baseline", Json::Str("threaded_baseline".to_string())),
             ]),
         ),
         (
             "scenarios",
             Json::Arr(results.iter().map(scenario_json).collect()),
-        ),
-        (
-            "timing",
-            Json::obj([("speedup_pooled_vs_baseline", Json::Num(round3(speedup)))]),
         ),
     ]);
     if let Err(e) = std::fs::write(&out, format!("{doc}\n")) {

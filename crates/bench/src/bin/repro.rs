@@ -1,7 +1,9 @@
-//! `kamino-repro` — the paper-reproduction harness (see `bench::repro`).
+//! `kamino-repro` — the paper-reproduction harness (see `bench::repro`),
+//! and the one runner for every §7 table and figure.
 //!
 //! ```bash
-//! # full matrix (offline default): 4 corpora × 4 ε × 6 synthesizers
+//! # full run (offline default): 4 corpora × 4 ε × 6 synthesizers, plus
+//! # the study cells (Table 3 / Fig 5, Exp 6, Figs 1, 8, 9, Exp 10)
 //! cargo run --release -p kamino-bench --bin kamino-repro
 //!
 //! # CI-sized: Adult + Tax × {0.4, 1.0} × {Kamino, PrivBayes, Independent}
@@ -10,10 +12,12 @@
 //!
 //! Emits `BENCH_repro.json` (machine-readable, diffable — byte-identical
 //! across re-runs of the same config) and `REPRODUCTION.md` (paper-style
-//! tables with deltas vs. paper-reported numbers). Fitted Kamino models
-//! are cached as `.kamino` snapshots under `--cache-dir`; a re-run skips
-//! every DP-SGD fit whose `(dataset, ε, seed, config)` key is already
-//! cached and reports the hit count on stdout.
+//! tables with deltas vs. paper-reported numbers, and the Studies table).
+//! Fitted Kamino-family models are cached as `.kamino` snapshots under
+//! `--cache-dir`; a re-run skips every DP-SGD fit whose
+//! `(dataset, ε, seed, config)` key is already cached and reports the hit
+//! count on stdout. `--timings` adds wall-clock, split into the Figure 7
+//! fit/sample phases for Kamino-family cells.
 
 use std::path::PathBuf;
 
@@ -25,14 +29,16 @@ fn usage() -> ! {
          \x20                  [--cache-dir PATH] [--out-json PATH] [--out-md PATH]\n\
          \x20                  [--timings] [--trace-out PATH]\n\
          \n\
-         --fast        CI-sized matrix (Adult+Tax, 2-point ε grid, 3 synthesizers)\n\
+         --fast        CI-sized matrix (Adult+Tax, 2-point ε grid, 3 synthesizers,\n\
+         \x20             no studies)\n\
          --seed N      master seed (default 11)\n\
          --rows N      rows per corpus (default: 240 fast / 800 full; env KAMINO_REPRO_N)\n\
          --threads N   worker threads (default: available parallelism)\n\
          --cache-dir   snapshot cache directory (default target/repro-cache)\n\
          --out-json    output path (default BENCH_repro.json)\n\
          --out-md      output path (default REPRODUCTION.md)\n\
-         --timings     include wall-clock in the artifacts (breaks diffability)\n\
+         --timings     include wall-clock and Kamino phase seconds in the\n\
+         \x20             artifacts (breaks diffability)\n\
          --trace-out   write a chrome://tracing JSON of the run (cells, fit\n\
          \x20             phases, DP budget ledger); artifacts stay byte-identical"
     );
@@ -97,12 +103,13 @@ fn main() {
 
     eprintln!(
         "kamino-repro: {} matrix — {} datasets × {} ε × {} synthesizers = {} cells, \
-         {} rows/corpus, seed {seed}, {} threads",
+         {} study rows, {} rows/corpus, seed {seed}, {} threads",
         cfg.mode,
         cfg.datasets.len(),
         cfg.epsilons.len(),
         cfg.methods.len(),
         cfg.datasets.len() * cfg.epsilons.len() * cfg.methods.len(),
+        cfg.studies.len(),
         cfg.rows,
         cfg.threads,
     );

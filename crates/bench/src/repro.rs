@@ -9,17 +9,24 @@
 //! results are collected by cell index, so output order (and content) is
 //! deterministic regardless of scheduling.
 //!
+//! The experiments that are not a point of the dataset × ε × method grid
+//! — the Table 3 ablations, accept–reject and MCMC sampling, the Exp 10
+//! optimizations, Fig 1's repaired baselines and Fig 8's DC-count axis —
+//! are [`Study`] cells: extra `(dataset, ε, method)` triples listed in
+//! [`ReproConfig::studies`], run by the same pool and scored the same way.
+//!
 //! ## Snapshot cache
 //!
 //! Kamino cells dominate wall-clock through their DP-SGD fit. The fit is
 //! fully determined by `(dataset, ε, seed, config)`, so the harness
-//! persists each fitted session as a `.kamino` snapshot (the PR 3
-//! container, via [`kamino_serve::save_fitted`]) keyed by the dataset
-//! name, ε, seed and [`KaminoConfig::stable_hash`]. A re-run — or a
-//! sweep that shares cells with a previous run — loads the snapshot and
-//! skips the fit entirely. Snapshots are written *before* sampling, so a
-//! cached session resumes the exact RNG cursor a fresh fit would have:
-//! cached and uncached runs produce byte-identical results.
+//! persists each fitted session as a `.kamino` snapshot (via
+//! [`kamino_serve::save_fitted`]) keyed by the dataset id, ε, seed and
+//! [`KaminoConfig::stable_hash`] — which covers every Kamino variant's
+//! knobs, so each variant caches separately. A re-run — or a sweep that
+//! shares cells with a previous run — loads the snapshot and skips the
+//! fit entirely. Snapshots are written *before* sampling, so a cached
+//! session resumes the exact RNG cursor a fresh fit would have: cached
+//! and uncached runs produce byte-identical results.
 //!
 //! ## Artifacts
 //!
@@ -31,17 +38,20 @@
 //! * `REPRODUCTION.md` — markdown tables mirroring the paper's Table 2 /
 //!   figure layout per dataset, plus a "vs. paper" table with deltas
 //!   against paper-reported reference numbers and a pass/fail tolerance
-//!   column.
+//!   column, and a "Studies" table when any study cells ran.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
+use std::time::Duration;
 
 use kamino_baselines::{DpVae, Independent, NistPgm, PateGan, PrivBayes, Synthesizer};
-use kamino_core::{fit_kamino, KaminoConfig};
+use kamino_constraints::discovery::discover_approximate_dcs;
+use kamino_core::{fit_kamino, KaminoConfig, PhaseTimings};
 use kamino_datasets::{Corpus, Dataset};
 use kamino_dp::Budget;
 use kamino_eval::classifiers::Classifier;
+use kamino_eval::clean::repair;
 use kamino_eval::tasks::evaluate_classification_with;
 use kamino_eval::{tvd_all_pairs, tvd_all_singles, violation_table};
 use kamino_obs::{clock, ObsHandle};
@@ -58,12 +68,28 @@ pub const TOL_PSI_PP: f64 = 5.0;
 /// mean accuracy is at least the paper's minus this.
 pub const TOL_ACCURACY: f64 = 0.15;
 
-/// A synthesizer the matrix can run. `Kamino` is the paper's method
-/// (snapshot-cached); the rest are the §7 baselines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// A synthesizer the matrix can run: Kamino or one of its §7 variants
+/// (all snapshot-cached), a §7 baseline, or a baseline whose output is
+/// repaired post hoc.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MethodKind {
     /// Full Kamino (Algorithm 1) through the session pipeline.
     Kamino,
+    /// Kamino with a random attribute sequence (Table 3 "RandSequence").
+    RandSequence,
+    /// Kamino sampling i.i.d. from its model (Table 3 "RandSampling").
+    RandSampling,
+    /// Both ablations at once (Table 3 "RandBoth").
+    RandBoth,
+    /// Kamino with accept–reject sampling instead of Algorithm 3 (Exp 6).
+    AcceptReject,
+    /// Kamino plus `m = ratio · n` constrained-MCMC re-samples (Fig 9).
+    Mcmc(f64),
+    /// Kamino with the hard-FD lookup fast path (Exp 10b).
+    HardFdLookup,
+    /// Kamino training sub-models in parallel with fresh embeddings
+    /// (Exp 10a).
+    ParallelTraining,
     /// PrivBayes (Zhang et al.).
     PrivBayes,
     /// The NIST-challenge PGM recipe (McKenna et al.).
@@ -74,46 +100,196 @@ pub enum MethodKind {
     PateGan,
     /// Independent noisy histograms (the floor).
     Independent,
+    /// A baseline's output passed through [`kamino_eval::clean::repair`]
+    /// (Fig 1's "cleaned" arm).
+    Repaired(&'static MethodKind),
 }
 
 impl MethodKind {
     /// Display name matching the paper's tables.
-    pub fn name(self) -> &'static str {
+    pub fn name(self) -> String {
         match self {
-            MethodKind::Kamino => "Kamino",
-            MethodKind::PrivBayes => "PrivBayes",
-            MethodKind::Nist => "NIST",
-            MethodKind::DpVae => "DP-VAE",
-            MethodKind::PateGan => "PATE-GAN",
-            MethodKind::Independent => "Independent",
+            MethodKind::Kamino => "Kamino".into(),
+            MethodKind::RandSequence => "RandSequence".into(),
+            MethodKind::RandSampling => "RandSampling".into(),
+            MethodKind::RandBoth => "RandBoth".into(),
+            MethodKind::AcceptReject => "Kamino-AR".into(),
+            MethodKind::Mcmc(ratio) => format!("Kamino-MCMC{ratio}"),
+            MethodKind::HardFdLookup => "Kamino-FDLookup".into(),
+            MethodKind::ParallelTraining => "Kamino-Parallel".into(),
+            MethodKind::PrivBayes => "PrivBayes".into(),
+            MethodKind::Nist => "NIST".into(),
+            MethodKind::DpVae => "DP-VAE".into(),
+            MethodKind::PateGan => "PATE-GAN".into(),
+            MethodKind::Independent => "Independent".into(),
+            MethodKind::Repaired(base) => format!("{}-repaired", base.name()),
         }
     }
 
-    /// Builds the baseline synthesizer (harness-scale step counts, same
-    /// settings as [`crate::Method::paper_roster`]). `None` for Kamino,
-    /// which runs through the fit/snapshot pipeline instead.
-    fn baseline(self) -> Option<Box<dyn Synthesizer>> {
-        match self {
-            MethodKind::Kamino => None,
-            MethodKind::PrivBayes => Some(Box::new(PrivBayes::default())),
-            MethodKind::Nist => Some(Box::new(NistPgm::default())),
-            MethodKind::DpVae => Some(Box::new(DpVae {
+    /// Whether the method runs through the fit/snapshot pipeline (Kamino
+    /// and its variants) rather than as a baseline.
+    pub fn is_kamino(self) -> bool {
+        matches!(
+            self,
+            MethodKind::Kamino
+                | MethodKind::RandSequence
+                | MethodKind::RandSampling
+                | MethodKind::RandBoth
+                | MethodKind::AcceptReject
+                | MethodKind::Mcmc(_)
+                | MethodKind::HardFdLookup
+                | MethodKind::ParallelTraining
+        )
+    }
+
+    /// Runs a baseline (harness-scale step counts) and, for a
+    /// [`MethodKind::Repaired`] arm, repairs its output against the
+    /// dataset's DCs.
+    ///
+    /// # Panics
+    ///
+    /// On a Kamino-family method, which runs through the snapshot cache.
+    fn synthesize_baseline(
+        self,
+        d: &Dataset,
+        budget: Budget,
+        rows: usize,
+        seed: u64,
+    ) -> kamino_data::Instance {
+        let synth: Box<dyn Synthesizer> = match self {
+            MethodKind::PrivBayes => Box::new(PrivBayes::default()),
+            MethodKind::Nist => Box::new(NistPgm::default()),
+            MethodKind::DpVae => Box::new(DpVae {
                 steps: 200,
                 ..DpVae::default()
-            })),
-            MethodKind::PateGan => Some(Box::new(PateGan {
+            }),
+            MethodKind::PateGan => Box::new(PateGan {
                 steps: 120,
                 ..PateGan::default()
-            })),
-            MethodKind::Independent => Some(Box::new(Independent)),
-        }
+            }),
+            MethodKind::Independent => Box::new(Independent),
+            MethodKind::Repaired(base) => {
+                let raw = base.synthesize_baseline(d, budget, rows, seed);
+                return repair(&d.schema, &raw, &d.dcs);
+            }
+            kamino => unreachable!("{} runs through the snapshot cache", kamino.name()),
+        };
+        synth.synthesize(&d.schema, &d.instance, budget, rows, seed)
     }
 }
 
+/// A dataset the harness scores on: a generated corpus, optionally with
+/// its DC list replaced by approximate DCs discovered on the corpus
+/// itself (Fig 8's DC-count axis; discovered DCs are soft).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DatasetSpec {
+    /// The generated corpus.
+    pub corpus: Corpus,
+    /// `Some(k)`: score under `k` discovered soft DCs instead of the
+    /// corpus's own.
+    pub discovered_dcs: Option<usize>,
+}
+
+impl DatasetSpec {
+    /// The corpus with its own DCs.
+    pub fn plain(corpus: Corpus) -> DatasetSpec {
+        DatasetSpec {
+            corpus,
+            discovered_dcs: None,
+        }
+    }
+
+    /// The id cells and cache paths carry: the corpus id, suffixed with
+    /// `-dcs{k}` for discovered DC sets. The suffix is load-bearing —
+    /// the DC list is a fit input, not a config field, so
+    /// [`KaminoConfig::stable_hash`] cannot tell these fits apart.
+    pub fn id(self) -> String {
+        match self.discovered_dcs {
+            None => self.corpus.id().to_string(),
+            Some(k) => format!("{}-dcs{k}", self.corpus.id()),
+        }
+    }
+
+    fn generate(self, rows: usize, seed: u64) -> Dataset {
+        let mut d = self.corpus.generate(rows, seed);
+        if let Some(k) = self.discovered_dcs {
+            d.dcs = discover_approximate_dcs(&d.schema, &d.instance, k, 25.0)
+                .into_iter()
+                .map(|found| found.dc)
+                .collect();
+            d.name = self.id();
+        }
+        d
+    }
+}
+
+/// One study cell: a `(dataset, ε, method)` triple outside the matrix
+/// grid, tagged with the paper figure or table it reproduces.
+#[derive(Debug, Clone, Copy)]
+pub struct Study {
+    /// The paper figure or table (the Studies table's first column).
+    pub paper: &'static str,
+    /// The dataset.
+    pub dataset: DatasetSpec,
+    /// The budget (`f64::INFINITY` for the non-private ε = ∞).
+    pub epsilon: f64,
+    /// The synthesizer.
+    pub method: MethodKind,
+}
+
+/// The §7 experiments that are not points of the matrix grid, as study
+/// cells. Rows whose triple is already a matrix cell (or an earlier
+/// study) are scored once and shown under every study that lists them.
+fn paper_studies() -> Vec<Study> {
+    use MethodKind::*;
+    let adult = DatasetSpec::plain(Corpus::Adult);
+    let mut studies = Vec::new();
+    let mut add = |paper, dataset, epsilon, method| {
+        studies.push(Study {
+            paper,
+            dataset,
+            epsilon,
+            method,
+        })
+    };
+    for method in [Kamino, RandSequence, RandSampling, RandBoth] {
+        add("Table 3 / Fig 5", adult, 1.0, method);
+    }
+    for corpus in [Corpus::Adult, Corpus::Br2000] {
+        for method in [Kamino, AcceptReject] {
+            add("Exp 6", DatasetSpec::plain(corpus), 1.0, method);
+        }
+    }
+    for method in [Kamino, Mcmc(0.5), Mcmc(1.0), Mcmc(2.0), Mcmc(3.0)] {
+        add("Fig 9", adult, 1.0, method);
+    }
+    for method in [Kamino, ParallelTraining] {
+        add("Exp 10a", adult, 1.0, method);
+    }
+    for method in [Kamino, HardFdLookup] {
+        add("Exp 10b", DatasetSpec::plain(Corpus::TpcH), 1.0, method);
+    }
+    for epsilon in [1.0, f64::INFINITY] {
+        for base in [&PrivBayes, &PateGan, &DpVae] {
+            add("Fig 1", adult, epsilon, *base);
+            add("Fig 1", adult, epsilon, Repaired(base));
+        }
+    }
+    for k in [2, 4, 8, 16, 32, 64, 128] {
+        let dataset = DatasetSpec {
+            corpus: Corpus::Adult,
+            discovered_dcs: Some(k),
+        };
+        add("Fig 8", dataset, 1.0, Kamino);
+    }
+    studies
+}
+
 /// Matrix configuration. Build with [`ReproConfig::fast`] (CI-sized:
-/// subsampled corpora, 2-point ε grid, Kamino + 2 baselines) or
-/// [`ReproConfig::full`] (the offline default: all four corpora, the full
-/// ε grid, Kamino + every baseline), then adjust fields.
+/// subsampled corpora, 2-point ε grid, Kamino + 2 baselines, no studies)
+/// or [`ReproConfig::full`] (the offline default: all four corpora, the
+/// full ε grid, Kamino + every baseline, every §7 study), then adjust
+/// fields.
 #[derive(Debug, Clone)]
 pub struct ReproConfig {
     /// `"fast"` or `"full"` — recorded in the artifacts.
@@ -128,6 +304,8 @@ pub struct ReproConfig {
     pub datasets: Vec<Corpus>,
     /// Synthesizer roster.
     pub methods: Vec<MethodKind>,
+    /// Study cells run after the matrix (the experiments off its grid).
+    pub studies: Vec<Study>,
     /// Worker threads for the cell pool (cells are independent).
     pub threads: usize,
     /// Directory for cached `.kamino` fit snapshots.
@@ -165,6 +343,7 @@ impl ReproConfig {
                 MethodKind::PrivBayes,
                 MethodKind::Independent,
             ],
+            studies: Vec::new(),
             threads: default_threads(),
             cache_dir: PathBuf::from("target/repro-cache"),
             train_scale: 0.05,
@@ -174,7 +353,8 @@ impl ReproConfig {
     }
 
     /// The offline default: all four corpora, ε ∈ {0.2, 0.4, 1.0, 2.0},
-    /// Kamino + all four baselines + the independent floor.
+    /// Kamino + all four baselines + the independent floor, plus the
+    /// study cells of Table 3 / Fig 5, Exp 6, Figs 1, 8 and 9 and Exp 10.
     pub fn full(seed: u64) -> ReproConfig {
         ReproConfig {
             mode: "full",
@@ -190,6 +370,7 @@ impl ReproConfig {
                 MethodKind::PateGan,
                 MethodKind::Independent,
             ],
+            studies: paper_studies(),
             threads: default_threads(),
             cache_dir: PathBuf::from("target/repro-cache"),
             train_scale: 0.4,
@@ -199,11 +380,13 @@ impl ReproConfig {
     }
 
     /// The Kamino pipeline configuration for one cell — shared by the
-    /// fit and by the cache key. `stable_hash` already ignores the
-    /// execution-only knobs, but `shards` is still pinned here because
-    /// different shard counts sample *different* (each deterministic)
-    /// streams, and the artifacts must not depend on `KAMINO_SHARDS`.
-    pub fn kamino_config(&self, epsilon: f64) -> KaminoConfig {
+    /// fit and by the cache key, with the variant's knobs applied (a
+    /// baseline gets the plain Kamino config). `stable_hash` already
+    /// ignores the execution-only knobs, but `shards` is still pinned
+    /// here because different shard counts sample *different* (each
+    /// deterministic) streams, and the artifacts must not depend on
+    /// `KAMINO_SHARDS`.
+    pub fn kamino_config(&self, epsilon: f64, method: MethodKind) -> KaminoConfig {
         let mut cfg = KaminoConfig::new(Budget::new(epsilon, DELTA));
         cfg.seed = self.seed;
         cfg.train_scale = self.train_scale;
@@ -211,16 +394,29 @@ impl ReproConfig {
         cfg.lr = 0.25;
         cfg.shards = 1;
         cfg.obs = self.obs.clone();
+        match method {
+            MethodKind::RandSequence => cfg.constraint_aware_sequencing = false,
+            MethodKind::RandSampling => cfg.constraint_aware_sampling = false,
+            MethodKind::RandBoth => {
+                cfg.constraint_aware_sequencing = false;
+                cfg.constraint_aware_sampling = false;
+            }
+            MethodKind::AcceptReject => cfg.ar_sampling = true,
+            MethodKind::Mcmc(ratio) => cfg.mcmc_ratio = ratio,
+            MethodKind::HardFdLookup => cfg.hard_fd_lookup = true,
+            MethodKind::ParallelTraining => cfg.parallel_training = true,
+            _ => {}
+        }
         cfg
     }
 
-    /// The snapshot path for one Kamino cell:
+    /// The snapshot path for one Kamino-family cell:
     /// `{dataset}-n{rows}-eps{ε}-seed{seed}-{config_hash:016x}.kamino`.
     /// The row count is part of the key because it sizes the generated
     /// corpus the model was fitted on — the config hash alone cannot see
     /// it (the corpus is an input to the fit, not a config field).
-    pub fn cache_path(&self, dataset: &str, epsilon: f64) -> PathBuf {
-        let hash = self.kamino_config(epsilon).stable_hash();
+    pub fn cache_path(&self, dataset: &str, epsilon: f64, method: MethodKind) -> PathBuf {
+        let hash = self.kamino_config(epsilon, method).stable_hash();
         self.cache_dir.join(format!(
             "{dataset}-n{}-eps{epsilon}-seed{}-{hash:016x}.kamino",
             self.rows, self.seed
@@ -228,10 +424,9 @@ impl ReproConfig {
     }
 
     /// The classifier roster Metric II runs with: 2 models in fast mode,
-    /// the reduced five otherwise. Pinned per mode — deliberately *not*
-    /// `crate::classifier_roster()`, whose `KAMINO_BENCH_FULL` switch
-    /// would let an unrecorded env var change the artifacts (they must
-    /// be byte-identical for a given config across hosts).
+    /// the reduced five otherwise. Pinned per mode and read from no
+    /// environment variable: the artifacts must be byte-identical for a
+    /// given config across hosts.
     fn classifier_roster(&self) -> Vec<Box<dyn Classifier>> {
         use kamino_eval::classifiers::{
             BernoulliNb, DecisionTree, LogisticRegression, RandomForest, XgbLite,
@@ -271,10 +466,11 @@ pub enum CacheStatus {
 /// One scored experiment cell.
 #[derive(Debug, Clone)]
 pub struct CellResult {
-    /// Dataset name (`adult`, `br2000`, `tax`, `tpch`).
+    /// Dataset id (`adult`, `br2000`, `tax`, `tpch`, or a study id such
+    /// as `adult-dcs16`).
     pub dataset: String,
     /// Synthesizer name.
-    pub method: &'static str,
+    pub method: String,
     /// The requested ε.
     pub epsilon: f64,
     /// The ε Kamino actually spent (planner-composed); `None` for
@@ -297,6 +493,10 @@ pub struct CellResult {
     /// Cell wall-clock (fit-or-load + synthesize + score), seconds.
     /// Only surfaced in artifacts when [`ReproConfig::timings`] is set.
     pub seconds: f64,
+    /// Kamino-family cells: the fit phases as recorded when the model was
+    /// fitted (a cache hit reports the cached fit's), plus this cell's
+    /// sampling time. Only surfaced with [`ReproConfig::timings`].
+    pub phases: Option<PhaseTimings>,
 }
 
 impl CellResult {
@@ -310,30 +510,51 @@ impl CellResult {
 /// Everything one matrix run produced.
 #[derive(Debug)]
 pub struct MatrixReport {
-    /// Cell results in matrix order (dataset-major, then ε, then method).
+    /// Cell results in matrix order (dataset-major, then ε, then method),
+    /// then the study cells in [`ReproConfig::studies`] order.
     pub cells: Vec<CellResult>,
-    /// Snapshot-cache hits across Kamino cells.
+    /// Snapshot-cache hits across Kamino-family cells.
     pub cache_hits: usize,
-    /// Snapshot-cache misses (fresh fits) across Kamino cells.
+    /// Snapshot-cache misses (fresh fits) across Kamino-family cells.
     pub cache_misses: usize,
-    /// Number of Kamino cells in the matrix.
+    /// Number of Kamino-family (snapshot-cached) cells; always
+    /// `cache_hits + cache_misses`.
     pub kamino_cells: usize,
     /// End-to-end wall-clock of the run, seconds.
     pub total_seconds: f64,
 }
 
-/// One cell's coordinates in the matrix.
-#[derive(Debug, Clone, Copy)]
+/// One cell's coordinates: an index into [`dataset_specs`], ε, method.
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Cell {
     dataset: usize,
     epsilon: f64,
     method: MethodKind,
 }
 
-/// Enumerates the matrix in deterministic order: dataset-major, then ε
-/// ascending, then the configured method order.
+/// Every dataset a run scores on: the matrix corpora, then each study
+/// dataset not already among them, in first-use order.
+fn dataset_specs(cfg: &ReproConfig) -> Vec<DatasetSpec> {
+    let mut specs: Vec<DatasetSpec> = cfg
+        .datasets
+        .iter()
+        .map(|&c| DatasetSpec::plain(c))
+        .collect();
+    for study in &cfg.studies {
+        if !specs.contains(&study.dataset) {
+            specs.push(study.dataset);
+        }
+    }
+    specs
+}
+
+/// Enumerates the cells in deterministic order: the matrix dataset-major,
+/// then ε ascending, then the configured method order; then each study
+/// whose triple is not already a cell.
 fn enumerate_cells(cfg: &ReproConfig) -> Vec<Cell> {
-    let mut cells = Vec::with_capacity(cfg.datasets.len() * cfg.epsilons.len() * cfg.methods.len());
+    let mut cells = Vec::with_capacity(
+        cfg.datasets.len() * cfg.epsilons.len() * cfg.methods.len() + cfg.studies.len(),
+    );
     for d in 0..cfg.datasets.len() {
         for &epsilon in &cfg.epsilons {
             for &method in &cfg.methods {
@@ -345,22 +566,39 @@ fn enumerate_cells(cfg: &ReproConfig) -> Vec<Cell> {
             }
         }
     }
+    let specs = dataset_specs(cfg);
+    for study in &cfg.studies {
+        let cell = Cell {
+            dataset: specs
+                .iter()
+                .position(|s| *s == study.dataset)
+                .expect("dataset_specs covers every study"),
+            epsilon: study.epsilon,
+            method: study.method,
+        };
+        if !cells.contains(&cell) {
+            cells.push(cell);
+        }
+    }
     cells
 }
 
-/// Fits (or cache-loads) Kamino and synthesizes the cell's rows.
-/// Snapshots are saved *before* sampling so the cached RNG cursor equals
-/// the fresh-fit cursor — cached and uncached runs sample identically.
+/// Fits (or cache-loads) a Kamino-family method and synthesizes the
+/// cell's rows, returning them with the achieved ε, the cache status and
+/// the phase timings. Snapshots are saved *before* sampling so the
+/// cached RNG cursor equals the fresh-fit cursor — cached and uncached
+/// runs sample identically.
 fn run_kamino_cell(
     d: &Dataset,
     cfg: &ReproConfig,
     epsilon: f64,
-) -> (kamino_data::Instance, Option<f64>, CacheStatus) {
-    let path = cfg.cache_path(&d.name, epsilon);
+    method: MethodKind,
+) -> (kamino_data::Instance, f64, CacheStatus, PhaseTimings) {
+    let path = cfg.cache_path(&d.name, epsilon, method);
     let (mut session, status) = match kamino_serve::load_fitted(&path) {
         Ok(session) => (session, CacheStatus::Hit),
         Err(_) => {
-            let kcfg = cfg.kamino_config(epsilon);
+            let kcfg = cfg.kamino_config(epsilon, method);
             let fitted = fit_kamino(&d.schema, &d.instance, &d.dcs, &kcfg);
             if let Err(e) = kamino_serve::save_fitted(&fitted, &path) {
                 eprintln!(
@@ -372,8 +610,11 @@ fn run_kamino_cell(
         }
     };
     let achieved = session.achieved_epsilon();
+    let t0 = clock::now_nanos();
     let synth = session.sample(cfg.rows);
-    (synth, Some(achieved), status)
+    let mut phases = session.timings;
+    phases.sampling = Duration::from_nanos(clock::now_nanos().saturating_sub(t0));
+    (synth, achieved, status, phases)
 }
 
 /// Runs one cell end-to-end and scores it. `truth_psi` is the dataset's
@@ -385,22 +626,18 @@ fn run_cell(d: &Dataset, truth_psi: &[(String, f64)], cfg: &ReproConfig, cell: C
     let mut span = cfg.obs.span("repro.cell");
     if span.is_active() {
         span.arg("dataset", d.name.clone());
-        span.arg("method", cell.method.name().to_string());
+        span.arg("method", cell.method.name());
         span.arg("epsilon", cell.epsilon.to_string());
     }
-    let (synth, achieved, cache) = match cell.method.baseline() {
-        None => run_kamino_cell(d, cfg, cell.epsilon),
-        Some(b) => (
-            b.synthesize(
-                &d.schema,
-                &d.instance,
-                Budget::new(cell.epsilon, DELTA),
-                cfg.rows,
-                cfg.seed,
-            ),
-            None,
-            CacheStatus::NotCached,
-        ),
+    let (synth, achieved, cache, phases) = if cell.method.is_kamino() {
+        let (synth, achieved, cache, phases) = run_kamino_cell(d, cfg, cell.epsilon, cell.method);
+        (synth, Some(achieved), cache, Some(phases))
+    } else {
+        let budget = Budget::new(cell.epsilon, DELTA);
+        let synth = cell
+            .method
+            .synthesize_baseline(d, budget, cfg.rows, cfg.seed);
+        (synth, None, CacheStatus::NotCached, None)
     };
 
     let synth_psi = violation_table(&d.dcs, &synth);
@@ -434,19 +671,19 @@ fn run_cell(d: &Dataset, truth_psi: &[(String, f64)], cfg: &ReproConfig, cell: C
         f1: tasks.mean_f1(),
         cache,
         seconds: clock::secs_since(t0),
+        phases,
     }
 }
 
-/// Runs the whole matrix: generates each corpus once, then drains the
-/// cell list with a scoped-thread worker pool. Results land in matrix
-/// order regardless of which worker finishes first.
+/// Runs the whole matrix and its studies: generates each dataset once,
+/// then drains the cell list with a scoped-thread worker pool. Results
+/// land in cell order regardless of which worker finishes first.
 pub fn run_matrix(cfg: &ReproConfig) -> MatrixReport {
     let t0 = clock::now_nanos();
     std::fs::create_dir_all(&cfg.cache_dir).ok();
-    let datasets: Vec<Dataset> = cfg
-        .datasets
-        .iter()
-        .map(|c| c.generate(cfg.rows, cfg.seed))
+    let datasets: Vec<Dataset> = dataset_specs(cfg)
+        .into_iter()
+        .map(|spec| spec.generate(cfg.rows, cfg.seed))
         .collect();
     let truth_psis: Vec<Vec<(String, f64)>> = datasets
         .iter()
@@ -488,7 +725,10 @@ pub fn run_matrix(cfg: &ReproConfig) -> MatrixReport {
         .iter()
         .filter(|c| c.cache == CacheStatus::Miss)
         .count();
-    let kamino_cells = cells.iter().filter(|c| c.method == "Kamino").count();
+    let kamino_cells = cells
+        .iter()
+        .filter(|c| c.cache != CacheStatus::NotCached)
+        .count();
     MatrixReport {
         cells,
         cache_hits,
@@ -565,7 +805,7 @@ pub fn to_json(report: &MatrixReport, cfg: &ReproConfig) -> Json {
         .map(|c| {
             let mut pairs = vec![
                 ("dataset", Json::Str(c.dataset.clone())),
-                ("method", Json::Str(c.method.to_string())),
+                ("method", Json::Str(c.method.clone())),
                 ("epsilon", Json::Num(c.epsilon)),
                 (
                     "achieved_epsilon",
@@ -595,6 +835,17 @@ pub fn to_json(report: &MatrixReport, cfg: &ReproConfig) -> Json {
             ];
             if cfg.timings {
                 pairs.push(("wall_seconds", Json::Num(c.seconds)));
+                if let Some(p) = &c.phases {
+                    pairs.push((
+                        "phase_seconds",
+                        Json::obj([
+                            ("sequencing", Json::Num(p.sequencing.as_secs_f64())),
+                            ("training", Json::Num(p.training.as_secs_f64())),
+                            ("dc_weights", Json::Num(p.dc_weights.as_secs_f64())),
+                            ("sampling", Json::Num(p.sampling.as_secs_f64())),
+                        ]),
+                    ));
+                }
             }
             Json::obj(pairs)
         })
@@ -611,24 +862,20 @@ pub fn to_json(report: &MatrixReport, cfg: &ReproConfig) -> Json {
             Json::Arr(cfg.epsilons.iter().map(|&e| Json::Num(e)).collect()),
         ),
         (
-            // the lowercase ids every cell's "dataset" field carries, so
-            // the manifest joins against the cells
+            // the ids every cell's "dataset" field carries (matrix
+            // corpora, then study datasets), so the manifest joins
+            // against the cells
             "datasets",
             Json::Arr(
-                cfg.datasets
-                    .iter()
-                    .map(|c| Json::Str(c.id().to_string()))
+                dataset_specs(cfg)
+                    .into_iter()
+                    .map(|d| Json::Str(d.id()))
                     .collect(),
             ),
         ),
         (
             "methods",
-            Json::Arr(
-                cfg.methods
-                    .iter()
-                    .map(|m| Json::Str(m.name().to_string()))
-                    .collect(),
-            ),
+            Json::Arr(cfg.methods.iter().map(|m| Json::Str(m.name())).collect()),
         ),
         ("cells", Json::Arr(cells)),
     ];
@@ -649,14 +896,16 @@ fn reference_epsilon(cfg: &ReproConfig) -> f64 {
 }
 
 /// Renders the generated `REPRODUCTION.md`: per-dataset Ψ / TVD /
-/// accuracy tables across the ε grid, then the vs-paper delta table.
+/// accuracy tables across the ε grid, the vs-paper delta table, then the
+/// Studies table when the config lists studies.
 /// Deterministic for a fixed config (no timestamps; timings only when
 /// requested).
 pub fn render_markdown(report: &MatrixReport, cfg: &ReproConfig) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
     let eps_cols: Vec<String> = cfg.epsilons.iter().map(|e| format!("ε={e}")).collect();
-    let cell = |dataset: &str, method: &str, eps: f64| -> Option<&CellResult> {
+    let cell = |dataset: &str, method: MethodKind, eps: f64| -> Option<&CellResult> {
+        let method = method.name();
         report
             .cells
             .iter()
@@ -711,7 +960,7 @@ pub fn render_markdown(report: &MatrixReport, cfg: &ReproConfig) -> String {
                 let mut row = Vec::new();
                 let mut truth = String::from("—");
                 for &eps in &cfg.epsilons {
-                    match cell(&dataset, method.name(), eps) {
+                    match cell(&dataset, *method, eps) {
                         Some(c) => {
                             truth = format!("{:.2}", c.psi[dc_idx].1);
                             row.push(format!("{:.2}", c.psi[dc_idx].2));
@@ -752,7 +1001,7 @@ pub fn render_markdown(report: &MatrixReport, cfg: &ReproConfig) -> String {
                 let row: Vec<String> = cfg
                     .epsilons
                     .iter()
-                    .map(|&eps| match cell(&dataset, method.name(), eps) {
+                    .map(|&eps| match cell(&dataset, *method, eps) {
                         Some(c) => {
                             format!("{:.4}", if pick == 0 { c.tvd1_mean } else { c.tvd2_mean })
                         }
@@ -783,7 +1032,7 @@ pub fn render_markdown(report: &MatrixReport, cfg: &ReproConfig) -> String {
             let row: Vec<String> = cfg
                 .epsilons
                 .iter()
-                .map(|&eps| match cell(&dataset, method.name(), eps) {
+                .map(|&eps| match cell(&dataset, *method, eps) {
                     Some(c) => format!("{:.3}", c.accuracy),
                     None => "—".into(),
                 })
@@ -823,10 +1072,10 @@ pub fn render_markdown(report: &MatrixReport, cfg: &ReproConfig) -> String {
     for corpus in &cfg.datasets {
         let dataset = corpus.id();
         for method in &cfg.methods {
-            let Some(c) = cell(dataset, method.name(), ref_eps) else {
+            let Some(c) = cell(dataset, *method, ref_eps) else {
                 continue;
             };
-            let Some(pref) = paper_ref::reference(dataset, method.name()) else {
+            let Some(pref) = paper_ref::reference(dataset, &method.name()) else {
                 continue;
             };
             let psi = c.psi_total();
@@ -855,14 +1104,64 @@ pub fn render_markdown(report: &MatrixReport, cfg: &ReproConfig) -> String {
         }
     }
 
-    if cfg.timings {
-        let _ = writeln!(out, "\n## Wall-clock\n");
-        let _ = writeln!(out, "| Dataset | Method | ε | Seconds |");
-        let _ = writeln!(out, "|---|---|---|---|");
-        for c in &report.cells {
+    if !cfg.studies.is_empty() {
+        let _ = writeln!(out, "\n## Studies\n");
+        let _ = writeln!(
+            out,
+            "The §7 experiments off the matrix grid: Kamino variants, \
+             baselines standard vs. repaired, and Adult under discovered \
+             soft-DC sets (`adult-dcs{{k}}`). A row shared by several \
+             studies is one scored cell.\n"
+        );
+        let _ = writeln!(
+            out,
+            "| Paper | Dataset | ε | Method | DCs | Ψ truth (%) | Ψ total (%) | 1-way TVD | 2-way TVD | Accuracy | F1 |"
+        );
+        let _ = writeln!(out, "|---|---|---|---|---|---|---|---|---|---|---|");
+        for s in &cfg.studies {
+            let Some(c) = cell(&s.dataset.id(), s.method, s.epsilon) else {
+                continue;
+            };
             let _ = writeln!(
                 out,
-                "| {} | {} | {} | {:.2} |",
+                "| {} | {} | {} | {} | {} | {:.2} | {:.2} | {:.4} | {:.4} | {:.3} | {:.3} |",
+                s.paper,
+                c.dataset,
+                c.epsilon,
+                c.method,
+                c.psi.len(),
+                c.psi.iter().map(|(_, truth, _)| truth).sum::<f64>(),
+                c.psi_total(),
+                c.tvd1_mean,
+                c.tvd2_mean,
+                c.accuracy,
+                c.f1
+            );
+        }
+    }
+
+    if cfg.timings {
+        let _ = writeln!(out, "\n## Wall-clock\n");
+        let _ = writeln!(
+            out,
+            "Kamino-family cells split into the Figure 7 phases; a cache hit \
+             reports the phases of the fit that wrote its snapshot.\n"
+        );
+        let _ = writeln!(
+            out,
+            "| Dataset | Method | ε | Seconds | Sequencing | Training | DC weights | Sampling |"
+        );
+        let _ = writeln!(out, "|---|---|---|---|---|---|---|---|");
+        for c in &report.cells {
+            let phases = match &c.phases {
+                Some(p) => [p.sequencing, p.training, p.dc_weights, p.sampling]
+                    .map(|d| format!("{:.3}", d.as_secs_f64()))
+                    .join(" | "),
+                None => "— | — | — | —".to_string(),
+            };
+            let _ = writeln!(
+                out,
+                "| {} | {} | {} | {:.2} | {phases} |",
                 c.dataset, c.method, c.epsilon, c.seconds
             );
         }
@@ -897,30 +1196,134 @@ mod tests {
     fn cache_path_tracks_the_fit_identity() {
         let a = ReproConfig::fast(17);
         let mut b = ReproConfig::fast(17);
-        assert_eq!(a.cache_path("adult", 1.0), b.cache_path("adult", 1.0));
+        let path = |cfg: &ReproConfig, dataset: &str, eps: f64, method: MethodKind| {
+            cfg.cache_path(dataset, eps, method)
+        };
+        let kamino = MethodKind::Kamino;
+        assert_eq!(
+            path(&a, "adult", 1.0, kamino),
+            path(&b, "adult", 1.0, kamino)
+        );
         assert_ne!(
-            a.cache_path("adult", 1.0),
-            a.cache_path("adult", 0.4),
+            path(&a, "adult", 1.0, kamino),
+            path(&a, "adult", 0.4, kamino),
             "ε must key the cache"
         );
         assert_ne!(
-            a.cache_path("adult", 1.0),
-            a.cache_path("tax", 1.0),
+            path(&a, "adult", 1.0, kamino),
+            path(&a, "tax", 1.0, kamino),
             "dataset must key the cache"
+        );
+        assert_ne!(
+            path(&a, "adult", 1.0, kamino),
+            path(&a, "adult", 1.0, MethodKind::RandBoth),
+            "the Kamino variant must key the cache"
         );
         b.seed = 18;
         assert_ne!(
-            a.cache_path("adult", 1.0),
-            b.cache_path("adult", 1.0),
+            path(&a, "adult", 1.0, kamino),
+            path(&b, "adult", 1.0, kamino),
             "seed must key the cache"
         );
         b.seed = 17;
         b.train_scale = 0.5;
         assert_ne!(
-            a.cache_path("adult", 1.0),
-            b.cache_path("adult", 1.0),
+            path(&a, "adult", 1.0, kamino),
+            path(&b, "adult", 1.0, kamino),
             "config hash must key the cache"
         );
+    }
+
+    #[test]
+    fn default_kamino_cache_path_is_pinned() {
+        // the variant knobs must leave the plain Kamino cell's config —
+        // and so every committed cache key — exactly where it was
+        assert_eq!(
+            ReproConfig::fast(17).cache_path("adult", 1.0, MethodKind::Kamino),
+            PathBuf::from("target/repro-cache/adult-n240-eps1-seed17-014252670ddf2568.kamino")
+        );
+    }
+
+    #[test]
+    fn method_names() {
+        let names: Vec<String> = [
+            MethodKind::Kamino,
+            MethodKind::RandBoth,
+            MethodKind::AcceptReject,
+            MethodKind::Mcmc(0.5),
+            MethodKind::Mcmc(2.0),
+            MethodKind::Repaired(&MethodKind::PateGan),
+        ]
+        .into_iter()
+        .map(MethodKind::name)
+        .collect();
+        assert_eq!(
+            names,
+            [
+                "Kamino",
+                "RandBoth",
+                "Kamino-AR",
+                "Kamino-MCMC0.5",
+                "Kamino-MCMC2",
+                "PATE-GAN-repaired"
+            ]
+        );
+        assert!(MethodKind::Mcmc(1.0).is_kamino());
+        assert!(!MethodKind::Repaired(&MethodKind::PrivBayes).is_kamino());
+    }
+
+    #[test]
+    fn ablation_switch_wiring() {
+        let cfg = ReproConfig::fast(17);
+        let plain = cfg.kamino_config(1.0, MethodKind::Kamino);
+        assert!(plain.constraint_aware_sampling && plain.constraint_aware_sequencing);
+        let k = cfg.kamino_config(1.0, MethodKind::RandSampling);
+        assert!(!k.constraint_aware_sampling);
+        assert!(k.constraint_aware_sequencing);
+        let k = cfg.kamino_config(1.0, MethodKind::RandBoth);
+        assert!(!k.constraint_aware_sampling);
+        assert!(!k.constraint_aware_sequencing);
+        assert!(cfg.kamino_config(1.0, MethodKind::AcceptReject).ar_sampling);
+        assert_eq!(
+            cfg.kamino_config(1.0, MethodKind::Mcmc(2.0)).mcmc_ratio,
+            2.0
+        );
+        assert!(
+            cfg.kamino_config(1.0, MethodKind::HardFdLookup)
+                .hard_fd_lookup
+        );
+        assert!(
+            cfg.kamino_config(1.0, MethodKind::ParallelTraining)
+                .parallel_training
+        );
+    }
+
+    #[test]
+    fn full_mode_studies_cover_every_section_once_per_cell() {
+        let cfg = ReproConfig::full(11);
+        let matrix = cfg.datasets.len() * cfg.epsilons.len() * cfg.methods.len();
+        let cells = enumerate_cells(&cfg);
+        let mut papers: Vec<&str> = cfg.studies.iter().map(|s| s.paper).collect();
+        papers.dedup();
+        assert_eq!(
+            papers,
+            [
+                "Table 3 / Fig 5",
+                "Exp 6",
+                "Fig 9",
+                "Exp 10a",
+                "Exp 10b",
+                "Fig 1",
+                "Fig 8"
+            ]
+        );
+        // rows already in the matrix (or an earlier study) are not re-run
+        for (i, a) in cells.iter().enumerate() {
+            assert!(!cells[..i].contains(a), "duplicate cell {a:?}");
+        }
+        assert!(cells.len() > matrix);
+        let ids: Vec<String> = dataset_specs(&cfg).iter().map(|d| d.id()).collect();
+        assert!(ids.contains(&"adult-dcs128".to_string()), "{ids:?}");
     }
 
     #[test]
@@ -950,6 +1353,7 @@ mod tests {
                 f1: 0.6,
                 cache: CacheStatus::NotCached,
                 seconds: 1.0,
+                phases: None,
             })
             .collect();
         MatrixReport {
@@ -1018,6 +1422,89 @@ mod tests {
     }
 
     #[test]
+    fn study_cells_run_cache_and_render() {
+        // one study of each kind — a Kamino variant, a repaired baseline
+        // and a discovered-DC dataset — beside the one matrix cell
+        let dir = std::env::temp_dir().join(format!(
+            "kamino-repro-studies-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut cfg = ReproConfig::fast(17);
+        cfg.rows = 120;
+        cfg.train_scale = 0.02;
+        cfg.datasets = vec![Corpus::Adult];
+        cfg.epsilons = vec![1.0];
+        cfg.methods = vec![MethodKind::Kamino];
+        cfg.cache_dir = dir.clone();
+        let adult = DatasetSpec::plain(Corpus::Adult);
+        let adult_dcs2 = DatasetSpec {
+            corpus: Corpus::Adult,
+            discovered_dcs: Some(2),
+        };
+        cfg.studies = vec![
+            Study {
+                paper: "Table 3 / Fig 5",
+                dataset: adult,
+                epsilon: 1.0,
+                method: MethodKind::RandBoth,
+            },
+            Study {
+                paper: "Fig 1",
+                dataset: adult,
+                epsilon: f64::INFINITY,
+                method: MethodKind::Repaired(&MethodKind::PrivBayes),
+            },
+            Study {
+                paper: "Fig 8",
+                dataset: adult_dcs2,
+                epsilon: 1.0,
+                method: MethodKind::Kamino,
+            },
+        ];
+        assert_ne!(
+            cfg.cache_path(&adult.id(), 1.0, MethodKind::Kamino),
+            cfg.cache_path(&adult_dcs2.id(), 1.0, MethodKind::Kamino),
+            "the DC list is not in the config hash, so the id must key it"
+        );
+
+        let first = run_matrix(&cfg);
+        assert_eq!((first.cache_hits, first.cache_misses), (0, 3));
+        assert_eq!(first.kamino_cells, 3);
+        let json = to_json(&first, &cfg).to_string();
+        for needle in [
+            "\"method\":\"RandBoth\"",
+            "\"method\":\"PrivBayes-repaired\"",
+            "\"dataset\":\"adult-dcs2\"",
+            "\"datasets\":[\"adult\",\"adult-dcs2\"]",
+        ] {
+            assert!(json.contains(needle), "missing `{needle}` in {json}");
+        }
+        let dcs2 = first
+            .cells
+            .iter()
+            .find(|c| c.dataset == "adult-dcs2")
+            .expect("the discovered-DC cell ran");
+        assert_eq!(dcs2.psi.len(), 2);
+        let md = render_markdown(&first, &cfg);
+        assert!(md.contains("## Studies"), "{md}");
+        assert!(
+            md.contains("| Fig 1 | adult | inf | PrivBayes-repaired |"),
+            "{md}"
+        );
+
+        let second = run_matrix(&cfg);
+        assert_eq!(
+            (second.cache_hits, second.cache_misses, second.kamino_cells),
+            (3, 0, 3),
+            "every Kamino-family cell must come from the cache"
+        );
+        assert_eq!(json, to_json(&second, &cfg).to_string());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn markdown_renders_every_required_table() {
         let cfg = ReproConfig::fast(17);
         let report = fake_report(&cfg);
@@ -1040,5 +1527,6 @@ mod tests {
             "markdown must be deterministic"
         );
         assert!(!md.contains("Wall-clock"), "timings are opt-in");
+        assert!(!md.contains("## Studies"), "fast mode runs no studies");
     }
 }

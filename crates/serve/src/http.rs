@@ -136,22 +136,10 @@ fn parse_query(q: &str) -> BTreeMap<String, String> {
     out
 }
 
-/// Reads one request from the stream. `Err(ReadError::Eof)` is the clean
-/// end of a keep-alive connection.
-pub fn read_request<R: BufRead>(r: &mut R) -> Result<Request, ReadError> {
-    let (mut req, len) = read_head(r)?;
-    if len > 0 {
-        let mut body = vec![0u8; len];
-        r.read_exact(&mut body).map_err(ReadError::Io)?;
-        req.body = body;
-    }
-    Ok(req)
-}
-
 /// Parses the request line and headers (through the blank line), leaving
 /// the body unread. Returns the request with an empty body plus the
-/// declared `content-length`. Shared by the blocking [`read_request`]
-/// and the event loop's incremental [`try_parse`].
+/// declared `content-length`. The head parser behind the event loop's
+/// incremental [`try_parse`].
 pub fn read_head<R: BufRead>(r: &mut R) -> Result<(Request, usize), ReadError> {
     let request_line = read_line(r)?;
     let mut parts = request_line.split_whitespace();
@@ -254,9 +242,10 @@ fn find_head_end(buf: &[u8]) -> Option<usize> {
 }
 
 /// Attempts to parse one request from the front of `buf` without
-/// blocking: the event loop calls this after every read. The same
-/// bounded parser as [`read_request`] does the head work, so torn and
-/// pipelined writes converge to identical outcomes as the blocking path.
+/// blocking: the event loop calls this after every read. The bounded
+/// [`read_head`] parser does the head work once the terminator is
+/// buffered, so torn and pipelined writes converge to the outcome a
+/// single whole-request write gets.
 pub fn try_parse(buf: &[u8]) -> Parse {
     let Some(head_end) = find_head_end(buf) else {
         // no terminator yet: bound how much head a client may dribble in
@@ -361,10 +350,18 @@ pub fn finish_chunked_with_trailer<W: Write>(w: &mut W, name: &str, value: &str)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
 
-    fn req(raw: &str) -> Result<Request, ReadError> {
-        read_request(&mut BufReader::new(raw.as_bytes()))
+    /// Parses one complete request; `Err` carries the refusal status.
+    /// Panics on `Partial` — every input here is whole.
+    fn req(raw: &str) -> Result<Request, &'static str> {
+        match try_parse(raw.as_bytes()) {
+            Parse::Ready { req, consumed } => {
+                assert_eq!(consumed, raw.len(), "one request, fully consumed");
+                Ok(req)
+            }
+            Parse::Bad(status) => Err(status),
+            Parse::Partial => panic!("incomplete request: {raw:?}"),
+        }
     }
 
     #[test]
@@ -392,21 +389,19 @@ mod tests {
 
     #[test]
     fn eof_and_garbage_are_distinct() {
-        assert!(matches!(req(""), Err(ReadError::Eof)));
-        assert!(matches!(req("NOT HTTP\r\n\r\n"), Err(ReadError::Bad(_))));
+        // no bytes yet is a wait, not an error; garbage is refused
+        assert!(matches!(try_parse(b""), Parse::Partial));
+        assert!(matches!(req("NOT HTTP\r\n\r\n"), Err("400 Bad Request")));
         assert!(matches!(
             req("GET / SPDY/99\r\n\r\n"),
-            Err(ReadError::Bad(_))
+            Err("505 HTTP Version Not Supported")
         ));
     }
 
     #[test]
     fn chunked_request_bodies_are_refused() {
         let raw = "POST /fit HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n";
-        assert!(matches!(
-            req(raw),
-            Err(ReadError::Bad("501 Not Implemented"))
-        ));
+        assert!(matches!(req(raw), Err("501 Not Implemented")));
     }
 
     #[test]
@@ -415,7 +410,7 @@ mod tests {
             "POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
             MAX_BODY + 1
         );
-        assert!(matches!(req(&raw), Err(ReadError::Bad(_))));
+        assert!(matches!(req(&raw), Err("413 Content Too Large")));
     }
 
     #[test]
