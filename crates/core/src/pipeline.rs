@@ -5,7 +5,6 @@ use std::time::Duration;
 use kamino_constraints::{DenialConstraint, Hardness};
 use kamino_data::{Instance, Schema};
 use kamino_dp::Budget;
-use kamino_obs::events::Event;
 use kamino_obs::{clock, ObsHandle};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -243,13 +242,11 @@ pub fn fit_kamino(
         weights_unknown,
         train_scale: cfg.train_scale,
     };
+    let plan_span = obs.span("fit.plan");
     let params = search_params_with_obs(cfg.budget, shape, obs);
+    drop(plan_span);
     timings.sequencing = Duration::from_nanos(clock::now_nanos().saturating_sub(t0));
     drop(phase_span);
-    obs.event(Event::Phase {
-        name: "fit.sequencing",
-        dur_ns: timings.sequencing.as_nanos() as u64,
-    });
 
     // Line 4: TrainModel (Algorithm 2).
     let phase_span = obs.span("fit.training");
@@ -270,10 +267,6 @@ pub fn fit_kamino(
     let model = train_model(schema, instance, &sequence, &train_cfg);
     timings.training = Duration::from_nanos(clock::now_nanos().saturating_sub(t0));
     drop(phase_span);
-    obs.event(Event::Phase {
-        name: "fit.training",
-        dur_ns: timings.training.as_nanos() as u64,
-    });
 
     // Line 5: LearnWeight (Algorithm 5).
     let phase_span = obs.span("fit.dc_weights");
@@ -292,10 +285,6 @@ pub fn fit_kamino(
     };
     timings.dc_weights = Duration::from_nanos(clock::now_nanos().saturating_sub(t0));
     drop(phase_span);
-    obs.event(Event::Phase {
-        name: "fit.dc_weights",
-        dur_ns: timings.dc_weights.as_nanos() as u64,
-    });
 
     FittedKamino {
         sequence,
@@ -379,6 +368,14 @@ impl FittedKamino {
     /// streams bit-identical.
     pub fn set_rng_state(&mut self, state: [u64; 4]) {
         self.rng = StdRng::from_state(state);
+    }
+
+    /// Routes the spans and metrics of subsequent
+    /// [`FittedKamino::sample`] calls to `obs`. Snapshots never carry a
+    /// handle, so a serving layer attaches its own to every model it
+    /// loads from disk; the sample stream is unaffected either way.
+    pub fn set_obs(&mut self, obs: ObsHandle) {
+        self.cfg.obs = obs;
     }
 
     /// The schema this session synthesizes for.

@@ -38,19 +38,6 @@ pub enum Event {
         /// The δ the ε conversion was taken at.
         delta: f64,
     },
-    /// A pipeline phase finished (mirrors the span stream for consumers
-    /// that only read events).
-    Phase {
-        /// Phase name (`fit.training`, `sample.mcmc`, ...).
-        name: &'static str,
-        /// Wall duration in nanoseconds.
-        dur_ns: u64,
-    },
-    /// Free-form marker.
-    Marker {
-        /// What happened.
-        name: String,
-    },
     /// The serving layer replayed its durable fit ledger at boot.
     LedgerReplay {
         /// Intact records replayed.
@@ -69,8 +56,6 @@ impl Event {
         match self {
             Event::BudgetCalibration { .. } => "budget_calibration",
             Event::BudgetSpend { .. } => "budget_spend",
-            Event::Phase { .. } => "phase",
-            Event::Marker { .. } => "marker",
             Event::LedgerReplay { .. } => "ledger_replay",
         }
     }
@@ -131,9 +116,10 @@ mod tests {
     fn ring_bounds_and_sequences() {
         let ring = EventRing::new(3);
         for i in 0..5u64 {
-            ring.push(Event::Phase {
-                name: "p",
-                dur_ns: i,
+            ring.push(Event::LedgerReplay {
+                records: i,
+                dangling: 0,
+                spent_epsilon: 1.0,
             });
         }
         let snap = ring.snapshot();
@@ -142,6 +128,6 @@ mod tests {
             snap.iter().map(|r| r.seq).collect::<Vec<_>>(),
             vec![2, 3, 4]
         );
-        assert_eq!(snap[0].event.tag(), "phase");
+        assert_eq!(snap[0].event.tag(), "ledger_replay");
     }
 }

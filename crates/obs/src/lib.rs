@@ -158,7 +158,7 @@ impl ObsHandle {
         }
     }
 
-    /// Record a typed event (budget ledger, phase, marker).
+    /// Record a typed event (DP budget ledger, ledger replay).
     pub fn event(&self, event: Event) {
         if let Some(inner) = &self.inner {
             inner.events.push(event);
@@ -210,7 +210,11 @@ mod tests {
         obs.counter("c", &[]).inc();
         obs.gauge("g", &[]).set(1.0);
         obs.histogram("h", &[], &[1.0]).observe(0.5);
-        obs.event(Event::Marker { name: "m".into() });
+        obs.event(Event::LedgerReplay {
+            records: 1,
+            dangling: 0,
+            spent_epsilon: 1.0,
+        });
         assert!(obs.spans().is_empty());
         assert!(obs.events().is_empty());
         assert_eq!(obs.render_prometheus(), "");

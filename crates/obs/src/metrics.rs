@@ -402,6 +402,26 @@ mod tests {
     }
 
     #[test]
+    fn counters_accumulate_and_render() {
+        let r = Registry::default();
+        // a handle kept across events and a re-registered one share a cell
+        let rows = r.counter("kamino_rows_synthesized_total", &[]);
+        rows.add(100);
+        r.counter("kamino_rows_synthesized_total", &[]).add(50);
+        assert_eq!(rows.get(), 150);
+        // gauges overwrite; an infinite ε bound renders as +Inf
+        let eps = r.gauge("kamino_ledger_epsilon_total", &[]);
+        eps.set(1.5);
+        eps.set(f64::INFINITY);
+        r.gauge("kamino_pool_depth", &[("model", "1")]).set(3.0);
+        let text = r.render_prometheus();
+        assert!(text.contains("# TYPE kamino_rows_synthesized_total counter\n"));
+        assert!(text.contains("\nkamino_rows_synthesized_total 150\n"));
+        assert!(text.contains("\nkamino_ledger_epsilon_total +Inf\n"));
+        assert!(text.contains("\nkamino_pool_depth{model=\"1\"} 3\n"));
+    }
+
+    #[test]
     fn kind_mismatch_detaches_instead_of_panicking() {
         let r = Registry::default();
         r.counter("m", &[]).inc();

@@ -65,10 +65,6 @@ fn event_json(r: &EventRecord) -> String {
         } => format!(
             "\"mechanism\":\"{mechanism}\",\"sigma\":{sigma},\"composed_epsilon\":{composed_epsilon},\"delta\":{delta}"
         ),
-        Event::Phase { name, dur_ns } => {
-            format!("\"phase\":\"{}\",\"dur_ns\":{dur_ns}", esc(name))
-        }
-        Event::Marker { name } => format!("\"marker\":\"{}\"", esc(name)),
         Event::LedgerReplay {
             records,
             dangling,

@@ -230,6 +230,8 @@ pub struct LedgerReplay {
 /// are serialized by the registry's mutex around it.
 pub struct Ledger {
     file: File,
+    /// Σ budgeted ε over every intent on file, appends included.
+    spent_epsilon: f64,
 }
 
 impl Ledger {
@@ -297,7 +299,17 @@ impl Ledger {
         use std::io::Seek;
         file.seek(io::SeekFrom::End(0))?;
         fsync_dir(dir)?;
-        Ok((Ledger { file }, replay))
+        let ledger = Ledger {
+            file,
+            spent_epsilon: replay.spent_epsilon,
+        };
+        Ok((ledger, replay))
+    }
+
+    /// Σ budgeted ε over every intent on file — the replayed total plus
+    /// every intent appended since (∞ once any fit was non-private).
+    pub fn spent_epsilon(&self) -> f64 {
+        self.spent_epsilon
     }
 
     /// Appends one record durably: the frame is written and fsync'd
@@ -318,6 +330,9 @@ impl Ledger {
         }
         self.file.write_all(&frame)?;
         self.file.sync_all()?;
+        if let LedgerRecord::FitIntent { epsilon, .. } = rec {
+            self.spent_epsilon += epsilon;
+        }
         chaos::fault_point("ledger.post_append");
         Ok(())
     }

@@ -135,7 +135,7 @@ fn finish_inflight(c: &mut Conn, state: &AppState, status: &'static str) {
         );
     }
     if !status.starts_with('2') {
-        state.metrics.errors.fetch_add(1, Ordering::Relaxed);
+        state.metrics.errors.inc();
     }
 }
 
@@ -206,17 +206,15 @@ fn pump(c: &mut Conn, token: u64, state: &Arc<AppState>, jobs: &mpsc::Sender<Job
                             if let Ok((text, rows, _hit)) =
                                 r.pool.take_batch(&mut r.fitted, take, s.format)
                             {
-                                s.slot
-                                    .pool_depth
-                                    .store(r.pool.depth() as u64, Ordering::Relaxed);
+                                s.slot.pool_depth.set(r.pool.depth() as f64);
                                 // speculation pauses while the worker
                                 // queue is under pressure
                                 let refill = !server::speculation_paused(state)
                                     && r.pool.wants_refill()
                                     && !s.slot.refill_queued.swap(true, Ordering::AcqRel);
                                 drop(guard);
-                                state.registry.pool_hits.fetch_add(1, Ordering::Relaxed);
-                                state.metrics.add_rows(rows);
+                                state.registry.pool_hits.inc();
+                                state.metrics.rows.add(rows);
                                 state.registry.touch(&s.slot);
                                 let _ = http::write_chunk(&mut c.write_buf, text.as_bytes());
                                 s.remaining -= take;
@@ -337,7 +335,7 @@ fn apply_batch(
                     s.head_sent = true;
                 }
                 let _ = http::write_chunk(&mut c.write_buf, out.text.as_bytes());
-                state.metrics.add_rows(out.rows);
+                state.metrics.rows.add(out.rows);
                 let take = s.remaining.min(s.batch);
                 s.remaining -= take;
                 Outcome::Continue
@@ -412,10 +410,7 @@ fn expire_deadline(c: &mut Conn, state: &Arc<AppState>, now: u64, next_gen: &mut
     };
     c.gen = *next_gen;
     *next_gen += 1;
-    state
-        .metrics
-        .deadline_expired
-        .fetch_add(1, Ordering::Relaxed);
+    state.metrics.deadline_expired.inc();
     c.phase = Phase::Idle; // drops the stream's pin, if any
     if head_sent {
         let _ = http::finish_chunked_with_trailer(
@@ -462,8 +457,8 @@ fn serve_buffered(
                 return;
             }
             Parse::Bad(status) => {
-                state.metrics.requests.fetch_add(1, Ordering::Relaxed);
-                state.metrics.errors.fetch_add(1, Ordering::Relaxed);
+                state.metrics.requests.inc();
+                state.metrics.errors.inc();
                 let _ = http::write_response(
                     &mut c.write_buf,
                     status,
@@ -491,7 +486,7 @@ fn handle_request(
     jobs: &mpsc::Sender<Job>,
     draining: bool,
 ) {
-    state.metrics.requests.fetch_add(1, Ordering::Relaxed);
+    state.metrics.requests.inc();
     let close = req.wants_close() || draining;
     let route = server::route_label(req);
     let mut span = state.obs.span("serve.request");
@@ -590,6 +585,7 @@ pub(crate) fn run(
     let mut conns: Vec<Option<Conn>> = Vec::new();
     let mut events: Vec<sys::Event> = Vec::new();
     let mut next_gen: u64 = 1;
+    let mut open: u64 = 0;
     loop {
         poller.wait(POLL_TICK_MS, &mut events)?;
         let now = clock::now_nanos();
@@ -600,7 +596,10 @@ pub(crate) fn run(
                 TOKEN_LISTENER if accepting => loop {
                     match listener.accept() {
                         Ok((stream, _)) => {
-                            accept(&poller, &mut conns, stream, &mut next_gen, state, now)
+                            if accept(&poller, &mut conns, stream, &mut next_gen, now) {
+                                open += 1;
+                                state.metrics.open_connections.set(open as f64);
+                            }
                         }
                         Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                         Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
@@ -631,9 +630,9 @@ pub(crate) fn run(
             let _ = poller.delete(&listener);
             listener_armed = false;
         }
-        for idx in 0..conns.len() {
+        for (idx, entry) in conns.iter_mut().enumerate() {
             let token = idx as u64 + TOKEN_BASE;
-            let Some(c) = conns[idx].as_mut() else {
+            let Some(c) = entry.as_mut() else {
                 continue;
             };
             expire_deadline(c, state, now, &mut next_gen);
@@ -651,7 +650,11 @@ pub(crate) fn run(
                 c.dead = true;
             }
             if finished(c, draining) {
-                close_conn(&poller, &mut conns, idx, state);
+                // dropping the Conn closes the socket and releases any pin
+                let _ = poller.delete(&c.stream);
+                *entry = None;
+                open -= 1;
+                state.metrics.open_connections.set(open as f64);
             } else {
                 let want = sys::Interest {
                     readable: !c.read_closed && c.read_buf.len() < READ_CAP,
@@ -673,16 +676,17 @@ fn conn_at(conns: &mut [Option<Conn>], token: u64) -> Option<&mut Conn> {
     conns.get_mut(idx)?.as_mut()
 }
 
+/// Registers an accepted connection; `false` when it could not be set up
+/// (the stream is dropped, closing it).
 fn accept(
     poller: &sys::Poller,
     conns: &mut Vec<Option<Conn>>,
     stream: TcpStream,
     next_gen: &mut u64,
-    state: &Arc<AppState>,
     now: u64,
-) {
+) -> bool {
     if stream.set_nonblocking(true).is_err() {
-        return;
+        return false;
     }
     let _ = stream.set_nodelay(true);
     let idx = match conns.iter().position(Option::is_none) {
@@ -694,7 +698,7 @@ fn accept(
     };
     let token = idx as u64 + TOKEN_BASE;
     if poller.add(&stream, token, sys::Interest::READABLE).is_err() {
-        return;
+        return false;
     }
     let gen = *next_gen;
     *next_gen += 1;
@@ -711,19 +715,5 @@ fn accept(
         interest: sys::Interest::READABLE,
         inflight: None,
     });
-    state
-        .metrics
-        .open_connections
-        .fetch_add(1, Ordering::Relaxed);
-}
-
-fn close_conn(poller: &sys::Poller, conns: &mut [Option<Conn>], idx: usize, state: &Arc<AppState>) {
-    if let Some(c) = conns[idx].take() {
-        let _ = poller.delete(&c.stream);
-        state
-            .metrics
-            .open_connections
-            .fetch_sub(1, Ordering::Relaxed);
-        // dropping the Conn closes the socket and releases any pin
-    }
+    true
 }

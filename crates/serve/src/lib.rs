@@ -15,7 +15,8 @@
 //!   the vendored `epoll` crate) driving non-blocking HTTP/1.1
 //!   connection state machines, with a worker pool for the CPU-bound
 //!   jobs: fits, snapshot loads, sample batches and pool refills.
-//!   [`json`], [`http`] and [`metrics`] are its hand-rolled substrate.
+//!   [`json`] and [`http`] are its hand-rolled substrate; every
+//!   `GET /metrics` series lives in the server's `kamino-obs` registry.
 //! * [`registry`] — the model table: lazy snapshot loading, bounded
 //!   residency with cursor-exact LRU eviction, pin-protected streams.
 //! * [`pool`] — per-model pre-sampled batch rings that serve hot
@@ -34,7 +35,6 @@ pub mod durable;
 mod event_loop;
 pub mod http;
 pub mod json;
-pub mod metrics;
 pub mod pool;
 pub mod registry;
 pub mod server;
@@ -43,7 +43,7 @@ pub mod sys;
 
 pub use json::Json;
 pub use pool::{Format, PoolConfig, SamplePool};
-pub use registry::{Registry, RegistryStats};
+pub use registry::Registry;
 pub use server::{ServeConfig, Server};
 pub use snapshot::{
     decode_fitted, encode_fitted, load_fitted, save_fitted, SnapshotError, FORMAT_VERSION,

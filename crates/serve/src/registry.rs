@@ -38,6 +38,7 @@ use std::sync::{Arc, Mutex};
 
 use kamino_core::FittedKamino;
 use kamino_data::Schema;
+use kamino_obs::metrics::{Counter, Gauge};
 use kamino_obs::{Event, ObsHandle};
 
 use crate::durable::{self, AbortReason, Ledger, LedgerRecord, Manifest};
@@ -174,12 +175,13 @@ pub struct ModelSlot {
     last_touch: AtomicU64,
     /// Set while a refill job is queued or running (dedupes refills).
     pub refill_queued: AtomicBool,
-    /// Mirror of the pool's ring depth for lock-free metrics.
-    pub pool_depth: AtomicU64,
+    /// `kamino_pool_depth{model=id}`: the pool's ring depth, written by
+    /// whoever changes it so a scrape never takes the model mutex.
+    pub pool_depth: Gauge,
 }
 
 impl ModelSlot {
-    fn new(id: u64, status: SlotStatus, path: Option<PathBuf>) -> Arc<ModelSlot> {
+    fn new(id: u64, status: SlotStatus, path: Option<PathBuf>, obs: &ObsHandle) -> Arc<ModelSlot> {
         Arc::new(ModelSlot {
             id,
             path: Mutex::new(path),
@@ -188,7 +190,7 @@ impl ModelSlot {
             pins: AtomicU64::new(0),
             last_touch: AtomicU64::new(0),
             refill_queued: AtomicBool::new(false),
-            pool_depth: AtomicU64::new(0),
+            pool_depth: obs.gauge("kamino_pool_depth", &[("model", &id.to_string())]),
         })
     }
 
@@ -242,34 +244,6 @@ impl Drop for PinGuard {
     }
 }
 
-/// Aggregate registry numbers for `GET /metrics`.
-pub struct RegistryStats {
-    /// Slots known to the registry (any state).
-    pub total: usize,
-    /// Models resident in memory right now.
-    pub resident: usize,
-    /// Residency bound (`0` = unbounded).
-    pub max_resident: usize,
-    /// `(model id, ring depth)` for every slot.
-    pub pool_depths: Vec<(u64, u64)>,
-    /// Pooled batches served without sampling.
-    pub pool_hits: u64,
-    /// Batches that had to sample on demand.
-    pub pool_misses: u64,
-    /// Models evicted to disk.
-    pub evictions: u64,
-    /// Snapshot loads (boot-lazy or post-eviction).
-    pub loads: u64,
-    /// Ledger records replayed at boot.
-    pub ledger_replays: u64,
-    /// Files quarantined (corrupt snapshots, stale tmps, bad manifests).
-    pub quarantined: u64,
-    /// Σ budgeted ε across every ledger intent — the durable upper
-    /// bound on privacy spend against this model directory (∞ when any
-    /// fit was non-private; 0 without a `--model-dir`).
-    pub ledger_epsilon: f64,
-}
-
 /// The server's model table.
 pub struct Registry {
     slots: Mutex<BTreeMap<u64, Arc<ModelSlot>>>,
@@ -279,32 +253,47 @@ pub struct Registry {
     max_resident: usize,
     pool_cfg: PoolConfig,
     model_dir: Option<PathBuf>,
-    /// Pooled batches served without sampling.
-    pub pool_hits: AtomicU64,
-    /// Batches that had to sample on demand.
-    pub pool_misses: AtomicU64,
-    /// Models evicted to disk.
-    pub evictions: AtomicU64,
-    /// Snapshot loads (lazy boot loads and post-eviction reloads).
-    pub loads: AtomicU64,
     /// The durable write-ahead ledger (`Some` once [`Registry::boot_scan`]
     /// ran with a model directory). Appends serialize on this mutex.
     ledger: Mutex<Option<Ledger>>,
     /// The committed-model manifest mirror, rewritten atomically on disk
     /// after every snapshot commit.
     manifest: Mutex<Manifest>,
-    /// Bit pattern of the Σ-intent-ε gauge (updated under the ledger
-    /// mutex; reads are lock-free).
-    ledger_epsilon_bits: AtomicU64,
+    /// Home of the registry's `/metrics` series, and the handle every
+    /// model loaded from disk samples under.
+    obs: ObsHandle,
+    /// Pooled batches served without sampling.
+    pub pool_hits: Counter,
+    /// Batches that had to sample on demand.
+    pub pool_misses: Counter,
+    /// Models evicted to disk.
+    pub evictions: Counter,
+    /// Snapshot loads (lazy boot loads and post-eviction reloads).
+    pub loads: Counter,
     /// Ledger records replayed at boot.
-    pub ledger_replays: AtomicU64,
+    pub ledger_replays: Counter,
     /// Files quarantined at boot or during recovery.
-    pub quarantined: AtomicU64,
+    pub quarantined: Counter,
+    /// Σ budgeted ε across every ledger intent — the durable upper
+    /// bound on privacy spend against this model directory (∞ when any
+    /// fit was non-private; 0 without a `--model-dir`). Set under the
+    /// ledger mutex.
+    ledger_epsilon: Gauge,
+    open_models: Gauge,
+    resident_models: Gauge,
 }
 
 impl Registry {
-    /// An empty registry. `max_resident == 0` means unbounded.
-    pub fn new(max_resident: usize, pool_cfg: PoolConfig, model_dir: Option<PathBuf>) -> Registry {
+    /// An empty registry whose series live in `obs`. `max_resident == 0`
+    /// means unbounded.
+    pub fn new(
+        max_resident: usize,
+        pool_cfg: PoolConfig,
+        model_dir: Option<PathBuf>,
+        obs: &ObsHandle,
+    ) -> Registry {
+        obs.gauge("kamino_max_resident_models", &[])
+            .set(max_resident as f64);
         Registry {
             slots: Mutex::new(BTreeMap::new()),
             next_id: AtomicU64::new(1),
@@ -312,15 +301,18 @@ impl Registry {
             max_resident,
             pool_cfg,
             model_dir,
-            pool_hits: AtomicU64::new(0),
-            pool_misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            loads: AtomicU64::new(0),
             ledger: Mutex::new(None),
             manifest: Mutex::new(Manifest::default()),
-            ledger_epsilon_bits: AtomicU64::new(0f64.to_bits()),
-            ledger_replays: AtomicU64::new(0),
-            quarantined: AtomicU64::new(0),
+            obs: obs.clone(),
+            pool_hits: obs.counter("kamino_pool_hits_total", &[]),
+            pool_misses: obs.counter("kamino_pool_misses_total", &[]),
+            evictions: obs.counter("kamino_model_evictions_total", &[]),
+            loads: obs.counter("kamino_model_loads_total", &[]),
+            ledger_replays: obs.counter("kamino_ledger_replays_total", &[]),
+            quarantined: obs.counter("kamino_quarantined_files_total", &[]),
+            ledger_epsilon: obs.gauge("kamino_ledger_epsilon_total", &[]),
+            open_models: obs.gauge("kamino_open_models", &[]),
+            resident_models: obs.gauge("kamino_resident_models", &[]),
         }
     }
 
@@ -351,13 +343,13 @@ impl Registry {
     /// stable across restarts; foreign names get the next free id after
     /// every recognized one — and after every id the ledger has ever
     /// mentioned, so a crashed fit's id is never reused.
-    pub fn boot_scan(&self, obs: &ObsHandle) -> std::io::Result<()> {
+    pub fn boot_scan(&self) -> std::io::Result<()> {
         let Some(dir) = &self.model_dir else {
             return Ok(());
         };
         let dir = dir.clone();
         std::fs::create_dir_all(&dir)?;
-        let ledger_max = self.boot_ledger(&dir, obs)?;
+        let ledger_max = self.boot_ledger(&dir)?;
         self.boot_manifest(&dir);
         let mut paths: Vec<PathBuf> = Vec::new();
         for entry in std::fs::read_dir(&dir)?.filter_map(|e| e.ok()) {
@@ -412,7 +404,7 @@ impl Registry {
     /// Opens and replays the ledger; converts dangling intents into
     /// `failed (crashed)` slots. Returns the largest model id the ledger
     /// has ever mentioned.
-    fn boot_ledger(&self, dir: &Path, obs: &ObsHandle) -> std::io::Result<u64> {
+    fn boot_ledger(&self, dir: &Path) -> std::io::Result<u64> {
         let (mut ledger, replay) = Ledger::open(dir)?;
         for &(id, _) in &replay.dangling {
             ledger.append(&LedgerRecord::FitAbort {
@@ -420,10 +412,8 @@ impl Registry {
                 reason: AbortReason::Crash,
             })?;
         }
-        self.ledger_replays
-            .store(replay.records.len() as u64, Ordering::Relaxed);
-        self.ledger_epsilon_bits
-            .store(replay.spent_epsilon.to_bits(), Ordering::Relaxed);
+        self.ledger_replays.add(replay.records.len() as u64);
+        self.ledger_epsilon.set(ledger.spent_epsilon());
         if !replay.records.is_empty() || replay.truncated_bytes > 0 {
             println!(
                 "kamino-serve: replayed {} ledger record(s) ({} dangling, {} torn byte(s) \
@@ -433,7 +423,7 @@ impl Registry {
                 replay.truncated_bytes,
                 replay.spent_epsilon
             );
-            obs.event(Event::LedgerReplay {
+            self.obs.event(Event::LedgerReplay {
                 records: replay.records.len() as u64,
                 dangling: replay.dangling.len() as u64,
                 spent_epsilon: replay.spent_epsilon,
@@ -448,6 +438,7 @@ impl Registry {
                          stays counted as spent"
                     )),
                     None,
+                    &self.obs,
                 )
             });
         }
@@ -471,7 +462,7 @@ impl Registry {
     fn quarantine_file(&self, path: &Path, why: &str) {
         match durable::quarantine(path) {
             Ok(target) => {
-                self.quarantined.fetch_add(1, Ordering::Relaxed);
+                self.quarantined.inc();
                 eprintln!(
                     "kamino-serve: quarantined {} -> {} ({why})",
                     path.display(),
@@ -509,9 +500,7 @@ impl Registry {
                 plan_hash,
             })
             .map_err(|e| format!("budget ledger append failed: {e}"))?;
-        let total = f64::from_bits(self.ledger_epsilon_bits.load(Ordering::Relaxed)) + epsilon;
-        self.ledger_epsilon_bits
-            .store(total.to_bits(), Ordering::Relaxed);
+        self.ledger_epsilon.set(ledger.spent_epsilon());
         Ok(())
     }
 
@@ -558,7 +547,7 @@ impl Registry {
 
     fn insert_unloaded(&self, id: u64, path: PathBuf) {
         println!("kamino-serve: registered {} as model {id}", path.display());
-        let slot = ModelSlot::new(id, SlotStatus::Unloaded(None), Some(path));
+        let slot = ModelSlot::new(id, SlotStatus::Unloaded(None), Some(path), &self.obs);
         self.slots.lock().unwrap().insert(id, slot);
     }
 
@@ -585,7 +574,7 @@ impl Registry {
     /// Creates a fresh slot in the `Fitting` state and returns it.
     pub fn create_fitting(&self) -> Arc<ModelSlot> {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let slot = ModelSlot::new(id, SlotStatus::Fitting, None);
+        let slot = ModelSlot::new(id, SlotStatus::Fitting, None, &self.obs);
         self.slots.lock().unwrap().insert(id, Arc::clone(&slot));
         slot
     }
@@ -667,15 +656,18 @@ impl Registry {
             let Some(path) = slot.snapshot_path() else {
                 return Err("model has no snapshot to load".into());
             };
-            let fitted =
+            let mut fitted =
                 load_fitted(&path).map_err(|e| format!("loading model {} failed: {e}", slot.id))?;
+            // snapshots carry no handle: without this, reloaded models
+            // would draw with no `sample` spans
+            fitted.set_obs(self.obs.clone());
             let meta = ModelMeta::new(&fitted);
             *resident = Some(Resident {
                 fitted: Box::new(fitted),
                 pool: SamplePool::new(self.pool_cfg),
             });
             *slot.status.lock().unwrap() = SlotStatus::Ready(meta);
-            self.loads.fetch_add(1, Ordering::Relaxed);
+            self.loads.inc();
         }
         self.touch(slot);
         self.evict_over_capacity();
@@ -744,7 +736,7 @@ impl Registry {
         // reload resumes the observable stream bit-exactly
         let Resident { fitted, pool } = r;
         pool.rewind(fitted);
-        slot.pool_depth.store(0, Ordering::Relaxed);
+        slot.pool_depth.set(0.0);
         let bytes = crate::snapshot::encode_fitted(fitted);
         if let Err(e) = write_snapshot_bytes(&bytes, &path) {
             eprintln!(
@@ -758,34 +750,21 @@ impl Registry {
         self.commit_to_manifest(slot.id, &path);
         slot.set_snapshot_path(path);
         *slot.status.lock().unwrap() = SlotStatus::Unloaded(meta);
-        self.evictions.fetch_add(1, Ordering::Relaxed);
+        self.evictions.inc();
         true
     }
 
-    /// A consistent snapshot of the registry's numbers for `/metrics`.
-    pub fn stats(&self) -> RegistryStats {
+    /// Sets the open/resident model gauges from the slot table (status
+    /// mutexes only, never a model mutex). Called just before
+    /// `/metrics` renders.
+    pub fn publish_gauges(&self) {
         let slots = self.list();
-        let mut resident = 0;
-        let mut pool_depths = Vec::with_capacity(slots.len());
-        for s in &slots {
-            if matches!(&*s.status.lock().unwrap(), SlotStatus::Ready(_)) {
-                resident += 1;
-            }
-            pool_depths.push((s.id, s.pool_depth.load(Ordering::Relaxed)));
-        }
-        RegistryStats {
-            total: slots.len(),
-            resident,
-            max_resident: self.max_resident,
-            pool_depths,
-            pool_hits: self.pool_hits.load(Ordering::Relaxed),
-            pool_misses: self.pool_misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            loads: self.loads.load(Ordering::Relaxed),
-            ledger_replays: self.ledger_replays.load(Ordering::Relaxed),
-            quarantined: self.quarantined.load(Ordering::Relaxed),
-            ledger_epsilon: f64::from_bits(self.ledger_epsilon_bits.load(Ordering::Relaxed)),
-        }
+        let resident = slots
+            .iter()
+            .filter(|s| matches!(&*s.status.lock().unwrap(), SlotStatus::Ready(_)))
+            .count();
+        self.open_models.set(slots.len() as f64);
+        self.resident_models.set(resident as f64);
     }
 }
 

@@ -11,7 +11,7 @@
 //! | `POST /models/{id}/synthesize?n=..&batch=..&format=csv\|json` | stream rows (chunked) |
 //! | `POST /models/{id}/snapshot` | persist the model to the `--model-dir` |
 //! | `GET /healthz` | liveness |
-//! | `GET /metrics` | Prometheus text exposition: counters, rows/sec, latency histograms, pool/LRU gauges, DP budget ledger |
+//! | `GET /metrics` | Prometheus text exposition of the server's one obs registry: request/row/fit counters, latency histograms, pool/LRU gauges, DP budget ledger (empty when the obs handle is disabled) |
 //! | `POST /debug/trace` | chrome://tracing JSON of recorded spans and events |
 //! | `POST /shutdown` | graceful stop: drain in-flight responses, exit `run` |
 //!
@@ -49,11 +49,12 @@ use std::time::Duration;
 use kamino_core::{fit_kamino, KaminoConfig};
 use kamino_datasets::Corpus;
 use kamino_dp::Budget;
-use kamino_obs::{metrics::LATENCY_BUCKETS_S, ObsHandle};
+use kamino_obs::clock;
+use kamino_obs::metrics::{Counter, Gauge, LATENCY_BUCKETS_S};
+use kamino_obs::ObsHandle;
 
 use crate::http::Request;
 use crate::json::Json;
-use crate::metrics::Metrics;
 use crate::pool::{Format, PoolConfig};
 use crate::registry::{ModelSlot, PinGuard, Registry, SlotStatus};
 use crate::sys;
@@ -133,20 +134,76 @@ impl Default for ServeConfig {
     }
 }
 
+/// The server's own `/metrics` series, registered once at bind: hot
+/// paths bump a held handle (one relaxed atomic op) and never look a
+/// family up per event. All are detached no-ops on a disabled handle;
+/// [`ServerMetrics::register`] names the series each field feeds.
+pub(crate) struct ServerMetrics {
+    pub requests: Counter,
+    /// Requests that ended in a 4xx/5xx.
+    pub errors: Counter,
+    pub rows: Counter,
+    pub fits_started: Counter,
+    /// Fit jobs installed successfully.
+    pub fits_done: Counter,
+    /// `429`s from a full worker queue.
+    pub sheds: Counter,
+    /// `503`s and truncated streams from the per-request deadline.
+    pub deadline_expired: Counter,
+    /// `429`s from the concurrent-fit cap.
+    pub fit_rejected: Counter,
+    /// Set by the event loop, the only owner of connections.
+    pub open_connections: Gauge,
+    uptime: Gauge,
+    queue_depth: Gauge,
+    speculation_paused: Gauge,
+}
+
+impl ServerMetrics {
+    fn register(obs: &ObsHandle) -> ServerMetrics {
+        ServerMetrics {
+            requests: obs.counter("kamino_http_requests_total", &[]),
+            errors: obs.counter("kamino_http_errors_total", &[]),
+            rows: obs.counter("kamino_rows_synthesized_total", &[]),
+            fits_started: obs.counter("kamino_fits_started_total", &[]),
+            fits_done: obs.counter("kamino_fits_done_total", &[]),
+            sheds: obs.counter("kamino_shed_total", &[]),
+            deadline_expired: obs.counter("kamino_deadline_expired_total", &[]),
+            fit_rejected: obs.counter("kamino_fit_rejected_total", &[]),
+            open_connections: obs.gauge("kamino_open_connections", &[]),
+            uptime: obs.gauge("kamino_uptime_seconds", &[]),
+            queue_depth: obs.gauge("kamino_queue_depth", &[]),
+            speculation_paused: obs.gauge("kamino_speculation_paused", &[]),
+        }
+    }
+}
+
 /// Everything the event loop and the workers share.
 pub(crate) struct AppState {
     pub registry: Registry,
-    pub metrics: Metrics,
+    pub metrics: ServerMetrics,
     pub obs: ObsHandle,
     pub addr: SocketAddr,
+    /// obs-clock reading at bind; anchors uptime.
+    pub started_ns: u64,
     /// Set by `POST /shutdown`: stop accepting, drain, exit.
     pub draining: AtomicBool,
     /// Fit jobs currently training (bounded by [`MAX_CONCURRENT_FITS`]).
     pub active_fits: AtomicU64,
+    /// Worker jobs queued but not yet picked up (drives shedding).
+    pub queue_depth: AtomicU64,
+    /// Set while pool speculation is paused under queue pressure.
+    pub speculation_paused: AtomicBool,
     /// Per-request deadline in nanoseconds (0 = off).
     pub request_timeout_ns: u64,
     /// Queued-job bound for load shedding (0 = off).
     pub max_queue: u64,
+}
+
+impl AppState {
+    fn uptime_ns(&self) -> u64 {
+        clock::now_nanos().saturating_sub(self.started_ns)
+    }
 }
 
 /// CPU-bound work the event loop hands to the worker pool.
@@ -342,15 +399,18 @@ impl Server {
             batches: cfg.pool_batches,
             rows: cfg.pool_rows,
         };
-        let registry = Registry::new(cfg.max_models, pool_cfg, cfg.model_dir.clone());
-        registry.boot_scan(&cfg.obs)?;
+        let registry = Registry::new(cfg.max_models, pool_cfg, cfg.model_dir.clone(), &cfg.obs);
+        registry.boot_scan()?;
         let state = Arc::new(AppState {
             registry,
-            metrics: Metrics::new(),
+            metrics: ServerMetrics::register(&cfg.obs),
             obs: cfg.obs.clone(),
             addr,
+            started_ns: clock::now_nanos(),
             draining: AtomicBool::new(false),
             active_fits: AtomicU64::new(0),
+            queue_depth: AtomicU64::new(0),
+            speculation_paused: AtomicBool::new(false),
             request_timeout_ns: cfg.request_timeout.as_nanos().min(u64::MAX as u128) as u64,
             max_queue: cfg.max_queue as u64,
         });
@@ -395,21 +455,21 @@ impl Server {
     }
 }
 
-/// Queues a job, keeping the shed/speculation pressure gauges current.
+/// Queues a job, keeping the shed/speculation pressure state current.
 pub(crate) fn send_job(state: &AppState, jobs: &mpsc::Sender<Job>, job: Job) {
-    let depth = state.metrics.queue_depth.fetch_add(1, Ordering::AcqRel) + 1;
+    let depth = state.queue_depth.fetch_add(1, Ordering::AcqRel) + 1;
     note_queue_depth(state, depth);
     let _ = jobs.send(job);
 }
 
 /// `true` while the worker queue is at the shed bound.
 pub(crate) fn overloaded(state: &AppState) -> bool {
-    state.max_queue > 0 && state.metrics.queue_depth.load(Ordering::Acquire) >= state.max_queue
+    state.max_queue > 0 && state.queue_depth.load(Ordering::Acquire) >= state.max_queue
 }
 
 /// `true` while pool speculation should stay paused (queue pressure).
 pub(crate) fn speculation_paused(state: &AppState) -> bool {
-    state.metrics.speculation_paused.load(Ordering::Acquire) != 0
+    state.speculation_paused.load(Ordering::Acquire)
 }
 
 /// Pressure hysteresis: speculation pauses once the queue is half full
@@ -420,15 +480,32 @@ fn note_queue_depth(state: &AppState, depth: u64) {
         return;
     }
     if depth >= state.max_queue.div_ceil(2) {
-        state.metrics.speculation_paused.store(1, Ordering::Release);
+        state.speculation_paused.store(true, Ordering::Release);
     } else if depth == 0 {
-        state.metrics.speculation_paused.store(0, Ordering::Release);
+        state.speculation_paused.store(false, Ordering::Release);
     }
+}
+
+/// The `GET /metrics` body: refreshes the gauges that mirror state the
+/// server already holds — without touching any model mutex — then
+/// renders the obs registry, which holds every series.
+fn render_metrics(state: &AppState) -> String {
+    if !state.obs.is_enabled() {
+        return String::new();
+    }
+    let m = &state.metrics;
+    m.uptime.set(state.uptime_ns() as f64 / 1e9);
+    m.queue_depth
+        .set(state.queue_depth.load(Ordering::Relaxed) as f64);
+    m.speculation_paused
+        .set(f64::from(u8::from(speculation_paused(state))));
+    state.registry.publish_gauges();
+    state.obs.render_prometheus()
 }
 
 /// The uniform shed reply: `429` + `Retry-After: 1`.
 fn shed_reply(state: &AppState, close: bool) -> Action {
-    state.metrics.sheds.fetch_add(1, Ordering::Relaxed);
+    state.metrics.sheds.inc();
     Action::Respond(Reply::json_retry(
         "429 Too Many Requests",
         err_json("server overloaded: worker queue is full; retry shortly"),
@@ -443,7 +520,6 @@ fn worker_loop(state: &Arc<AppState>, rx: &Mutex<mpsc::Receiver<Job>>, done: &Co
         let job = rx.lock().unwrap().recv();
         let Ok(job) = job else { break };
         let depth = state
-            .metrics
             .queue_depth
             .fetch_sub(1, Ordering::AcqRel)
             .saturating_sub(1);
@@ -492,8 +568,7 @@ fn run_refill(state: &Arc<AppState>, slot: &Arc<ModelSlot>) {
         if !r.pool.refill_one(&mut r.fitted) {
             break;
         }
-        slot.pool_depth
-            .store(r.pool.depth() as u64, Ordering::Relaxed);
+        slot.pool_depth.set(r.pool.depth() as f64);
     }
     slot.refill_queued.store(false, Ordering::Release);
     let _ = state;
@@ -550,15 +625,14 @@ fn run_batch(
             .pool
             .take_batch(&mut r.fitted, rows, format)
             .map_err(|e| ("500 Internal Server Error", e))?;
-        slot.pool_depth
-            .store(r.pool.depth() as u64, Ordering::Relaxed);
+        slot.pool_depth.set(r.pool.depth() as f64);
         drop(guard);
         let counter = if hit {
             &state.registry.pool_hits
         } else {
             &state.registry.pool_misses
         };
-        counter.fetch_add(1, Ordering::Relaxed);
+        counter.inc();
         state.registry.touch(slot);
         return Ok(BatchOut {
             text,
@@ -668,7 +742,7 @@ fn run_fit(state: &Arc<AppState>, slot: &Arc<ModelSlot>, spec: FitSpec) {
         }
     };
     if state.registry.finish_fit(slot, outcome, spec.persist) {
-        state.metrics.fits_done.fetch_add(1, Ordering::Relaxed);
+        state.metrics.fits_done.inc();
     }
     state.active_fits.fetch_sub(1, Ordering::AcqRel);
 }
@@ -768,21 +842,20 @@ pub(crate) fn dispatch(
             let body = Json::obj([
                 ("status", Json::Str("ok".into())),
                 ("models", Json::Num(state.registry.len() as f64)),
-                ("uptime_ms", Json::Num(state.metrics.uptime_ms() as f64)),
+                (
+                    "uptime_ms",
+                    Json::Num((state.uptime_ns() / 1_000_000) as f64),
+                ),
             ]);
             Action::Respond(Reply::json("200 OK", body, close))
         }
-        ("GET", ["metrics"]) => {
-            let stats = state.registry.stats();
-            let body = state.metrics.render_prometheus(&state.obs, &stats);
-            Action::Respond(Reply {
-                status: "200 OK",
-                content_type: "text/plain; version=0.0.4",
-                body: body.into_bytes(),
-                close,
-                retry_after: None,
-            })
-        }
+        ("GET", ["metrics"]) => Action::Respond(Reply {
+            status: "200 OK",
+            content_type: "text/plain; version=0.0.4",
+            body: render_metrics(state).into_bytes(),
+            close,
+            retry_after: None,
+        }),
         ("POST", ["debug", "trace"]) => Action::Respond(Reply {
             status: "200 OK",
             content_type: "application/json",
@@ -899,7 +972,7 @@ fn dispatch_fit(
         })
         .is_ok();
     if !claimed {
-        state.metrics.fit_rejected.fetch_add(1, Ordering::Relaxed);
+        state.metrics.fit_rejected.inc();
         return Action::Respond(Reply::json_retry(
             "429 Too Many Requests",
             err_json(&format!(
@@ -912,7 +985,7 @@ fn dispatch_fit(
 
     let slot = state.registry.create_fitting();
     let id = slot.id;
-    state.metrics.fits_started.fetch_add(1, Ordering::Relaxed);
+    state.metrics.fits_started.inc();
     send_job(state, jobs, Job::Fit { slot, spec });
 
     let body = Json::obj([

@@ -182,17 +182,21 @@ fn fit_synthesize_concurrent_clients_and_clean_shutdown() {
     // metrics saw the traffic (Prometheus text exposition)
     let (status, body) = request(addr, "GET", "/metrics", None);
     assert!(status.contains("200"), "{status}");
-    assert!(body.contains("# TYPE kamino_rows_synthesized_total counter"));
-    let rows: u64 = body
-        .lines()
-        .find_map(|l| l.strip_prefix("kamino_rows_synthesized_total "))
-        .expect("rows counter missing")
-        .parse()
-        .expect("rows counter not an integer");
-    assert!(rows >= 220, "only {rows} rows counted");
-    assert!(body.contains("kamino_ready_models 1\n"), "{body}");
-    // the obs registry is merged in: request-latency histograms and the
-    // DP budget ledger from the fit above
+    assert_one_type_line_per_family(&body);
+    for (family, kind) in SERVER_FAMILIES {
+        assert!(
+            body.contains(&format!("# TYPE {family} {kind}\n")),
+            "missing {kind} {family}: {body}"
+        );
+    }
+    assert_eq!(metric(&body, "kamino_fits_started_total "), Some(1.0));
+    assert_eq!(metric(&body, "kamino_fits_done_total "), Some(1.0));
+    // 50 + 10 + 4 × 40 rows streamed above
+    assert_eq!(metric(&body, "kamino_rows_synthesized_total "), Some(220.0));
+    assert_eq!(metric(&body, "kamino_resident_models "), Some(1.0));
+    assert_eq!(metric(&body, "kamino_open_models "), Some(1.0));
+    // one registry holds the serving series, the request-latency
+    // histograms and the DP budget ledger from the fit above
     assert!(
         body.contains("kamino_http_request_duration_seconds_bucket"),
         "latency histogram missing"
@@ -225,6 +229,73 @@ fn metric(body: &str, series: &str) -> Option<f64> {
     body.lines()
         .find_map(|l| l.strip_prefix(series))
         .and_then(|rest| rest.trim().parse().ok())
+}
+
+/// Every serving family `/metrics` exports, with its Prometheus type.
+const SERVER_FAMILIES: [(&str, &str); 23] = [
+    ("kamino_uptime_seconds", "gauge"),
+    ("kamino_http_requests_total", "counter"),
+    ("kamino_http_errors_total", "counter"),
+    ("kamino_rows_synthesized_total", "counter"),
+    ("kamino_fits_started_total", "counter"),
+    ("kamino_fits_done_total", "counter"),
+    ("kamino_open_connections", "gauge"),
+    ("kamino_shed_total", "counter"),
+    ("kamino_deadline_expired_total", "counter"),
+    ("kamino_fit_rejected_total", "counter"),
+    ("kamino_queue_depth", "gauge"),
+    ("kamino_speculation_paused", "gauge"),
+    ("kamino_open_models", "gauge"),
+    ("kamino_resident_models", "gauge"),
+    ("kamino_max_resident_models", "gauge"),
+    ("kamino_model_loads_total", "counter"),
+    ("kamino_model_evictions_total", "counter"),
+    ("kamino_pool_hits_total", "counter"),
+    ("kamino_pool_misses_total", "counter"),
+    ("kamino_ledger_replays_total", "counter"),
+    ("kamino_quarantined_files_total", "counter"),
+    ("kamino_ledger_epsilon_total", "gauge"),
+    ("kamino_pool_depth", "gauge"),
+];
+
+/// One renderer means one `# TYPE` line per family.
+fn assert_one_type_line_per_family(body: &str) {
+    let mut types: Vec<&str> = body.lines().filter(|l| l.starts_with("# TYPE ")).collect();
+    let n = types.len();
+    types.sort_unstable();
+    types.dedup();
+    assert_eq!(types.len(), n, "duplicate # TYPE lines: {body}");
+}
+
+#[test]
+fn non_private_fit_renders_an_infinite_ledger_bound() {
+    let dir = std::env::temp_dir().join(format!(
+        "kamino-serve-smoke-{}-{}",
+        std::process::id(),
+        "nonprivate"
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (addr, handle) = boot(Some(dir.clone()));
+    let (_, body) = request(addr, "GET", "/metrics", None);
+    assert_eq!(metric(&body, "kamino_ledger_epsilon_total "), Some(0.0));
+
+    let (status, body) = request(
+        addr,
+        "POST",
+        "/fit",
+        Some(r#"{"corpus":"adult","rows":80,"non_private":true,"seed":4,"train_scale":0.02}"#),
+    );
+    assert!(status.contains("202"), "{status}: {body}");
+    let id = json(&body).get("model_id").and_then(Json::as_u64).unwrap();
+    wait_ready(addr, id);
+    let (_, body) = request(addr, "GET", "/metrics", None);
+    assert_one_type_line_per_family(&body);
+    assert!(
+        body.contains("\nkamino_ledger_epsilon_total +Inf\n"),
+        "a non-private fit must make the durable ε bound infinite: {body}"
+    );
+    shutdown(addr, handle);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -1,11 +1,12 @@
 //! Unit-level tests for the model registry's lazy-loading LRU: eviction
-//! order, pin protection, capacity-1 thrash, and id stability for
-//! foreign snapshot names.
+//! order, pin protection, capacity-1 thrash, tracing of reloaded models,
+//! and id stability for foreign snapshot names.
 
 use std::path::PathBuf;
 
 use kamino_core::{fit_kamino, FittedKamino, KaminoConfig};
 use kamino_dp::Budget;
+use kamino_obs::ObsHandle;
 use kamino_serve::pool::Format;
 use kamino_serve::registry::{Registry, SlotStatus};
 use kamino_serve::PoolConfig;
@@ -33,7 +34,8 @@ fn status_name(registry: &Registry, id: u64) -> &'static str {
 #[test]
 fn eviction_follows_least_recently_touched_order() {
     let dir = temp_dir("order");
-    let registry = Registry::new(2, PoolConfig::disabled(), Some(dir.clone()));
+    let obs = ObsHandle::enabled();
+    let registry = Registry::new(2, PoolConfig::disabled(), Some(dir.clone()), &obs);
     for seed in [31, 32, 33] {
         let slot = registry.create_fitting();
         assert!(registry.finish_fit(&slot, Ok(tiny_fitted(seed)), true));
@@ -43,8 +45,14 @@ fn eviction_follows_least_recently_touched_order() {
     assert_eq!(status_name(&registry, 1), "unloaded");
     assert_eq!(status_name(&registry, 2), "ready");
     assert_eq!(status_name(&registry, 3), "ready");
-    assert_eq!(registry.stats().resident, 2);
-    assert_eq!(registry.stats().evictions, 1);
+    registry.publish_gauges();
+    let metrics = obs.render_prometheus();
+    assert!(
+        metrics.contains("\nkamino_resident_models 2\n"),
+        "{metrics}"
+    );
+    assert!(metrics.contains("\nkamino_open_models 3\n"), "{metrics}");
+    assert_eq!(registry.evictions.get(), 1);
     assert!(dir.join("model-1.kamino").is_file());
 
     // touch 2 so 3 becomes the LRU, then reload 1: 3 must be evicted
@@ -55,7 +63,30 @@ fn eviction_follows_least_recently_touched_order() {
     assert_eq!(status_name(&registry, 1), "ready");
     assert_eq!(status_name(&registry, 2), "ready");
     assert_eq!(status_name(&registry, 3), "unloaded");
-    assert_eq!(registry.stats().loads, 1);
+    assert_eq!(registry.loads.get(), 1);
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn reloaded_models_sample_under_the_registry_handle() {
+    let dir = temp_dir("reload-obs");
+    let obs = ObsHandle::enabled();
+    let registry = Registry::new(1, PoolConfig::disabled(), Some(dir.clone()), &obs);
+    let slot_a = registry.create_fitting();
+    assert!(registry.finish_fit(&slot_a, Ok(tiny_fitted(71)), true));
+    let slot_b = registry.create_fitting();
+    assert!(registry.finish_fit(&slot_b, Ok(tiny_fitted(72)), true));
+    // B's install evicted A; serving A reloads it from its snapshot
+    assert_eq!(status_name(&registry, slot_a.id), "unloaded");
+    let sample_spans = || obs.spans().iter().filter(|s| s.name == "sample").count();
+    let before = sample_spans();
+    serve_rows(&registry, slot_a.id, 4);
+    assert_eq!(registry.loads.get(), 1);
+    assert!(
+        sample_spans() > before,
+        "a draw from a reloaded model must record a `sample` span"
+    );
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -63,7 +94,12 @@ fn eviction_follows_least_recently_touched_order() {
 #[test]
 fn pinned_models_are_never_evicted() {
     let dir = temp_dir("pins");
-    let registry = Registry::new(1, PoolConfig::disabled(), Some(dir.clone()));
+    let registry = Registry::new(
+        1,
+        PoolConfig::disabled(),
+        Some(dir.clone()),
+        &ObsHandle::disabled(),
+    );
     let slot_a = registry.create_fitting();
     assert!(registry.finish_fit(&slot_a, Ok(tiny_fitted(41)), true));
     let slot_b = registry.create_fitting();
@@ -114,7 +150,7 @@ fn capacity_one_thrash_keeps_both_streams_byte_exact() {
         batches: 2,
         rows: 5,
     };
-    let registry = Registry::new(1, pool_cfg, Some(dir.clone()));
+    let registry = Registry::new(1, pool_cfg, Some(dir.clone()), &ObsHandle::enabled());
     let slot_a = registry.create_fitting();
     assert!(registry.finish_fit(&slot_a, Ok(tiny_fitted(51)), true));
     let slot_b = registry.create_fitting();
@@ -150,11 +186,10 @@ fn capacity_one_thrash_keeps_both_streams_byte_exact() {
         let got = serve_rows(&registry, b, rows_b);
         assert_eq!(got, expect(&mut ref_b, rows_b), "model B round {round}");
     }
-    let stats = registry.stats();
+    let evictions = registry.evictions.get();
     assert!(
-        stats.evictions >= 5,
-        "capacity-1 interleave must thrash (got {} evictions)",
-        stats.evictions
+        evictions >= 5,
+        "capacity-1 interleave must thrash (got {evictions} evictions)"
     );
 
     let _ = std::fs::remove_dir_all(&dir);
@@ -171,10 +206,13 @@ fn boot_scan_keeps_server_ids_and_numbers_foreign_snapshots_after() {
     // and one file that is not a snapshot at all: skipped, not fatal
     std::fs::write(dir.join("junk.kamino"), b"not a snapshot").unwrap();
 
-    let registry = Registry::new(0, PoolConfig::disabled(), Some(dir.clone()));
-    registry
-        .boot_scan(&kamino_obs::ObsHandle::disabled())
-        .unwrap();
+    let registry = Registry::new(
+        0,
+        PoolConfig::disabled(),
+        Some(dir.clone()),
+        &ObsHandle::disabled(),
+    );
+    registry.boot_scan().unwrap();
     assert_eq!(registry.len(), 3);
     // model-3 keeps its id; foreign names get the next free ids in
     // sorted-path order

@@ -103,8 +103,8 @@ fn main() {
     ));
     println!("\n10 synthetic Adult rows:\n{csv}");
 
-    // 5. Prometheus metrics (request-latency histograms, rows/sec, the DP
-    //    budget ledger), then a graceful shutdown
+    // 5. Prometheus metrics (request/row counters, latency histograms, the
+    //    DP budget ledger), then a graceful shutdown
     let metrics = body_of(&request(addr, "GET", "/metrics", ""));
     let rows_line = metrics
         .lines()

@@ -53,13 +53,25 @@ fn the_enabled_run_recorded_spans_and_the_budget_ledger() {
     let _ = artifacts(obs.clone());
 
     let spans = obs.spans();
-    for name in ["fit", "fit.sequencing", "fit.training", "fit.dc_weights"] {
+    for name in [
+        "fit",
+        "fit.sequencing",
+        "fit.plan",
+        "fit.training",
+        "fit.dc_weights",
+    ] {
         assert!(
             spans.iter().any(|s| s.name == name),
             "missing span {name:?} in {:?}",
             spans.iter().map(|s| s.name.clone()).collect::<Vec<_>>()
         );
     }
+    // the planner's σ bisection nests inside the sequencing phase
+    let span_named = |name: &str| spans.iter().find(|s| s.name == name).unwrap();
+    assert_eq!(
+        span_named("fit.plan").parent,
+        span_named("fit.sequencing").id
+    );
 
     let events = obs.events();
     assert!(
