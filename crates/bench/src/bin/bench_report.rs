@@ -107,6 +107,8 @@ fn main() {
     let mut samples = Vec::new();
     for &shards in &shard_counts {
         let mut session = kamino_serve::decode_fitted(&snapshot).expect("snapshot round-trip");
+        // snapshots carry no handle: attach the run's so draws trace
+        session.set_obs(obs.clone());
         session.set_shards(shards);
         // warm-up draw so allocation effects do not dominate small runs
         let _ = session.sample(synth_rows.min(100));
@@ -141,24 +143,25 @@ fn main() {
         );
     }
 
-    if let Some(path) = &trace_out {
-        std::fs::write(path, obs.chrome_trace_json()).unwrap_or_else(|e| {
-            eprintln!("bench_report: cannot write trace {path}: {e}");
-            std::process::exit(1);
-        });
-        println!("wrote {path}");
-    }
-
     if let Some(path) = &dump_rows {
         // Fresh restore: identical model and RNG cursor every run, so the
         // dump is a byte-exact function of corpus/seed/row-count alone.
         let mut session = kamino_serve::decode_fitted(&snapshot).expect("snapshot round-trip");
+        session.set_obs(obs.clone());
         session.set_shards(*shard_counts.last().expect("non-empty shard list"));
         let inst = session.sample(synth_rows);
         let header = kamino_data::csv::header_line(session.schema()).expect("csv header");
         let rows = kamino_data::csv::rows_text(session.schema(), &inst).expect("csv rows");
         std::fs::write(path, format!("{header}{rows}")).unwrap_or_else(|e| {
             eprintln!("bench_report: cannot write {path}: {e}");
+            std::process::exit(1);
+        });
+        println!("wrote {path}");
+    }
+
+    if let Some(path) = &trace_out {
+        std::fs::write(path, obs.chrome_trace_json()).unwrap_or_else(|e| {
+            eprintln!("bench_report: cannot write trace {path}: {e}");
             std::process::exit(1);
         });
         println!("wrote {path}");

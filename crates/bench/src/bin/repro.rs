@@ -95,11 +95,12 @@ fn main() {
         cfg.cache_dir = dir;
     }
     cfg.timings = timings;
-    if trace_out.is_some() {
-        // tracing is strictly off the determinism contract: the emitted
-        // artifacts are byte-identical with or without it (CI re-asserts)
-        cfg.obs = kamino_obs::ObsHandle::enabled();
-    }
+    // always on: the spans are the run's only clock, so every cache entry
+    // keeps its fit phases for a later --timings run. Tracing is strictly
+    // off the determinism contract — --timings alone decides whether
+    // wall-clock reaches the artifacts, and --trace-out only whether the
+    // trace is written
+    cfg.obs = kamino_obs::ObsHandle::enabled();
 
     eprintln!(
         "kamino-repro: {} matrix — {} datasets × {} ε × {} synthesizers = {} cells, \

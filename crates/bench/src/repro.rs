@@ -43,7 +43,6 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Duration;
 
 use kamino_baselines::{DpVae, Independent, NistPgm, PateGan, PrivBayes, Synthesizer};
 use kamino_constraints::discovery::discover_approximate_dcs;
@@ -54,7 +53,7 @@ use kamino_eval::classifiers::Classifier;
 use kamino_eval::clean::repair;
 use kamino_eval::tasks::evaluate_classification_with;
 use kamino_eval::{tvd_all_pairs, tvd_all_singles, violation_table};
-use kamino_obs::{clock, ObsHandle};
+use kamino_obs::ObsHandle;
 use kamino_serve::Json;
 
 /// The δ every cell runs at (the paper's default).
@@ -316,9 +315,11 @@ pub struct ReproConfig {
     /// artifacts are byte-for-byte diffable only without timings.
     pub timings: bool,
     /// Observability sink shared by every cell (spans, fit phases, the
-    /// DP budget ledger). Disabled by default; enabling it must not —
-    /// and does not — change a single artifact byte (`--trace-out`
-    /// exercises this, and CI re-asserts it).
+    /// DP budget ledger), and the only clock the run reads: every
+    /// wall-clock figure is a span duration, so with it disabled they
+    /// are all zero. Disabled by default (the `kamino-repro` binary
+    /// always enables it); enabling it must not — and does not — change
+    /// a single artifact byte (CI re-asserts this).
     pub obs: ObsHandle,
 }
 
@@ -490,12 +491,14 @@ pub struct CellResult {
     pub f1: f64,
     /// Cache disposition of the fit.
     pub cache: CacheStatus,
-    /// Cell wall-clock (fit-or-load + synthesize + score), seconds.
-    /// Only surfaced in artifacts when [`ReproConfig::timings`] is set.
+    /// Cell wall-clock (fit-or-load + synthesize + score), seconds: the
+    /// duration of the cell's `repro.cell` span. Only surfaced in
+    /// artifacts when [`ReproConfig::timings`] is set.
     pub seconds: f64,
     /// Kamino-family cells: the fit phases as recorded when the model was
     /// fitted (a cache hit reports the cached fit's), plus this cell's
-    /// sampling time. Only surfaced with [`ReproConfig::timings`].
+    /// sampling time — all span-derived, so zero if the fit or the draw
+    /// ran without a handle. Only surfaced with [`ReproConfig::timings`].
     pub phases: Option<PhaseTimings>,
 }
 
@@ -520,7 +523,8 @@ pub struct MatrixReport {
     /// Number of Kamino-family (snapshot-cached) cells; always
     /// `cache_hits + cache_misses`.
     pub kamino_cells: usize,
-    /// End-to-end wall-clock of the run, seconds.
+    /// End-to-end wall-clock of the run, seconds: the duration of the
+    /// `repro.matrix` span.
     pub total_seconds: f64,
 }
 
@@ -585,9 +589,10 @@ fn enumerate_cells(cfg: &ReproConfig) -> Vec<Cell> {
 
 /// Fits (or cache-loads) a Kamino-family method and synthesizes the
 /// cell's rows, returning them with the achieved ε, the cache status and
-/// the phase timings. Snapshots are saved *before* sampling so the
-/// cached RNG cursor equals the fresh-fit cursor — cached and uncached
-/// runs sample identically.
+/// the session's span-derived phase timings (a cache hit carries the
+/// cached fit's). Snapshots are saved *before* sampling so the cached RNG
+/// cursor equals the fresh-fit cursor — cached and uncached runs sample
+/// identically.
 fn run_kamino_cell(
     d: &Dataset,
     cfg: &ReproConfig,
@@ -609,12 +614,12 @@ fn run_kamino_cell(
             (fitted, CacheStatus::Miss)
         }
     };
+    // snapshots carry no handle: re-attach the run's so cache hits trace
+    // (and time) their draw like fresh fits
+    session.set_obs(cfg.obs.clone());
     let achieved = session.achieved_epsilon();
-    let t0 = clock::now_nanos();
     let synth = session.sample(cfg.rows);
-    let mut phases = session.timings;
-    phases.sampling = Duration::from_nanos(clock::now_nanos().saturating_sub(t0));
-    (synth, achieved, status, phases)
+    (synth, achieved, status, session.timings)
 }
 
 /// Runs one cell end-to-end and scores it. `truth_psi` is the dataset's
@@ -622,7 +627,6 @@ fn run_kamino_cell(
 /// [`run_matrix`] (it is O(n²) per DC and identical for every cell of
 /// the dataset).
 fn run_cell(d: &Dataset, truth_psi: &[(String, f64)], cfg: &ReproConfig, cell: Cell) -> CellResult {
-    let t0 = clock::now_nanos();
     let mut span = cfg.obs.span("repro.cell");
     if span.is_active() {
         span.arg("dataset", d.name.clone());
@@ -670,7 +674,7 @@ fn run_cell(d: &Dataset, truth_psi: &[(String, f64)], cfg: &ReproConfig, cell: C
         accuracy: tasks.mean_accuracy(),
         f1: tasks.mean_f1(),
         cache,
-        seconds: clock::secs_since(t0),
+        seconds: span.finish().as_secs_f64(),
         phases,
     }
 }
@@ -679,7 +683,7 @@ fn run_cell(d: &Dataset, truth_psi: &[(String, f64)], cfg: &ReproConfig, cell: C
 /// then drains the cell list with a scoped-thread worker pool. Results
 /// land in cell order regardless of which worker finishes first.
 pub fn run_matrix(cfg: &ReproConfig) -> MatrixReport {
-    let t0 = clock::now_nanos();
+    let span = cfg.obs.span("repro.matrix");
     std::fs::create_dir_all(&cfg.cache_dir).ok();
     let datasets: Vec<Dataset> = dataset_specs(cfg)
         .into_iter()
@@ -734,7 +738,7 @@ pub fn run_matrix(cfg: &ReproConfig) -> MatrixReport {
         cache_hits,
         cache_misses,
         kamino_cells,
-        total_seconds: clock::secs_since(t0),
+        total_seconds: span.finish().as_secs_f64(),
     }
 }
 

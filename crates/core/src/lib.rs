@@ -46,9 +46,7 @@ pub use params::{search_params, search_params_with_obs, PrivacyParams};
 pub use pipeline::{
     fit_kamino, run_kamino, FittedKamino, KaminoConfig, KaminoReport, PhaseTimings,
 };
-pub use sampler::{
-    synthesize, synthesize_timed, SampleConfig, SampleTimings, FD_CYCLE_TOLERANCE_PCT,
-};
+pub use sampler::{synthesize, synthesize_timed, SampleConfig, FD_CYCLE_TOLERANCE_PCT};
 pub use sequence::{active_dcs_by_position, sequence_attrs};
 pub use train::{train_model, TrainConfig};
 pub use weights::{learn_weights, WeightConfig, HARD_WEIGHT};

@@ -5,13 +5,13 @@ use std::time::Duration;
 use kamino_constraints::{DenialConstraint, Hardness};
 use kamino_data::{Instance, Schema};
 use kamino_dp::Budget;
-use kamino_obs::{clock, ObsHandle};
+use kamino_obs::ObsHandle;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::ar_sampler::{synthesize_ar, ArSampleConfig};
 use crate::params::{search_params_with_obs, PrivacyParams, SearchShape};
-use crate::sampler::{synthesize_timed, SampleConfig, SampleTimings};
+use crate::sampler::{synthesize_timed, SampleConfig};
 use crate::sequence::{random_sequence, sequence_attrs};
 use crate::train::{count_marginal_releases, count_sgd_models, train_model, TrainConfig};
 use crate::weights::{learn_weights, WeightConfig, HARD_WEIGHT};
@@ -134,26 +134,25 @@ fn shards_from_env() -> usize {
 
 /// Wall-clock time per pipeline phase — the series of Figure 7, extended
 /// with the sample-side breakdown of Algorithm 3 (fill / cross-shard
-/// repair / constrained MCMC). The fit-side fields are measured on every
-/// run; the sample-side breakdown accumulates across
-/// [`FittedKamino::sample`] calls when the session's
-/// [`KaminoConfig::obs`] handle is enabled (with it disabled the sampler
-/// performs no clock reads at all).
-#[derive(Debug, Clone, Copy, Default)]
+/// repair / constrained MCMC). Every field is the duration of the
+/// [`KaminoConfig::obs`] span named beside it (the sampling fields summed
+/// across [`FittedKamino::sample`] calls), so with a disabled handle every
+/// field is zero and no clock is read.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhaseTimings {
-    /// Algorithm 4 (+ Algorithm 6 parameter search).
+    /// `fit.sequencing`: Algorithm 4 (+ Algorithm 6 parameter search).
     pub sequencing: Duration,
-    /// Algorithm 2 (model training).
+    /// `fit.training`: Algorithm 2 (model training).
     pub training: Duration,
-    /// Violation matrix + Algorithm 5 (zero when all DCs are hard).
+    /// `fit.dc_weights`: violation matrix + Algorithm 5.
     pub dc_weights: Duration,
-    /// Algorithm 3 / accept–reject sampling, end to end.
+    /// `sample`: Algorithm 3 / accept–reject sampling, end to end.
     pub sampling: Duration,
-    /// Sample-side: per-column fill passes (Algorithm 3 lines 4–11).
+    /// `sample.fill`: per-column fill passes (Algorithm 3 lines 4–11).
     pub sample_fill: Duration,
-    /// Sample-side: cross-shard repair sweeps (zero on 1-shard runs).
+    /// `sample.repair`: cross-shard repair sweeps (zero on 1-shard runs).
     pub sample_repair: Duration,
-    /// Sample-side: constrained MCMC (Algorithm 3 line 12).
+    /// `sample.mcmc`: constrained MCMC (Algorithm 3 line 12).
     pub sample_mcmc: Duration,
 }
 
@@ -175,7 +174,8 @@ pub struct KaminoReport {
     pub weights: Vec<f64>,
     /// The privacy parameters Ψ selected by Algorithm 6.
     pub params: PrivacyParams,
-    /// Per-phase wall-clock timings (Figure 7).
+    /// Per-phase wall-clock timings (Figure 7), read off the config's obs
+    /// spans; all zero when [`KaminoConfig::obs`] is disabled.
     pub timings: PhaseTimings,
 }
 
@@ -195,7 +195,8 @@ pub struct FittedKamino {
     pub weights: Vec<f64>,
     /// The privacy parameters Ψ selected by the planner-backed Algorithm 6.
     pub params: PrivacyParams,
-    /// Wall-clock timings of the fit phases (sampling still zero).
+    /// Span-derived fit timings plus the sampling phases summed over every
+    /// [`FittedKamino::sample`] call; all zero while obs is disabled.
     pub timings: PhaseTimings,
     schema: Schema,
     dcs: Vec<DenialConstraint>,
@@ -222,12 +223,9 @@ pub fn fit_kamino(
     let _fit_span = obs.span("fit");
 
     // Line 2: sequencing (Algorithm 4), line 3: parameter search
-    // (Algorithm 6). Both are data-independent. Phase timing routes
-    // through the obs::clock choke point and is surfaced only under
-    // --timings / the obs exporters — never part of a deterministic
-    // artifact.
+    // (Algorithm 6). Both are data-independent. Each phase's timing is
+    // its span's duration — zero, with no clock read, when obs is off.
     let phase_span = obs.span("fit.sequencing");
-    let t0 = clock::now_nanos();
     let sequence = if cfg.constraint_aware_sequencing {
         sequence_attrs(schema, dcs)
     } else {
@@ -245,12 +243,10 @@ pub fn fit_kamino(
     let plan_span = obs.span("fit.plan");
     let params = search_params_with_obs(cfg.budget, shape, obs);
     drop(plan_span);
-    timings.sequencing = Duration::from_nanos(clock::now_nanos().saturating_sub(t0));
-    drop(phase_span);
+    timings.sequencing = phase_span.finish();
 
     // Line 4: TrainModel (Algorithm 2).
     let phase_span = obs.span("fit.training");
-    let t0 = clock::now_nanos();
     let train_cfg = TrainConfig {
         embed_dim: cfg.embed_dim,
         lr: cfg.lr,
@@ -265,12 +261,10 @@ pub fn fit_kamino(
         seed: cfg.seed,
     };
     let model = train_model(schema, instance, &sequence, &train_cfg);
-    timings.training = Duration::from_nanos(clock::now_nanos().saturating_sub(t0));
-    drop(phase_span);
+    timings.training = phase_span.finish();
 
     // Line 5: LearnWeight (Algorithm 5).
     let phase_span = obs.span("fit.dc_weights");
-    let t0 = clock::now_nanos();
     let weights = if weights_unknown {
         let wcfg = WeightConfig {
             l_w: params.l_w,
@@ -283,8 +277,7 @@ pub fn fit_kamino(
     } else {
         vec![HARD_WEIGHT; dcs.len()]
     };
-    timings.dc_weights = Duration::from_nanos(clock::now_nanos().saturating_sub(t0));
-    drop(phase_span);
+    timings.dc_weights = phase_span.finish();
 
     FittedKamino {
         sequence,
@@ -401,24 +394,20 @@ impl FittedKamino {
     /// variant when the config asks for it), advancing the session's RNG
     /// stream. Pure post-processing: spends no additional budget.
     pub fn sample(&mut self, n: usize) -> Instance {
-        let obs = self.cfg.obs.clone();
-        let enabled = obs.is_enabled();
-        let t0 = if enabled { clock::now_nanos() } else { 0 };
-        let mut span = obs.span("sample");
+        let mut span = self.cfg.obs.span("sample");
         if span.is_active() {
             span.arg("n", n.to_string());
             span.arg("shards", self.cfg.shards.to_string());
         }
-        let (inst, breakdown) = if self.cfg.ar_sampling {
-            let inst = synthesize_ar(
+        let inst = if self.cfg.ar_sampling {
+            synthesize_ar(
                 &self.schema,
                 &self.model,
                 &self.dcs,
                 &self.weights,
                 &ArSampleConfig::new(n),
                 &mut self.rng,
-            );
-            (inst, SampleTimings::default())
+            )
         } else {
             let sample_cfg = SampleConfig {
                 n,
@@ -438,16 +427,11 @@ impl FittedKamino {
                 &self.weights,
                 &sample_cfg,
                 &mut self.rng,
-                &obs,
+                &self.cfg.obs,
+                &mut self.timings,
             )
         };
-        drop(span);
-        if enabled {
-            self.timings.sample_fill += breakdown.fill;
-            self.timings.sample_repair += breakdown.repair;
-            self.timings.sample_mcmc += breakdown.mcmc;
-            self.timings.sampling += Duration::from_nanos(clock::now_nanos().saturating_sub(t0));
-        }
+        self.timings.sampling += span.finish();
         inst
     }
 }
@@ -462,21 +446,16 @@ pub fn run_kamino(
 ) -> KaminoReport {
     let mut fitted = fit_kamino(schema, instance, dcs, cfg);
 
-    // Line 6: Synthesize. Timed through the obs::clock choke point;
-    // surfaced only under --timings, never part of a deterministic
-    // artifact.
-    let t0 = clock::now_nanos();
+    // Line 6: Synthesize.
     let out_n = cfg.output_n.unwrap_or(fitted.n_input);
     let instance_out = fitted.sample(out_n);
-    let mut timings = fitted.timings;
-    timings.sampling = Duration::from_nanos(clock::now_nanos().saturating_sub(t0));
 
     KaminoReport {
         instance: instance_out,
         sequence: fitted.sequence,
         weights: fitted.weights,
         params: fitted.params,
-        timings,
+        timings: fitted.timings,
     }
 }
 
@@ -562,11 +541,18 @@ mod tests {
     #[test]
     fn timings_are_populated() {
         let d = adult_like(200, 9);
-        let cfg = fast_cfg(Budget::new(1.0, 1e-6), 10);
+        let mut cfg = fast_cfg(Budget::new(1.0, 1e-6), 10);
+        cfg.obs = ObsHandle::enabled();
         let report = run_kamino(&d.schema, &d.instance, &d.dcs, &cfg);
         assert!(report.timings.training > Duration::ZERO);
         assert!(report.timings.sampling > Duration::ZERO);
+        assert!(report.timings.sample_fill > Duration::ZERO);
         assert!(report.timings.total() >= report.timings.training);
+
+        // a disabled handle reads no clock: every field stays zero
+        cfg.obs = ObsHandle::disabled();
+        let report = run_kamino(&d.schema, &d.instance, &d.dcs, &cfg);
+        assert_eq!(report.timings, PhaseTimings::default());
     }
 
     #[test]

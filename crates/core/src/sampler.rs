@@ -62,6 +62,10 @@
 //! output is bit-for-bit identical to the pre-sharding sampler for any
 //! fixed seed.
 //!
+//! Timings are span-derived: [`synthesize_timed`] adds each column's
+//! `sample.fill` / `sample.repair` / `sample.mcmc` span duration to the
+//! matching [`PhaseTimings`] field, which gains zero with a disabled handle.
+//!
 //! [`DcCounter`]: kamino_constraints::DcCounter
 
 use std::time::Duration;
@@ -69,31 +73,16 @@ use std::time::Duration;
 use kamino_constraints::{CandidateRow, CellContext, DenialConstraint, ScoreSet};
 use kamino_data::stats::sample_weighted;
 use kamino_data::{AttrKind, Instance, Quantizer, Schema, Value};
-use kamino_obs::{clock, ObsHandle};
+use kamino_obs::ObsHandle;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::model::{DataModel, SubModel, SubModelKind};
+use crate::pipeline::PhaseTimings;
 use crate::sequence::active_dcs_by_position;
 
-/// Wall-clock breakdown of one synthesis run's per-column phases,
-/// accumulated across columns. Only populated when the `obs` handle
-/// passed to [`synthesize_timed`] is enabled — with it disabled the
-/// sampler performs no clock reads at all, and every field stays zero.
-/// Strictly diagnostic: timing never influences the sample stream.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SampleTimings {
-    /// Per-column fill passes (Algorithm 3 lines 4–11).
-    pub fill: Duration,
-    /// Cross-shard repair sweeps (zero on 1-shard runs).
-    pub repair: Duration,
-    /// Constrained MCMC (Algorithm 3 line 12).
-    pub mcmc: Duration,
-}
-
-/// Runs `f`, timing it into `acc` under a named span when `obs` is
-/// enabled; with `obs` disabled this is exactly `f()` — no clock read,
-/// no span, no allocation.
+/// Runs `f` under the span `name` and adds the span's duration to `acc`.
+/// With `obs` disabled the span is inert: no clock read, no allocation.
 fn timed_phase<T>(
     obs: &ObsHandle,
     name: &'static str,
@@ -101,14 +90,12 @@ fn timed_phase<T>(
     acc: &mut Duration,
     f: impl FnOnce() -> T,
 ) -> T {
-    if !obs.is_enabled() {
-        return f();
-    }
     let mut span = obs.span(name);
-    span.arg("column", column.to_string());
-    let t0 = clock::now_nanos();
+    if span.is_active() {
+        span.arg("column", column.to_string());
+    }
     let out = f();
-    *acc += Duration::from_nanos(clock::now_nanos().saturating_sub(t0));
+    *acc += span.finish();
     out
 }
 
@@ -220,15 +207,14 @@ pub fn synthesize<R: Rng + ?Sized>(
         cfg,
         rng,
         &ObsHandle::disabled(),
+        &mut PhaseTimings::default(),
     )
-    .0
 }
 
-/// [`synthesize`], with per-column fill/repair/MCMC spans and a
-/// [`SampleTimings`] breakdown recorded through `obs`. The instance is
-/// byte-identical whether or not `obs` is enabled (timing never touches
-/// the RNG stream); with `obs` disabled the breakdown stays zero and no
-/// clock is read.
+/// [`synthesize`], timed: per-column spans through `obs`, their durations
+/// added to `timings`' sample fields (zero, with no clock read, when `obs`
+/// is disabled). The instance does not depend on `obs`.
+#[allow(clippy::too_many_arguments)]
 pub fn synthesize_timed<R: Rng + ?Sized>(
     schema: &Schema,
     model: &DataModel,
@@ -237,13 +223,12 @@ pub fn synthesize_timed<R: Rng + ?Sized>(
     cfg: &SampleConfig,
     rng: &mut R,
     obs: &ObsHandle,
-) -> (Instance, SampleTimings) {
+    timings: &mut PhaseTimings,
+) -> Instance {
     assert_eq!(dcs.len(), weights.len(), "one weight per DC");
     assert!(cfg.n > 0, "cannot synthesize an empty instance");
-    let mut timings = SampleTimings::default();
     if cfg.shards > 1 {
-        let inst = synthesize_sharded(schema, model, dcs, weights, cfg, rng, obs, &mut timings);
-        return (inst, timings);
+        return synthesize_sharded(schema, model, dcs, weights, cfg, rng, obs, timings);
     }
     let n = cfg.n;
     let k = model.sequence.len();
@@ -255,7 +240,7 @@ pub fn synthesize_timed<R: Rng + ?Sized>(
         let target = model.sequence[j];
         let mut scores = ScoreSet::build(active_j, dcs);
 
-        timed_phase(obs, "sample.fill", j, &mut timings.fill, || {
+        timed_phase(obs, "sample.fill", j, &mut timings.sample_fill, || {
             for i in 0..n {
                 let value = sample_cell(
                     schema, model, j, &inst, i, &scores, weights, cfg, false, &mut arena, rng,
@@ -270,7 +255,7 @@ pub fn synthesize_timed<R: Rng + ?Sized>(
         // candidate draws share one interleaved RNG stream, and every
         // site is re-scored through the same batch substrate as the main
         // pass.
-        timed_phase(obs, "sample.mcmc", j, &mut timings.mcmc, || {
+        timed_phase(obs, "sample.mcmc", j, &mut timings.sample_mcmc, || {
             mcmc_pass(
                 schema,
                 model,
@@ -284,7 +269,7 @@ pub fn synthesize_timed<R: Rng + ?Sized>(
             );
         });
     }
-    (inst, timings)
+    inst
 }
 
 /// The constrained MCMC step (Algorithm 3 line 12): `mcmc_resamples`
@@ -341,7 +326,7 @@ fn synthesize_sharded<R: Rng + ?Sized>(
     cfg: &SampleConfig,
     rng: &mut R,
     obs: &ObsHandle,
-    timings: &mut SampleTimings,
+    timings: &mut PhaseTimings,
 ) -> Instance {
     let n = cfg.n;
     let s_count = cfg.shards.min(n);
@@ -368,7 +353,7 @@ fn synthesize_sharded<R: Rng + ?Sized>(
         // indexes, so no cell written this pass is ever read across
         // shards. The fill phase (threads + shard-order commit/merge) is
         // timed as one unit.
-        let mut scores = timed_phase(obs, "sample.fill", j, &mut timings.fill, || {
+        let mut scores = timed_phase(obs, "sample.fill", j, &mut timings.sample_fill, || {
             let inst_ref = &inst;
             let shard_outputs: Vec<(Vec<Value>, ScoreSet)> = std::thread::scope(|scope| {
                 let handles: Vec<_> = bounds
@@ -432,7 +417,7 @@ fn synthesize_sharded<R: Rng + ?Sized>(
         // exists. One pass normally suffices; the loop re-checks in case
         // a general scan-DC fallback left residue.
         if cfg.constraint_aware && any_hard && !scores.is_empty() {
-            timed_phase(obs, "sample.repair", j, &mut timings.repair, || {
+            timed_phase(obs, "sample.repair", j, &mut timings.sample_repair, || {
                 for _ in 0..cfg.repair_sweeps {
                     let conflicted: Vec<usize> = (0..n)
                         .filter(|&r| {
@@ -462,7 +447,7 @@ fn synthesize_sharded<R: Rng + ?Sized>(
 
         // Constrained MCMC (Algorithm 3 line 12), against the merged
         // scorer — the exact helper the sequential path runs.
-        timed_phase(obs, "sample.mcmc", j, &mut timings.mcmc, || {
+        timed_phase(obs, "sample.mcmc", j, &mut timings.sample_mcmc, || {
             mcmc_pass(
                 schema,
                 model,

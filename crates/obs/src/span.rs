@@ -1,16 +1,18 @@
 //! RAII span guards with parent/child nesting.
 //!
-//! A span opens when [`crate::ObsHandle::span`] is called and closes when
-//! the guard drops; the finished record lands in a bounded ring. Nesting
-//! is tracked per thread: the span on top of the calling thread's stack
-//! when a new span opens becomes its parent. A disabled handle returns an
-//! inert guard — no clock read, no allocation, no thread-local traffic.
+//! A span opens when [`crate::ObsHandle::span`] is called and closes,
+//! exactly once, at [`SpanGuard::finish`] or when the guard drops; the
+//! finished record lands in a bounded ring. Nesting is tracked per thread:
+//! the span on top of the calling thread's stack when a new span opens
+//! becomes its parent. A disabled handle returns an inert guard — no clock
+//! read, no allocation, no thread-local traffic.
 
 use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use crate::clock;
 
@@ -134,11 +136,18 @@ impl SpanGuard {
     pub fn is_active(&self) -> bool {
         self.state.is_some()
     }
-}
 
-impl Drop for SpanGuard {
-    fn drop(&mut self) {
-        let Some(s) = self.state.take() else { return };
+    /// Closes the span now and returns the duration it recorded. An inert
+    /// guard returns [`Duration::ZERO`] without reading the clock.
+    pub fn finish(mut self) -> Duration {
+        Duration::from_nanos(self.close())
+    }
+
+    /// The one close path shared by [`SpanGuard::finish`] and `Drop`:
+    /// records the span (once — the state is taken) and returns its
+    /// duration in nanoseconds, or 0 for an inert or already-closed guard.
+    fn close(&mut self) -> u64 {
+        let Some(s) = self.state.take() else { return 0 };
         let end = clock::now_nanos();
         OPEN.with(|open| {
             let mut open = open.borrow_mut();
@@ -148,15 +157,23 @@ impl Drop for SpanGuard {
                 open.truncate(pos);
             }
         });
+        let dur_ns = end.saturating_sub(s.start_ns);
         s.sink.push(SpanRecord {
             id: s.id,
             parent: s.parent,
             name: s.name,
             tid: s.tid,
             start_ns: s.start_ns,
-            dur_ns: end.saturating_sub(s.start_ns),
+            dur_ns,
             args: s.args,
         });
+        dur_ns
+    }
+}
+
+impl Drop for SpanGuard {
+    fn drop(&mut self) {
+        self.close();
     }
 }
 
@@ -239,5 +256,32 @@ mod tests {
         g.arg("k", "v");
         assert!(!g.is_active());
         drop(g);
+    }
+
+    #[test]
+    fn finish_returns_the_recorded_duration_once() {
+        assert_eq!(SpanGuard::inert().finish(), Duration::ZERO);
+
+        let sink = Arc::new(SpanSink::new(16));
+        let outer = open(&sink, "outer");
+        let inner = open(&sink, "inner");
+        let dur = inner.finish();
+        // finished spans leave the nesting stack: the next one is a
+        // sibling of `inner`, not its child
+        let sibling = open(&sink, "sibling");
+        drop(sibling);
+        drop(outer);
+
+        let spans = sink.snapshot();
+        assert_eq!(
+            spans.len(),
+            3,
+            "finish must not record a second time at drop"
+        );
+        let rec = spans.iter().find(|s| s.name == "inner").unwrap();
+        assert_eq!(dur, Duration::from_nanos(rec.dur_ns));
+        let outer = spans.iter().find(|s| s.name == "outer").unwrap();
+        let sibling = spans.iter().find(|s| s.name == "sibling").unwrap();
+        assert_eq!(sibling.parent, outer.id);
     }
 }

@@ -755,7 +755,10 @@ mod tests {
     #[test]
     fn old_snapshots_without_sample_timings_still_load() {
         let mut live = tiny_fitted(8);
+        // traced, so the dropped section really held non-zero timings
+        live.set_obs(kamino_obs::ObsHandle::enabled());
         let _ = live.sample(10);
+        assert!(live.timings.sample_fill > std::time::Duration::ZERO);
         let old_format = rebuild_without(&encode_fitted(&live), section::SAMPLE_TIMINGS);
         let mut loaded = decode_fitted(&old_format).unwrap();
         // sample timings default to zero; everything else round-trips,

@@ -12,7 +12,7 @@ use kamino::constraints::violation_percentage;
 use kamino::core::{run_kamino, KaminoConfig};
 use kamino::datasets::tax_like;
 use kamino::dp::Budget;
-use kamino::obs::clock;
+use kamino::obs::ObsHandle;
 
 fn main() {
     let data = tax_like(800, 3);
@@ -21,15 +21,16 @@ fn main() {
     let mut cfg = KaminoConfig::new(Budget::new(1.0, 1e-6));
     cfg.seed = 9;
     cfg.train_scale = 0.3;
+    // report timings are span durations: without a handle they read zero
+    cfg.obs = ObsHandle::enabled();
 
     for lookup in [false, true] {
         cfg.hard_fd_lookup = lookup;
-        let start = clock::now_nanos();
         let report = run_kamino(&data.schema, &data.instance, &data.dcs, &cfg);
-        let elapsed = clock::secs_since(start);
         println!(
-            "hard_fd_lookup = {lookup}: sampled in {:.2}s (total {elapsed:.2}s)",
+            "hard_fd_lookup = {lookup}: sampled in {:.2}s (total {:.2}s)",
             report.timings.sampling.as_secs_f64(),
+            report.timings.total().as_secs_f64(),
         );
         for dc in &data.dcs {
             println!(

@@ -7,26 +7,33 @@
 //! allowed to perturb the sample stream or leak a timestamp into an
 //! artifact.
 
-use kamino::core::{fit_kamino, KaminoConfig};
+use std::time::Duration;
+
+use kamino::core::{fit_kamino, FittedKamino, KaminoConfig, PhaseTimings};
 use kamino::datasets::adult_like;
 use kamino::dp::Budget;
 use kamino::obs::{Event, ObsHandle};
 use kamino::serve::{decode_fitted, encode_fitted};
 
-/// Fit, snapshot, restore, and sample under the given handle.
-///
-/// Phase timings are zeroed before encoding: they are the one
-/// deliberately wall-clock-dependent snapshot section (surfaced by
-/// `GET /models/{id}` and `--timings`), so they vary run to run with or
-/// without tracing. Everything else — model weights, RNG cursor,
-/// schema, DC weights — must be bit-stable.
-fn artifacts(obs: ObsHandle) -> (Vec<u8>, String) {
+/// The fit every test here runs, under the given handle.
+fn fit(obs: ObsHandle) -> FittedKamino {
     let data = adult_like(120, 5);
     let mut cfg = KaminoConfig::new(Budget::new(1.0, 1e-6));
     cfg.seed = 23;
     cfg.train_scale = 0.05;
     cfg.obs = obs;
-    let mut fitted = fit_kamino(&data.schema, &data.instance, &data.dcs, &cfg);
+    fit_kamino(&data.schema, &data.instance, &data.dcs, &cfg)
+}
+
+/// Fit, snapshot, restore, and sample under the given handle.
+///
+/// Phase timings are zeroed before encoding: they are the one
+/// deliberately wall-clock-dependent snapshot section (surfaced by
+/// `GET /models/{id}` and `--timings`), so a traced fit's vary run to
+/// run (an untraced fit's are all zero). Everything else — model
+/// weights, RNG cursor, schema, DC weights — must be bit-stable.
+fn artifacts(obs: ObsHandle) -> (Vec<u8>, String) {
+    let mut fitted = fit(obs);
     fitted.timings = Default::default();
     let snapshot = encode_fitted(&fitted);
     let mut session = decode_fitted(&snapshot).expect("snapshot round-trip");
@@ -90,4 +97,44 @@ fn the_enabled_run_recorded_spans_and_the_budget_ledger() {
     // the exporters agree the data is there
     assert!(obs.render_prometheus().contains("kamino_dp_plans_total"));
     assert!(obs.chrome_trace_json().contains("fit.training"));
+}
+
+#[test]
+fn phase_timings_are_span_durations() {
+    let obs = ObsHandle::enabled();
+    let mut session = fit(obs.clone());
+    let _ = session.sample(60);
+    let t = session.timings;
+
+    let spans = obs.spans();
+    let summed = |name: &str| -> Duration {
+        let matching: Vec<_> = spans.iter().filter(|s| s.name == name).collect();
+        assert!(!matching.is_empty(), "no {name:?} span");
+        matching
+            .iter()
+            .map(|s| Duration::from_nanos(s.dur_ns))
+            .sum()
+    };
+    for (field, value, span) in [
+        ("sequencing", t.sequencing, "fit.sequencing"),
+        ("training", t.training, "fit.training"),
+        ("dc_weights", t.dc_weights, "fit.dc_weights"),
+        ("sampling", t.sampling, "sample"),
+        ("sample_fill", t.sample_fill, "sample.fill"),
+        ("sample_mcmc", t.sample_mcmc, "sample.mcmc"),
+    ] {
+        assert_eq!(value, summed(span), "{field} is not the {span:?} span");
+    }
+
+    // a disabled handle reads no clock: every field is zero, so untraced
+    // snapshots carry no wall-clock and encode byte-identically
+    let mut a = fit(ObsHandle::disabled());
+    let b = fit(ObsHandle::disabled());
+    assert_eq!(
+        encode_fitted(&a),
+        encode_fitted(&b),
+        "untraced fits must snapshot byte-identically"
+    );
+    let _ = a.sample(60);
+    assert_eq!(a.timings, PhaseTimings::default());
 }
