@@ -14,7 +14,9 @@
 //! the detected core count at startup so single-core results are not
 //! misread as regressions). The `matvec_{tiled,ref}` and
 //! `scan_count_{compact,rowmap_ref}` pairs are single-thread algorithmic
-//! comparisons and should show movement on any host. The
+//! comparisons and should show movement on any host, as does
+//! `scan_count_order_grouped` (the partitioned strict-order layout on Tax
+//! φ₆ᵗ) beside the row-map reference. The
 //! `dpsgd_step_{fused,reference}` pair documents that the fused
 //! clip-accumulate is at worst cost-neutral on a dense single-block model
 //! (the traversal it eliminates is a memset; the win grows with block
@@ -29,7 +31,7 @@ use kamino_constraints::{
     ScoreSet,
 };
 use kamino_data::Value;
-use kamino_datasets::adult_like;
+use kamino_datasets::{adult_like, tax_like};
 use kamino_dp::RdpAccountant;
 use kamino_nn::{DpSgd, ParamBlock, PerExampleModel};
 use rand::rngs::StdRng;
@@ -181,6 +183,50 @@ fn bench(c: &mut Criterion) {
                 let mut total = 0;
                 for &v in &values {
                     total += compact.count_new(&cell.with(v));
+                }
+                black_box(total)
+            })
+        });
+    }
+
+    // A grouped strict-order DC (Tax φ₆ᵗ: same state ∧ salary↑ ∧ rate↓)
+    // through the partitioned layout, which scans only the candidate's
+    // state partition with two integer compares per row. Counts match the
+    // row-map twin (asserted in setup); set beside
+    // `scan_count_rowmap_ref_n2000_d64`, it shows what the order layout
+    // buys over a full-prefix scan at the same n and candidate count.
+    {
+        let tax = tax_like(2_000, 1);
+        let phi6 = tax
+            .dcs
+            .iter()
+            .find(|dc| dc.name == "phi_t6")
+            .expect("Tax carries phi_t6");
+        let rate = tax.schema.index_of("rate").unwrap();
+        let mut grouped = DcCounter::build(phi6);
+        let mut rowmap = ScanIndexRef::new(phi6);
+        for i in 0..tax.instance.n_rows() {
+            let cand = CandidateRow::committed(&tax.instance, i, rate);
+            grouped.insert(&cand);
+            rowmap.insert(&cand);
+        }
+        let cell = CellContext::new(&tax.instance, tax.instance.n_rows() - 1, rate);
+        let values: Vec<Value> = (0..64)
+            .map(|k| Value::Num(k as f64 * 10.0 / 63.0))
+            .collect();
+        for &v in &values {
+            let cand = cell.with(v);
+            assert_eq!(
+                grouped.count_new(&cand),
+                rowmap.count_new(&cand),
+                "order layout diverged from the row-map reference"
+            );
+        }
+        g.bench_function("scan_count_order_grouped_n2000_d64", |b| {
+            b.iter(|| {
+                let mut total = 0;
+                for &v in &values {
+                    total += grouped.count_new(&cell.with(v));
                 }
                 black_box(total)
             })

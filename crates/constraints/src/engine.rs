@@ -17,7 +17,7 @@ use std::collections::HashMap;
 
 use kamino_data::{Instance, Value};
 
-use crate::ast::{CmpOp, DenialConstraint};
+use crate::ast::{CmpOp, DenialConstraint, StrictOrder};
 
 /// Stable hashable key for a cell value. Keys are only ever compared
 /// within a single attribute, whose values are all of one kind, so no
@@ -176,27 +176,15 @@ pub fn violation_percentage(dc: &DenialConstraint, inst: &Instance) -> f64 {
     }
 }
 
-/// Recognized shape: optional cross-tuple equality predicates on the same
-/// attribute, plus exactly two strict order predicates
-/// `t1[A] op_a t2[A] ∧ t1[B] op_b t2[B]` with `op ∈ {<, >}` and `A ≠ B`.
+/// The strict-order shape (see [`StrictOrder`]) counted with a Fenwick
+/// tree per equality group.
 pub(crate) struct OrderShape {
-    eq_attrs: Vec<usize>,
-    attr_a: usize,
-    op_a: CmpOp,
-    attr_b: usize,
-    op_b: CmpOp,
+    order: StrictOrder,
 }
 
 impl OrderShape {
     pub(crate) fn recognize(dc: &DenialConstraint) -> Option<OrderShape> {
-        let so = dc.as_strict_order()?;
-        Some(OrderShape {
-            eq_attrs: so.eq_attrs,
-            attr_a: so.a.0,
-            op_a: so.a.1,
-            attr_b: so.b.0,
-            op_b: so.b.1,
-        })
+        dc.as_strict_order().map(|order| OrderShape { order })
     }
 
     /// Counts unordered violating pairs in O(n log n) per equality group.
@@ -212,13 +200,14 @@ impl OrderShape {
         let mut groups: HashMap<Vec<u64>, Vec<usize>> = HashMap::new();
         for i in 0..n {
             let key: Vec<u64> = self
+                .order
                 .eq_attrs
                 .iter()
                 .map(|&a| value_key(inst.value(i, a)))
                 .collect();
             groups.entry(key).or_default().push(i);
         }
-        let larger_b_means_violation = match (self.op_a, self.op_b) {
+        let larger_b_means_violation = match (self.order.a.1, self.order.b.1) {
             (CmpOp::Gt, op) => op == CmpOp::Lt, // u has larger a; need b_u op b_v
             (CmpOp::Lt, op) => op == CmpOp::Gt, // u plays t2; flip
             _ => unreachable!("recognize() only admits strict ops"),
@@ -234,14 +223,12 @@ impl OrderShape {
     }
 
     fn count_group(&self, inst: &Instance, rows: &[usize], count_greater: bool) -> u64 {
+        let (attr_a, attr_b) = (self.order.a.0, self.order.b.0);
         // Sort by a ascending; process tie-blocks of equal a together.
         let mut order: Vec<usize> = rows.to_vec();
-        order.sort_by(|&i, &j| {
-            inst.value(i, self.attr_a)
-                .compare(inst.value(j, self.attr_a))
-        });
+        order.sort_by(|&i, &j| inst.value(i, attr_a).compare(inst.value(j, attr_a)));
         // Coordinate-compress b.
-        let mut bs: Vec<Value> = rows.iter().map(|&i| inst.value(i, self.attr_b)).collect();
+        let mut bs: Vec<Value> = rows.iter().map(|&i| inst.value(i, attr_b)).collect();
         bs.sort_by(|x, y| x.compare(*y));
         bs.dedup_by(|x, y| x.compare(*y) == std::cmp::Ordering::Equal);
         let rank = |v: Value| -> usize {
@@ -253,15 +240,15 @@ impl OrderShape {
         while idx < order.len() {
             // Identify the tie-block [idx, end) of equal a-values.
             let mut end = idx + 1;
-            let a_val = inst.value(order[idx], self.attr_a);
+            let a_val = inst.value(order[idx], attr_a);
             while end < order.len()
-                && inst.value(order[end], self.attr_a).compare(a_val) == std::cmp::Ordering::Equal
+                && inst.value(order[end], attr_a).compare(a_val) == std::cmp::Ordering::Equal
             {
                 end += 1;
             }
             // Query the whole block against strictly-smaller-a rows...
             for &i in &order[idx..end] {
-                let r = rank(inst.value(i, self.attr_b));
+                let r = rank(inst.value(i, attr_b));
                 total += if count_greater {
                     bit.total() - bit.prefix(r + 1) // strictly greater b
                 } else {
@@ -270,7 +257,7 @@ impl OrderShape {
             }
             // ...then insert the block.
             for &i in &order[idx..end] {
-                bit.add(rank(inst.value(i, self.attr_b)));
+                bit.add(rank(inst.value(i, attr_b)));
             }
             idx = end;
         }
@@ -530,6 +517,30 @@ mod tests {
         let single = inst(&s, &[(0, 10.0, 0.0, 0.0, 0)]);
         assert_eq!(count_violating_pairs(&dc, &single), 0);
         assert_eq!(violation_percentage(&dc, &single), 0.0);
+    }
+
+    #[test]
+    fn signed_zero_equality_agrees_across_paths() {
+        // value_key merges -0.0 with 0.0; the predicate `==` must too, or
+        // the FD fast path and the pair scan count the same DC differently
+        let s = schema();
+        let dc = parse_dc(
+            &s,
+            "fd0",
+            "!(t1.gain == t2.gain & t1.loss != t2.loss)",
+            Hardness::Hard,
+        )
+        .unwrap();
+        let d = inst(&s, &[(0, 1.0, 0.0, 1.0, 0), (0, 1.0, -0.0, 2.0, 0)]);
+        assert_eq!(count_violating_pairs(&dc, &d), 1);
+        assert_eq!(naive_violating_pairs(&dc, &d), 1);
+        assert_eq!(per_tuple_violations(&dc, &d), vec![1, 1]);
+        let mut scan = crate::incremental::ScanIndexRef::new(&dc);
+        scan.insert(&crate::incremental::CandidateRow::committed(&d, 0, 3));
+        assert_eq!(
+            scan.count_new(&crate::incremental::CandidateRow::committed(&d, 1, 3)),
+            1
+        );
     }
 
     #[test]

@@ -11,6 +11,11 @@
 //! * FD-shaped DCs in ~O(1) via a hash index keyed on the determinant
 //!   (`group size − #rows sharing the candidate's dependent value`), which
 //!   also powers the hard-FD lookup optimization of §7.3.6,
+//! * strict-order DCs `¬(eqs ∧ A≶ ∧ B≶)` (e.g. φ₆ᵗ) by an exact scan of
+//!   only the candidate's equality partition, stored as two pre-flipped
+//!   integer keys per row so each pair is one branch-free test — the
+//!   semi-naive "probe the one-tuple delta against an index" idea, at
+//!   O(partition) per candidate,
 //! * anything else by an exact scan of stored prefix rows (restricted to
 //!   `A_φ`), matching the paper's stated O(n) per-candidate complexity for
 //!   general binary DCs.
@@ -37,7 +42,7 @@ use std::collections::HashMap;
 
 use kamino_data::{Instance, Value};
 
-use crate::ast::{CmpOp, DenialConstraint, Fd};
+use crate::ast::{CmpOp, DenialConstraint, Fd, StrictOrder};
 use crate::engine::value_key;
 
 /// A view of one tuple where the `target` attribute takes a hypothetical
@@ -191,9 +196,9 @@ impl FdGroup {
 /// `f64` bit patterns and fall through to the map on first insert.
 const DENSE_KEY_LIMIT: u64 = 4096;
 
-/// Widest determinant probed with a stack key buffer; wider (never seen in
-/// practice) falls back to a heap key.
-const MAX_INLINE_LHS: usize = 8;
+/// Widest key (FD determinant or equality attributes) probed with a stack
+/// buffer; wider (never seen in practice) falls back to a heap key.
+const MAX_INLINE_KEY: usize = 8;
 
 /// Group storage of an [`FdIndex`].
 enum GroupTable {
@@ -207,17 +212,18 @@ enum GroupTable {
     Map(HashMap<Vec<u64>, FdGroup>),
 }
 
-/// Runs `f` on the determinant key of `cand`, built in a stack buffer for
-/// realistic determinant widths.
-fn with_fd_key<R>(fd: &Fd, cand: &CandidateRow<'_>, f: impl FnOnce(&[u64]) -> R) -> R {
-    if fd.lhs.len() <= MAX_INLINE_LHS {
-        let mut buf = [0u64; MAX_INLINE_LHS];
-        for (b, &a) in buf.iter_mut().zip(&fd.lhs) {
+/// Runs `f` on the key of `cand` over `attrs` (one `value_key` per
+/// attribute — an FD's determinant, a strict order's equality attributes),
+/// built in a stack buffer for realistic widths.
+fn with_key<R>(attrs: &[usize], cand: &CandidateRow<'_>, f: impl FnOnce(&[u64]) -> R) -> R {
+    if attrs.len() <= MAX_INLINE_KEY {
+        let mut buf = [0u64; MAX_INLINE_KEY];
+        for (b, &a) in buf.iter_mut().zip(attrs) {
             *b = value_key(cand.get(a));
         }
-        f(&buf[..fd.lhs.len()])
+        f(&buf[..attrs.len()])
     } else {
-        let key: Vec<u64> = fd.lhs.iter().map(|&a| value_key(cand.get(a))).collect();
+        let key: Vec<u64> = attrs.iter().map(|&a| value_key(cand.get(a))).collect();
         f(&key)
     }
 }
@@ -257,7 +263,7 @@ impl FdIndex {
                     .and_then(|i| slots.get(i))
                     .and_then(|s| s.as_ref())
             }
-            GroupTable::Map(map) => with_fd_key(&self.fd, cand, |key| map.get(key)),
+            GroupTable::Map(map) => with_key(&self.fd.lhs, cand, |key| map.get(key)),
         }
     }
 
@@ -373,7 +379,7 @@ impl FdIndex {
                     *slot = None;
                 }
             }
-            GroupTable::Map(map) => with_fd_key(&self.fd, cand, |key| {
+            GroupTable::Map(map) => with_key(&self.fd.lhs, cand, |key| {
                 let Some(group) = map.get_mut(key) else {
                     panic!("removing a row that was never inserted (unknown determinant group)")
                 };
@@ -433,36 +439,41 @@ impl FdIndex {
     }
 }
 
-/// Recognized strict-order shape for feasible-band queries:
-/// `¬(eqs ∧ t1[A] opA t2[A] ∧ t1[B] opB t2[B])` with `opA, opB ∈ {<, >}`.
-struct OrderInfo {
-    eq_attrs: Vec<usize>,
-    a: (usize, CmpOp),
-    b: (usize, CmpOp),
+/// Integer sort key whose order equals [`Value::compare`]: a categorical
+/// code, or for a number the `f64` total-order bit pattern (the
+/// `f64::total_cmp` trick) of the value with `-0.0` normalized to `0.0`.
+#[inline]
+fn order_key(v: Value) -> i64 {
+    match v {
+        Value::Cat(c) => i64::from(c),
+        Value::Num(_) => total_order_bits(value_key(v) as i64),
+    }
 }
 
-fn recognize_order(dc: &DenialConstraint) -> Option<OrderInfo> {
-    let so = dc.as_strict_order()?;
-    Some(OrderInfo {
-        eq_attrs: so.eq_attrs,
-        a: so.a,
-        b: so.b,
-    })
+/// Maps `f64` bits to a total-order integer, and back: negative patterns
+/// keep their sign bit and flip the rest. The map is its own inverse.
+#[inline]
+fn total_order_bits(bits: i64) -> i64 {
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
 }
 
-/// Immutable-at-scoring-time prefix index for general binary DCs: stores
-/// each inserted row restricted to `A_φ` in one contiguous row-major
-/// table (stride = `|A_φ|`) and scores by exact scan over it — batch
-/// `score_candidates` walks adjacent memory instead of chasing hash-map
-/// buckets. Every method takes `&self`; mutation goes through the owning
-/// [`DcCounter`].
-///
-/// Removal is swap-remove (a `row id → slot` side map keeps lookups O(1)),
-/// so physical row order is arbitrary; every query here is a fold that is
-/// independent of iteration order (violation counts sum, feasible bounds
-/// are min/max), so the layout cannot change any answer.
-pub struct ScanIndex {
-    dc: DenialConstraint,
+/// An order key pre-flipped so that `t1[A] op t2[A]` holds exactly when
+/// `flipped(t1) > flipped(t2)`: kept for `>`, bit-negated (which reverses
+/// the order) for `<`.
+#[inline]
+fn flipped_key(v: Value, op: CmpOp) -> i64 {
+    let k = order_key(v);
+    if op == CmpOp::Lt {
+        !k
+    } else {
+        k
+    }
+}
+
+/// The generic scan layout: each inserted row restricted to `A_φ` in one
+/// contiguous row-major table (stride = `|A_φ|`), scored by running the
+/// DC's predicates over every stored row.
+struct RowTable {
     attrs: Vec<usize>,
     /// Attribute id → position in `attrs`, pre-resolved so the per-pair
     /// scan loop does a direct index instead of a linear search on every
@@ -475,25 +486,21 @@ pub struct ScanIndex {
     row_ids: Vec<usize>,
     /// Row id → slot, maintained across swap-removes.
     slot_of: HashMap<usize, usize>,
-    order: Option<OrderInfo>,
 }
 
-impl ScanIndex {
-    fn new(dc: DenialConstraint) -> ScanIndex {
+impl RowTable {
+    fn new(dc: &DenialConstraint) -> RowTable {
         let attrs: Vec<usize> = dc.attrs().into_iter().collect();
         let mut pos_of = vec![usize::MAX; attrs.iter().max().map_or(0, |&a| a + 1)];
         for (p, &a) in attrs.iter().enumerate() {
             pos_of[a] = p;
         }
-        let order = recognize_order(&dc);
-        ScanIndex {
-            dc,
+        RowTable {
             attrs,
             pos_of,
             data: Vec::new(),
             row_ids: Vec::new(),
             slot_of: HashMap::new(),
-            order,
         }
     }
 
@@ -504,40 +511,22 @@ impl ScanIndex {
         p
     }
 
-    /// Stored rows as `(row id, values aligned with attrs)` pairs.
-    #[inline]
-    fn stored_rows(&self) -> impl Iterator<Item = (usize, &[Value])> {
-        self.row_ids
+    fn count_new(&self, dc: &DenialConstraint, cand: &CandidateRow<'_>) -> u64 {
+        let rows = self
+            .row_ids
             .iter()
-            .copied()
-            .zip(self.data.chunks_exact(self.attrs.len().max(1)))
-    }
-
-    /// New violations the candidate would introduce against the prefix.
-    pub fn count_new(&self, cand: &CandidateRow<'_>) -> u64 {
+            .zip(self.data.chunks_exact(self.attrs.len().max(1)));
         let mut count = 0;
-        for (row_id, stored) in self.stored_rows() {
+        for (&row_id, stored) in rows {
             if row_id == cand.row() {
                 continue;
             }
             let stored_get = |a: usize| stored[self.pos(a)];
-            if self.dc.violated_by_pair(&stored_get, &|a| cand.get(a)) {
+            if dc.violated_by_pair(&stored_get, &|a| cand.get(a)) {
                 count += 1;
             }
         }
         count
-    }
-
-    /// Number of prefix rows a single candidate score must visit — the
-    /// work estimate batch schedulers use to decide whether parallelism
-    /// pays for itself.
-    pub fn len(&self) -> usize {
-        self.row_ids.len()
-    }
-
-    /// Whether no rows are stored.
-    pub fn is_empty(&self) -> bool {
-        self.row_ids.is_empty()
     }
 
     fn insert(&mut self, cand: &CandidateRow<'_>) {
@@ -566,11 +555,7 @@ impl ScanIndex {
         self.data.truncate(last * stride);
     }
 
-    /// Absorbs another index over the same DC. Row ids must be disjoint —
-    /// shards partition the instance, so a collision means the caller
-    /// merged overlapping shards.
-    fn merge(&mut self, other: ScanIndex) {
-        debug_assert_eq!(self.dc.name, other.dc.name, "merging different DCs");
+    fn merge(&mut self, other: RowTable) {
         for row_id in &other.row_ids {
             let prev = self.slot_of.insert(*row_id, self.row_ids.len());
             assert!(prev.is_none(), "row {row_id} present in both shards");
@@ -578,63 +563,313 @@ impl ScanIndex {
         }
         self.data.extend_from_slice(&other.data);
     }
+}
 
-    /// Feasible interval for the `target` attribute of `cand` under a
-    /// strict order DC (see [`DcCounter::feasible_range`]). Scans stored
-    /// rows, accumulating the tightest closed bounds `[lo, hi]` such that
-    /// any `v ∈ [lo, hi]` creates no violation with the prefix.
-    pub fn feasible_range(&self, cand: &CandidateRow<'_>, target: usize) -> Option<(f64, f64)> {
-        let info = self.order.as_ref()?;
-        // which order predicate binds the target? the other one is known
-        // from the candidate's context.
-        let ((t_attr, op_t), (o_attr, op_o)) = if info.a.0 == target {
-            (info.a, info.b)
-        } else if info.b.0 == target {
-            (info.b, info.a)
+/// One equality partition of an [`OrderTable`]: the rows sharing one
+/// equality-attribute key, as struct-of-arrays flipped order keys.
+struct OrderPartition {
+    /// The equality-attribute key (`value_key` per attribute).
+    key: Vec<u64>,
+    /// Flipped keys of the first order attribute, one per slot.
+    a: Vec<i64>,
+    /// Flipped keys of the second order attribute.
+    b: Vec<i64>,
+    /// Slot → row id.
+    ids: Vec<usize>,
+}
+
+/// The strict-order layout for `¬(eqs ∧ t1[A] opA t2[A] ∧ t1[B] opB t2[B])`:
+/// rows are partitioned by their equality key, and each partition keeps
+/// only the two order attributes as [`flipped_key`]s. With both keys
+/// flipped, a stored row `r` and the candidate `c` violate exactly when
+/// `r` lies strictly below `c` on both keys or strictly above on both, so
+/// every operator combination is one fixed pair test.
+struct OrderTable {
+    order: StrictOrder,
+    part_of: HashMap<Vec<u64>, usize>,
+    parts: Vec<OrderPartition>,
+    /// Row id → (partition, slot), maintained across swap-removes.
+    slot_of: HashMap<usize, (usize, usize)>,
+    /// Length of the largest partition: the most rows one probe visits.
+    widest: usize,
+}
+
+impl OrderTable {
+    fn new(order: StrictOrder) -> OrderTable {
+        OrderTable {
+            order,
+            part_of: HashMap::new(),
+            parts: Vec::new(),
+            slot_of: HashMap::new(),
+            widest: 0,
+        }
+    }
+
+    /// The candidate's equality partition, if any row has landed in it.
+    /// Allocation-free.
+    fn partition(&self, cand: &CandidateRow<'_>) -> Option<&OrderPartition> {
+        with_key(&self.order.eq_attrs, cand, |key| self.part_of.get(key)).map(|&p| &self.parts[p])
+    }
+
+    /// The partition for `key`, created empty if absent.
+    fn partition_index(&mut self, key: Vec<u64>) -> usize {
+        if let Some(&p) = self.part_of.get(&key) {
+            return p;
+        }
+        let p = self.parts.len();
+        self.part_of.insert(key.clone(), p);
+        self.parts.push(OrderPartition {
+            key,
+            a: Vec::new(),
+            b: Vec::new(),
+            ids: Vec::new(),
+        });
+        p
+    }
+
+    #[inline]
+    fn keys(&self, cand: &CandidateRow<'_>) -> (i64, i64) {
+        let (a, op_a) = self.order.a;
+        let (b, op_b) = self.order.b;
+        (
+            flipped_key(cand.get(a), op_a),
+            flipped_key(cand.get(b), op_b),
+        )
+    }
+
+    fn count_new(&self, cand: &CandidateRow<'_>) -> u64 {
+        let Some(part) = self.partition(cand) else {
+            return 0;
+        };
+        let (ca, cb) = self.keys(cand);
+        let row = cand.row();
+        part.a
+            .iter()
+            .zip(&part.b)
+            .zip(&part.ids)
+            .map(|((&ra, &rb), &id)| {
+                let violates = ((ra < ca) & (rb < cb)) | ((ra > ca) & (rb > cb));
+                u64::from(violates & (id != row))
+            })
+            .sum()
+    }
+
+    fn feasible_range(&self, cand: &CandidateRow<'_>, target: usize) -> Option<(f64, f64)> {
+        let order = &self.order;
+        let (op_t, target_is_a) = if order.a.0 == target {
+            (order.a.1, true)
+        } else if order.b.0 == target {
+            (order.b.1, false)
         } else {
             return None;
         };
-        debug_assert_eq!(t_attr, target);
-        let o_cand = cand.get(o_attr);
-        let mut lo = f64::NEG_INFINITY;
-        let mut hi = f64::INFINITY;
-        for (row_id, stored) in self.stored_rows() {
-            if row_id == cand.row() {
-                continue;
-            }
-            // equality predicates must all hold for the pair to matter
-            if !info
-                .eq_attrs
-                .iter()
-                .all(|&a| stored[self.pos(a)].compare(cand.get(a)) == std::cmp::Ordering::Equal)
-            {
-                continue;
-            }
-            let o_r = stored[self.pos(o_attr)];
-            let t_r = stored[self.pos(t_attr)].as_num()?;
-            // orientation (cand = t1, r = t2): forbid op_t(v, t_r) when
-            // op_o(o_cand, o_r) holds
-            if op_o.eval(o_cand, o_r) {
-                match op_t {
-                    CmpOp::Lt => lo = lo.max(t_r), // v < t_r forbidden ⇒ v ≥ t_r
-                    CmpOp::Gt => hi = hi.min(t_r), // v > t_r forbidden ⇒ v ≤ t_r
-                    _ => unreachable!("recognize_order admits only strict ops"),
-                }
-            }
-            // orientation (r = t1, cand = t2): forbid op_t(t_r, v) when
-            // op_o(o_r, o_cand) holds
-            if op_o.eval(o_r, o_cand) {
-                match op_t {
-                    CmpOp::Lt => hi = hi.min(t_r), // t_r < v forbidden ⇒ v ≤ t_r
-                    CmpOp::Gt => lo = lo.max(t_r), // t_r > v forbidden ⇒ v ≥ t_r
-                    _ => unreachable!(),
-                }
+        // the band is an interval of numbers
+        cand.get(target).as_num()?;
+        let (mut lo, mut hi) = (i64::MIN, i64::MAX);
+        if let Some(part) = self.partition(cand) {
+            let (ca, cb) = self.keys(cand);
+            let (ts, others, o_cand) = if target_is_a {
+                (&part.a, &part.b, cb)
+            } else {
+                (&part.b, &part.a, ca)
+            };
+            let row = cand.row();
+            // In flipped-key space a row below the candidate on the other
+            // attribute violates when the candidate's target key exceeds
+            // the row's, and a row above violates when the candidate's is
+            // the smaller, so the feasible target keys are [max over rows
+            // above, min over rows below].
+            for ((&t, &o), &id) in ts.iter().zip(others).zip(&part.ids) {
+                let mine = id != row;
+                hi = hi.min(if mine & (o < o_cand) { t } else { i64::MAX });
+                lo = lo.max(if mine & (o > o_cand) { t } else { i64::MIN });
             }
         }
+        // a `<` target was stored negated: negate back, swapping the sides
+        let (lo, hi) = if op_t == CmpOp::Lt {
+            (!hi, !lo)
+        } else {
+            (lo, hi)
+        };
+        let decode = |k: i64, unbounded: i64, inf: f64| {
+            if k == unbounded {
+                inf
+            } else {
+                f64::from_bits(total_order_bits(k) as u64)
+            }
+        };
+        let lo = decode(lo, i64::MIN, f64::NEG_INFINITY);
+        let hi = decode(hi, i64::MAX, f64::INFINITY);
         if lo <= hi {
             Some((lo, hi))
         } else {
             None // the prefix itself is inconsistent for this context
+        }
+    }
+
+    fn insert(&mut self, cand: &CandidateRow<'_>) {
+        let found = with_key(&self.order.eq_attrs, cand, |key| {
+            self.part_of.get(key).copied()
+        });
+        let p = found.unwrap_or_else(|| {
+            let key = self
+                .order
+                .eq_attrs
+                .iter()
+                .map(|&a| value_key(cand.get(a)))
+                .collect();
+            self.partition_index(key)
+        });
+        let (a, b) = self.keys(cand);
+        let part = &mut self.parts[p];
+        let prev = self.slot_of.insert(cand.row(), (p, part.ids.len()));
+        assert!(prev.is_none(), "row {} inserted twice", cand.row());
+        part.a.push(a);
+        part.b.push(b);
+        part.ids.push(cand.row());
+        self.widest = self.widest.max(part.ids.len());
+    }
+
+    fn remove(&mut self, cand: &CandidateRow<'_>) {
+        let (p, slot) = self
+            .slot_of
+            .remove(&cand.row())
+            .expect("removing a row that was never inserted");
+        let part = &mut self.parts[p];
+        let was_widest = part.ids.len() == self.widest;
+        part.a.swap_remove(slot);
+        part.b.swap_remove(slot);
+        part.ids.swap_remove(slot);
+        if let Some(&moved) = part.ids.get(slot) {
+            self.slot_of.insert(moved, (p, slot));
+        }
+        if was_widest {
+            self.widest = self.parts.iter().map(|q| q.ids.len()).max().unwrap_or(0);
+        }
+    }
+
+    fn merge(&mut self, other: OrderTable) {
+        for OrderPartition { key, a, b, ids } in other.parts {
+            let p = self.partition_index(key);
+            let part = &mut self.parts[p];
+            for (i, &row_id) in ids.iter().enumerate() {
+                let prev = self.slot_of.insert(row_id, (p, part.ids.len() + i));
+                assert!(prev.is_none(), "row {row_id} present in both shards");
+            }
+            part.a.extend(a);
+            part.b.extend(b);
+            part.ids.extend(ids);
+            self.widest = self.widest.max(part.ids.len());
+        }
+    }
+}
+
+/// How a [`ScanIndex`] stores its rows; chosen from the DC's shape.
+enum ScanLayout {
+    /// Any binary DC: the generic row-major scan.
+    Rows(RowTable),
+    /// A strict-order DC: equality partitions of flipped order keys.
+    Order(OrderTable),
+}
+
+/// Immutable-at-scoring-time prefix index for non-FD binary DCs, scored by
+/// an exact scan. The layout follows from the DC's shape:
+///
+/// * a strict-order DC `¬(eqs ∧ A≶ ∧ B≶)` (see [`StrictOrder`]) is
+///   partitioned by its equality key, and a probe scans only the
+///   candidate's partition, two integer compares per row, with no branch
+///   in the loop;
+/// * every other binary DC keeps each row restricted to `A_φ` in one
+///   contiguous row-major table and evaluates the DC's predicates against
+///   every stored row — batch `score_candidates` walks adjacent memory
+///   instead of chasing hash-map buckets.
+///
+/// Every method takes `&self`; mutation goes through the owning
+/// [`DcCounter`]. Removal is swap-remove (a `row id → slot` side map keeps
+/// lookups O(1)), so physical row order is arbitrary; every query here is
+/// a fold that is independent of iteration order (violation counts sum,
+/// feasible bounds are min/max), so the layout cannot change any answer.
+pub struct ScanIndex {
+    dc: DenialConstraint,
+    layout: ScanLayout,
+}
+
+impl ScanIndex {
+    fn new(dc: DenialConstraint) -> ScanIndex {
+        let layout = match dc.as_strict_order() {
+            Some(order) => ScanLayout::Order(OrderTable::new(order)),
+            None => ScanLayout::Rows(RowTable::new(&dc)),
+        };
+        ScanIndex { dc, layout }
+    }
+
+    /// New violations the candidate would introduce against the prefix.
+    pub fn count_new(&self, cand: &CandidateRow<'_>) -> u64 {
+        match &self.layout {
+            ScanLayout::Rows(t) => t.count_new(&self.dc, cand),
+            ScanLayout::Order(t) => t.count_new(cand),
+        }
+    }
+
+    /// Number of stored rows.
+    pub fn len(&self) -> usize {
+        match &self.layout {
+            ScanLayout::Rows(t) => t.row_ids.len(),
+            ScanLayout::Order(t) => t.slot_of.len(),
+        }
+    }
+
+    /// Whether no rows are stored.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Most stored rows a single candidate score visits — every row for
+    /// the generic layout, the largest equality partition for a strict
+    /// order. Batch schedulers use it to decide whether parallelism pays
+    /// for itself.
+    pub fn scan_cost(&self) -> usize {
+        match &self.layout {
+            ScanLayout::Rows(t) => t.row_ids.len(),
+            ScanLayout::Order(t) => t.widest,
+        }
+    }
+
+    fn insert(&mut self, cand: &CandidateRow<'_>) {
+        match &mut self.layout {
+            ScanLayout::Rows(t) => t.insert(cand),
+            ScanLayout::Order(t) => t.insert(cand),
+        }
+    }
+
+    fn remove(&mut self, cand: &CandidateRow<'_>) {
+        match &mut self.layout {
+            ScanLayout::Rows(t) => t.remove(cand),
+            ScanLayout::Order(t) => t.remove(cand),
+        }
+    }
+
+    /// Absorbs another index over the same DC. Row ids must be disjoint —
+    /// shards partition the instance, so a collision means the caller
+    /// merged overlapping shards.
+    fn merge(&mut self, other: ScanIndex) {
+        debug_assert_eq!(self.dc.name, other.dc.name, "merging different DCs");
+        match (&mut self.layout, other.layout) {
+            (ScanLayout::Rows(a), ScanLayout::Rows(b)) => a.merge(b),
+            (ScanLayout::Order(a), ScanLayout::Order(b)) => a.merge(b),
+            _ => panic!("merging scan indexes of different DC shapes"),
+        }
+    }
+
+    /// Feasible interval for the `target` attribute of `cand` under a
+    /// strict order DC (see [`DcCounter::feasible_range`]): the tightest
+    /// closed bounds `[lo, hi]` such that any `v ∈ [lo, hi]` creates no
+    /// violation with the candidate's equality partition. `None` for other
+    /// DC shapes and for a categorical target.
+    pub fn feasible_range(&self, cand: &CandidateRow<'_>, target: usize) -> Option<(f64, f64)> {
+        match &self.layout {
+            ScanLayout::Rows(_) => None,
+            ScanLayout::Order(t) => t.feasible_range(cand, target),
         }
     }
 }
@@ -715,7 +950,8 @@ pub enum DcScorer<'a> {
     Unary(&'a DenialConstraint),
     /// FD-shaped binary DC: hash-index lookups.
     Fd(&'a FdIndex),
-    /// General binary DC: exact scan of the stored prefix.
+    /// Other binary DC: exact scan of the stored prefix (of the
+    /// candidate's equality partition, for a strict order).
     Scan(&'a ScanIndex),
 }
 
@@ -757,7 +993,7 @@ impl DcScorer<'_> {
     /// per-candidate work estimate used to decide whether to parallelize.
     pub fn scan_cost(&self) -> usize {
         match self {
-            DcScorer::Scan(ix) => ix.len().max(1),
+            DcScorer::Scan(ix) => ix.scan_cost().max(1),
             _ => 1,
         }
     }
@@ -771,7 +1007,8 @@ pub enum DcCounter {
     Unary(DenialConstraint),
     /// FD-shaped binary DC: hash index on the determinant.
     Fd(FdIndex),
-    /// General binary DC: exact scan over stored prefix rows.
+    /// Other binary DC: exact scan over stored prefix rows (see
+    /// [`ScanIndex`] for the per-shape layouts).
     Scan(ScanIndex),
 }
 
@@ -865,9 +1102,9 @@ impl DcCounter {
     /// For strict-order DCs (`¬(eqs ∧ A≶ ∧ B≶)`), the closed interval of
     /// `target` values that create *no* violation against the inserted
     /// rows, given the candidate's other attribute values. `None` when the
-    /// DC is not order-shaped, `target` is not one of its order attributes,
-    /// or the prefix is already inconsistent for this context (the band
-    /// would be empty). Unbounded sides come back as ±∞.
+    /// DC is not order-shaped, `target` is not one of its numeric order
+    /// attributes, or the prefix is already inconsistent for this context
+    /// (the band would be empty). Unbounded sides come back as ±∞.
     ///
     /// If the inserted rows are violation-free, the band is always
     /// non-empty: for rows `r₁, r₂` with `other(r₁) ≶ other(cand) ≶
@@ -1399,5 +1636,121 @@ mod tests {
         let mut counter = DcCounter::build(&dc);
         counter.insert(&CandidateRow::committed(&d, 0, 3));
         counter.insert(&CandidateRow::committed(&d, 0, 3));
+    }
+
+    #[test]
+    fn order_key_orders_like_value_compare() {
+        let nums = [
+            f64::NEG_INFINITY,
+            -1e300,
+            -1.0,
+            -1e-300,
+            -0.0,
+            0.0,
+            1e-300,
+            0.5,
+            1.0,
+            f64::INFINITY,
+        ];
+        let vals: Vec<Value> = nums.iter().map(|&x| Value::Num(x)).collect();
+        for &u in &vals {
+            for &v in &vals {
+                assert_eq!(order_key(u).cmp(&order_key(v)), u.compare(v), "{u} vs {v}");
+            }
+            // and the key decodes back to the (zero-normalized) number
+            let back = f64::from_bits(total_order_bits(order_key(u)) as u64);
+            assert_eq!(back.to_bits(), (u.num() + 0.0).to_bits());
+        }
+        assert!(order_key(Value::Cat(2)) < order_key(Value::Cat(3)));
+        for op in [CmpOp::Gt, CmpOp::Lt] {
+            for &u in &vals {
+                for &v in &vals {
+                    let flipped = flipped_key(u, op) > flipped_key(v, op);
+                    assert_eq!(flipped, op.eval(u, v), "{u} {} {v}", op.symbol());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn order_layout_matches_rowmap_reference_for_every_op_pair() {
+        let s = schema();
+        let rows: Vec<(u32, f64, f64, f64)> = (0..60)
+            .map(|i| {
+                let i = i as f64;
+                ((i as u32) % 3, 0.0, (i * 7.0) % 11.0, (i * 5.0) % 13.0)
+            })
+            .collect();
+        let d = inst(&s, &rows);
+        for (op_a, op_b) in [(">", ">"), (">", "<"), ("<", ">"), ("<", "<")] {
+            let text =
+                format!("!(t1.edu == t2.edu & t1.gain {op_a} t2.gain & t1.loss {op_b} t2.loss)");
+            let dc = parse_dc(&s, "grp", &text, Hardness::Soft).unwrap();
+            let mut counter = DcCounter::build(&dc);
+            let mut reference = ScanIndexRef::new(&dc);
+            for i in 0..40 {
+                let cand = CandidateRow::committed(&d, i, 3);
+                counter.insert(&cand);
+                reference.insert(&cand);
+            }
+            // probe stored rows (own row id) and fresh rows, at values
+            // that tie stored ones
+            for row in [0, 7, 39, 40, 59] {
+                for k in 0..14 {
+                    let cand = CandidateRow::new(&d, row, 3, Value::Num(k as f64));
+                    assert_eq!(
+                        counter.count_new(&cand),
+                        reference.count_new(&cand),
+                        "{text}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn order_layout_scan_cost_is_the_widest_partition() {
+        let s = schema();
+        let dc = parse_dc(
+            &s,
+            "grp",
+            "!(t1.edu == t2.edu & t1.gain > t2.gain & t1.loss < t2.loss)",
+            Hardness::Hard,
+        )
+        .unwrap();
+        // edu 0 holds three rows, edu 1 two, edu 2 one
+        let d = inst(
+            &s,
+            &[
+                (0, 0.0, 1.0, 1.0),
+                (0, 0.0, 2.0, 2.0),
+                (0, 0.0, 3.0, 3.0),
+                (1, 0.0, 1.0, 1.0),
+                (1, 0.0, 2.0, 2.0),
+                (2, 0.0, 1.0, 1.0),
+            ],
+        );
+        let mut counter = DcCounter::build(&dc);
+        for i in 0..6 {
+            counter.insert(&CandidateRow::committed(&d, i, 3));
+        }
+        assert_eq!(counter.len(), 6);
+        assert_eq!(counter.scorer().scan_cost(), 3);
+        counter.remove(&CandidateRow::committed(&d, 1, 3));
+        assert_eq!(counter.scorer().scan_cost(), 2);
+        counter.remove(&CandidateRow::committed(&d, 0, 3));
+        counter.remove(&CandidateRow::committed(&d, 2, 3));
+        assert_eq!(counter.scorer().scan_cost(), 2);
+        assert_eq!(counter.len(), 3);
+        // a swap-removed slot keeps answering for the row moved into it
+        counter.remove(&CandidateRow::committed(&d, 3, 3));
+        let probe = CandidateRow::new(&d, 3, 3, Value::Num(5.0));
+        assert_eq!(
+            counter.count_new(&probe),
+            1,
+            "edu 1 row (2, 2) is discordant"
+        );
+        counter.remove(&CandidateRow::committed(&d, 4, 3));
+        assert_eq!(counter.count_new(&probe), 0);
     }
 }

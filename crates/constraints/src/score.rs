@@ -106,7 +106,7 @@ impl ScoreSet {
 
     /// The weighted violation penalty of a single hypothesis.
     pub fn penalty(&self, cand: &CandidateRow<'_>, weights: &[f64]) -> f64 {
-        penalty_with(&self.scorers(), cand, weights)
+        penalty_with(&self.scorers(weights), cand, weights)
     }
 
     /// Batch scoring: the weighted violation penalty for **every**
@@ -139,7 +139,7 @@ impl ScoreSet {
         out: &mut Vec<f64>,
     ) {
         out.clear();
-        let scorers = self.scorers();
+        let scorers = self.scorers(weights);
         #[cfg(feature = "parallel")]
         {
             let per_candidate: usize = scorers.iter().map(|(_, s)| s.scan_cost()).sum();
@@ -159,9 +159,13 @@ impl ScoreSet {
         );
     }
 
-    fn scorers(&self) -> Vec<(usize, DcScorer<'_>)> {
+    /// The scoring views of the counters that can move a penalty. A
+    /// zero-weight DC adds exactly `+0.0` to every penalty, so it is left
+    /// out — of the scan and of the parallel work estimate alike.
+    fn scorers(&self, weights: &[f64]) -> Vec<(usize, DcScorer<'_>)> {
         self.counters
             .iter()
+            .filter(|(l, _)| weights[*l] != 0.0)
             .map(|(l, c)| (*l, c.scorer()))
             .collect()
     }
@@ -326,6 +330,39 @@ mod tests {
         a.insert(&CandidateRow::committed(&inst, 3, 2));
         b.insert(&CandidateRow::committed(&inst, 3, 2));
         a.merge(b);
+    }
+
+    #[test]
+    fn zero_weight_dcs_leave_penalties_bit_identical() {
+        let s = schema();
+        let all = dcs(&s);
+        let inst = filled_instance(&s, 81);
+        let mut with_zero = ScoreSet::build(&[0, 1, 2], &all);
+        let mut without = ScoreSet::build(&[0, 2], &all);
+        for i in 0..80 {
+            with_zero.insert(&CandidateRow::committed(&inst, i, 2));
+            without.insert(&CandidateRow::committed(&inst, i, 2));
+        }
+        let cell = CellContext::new(&inst, 80, 2);
+        let values: Vec<Value> = (0..50).map(|k| Value::Num(k as f64 * 2.1)).collect();
+        for weights in [[1.5, 0.0, 0.7], [f64::INFINITY, 0.0, 0.0], [0.0, 0.0, 0.0]] {
+            for parallel in [false, true] {
+                let a = with_zero.score_candidates(cell, &values, &weights, parallel);
+                let b = without.score_candidates(cell, &values, &weights, parallel);
+                let bits = |p: &[f64]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&a), bits(&b), "weights {weights:?}");
+            }
+            for &v in &values {
+                let (a, b) = (
+                    with_zero.penalty(&cell.with(v), &weights),
+                    without.penalty(&cell.with(v), &weights),
+                );
+                assert_eq!(a.to_bits(), b.to_bits());
+            }
+        }
+        // the skipped scan DC really does see violations at these values
+        let scan = with_zero.iter().find(|&(l, _)| l == 1).unwrap().1;
+        assert!(values.iter().any(|&v| scan.count_new(&cell.with(v)) > 0));
     }
 
     #[test]

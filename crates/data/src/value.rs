@@ -61,14 +61,17 @@ impl Value {
     /// Total order used by the constraint engine's comparison predicates.
     ///
     /// Values of different kinds are never produced for the same attribute,
-    /// so cross-kind comparisons are a logic error and return `None` only via
-    /// NaN; categorical codes compare by code. NaN numeric values compare as
-    /// equal to themselves and greater than everything else (total order via
-    /// `f64::total_cmp`).
+    /// so cross-kind comparisons are a logic error and panic; categorical
+    /// codes compare by code. Numbers compare by value, so `-0.0` equals
+    /// `0.0` — the same equality the engine's hash keys use. Everything
+    /// else follows `f64::total_cmp`: no value lies strictly between the
+    /// two zeros, so merging them keeps the order total, and NaN compares
+    /// equal to itself and greater than every number.
     #[inline]
     pub fn compare(self, other: Value) -> Ordering {
         match (self, other) {
             (Value::Cat(a), Value::Cat(b)) => a.cmp(&b),
+            (Value::Num(a), Value::Num(b)) if a == b => Ordering::Equal,
             (Value::Num(a), Value::Num(b)) => a.total_cmp(&b),
             (Value::Cat(_), Value::Num(_)) | (Value::Num(_), Value::Cat(_)) => {
                 panic!("cannot compare categorical and numeric values")
@@ -135,6 +138,15 @@ mod tests {
     #[should_panic(expected = "cannot compare")]
     fn compare_across_kinds_panics() {
         Value::Cat(0).compare(Value::Num(0.0));
+    }
+
+    #[test]
+    fn signed_zeros_compare_equal() {
+        let (pos, neg) = (Value::Num(0.0), Value::Num(-0.0));
+        assert_eq!(pos.compare(neg), Ordering::Equal);
+        assert_eq!(neg.compare(pos), Ordering::Equal);
+        assert_eq!(neg.compare(Value::Num(-1e-300)), Ordering::Greater);
+        assert_eq!(pos.compare(Value::Num(1e-300)), Ordering::Less);
     }
 
     #[test]

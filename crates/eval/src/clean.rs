@@ -19,7 +19,7 @@
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
-use kamino_constraints::{CmpOp, DenialConstraint};
+use kamino_constraints::{CmpOp, DenialConstraint, StrictOrder};
 use kamino_data::{Instance, Schema, Value};
 
 /// Applies majority-FD and order repairs for every DC, returning the
@@ -30,7 +30,7 @@ pub fn repair(schema: &Schema, inst: &Instance, dcs: &[DenialConstraint]) -> Ins
         if let Some(fd) = dc.as_fd() {
             repair_fd(&mut out, &fd.lhs, fd.rhs);
         } else if let Some(so) = dc.as_strict_order() {
-            repair_order(schema, &mut out, &so.eq_attrs, so.a, so.b);
+            repair_order(schema, &mut out, &so);
         }
     }
     out
@@ -79,13 +79,8 @@ fn repair_fd(inst: &mut Instance, lhs: &[usize], rhs: usize) {
 /// (`(>, ≥ requires) …`) per the operator combination. Ties in `a` receive
 /// `b` values in an arbitrary but deterministic order (strict operators
 /// never fire on ties).
-fn repair_order(
-    _schema: &Schema,
-    inst: &mut Instance,
-    eq_attrs: &[usize],
-    (attr_a, op_a): (usize, CmpOp),
-    (attr_b, op_b): (usize, CmpOp),
-) {
+fn repair_order(_schema: &Schema, inst: &mut Instance, order: &StrictOrder) {
+    let ((attr_a, op_a), (attr_b, op_b)) = (order.a, order.b);
     // violation fires when the larger-a row's b is op-related; concordant
     // assignment fixes ¬(A↑ ∧ B↓); anti-concordant fixes ¬(A↑ ∧ B↑)
     let concordant = match (op_a, op_b) {
@@ -96,7 +91,10 @@ fn repair_order(
     let n = inst.n_rows();
     let mut groups: BTreeMap<Vec<u64>, Vec<usize>> = BTreeMap::new();
     for i in 0..n {
-        groups.entry(key_of(inst, i, eq_attrs)).or_default().push(i);
+        groups
+            .entry(key_of(inst, i, &order.eq_attrs))
+            .or_default()
+            .push(i);
     }
     for rows in groups.values() {
         let mut by_a: Vec<usize> = rows.clone();
