@@ -1,22 +1,14 @@
 //! Microbenchmarks for the hot substrate kernels: violation counting
 //! (FD fast path, order fast path, naive scan), incremental counters, the
-//! RDP accountant, batch candidate scoring (serial vs. the rayon-backed
-//! parallel substrate, and the compact scan table vs. its row-map
-//! reference), DP-SGD steps (serial vs. microbatch-parallel and fused vs.
-//! reference clip-accumulate), and the tiled matvec against its naive
-//! reference.
+//! RDP accountant, batch candidate scoring (and the compact scan table vs.
+//! its row-map reference), DP-SGD steps (fused vs. reference
+//! clip-accumulate), and the tiled matvec against its naive reference.
 //!
-//! The `*_serial` / `*_parallel` pairs share one setup and produce
-//! identical outputs; only wall-clock should differ. Run with
-//! `RAYON_NUM_THREADS=<k>` to fix the worker count — the parallel entries
-//! degenerate to the serial path when only one worker is available, so
-//! those pairs only show a speedup on a multi-core host (the bench prints
-//! the detected core count at startup so single-core results are not
-//! misread as regressions). The `matvec_{tiled,ref}` and
-//! `scan_count_{compact,rowmap_ref}` pairs are single-thread algorithmic
-//! comparisons and should show movement on any host, as does
-//! `scan_count_order_grouped` (the partitioned strict-order layout on Tax
-//! φ₆ᵗ) beside the row-map reference. The
+//! The `matvec_{tiled,ref}` and `scan_count_{compact,rowmap_ref}` pairs
+//! are single-thread algorithmic comparisons that share one setup and
+//! produce identical outputs; they should show movement on any host, as
+//! does `scan_count_order_grouped` (the partitioned strict-order layout
+//! on Tax φ₆ᵗ) beside the row-map reference. The
 //! `dpsgd_step_{fused,reference}` pair documents that the fused
 //! clip-accumulate is at worst cost-neutral on a dense single-block model
 //! (the traversal it eliminates is a memset; the win grows with block
@@ -40,7 +32,6 @@ use std::hint::black_box;
 
 /// Dense linear model (64×64) for DP-SGD step benchmarks: one
 /// matrix-vector product + outer-product gradient per example.
-#[derive(Clone)]
 struct DenseModel {
     w: ParamBlock,
     dim: usize,
@@ -81,12 +72,6 @@ impl PerExampleModel<Vec<f64>> for DenseModel {
 }
 
 fn bench(c: &mut Criterion) {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    eprintln!(
-        "micro_substrates: {cores} core(s) available — \
-         *_parallel entries need >1 to beat their *_serial twin"
-    );
-
     let d = adult_like(2_000, 1);
     let fd = &d.dcs[0];
     let ord = &d.dcs[1];
@@ -125,7 +110,7 @@ fn bench(c: &mut Criterion) {
 
     // Batch candidate scoring through the scan-counter prefix: the
     // Algorithm 3 inner loop at n = 2000 with a 64-value candidate set
-    // (~128k pair evaluations per call). Serial vs. rayon-parallel.
+    // (~128k pair evaluations per call).
     {
         let gain = d.schema.index_of("capital_gain").unwrap();
         let dcs = vec![naive_ord.clone()];
@@ -136,17 +121,8 @@ fn bench(c: &mut Criterion) {
         }
         let cell = CellContext::new(&d.instance, d.instance.n_rows() - 1, gain);
         let values: Vec<Value> = (0..64).map(|k| Value::Num(k as f64 * 30.0)).collect();
-        let reference = set.score_candidates(cell, &values, &weights, false);
-        assert_eq!(
-            reference,
-            set.score_candidates(cell, &values, &weights, true),
-            "parallel scoring must be bit-identical"
-        );
         g.bench_function("score_candidates_serial_n2000_d64", |b| {
-            b.iter(|| black_box(set.score_candidates(cell, &values, &weights, false)))
-        });
-        g.bench_function("score_candidates_parallel_n2000_d64", |b| {
-            b.iter(|| black_box(set.score_candidates(cell, &values, &weights, true)))
+            b.iter(|| black_box(set.score_candidates(cell, &values, &weights)))
         });
 
         // Compact contiguous scan table vs. its row-map reference twin
@@ -266,8 +242,10 @@ fn bench(c: &mut Criterion) {
         });
     }
 
-    // One DP-SGD step on a dense 64×64 model over a 256-example batch:
-    // serial vs. microbatch-parallel (16 microbatches).
+    // One DP-SGD step on a dense 64×64 model over a 256-example batch
+    // (16 microbatches): fused clip-and-accumulate vs. the two-pass
+    // reference kernel. Same gradients to the bit (pinned by a test in
+    // kamino_nn::optim), fewer traversals of every gradient buffer.
     {
         let dim = 64;
         let mut rng = StdRng::seed_from_u64(7);
@@ -280,22 +258,6 @@ fn bench(c: &mut Criterion) {
             lr: 0.05,
             expected_batch: 256.0,
         };
-        g.bench_function("dpsgd_step_serial_b256_d64x64", |b| {
-            let mut model = DenseModel::new(dim);
-            let mut rng = StdRng::seed_from_u64(8);
-            b.iter(|| black_box(opt.step(&mut model, &batch, &mut rng)))
-        });
-        g.bench_function("dpsgd_step_parallel_b256_d64x64", |b| {
-            let mut model = DenseModel::new(dim);
-            let mut rng = StdRng::seed_from_u64(8);
-            b.iter(|| {
-                let proto = model.clone();
-                black_box(opt.step_parallel(&mut model, &batch, &mut rng, || proto.clone()))
-            })
-        });
-        // Fused clip-and-accumulate vs. the two-pass reference kernel:
-        // single-thread, same gradients to the bit (pinned by a test in
-        // kamino_nn::optim), fewer traversals of every gradient buffer.
         g.bench_function("dpsgd_step_reference_b256_d64x64", |b| {
             let mut model = DenseModel::new(dim);
             let mut rng = StdRng::seed_from_u64(8);
@@ -310,8 +272,8 @@ fn bench(c: &mut Criterion) {
 
     // Serial vs. sharded synthesis: one trained model, the full Algorithm
     // 3 column walk at n = 512, sequential against 4 row shards with the
-    // cross-shard repair pass. Unlike the scoring/DP-SGD pairs the two
-    // entries are NOT bit-identical (sharding re-orders the conditioning
+    // cross-shard repair pass. Unlike the other pairs the two entries
+    // are NOT bit-identical (sharding re-orders the conditioning
     // prefix); what they share is the hard-DC guarantee, asserted below.
     {
         use kamino_core::{synthesize, train_model, SampleConfig, TrainConfig};

@@ -826,8 +826,7 @@ impl ScanIndex {
 
     /// Most stored rows a single candidate score visits — every row for
     /// the generic layout, the largest equality partition for a strict
-    /// order. Batch schedulers use it to decide whether parallelism pays
-    /// for itself.
+    /// order — the work counter the benchmarks report per probe.
     pub fn scan_cost(&self) -> usize {
         match &self.layout {
             ScanLayout::Rows(t) => t.row_ids.len(),
@@ -941,8 +940,8 @@ impl ScanIndexRef {
     }
 }
 
-/// A `Copy`, `Send + Sync` read-only view of one counter's prefix index —
-/// the handle the parallel scoring substrate fans out across threads.
+/// A `Copy` read-only view of one counter's prefix index — the handle
+/// batch scoring evaluates every candidate through.
 /// Obtained from [`DcCounter::scorer`]; lives only between mutations.
 #[derive(Clone, Copy)]
 pub enum DcScorer<'a> {
@@ -990,7 +989,7 @@ impl DcScorer<'_> {
     }
 
     /// Prefix rows one candidate score visits (1 for O(1) counters) — the
-    /// per-candidate work estimate used to decide whether to parallelize.
+    /// per-candidate work estimate.
     pub fn scan_cost(&self) -> usize {
         match self {
             DcScorer::Scan(ix) => ix.scan_cost().max(1),

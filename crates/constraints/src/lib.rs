@@ -16,9 +16,8 @@
 //!   Algorithm 3 queries per candidate value — with a hash-index fast path
 //!   for FDs and an exact scan fallback matching the paper's stated
 //!   complexity,
-//! * the batch candidate-[`score`] substrate: a read-only scoring view
-//!   over the incremental counters that evaluates whole candidate sets at
-//!   once, in parallel when the `parallel` feature (default) is enabled,
+//! * batch candidate scoring ([`score`]): a read-only scoring view over
+//!   the incremental counters that evaluates whole candidate sets at once,
 //! * approximate-DC [`discovery`] used by Experiment 8 to scale `|Φ|`.
 
 #![warn(missing_docs)]

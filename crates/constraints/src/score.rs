@@ -1,31 +1,21 @@
-//! The parallel candidate-scoring substrate.
+//! Batch candidate scoring.
 //!
 //! Algorithm 3's inner loop asks, for every candidate value `v` of a cell,
 //! the weighted violation penalty `Σ_{φ ∈ Φ_{S[j]}} w_φ · |V(φ, t_i[S[j]]=v
 //! | D'_:i)|`. [`ScoreSet`] owns the incremental counters for the active
 //! DCs of one sequence position and answers that query **in batch** over a
 //! whole candidate set through the counters' `&self` scoring views
-//! ([`DcScorer`]), which makes the candidates embarrassingly parallel:
-//! with the `parallel` feature (default on) the batch fans out across
-//! rayon workers whenever the work estimate says threads pay for
-//! themselves.
+//! ([`DcScorer`]): the zero-weight filter and the scorer views are set up
+//! once per cell, then every candidate is scored in input order.
 //!
-//! Determinism: scoring is pure (no RNG, no mutation), and results are
-//! written back by candidate index, so the parallel path returns
-//! bit-identical penalties to the serial path for any thread count — the
-//! sampler's output for a fixed seed does not depend on the `parallel`
-//! switch.
+//! Determinism: scoring is pure (no RNG, no mutation), so a batch returns
+//! exactly the penalties [`ScoreSet::penalty`] gives one candidate at a
+//! time.
 
 use kamino_data::Value;
 
 use crate::ast::DenialConstraint;
 use crate::incremental::{CandidateRow, CellContext, DcCounter, DcScorer};
-
-/// Minimum estimated work (candidates × prefix rows visited per candidate)
-/// before the batch is fanned out across threads. Below this, thread
-/// dispatch costs more than the scan itself.
-#[cfg(feature = "parallel")]
-const MIN_PARALLEL_WORK: usize = 4_096;
 
 /// The incremental counters for the DCs active at one sequence position,
 /// plus the batch scoring entry point the sampler drives.
@@ -111,47 +101,33 @@ impl ScoreSet {
 
     /// Batch scoring: the weighted violation penalty for **every**
     /// candidate value of the cell, in input order.
-    ///
-    /// `parallel` is a runtime switch on top of the compile-time
-    /// `parallel` feature; the penalties returned are identical either
-    /// way (see the module docs on determinism).
     pub fn score_candidates(
         &self,
         cell: CellContext<'_>,
         values: &[Value],
         weights: &[f64],
-        parallel: bool,
     ) -> Vec<f64> {
         let mut out = Vec::with_capacity(values.len());
-        self.score_candidates_into(cell, values, weights, parallel, &mut out);
+        self.score_candidates_into(cell, values, weights, false, &mut out);
         out
     }
 
     /// [`ScoreSet::score_candidates`] writing into a caller-provided buffer
     /// (cleared first), so a hot sampling loop can reuse one allocation
     /// across cells. Penalties are identical to the allocating form.
+    ///
+    /// `_parallel` has no effect; it is kept only for the benchmark
+    /// package's callers and goes when they stop passing it.
     pub fn score_candidates_into(
         &self,
         cell: CellContext<'_>,
         values: &[Value],
         weights: &[f64],
-        parallel: bool,
+        _parallel: bool,
         out: &mut Vec<f64>,
     ) {
         out.clear();
         let scorers = self.scorers(weights);
-        #[cfg(feature = "parallel")]
-        {
-            let per_candidate: usize = scorers.iter().map(|(_, s)| s.scan_cost()).sum();
-            let work = values.len().saturating_mul(per_candidate.max(1));
-            if parallel && work >= MIN_PARALLEL_WORK && rayon::current_num_threads() > 1 {
-                out.extend(rayon::par_map_indexed(values.len(), |i| {
-                    penalty_with(&scorers, &cell.with(values[i]), weights)
-                }));
-                return;
-            }
-        }
-        let _ = parallel;
         out.extend(
             values
                 .iter()
@@ -161,7 +137,7 @@ impl ScoreSet {
 
     /// The scoring views of the counters that can move a penalty. A
     /// zero-weight DC adds exactly `+0.0` to every penalty, so it is left
-    /// out — of the scan and of the parallel work estimate alike.
+    /// out of the scan.
     fn scorers(&self, weights: &[f64]) -> Vec<(usize, DcScorer<'_>)> {
         self.counters
             .iter()
@@ -224,7 +200,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_equals_per_candidate_serial_and_parallel() {
+    fn batch_equals_per_candidate_penalty() {
         let s = schema();
         let all = dcs(&s);
         let weights = [f64::INFINITY, 2.5, 0.7];
@@ -235,10 +211,8 @@ mod tests {
         }
         let cell = CellContext::new(&inst, 199, 2);
         let values: Vec<Value> = (0..100).map(|k| Value::Num(k as f64)).collect();
-        let serial = set.score_candidates(cell, &values, &weights, false);
-        let parallel = set.score_candidates(cell, &values, &weights, true);
-        assert_eq!(serial, parallel, "parallel scoring must be bit-identical");
-        for (v, got) in values.iter().zip(&serial) {
+        let batch = set.score_candidates(cell, &values, &weights);
+        for (v, got) in values.iter().zip(&batch) {
             let want = set.penalty(&cell.with(*v), &weights);
             assert!(
                 (got - want).abs() == 0.0 || (got.is_infinite() && want.is_infinite()),
@@ -260,11 +234,11 @@ mod tests {
         let probe_rows = filled_instance(&s, 51);
         let cell = CellContext::new(&probe_rows, 50, 2);
         let values: Vec<Value> = (0..10).map(|k| Value::Num(k as f64 * 7.0)).collect();
-        let before = set.score_candidates(cell, &values, &weights, false);
+        let before = set.score_candidates(cell, &values, &weights);
         let victim = CandidateRow::committed(&inst, 7, 2);
         set.remove(&victim);
         set.insert(&victim);
-        let after = set.score_candidates(cell, &values, &weights, false);
+        let after = set.score_candidates(cell, &values, &weights);
         assert_eq!(before, after);
     }
 
@@ -296,8 +270,8 @@ mod tests {
 
         let cell = CellContext::new(&inst, 120, 2);
         let values: Vec<Value> = (0..60).map(|k| Value::Num(k as f64 * 1.7)).collect();
-        let a = sequential.score_candidates(cell, &values, &weights, false);
-        let b = merged.score_candidates(cell, &values, &weights, false);
+        let a = sequential.score_candidates(cell, &values, &weights);
+        let b = merged.score_candidates(cell, &values, &weights);
         assert_eq!(a, b, "merged shards must score identically");
 
         // fast-path queries agree too
@@ -314,8 +288,8 @@ mod tests {
         merged.insert(&victim);
         sequential.insert(&victim);
         assert_eq!(
-            sequential.score_candidates(cell, &values, &weights, false),
-            merged.score_candidates(cell, &values, &weights, false)
+            sequential.score_candidates(cell, &values, &weights),
+            merged.score_candidates(cell, &values, &weights)
         );
     }
 
@@ -346,12 +320,10 @@ mod tests {
         let cell = CellContext::new(&inst, 80, 2);
         let values: Vec<Value> = (0..50).map(|k| Value::Num(k as f64 * 2.1)).collect();
         for weights in [[1.5, 0.0, 0.7], [f64::INFINITY, 0.0, 0.0], [0.0, 0.0, 0.0]] {
-            for parallel in [false, true] {
-                let a = with_zero.score_candidates(cell, &values, &weights, parallel);
-                let b = without.score_candidates(cell, &values, &weights, parallel);
-                let bits = |p: &[f64]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&a), bits(&b), "weights {weights:?}");
-            }
+            let a = with_zero.score_candidates(cell, &values, &weights);
+            let b = without.score_candidates(cell, &values, &weights);
+            let bits = |p: &[f64]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&a), bits(&b), "weights {weights:?}");
             for &v in &values {
                 let (a, b) = (
                     with_zero.penalty(&cell.with(v), &weights),
@@ -373,7 +345,7 @@ mod tests {
         assert!(set.is_empty());
         let inst = filled_instance(&s, 3);
         let cell = CellContext::new(&inst, 0, 2);
-        let out = set.score_candidates(cell, &[Value::Num(1.0)], &[], true);
+        let out = set.score_candidates(cell, &[Value::Num(1.0)], &[]);
         assert_eq!(out, vec![0.0]);
     }
 }

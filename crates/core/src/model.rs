@@ -29,7 +29,7 @@ use rand::Rng;
 /// forward/backward and sampling-time prediction). Buffers are re-zeroed
 /// or fully overwritten before every use, so pooling changes no numeric
 /// result — it only removes the per-example/per-cell allocations. Thread
-/// locality keeps the microbatch-parallel DP-SGD workers and the sampler's
+/// locality keeps the Exp. 10 sub-model trainer threads and the sampler's
 /// shard threads from contending on a shared pool.
 #[derive(Default)]
 struct TrainScratch {
@@ -71,21 +71,10 @@ pub enum EmbedCtx {
 /// One embedder per schema attribute, all with a common dimension `d`
 /// (§2.3: "a unified representation with a fixed dimensionality for each
 /// attribute").
+#[derive(Clone)]
 pub struct EmbeddingStore {
-    /// `None` marks an attribute not materialized in this store — only
-    /// produced by [`EmbeddingStore::subset_for`] worker clones, which
-    /// never touch those attributes.
-    embedders: Vec<Option<AttrEmbedder>>,
+    embedders: Vec<AttrEmbedder>,
     dim: usize,
-}
-
-impl Clone for EmbeddingStore {
-    fn clone(&self) -> Self {
-        EmbeddingStore {
-            embedders: self.embedders.clone(),
-            dim: self.dim,
-        }
-    }
 }
 
 impl EmbeddingStore {
@@ -96,44 +85,15 @@ impl EmbeddingStore {
             .iter()
             .map(|attr| match &attr.kind {
                 AttrKind::Categorical { labels } => {
-                    Some(AttrEmbedder::Cat(Embedding::new(labels.len(), dim, rng)))
+                    AttrEmbedder::Cat(Embedding::new(labels.len(), dim, rng))
                 }
-                AttrKind::Numeric { min, max, .. } => Some(AttrEmbedder::Num {
+                AttrKind::Numeric { min, max, .. } => AttrEmbedder::Num {
                     enc: ContinuousEncoder::new(dim, rng),
                     std: Standardizer::from_range(*min, *max),
-                }),
+                },
             })
             .collect();
         EmbeddingStore { embedders, dim }
-    }
-
-    /// A partial clone carrying only the embedders of `attrs` — what a
-    /// microbatch-parallel DP-SGD worker needs (the sub-model's context
-    /// attributes plus its target). Accessing any other attribute through
-    /// the clone panics, so misuse cannot go unnoticed.
-    pub fn subset_for(&self, attrs: impl IntoIterator<Item = usize>) -> EmbeddingStore {
-        let mut embedders: Vec<Option<AttrEmbedder>> = vec![None; self.embedders.len()];
-        for a in attrs {
-            embedders[a] = self.embedders[a].clone();
-        }
-        EmbeddingStore {
-            embedders,
-            dim: self.dim,
-        }
-    }
-
-    #[inline]
-    fn emb(&self, attr: usize) -> &AttrEmbedder {
-        self.embedders[attr]
-            .as_ref()
-            .expect("attribute not materialized in this (worker) store")
-    }
-
-    #[inline]
-    fn emb_mut(&mut self, attr: usize) -> &mut AttrEmbedder {
-        self.embedders[attr]
-            .as_mut()
-            .expect("attribute not materialized in this (worker) store")
     }
 
     /// Embedding dimension `d`.
@@ -141,14 +101,13 @@ impl EmbeddingStore {
         self.dim
     }
 
-    /// The per-attribute embedders (snapshot support). `None` entries mark
-    /// attributes not materialized in a worker clone.
-    pub fn embedders(&self) -> &[Option<AttrEmbedder>] {
+    /// The per-attribute embedders (snapshot support).
+    pub fn embedders(&self) -> &[AttrEmbedder] {
         &self.embedders
     }
 
     /// Rebuilds a store from persisted embedders (snapshot support).
-    pub fn from_parts(embedders: Vec<Option<AttrEmbedder>>, dim: usize) -> EmbeddingStore {
+    pub fn from_parts(embedders: Vec<AttrEmbedder>, dim: usize) -> EmbeddingStore {
         EmbeddingStore { embedders, dim }
     }
 
@@ -167,7 +126,7 @@ impl EmbeddingStore {
         out: &mut [f64],
         scratch: &mut Scratch,
     ) -> EmbedCtx {
-        match (self.emb(attr), v) {
+        match (&self.embedders[attr], v) {
             (AttrEmbedder::Cat(e), Value::Cat(code)) => {
                 out.copy_from_slice(e.forward(code));
                 EmbedCtx::Cat(code)
@@ -192,7 +151,7 @@ impl EmbeddingStore {
         dz: &[f64],
         scratch: &mut Scratch,
     ) {
-        match (self.emb_mut(attr), ctx) {
+        match (&mut self.embedders[attr], ctx) {
             (AttrEmbedder::Cat(e), EmbedCtx::Cat(code)) => e.backward(*code, dz),
             (AttrEmbedder::Num { enc, .. }, EmbedCtx::Num(cache)) => {
                 enc.backward_pooled(cache, dz, scratch)
@@ -203,7 +162,7 @@ impl EmbeddingStore {
 
     /// The standardizer of a numeric attribute (panics for categorical).
     pub fn standardizer(&self, attr: usize) -> Standardizer {
-        match self.emb(attr) {
+        match &self.embedders[attr] {
             AttrEmbedder::Num { std, .. } => *std,
             AttrEmbedder::Cat(_) => panic!("attribute {attr} is categorical"),
         }
@@ -211,7 +170,7 @@ impl EmbeddingStore {
 
     /// Visits the parameter blocks of one attribute's embedder.
     pub fn visit_attr_blocks(&mut self, attr: usize, f: &mut dyn FnMut(&mut ParamBlock)) {
-        match self.emb_mut(attr) {
+        match &mut self.embedders[attr] {
             AttrEmbedder::Cat(e) => e.visit_blocks(f),
             AttrEmbedder::Num { enc, .. } => enc.visit_blocks(f),
         }
@@ -350,36 +309,6 @@ pub struct SubModelTrainer<'a> {
     pub store: &'a mut EmbeddingStore,
     /// The discriminative sub-model being trained.
     pub sm: &'a mut SubModel,
-}
-
-/// Owning counterpart of [`SubModelTrainer`] — the per-thread worker of
-/// microbatch-parallel DP-SGD. Each worker starts from a clone of the
-/// current parameters and accumulates its microbatch's clipped gradients
-/// locally; the optimizer merges the sums in microbatch order, so the
-/// update equals the serial one exactly.
-pub struct OwnedTrainer {
-    /// Clone of the embedding store being trained.
-    pub store: EmbeddingStore,
-    /// Clone of the sub-model being trained.
-    pub sm: SubModel,
-}
-
-impl PerExampleModel<TrainRow> for OwnedTrainer {
-    fn forward_backward(&mut self, row: &TrainRow) -> f64 {
-        SubModelTrainer {
-            store: &mut self.store,
-            sm: &mut self.sm,
-        }
-        .forward_backward(row)
-    }
-
-    fn visit_blocks(&mut self, f: &mut dyn FnMut(&mut ParamBlock)) {
-        SubModelTrainer {
-            store: &mut self.store,
-            sm: &mut self.sm,
-        }
-        .visit_blocks(f)
-    }
 }
 
 impl PerExampleModel<TrainRow> for SubModelTrainer<'_> {

@@ -44,10 +44,11 @@ pub struct KaminoConfig {
     pub hard_fd_lookup: bool,
     /// Use accept–reject sampling instead of Algorithm 3 (Exp. 6).
     pub ar_sampling: bool,
-    /// Route candidate scoring and DP-SGD gradient microbatches through
-    /// the rayon-backed parallel substrate. Purely a performance switch —
-    /// outputs are bit-identical to the serial path for a fixed seed
-    /// (unlike `parallel_training`, which changes the trained model).
+    /// Has no effect: every fit and draw runs the serial scoring and
+    /// DP-SGD kernels. Kept only because the benchmark package still sets
+    /// it; it goes when that package stops naming it. Snapshots still
+    /// encode it and [`KaminoConfig::stable_hash`] normalizes it, so
+    /// `.kamino` bytes and cache keys do not depend on it.
     pub parallel_substrate: bool,
     /// Scales the DP-SGD iteration range of Algorithm 6 (quality knob for
     /// harness runs; always privacy-safe).
@@ -99,13 +100,12 @@ impl KaminoConfig {
     /// [`crate::snapshot::encode_config`] persists), with the two
     /// execution-only switches normalized out first — `shards` (a
     /// post-fit engine knob; [`FittedKamino::set_shards`] retunes it on
-    /// any loaded session) and `parallel_substrate` (bit-identical to
-    /// serial by construction). Snapshot caches (the `kamino-repro`
-    /// harness) key on this, so equal hashes mean a cached fit is
-    /// interchangeable with a fresh one no matter the host's
-    /// `KAMINO_SHARDS` or core count. Note the corpus itself is an input
-    /// to the fit, not a config field — cache keys must add it (rows,
-    /// generator seed) alongside this hash.
+    /// any loaded session) and `parallel_substrate` (which has no
+    /// effect). Snapshot caches (the `kamino-repro` harness) key on
+    /// this, so equal hashes mean a cached fit is interchangeable with a
+    /// fresh one no matter the host's `KAMINO_SHARDS`. Note the corpus
+    /// itself is an input to the fit, not a config field — cache keys
+    /// must add it (rows, generator seed) alongside this hash.
     pub fn stable_hash(&self) -> u64 {
         let mut normalized = self.clone();
         normalized.shards = 1;
@@ -256,9 +256,9 @@ pub fn fit_kamino(
         sigma_g: params.sigma_g,
         sigma_d: params.sigma_d,
         parallel: cfg.parallel_training,
-        microbatch_parallel: cfg.parallel_substrate,
         large_domain_threshold: cfg.large_domain_threshold,
         seed: cfg.seed,
+        ..TrainConfig::default()
     };
     let model = train_model(schema, instance, &sequence, &train_cfg);
     timings.training = phase_span.finish();
@@ -416,7 +416,6 @@ impl FittedKamino {
                 mcmc_resamples: (self.cfg.mcmc_ratio * n as f64).round() as usize,
                 constraint_aware: self.cfg.constraint_aware_sampling,
                 hard_fd_lookup: self.cfg.hard_fd_lookup,
-                parallel: self.cfg.parallel_substrate,
                 shards: self.cfg.shards,
                 repair_sweeps: 4,
             };

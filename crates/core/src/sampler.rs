@@ -128,10 +128,6 @@ pub struct SampleConfig {
     pub constraint_aware: bool,
     /// Enable the hard-FD lookup fast path (Exp. 10).
     pub hard_fd_lookup: bool,
-    /// Route candidate scoring through the rayon-backed parallel
-    /// substrate (`constraints::score`). Purely a performance switch: the
-    /// sampled output is bit-identical either way.
-    pub parallel: bool,
     /// Number of row shards synthesized concurrently per column pass.
     /// `1` (the default) is the original sequential Algorithm 3,
     /// bit-identical to the pre-sharding sampler; `S > 1` trades the
@@ -156,7 +152,6 @@ impl SampleConfig {
             mcmc_resamples: 0,
             constraint_aware: true,
             hard_fd_lookup: false,
-            parallel: true,
             shards: 1,
             repair_sweeps: 4,
         }
@@ -590,13 +585,12 @@ fn sample_cell<R: Rng + ?Sized>(
     }
 
     // Score candidates: P[v] ∝ p_{v|c} · exp(−Σ w_φ·vio_φ). The whole
-    // candidate set goes through the batch substrate in one call — the
-    // counters' prefix indexes are immutable for the duration, so the
-    // penalties can be (and by default are) evaluated concurrently.
+    // candidate set goes through batch scoring in one call, so the
+    // scorer views are built once per cell.
     let cell = CellContext::new(inst, row, target);
     values.clear();
     values.extend(candidates.iter().map(|&(v, _)| v));
-    scores.score_candidates_into(cell, values, weights, cfg.parallel, penalties);
+    scores.score_candidates_into(cell, values, weights, false, penalties);
     scored.clear();
     let mut best_fallback = (f64::INFINITY, f64::NEG_INFINITY, 0usize); // (penalty, p, idx)
     for (idx, (&(_, p), &penalty)) in candidates.iter().zip(penalties.iter()).enumerate() {

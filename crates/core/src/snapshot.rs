@@ -56,13 +56,10 @@ fn encode_store(s: &EmbeddingStore, w: &mut ByteWriter) {
     w.put_usize(s.dim());
     w.put_u32(s.embedders().len() as u32);
     for e in s.embedders() {
-        match e {
-            None => w.put_u8(0),
-            Some(e) => {
-                w.put_u8(1);
-                encode_embedder(e, w);
-            }
-        }
+        // Option tag 1: every store embeds every attribute. The tag stays
+        // so the format is unchanged.
+        w.put_u8(1);
+        encode_embedder(e, w);
     }
 }
 
@@ -71,11 +68,15 @@ fn decode_store(r: &mut ByteReader<'_>) -> Result<EmbeddingStore, WireError> {
     let n = r.len_prefix()?;
     let mut embedders = Vec::with_capacity(n.min(1 << 12));
     for _ in 0..n {
-        embedders.push(match r.u8()? {
-            0 => None,
-            1 => Some(decode_embedder(r)?),
+        match r.u8()? {
+            1 => embedders.push(decode_embedder(r)?),
+            0 => {
+                return Err(WireError::Malformed(
+                    "embedding store lacks an attribute's embedder".into(),
+                ))
+            }
             tag => return Err(WireError::Malformed(format!("unknown option tag {tag}"))),
-        });
+        }
     }
     Ok(EmbeddingStore::from_parts(embedders, dim))
 }

@@ -18,13 +18,12 @@ use kamino_data::stats::{histogram, normalize};
 use kamino_data::{AttrKind, Instance, Quantizer, Schema, Value};
 use kamino_dp::mechanisms::add_gaussian_noise;
 use kamino_dp::poisson_sample;
-use kamino_nn::{microbatch_parallel_worthwhile, Attention, CategoricalHead, DpSgd, GaussianHead};
+use kamino_nn::{Attention, CategoricalHead, DpSgd, GaussianHead};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::model::{
-    DataModel, EmbeddingStore, Head, OwnedTrainer, SubModel, SubModelKind, SubModelTrainer,
-    TrainRow,
+    DataModel, EmbeddingStore, Head, SubModel, SubModelKind, SubModelTrainer, TrainRow,
 };
 
 /// Training configuration — the slice of Ψ that Algorithm 2 consumes.
@@ -47,12 +46,11 @@ pub struct TrainConfig {
     pub sigma_d: f64,
     /// Train sub-models in parallel with private embeddings (Exp. 10).
     /// This changes the trained model (no embedding reuse across
-    /// sub-models); contrast with `microbatch_parallel`.
+    /// sub-models).
     pub parallel: bool,
-    /// Parallelize per-example gradients inside each DP-SGD step via the
-    /// rayon-backed microbatch substrate. Purely a performance switch:
-    /// gradient sums are merged in fixed microbatch order, so the trained
-    /// model is bit-identical to the serial path.
+    /// Has no effect: every DP-SGD step runs the serial microbatch
+    /// kernel. Kept only because the benchmark package still sets it;
+    /// it goes when that package stops naming it.
     pub microbatch_parallel: bool,
     /// Domains larger than this use the §4.3 noisy-marginal fallback.
     pub large_domain_threshold: usize,
@@ -152,34 +150,14 @@ fn train_one(
         expected_batch: cfg.batch as f64,
     };
     let rate = (cfg.batch as f64 / n.max(1) as f64).min(1.0);
-    let context = sm.context.clone();
-    let target = sm.target;
     for _ in 0..cfg.iters {
         let ids = poisson_sample(n, rate, rng);
-        let rows = training_rows(inst, &context, target, &ids);
-        if cfg.microbatch_parallel && microbatch_parallel_worthwhile(rows.len()) {
-            // Per-example gradients fan out across workers, each on a
-            // clone of the current parameters; merged in microbatch order
-            // the update is bit-identical to the serial step. Workers only
-            // touch the context embedders (forward/backward) and the
-            // target's standardizer, so the prototype carries just those.
-            let proto_store = store.subset_for(context.iter().copied().chain([target]));
-            let proto_sm = sm.clone();
-            let mut trainer = SubModelTrainer {
-                store: &mut *store,
-                sm: &mut *sm,
-            };
-            opt.step_parallel(&mut trainer, &rows, rng, || OwnedTrainer {
-                store: proto_store.clone(),
-                sm: proto_sm.clone(),
-            });
-        } else {
-            let mut trainer = SubModelTrainer {
-                store: &mut *store,
-                sm: &mut *sm,
-            };
-            opt.step(&mut trainer, &rows, rng);
-        }
+        let rows = training_rows(inst, &sm.context, sm.target, &ids);
+        let mut trainer = SubModelTrainer {
+            store: &mut *store,
+            sm: &mut *sm,
+        };
+        opt.step(&mut trainer, &rows, rng);
     }
 }
 

@@ -17,8 +17,8 @@
 //! of the naive loop. The tiled kernels are therefore **bit-identical** to
 //! their [`matvec_ref`]/[`matvec_t_acc_ref`]/[`outer_acc_ref`] reference
 //! twins (property-tested in `tests/proptest_kernels.rs`), and the
-//! workspace determinism contract (serial ≡ parallel ≡ pre-tiling output)
-//! is unaffected.
+//! workspace determinism contract (tiled ≡ pre-tiling output) is
+//! unaffected.
 
 /// Output rows processed per register block by the tiled kernels.
 const ROW_BLOCK: usize = 4;

@@ -39,28 +39,15 @@ pub struct DpSgd {
     pub expected_batch: f64,
 }
 
-/// Fixed per-example-gradient microbatch size. Both the serial and the
-/// parallel path accumulate clipped gradients microbatch-by-microbatch and
-/// merge the partial sums in microbatch order, so the floating-point
-/// result is independent of thread count — parallel training is
-/// bit-identical to serial training for a fixed seed.
+/// Fixed per-example-gradient microbatch size. A step accumulates
+/// clipped gradients microbatch-by-microbatch into fresh partial sums and
+/// merges them in microbatch order; that order fixes the floating-point
+/// summation, so every trained parameter depends on it.
 pub const MICROBATCH: usize = 16;
 
-/// Whether [`DpSgd::step_parallel`] would actually fan `batch_len`
-/// examples out across threads (parallel feature on, more than one
-/// microbatch, more than one worker available). Callers use this to skip
-/// building worker prototypes when the serial fallback would run anyway.
-pub fn microbatch_parallel_worthwhile(batch_len: usize) -> bool {
-    #[cfg(feature = "parallel")]
-    {
-        batch_len > MICROBATCH && rayon::current_num_threads() > 1
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        let _ = batch_len;
-        false
-    }
-}
+/// A per-microbatch clip-and-sum kernel: `(model, microbatch, clip,
+/// block sizes) → (clipped gradient sums, total loss)`.
+type Accumulate<M, E> = fn(&mut M, &[E], f64, &[usize]) -> (Vec<Vec<f64>>, f64);
 
 /// Accumulates the clipped per-example gradient sums and total loss for
 /// `batch` (one microbatch) into fresh buffers shaped like `sizes`.
@@ -196,50 +183,48 @@ impl DpSgd {
 
     /// Runs one optimizer step on `batch`, returning the mean example loss
     /// (or 0.0 for an empty Poisson batch — the step still applies noise,
-    /// as the mechanism requires). Serial; see [`DpSgd::step_parallel`]
-    /// for the microbatch-parallel form (both produce identical updates).
+    /// as the mechanism requires).
     pub fn step<E, M, R>(&self, model: &mut M, batch: &[E], rng: &mut R) -> f64
     where
         M: PerExampleModel<E>,
         R: Rng + ?Sized,
     {
-        self.check();
-        let sizes = self.block_sizes::<E, _>(model);
-        let mut sums: Vec<Vec<f64>> = sizes.iter().map(|&n| vec![0.0; n]).collect();
-        let mut total_loss = 0.0;
-        for micro in batch.chunks(MICROBATCH) {
-            let (part, loss) = accumulate_clipped(model, micro, self.clip, &sizes);
-            for (s, p) in sums.iter_mut().zip(&part) {
-                for (a, b) in s.iter_mut().zip(p) {
-                    *a += b;
-                }
-            }
-            total_loss += loss;
-        }
-        self.apply::<E, _, _>(model, &sums, rng);
-        if batch.is_empty() {
-            0.0
-        } else {
-            total_loss / batch.len() as f64
-        }
+        self.step_with(model, batch, rng, accumulate_clipped)
     }
 
     /// [`DpSgd::step`] built on [`accumulate_clipped_reference`] — the
     /// unfused three-traversal kernel. Produces bit-identical parameters
-    /// and loss to [`DpSgd::step`]; retained as the serial-reference twin
-    /// for the parity suite and the `micro_substrates` fused-vs-reference
+    /// and loss to [`DpSgd::step`]; retained as the reference twin for
+    /// the parity suite and the `micro_substrates` fused-vs-reference
     /// pair.
     pub fn step_reference<E, M, R>(&self, model: &mut M, batch: &[E], rng: &mut R) -> f64
     where
         M: PerExampleModel<E>,
         R: Rng + ?Sized,
     {
+        self.step_with(model, batch, rng, accumulate_clipped_reference)
+    }
+
+    /// One step with `accumulate` as the per-microbatch clip-and-sum
+    /// kernel: partial sums merge in microbatch order, then noise and
+    /// apply.
+    fn step_with<E, M, R>(
+        &self,
+        model: &mut M,
+        batch: &[E],
+        rng: &mut R,
+        accumulate: Accumulate<M, E>,
+    ) -> f64
+    where
+        M: PerExampleModel<E>,
+        R: Rng + ?Sized,
+    {
         self.check();
         let sizes = self.block_sizes::<E, _>(model);
         let mut sums: Vec<Vec<f64>> = sizes.iter().map(|&n| vec![0.0; n]).collect();
         let mut total_loss = 0.0;
         for micro in batch.chunks(MICROBATCH) {
-            let (part, loss) = accumulate_clipped_reference(model, micro, self.clip, &sizes);
+            let (part, loss) = accumulate(model, micro, self.clip, &sizes);
             for (s, p) in sums.iter_mut().zip(&part) {
                 for (a, b) in s.iter_mut().zip(p) {
                     *a += b;
@@ -253,61 +238,6 @@ impl DpSgd {
         } else {
             total_loss / batch.len() as f64
         }
-    }
-
-    /// Microbatch-parallel DP-SGD step: per-example gradients are
-    /// computed on up to `ceil(|batch| / MICROBATCH)` workers, each
-    /// operating on a fresh model built by `make_worker` (a clone of the
-    /// current parameters), and the clipped sums are merged in microbatch
-    /// order before the (serial) noise-and-apply phase on `model`.
-    ///
-    /// Because the merge order is fixed by microbatch index — not thread
-    /// schedule — and `rng` is only consumed in the apply phase, this
-    /// produces **bit-identical** parameters to [`DpSgd::step`] for any
-    /// thread count. Requires the `parallel` feature; without it (or for
-    /// small batches) it falls back to the serial step.
-    pub fn step_parallel<E, M, W, F, R>(
-        &self,
-        model: &mut M,
-        batch: &[E],
-        rng: &mut R,
-        make_worker: F,
-    ) -> f64
-    where
-        M: PerExampleModel<E>,
-        W: PerExampleModel<E>,
-        E: Sync,
-        F: Fn() -> W + Sync,
-        R: Rng + ?Sized,
-    {
-        #[cfg(feature = "parallel")]
-        {
-            self.check();
-            if batch.len() > MICROBATCH && rayon::current_num_threads() > 1 {
-                let sizes = self.block_sizes::<E, _>(model);
-                let n_micro = batch.len().div_ceil(MICROBATCH);
-                let parts = rayon::par_map_indexed(n_micro, |mi| {
-                    let start = mi * MICROBATCH;
-                    let end = (start + MICROBATCH).min(batch.len());
-                    let mut worker = make_worker();
-                    accumulate_clipped(&mut worker, &batch[start..end], self.clip, &sizes)
-                });
-                let mut sums: Vec<Vec<f64>> = sizes.iter().map(|&n| vec![0.0; n]).collect();
-                let mut total_loss = 0.0;
-                for (part, loss) in &parts {
-                    for (s, p) in sums.iter_mut().zip(part) {
-                        for (a, b) in s.iter_mut().zip(p) {
-                            *a += b;
-                        }
-                    }
-                    total_loss += loss;
-                }
-                self.apply::<E, _, _>(model, &sums, rng);
-                return total_loss / batch.len() as f64;
-            }
-        }
-        let _ = &make_worker;
-        self.step(model, batch, rng)
     }
 }
 
@@ -488,40 +418,6 @@ mod tests {
             "w = {}",
             model.w.values[0]
         );
-    }
-
-    #[test]
-    fn parallel_step_is_bitwise_identical_to_serial() {
-        // 40 examples → 3 microbatches; the parallel path must reproduce
-        // the serial parameters exactly (fixed-order merge), including
-        // when noise is on (rng draws happen in the apply phase only).
-        let data: Vec<f64> = (0..40).map(|i| (i % 7) as f64 - 3.0).collect();
-        for noise in [0.0, 0.7] {
-            let cfg = DpSgd {
-                clip: 1.0,
-                noise_multiplier: noise,
-                lr: 0.1,
-                expected_batch: 32.0,
-            };
-            let mut serial = Quad {
-                w: ParamBlock::zeros(1),
-            };
-            let mut rng_s = StdRng::seed_from_u64(11);
-            let mut parallel = Quad {
-                w: ParamBlock::zeros(1),
-            };
-            let mut rng_p = StdRng::seed_from_u64(11);
-            let mut losses = (0.0, 0.0);
-            for _ in 0..20 {
-                losses.0 = cfg.step(&mut serial, &data, &mut rng_s);
-                let proto = parallel.w.clone();
-                losses.1 = cfg.step_parallel(&mut parallel, &data, &mut rng_p, || Quad {
-                    w: proto.clone(),
-                });
-            }
-            assert_eq!(serial.w.values[0].to_bits(), parallel.w.values[0].to_bits());
-            assert_eq!(losses.0, losses.1);
-        }
     }
 
     #[test]

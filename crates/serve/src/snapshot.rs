@@ -435,8 +435,7 @@ fn validate_store(
     }
     for (attr, embedder) in schema.attrs().iter().zip(store.embedders()) {
         match embedder {
-            None => {}
-            Some(AttrEmbedder::Cat(e)) => {
+            AttrEmbedder::Cat(e) => {
                 if !attr.is_categorical() || e.card() != attr.domain_size() {
                     return Err(malformed(format!(
                         "embedder for `{}` covers {} codes over a domain of {}",
@@ -454,7 +453,7 @@ fn validate_store(
                     )));
                 }
             }
-            Some(AttrEmbedder::Num { enc, .. }) => {
+            AttrEmbedder::Num { enc, .. } => {
                 if attr.is_categorical() {
                     return Err(malformed(format!(
                         "numeric encoder for categorical attribute `{}`",
@@ -724,14 +723,13 @@ mod tests {
         assert!(matches!(decode_fitted(&bytes), Err(SnapshotError::Wire(_))));
     }
 
-    /// Rebuilds a container keeping only sections whose id passes the
-    /// filter — a stand-in for files written by older builds.
-    fn rebuild_without(bytes: &[u8], drop_id: u32) -> Vec<u8> {
+    /// Rebuilds a container from `bytes`, passing each section through
+    /// `edit` (`None` drops it) and resealing every CRC.
+    fn rebuild(bytes: &[u8], mut edit: impl FnMut(u32, &[u8]) -> Option<Vec<u8>>) -> Vec<u8> {
         let sections = parse_sections(bytes).unwrap();
         let kept: Vec<(u32, Vec<u8>)> = sections
             .iter()
-            .filter(|s| s.id != drop_id)
-            .map(|s| (s.id, s.bytes.to_vec()))
+            .filter_map(|s| edit(s.id, s.bytes).map(|b| (s.id, b)))
             .collect();
         let mut header = kamino_data::wire::ByteWriter::new();
         header.put_raw(&MAGIC);
@@ -750,6 +748,79 @@ mod tests {
             out.extend_from_slice(b);
         }
         out
+    }
+
+    /// Rebuilds a container without section `drop_id` — a stand-in for
+    /// files written by older builds.
+    fn rebuild_without(bytes: &[u8], drop_id: u32) -> Vec<u8> {
+        rebuild(bytes, |id, b| (id != drop_id).then(|| b.to_vec()))
+    }
+
+    /// Rewrites a model section so the store's embedder for `attr` is
+    /// marked absent (option tag `0`) and its bytes are dropped.
+    fn unmaterialise_embedder(model: &[u8], attr: usize) -> Vec<u8> {
+        let mut r = ByteReader::new(model);
+        r.usizes().unwrap(); // sequence
+        r.f64s().unwrap(); // first-attribute distribution
+        r.usize().unwrap(); // embedding dim
+        let n = r.len_prefix().unwrap();
+        assert!(attr < n);
+        let mut start = 0;
+        for a in 0..=attr {
+            start = model.len() - r.remaining();
+            assert_eq!(r.u8().unwrap(), 1, "embedder {a} is not materialised");
+            match r.u8().unwrap() {
+                0 => {
+                    kamino_nn::snapshot::decode_embedding(&mut r).unwrap();
+                }
+                _ => {
+                    kamino_nn::snapshot::decode_encoder(&mut r).unwrap();
+                    kamino_data::snapshot::decode_standardizer(&mut r).unwrap();
+                }
+            }
+        }
+        let end = model.len() - r.remaining();
+        [&model[..start], &[0u8], &model[end..]].concat()
+    }
+
+    #[test]
+    fn unmaterialised_embedder_is_rejected() {
+        // a CRC-valid file whose shared store lacks a context attribute's
+        // embedder must fail at load, not panic on the first draw
+        let fitted = tiny_fitted(10);
+        let attr = fitted
+            .model()
+            .submodels
+            .iter()
+            .find(|sm| !sm.context.is_empty())
+            .map(|sm| sm.context[0])
+            .unwrap();
+        let bytes = rebuild(&encode_fitted(&fitted), |id, b| {
+            Some(if id == section::MODEL {
+                unmaterialise_embedder(b, attr)
+            } else {
+                b.to_vec()
+            })
+        });
+        assert!(matches!(decode_fitted(&bytes), Err(SnapshotError::Wire(_))));
+    }
+
+    /// FNV-1a fingerprint of the `.kamino` bytes of a small seeded,
+    /// untraced fit at library defaults: training, weight learning and
+    /// the container layout all feed it, so any drift in the fitted model
+    /// or its encoding moves this hash.
+    #[test]
+    fn encoded_snapshot_is_pinned() {
+        let bytes = encode_fitted(&tiny_fitted(12));
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for &b in &bytes {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+        assert_eq!(
+            h, 0xa4ff_1141_4cc1_7de4,
+            "encoded snapshot drifted: {h:#018x}"
+        );
     }
 
     #[test]

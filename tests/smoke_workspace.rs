@@ -1,10 +1,6 @@
 //! Workspace smoke test: the full pipeline builds, runs under privacy,
-//! holds hard DCs, and the parallel scoring substrate is bit-identical to
-//! the serial path for a fixed seed.
-//!
-//! Run with `RAYON_NUM_THREADS=4` (as CI does) to exercise the parity
-//! assertion with real thread fan-out; on a single-core host the parallel
-//! path degenerates to serial and the assertions still hold.
+//! holds hard DCs, and the inert `parallel_substrate` switch changes no
+//! output byte.
 
 use kamino::datasets::adult_like;
 use kamino::prelude::*;
@@ -35,20 +31,20 @@ fn run_kamino_on_adult_holds_hard_dcs() {
 }
 
 #[test]
-fn parallel_and_serial_substrates_are_bit_identical() {
-    // Same seed, same data; only the parallel switch differs. Candidate
-    // scoring writes penalties by index and DP-SGD merges microbatch sums
-    // in fixed order, so the outputs must match exactly — not just
-    // statistically.
+fn parallel_substrate_switch_changes_no_output() {
+    // Same seed, same data; only `parallel_substrate` differs. The switch
+    // has no effect, so the library default (`true`) and the benchmark's
+    // `false` must give the same instance exactly — the benchmark then
+    // measures the code every other caller runs.
     let d = adult_like(200, 25);
-    let run = |parallel: bool| {
+    let run = |substrate: bool| {
         let mut cfg = smoke_cfg(27);
-        cfg.parallel_substrate = parallel;
+        cfg.parallel_substrate = substrate;
         run_kamino(&d.schema, &d.instance, &d.dcs, &cfg)
     };
-    let par = run(true);
-    let ser = run(false);
-    assert_eq!(par.instance, ser.instance, "sampled instances diverged");
-    assert_eq!(par.weights, ser.weights);
-    assert_eq!(par.sequence, ser.sequence);
+    let on = run(true);
+    let off = run(false);
+    assert_eq!(on.instance, off.instance, "sampled instances diverged");
+    assert_eq!(on.weights, off.weights);
+    assert_eq!(on.sequence, off.sequence);
 }
