@@ -808,10 +808,13 @@ mod tests {
     /// FNV-1a fingerprint of the `.kamino` bytes of a small seeded,
     /// untraced fit at library defaults: training, weight learning and
     /// the container layout all feed it, so any drift in the fitted model
-    /// or its encoding moves this hash.
+    /// or its encoding moves this hash. The config's `shards` is encoded
+    /// too, so it is pinned to 1 here rather than read from `KAMINO_SHARDS`.
     #[test]
     fn encoded_snapshot_is_pinned() {
-        let bytes = encode_fitted(&tiny_fitted(12));
+        let mut fitted = tiny_fitted(12);
+        fitted.set_shards(1);
+        let bytes = encode_fitted(&fitted);
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for &b in &bytes {
             h ^= b as u64;
