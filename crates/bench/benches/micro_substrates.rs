@@ -12,10 +12,8 @@
 //! `dpsgd_step_{fused,reference}` pair documents that the fused
 //! clip-accumulate is at worst cost-neutral on a dense single-block model
 //! (the traversal it eliminates is a memset; the win grows with block
-//! count) while staying bit-identical. The `synthesize_{serial,sharded4}`
-//! pair compares the sequential Algorithm 3 against the sharded engine
-//! (different outputs by design — see `kamino_core::sampler` — but both
-//! hard-DC clean, asserted in setup).
+//! count) while staying bit-identical. `synthesize_serial_n512` times the
+//! full Algorithm 3 column walk (hard-DC clean, asserted in setup).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use kamino_constraints::{
@@ -270,11 +268,8 @@ fn bench(c: &mut Criterion) {
         });
     }
 
-    // Serial vs. sharded synthesis: one trained model, the full Algorithm
-    // 3 column walk at n = 512, sequential against 4 row shards with the
-    // cross-shard repair pass. Unlike the other pairs the two entries
-    // are NOT bit-identical (sharding re-orders the conditioning
-    // prefix); what they share is the hard-DC guarantee, asserted below.
+    // Synthesis: one trained model, the full Algorithm 3 column walk at
+    // n = 512, with the hard-DC guarantee asserted before timing.
     {
         use kamino_core::{synthesize, train_model, SampleConfig, TrainConfig};
 
@@ -287,40 +282,27 @@ fn bench(c: &mut Criterion) {
         };
         let model = train_model(&dsmall.schema, &dsmall.instance, &sequence, &tc);
         let weights = vec![f64::INFINITY; dsmall.dcs.len()];
-        for shards in [1usize, 4] {
-            let mut sc = SampleConfig::new(512);
-            sc.shards = shards;
-            let out = {
-                let mut rng = StdRng::seed_from_u64(11);
-                synthesize(&dsmall.schema, &model, &dsmall.dcs, &weights, &sc, &mut rng)
-            };
-            for dc in &dsmall.dcs {
-                assert_eq!(
-                    count_violating_pairs(dc, &out),
-                    0,
-                    "{} violated at shards={shards}",
-                    dc.name
-                );
-            }
-            let name = if shards == 1 {
-                "synthesize_serial_n512"
-            } else {
-                "synthesize_sharded4_n512"
-            };
-            g.bench_function(name, |b| {
-                let mut rng = StdRng::seed_from_u64(11);
-                b.iter(|| {
-                    black_box(synthesize(
-                        &dsmall.schema,
-                        &model,
-                        &dsmall.dcs,
-                        &weights,
-                        &sc,
-                        &mut rng,
-                    ))
-                })
-            });
+        let sc = SampleConfig::new(512);
+        let out = {
+            let mut rng = StdRng::seed_from_u64(11);
+            synthesize(&dsmall.schema, &model, &dsmall.dcs, &weights, &sc, &mut rng)
+        };
+        for dc in &dsmall.dcs {
+            assert_eq!(count_violating_pairs(dc, &out), 0, "{} violated", dc.name);
         }
+        g.bench_function("synthesize_serial_n512", |b| {
+            let mut rng = StdRng::seed_from_u64(11);
+            b.iter(|| {
+                black_box(synthesize(
+                    &dsmall.schema,
+                    &model,
+                    &dsmall.dcs,
+                    &weights,
+                    &sc,
+                    &mut rng,
+                ))
+            })
+        });
     }
 
     g.bench_function("rdp_accountant_5000_sgm_steps", |b| {

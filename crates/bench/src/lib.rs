@@ -7,8 +7,8 @@
 //!   byte-deterministic;
 //! * [`chaos`] — the crash-recovery scenarios behind `kamino-chaos`.
 //!
-//! The `bench_report` and `kamino-loadgen` binaries and the
-//! `micro_substrates` criterion bench stand alone.
+//! The `kamino-loadgen` binary and the `micro_substrates` criterion bench
+//! stand alone.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

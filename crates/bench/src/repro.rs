@@ -31,8 +31,8 @@
 //! ## Artifacts
 //!
 //! * `BENCH_repro.json` — machine-readable cell results, deterministic
-//!   key order and content, diffable across PRs like
-//!   `BENCH_synthesis.json`. Wall-clock fields are only included when
+//!   key order and content, diffable across PRs. Wall-clock fields are
+//!   only included when
 //!   explicitly requested (`--timings`), because timing noise would break
 //!   byte-for-byte diffability.
 //! * `REPRODUCTION.md` — markdown tables mirroring the paper's Table 2 /
@@ -382,18 +382,13 @@ impl ReproConfig {
 
     /// The Kamino pipeline configuration for one cell — shared by the
     /// fit and by the cache key, with the variant's knobs applied (a
-    /// baseline gets the plain Kamino config). `stable_hash` already
-    /// ignores the execution-only knobs, but `shards` is still pinned
-    /// here because different shard counts sample *different* (each
-    /// deterministic) streams, and the artifacts must not depend on
-    /// `KAMINO_SHARDS`.
+    /// baseline gets the plain Kamino config).
     pub fn kamino_config(&self, epsilon: f64, method: MethodKind) -> KaminoConfig {
         let mut cfg = KaminoConfig::new(Budget::new(epsilon, DELTA));
         cfg.seed = self.seed;
         cfg.train_scale = self.train_scale;
         cfg.embed_dim = 12;
         cfg.lr = 0.25;
-        cfg.shards = 1;
         cfg.obs = self.obs.clone();
         match method {
             MethodKind::RandSequence => cfg.constraint_aware_sequencing = false,

@@ -145,9 +145,8 @@ impl<'a> CellContext<'a> {
 /// a hash map: groups almost always carry a handful of distinct dependents
 /// (exactly one, for clean data), so a contiguous scan beats hashing and
 /// keeps batch scoring walking adjacent memory. Every query over `by_rhs`
-/// is iteration-order independent (sums, a `len == 1` check, and a
-/// totally tie-broken max), so the `swap_remove` used on removal cannot
-/// change any answer.
+/// is iteration-order independent (a lookup by key and a `len == 1`
+/// check), so the `swap_remove` used on removal cannot change any answer.
 #[derive(Default)]
 struct FdGroup {
     total: u64,
@@ -163,10 +162,10 @@ impl FdGroup {
             .map_or(0, |e| e.1)
     }
 
-    fn bump(&mut self, rhs_key: u64, repr: Value, by: u64) {
+    fn bump(&mut self, rhs_key: u64, repr: Value) {
         match self.by_rhs.iter_mut().find(|e| e.0 == rhs_key) {
-            Some(e) => e.1 += by,
-            None => self.by_rhs.push((rhs_key, by, repr)),
+            Some(e) => e.1 += 1,
+            None => self.by_rhs.push((rhs_key, 1, repr)),
         }
     }
 
@@ -179,13 +178,6 @@ impl FdGroup {
         self.by_rhs[i].1 -= 1;
         if self.by_rhs[i].1 == 0 {
             self.by_rhs.swap_remove(i);
-        }
-    }
-
-    fn absorb(&mut self, other: FdGroup) {
-        self.total += other.total;
-        for (rhs_key, count, repr) in other.by_rhs {
-            self.bump(rhs_key, repr, count);
         }
     }
 }
@@ -330,21 +322,6 @@ impl FdIndex {
         }
     }
 
-    /// The most common dependent value in the candidate's determinant
-    /// group, if the group exists. Unlike [`FdIndex::required_value`] this
-    /// also answers for *inconsistent* groups — the sharded repair pass
-    /// uses it to steer conflicting rows toward the majority side. Ties
-    /// break on the value key so the answer never depends on storage
-    /// order.
-    pub fn majority_value(&self, cand: &CandidateRow<'_>) -> Option<Value> {
-        let group = self.group(cand)?;
-        group
-            .by_rhs
-            .iter()
-            .max_by(|a, b| a.1.cmp(&b.1).then(a.0.cmp(&b.0)))
-            .map(|&(_, _, v)| v)
-    }
-
     /// The FD's dependent (right-hand-side) attribute.
     pub fn rhs(&self) -> usize {
         self.fd.rhs
@@ -355,7 +332,7 @@ impl FdIndex {
         let rhs_key = value_key(rhs);
         let group = self.group_entry(cand);
         group.total += 1;
-        group.bump(rhs_key, rhs, 1);
+        group.bump(rhs_key, rhs);
         self.n_rows += 1;
     }
 
@@ -391,51 +368,6 @@ impl FdIndex {
             }),
         }
         self.n_rows -= 1;
-    }
-
-    /// Folds `group` (keyed by `key`) into this index, keeping the dense
-    /// layout when the key still fits.
-    fn absorb_group(&mut self, key: &[u64], group: FdGroup) {
-        if let GroupTable::Dense(slots) = &mut self.table {
-            debug_assert_eq!(key.len(), 1);
-            if key[0] < DENSE_KEY_LIMIT {
-                let i = key[0] as usize;
-                if slots.len() <= i {
-                    slots.resize_with(i + 1, || None);
-                }
-                slots[i].get_or_insert_with(FdGroup::default).absorb(group);
-                return;
-            }
-            self.migrate_to_map();
-        }
-        let GroupTable::Map(map) = &mut self.table else {
-            unreachable!()
-        };
-        map.entry(key.to_vec()).or_default().absorb(group);
-    }
-
-    /// Absorbs another index over the *same* FD: determinant groups are
-    /// summed entry-wise. Counts are additive, so the merged index answers
-    /// exactly as if every row of both indexes had been inserted into one.
-    /// Either side may have independently migrated to the fallback map;
-    /// group keys are canonical across both layouts.
-    fn merge(&mut self, other: FdIndex) {
-        debug_assert_eq!(self.fd, other.fd, "merging indexes of different FDs");
-        match other.table {
-            GroupTable::Dense(slots) => {
-                for (i, slot) in slots.into_iter().enumerate() {
-                    if let Some(g) = slot {
-                        self.absorb_group(&[i as u64], g);
-                    }
-                }
-            }
-            GroupTable::Map(map) => {
-                for (key, g) in map {
-                    self.absorb_group(&key, g);
-                }
-            }
-        }
-        self.n_rows += other.n_rows;
     }
 }
 
@@ -554,22 +486,11 @@ impl RowTable {
         self.row_ids.pop();
         self.data.truncate(last * stride);
     }
-
-    fn merge(&mut self, other: RowTable) {
-        for row_id in &other.row_ids {
-            let prev = self.slot_of.insert(*row_id, self.row_ids.len());
-            assert!(prev.is_none(), "row {row_id} present in both shards");
-            self.row_ids.push(*row_id);
-        }
-        self.data.extend_from_slice(&other.data);
-    }
 }
 
 /// One equality partition of an [`OrderTable`]: the rows sharing one
 /// equality-attribute key, as struct-of-arrays flipped order keys.
 struct OrderPartition {
-    /// The equality-attribute key (`value_key` per attribute).
-    key: Vec<u64>,
     /// Flipped keys of the first order attribute, one per slot.
     a: Vec<i64>,
     /// Flipped keys of the second order attribute.
@@ -617,9 +538,8 @@ impl OrderTable {
             return p;
         }
         let p = self.parts.len();
-        self.part_of.insert(key.clone(), p);
+        self.part_of.insert(key, p);
         self.parts.push(OrderPartition {
-            key,
             a: Vec::new(),
             b: Vec::new(),
             ids: Vec::new(),
@@ -747,21 +667,6 @@ impl OrderTable {
             self.widest = self.parts.iter().map(|q| q.ids.len()).max().unwrap_or(0);
         }
     }
-
-    fn merge(&mut self, other: OrderTable) {
-        for OrderPartition { key, a, b, ids } in other.parts {
-            let p = self.partition_index(key);
-            let part = &mut self.parts[p];
-            for (i, &row_id) in ids.iter().enumerate() {
-                let prev = self.slot_of.insert(row_id, (p, part.ids.len() + i));
-                assert!(prev.is_none(), "row {row_id} present in both shards");
-            }
-            part.a.extend(a);
-            part.b.extend(b);
-            part.ids.extend(ids);
-            self.widest = self.widest.max(part.ids.len());
-        }
-    }
 }
 
 /// How a [`ScanIndex`] stores its rows; chosen from the DC's shape.
@@ -845,18 +750,6 @@ impl ScanIndex {
         match &mut self.layout {
             ScanLayout::Rows(t) => t.remove(cand),
             ScanLayout::Order(t) => t.remove(cand),
-        }
-    }
-
-    /// Absorbs another index over the same DC. Row ids must be disjoint —
-    /// shards partition the instance, so a collision means the caller
-    /// merged overlapping shards.
-    fn merge(&mut self, other: ScanIndex) {
-        debug_assert_eq!(self.dc.name, other.dc.name, "merging different DCs");
-        match (&mut self.layout, other.layout) {
-            (ScanLayout::Rows(a), ScanLayout::Rows(b)) => a.merge(b),
-            (ScanLayout::Order(a), ScanLayout::Order(b)) => a.merge(b),
-            _ => panic!("merging scan indexes of different DC shapes"),
         }
     }
 
@@ -1079,17 +972,6 @@ impl DcCounter {
         self.scorer().required_value(cand)
     }
 
-    /// For FD counters, the majority dependent value of the candidate's
-    /// determinant group — defined even when the group is inconsistent
-    /// (see [`FdIndex::majority_value`]). `None` for non-FD counters or
-    /// unseen groups.
-    pub fn majority_value(&self, cand: &CandidateRow<'_>) -> Option<Value> {
-        match self {
-            DcCounter::Fd(ix) => ix.majority_value(cand),
-            _ => None,
-        }
-    }
-
     /// For FD counters, the dependent (right-hand-side) attribute of the
     /// FD; `None` otherwise. The sampler's hard-FD fast path only applies
     /// [`Self::required_value`] when the attribute being sampled *is* the
@@ -1111,22 +993,6 @@ impl DcCounter {
     /// be ordered compatibly.
     pub fn feasible_range(&self, cand: &CandidateRow<'_>, target: usize) -> Option<(f64, f64)> {
         self.scorer().feasible_range(cand, target)
-    }
-
-    /// Absorbs another counter built for the **same DC** over a disjoint
-    /// row-id range (a shard). The merged counter answers every query —
-    /// `count_new`, `required_value`, `feasible_range` — exactly as if all
-    /// rows of both counters had been inserted into one, because both
-    /// index shapes keep purely additive state (FD group counts sum;
-    /// scan rows union). Used by the sharded sampler to combine per-shard
-    /// prefix indexes before the cross-shard repair pass.
-    pub fn merge(&mut self, other: DcCounter) {
-        match (self, other) {
-            (DcCounter::Unary(_), DcCounter::Unary(_)) => {}
-            (DcCounter::Fd(a), DcCounter::Fd(b)) => a.merge(b),
-            (DcCounter::Scan(a), DcCounter::Scan(b)) => a.merge(b),
-            _ => panic!("merging counters of different shapes (different DCs?)"),
-        }
     }
 
     /// Number of rows currently inserted (0 for unary counters, which keep

@@ -62,38 +62,6 @@ impl ScoreSet {
         }
     }
 
-    /// Absorbs another `ScoreSet` built from the **same** active-DC list
-    /// over a disjoint row-id range (a shard's prefix). Counters merge
-    /// pair-wise, so the result scores exactly as if every row of both
-    /// sets had been inserted into one. Shards must be merged in a fixed
-    /// (shard-index) order by the caller so any panic messages and debug
-    /// assertions fire deterministically; the merged *scores* themselves
-    /// are order-independent, since all counter state is additive.
-    pub fn merge(&mut self, other: ScoreSet) {
-        assert_eq!(
-            self.counters.len(),
-            other.counters.len(),
-            "merging ScoreSets with different active-DC lists"
-        );
-        for ((l_a, c_a), (l_b, c_b)) in self.counters.iter_mut().zip(other.counters) {
-            assert_eq!(
-                *l_a, l_b,
-                "merging ScoreSets with different active-DC lists"
-            );
-            c_a.merge(c_b);
-        }
-    }
-
-    /// Total rows inserted across all counters' prefix indexes (0 when
-    /// only unary counters are active — they keep no state).
-    pub fn len(&self) -> usize {
-        self.counters
-            .iter()
-            .map(|(_, c)| c.len())
-            .max()
-            .unwrap_or(0)
-    }
-
     /// The weighted violation penalty of a single hypothesis.
     pub fn penalty(&self, cand: &CandidateRow<'_>, weights: &[f64]) -> f64 {
         penalty_with(&self.scorers(weights), cand, weights)
@@ -240,70 +208,6 @@ mod tests {
         set.insert(&victim);
         let after = set.score_candidates(cell, &values, &weights);
         assert_eq!(before, after);
-    }
-
-    #[test]
-    fn merged_shards_score_like_one_sequential_set() {
-        // Build one ScoreSet sequentially over 120 rows, and the same 120
-        // rows as three 40-row shards merged in shard order: every scoring
-        // query must agree exactly (FD, order-scan, and unary counters).
-        let s = schema();
-        let all = dcs(&s);
-        let weights = [f64::INFINITY, 2.5, 0.7];
-        let inst = filled_instance(&s, 121);
-        let active = [0usize, 1, 2];
-
-        let mut sequential = ScoreSet::build(&active, &all);
-        for i in 0..120 {
-            sequential.insert(&CandidateRow::committed(&inst, i, 2));
-        }
-
-        let mut merged = ScoreSet::build(&active, &all);
-        for shard in 0..3 {
-            let mut part = ScoreSet::build(&active, &all);
-            for i in (shard * 40)..((shard + 1) * 40) {
-                part.insert(&CandidateRow::committed(&inst, i, 2));
-            }
-            merged.merge(part);
-        }
-        assert_eq!(merged.len(), sequential.len());
-
-        let cell = CellContext::new(&inst, 120, 2);
-        let values: Vec<Value> = (0..60).map(|k| Value::Num(k as f64 * 1.7)).collect();
-        let a = sequential.score_candidates(cell, &values, &weights);
-        let b = merged.score_candidates(cell, &values, &weights);
-        assert_eq!(a, b, "merged shards must score identically");
-
-        // fast-path queries agree too
-        for ((_, ca), (_, cb)) in sequential.iter().zip(merged.iter()) {
-            let probe = cell.with(Value::Num(3.0));
-            assert_eq!(ca.required_value(&probe), cb.required_value(&probe));
-            assert_eq!(ca.feasible_range(&probe, 2), cb.feasible_range(&probe, 2));
-        }
-
-        // and mutation keeps working on the merged set (repair/MCMC path)
-        let victim = CandidateRow::committed(&inst, 57, 2);
-        merged.remove(&victim);
-        sequential.remove(&victim);
-        merged.insert(&victim);
-        sequential.insert(&victim);
-        assert_eq!(
-            sequential.score_candidates(cell, &values, &weights),
-            merged.score_candidates(cell, &values, &weights)
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "present in both shards")]
-    fn overlapping_shards_panic() {
-        let s = schema();
-        let all = dcs(&s);
-        let inst = filled_instance(&s, 10);
-        let mut a = ScoreSet::build(&[1], &all);
-        let mut b = ScoreSet::build(&[1], &all);
-        a.insert(&CandidateRow::committed(&inst, 3, 2));
-        b.insert(&CandidateRow::committed(&inst, 3, 2));
-        a.merge(b);
     }
 
     #[test]

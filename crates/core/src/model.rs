@@ -29,8 +29,8 @@ use rand::Rng;
 /// forward/backward and sampling-time prediction). Buffers are re-zeroed
 /// or fully overwritten before every use, so pooling changes no numeric
 /// result — it only removes the per-example/per-cell allocations. Thread
-/// locality keeps the Exp. 10 sub-model trainer threads and the sampler's
-/// shard threads from contending on a shared pool.
+/// locality keeps the Exp. 10 sub-model trainer threads, and sessions
+/// sampling on different server workers, from contending on a shared pool.
 #[derive(Default)]
 struct TrainScratch {
     nn: Scratch,

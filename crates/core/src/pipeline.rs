@@ -57,11 +57,11 @@ pub struct KaminoConfig {
     pub output_n: Option<usize>,
     /// Domain-size threshold for the §4.3 noisy-marginal fallback.
     pub large_domain_threshold: usize,
-    /// Row shards synthesized concurrently per column pass (see
-    /// [`crate::sampler`]'s module docs). `1` is the sequential Algorithm
-    /// 3, bit-identical to the pre-sharding sampler; defaults to the
-    /// `KAMINO_SHARDS` environment variable when set (the CI matrix uses
-    /// it to run the whole suite through the sharded engine), else `1`.
+    /// Has no effect: every draw runs the one sequential Algorithm 3
+    /// sampler. Kept only because the benchmark package still sets it; it
+    /// goes when that package stops naming it. Snapshots write a constant
+    /// `1` in its slot and ignore what old files hold there, so `.kamino`
+    /// bytes and cache keys do not depend on it.
     pub shards: usize,
     /// Observability handle: spans, metrics and the DP budget ledger.
     /// Disabled by default, and strictly off the determinism contract —
@@ -89,7 +89,7 @@ impl KaminoConfig {
             train_scale: 1.0,
             output_n: None,
             large_domain_threshold: 256,
-            shards: shards_from_env(),
+            shards: 1,
             obs: ObsHandle::disabled(),
         }
     }
@@ -97,18 +97,15 @@ impl KaminoConfig {
     /// A stable 64-bit fingerprint of every knob that can change the
     /// fitted model or its deterministic sample stream: FNV-1a over the
     /// config's snapshot encoding (the fields
-    /// [`crate::snapshot::encode_config`] persists), with the two
-    /// execution-only switches normalized out first — `shards` (a
-    /// post-fit engine knob; [`FittedKamino::set_shards`] retunes it on
-    /// any loaded session) and `parallel_substrate` (which has no
-    /// effect). Snapshot caches (the `kamino-repro` harness) key on
-    /// this, so equal hashes mean a cached fit is interchangeable with a
-    /// fresh one no matter the host's `KAMINO_SHARDS`. Note the corpus
+    /// [`crate::snapshot::encode_config`] persists), with
+    /// `parallel_substrate` (which has no effect) normalized out first;
+    /// the encoding already writes `shards` as a constant. Snapshot
+    /// caches (the `kamino-repro` harness) key on this, so equal hashes
+    /// mean a cached fit is interchangeable with a fresh one. Note the corpus
     /// itself is an input to the fit, not a config field — cache keys
     /// must add it (rows, generator seed) alongside this hash.
     pub fn stable_hash(&self) -> u64 {
         let mut normalized = self.clone();
-        normalized.shards = 1;
         normalized.parallel_substrate = true;
         let mut w = kamino_data::wire::ByteWriter::new();
         crate::snapshot::encode_config(&normalized, &mut w);
@@ -122,19 +119,9 @@ impl KaminoConfig {
     }
 }
 
-/// The `KAMINO_SHARDS` default: lets CI (and operators) force every
-/// pipeline run through the sharded engine without touching call sites.
-fn shards_from_env() -> usize {
-    std::env::var("KAMINO_SHARDS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&s| s >= 1)
-        .unwrap_or(1)
-}
-
 /// Wall-clock time per pipeline phase — the series of Figure 7, extended
-/// with the sample-side breakdown of Algorithm 3 (fill / cross-shard
-/// repair / constrained MCMC). Every field is the duration of the
+/// with the sample-side breakdown of Algorithm 3 (fill / constrained
+/// MCMC). Every field is the duration of the
 /// [`KaminoConfig::obs`] span named beside it (the sampling fields summed
 /// across [`FittedKamino::sample`] calls), so with a disabled handle every
 /// field is zero and no clock is read.
@@ -150,8 +137,6 @@ pub struct PhaseTimings {
     pub sampling: Duration,
     /// `sample.fill`: per-column fill passes (Algorithm 3 lines 4–11).
     pub sample_fill: Duration,
-    /// `sample.repair`: cross-shard repair sweeps (zero on 1-shard runs).
-    pub sample_repair: Duration,
     /// `sample.mcmc`: constrained MCMC (Algorithm 3 line 12).
     pub sample_mcmc: Duration,
 }
@@ -181,7 +166,7 @@ pub struct KaminoReport {
 
 /// A trained synthesis session: everything Algorithm 1 produces *before*
 /// sampling (lines 2–5), plus the RNG stream, so sampling can run many
-/// times — in batches, with different shard counts — without re-spending
+/// times, in batches, without re-spending
 /// the privacy budget. Synthesis from a trained model is post-processing:
 /// it never touches the true instance, so every [`FittedKamino::sample`]
 /// call is covered by the (ε, δ) spent at fit time.
@@ -381,15 +366,6 @@ impl FittedKamino {
         self.n_input
     }
 
-    /// Changes the shard count used by subsequent [`FittedKamino::sample`]
-    /// calls. Sharding is an execution knob, not a model property: the
-    /// trained model and the privacy spend are untouched, so a serving
-    /// layer (or a benchmark) can re-tune it per draw.
-    pub fn set_shards(&mut self, shards: usize) {
-        assert!(shards >= 1, "at least one shard");
-        self.cfg.shards = shards;
-    }
-
     /// Synthesizes `n` rows (Algorithm 3, or the Exp. 6 accept–reject
     /// variant when the config asks for it), advancing the session's RNG
     /// stream. Pure post-processing: spends no additional budget.
@@ -397,7 +373,6 @@ impl FittedKamino {
         let mut span = self.cfg.obs.span("sample");
         if span.is_active() {
             span.arg("n", n.to_string());
-            span.arg("shards", self.cfg.shards.to_string());
         }
         let inst = if self.cfg.ar_sampling {
             synthesize_ar(
@@ -416,8 +391,6 @@ impl FittedKamino {
                 mcmc_resamples: (self.cfg.mcmc_ratio * n as f64).round() as usize,
                 constraint_aware: self.cfg.constraint_aware_sampling,
                 hard_fd_lookup: self.cfg.hard_fd_lookup,
-                shards: self.cfg.shards,
-                repair_sweeps: 4,
             };
             synthesize_timed(
                 &self.schema,
@@ -602,8 +575,8 @@ mod tests {
             c.stable_hash(),
             "budget must change the hash"
         );
-        // execution-only knobs are normalized out: a cached fit is
-        // interchangeable regardless of shard count or substrate switch
+        // the no-op knobs are normalized out: a cached fit is
+        // interchangeable regardless of either
         c.budget = Budget::new(1.0, 1e-6);
         c.shards = 8;
         c.parallel_substrate = false;

@@ -25,46 +25,9 @@
 //! * the "RandSampling" ablation (Experiment 5): `constraint_aware =
 //!   false` samples i.i.d. from the model.
 //!
-//! ## Sharded synthesis
-//!
-//! Algorithm 3 is sequential by construction: cell `i` conditions on the
-//! full prefix `D'_:i`, which serializes the row loop. With
-//! [`SampleConfig::shards`] ` = S > 1` the row range is split into `S`
-//! contiguous shards that run one column pass **concurrently**, each
-//! conditioning only on *its own* prefix (rows of earlier shards are
-//! invisible to it during the fill). Each shard draws from an independent
-//! RNG stream whose seed is taken from the session RNG in shard order, so
-//! the output is deterministic for a fixed seed regardless of thread
-//! scheduling.
-//!
-//! Dropping the cross-shard prefix breaks Algorithm 3's sequential
-//! guarantee — hard DCs hold *within* each shard but can be violated by
-//! cross-shard pairs (two shards can commit the same FD determinant group
-//! to different dependents). The column pass therefore ends with a
-//! **repair pass**: the per-shard [`ScoreSet`] prefix indexes are merged
-//! in shard order (`ScoreSet::merge` — counts are additive, so the merged
-//! scorer answers exactly like a sequential fill of all `n` rows), every
-//! cell in hard conflict with the merged prefix is opened at once (the
-//! rows that remain are pairwise consistent, because a violating pair
-//! marks *both* of its rows), and the opened cells are re-sampled one by
-//! one against the growing prefix — Algorithm 3's sequential guarantee
-//! replayed over exactly the conflicted cells, the same remove/re-sample/
-//! insert move as the constrained MCMC step. Because the prefix each
-//! re-sample sees is consistent, hard-FD injection (extended during
-//! repair with the determinant group's *majority* value when shards
-//! disagree) and order-band clamping land violation-free values whenever
-//! one exists; [`SampleConfig::repair_sweeps`] bounds the re-check loop
-//! for the general scan-DC shapes that carry no such guarantee. Soft-DC
-//! drift is left to the regular MCMC re-samples, which also run against
-//! the merged scorer.
-//!
-//! `shards: 1` takes the original sequential code path untouched — its
-//! output is bit-for-bit identical to the pre-sharding sampler for any
-//! fixed seed.
-//!
 //! Timings are span-derived: [`synthesize_timed`] adds each column's
-//! `sample.fill` / `sample.repair` / `sample.mcmc` span duration to the
-//! matching [`PhaseTimings`] field, which gains zero with a disabled handle.
+//! `sample.fill` / `sample.mcmc` span duration to the matching
+//! [`PhaseTimings`] field, which gains zero with a disabled handle.
 //!
 //! [`DcCounter`]: kamino_constraints::DcCounter
 
@@ -74,8 +37,7 @@ use kamino_constraints::{CandidateRow, CellContext, DenialConstraint, ScoreSet};
 use kamino_data::stats::sample_weighted;
 use kamino_data::{AttrKind, Instance, Quantizer, Schema, Value};
 use kamino_obs::ObsHandle;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 use crate::model::{DataModel, SubModel, SubModelKind};
 use crate::pipeline::PhaseTimings;
@@ -128,18 +90,6 @@ pub struct SampleConfig {
     pub constraint_aware: bool,
     /// Enable the hard-FD lookup fast path (Exp. 10).
     pub hard_fd_lookup: bool,
-    /// Number of row shards synthesized concurrently per column pass.
-    /// `1` (the default) is the original sequential Algorithm 3,
-    /// bit-identical to the pre-sharding sampler; `S > 1` trades the
-    /// cross-shard prefix for parallelism and restores hard-DC
-    /// consistency with a repair pass (see the module docs).
-    pub shards: usize,
-    /// Maximum repair passes per column when `shards > 1`. Each pass
-    /// opens every cell in hard conflict with the merged prefix and
-    /// re-samples them sequentially; the loop stops as soon as a check
-    /// finds no conflicts (one pass suffices for FD- and order-shaped
-    /// DCs — see the module docs).
-    pub repair_sweeps: usize,
 }
 
 impl SampleConfig {
@@ -152,17 +102,14 @@ impl SampleConfig {
             mcmc_resamples: 0,
             constraint_aware: true,
             hard_fd_lookup: false,
-            shards: 1,
-            repair_sweeps: 4,
         }
     }
 }
 
-/// Reusable buffers for one sampling engine's cell loop (a bump-style
-/// arena: every buffer is cleared and refilled per cell, never freed), so
-/// the `n × k` inner loop is allocation-free in steady state. One arena
-/// per sequential run and one per shard thread — arenas are never shared,
-/// so no synchronization is involved. Purely a memory-reuse vehicle: no
+/// Reusable buffers for the sampler's cell loop (a bump-style arena:
+/// every buffer is cleared and refilled per cell, never freed), so the
+/// `n × k` inner loop is allocation-free in steady state. One arena per
+/// [`synthesize_timed`] call. Purely a memory-reuse vehicle: no
 /// RNG draws, value computations, or iteration orders change, which keeps
 /// the sampled output bit-identical to the allocating implementation.
 #[derive(Default)]
@@ -222,9 +169,6 @@ pub fn synthesize_timed<R: Rng + ?Sized>(
 ) -> Instance {
     assert_eq!(dcs.len(), weights.len(), "one weight per DC");
     assert!(cfg.n > 0, "cannot synthesize an empty instance");
-    if cfg.shards > 1 {
-        return synthesize_sharded(schema, model, dcs, weights, cfg, rng, obs, timings);
-    }
     let n = cfg.n;
     let k = model.sequence.len();
     let mut inst = Instance::zeroed(schema, n);
@@ -238,7 +182,7 @@ pub fn synthesize_timed<R: Rng + ?Sized>(
         timed_phase(obs, "sample.fill", j, &mut timings.sample_fill, || {
             for i in 0..n {
                 let value = sample_cell(
-                    schema, model, j, &inst, i, &scores, weights, cfg, false, &mut arena, rng,
+                    schema, model, j, &inst, i, &scores, weights, cfg, &mut arena, rng,
                 );
                 inst.set(i, target, value);
                 scores.insert(&CandidateRow::committed(&inst, i, target));
@@ -269,8 +213,7 @@ pub fn synthesize_timed<R: Rng + ?Sized>(
 
 /// The constrained MCMC step (Algorithm 3 line 12): `mcmc_resamples`
 /// random cells of the current column are re-opened and re-sampled
-/// conditioned on everything else. Shared between the sequential and
-/// sharded engines so their MCMC semantics can never drift apart.
+/// conditioned on everything else.
 #[allow(clippy::too_many_arguments)]
 fn mcmc_pass<R: Rng + ?Sized>(
     schema: &Schema,
@@ -287,186 +230,13 @@ fn mcmc_pass<R: Rng + ?Sized>(
     for _ in 0..cfg.mcmc_resamples {
         let r = rng.gen_range(0..cfg.n);
         scores.remove(&CandidateRow::committed(inst, r, target));
-        let value = sample_cell(
-            schema, model, j, inst, r, scores, weights, cfg, false, arena, rng,
-        );
+        let value = sample_cell(schema, model, j, inst, r, scores, weights, cfg, arena, rng);
         inst.set(r, target, value);
         scores.insert(&CandidateRow::committed(inst, r, target));
     }
 }
 
-/// Contiguous shard bounds partitioning `n` rows into `s` near-equal
-/// ranges (the first `n % s` shards get one extra row).
-fn shard_bounds(n: usize, s: usize) -> Vec<(usize, usize)> {
-    let base = n / s;
-    let extra = n % s;
-    let mut bounds = Vec::with_capacity(s);
-    let mut start = 0;
-    for idx in 0..s {
-        let len = base + usize::from(idx < extra);
-        bounds.push((start, start + len));
-        start += len;
-    }
-    bounds
-}
-
-/// Sharded column passes with cross-shard repair (see the module docs).
-/// Only reached when `cfg.shards > 1`.
-#[allow(clippy::too_many_arguments)]
-fn synthesize_sharded<R: Rng + ?Sized>(
-    schema: &Schema,
-    model: &DataModel,
-    dcs: &[DenialConstraint],
-    weights: &[f64],
-    cfg: &SampleConfig,
-    rng: &mut R,
-    obs: &ObsHandle,
-    timings: &mut PhaseTimings,
-) -> Instance {
-    let n = cfg.n;
-    let s_count = cfg.shards.min(n);
-    let k = model.sequence.len();
-    let mut inst = Instance::zeroed(schema, n);
-    let active = active_dcs_by_position(&model.sequence, dcs);
-    let bounds = shard_bounds(n, s_count);
-    let any_hard = weights.iter().any(|w| w.is_infinite());
-    // Arena for the main thread's repair/MCMC re-samples; shard threads
-    // build their own (arenas are thread-confined by construction).
-    let mut arena = CellArena::default();
-
-    for (j, active_j) in active.iter().enumerate().take(k) {
-        let target = model.sequence[j];
-
-        // One independent RNG stream per shard, seeded from the session
-        // RNG in shard order: the fill is deterministic for a fixed seed
-        // regardless of how the OS schedules the shard threads.
-        let seeds: Vec<u64> = (0..s_count).map(|_| rng.gen::<u64>()).collect();
-
-        // Concurrent fill. Shard threads only *read* the shared instance
-        // (earlier columns of their own rows); the current column lives in
-        // a shard-local buffer plus the shard's own ScoreSet prefix
-        // indexes, so no cell written this pass is ever read across
-        // shards. The fill phase (threads + shard-order commit/merge) is
-        // timed as one unit.
-        let mut scores = timed_phase(obs, "sample.fill", j, &mut timings.sample_fill, || {
-            let inst_ref = &inst;
-            let shard_outputs: Vec<(Vec<Value>, ScoreSet)> = std::thread::scope(|scope| {
-                let handles: Vec<_> = bounds
-                    .iter()
-                    .zip(&seeds)
-                    .map(|(&(lo, hi), &seed)| {
-                        scope.spawn(move || {
-                            let mut shard_rng = StdRng::seed_from_u64(seed);
-                            let mut scores = ScoreSet::build(active_j, dcs);
-                            let mut shard_arena = CellArena::default();
-                            let mut values = Vec::with_capacity(hi - lo);
-                            for i in lo..hi {
-                                let v = sample_cell(
-                                    schema,
-                                    model,
-                                    j,
-                                    inst_ref,
-                                    i,
-                                    &scores,
-                                    weights,
-                                    cfg,
-                                    false,
-                                    &mut shard_arena,
-                                    &mut shard_rng,
-                                );
-                                scores.insert(&CandidateRow::new(inst_ref, i, target, v));
-                                values.push(v);
-                            }
-                            (values, scores)
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().unwrap()).collect()
-            });
-
-            // Commit shard buffers and fold the prefix indexes, both in
-            // shard order.
-            let mut merged: Option<ScoreSet> = None;
-            for (&(lo, _), (values, shard_scores)) in bounds.iter().zip(shard_outputs) {
-                for (off, v) in values.into_iter().enumerate() {
-                    inst.set(lo + off, target, v);
-                }
-                match merged.as_mut() {
-                    Some(m) => m.merge(shard_scores),
-                    None => merged = Some(shard_scores),
-                }
-            }
-            merged.expect("at least one shard")
-        });
-
-        // Cross-shard repair: each shard is internally consistent, but
-        // hard DCs can be violated by cross-shard pairs. Detect every row
-        // in conflict with the merged prefix, open all of those cells at
-        // once — the rows that remain are pairwise consistent, since any
-        // violating pair marks both of its rows as conflicted — and then
-        // re-sample the opened cells one by one, each conditioned on the
-        // (consistent, growing) prefix. That is exactly Algorithm 3's
-        // sequential guarantee replayed over the conflicted cells: FD
-        // injection and order-band clamping see a consistent prefix, so
-        // each re-insert lands violation-free whenever a consistent value
-        // exists. One pass normally suffices; the loop re-checks in case
-        // a general scan-DC fallback left residue.
-        if cfg.constraint_aware && any_hard && !scores.is_empty() {
-            timed_phase(obs, "sample.repair", j, &mut timings.sample_repair, || {
-                for _ in 0..cfg.repair_sweeps {
-                    let conflicted: Vec<usize> = (0..n)
-                        .filter(|&r| {
-                            let probe = CandidateRow::committed(&inst, r, target);
-                            scores
-                                .iter()
-                                .any(|(l, c)| weights[l].is_infinite() && c.count_new(&probe) > 0)
-                        })
-                        .collect();
-                    if conflicted.is_empty() {
-                        break;
-                    }
-                    for &r in &conflicted {
-                        scores.remove(&CandidateRow::committed(&inst, r, target));
-                    }
-                    for &r in &conflicted {
-                        let v = sample_cell(
-                            schema, model, j, &inst, r, &scores, weights, cfg, true, &mut arena,
-                            rng,
-                        );
-                        inst.set(r, target, v);
-                        scores.insert(&CandidateRow::committed(&inst, r, target));
-                    }
-                }
-            });
-        }
-
-        // Constrained MCMC (Algorithm 3 line 12), against the merged
-        // scorer — the exact helper the sequential path runs.
-        timed_phase(obs, "sample.mcmc", j, &mut timings.sample_mcmc, || {
-            mcmc_pass(
-                schema,
-                model,
-                j,
-                &mut inst,
-                &mut scores,
-                weights,
-                cfg,
-                &mut arena,
-                rng,
-            );
-        });
-    }
-    inst
-}
-
 /// Draws one cell value for row `row` at sequence position `j`.
-///
-/// `repair_majority` is set only by the sharded repair pass: hard-FD
-/// candidate injection then falls back to the determinant group's
-/// *majority* dependent value when the group is inconsistent (a state the
-/// sequential fill never produces for hard FDs, but cross-shard conflicts
-/// do). It is `false` on every other path so the sequential sampler's
-/// output stays bit-identical to the pre-sharding implementation.
 #[allow(clippy::too_many_arguments)]
 fn sample_cell<R: Rng + ?Sized>(
     schema: &Schema,
@@ -477,7 +247,6 @@ fn sample_cell<R: Rng + ?Sized>(
     scores: &ScoreSet,
     weights: &[f64],
     cfg: &SampleConfig,
-    repair_majority: bool,
     arena: &mut CellArena,
     rng: &mut R,
 ) -> Value {
@@ -521,14 +290,7 @@ fn sample_cell<R: Rng + ?Sized>(
         if weights[l].is_infinite() && c.fd_rhs() == Some(target) {
             let placeholder = placeholder_value(schema, target);
             let probe = CandidateRow::new(inst, row, target, placeholder);
-            let forced = c.required_value(&probe).or_else(|| {
-                if repair_majority {
-                    c.majority_value(&probe)
-                } else {
-                    None
-                }
-            });
-            if let Some(v) = forced {
+            if let Some(v) = c.required_value(&probe) {
                 if !candidates
                     .iter()
                     .any(|&(cv, _)| cv.compare(v) == std::cmp::Ordering::Equal)
@@ -931,114 +693,10 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    #[test]
-    fn shard_bounds_partition_exactly() {
-        for (n, s) in [(10, 3), (100, 4), (7, 7), (5, 2), (64, 1)] {
-            let b = shard_bounds(n, s);
-            assert_eq!(b.len(), s);
-            assert_eq!(b[0].0, 0);
-            assert_eq!(b[s - 1].1, n);
-            for w in b.windows(2) {
-                assert_eq!(w[0].1, w[1].0, "shards must be contiguous");
-            }
-            let sizes: Vec<usize> = b.iter().map(|&(lo, hi)| hi - lo).collect();
-            let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
-            assert!(max - min <= 1, "shards must be near-equal: {sizes:?}");
-        }
-    }
-
-    #[test]
-    fn sharded_synthesis_preserves_hard_fd() {
-        let s = schema();
-        let truth = toy_instance(&s, 300, 21);
-        // under-trained model: without repair, cross-shard FD conflicts
-        // are essentially certain
-        let model = trained_model(&s, &truth, 10);
-        let dcs = vec![fd(&s)];
-        let weights = vec![HARD_WEIGHT];
-        for shards in [2, 4] {
-            let mut cfg = SampleConfig::new(250);
-            cfg.shards = shards;
-            let mut rng = StdRng::seed_from_u64(22);
-            let out = synthesize(&s, &model, &dcs, &weights, &cfg, &mut rng);
-            assert_eq!(out.n_rows(), 250);
-            assert_eq!(
-                count_violating_pairs(&dcs[0], &out),
-                0,
-                "{shards}-shard synthesis left hard-FD violations after repair"
-            );
-            for i in 0..out.n_rows() {
-                for j in 0..s.len() {
-                    assert!(s.attr(j).validate(out.value(i, j)).is_ok());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_repair_actually_fires() {
-        // The repair pass must be doing real work: with repair disabled
-        // (zero sweeps) the same sharded run leaves cross-shard hard-FD
-        // violations — otherwise the test above is vacuous.
-        let s = schema();
-        let truth = toy_instance(&s, 300, 21);
-        let model = trained_model(&s, &truth, 10);
-        let dcs = vec![fd(&s)];
-        let weights = vec![HARD_WEIGHT];
-        let mut cfg = SampleConfig::new(250);
-        cfg.shards = 4;
-        cfg.repair_sweeps = 0;
-        let mut rng = StdRng::seed_from_u64(22);
-        let out = synthesize(&s, &model, &dcs, &weights, &cfg, &mut rng);
-        assert!(
-            count_violating_pairs(&dcs[0], &out) > 0,
-            "shards never conflicted — repair test is vacuous"
-        );
-    }
-
-    #[test]
-    fn sharded_deterministic_given_seed() {
-        let s = schema();
-        let truth = toy_instance(&s, 200, 23);
-        let model = trained_model(&s, &truth, 15);
-        let dcs = vec![fd(&s)];
-        let w = vec![HARD_WEIGHT];
-        let mut cfg = SampleConfig::new(120);
-        cfg.shards = 3;
-        cfg.mcmc_resamples = 40;
-        let mut r1 = StdRng::seed_from_u64(24);
-        let mut r2 = StdRng::seed_from_u64(24);
-        let a = synthesize(&s, &model, &dcs, &w, &cfg, &mut r1);
-        let b = synthesize(&s, &model, &dcs, &w, &cfg, &mut r2);
-        assert_eq!(a, b, "sharded synthesis must not depend on scheduling");
-    }
-
-    #[test]
-    fn sharded_respects_unary_and_order_dcs() {
-        let s = schema();
-        let truth = toy_instance(&s, 300, 25);
-        let model = trained_model(&s, &truth, 30);
-        let dcs = vec![
-            parse_dc(&s, "u", "!(t1.x > 8)", Hardness::Hard).unwrap(),
-            parse_dc(&s, "ord", "!(t1.a == t2.a & t1.b != t2.b)", Hardness::Hard).unwrap(),
-        ];
-        let weights = vec![HARD_WEIGHT, HARD_WEIGHT];
-        let mut cfg = SampleConfig::new(200);
-        cfg.shards = 4;
-        let mut rng = StdRng::seed_from_u64(26);
-        let out = synthesize(&s, &model, &dcs, &weights, &cfg, &mut rng);
-        for i in 0..out.n_rows() {
-            assert!(out.num(i, 2) <= 8.0, "unary DC violated at row {i}");
-        }
-        assert_eq!(count_violating_pairs(&dcs[1], &out), 0);
-    }
-
-    /// FNV-1a fingerprint of the sequential sampler's output for a pinned
-    /// seed — the `shards: 1` bit-identity guarantee as a regression
-    /// test. If `synthesize` ever routes `shards: 1` through a different
-    /// code path, or the sequential engine's RNG stream shifts, this hash
-    /// moves. (Comparing two shards-1 runs would only prove determinism;
-    /// the pin catches a broken routing guard too.)
+    /// FNV-1a fingerprint of the sampler's output for a pinned seed. If
+    /// the engine's RNG stream or any cell decision shifts, this hash
+    /// moves. (Comparing two runs would only prove determinism; the pin
+    /// catches a behaviour change too.)
     #[test]
     fn sequential_output_is_pinned() {
         let s = schema();
@@ -1048,7 +706,6 @@ mod tests {
         let w = vec![HARD_WEIGHT];
         let mut cfg = SampleConfig::new(60);
         cfg.mcmc_resamples = 10;
-        cfg.shards = 1;
         let mut rng = StdRng::seed_from_u64(32);
         let out = synthesize(&s, &model, &dcs, &w, &cfg, &mut rng);
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -1070,25 +727,5 @@ mod tests {
             h, 0x02bb_d1e8_fced_961c,
             "sequential sampler output drifted: {h:#018x}"
         );
-    }
-
-    #[test]
-    fn shards_one_config_takes_the_sequential_path() {
-        // shards: 1 must be bit-identical to the default sequential
-        // sampler (the sharded knobs are inert on that path).
-        let s = schema();
-        let truth = toy_instance(&s, 200, 27);
-        let model = trained_model(&s, &truth, 15);
-        let dcs = vec![fd(&s)];
-        let w = vec![HARD_WEIGHT];
-        let base = SampleConfig::new(100);
-        let mut explicit = SampleConfig::new(100);
-        explicit.shards = 1;
-        explicit.repair_sweeps = 99; // inert when shards == 1
-        let mut r1 = StdRng::seed_from_u64(28);
-        let mut r2 = StdRng::seed_from_u64(28);
-        let a = synthesize(&s, &model, &dcs, &w, &base, &mut r1);
-        let b = synthesize(&s, &model, &dcs, &w, &explicit, &mut r2);
-        assert_eq!(a, b);
     }
 }

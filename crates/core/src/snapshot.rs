@@ -243,7 +243,9 @@ pub fn encode_config(c: &KaminoConfig, w: &mut ByteWriter) {
         }
     }
     w.put_usize(c.large_domain_threshold);
-    w.put_usize(c.shards);
+    // the slot of the retired shard count: always 1, so bytes do not
+    // depend on the no-op `KaminoConfig::shards`
+    w.put_usize(1);
 }
 
 /// Decodes a configuration written by [`encode_config`].
@@ -268,7 +270,8 @@ pub fn decode_config(r: &mut ByteReader<'_>) -> Result<KaminoConfig, WireError> 
         tag => return Err(WireError::Malformed(format!("unknown option tag {tag}"))),
     };
     cfg.large_domain_threshold = r.usize()?;
-    cfg.shards = r.usize()?;
+    // old files may hold any shard count here; there is one engine now
+    let _retired_shards = r.usize()?;
     Ok(cfg)
 }
 
@@ -294,11 +297,12 @@ pub fn decode_timings(r: &mut ByteReader<'_>) -> Result<PhaseTimings, WireError>
     })
 }
 
-/// Encodes the sample-side phase breakdown (fill/repair/MCMC) as
-/// nanosecond counts — the payload of the container's optional
-/// sample-timings section.
+/// Encodes the sample-side phase breakdown (fill/MCMC) as nanosecond
+/// counts — the payload of the container's optional sample-timings
+/// section. The middle slot belonged to the retired repair pass and is
+/// written as zero.
 pub fn encode_sample_timings(t: &PhaseTimings, w: &mut ByteWriter) {
-    for d in [t.sample_fill, t.sample_repair, t.sample_mcmc] {
+    for d in [t.sample_fill, Duration::ZERO, t.sample_mcmc] {
         w.put_u64(d.as_nanos().min(u128::from(u64::MAX)) as u64);
     }
 }
@@ -310,7 +314,7 @@ pub fn decode_sample_timings(
     t: &mut PhaseTimings,
 ) -> Result<(), WireError> {
     t.sample_fill = Duration::from_nanos(r.u64()?);
-    t.sample_repair = Duration::from_nanos(r.u64()?);
+    let _retired_repair = r.u64()?;
     t.sample_mcmc = Duration::from_nanos(r.u64()?);
     Ok(())
 }
@@ -364,10 +368,19 @@ mod tests {
         let cfg2 = decode_config(&mut r).unwrap();
         assert_eq!(cfg2.seed, 99);
         assert_eq!(cfg2.output_n, Some(450));
-        assert_eq!(cfg2.shards, 4);
         let t2 = decode_timings(&mut r).unwrap();
         assert_eq!(t2.training, Duration::from_millis(300));
         assert!(r.is_exhausted());
+
+        // the retired shard slot is a constant: 4 shards encode like 1
+        let config_bytes = |c: &KaminoConfig| {
+            let mut w = ByteWriter::new();
+            encode_config(c, &mut w);
+            w.into_bytes()
+        };
+        let mut one = cfg.clone();
+        one.shards = 1;
+        assert_eq!(config_bytes(&cfg), config_bytes(&one));
     }
 
     #[test]

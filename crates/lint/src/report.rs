@@ -1,8 +1,8 @@
 //! Rendering: human-readable text and byte-deterministic JSON.
 //!
-//! The JSON writer mirrors `bench_report`'s discipline — keys in sorted
-//! (BTreeMap) order, no timestamps, no float formatting surprises — so
-//! two runs over the same tree are byte-identical.
+//! The JSON writer keeps the benchmark artifacts' discipline — keys in
+//! sorted (BTreeMap) order, no timestamps, no float formatting
+//! surprises — so two runs over the same tree are byte-identical.
 
 use crate::engine::{Finding, Report};
 

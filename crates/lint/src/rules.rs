@@ -31,7 +31,7 @@ pub const RULE_IDS: &[&str] = &[
 const OUTPUT_CRATES: &[&str] = &["bench", "datasets", "eval", "serve"];
 
 /// Crates allowed to construct RNG streams: `dp` owns the
-/// planner-registered mechanisms, `core` owns the per-shard seeded
+/// planner-registered mechanisms, `core` owns the session's seeded
 /// sample/train streams and the snapshot RNG cursor.
 const RNG_CRATES: &[&str] = &["core", "dp"];
 
@@ -162,7 +162,7 @@ fn bare_instant(ctx: &FileCtx, out: &mut Vec<RawFinding>) {
 }
 
 /// `raw_rng`: RNG construction outside `kamino-dp`'s planner-registered
-/// mechanisms and `kamino-core`'s per-shard seeded streams. Entropy-based
+/// mechanisms and `kamino-core`'s session-seeded streams. Entropy-based
 /// sources are flagged everywhere, even in tests.
 fn raw_rng(ctx: &FileCtx, out: &mut Vec<RawFinding>) {
     let n = ctx.code.len();
@@ -178,7 +178,7 @@ fn raw_rng(ctx: &FileCtx, out: &mut Vec<RawFinding>) {
                 message: format!(
                     "`{txt}`: entropy-seeded randomness is never planner-accounted and breaks fixed-seed determinism"
                 ),
-                hint: "derive every stream from the session seed via kamino-dp mechanisms or per-shard seeded streams".into(),
+                hint: "derive every stream from the session seed via kamino-dp mechanisms or kamino-core's session-seeded streams".into(),
             });
             continue;
         }
@@ -196,7 +196,7 @@ fn raw_rng(ctx: &FileCtx, out: &mut Vec<RawFinding>) {
                 message: format!(
                     "RNG constructed via `{txt}` outside kamino-dp/kamino-core: ad-hoc streams bypass the budget planner's accounting",
                     ),
-                hint: "take the stream from the session (planner-registered mechanism or per-shard seed); annotate justified harness/baseline streams with a reason".into(),
+                hint: "take the stream from the session (planner-registered mechanism or the session seed); annotate justified harness/baseline streams with a reason".into(),
             });
         }
     }

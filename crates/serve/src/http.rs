@@ -47,9 +47,16 @@ impl Request {
             .is_some_and(|v| v.eq_ignore_ascii_case("close"))
     }
 
-    /// A query parameter parsed to `usize`.
-    pub fn query_usize(&self, key: &str) -> Option<usize> {
-        self.query.get(key).and_then(|v| v.parse().ok())
+    /// A query parameter parsed to `usize`: `Ok(None)` when absent, an
+    /// error message when present but not a non-negative integer.
+    pub fn query_usize(&self, key: &str) -> Result<Option<usize>, String> {
+        self.query
+            .get(key)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| format!("`{key}` must be a non-negative integer"))
+            })
+            .transpose()
     }
 }
 
@@ -371,8 +378,9 @@ mod tests {
                 .unwrap();
         assert_eq!(r.method, "GET");
         assert_eq!(r.path, "/models/3/synthesize");
-        assert_eq!(r.query_usize("n"), Some(500));
-        assert_eq!(r.query_usize("batch"), Some(50));
+        assert_eq!(r.query_usize("n"), Ok(Some(500)));
+        assert_eq!(r.query_usize("batch"), Ok(Some(50)));
+        assert_eq!(r.query_usize("seed"), Ok(None));
         assert_eq!(r.query.get("format").map(String::as_str), Some("csv"));
         assert!(!r.wants_close());
     }

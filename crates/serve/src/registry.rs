@@ -88,7 +88,6 @@ impl ModelMeta {
             ("n_input", Json::Num(f.n_input() as f64)),
             ("attributes", Json::Num(f.schema().len() as f64)),
             ("dcs", Json::Num(f.dcs().len() as f64)),
-            ("shards", Json::Num(f.config().shards as f64)),
             (
                 "sequence",
                 Json::Arr(f.sequence.iter().map(|&i| Json::Num(i as f64)).collect()),
@@ -112,7 +111,6 @@ impl ModelMeta {
                     ("dc_weights", duration_ms(f.timings.dc_weights)),
                     ("sampling", duration_ms(f.timings.sampling)),
                     ("sample_fill", duration_ms(f.timings.sample_fill)),
-                    ("sample_repair", duration_ms(f.timings.sample_repair)),
                     ("sample_mcmc", duration_ms(f.timings.sample_mcmc)),
                 ]),
             ),

@@ -756,32 +756,47 @@ pub(crate) struct FitSpec {
     persist: bool,
 }
 
+/// The field `key` of `body` read through `read`: `Ok(None)` when absent,
+/// an error naming the expected `kind` when present with another type.
+fn field<'a, T>(
+    body: &'a Json,
+    key: &str,
+    kind: &str,
+    read: impl Fn(&'a Json) -> Option<T>,
+) -> Result<Option<T>, String> {
+    body.get(key)
+        .map(|v| read(v).ok_or_else(|| format!("`{key}` must be {kind}")))
+        .transpose()
+}
+
 fn parse_fit_spec(body: &Json, model_dir_set: bool) -> Result<FitSpec, String> {
-    let corpus = match body.get("corpus").and_then(Json::as_str).unwrap_or("adult") {
+    const UINT: &str = "a non-negative integer";
+    let corpus = match field(body, "corpus", "a string", Json::as_str)?.unwrap_or("adult") {
         "adult" => Corpus::Adult,
         "br2000" => Corpus::Br2000,
         "tax" => Corpus::Tax,
         "tpch" => Corpus::TpcH,
         other => return Err(format!("unknown corpus `{other}`")),
     };
-    let rows = body
-        .get("rows")
-        .map(|v| v.as_u64().ok_or("`rows` must be a non-negative integer"))
-        .transpose()?
-        .unwrap_or(200) as usize;
+    let rows = field(body, "rows", UINT, Json::as_u64)?.unwrap_or(200) as usize;
     if rows == 0 || rows > MAX_FIT_ROWS {
         return Err(format!("`rows` must be in [1, {MAX_FIT_ROWS}]"));
     }
-    let non_private = body
-        .get("non_private")
-        .and_then(Json::as_bool)
-        .unwrap_or(false)
-        || body.get("epsilon").and_then(Json::as_str) == Some("inf");
+    // `"epsilon": "inf"` asks for the non-private run, like `non_private`
+    let epsilon_inf = body.get("epsilon").and_then(Json::as_str) == Some("inf");
+    let epsilon = if epsilon_inf {
+        None
+    } else {
+        field(body, "epsilon", "a number or \"inf\"", Json::as_f64)?
+    };
+    let delta = field(body, "delta", "a number", Json::as_f64)?;
+    let non_private =
+        field(body, "non_private", "a boolean", Json::as_bool)?.unwrap_or(false) || epsilon_inf;
     let budget = if non_private {
         Budget::non_private()
     } else {
-        let epsilon = body.get("epsilon").and_then(Json::as_f64).unwrap_or(1.0);
-        let delta = body.get("delta").and_then(Json::as_f64).unwrap_or(1e-6);
+        let epsilon = epsilon.unwrap_or(1.0);
+        let delta = delta.unwrap_or(1e-6);
         if epsilon <= 0.0 {
             return Err("`epsilon` must be positive".into());
         }
@@ -791,35 +806,30 @@ fn parse_fit_spec(body: &Json, model_dir_set: bool) -> Result<FitSpec, String> {
         Budget::new(epsilon, delta)
     };
     let mut cfg = KaminoConfig::new(budget);
-    if let Some(seed) = body.get("seed").and_then(Json::as_u64) {
+    if let Some(seed) = field(body, "seed", UINT, Json::as_u64)? {
         cfg.seed = seed;
     }
-    if let Some(shards) = body.get("shards").and_then(Json::as_u64) {
-        if shards == 0 || shards > 64 {
-            return Err("`shards` must be in [1, 64]".into());
-        }
-        cfg.shards = shards as usize;
+    // one sampling engine: older clients may still send `"shards": 1`
+    if body.get("shards").is_some_and(|v| v.as_u64() != Some(1)) {
+        return Err("`shards` must be 1".into());
     }
-    if let Some(scale) = body.get("train_scale").and_then(Json::as_f64) {
+    if let Some(scale) = field(body, "train_scale", "a number", Json::as_f64)? {
         if !(scale > 0.0 && scale <= 1.0) {
             return Err("`train_scale` must be in (0, 1]".into());
         }
         cfg.train_scale = scale;
     }
-    if let Some(ratio) = body.get("mcmc_ratio").and_then(Json::as_f64) {
+    if let Some(ratio) = field(body, "mcmc_ratio", "a number", Json::as_f64)? {
         if !(0.0..=1.0).contains(&ratio) {
             return Err("`mcmc_ratio` must be in [0, 1]".into());
         }
         cfg.mcmc_ratio = ratio;
     }
-    let persist = body
-        .get("persist")
-        .and_then(Json::as_bool)
-        .unwrap_or(model_dir_set);
+    let persist = field(body, "persist", "a boolean", Json::as_bool)?.unwrap_or(model_dir_set);
     Ok(FitSpec {
         corpus,
         rows,
-        data_seed: body.get("data_seed").and_then(Json::as_u64).unwrap_or(1),
+        data_seed: field(body, "data_seed", UINT, Json::as_u64)?.unwrap_or(1),
         cfg,
         persist,
     })
@@ -1007,28 +1017,18 @@ fn dispatch_synthesize(
     if overloaded(state) {
         return shed_reply(state, close);
     }
-    let n = req.query_usize("n").unwrap_or(100);
+    let bad = |msg: &str| Action::Respond(Reply::json("400 Bad Request", err_json(msg), close));
+    let (n, batch) = match (req.query_usize("n"), req.query_usize("batch")) {
+        (Ok(n), Ok(batch)) => (n.unwrap_or(100), batch.unwrap_or(1_000).clamp(1, MAX_BATCH)),
+        (Err(e), _) | (_, Err(e)) => return bad(&e),
+    };
     if n == 0 || n > MAX_SYNTH_ROWS {
-        return Action::Respond(Reply::json(
-            "400 Bad Request",
-            err_json(&format!("`n` must be in [1, {MAX_SYNTH_ROWS}]")),
-            close,
-        ));
+        return bad(&format!("`n` must be in [1, {MAX_SYNTH_ROWS}]"));
     }
-    let batch = req
-        .query_usize("batch")
-        .unwrap_or(1_000)
-        .clamp(1, MAX_BATCH);
     let format = match req.query.get("format").map(String::as_str).unwrap_or("csv") {
         "csv" => Format::Csv,
         "json" => Format::Json,
-        _ => {
-            return Action::Respond(Reply::json(
-                "400 Bad Request",
-                err_json("`format` must be `csv` or `json`"),
-                close,
-            ))
-        }
+        _ => return bad("`format` must be `csv` or `json`"),
     };
 
     // refuse early when the model cannot serve; grab cached metadata so
@@ -1082,4 +1082,45 @@ fn dispatch_synthesize(
         meta_known: csv_header.is_some(),
         csv_header,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(body: &str) -> Result<FitSpec, String> {
+        parse_fit_spec(&Json::parse(body).unwrap(), false)
+    }
+
+    #[test]
+    fn fit_spec_rejects_a_wrongly_typed_epsilon() {
+        assert_eq!(parse(r#"{"epsilon":0.5}"#).unwrap().cfg.budget.epsilon, 0.5);
+        assert!(parse(r#"{"epsilon":"0.5"}"#).is_err());
+        assert!(parse(r#"{"epsilon":true}"#).is_err());
+        // the one string it takes asks for the non-private run
+        let inf = parse(r#"{"epsilon":"inf"}"#).unwrap();
+        assert!(inf.cfg.budget.is_non_private());
+    }
+
+    #[test]
+    fn fit_spec_rejects_a_wrongly_typed_delta() {
+        let spec = parse(r#"{"epsilon":0.5,"delta":1e-9}"#).unwrap();
+        assert_eq!(spec.cfg.budget.delta, 1e-9);
+        assert!(parse(r#"{"epsilon":0.5,"delta":"1e-9"}"#).is_err());
+    }
+
+    #[test]
+    fn fit_spec_rejects_a_wrongly_typed_seed() {
+        assert_eq!(parse(r#"{"seed":7}"#).unwrap().cfg.seed, 7);
+        assert!(parse(r#"{"seed":"7"}"#).is_err());
+        assert!(parse(r#"{"seed":-7}"#).is_err());
+    }
+
+    #[test]
+    fn fit_spec_accepts_one_shard_only() {
+        assert!(parse(r#"{"shards":1}"#).is_ok());
+        for body in [r#"{"shards":0}"#, r#"{"shards":2}"#, r#"{"shards":"1"}"#] {
+            assert_eq!(parse(body).err().as_deref(), Some("`shards` must be 1"));
+        }
+    }
 }

@@ -808,12 +808,10 @@ mod tests {
     /// FNV-1a fingerprint of the `.kamino` bytes of a small seeded,
     /// untraced fit at library defaults: training, weight learning and
     /// the container layout all feed it, so any drift in the fitted model
-    /// or its encoding moves this hash. The config's `shards` is encoded
-    /// too, so it is pinned to 1 here rather than read from `KAMINO_SHARDS`.
+    /// or its encoding moves this hash.
     #[test]
     fn encoded_snapshot_is_pinned() {
-        let mut fitted = tiny_fitted(12);
-        fitted.set_shards(1);
+        let fitted = tiny_fitted(12);
         let bytes = encode_fitted(&fitted);
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for &b in &bytes {
@@ -838,8 +836,32 @@ mod tests {
         // sample timings default to zero; everything else round-trips,
         // including the exact RNG stream
         assert_eq!(loaded.timings.sample_fill, std::time::Duration::ZERO);
-        assert_eq!(loaded.timings.sample_repair, std::time::Duration::ZERO);
         assert_eq!(loaded.timings.sample_mcmc, std::time::Duration::ZERO);
+        assert_eq!(live.sample(24), loaded.sample(24));
+    }
+
+    /// Files written while sharded sampling existed may hold any shard
+    /// count in the config's last slot and a repair time in the middle
+    /// sample-timings slot; both are read and dropped.
+    #[test]
+    fn old_snapshots_with_a_shard_count_still_load() {
+        let mut live = tiny_fitted(13);
+        let _ = live.sample(10);
+        let patch_u64 = |b: &[u8], at: usize, v: u64| {
+            let mut out = b.to_vec();
+            out[at..at + 8].copy_from_slice(&v.to_le_bytes());
+            out
+        };
+        let old_format = rebuild(&encode_fitted(&live), |id, b| {
+            Some(match id {
+                section::CONFIG => patch_u64(b, b.len() - 8, 4),
+                section::SAMPLE_TIMINGS => patch_u64(b, 8, 5_000_000),
+                _ => b.to_vec(),
+            })
+        });
+        assert_ne!(old_format, encode_fitted(&live));
+        let mut loaded = decode_fitted(&old_format).unwrap();
+        assert_eq!(encode_fitted(&loaded), encode_fitted(&live));
         assert_eq!(live.sample(24), loaded.sample(24));
     }
 

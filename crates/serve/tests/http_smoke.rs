@@ -215,11 +215,26 @@ fn fit_synthesize_concurrent_clients_and_clean_shutdown() {
     assert!(body.contains("serve.request"));
     assert!(body.contains("fit.training"));
 
-    // bad requests answer 400, not a dropped connection
-    let (status, _) = request(addr, "POST", &format!("/models/{id}/synthesize?n=0"), None);
-    assert!(status.contains("400"), "{status}");
-    let (status, _) = request(addr, "POST", "/fit", Some("{not json"));
-    assert!(status.contains("400"), "{status}");
+    // bad requests answer 400, not a dropped connection or a default
+    for query in ["n=0", "n=abc", "n=50&batch=abc", "n=-3"] {
+        let (status, _) = request(
+            addr,
+            "POST",
+            &format!("/models/{id}/synthesize?{query}"),
+            None,
+        );
+        assert!(status.contains("400"), "{query}: {status}");
+    }
+    for body in [
+        "{not json",
+        r#"{"epsilon":"0.5"}"#,
+        r#"{"epsilon":0.5,"delta":"1e-9"}"#,
+        r#"{"seed":"7"}"#,
+        r#"{"shards":4}"#,
+    ] {
+        let (status, _) = request(addr, "POST", "/fit", Some(body));
+        assert!(status.contains("400"), "{body}: {status}");
+    }
 
     shutdown(addr, handle);
 }

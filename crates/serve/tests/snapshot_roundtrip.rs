@@ -1,5 +1,5 @@
 //! Property tests for the `.kamino` snapshot codec: across randomized
-//! schemas, instances, budgets and shard counts, save → load must resume
+//! schemas, instances and budgets, save → load must resume
 //! the exact deterministic sample stream, and corrupted or
 //! wrong-version files must fail loudly instead of yielding a wrong
 //! model.
@@ -50,7 +50,6 @@ fn build_dataset(
     (schema, instance, vec![dc])
 }
 
-#[allow(clippy::too_many_arguments)]
 fn fit(
     card_a: usize,
     card_b: usize,
@@ -59,7 +58,6 @@ fn fit(
     data_seed: u64,
     fit_seed: u64,
     epsilon: f64,
-    shards: usize,
 ) -> FittedKamino {
     let (schema, instance, dcs) = build_dataset(card_a, card_b, bins, rows, data_seed);
     let mut cfg = KaminoConfig::new(if epsilon.is_infinite() {
@@ -70,7 +68,6 @@ fn fit(
     cfg.train_scale = 0.02;
     cfg.embed_dim = 8;
     cfg.seed = fit_seed;
-    cfg.shards = shards;
     fit_kamino(&schema, &instance, &dcs, &cfg)
 }
 
@@ -89,10 +86,9 @@ proptest! {
         data_seed in 0u64..1000,
         fit_seed in 0u64..1000,
         epsilon in prop::sample::select(vec![0.8, 1.0, f64::INFINITY]),
-        shards in prop::sample::select(vec![1usize, 2]),
         warmup in prop::sample::select(vec![0usize, 13]),
     ) {
-        let mut live = fit(card_a, card_b, bins, rows, data_seed, fit_seed, epsilon, shards);
+        let mut live = fit(card_a, card_b, bins, rows, data_seed, fit_seed, epsilon);
         if warmup > 0 {
             // snapshots taken mid-stream must also resume exactly
             let _ = live.sample(warmup);
@@ -118,7 +114,7 @@ proptest! {
         bit in 0u8..8,
         data_seed in 0u64..100,
     ) {
-        let live = fit(3, 3, 6, 35, data_seed, 7, 1.0, 1);
+        let live = fit(3, 3, 6, 35, data_seed, 7, 1.0);
         let bytes = encode_fitted(&live);
         let mut corrupt = bytes.clone();
         let pos = ((bytes.len() - 1) as f64 * pos_frac) as usize;
@@ -144,7 +140,7 @@ proptest! {
 
 #[test]
 fn wrong_version_is_refused_with_a_clear_error() {
-    let live = fit(3, 3, 6, 35, 1, 2, 1.0, 1);
+    let live = fit(3, 3, 6, 35, 1, 2, 1.0);
     let mut bytes = encode_fitted(&live);
     // bump the version field (bytes 8..12, little-endian)
     bytes[8] = 2;
@@ -157,20 +153,9 @@ fn wrong_version_is_refused_with_a_clear_error() {
 
 #[test]
 fn truncation_is_refused() {
-    let live = fit(3, 4, 8, 40, 3, 4, 1.0, 1);
+    let live = fit(3, 4, 8, 40, 3, 4, 1.0);
     let bytes = encode_fitted(&live);
     for cut in [0, 7, 12, 16, bytes.len() / 3, bytes.len() - 1] {
         assert!(decode_fitted(&bytes[..cut]).is_err(), "cut at {cut} loaded");
     }
-}
-
-#[test]
-fn sharded_session_roundtrips_too() {
-    // the sharded engine draws per-shard seeds from the session RNG, so
-    // the cursor discipline must hold across shard counts
-    let mut live = fit(4, 4, 8, 60, 9, 10, 1.0, 2);
-    let _ = live.sample(17);
-    let bytes = encode_fitted(&live);
-    let mut loaded = decode_fitted(&bytes).unwrap();
-    assert_eq!(live.sample(64), loaded.sample(64));
 }

@@ -25,7 +25,7 @@
 //!
 //! plus the top-level [`synthesizer`] module — the [`Synthesizer`] session
 //! API: fit once under a planner-derived budget, then stream row batches
-//! (sharded across cores) without further privacy cost. Sessions can be
+//! without further privacy cost. Sessions can be
 //! saved to a `.kamino` snapshot and loaded later (or on another host) —
 //! a loaded session resumes the exact deterministic sample stream.
 //!

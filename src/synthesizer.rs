@@ -3,8 +3,8 @@
 //! [`run_kamino`](kamino_core::run_kamino) is a one-shot call: it spends
 //! the privacy budget and hands back a single instance. A synthesis
 //! *service* wants the opposite shape — pay the (ε, δ) cost once at fit
-//! time, then serve row batches on demand, sharded across cores. That is
-//! what [`Synthesizer`] provides:
+//! time, then serve row batches on demand. That is what [`Synthesizer`]
+//! provides:
 //!
 //! ```
 //! use kamino::synthesizer::Synthesizer;
@@ -14,7 +14,6 @@
 //! let mut session = Synthesizer::builder()
 //!     .epsilon(1.0)
 //!     .delta(1e-6)
-//!     .shards(2)
 //!     .seed(7)
 //!     .train_scale(0.05) // doc-test speed; use 1.0 for real runs
 //!     .build()
@@ -89,16 +88,6 @@ impl SynthesizerBuilder {
     /// Disables privacy noise entirely (the paper's ε = ∞ runs).
     pub fn non_private(mut self) -> Self {
         self.non_private = true;
-        self
-    }
-
-    /// Row shards synthesized concurrently per column pass (default: the
-    /// `KAMINO_SHARDS` environment variable, else 1 — the sequential
-    /// sampler). See `kamino_core::sampler` for the shard/repair
-    /// semantics.
-    pub fn shards(mut self, shards: usize) -> Self {
-        assert!(shards >= 1, "at least one shard");
-        self.cfg.shards = shards;
         self
     }
 
@@ -302,7 +291,7 @@ impl SynthesisSession {
 
     /// Streams `total` rows as instances of at most `batch_size` rows —
     /// the service shape: bounded memory per request, each batch
-    /// synthesized (sharded, when configured) on demand. Hard-DC
+    /// synthesized on demand. Hard-DC
     /// guarantees hold within each batch; batches are mutually independent
     /// draws from the same trained model, so cross-batch pairs carry no
     /// guarantee (exactly like two separate `synthesize` calls).

@@ -138,3 +138,25 @@ fn phase_timings_are_span_durations() {
     let _ = a.sample(60);
     assert_eq!(a.timings, PhaseTimings::default());
 }
+
+/// A session restored from a snapshot traces its draws once it is given
+/// a handle: the `sample` span and, nested in it, one `sample.fill` and
+/// one `sample.mcmc` span per column pass.
+#[test]
+fn a_restored_session_traces_its_draws() {
+    let snapshot = encode_fitted(&fit(ObsHandle::disabled()));
+    let mut session = decode_fitted(&snapshot).expect("snapshot round-trip");
+    let obs = ObsHandle::enabled();
+    session.set_obs(obs.clone());
+    let _ = session.sample(60);
+
+    let spans = obs.spans();
+    let draws: Vec<_> = spans.iter().filter(|s| s.name == "sample").collect();
+    assert_eq!(draws.len(), 1, "one draw, one `sample` span");
+    let columns = session.sequence.len();
+    for name in ["sample.fill", "sample.mcmc"] {
+        let passes: Vec<_> = spans.iter().filter(|s| s.name == name).collect();
+        assert_eq!(passes.len(), columns, "one {name:?} span per column");
+        assert!(passes.iter().all(|s| s.parent == draws[0].id));
+    }
+}

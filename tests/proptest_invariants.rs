@@ -4,8 +4,8 @@
 //!   counting for random instances and random DC shapes.
 //! * The engine's FD/order fast paths agree with the naive pair scan.
 //! * The partitioned strict-order scan layout answers like its generic
-//!   reference twin and a brute-force feasible band, through inserts,
-//!   removes and a shard merge.
+//!   reference twin and a brute-force feasible band, through interleaved
+//!   inserts and removes.
 //! * CSV round-trips arbitrary instances.
 //! * Quantizer bins stay within range and sample back into themselves.
 //! * The RDP accountant is monotone in its inputs.
@@ -169,16 +169,15 @@ proptest! {
 
     /// Every strict-order DC's partitioned layout answers `count_new` like
     /// the generic `ScanIndexRef` and `feasible_range` like a brute-force
-    /// band, after random inserts into two shards, removes on both sides of
-    /// one `ScoreSet::merge`, and for candidates that tie stored values or
-    /// carry a stored row's own id.
+    /// band, after a random interleaving of inserts and removes into one
+    /// `ScoreSet`, and for candidates that tie stored values or carry a
+    /// stored row's own id.
     #[test]
-    fn order_layout_matches_reference_through_merge(
+    fn order_layout_matches_reference_through_inserts_and_removes(
         inst in arb_instance(40),
-        // per row: 0/1 = shard A/B, 2 = shard A then removed after the
-        // merge, 3 = never inserted (a fresh probe row)
-        fate in prop::collection::vec(0u32..4, 40),
-        removed_before_merge in prop::collection::vec(any::<bool>(), 40),
+        // each step toggles one row: inserted if absent, removed if
+        // present; rows never toggled stay fresh probe rows
+        toggles in prop::collection::vec(0usize..40, 0..120),
     ) {
         let pool = dc_pool();
         let active: Vec<usize> = (0..pool.len())
@@ -186,31 +185,22 @@ proptest! {
             .collect();
         let n = inst.n_rows();
         let target = 3; // any attribute: inserts read whole committed rows
-        let mut merged = ScoreSet::build(&active, &pool);
-        let mut shard_b = ScoreSet::build(&active, &pool);
-        for i in 0..n {
-            let shard = match fate[i] {
-                0 | 2 => &mut merged,
-                1 => &mut shard_b,
-                _ => continue,
-            };
+        let mut set = ScoreSet::build(&active, &pool);
+        let mut present = vec![false; n];
+        for i in toggles.into_iter().filter(|&i| i < n) {
             let row = CandidateRow::committed(&inst, i, target);
-            shard.insert(&row);
-            if removed_before_merge[i] && fate[i] != 2 {
-                shard.remove(&row);
+            if present[i] {
+                set.remove(&row);
+            } else {
+                set.insert(&row);
             }
+            present[i] = !present[i];
         }
-        merged.merge(shard_b);
-        for i in (0..n).filter(|&i| fate[i] == 2) {
-            merged.remove(&CandidateRow::committed(&inst, i, target));
-        }
-        let stored: Vec<usize> = (0..n)
-            .filter(|&i| fate[i] < 2 && !removed_before_merge[i])
-            .collect();
+        let stored: Vec<usize> = (0..n).filter(|&i| present[i]).collect();
         let mirrored_rows: Vec<Vec<Value>> = (0..n).rev().map(|i| inst.row(i)).collect();
         let mirrored = Instance::from_rows(&small_schema(), &mirrored_rows).unwrap();
 
-        for (l, counter) in merged.iter() {
+        for (l, counter) in set.iter() {
             let dc = &pool[l];
             let order = dc.as_strict_order().unwrap();
             prop_assert_eq!(counter.len(), stored.len(), "{}", dc.name);

@@ -98,47 +98,4 @@ proptest! {
             prop_assert_eq!(violation_percentage(&dc, &report.instance), 0.0);
         }
     }
-
-    /// Sharded synthesis (shards ∈ {2, 4}) preserves the hard-DC
-    /// guarantees across randomized instances and seeds. (`shards: 1` ==
-    /// sequential-sampler bit-identity is pinned by the golden test in
-    /// `kamino_core::sampler` — comparing two shards-1 runs here would
-    /// only re-prove determinism.)
-    #[test]
-    fn sharded_pipeline_preserves_hard_dcs(
-        rows in prop::collection::vec(arb_row(), 40..70),
-        seed in 0u64..1000,
-        shards in prop::sample::select(vec![2usize, 4]),
-    ) {
-        let s = schema();
-        let rows: Vec<Vec<Value>> = rows
-            .into_iter()
-            .map(|mut r| {
-                let Value::Cat(a) = r[0] else { unreachable!() };
-                r[1] = Value::Cat(a % 4);
-                r
-            })
-            .collect();
-        let inst = Instance::from_rows(&s, &rows).unwrap();
-        let dcs = vec![
-            parse_dc(&s, "fd", "!(t1.a == t2.a & t1.b != t2.b)", Hardness::Hard).unwrap(),
-            parse_dc(&s, "ord", "!(t1.x > t2.x & t1.y < t2.y)", Hardness::Hard).unwrap(),
-        ];
-
-        let mut cfg = KaminoConfig::new(Budget::new(1.0, 1e-6));
-        cfg.seed = seed;
-        cfg.train_scale = 0.05;
-        cfg.embed_dim = 4;
-        cfg.shards = shards;
-        let report = run_kamino(&s, &inst, &dcs, &cfg);
-        prop_assert_eq!(report.instance.n_rows(), inst.n_rows());
-        for dc in &dcs {
-            prop_assert_eq!(
-                violation_percentage(dc, &report.instance),
-                0.0,
-                "{} violated at {} shards",
-                &dc.name, shards
-            );
-        }
-    }
 }

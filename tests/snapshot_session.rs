@@ -56,24 +56,6 @@ fn saved_session_resumes_byte_identical_stream() {
 }
 
 #[test]
-fn sharded_sessions_snapshot_too() {
-    let d = Corpus::Adult.generate(150, 31);
-    let mut live = Synthesizer::builder()
-        .epsilon(1.0)
-        .shards(3)
-        .seed(5)
-        .train_scale(0.04)
-        .build()
-        .fit(&d.schema, &d.instance, &d.dcs);
-    let _ = live.synthesize(70);
-    let path = tmp_path("sharded.kamino");
-    live.save(&path).unwrap();
-    let mut loaded = Synthesizer::load(&path).unwrap();
-    assert_eq!(live.synthesize(90), loaded.synthesize(90));
-    std::fs::remove_file(&path).unwrap();
-}
-
-#[test]
 fn loading_garbage_fails_cleanly() {
     let path = tmp_path("garbage.kamino");
     std::fs::write(&path, b"definitely not a snapshot").unwrap();

@@ -1,6 +1,6 @@
 //! The `Synthesizer` session API end to end: planner-derived budgets
-//! verified through the RDP accountant, batch streaming, and the sharded
-//! engine.
+//! verified through the RDP accountant, batch streaming, and bit-identity
+//! with the one-shot pipeline.
 
 use kamino::constraints::{count_violating_pairs, Hardness};
 use kamino::core::train::{count_marginal_releases, count_sgd_models};
@@ -57,8 +57,8 @@ fn planner_budget_round_trips_through_the_accountant() {
     );
 }
 
-/// A `shards: 1` session must reproduce `run_kamino` bit-for-bit: the
-/// facade is a re-plumbing of the same pipeline, not a second code path.
+/// A session must reproduce `run_kamino` bit-for-bit: the facade is a
+/// re-plumbing of the same pipeline, not a second code path.
 #[test]
 fn session_with_one_shard_matches_run_kamino_exactly() {
     let data = adult_like(200, 5);
@@ -66,14 +66,12 @@ fn session_with_one_shard_matches_run_kamino_exactly() {
     cfg.seed = 11;
     cfg.train_scale = 0.05;
     cfg.embed_dim = 8;
-    cfg.shards = 1;
     let report = run_kamino(&data.schema, &data.instance, &data.dcs, &cfg);
 
     let mut session = Synthesizer::builder()
         .epsilon(1.0)
         .delta(1e-6)
         .seed(11)
-        .shards(1)
         .train_scale(0.05)
         .configure(|c| c.embed_dim = 8)
         .build()
@@ -128,30 +126,6 @@ fn batch_streams_replay_deterministically() {
     let a = run(());
     let b = run(());
     assert_eq!(a, b, "equal-seeded sessions must replay identically");
-}
-
-#[test]
-fn sharded_session_preserves_hard_dcs() {
-    let data = adult_like(250, 13);
-    for shards in [2, 4] {
-        let mut session =
-            builder()
-                .shards(shards)
-                .build()
-                .fit(&data.schema, &data.instance, &data.dcs);
-        let inst = session.synthesize(250);
-        assert_eq!(inst.n_rows(), 250);
-        for dc in &data.dcs {
-            if dc.hardness == Hardness::Hard {
-                assert_eq!(
-                    count_violating_pairs(dc, &inst),
-                    0,
-                    "{shards}-shard session violates {}",
-                    dc.name
-                );
-            }
-        }
-    }
 }
 
 #[test]
