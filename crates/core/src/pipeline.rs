@@ -435,7 +435,7 @@ pub fn run_kamino(
 mod tests {
     use super::*;
     use kamino_constraints::violation_percentage;
-    use kamino_datasets::{adult_like, br2000_like};
+    use kamino_datasets::{adult_like, br2000_like, tax_like, Dataset};
 
     fn fast_cfg(budget: Budget, seed: u64) -> KaminoConfig {
         let mut cfg = KaminoConfig::new(budget);
@@ -545,6 +545,86 @@ mod tests {
         cfg.ar_sampling = true;
         let report = run_kamino(&d.schema, &d.instance, &d.dcs, &cfg);
         assert_eq!(report.instance.n_rows(), 200);
+    }
+
+    /// FNV-1a over every cell of `inst`, row-major: categorical codes and
+    /// numeric bit patterns, little-endian.
+    fn instance_digest(inst: &Instance) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut mix = |bytes: &[u8]| {
+            for &b in bytes {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for i in 0..inst.n_rows() {
+            for j in 0..inst.n_cols() {
+                match inst.value(i, j) {
+                    kamino_data::Value::Cat(c) => mix(&c.to_le_bytes()),
+                    kamino_data::Value::Num(x) => mix(&x.to_bits().to_le_bytes()),
+                }
+            }
+        }
+        h
+    }
+
+    /// Pins `run_kamino`'s output for every sampling rule on three
+    /// corpora: {Algorithm 3, MCMC 0.3 + hard-FD lookup, RandSampling} ×
+    /// {accept–reject off, on}. Any change to a cell decision or to the
+    /// RNG stream of any rule moves a digest.
+    #[test]
+    fn every_sampling_rule_output_is_pinned() {
+        let corpora: [(&str, fn() -> Dataset); 3] = [
+            ("tax", || tax_like(300, 5)),
+            ("adult", || adult_like(300, 6)),
+            ("br2000", || br2000_like(300, 7)),
+        ];
+        let rules: [(&str, fn(&mut KaminoConfig)); 3] = [
+            ("default", |_| {}),
+            ("mcmc+fd", |c| {
+                c.mcmc_ratio = 0.3;
+                c.hard_fd_lookup = true;
+            }),
+            ("rand", |c| c.constraint_aware_sampling = false),
+        ];
+        let mut got = Vec::new();
+        for (corpus, make) in corpora {
+            let d = make();
+            for (rule, set) in rules {
+                for ar in [false, true] {
+                    let mut cfg = fast_cfg(Budget::new(1.0, 1e-6), 19);
+                    set(&mut cfg);
+                    cfg.ar_sampling = ar;
+                    let report = run_kamino(&d.schema, &d.instance, &d.dcs, &cfg);
+                    got.push((corpus, rule, ar, instance_digest(&report.instance)));
+                }
+            }
+        }
+        let want: [u64; 18] = [
+            // tax: {default, mcmc+fd, rand} × {AR off, AR on}
+            0xabd5_7f62_f05a_2e26,
+            0xcf46_434a_503a_1cf8,
+            0xf40e_04e2_7790_6a40,
+            0xcf46_434a_503a_1cf8,
+            0x3493_eae2_5181_7de0,
+            0xcf46_434a_503a_1cf8,
+            // adult: {default, mcmc+fd, rand} × {AR off, AR on}
+            0x121c_567a_8dfd_7195,
+            0x7c5d_5112_784e_72d4,
+            0xec23_6ce4_fd7f_2d0b,
+            0x7c5d_5112_784e_72d4,
+            0xb1be_040e_238d_1f74,
+            0x7c5d_5112_784e_72d4,
+            // br2000: {default, mcmc+fd, rand} × {AR off, AR on}
+            0x4d41_7c18_e881_8cf1,
+            0xdacd_5c06_fb5c_5086,
+            0xd61f_c3fd_217e_2678,
+            0xdacd_5c06_fb5c_5086,
+            0x4d41_7c18_e881_8cf1,
+            0xdacd_5c06_fb5c_5086,
+        ];
+        let digests: Vec<u64> = got.iter().map(|g| g.3).collect();
+        assert_eq!(digests, want, "sampled output drifted: {got:#x?}");
     }
 
     #[test]

@@ -160,3 +160,31 @@ fn a_restored_session_traces_its_draws() {
         assert!(passes.iter().all(|s| s.parent == draws[0].id));
     }
 }
+
+/// Accept–reject runs through the same column loop as Algorithm 3, so a
+/// traced `ar_sampling` draw records one `sample.fill` span per column
+/// and fills `PhaseTimings::sample_fill`.
+#[test]
+fn an_accept_reject_draw_traces_its_fill() {
+    let obs = ObsHandle::enabled();
+    let data = adult_like(120, 5);
+    let mut cfg = KaminoConfig::new(Budget::new(1.0, 1e-6));
+    cfg.seed = 23;
+    cfg.train_scale = 0.05;
+    cfg.ar_sampling = true;
+    cfg.obs = obs.clone();
+    let mut session = fit_kamino(&data.schema, &data.instance, &data.dcs, &cfg);
+    let _ = session.sample(60);
+
+    let spans = obs.spans();
+    let draws: Vec<_> = spans.iter().filter(|s| s.name == "sample").collect();
+    assert_eq!(draws.len(), 1, "one draw, one `sample` span");
+    let fills: Vec<_> = spans.iter().filter(|s| s.name == "sample.fill").collect();
+    assert_eq!(
+        fills.len(),
+        session.sequence.len(),
+        "one fill span per column"
+    );
+    assert!(fills.iter().all(|s| s.parent == draws[0].id));
+    assert!(session.timings.sample_fill > Duration::ZERO);
+}
