@@ -1019,11 +1019,14 @@ fn dispatch_synthesize(
     }
     let bad = |msg: &str| Action::Respond(Reply::json("400 Bad Request", err_json(msg), close));
     let (n, batch) = match (req.query_usize("n"), req.query_usize("batch")) {
-        (Ok(n), Ok(batch)) => (n.unwrap_or(100), batch.unwrap_or(1_000).clamp(1, MAX_BATCH)),
+        (Ok(n), Ok(batch)) => (n.unwrap_or(100), batch.unwrap_or(1_000)),
         (Err(e), _) | (_, Err(e)) => return bad(&e),
     };
     if n == 0 || n > MAX_SYNTH_ROWS {
         return bad(&format!("`n` must be in [1, {MAX_SYNTH_ROWS}]"));
+    }
+    if batch == 0 || batch > MAX_BATCH {
+        return bad(&format!("`batch` must be in [1, {MAX_BATCH}]"));
     }
     let format = match req.query.get("format").map(String::as_str).unwrap_or("csv") {
         "csv" => Format::Csv,

@@ -216,7 +216,14 @@ fn fit_synthesize_concurrent_clients_and_clean_shutdown() {
     assert!(body.contains("fit.training"));
 
     // bad requests answer 400, not a dropped connection or a default
-    for query in ["n=0", "n=abc", "n=50&batch=abc", "n=-3"] {
+    for query in [
+        "n=0",
+        "n=abc",
+        "n=50&batch=abc",
+        "n=-3",
+        "n=50&batch=0",
+        "n=50&batch=100001",
+    ] {
         let (status, _) = request(
             addr,
             "POST",
