@@ -271,7 +271,8 @@ fn bench(c: &mut Criterion) {
     // Synthesis: one trained model, the full Algorithm 3 column walk at
     // n = 512, with the hard-DC guarantee asserted before timing.
     {
-        use kamino_core::{synthesize, train_model, SampleConfig, TrainConfig};
+        use kamino_core::{synthesize, train_model, KaminoConfig, PhaseTimings, TrainConfig};
+        use kamino_dp::Budget;
 
         let dsmall = adult_like(512, 3);
         let sequence = kamino_core::sequence_attrs(&dsmall.schema, &dsmall.dcs);
@@ -282,26 +283,27 @@ fn bench(c: &mut Criterion) {
         };
         let model = train_model(&dsmall.schema, &dsmall.instance, &sequence, &tc);
         let weights = vec![f64::INFINITY; dsmall.dcs.len()];
-        let sc = SampleConfig::new(512);
-        let out = {
-            let mut rng = StdRng::seed_from_u64(11);
-            synthesize(&dsmall.schema, &model, &dsmall.dcs, &weights, &sc, &mut rng)
+        let cfg = KaminoConfig::new(Budget::non_private());
+        let draw = |rng: &mut StdRng| {
+            let mut timings = PhaseTimings::default();
+            synthesize(
+                &dsmall.schema,
+                &model,
+                &dsmall.dcs,
+                &weights,
+                &cfg,
+                512,
+                rng,
+                &mut timings,
+            )
         };
+        let out = draw(&mut StdRng::seed_from_u64(11));
         for dc in &dsmall.dcs {
             assert_eq!(count_violating_pairs(dc, &out), 0, "{} violated", dc.name);
         }
         g.bench_function("synthesize_serial_n512", |b| {
             let mut rng = StdRng::seed_from_u64(11);
-            b.iter(|| {
-                black_box(synthesize(
-                    &dsmall.schema,
-                    &model,
-                    &dsmall.dcs,
-                    &weights,
-                    &sc,
-                    &mut rng,
-                ))
-            })
+            b.iter(|| black_box(draw(&mut rng)))
         });
     }
 

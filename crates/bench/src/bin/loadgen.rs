@@ -15,9 +15,7 @@
 //! * `pooled_hot` — the event loop with the speculation ring warm;
 //!   clients stream the same N rows as aligned `--pool-rows` chunks the
 //!   ring pre-sampled. Pooling fixes the draw granularity at the ring's
-//!   batch size, which sidesteps the superlinear per-draw cost of the
-//!   constraint-repair pass on large draws, and takes sampling off the
-//!   request critical path.
+//!   batch size and takes sampling off the request critical path.
 //! * `pooled_c2` / `pooled_c4` — the pooled path under 2 and 4
 //!   concurrent clients (scaling behavior of the single event loop).
 //!

@@ -22,12 +22,9 @@
 //!
 //! ## Read/write split
 //!
-//! The state is layered so the read path can run concurrently:
-//!
 //! * [`FdIndex`] and [`ScanIndex`] are the **prefix indexes**. All scoring
-//!   entry points take `&self` — an index is immutable for the entire
-//!   duration of a scoring pass, so any number of threads may score
-//!   candidates against it at once.
+//!   entry points take `&self`: an index does not change during a scoring
+//!   pass.
 //! * [`DcCounter`] owns an index and adds the **mutation API**
 //!   ([`DcCounter::insert`] / [`DcCounter::remove`], used when a cell is
 //!   committed or MCMC re-opens one). Between mutations it hands out
@@ -933,10 +930,7 @@ impl DcCounter {
     }
 
     /// Batch form of [`Self::count_new`]: the violation count for every
-    /// candidate value of the cell, in input order. `&self` — the prefix
-    /// index is immutable during the pass, so callers may fan this out
-    /// across threads (the `score` module does exactly that across a whole
-    /// counter set).
+    /// candidate value of the cell, in input order.
     pub fn score_candidates(&self, cell: CellContext<'_>, values: &[Value]) -> Vec<u64> {
         let scorer = self.scorer();
         values

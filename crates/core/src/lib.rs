@@ -21,8 +21,9 @@
 //! 5. [`sampler`] — constraint-aware sampling (Algorithm 3): candidate
 //!    values are re-weighted by `exp(−Σ w_φ·|V(φ, ·)|)` using the
 //!    incremental counters, with optional constrained-MCMC re-sampling and
-//!    the hard-FD lookup fast path (§7.3.6). [`ar_sampler`] provides the
-//!    accept–reject alternative of Experiment 6.
+//!    the hard-FD lookup fast path (§7.3.6). The accept–reject alternative
+//!    of Experiment 6 is a cell rule of the same engine
+//!    ([`KaminoConfig::ar_sampling`]).
 //!
 //! [`pipeline::run_kamino`] wires these together, exposes the ablation
 //! switches of Experiment 5 (RandSequence / RandSampling / RandBoth) and
@@ -31,7 +32,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod ar_sampler;
 pub mod model;
 pub mod params;
 pub mod pipeline;
@@ -46,7 +46,7 @@ pub use params::{search_params, search_params_with_obs, PrivacyParams};
 pub use pipeline::{
     fit_kamino, run_kamino, FittedKamino, KaminoConfig, KaminoReport, PhaseTimings,
 };
-pub use sampler::{synthesize, synthesize_timed, SampleConfig, FD_CYCLE_TOLERANCE_PCT};
+pub use sampler::{synthesize, FD_CYCLE_TOLERANCE_PCT};
 pub use sequence::{active_dcs_by_position, sequence_attrs};
 pub use train::{train_model, TrainConfig};
 pub use weights::{learn_weights, WeightConfig, HARD_WEIGHT};

@@ -9,9 +9,8 @@ use kamino_obs::ObsHandle;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::ar_sampler::{synthesize_ar, ArSampleConfig};
 use crate::params::{search_params_with_obs, PrivacyParams, SearchShape};
-use crate::sampler::{synthesize_timed, SampleConfig};
+use crate::sampler::synthesize;
 use crate::sequence::{random_sequence, sequence_attrs};
 use crate::train::{count_marginal_releases, count_sgd_models, train_model, TrainConfig};
 use crate::weights::{learn_weights, WeightConfig, HARD_WEIGHT};
@@ -109,13 +108,7 @@ impl KaminoConfig {
         normalized.parallel_substrate = true;
         let mut w = kamino_data::wire::ByteWriter::new();
         crate::snapshot::encode_config(&normalized, &mut w);
-        // FNV-1a, 64-bit: tiny, dependency-free, stable across platforms.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in w.into_bytes().iter() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0100_0000_01b3);
-        }
-        h
+        kamino_data::wire::fnv1a64(&w.into_bytes())
     }
 }
 
@@ -366,43 +359,25 @@ impl FittedKamino {
         self.n_input
     }
 
-    /// Synthesizes `n` rows (Algorithm 3, or the Exp. 6 accept–reject
-    /// variant when the config asks for it), advancing the session's RNG
-    /// stream. Pure post-processing: spends no additional budget.
+    /// Synthesizes `n` rows through [`synthesize`] under the session's
+    /// config (Algorithm 3, RandSampling or the Exp. 6 accept–reject
+    /// rule), advancing the session's RNG stream. Pure post-processing:
+    /// spends no additional budget.
     pub fn sample(&mut self, n: usize) -> Instance {
         let mut span = self.cfg.obs.span("sample");
         if span.is_active() {
             span.arg("n", n.to_string());
         }
-        let inst = if self.cfg.ar_sampling {
-            synthesize_ar(
-                &self.schema,
-                &self.model,
-                &self.dcs,
-                &self.weights,
-                &ArSampleConfig::new(n),
-                &mut self.rng,
-            )
-        } else {
-            let sample_cfg = SampleConfig {
-                n,
-                d_candidates: self.cfg.d_candidates,
-                max_cat_candidates: 64,
-                mcmc_resamples: (self.cfg.mcmc_ratio * n as f64).round() as usize,
-                constraint_aware: self.cfg.constraint_aware_sampling,
-                hard_fd_lookup: self.cfg.hard_fd_lookup,
-            };
-            synthesize_timed(
-                &self.schema,
-                &self.model,
-                &self.dcs,
-                &self.weights,
-                &sample_cfg,
-                &mut self.rng,
-                &self.cfg.obs,
-                &mut self.timings,
-            )
-        };
+        let inst = synthesize(
+            &self.schema,
+            &self.model,
+            &self.dcs,
+            &self.weights,
+            &self.cfg,
+            n,
+            &mut self.rng,
+            &mut self.timings,
+        );
         self.timings.sampling += span.finish();
         inst
     }
@@ -434,8 +409,9 @@ pub fn run_kamino(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sampler::tests::digest;
     use kamino_constraints::violation_percentage;
-    use kamino_datasets::{adult_like, br2000_like, tax_like, Dataset};
+    use kamino_datasets::{adult_like, br2000_like, tax_like};
 
     fn fast_cfg(budget: Budget, seed: u64) -> KaminoConfig {
         let mut cfg = KaminoConfig::new(budget);
@@ -547,56 +523,34 @@ mod tests {
         assert_eq!(report.instance.n_rows(), 200);
     }
 
-    /// FNV-1a over every cell of `inst`, row-major: categorical codes and
-    /// numeric bit patterns, little-endian.
-    fn instance_digest(inst: &Instance) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0100_0000_01b3);
-            }
-        };
-        for i in 0..inst.n_rows() {
-            for j in 0..inst.n_cols() {
-                match inst.value(i, j) {
-                    kamino_data::Value::Cat(c) => mix(&c.to_le_bytes()),
-                    kamino_data::Value::Num(x) => mix(&x.to_bits().to_le_bytes()),
-                }
-            }
-        }
-        h
-    }
-
     /// Pins `run_kamino`'s output for every sampling rule on three
     /// corpora: {Algorithm 3, MCMC 0.3 + hard-FD lookup, RandSampling} ×
     /// {accept–reject off, on}. Any change to a cell decision or to the
     /// RNG stream of any rule moves a digest.
     #[test]
     fn every_sampling_rule_output_is_pinned() {
-        let corpora: [(&str, fn() -> Dataset); 3] = [
-            ("tax", || tax_like(300, 5)),
-            ("adult", || adult_like(300, 6)),
-            ("br2000", || br2000_like(300, 7)),
+        let corpora = [
+            ("tax", tax_like(300, 5)),
+            ("adult", adult_like(300, 6)),
+            ("br2000", br2000_like(300, 7)),
         ];
-        let rules: [(&str, fn(&mut KaminoConfig)); 3] = [
-            ("default", |_| {}),
-            ("mcmc+fd", |c| {
-                c.mcmc_ratio = 0.3;
-                c.hard_fd_lookup = true;
-            }),
-            ("rand", |c| c.constraint_aware_sampling = false),
+        // (name, mcmc_ratio, hard_fd_lookup, constraint_aware_sampling)
+        let rules = [
+            ("default", 0.0, false, true),
+            ("mcmc+fd", 0.3, true, true),
+            ("rand", 0.0, false, false),
         ];
         let mut got = Vec::new();
-        for (corpus, make) in corpora {
-            let d = make();
-            for (rule, set) in rules {
+        for (corpus, d) in &corpora {
+            for (rule, mcmc_ratio, hard_fd_lookup, aware) in rules {
                 for ar in [false, true] {
                     let mut cfg = fast_cfg(Budget::new(1.0, 1e-6), 19);
-                    set(&mut cfg);
+                    cfg.mcmc_ratio = mcmc_ratio;
+                    cfg.hard_fd_lookup = hard_fd_lookup;
+                    cfg.constraint_aware_sampling = aware;
                     cfg.ar_sampling = ar;
                     let report = run_kamino(&d.schema, &d.instance, &d.dcs, &cfg);
-                    got.push((corpus, rule, ar, instance_digest(&report.instance)));
+                    got.push((corpus, rule, ar, digest(&report.instance)));
                 }
             }
         }

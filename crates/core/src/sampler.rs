@@ -15,19 +15,27 @@
 //! (breaking ties by model probability) rather than sampling uniformly
 //! from garbage.
 //!
-//! Also implemented here:
-//! * the constrained MCMC step (line 12): after each column pass, `m`
-//!   random cells of that column are re-sampled conditioned on all other
-//!   cells, using counter `remove`/`insert`;
-//! * the §7.3.6 hard-FD lookup fast path: when the attribute being sampled
-//!   is the dependent of a hard FD and the determinant group already
-//!   exists, the forced value is copied directly instead of scored;
-//! * the "RandSampling" ablation (Experiment 5): `constraint_aware =
-//!   false` samples i.i.d. from the model.
+//! [`synthesize`] is the one sampling engine. How a cell gets its value is
+//! a rule chosen from the [`KaminoConfig`]:
+//! * Algorithm 3 (the default), with the constrained MCMC step (line 12):
+//!   after each column pass, `m = mcmc_ratio · n` random cells of that
+//!   column are re-sampled conditioned on all other cells, using counter
+//!   `remove`/`insert`; and the §7.3.6 hard-FD lookup fast path: when the
+//!   attribute being sampled is the dependent of a hard FD and the
+//!   determinant group already exists, the forced value is copied directly
+//!   instead of scored;
+//! * the "RandSampling" ablation (Experiment 5,
+//!   `constraint_aware_sampling = false`): samples i.i.d. from the model;
+//! * accept–reject sampling (Experiment 6, §7.3.2, `ar_sampling`): draw
+//!   one value from the model and accept it with probability
+//!   `exp(−Σ w_φ·vio_φ)`, retrying up to 300 times (`AR_MAX_TRIES`) and then
+//!   keeping the last draw — which is how accept–reject ends up
+//!   *producing* violations on hard-DC datasets. It runs no MCMC.
 //!
-//! Timings are span-derived: [`synthesize_timed`] adds each column's
-//! `sample.fill` / `sample.mcmc` span duration to the matching
-//! [`PhaseTimings`] field, which gains zero with a disabled handle.
+//! Timings are span-derived: [`synthesize`] adds each column's
+//! `sample.fill` / `sample.mcmc` span duration (from [`KaminoConfig::obs`])
+//! to the matching [`PhaseTimings`] field, which gains zero with a
+//! disabled handle.
 //!
 //! [`DcCounter`]: kamino_constraints::DcCounter
 
@@ -40,7 +48,7 @@ use kamino_obs::ObsHandle;
 use rand::Rng;
 
 use crate::model::{DataModel, SubModel, SubModelKind};
-use crate::pipeline::PhaseTimings;
+use crate::pipeline::{KaminoConfig, PhaseTimings};
 use crate::sequence::active_dcs_by_position;
 
 /// Runs `f` under the span `name` and adds the span's duration to `acc`.
@@ -73,35 +81,37 @@ fn timed_phase<T>(
 /// restating the number.
 pub const FD_CYCLE_TOLERANCE_PCT: f64 = 2.5;
 
-/// Sampling configuration (Algorithm 3's `W, L, N` inputs plus ablation
-/// switches).
-#[derive(Debug, Clone)]
-pub struct SampleConfig {
-    /// Number of tuples to synthesize.
-    pub n: usize,
-    /// Candidate-set size `d` for continuous targets.
-    pub d_candidates: usize,
-    /// Cap on candidate values for very large categorical domains (§4.2's
-    /// "selected set of values of size d").
-    pub max_cat_candidates: usize,
-    /// MCMC re-samples `m` per attribute pass (0 disables MCMC).
-    pub mcmc_resamples: usize,
-    /// When false, samples i.i.d. from the model (RandSampling ablation).
-    pub constraint_aware: bool,
-    /// Enable the hard-FD lookup fast path (Exp. 10).
-    pub hard_fd_lookup: bool,
+/// Cap on candidate values for very large categorical domains (§4.2's
+/// "selected set of values of size d").
+const MAX_CAT_CANDIDATES: usize = 64;
+
+/// Model draws per cell before accept–reject keeps its last draw
+/// (§7.3.2 uses 300).
+const AR_MAX_TRIES: usize = 300;
+
+/// How one cell gets its value; fixed for a whole [`synthesize`] call.
+#[derive(Clone, Copy, PartialEq)]
+enum CellRule {
+    /// Algorithm 3: score the candidate set, optionally taking the hard-FD
+    /// lookup fast path.
+    ConstraintAware { hard_fd_lookup: bool },
+    /// RandSampling: sample the candidate set by model probability alone.
+    Model,
+    /// Accept–reject: one model draw at a time, accepted with probability
+    /// `exp(−penalty)`.
+    AcceptReject,
 }
 
-impl SampleConfig {
-    /// Defaults for synthesizing `n` tuples.
-    pub fn new(n: usize) -> SampleConfig {
-        SampleConfig {
-            n,
-            d_candidates: 10,
-            max_cat_candidates: 64,
-            mcmc_resamples: 0,
-            constraint_aware: true,
-            hard_fd_lookup: false,
+impl CellRule {
+    fn of(cfg: &KaminoConfig) -> CellRule {
+        if cfg.ar_sampling {
+            CellRule::AcceptReject
+        } else if cfg.constraint_aware_sampling {
+            CellRule::ConstraintAware {
+                hard_fd_lookup: cfg.hard_fd_lookup,
+            }
+        } else {
+            CellRule::Model
         }
     }
 }
@@ -109,7 +119,7 @@ impl SampleConfig {
 /// Reusable buffers for the sampler's cell loop (a bump-style arena:
 /// every buffer is cleared and refilled per cell, never freed), so the
 /// `n × k` inner loop is allocation-free in steady state. One arena per
-/// [`synthesize_timed`] call. Purely a memory-reuse vehicle: no
+/// [`synthesize`] call. Purely a memory-reuse vehicle: no
 /// RNG draws, value computations, or iteration orders change, which keeps
 /// the sampled output bit-identical to the allocating implementation.
 #[derive(Default)]
@@ -127,63 +137,64 @@ struct CellArena {
     ctx: Vec<Value>,
     /// Scratch for top-k candidate selection over categorical domains.
     idx_buf: Vec<(usize, f64)>,
+    /// Values the hard FDs on the target force, in counter order.
+    forced: Vec<Value>,
 }
 
-/// Synthesizes an instance from the trained model (Algorithm 3).
+/// Synthesizes `n` tuples from the trained model under `cfg`'s sampling
+/// rule (Algorithm 3, RandSampling or accept–reject).
 ///
 /// `weights` is aligned with `dcs`; hard DCs carry
-/// [`crate::weights::HARD_WEIGHT`].
+/// [`crate::weights::HARD_WEIGHT`]. Per-column spans go through
+/// `cfg.obs`, their durations added to `timings`' sample fields (zero,
+/// with no clock read, when the handle is disabled). The instance does
+/// not depend on `cfg.obs`.
+#[allow(clippy::too_many_arguments)]
 pub fn synthesize<R: Rng + ?Sized>(
     schema: &Schema,
     model: &DataModel,
     dcs: &[DenialConstraint],
     weights: &[f64],
-    cfg: &SampleConfig,
+    cfg: &KaminoConfig,
+    n: usize,
     rng: &mut R,
-) -> Instance {
-    synthesize_timed(
-        schema,
-        model,
-        dcs,
-        weights,
-        cfg,
-        rng,
-        &ObsHandle::disabled(),
-        &mut PhaseTimings::default(),
-    )
-}
-
-/// [`synthesize`], timed: per-column spans through `obs`, their durations
-/// added to `timings`' sample fields (zero, with no clock read, when `obs`
-/// is disabled). The instance does not depend on `obs`.
-#[allow(clippy::too_many_arguments)]
-pub fn synthesize_timed<R: Rng + ?Sized>(
-    schema: &Schema,
-    model: &DataModel,
-    dcs: &[DenialConstraint],
-    weights: &[f64],
-    cfg: &SampleConfig,
-    rng: &mut R,
-    obs: &ObsHandle,
     timings: &mut PhaseTimings,
 ) -> Instance {
     assert_eq!(dcs.len(), weights.len(), "one weight per DC");
-    assert!(cfg.n > 0, "cannot synthesize an empty instance");
-    let n = cfg.n;
+    assert!(n > 0, "cannot synthesize an empty instance");
+    let rule = CellRule::of(cfg);
+    let mcmc_resamples = if rule == CellRule::AcceptReject {
+        0
+    } else {
+        (cfg.mcmc_ratio * n as f64).round() as usize
+    };
     let k = model.sequence.len();
     let mut inst = Instance::zeroed(schema, n);
     let active = active_dcs_by_position(&model.sequence, dcs);
     let mut arena = CellArena::default();
+    let mut cell = |inst: &Instance, j: usize, row: usize, scores: &ScoreSet, rng: &mut R| {
+        let c = Cell {
+            schema,
+            model,
+            j,
+            inst,
+            row,
+            scores,
+            weights,
+        };
+        match rule {
+            CellRule::AcceptReject => accept_reject(&c, &mut arena, rng),
+            _ => sample_cell(&c, rule, cfg.d_candidates, &mut arena, rng),
+        }
+    };
 
     for (j, active_j) in active.iter().enumerate().take(k) {
         let target = model.sequence[j];
         let mut scores = ScoreSet::build(active_j, dcs);
 
-        timed_phase(obs, "sample.fill", j, &mut timings.sample_fill, || {
+        timed_phase(&cfg.obs, "sample.fill", j, &mut timings.sample_fill, || {
             for i in 0..n {
-                let value = sample_cell(
-                    schema, model, j, &inst, i, &scores, weights, cfg, &mut arena, rng,
-                );
+                let value = cell(&inst, j, i, &scores, rng);
                 inst.set(i, target, value);
                 scores.insert(&CandidateRow::committed(&inst, i, target));
             }
@@ -193,89 +204,103 @@ pub fn synthesize_timed<R: Rng + ?Sized>(
         // column conditioned on everything else. Each site draw and its
         // candidate draws share one interleaved RNG stream, and every
         // site is re-scored through the same batch substrate as the main
-        // pass.
-        timed_phase(obs, "sample.mcmc", j, &mut timings.sample_mcmc, || {
-            mcmc_pass(
-                schema,
-                model,
-                j,
-                &mut inst,
-                &mut scores,
-                weights,
-                cfg,
-                &mut arena,
-                rng,
-            );
+        // pass. Accept–reject runs no MCMC.
+        timed_phase(&cfg.obs, "sample.mcmc", j, &mut timings.sample_mcmc, || {
+            for _ in 0..mcmc_resamples {
+                let r = rng.gen_range(0..n);
+                scores.remove(&CandidateRow::committed(&inst, r, target));
+                let value = cell(&inst, j, r, &scores, rng);
+                inst.set(r, target, value);
+                scores.insert(&CandidateRow::committed(&inst, r, target));
+            }
         });
     }
     inst
 }
 
-/// The constrained MCMC step (Algorithm 3 line 12): `mcmc_resamples`
-/// random cells of the current column are re-opened and re-sampled
-/// conditioned on everything else.
-#[allow(clippy::too_many_arguments)]
-fn mcmc_pass<R: Rng + ?Sized>(
-    schema: &Schema,
-    model: &DataModel,
+/// One cell being sampled: row `row` at sequence position `j`, against the
+/// column's prefix counters.
+struct Cell<'a> {
+    schema: &'a Schema,
+    model: &'a DataModel,
     j: usize,
-    inst: &mut Instance,
-    scores: &mut ScoreSet,
-    weights: &[f64],
-    cfg: &SampleConfig,
-    arena: &mut CellArena,
-    rng: &mut R,
-) {
-    let target = model.sequence[j];
-    for _ in 0..cfg.mcmc_resamples {
-        let r = rng.gen_range(0..cfg.n);
-        scores.remove(&CandidateRow::committed(inst, r, target));
-        let value = sample_cell(schema, model, j, inst, r, scores, weights, cfg, arena, rng);
-        inst.set(r, target, value);
-        scores.insert(&CandidateRow::committed(inst, r, target));
+    inst: &'a Instance,
+    row: usize,
+    scores: &'a ScoreSet,
+    weights: &'a [f64],
+}
+
+impl Cell<'_> {
+    fn target(&self) -> usize {
+        self.model.sequence[self.j]
     }
 }
 
-/// Draws one cell value for row `row` at sequence position `j`.
-#[allow(clippy::too_many_arguments)]
+/// Draws one cell value by Algorithm 3 or, under [`CellRule::Model`], by
+/// model probability alone.
 fn sample_cell<R: Rng + ?Sized>(
-    schema: &Schema,
-    model: &DataModel,
-    j: usize,
-    inst: &Instance,
-    row: usize,
-    scores: &ScoreSet,
-    weights: &[f64],
-    cfg: &SampleConfig,
+    cell: &Cell<'_>,
+    rule: CellRule,
+    d_candidates: usize,
     arena: &mut CellArena,
     rng: &mut R,
 ) -> Value {
-    let target = model.sequence[j];
+    let Cell {
+        schema,
+        inst,
+        row,
+        scores,
+        weights,
+        ..
+    } = *cell;
+    let target = cell.target();
+    let (constrained, fd_lookup) = match rule {
+        CellRule::ConstraintAware { hard_fd_lookup } => (!scores.is_empty(), hard_fd_lookup),
+        _ => (false, false),
+    };
 
-    // Hard-FD lookup fast path (§7.3.6): when sampling the dependent of a
-    // hard FD whose determinant group already exists and is consistent,
-    // copy the forced value.
-    if cfg.hard_fd_lookup && cfg.constraint_aware {
+    // One probe of the hard counters before the candidate draw (none of
+    // it reads the RNG): the values hard FDs on the target force, and the
+    // feasible band hard strict-order DCs leave a numeric target. With
+    // the hard-FD lookup fast path (§7.3.6), the first forced value is
+    // copied as is.
+    arena.forced.clear();
+    let mut band = (f64::NEG_INFINITY, f64::INFINITY);
+    let mut bounded = false;
+    if constrained {
+        let numeric = matches!(schema.attr(target).kind, AttrKind::Numeric { .. });
+        let probe = CandidateRow::new(inst, row, target, placeholder_value(schema, target));
         for (l, c) in scores.iter() {
-            if weights[l].is_infinite() && c.fd_rhs() == Some(target) {
-                let placeholder = placeholder_value(schema, target);
-                let probe = CandidateRow::new(inst, row, target, placeholder);
+            if !weights[l].is_infinite() {
+                continue;
+            }
+            if c.fd_rhs() == Some(target) {
                 if let Some(v) = c.required_value(&probe) {
-                    return v;
+                    if fd_lookup {
+                        return v;
+                    }
+                    arena.forced.push(v);
+                }
+            }
+            if numeric {
+                if let Some((l_b, h_b)) = c.feasible_range(&probe, target) {
+                    band = (band.0.max(l_b), band.1.min(h_b));
+                    bounded = true;
                 }
             }
         }
     }
 
-    candidate_values(schema, model, j, inst, row, cfg, arena, rng);
+    candidate_values(cell, d_candidates, arena, rng);
     let CellArena {
         candidates,
         values,
         penalties,
         scored,
+        forced,
         ..
     } = arena;
-    if !cfg.constraint_aware || scores.is_empty() {
+    if !constrained {
         scored.clear();
         scored.extend(candidates.iter().map(|&(_, p)| p));
         return candidates[sample_weighted(scored, rng)].0;
@@ -286,20 +311,14 @@ fn sample_cell<R: Rng + ?Sized>(
     // carries. Continuous candidate sets almost never contain it by
     // chance, so inject it (this is the "selected set of values" of §4.2:
     // candidates the model alone would miss but the constraints demand).
-    for (l, c) in scores.iter() {
-        if weights[l].is_infinite() && c.fd_rhs() == Some(target) {
-            let placeholder = placeholder_value(schema, target);
-            let probe = CandidateRow::new(inst, row, target, placeholder);
-            if let Some(v) = c.required_value(&probe) {
-                if !candidates
-                    .iter()
-                    .any(|&(cv, _)| cv.compare(v) == std::cmp::Ordering::Equal)
-                {
-                    // kamino-lint: allow(float_fold) -- max accumulator: 0.0 is the identity for max over non-negative values, not a sum seed
-                    let p = candidates.iter().map(|&(_, p)| p).fold(0.0, f64::max);
-                    candidates.push((v, p.max(1e-12)));
-                }
-            }
+    for &v in forced.iter() {
+        if !candidates
+            .iter()
+            .any(|&(cv, _)| cv.compare(v) == std::cmp::Ordering::Equal)
+        {
+            // kamino-lint: allow(float_fold) -- max accumulator: 0.0 is the identity for max over non-negative values, not a sum seed
+            let p = candidates.iter().map(|&(_, p)| p).fold(0.0, f64::max);
+            candidates.push((v, p.max(1e-12)));
         }
     }
 
@@ -308,51 +327,35 @@ fn sample_cell<R: Rng + ?Sized>(
     // once the prefix is long, so clamp them in (keeping the model's
     // within-band preferences). This is the order-DC analogue of the FD
     // value injection above.
-    if matches!(schema.attr(target).kind, AttrKind::Numeric { .. }) {
-        let mut lo = f64::NEG_INFINITY;
-        let mut hi = f64::INFINITY;
-        let mut bounded = false;
-        for (l, c) in scores.iter() {
-            if !weights[l].is_infinite() {
-                continue;
-            }
-            let placeholder = placeholder_value(schema, target);
-            let probe = CandidateRow::new(inst, row, target, placeholder);
-            if let Some((l_b, h_b)) = c.feasible_range(&probe, target) {
-                lo = lo.max(l_b);
-                hi = hi.min(h_b);
-                bounded = true;
-            }
-        }
-        if bounded && lo <= hi {
-            let integer = matches!(
-                schema.attr(target).kind,
-                AttrKind::Numeric { integer: true, .. }
-            );
-            for (v, _) in candidates.iter_mut() {
-                let clamped = v.num().clamp(lo, hi);
-                let adjusted = if integer {
-                    let r = clamped.round();
-                    if (lo..=hi).contains(&r) {
-                        r
-                    } else {
-                        clamped
-                    }
+    let (lo, hi) = band;
+    if bounded && lo <= hi {
+        let integer = matches!(
+            schema.attr(target).kind,
+            AttrKind::Numeric { integer: true, .. }
+        );
+        for (v, _) in candidates.iter_mut() {
+            let clamped = v.num().clamp(lo, hi);
+            let adjusted = if integer {
+                let r = clamped.round();
+                if (lo..=hi).contains(&r) {
+                    r
                 } else {
                     clamped
-                };
-                *v = Value::Num(adjusted);
-            }
+                }
+            } else {
+                clamped
+            };
+            *v = Value::Num(adjusted);
         }
     }
 
     // Score candidates: P[v] ∝ p_{v|c} · exp(−Σ w_φ·vio_φ). The whole
     // candidate set goes through batch scoring in one call, so the
     // scorer views are built once per cell.
-    let cell = CellContext::new(inst, row, target);
+    let ctx = CellContext::new(inst, row, target);
     values.clear();
     values.extend(candidates.iter().map(|&(v, _)| v));
-    scores.score_candidates_into(cell, values, weights, false, penalties);
+    scores.score_candidates_into(ctx, values, weights, false, penalties);
     scored.clear();
     let mut best_fallback = (f64::INFINITY, f64::NEG_INFINITY, 0usize); // (penalty, p, idx)
     for (idx, (&(_, p), &penalty)) in candidates.iter().zip(penalties.iter()).enumerate() {
@@ -370,6 +373,70 @@ fn sample_cell<R: Rng + ?Sized>(
     }
 }
 
+/// Draws one cell value by accept–reject: a model draw is kept with
+/// probability `exp(−penalty)`; after [`AR_MAX_TRIES`] rejections the
+/// last draw is kept even if it violates (the paper's behaviour).
+fn accept_reject<R: Rng + ?Sized>(cell: &Cell<'_>, arena: &mut CellArena, rng: &mut R) -> Value {
+    let mut last = model_draw(cell, &mut arena.ctx, rng);
+    if cell.scores.is_empty() {
+        return last;
+    }
+    for _ in 0..AR_MAX_TRIES {
+        let cand = CandidateRow::new(cell.inst, cell.row, cell.target(), last);
+        let accept = (-cell.scores.penalty(&cand, cell.weights)).exp();
+        if accept >= 1.0 || rng.gen::<f64>() < accept {
+            return last;
+        }
+        last = model_draw(cell, &mut arena.ctx, rng);
+    }
+    last
+}
+
+/// One value drawn from the model alone (no candidate set, no
+/// constraint reweighting); `ctx` is scratch for the context values.
+fn model_draw<R: Rng + ?Sized>(cell: &Cell<'_>, ctx: &mut Vec<Value>, rng: &mut R) -> Value {
+    let Cell {
+        schema, model, j, ..
+    } = *cell;
+    let attr = schema.attr(cell.target());
+    let q = Quantizer::for_attr(attr);
+    if j == 0 {
+        let b = sample_weighted(&model.first_dist, rng);
+        return q.sample_in_bin(b, rng);
+    }
+    let sm = model.submodel_at(j);
+    fill_context(cell, ctx);
+    match (&sm.kind, &attr.kind) {
+        (SubModelKind::NoisyMarginal { dist }, _) => {
+            let b = sample_weighted(dist, rng);
+            q.sample_in_bin(b, rng)
+        }
+        (SubModelKind::Discriminative { .. }, AttrKind::Categorical { .. }) => {
+            let p = sm.predict_cat(&model.store, ctx);
+            Value::Cat(sample_weighted(&p, rng) as u32)
+        }
+        (SubModelKind::Discriminative { .. }, AttrKind::Numeric { .. }) => {
+            let (mu, sigma) = sm.predict_num(&model.store, ctx);
+            q.clamp(Value::Num(kamino_dp::normal::normal(
+                rng,
+                mu,
+                sigma.max(1e-9),
+            )))
+        }
+    }
+}
+
+/// Writes the cell's context-attribute values `t_i[S_:j]` into `ctx`
+/// (cleared first).
+fn fill_context(cell: &Cell<'_>, ctx: &mut Vec<Value>) {
+    ctx.clear();
+    ctx.extend(
+        cell.model.sequence[..cell.j]
+            .iter()
+            .map(|&a| cell.inst.value(cell.row, a)),
+    );
+}
+
 /// A schema-conformant placeholder for probing FD counters (the probe only
 /// reads determinant attributes, never the target).
 fn placeholder_value(schema: &Schema, attr: usize) -> Value {
@@ -384,19 +451,16 @@ fn placeholder_value(schema: &Schema, attr: usize) -> Value {
 /// scratch). Identical values and probabilities, in identical order, to
 /// the old allocating form — candidate construction drives the RNG, so
 /// order *is* part of the determinism contract.
-#[allow(clippy::too_many_arguments)]
 fn candidate_values<R: Rng + ?Sized>(
-    schema: &Schema,
-    model: &DataModel,
-    j: usize,
-    inst: &Instance,
-    row: usize,
-    cfg: &SampleConfig,
+    cell: &Cell<'_>,
+    d_candidates: usize,
     arena: &mut CellArena,
     rng: &mut R,
 ) {
-    let target = model.sequence[j];
-    let attr = schema.attr(target);
+    let Cell {
+        schema, model, j, ..
+    } = *cell;
+    let attr = schema.attr(cell.target());
     let q = Quantizer::for_attr(attr);
     let out = &mut arena.candidates;
     out.clear();
@@ -410,13 +474,12 @@ fn candidate_values<R: Rng + ?Sized>(
     }
 
     let sm: &SubModel = model.submodel_at(j);
-    let ctx = &mut arena.ctx;
-    ctx.clear();
-    ctx.extend(model.sequence[..j].iter().map(|&a| inst.value(row, a)));
+    fill_context(cell, &mut arena.ctx);
+    let ctx = &arena.ctx;
 
     match (&sm.kind, &attr.kind) {
         (SubModelKind::NoisyMarginal { dist }, AttrKind::Categorical { .. }) => {
-            top_k_into(dist, cfg.max_cat_candidates, &mut arena.idx_buf);
+            top_k_into(dist, MAX_CAT_CANDIDATES, &mut arena.idx_buf);
             out.extend(
                 arena
                     .idx_buf
@@ -425,14 +488,14 @@ fn candidate_values<R: Rng + ?Sized>(
             );
         }
         (SubModelKind::NoisyMarginal { dist }, AttrKind::Numeric { .. }) => {
-            out.extend((0..cfg.d_candidates).map(|_| {
+            out.extend((0..d_candidates).map(|_| {
                 let b = sample_weighted(dist, rng);
                 (q.sample_in_bin(b, rng), dist[b])
             }));
         }
         (SubModelKind::Discriminative { .. }, AttrKind::Categorical { .. }) => {
             let p = sm.predict_cat(&model.store, ctx);
-            top_k_into(&p, cfg.max_cat_candidates, &mut arena.idx_buf);
+            top_k_into(&p, MAX_CAT_CANDIDATES, &mut arena.idx_buf);
             out.extend(
                 arena
                     .idx_buf
@@ -442,7 +505,7 @@ fn candidate_values<R: Rng + ?Sized>(
         }
         (SubModelKind::Discriminative { .. }, AttrKind::Numeric { .. }) => {
             let (mu, sigma) = sm.predict_num(&model.store, ctx);
-            out.extend((0..cfg.d_candidates).map(|_| {
+            out.extend((0..d_candidates).map(|_| {
                 let raw = kamino_dp::normal::normal(rng, mu, sigma.max(1e-9));
                 let v = q.clamp(Value::Num(raw));
                 // weight ∝ model density at the (clamped) candidate
@@ -467,13 +530,14 @@ fn top_k_into(dist: &[f64], k: usize, out: &mut Vec<(usize, f64)>) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::train::{train_model, TrainConfig};
     use crate::weights::HARD_WEIGHT;
-    use kamino_constraints::{count_violating_pairs, parse_dc, Hardness};
+    use kamino_constraints::{count_violating_pairs, parse_dc, violation_percentage, Hardness};
     use kamino_data::stats::{histogram, normalize};
     use kamino_data::Attribute;
+    use kamino_dp::Budget;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -499,6 +563,25 @@ mod tests {
         inst
     }
 
+    /// The two categorical columns of [`schema`] alone (b == a).
+    fn pair_schema() -> Schema {
+        Schema::new(vec![
+            Attribute::categorical_indexed("a", 3).unwrap(),
+            Attribute::categorical_indexed("b", 3).unwrap(),
+        ])
+        .unwrap()
+    }
+
+    fn pair_instance(s: &Schema, n: usize, seed: u64) -> Instance {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut inst = Instance::empty(s);
+        for _ in 0..n {
+            let a = rng.gen_range(0..3u32);
+            inst.push_row(s, &[Value::Cat(a), Value::Cat(a)]).unwrap();
+        }
+        inst
+    }
+
     fn trained_model(s: &Schema, inst: &Instance, iters: usize) -> DataModel {
         let cfg = TrainConfig {
             sigma_g: 0.0,
@@ -507,11 +590,38 @@ mod tests {
             lr: 0.2,
             ..TrainConfig::default()
         };
-        train_model(s, inst, &[0, 1, 2], &cfg)
+        train_model(s, inst, &(0..s.len()).collect::<Vec<_>>(), &cfg)
     }
 
     fn fd(s: &Schema) -> DenialConstraint {
         parse_dc(s, "fd", "!(t1.a == t2.a & t1.b != t2.b)", Hardness::Hard).unwrap()
+    }
+
+    /// The default sampling rule: Algorithm 3, no MCMC, no FD lookup.
+    fn aware() -> KaminoConfig {
+        KaminoConfig::new(Budget::non_private())
+    }
+
+    /// The accept–reject rule.
+    fn accept_reject_cfg() -> KaminoConfig {
+        let mut cfg = aware();
+        cfg.ar_sampling = true;
+        cfg
+    }
+
+    /// Draws `n` rows with a fresh RNG seeded by `seed`.
+    fn draw(
+        s: &Schema,
+        model: &DataModel,
+        dcs: &[DenialConstraint],
+        weights: &[f64],
+        cfg: &KaminoConfig,
+        n: usize,
+        seed: u64,
+    ) -> Instance {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut timings = PhaseTimings::default();
+        synthesize(s, model, dcs, weights, cfg, n, &mut rng, &mut timings)
     }
 
     #[test]
@@ -519,8 +629,7 @@ mod tests {
         let s = schema();
         let truth = toy_instance(&s, 200, 1);
         let model = trained_model(&s, &truth, 50);
-        let mut rng = StdRng::seed_from_u64(2);
-        let out = synthesize(&s, &model, &[], &[], &SampleConfig::new(150), &mut rng);
+        let out = draw(&s, &model, &[], &[], &aware(), 150, 2);
         assert_eq!(out.n_rows(), 150);
         for i in 0..out.n_rows() {
             for j in 0..s.len() {
@@ -537,25 +646,16 @@ mod tests {
         let model = trained_model(&s, &truth, 10);
         let dcs = vec![fd(&s)];
         let weights = vec![HARD_WEIGHT];
-        let mut rng = StdRng::seed_from_u64(4);
-        let aware = synthesize(
-            &s,
-            &model,
-            &dcs,
-            &weights,
-            &SampleConfig::new(250),
-            &mut rng,
-        );
+        let clean = draw(&s, &model, &dcs, &weights, &aware(), 250, 4);
         assert_eq!(
-            count_violating_pairs(&dcs[0], &aware),
+            count_violating_pairs(&dcs[0], &clean),
             0,
             "constraint-aware sampling left hard-FD violations"
         );
         // the ablation arm on the same under-trained model violates
-        let mut rng = StdRng::seed_from_u64(4);
-        let mut cfg = SampleConfig::new(250);
-        cfg.constraint_aware = false;
-        let blind = synthesize(&s, &model, &dcs, &weights, &cfg, &mut rng);
+        let mut cfg = aware();
+        cfg.constraint_aware_sampling = false;
+        let blind = draw(&s, &model, &dcs, &weights, &cfg, 250, 4);
         assert!(
             count_violating_pairs(&dcs[0], &blind) > 0,
             "ablation arm unexpectedly clean — test is vacuous"
@@ -569,10 +669,9 @@ mod tests {
         let model = trained_model(&s, &truth, 10);
         let dcs = vec![fd(&s)];
         let weights = vec![HARD_WEIGHT];
-        let mut rng = StdRng::seed_from_u64(6);
-        let mut cfg = SampleConfig::new(250);
+        let mut cfg = aware();
         cfg.hard_fd_lookup = true;
-        let out = synthesize(&s, &model, &dcs, &weights, &cfg, &mut rng);
+        let out = draw(&s, &model, &dcs, &weights, &cfg, 250, 6);
         assert_eq!(count_violating_pairs(&dcs[0], &out), 0);
     }
 
@@ -583,25 +682,9 @@ mod tests {
         let model = trained_model(&s, &truth, 10);
         let dcs =
             vec![parse_dc(&s, "fd", "!(t1.a == t2.a & t1.b != t2.b)", Hardness::Soft).unwrap()];
-        let mut rng = StdRng::seed_from_u64(8);
         // near-zero weight ≈ unconstrained; hard weight ⇒ zero violations
-        let loose = synthesize(
-            &s,
-            &model,
-            &dcs,
-            &[0.001],
-            &SampleConfig::new(200),
-            &mut rng,
-        );
-        let mut rng = StdRng::seed_from_u64(8);
-        let strict = synthesize(
-            &s,
-            &model,
-            &dcs,
-            &[HARD_WEIGHT],
-            &SampleConfig::new(200),
-            &mut rng,
-        );
+        let loose = draw(&s, &model, &dcs, &[0.001], &aware(), 200, 8);
+        let strict = draw(&s, &model, &dcs, &[HARD_WEIGHT], &aware(), 200, 8);
         let loose_v = count_violating_pairs(&dcs[0], &loose);
         let strict_v = count_violating_pairs(&dcs[0], &strict);
         assert_eq!(strict_v, 0);
@@ -616,8 +699,7 @@ mod tests {
         let s = schema();
         let truth = toy_instance(&s, 400, 9);
         let model = trained_model(&s, &truth, 30);
-        let mut rng = StdRng::seed_from_u64(10);
-        let out = synthesize(&s, &model, &[], &[], &SampleConfig::new(2_000), &mut rng);
+        let out = draw(&s, &model, &[], &[], &aware(), 2_000, 10);
         let got = normalize(&histogram(&s, &out, 0));
         for (g, w) in got.iter().zip(&model.first_dist) {
             assert!(
@@ -635,10 +717,9 @@ mod tests {
         let model = trained_model(&s, &truth, 10);
         let dcs = vec![fd(&s)];
         let weights = vec![HARD_WEIGHT];
-        let mut cfg = SampleConfig::new(150);
-        cfg.mcmc_resamples = 300; // 2n re-samples per column
-        let mut rng = StdRng::seed_from_u64(12);
-        let out = synthesize(&s, &model, &dcs, &weights, &cfg, &mut rng);
+        let mut cfg = aware();
+        cfg.mcmc_ratio = 2.0; // 2n re-samples per column
+        let out = draw(&s, &model, &dcs, &weights, &cfg, 150, 12);
         assert_eq!(out.n_rows(), 150);
         assert_eq!(count_violating_pairs(&dcs[0], &out), 0);
     }
@@ -650,15 +731,7 @@ mod tests {
         let model = trained_model(&s, &truth, 30);
         // forbid x > 8 outright
         let dcs = vec![parse_dc(&s, "u", "!(t1.x > 8)", Hardness::Hard).unwrap()];
-        let mut rng = StdRng::seed_from_u64(14);
-        let out = synthesize(
-            &s,
-            &model,
-            &dcs,
-            &[HARD_WEIGHT],
-            &SampleConfig::new(300),
-            &mut rng,
-        );
+        let out = draw(&s, &model, &dcs, &[HARD_WEIGHT], &aware(), 300, 14);
         for i in 0..out.n_rows() {
             assert!(out.num(i, 2) <= 8.0, "unary DC violated at row {i}");
         }
@@ -686,11 +759,81 @@ mod tests {
         let model = trained_model(&s, &truth, 20);
         let dcs = vec![fd(&s)];
         let w = vec![HARD_WEIGHT];
-        let mut r1 = StdRng::seed_from_u64(16);
-        let mut r2 = StdRng::seed_from_u64(16);
-        let a = synthesize(&s, &model, &dcs, &w, &SampleConfig::new(100), &mut r1);
-        let b = synthesize(&s, &model, &dcs, &w, &SampleConfig::new(100), &mut r2);
+        let a = draw(&s, &model, &dcs, &w, &aware(), 100, 16);
+        let b = draw(&s, &model, &dcs, &w, &aware(), 100, 16);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn accept_reject_produces_valid_instances() {
+        let s = pair_schema();
+        let truth = pair_instance(&s, 200, 1);
+        let m = trained_model(&s, &truth, 30);
+        let out = draw(&s, &m, &[], &[], &accept_reject_cfg(), 120, 2);
+        assert_eq!(out.n_rows(), 120);
+        for i in 0..out.n_rows() {
+            for j in 0..2 {
+                assert!(s.attr(j).validate(out.value(i, j)).is_ok());
+            }
+        }
+    }
+
+    #[test]
+    fn accept_reject_reduces_but_may_not_eliminate_hard_violations() {
+        // an under-trained model + accept–reject with a bounded retry
+        // budget can leave violations — the paper's headline observation
+        // about accept–reject sampling
+        let s = pair_schema();
+        let truth = pair_instance(&s, 300, 3);
+        let m = trained_model(&s, &truth, 5);
+        let dcs = vec![fd(&s)];
+        let weights = vec![HARD_WEIGHT];
+        // unconstrained draw for reference
+        let mut blind_cfg = aware();
+        blind_cfg.constraint_aware_sampling = false;
+        let blind = draw(&s, &m, &dcs, &weights, &blind_cfg, 200, 4);
+        let ar = draw(&s, &m, &dcs, &weights, &accept_reject_cfg(), 200, 4);
+        let blind_pct = violation_percentage(&dcs[0], &blind);
+        let ar_pct = violation_percentage(&dcs[0], &ar);
+        assert!(
+            ar_pct < blind_pct,
+            "AR ({ar_pct}%) should improve on unconstrained sampling ({blind_pct}%)"
+        );
+    }
+
+    #[test]
+    fn accept_reject_cleans_a_well_trained_model() {
+        let s = pair_schema();
+        let truth = pair_instance(&s, 300, 5);
+        let m = trained_model(&s, &truth, 100);
+        let dcs = vec![fd(&s)];
+        let ar = draw(&s, &m, &dcs, &[HARD_WEIGHT], &accept_reject_cfg(), 150, 6);
+        assert_eq!(count_violating_pairs(&dcs[0], &ar), 0);
+    }
+
+    #[test]
+    fn accept_reject_deterministic_given_seed() {
+        let s = pair_schema();
+        let truth = pair_instance(&s, 150, 7);
+        let m = trained_model(&s, &truth, 20);
+        let a = draw(&s, &m, &[], &[], &accept_reject_cfg(), 80, 8);
+        let b = draw(&s, &m, &[], &[], &accept_reject_cfg(), 80, 8);
+        assert_eq!(a, b);
+    }
+
+    /// FNV-1a over every cell of `inst`, row-major: categorical codes
+    /// and numeric bit patterns, little-endian.
+    pub(crate) fn digest(inst: &Instance) -> u64 {
+        let mut bytes = Vec::new();
+        for i in 0..inst.n_rows() {
+            for j in 0..inst.n_cols() {
+                match inst.value(i, j) {
+                    Value::Cat(c) => bytes.extend_from_slice(&c.to_le_bytes()),
+                    Value::Num(x) => bytes.extend_from_slice(&x.to_bits().to_le_bytes()),
+                }
+            }
+        }
+        kamino_data::wire::fnv1a64(&bytes)
     }
 
     /// FNV-1a fingerprint of the sampler's output for a pinned seed. If
@@ -704,25 +847,10 @@ mod tests {
         let model = trained_model(&s, &truth, 20);
         let dcs = vec![fd(&s)];
         let w = vec![HARD_WEIGHT];
-        let mut cfg = SampleConfig::new(60);
-        cfg.mcmc_resamples = 10;
-        let mut rng = StdRng::seed_from_u64(32);
-        let out = synthesize(&s, &model, &dcs, &w, &cfg, &mut rng);
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0100_0000_01b3);
-            }
-        };
-        for i in 0..out.n_rows() {
-            for j in 0..s.len() {
-                match out.value(i, j) {
-                    Value::Cat(c) => mix(&c.to_le_bytes()),
-                    Value::Num(x) => mix(&x.to_bits().to_le_bytes()),
-                }
-            }
-        }
+        let mut cfg = aware();
+        cfg.mcmc_ratio = 10.0 / 60.0; // 10 re-samples per column
+        let out = draw(&s, &model, &dcs, &w, &cfg, 60, 32);
+        let h = digest(&out);
         assert_eq!(
             h, 0x02bb_d1e8_fced_961c,
             "sequential sampler output drifted: {h:#018x}"

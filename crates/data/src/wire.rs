@@ -16,7 +16,8 @@
 //!   error.
 //!
 //! [`crc32`] implements the IEEE CRC-32 every snapshot section is sealed
-//! with.
+//! with, and [`fnv1a64`] the 64-bit FNV-1a hash behind config cache keys,
+//! plan fingerprints and the pinned output digests.
 
 use std::fmt;
 
@@ -295,6 +296,18 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
+/// 64-bit FNV-1a: tiny, dependency-free and stable across platforms.
+/// Config cache keys, budget-plan fingerprints and the tests that pin
+/// sampled output and snapshot bytes all hash through it.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -369,5 +382,13 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         assert_ne!(crc32(b"abc"), crc32(b"abd"));
+    }
+
+    #[test]
+    fn fnv1a64_known_vectors() {
+        // the offset basis, and two vectors from the FNV reference suite
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
     }
 }

@@ -112,14 +112,11 @@ impl BudgetPlan {
 /// contract holds snapshots to, so a fingerprint recorded at commit
 /// time keeps matching the plan reconstructed from a reloaded model.
 pub fn spend_fingerprint(sigma_g: f64, sigma_d: f64, sigma_w: f64, epsilon: f64) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for v in [sigma_g, sigma_d, sigma_w, epsilon] {
-        for b in v.to_bits().to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
+    let bytes: Vec<u8> = [sigma_g, sigma_d, sigma_w, epsilon]
+        .iter()
+        .flat_map(|v| v.to_bits().to_le_bytes())
+        .collect();
+    kamino_data::wire::fnv1a64(&bytes)
 }
 
 /// Replays a plan against a fresh accountant: the composed (ε, δ)

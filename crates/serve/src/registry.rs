@@ -1,10 +1,10 @@
 //! The model registry: a lazy-loading, bounded-residency LRU over
 //! `.kamino` snapshots.
 //!
-//! Boot no longer decodes every snapshot in `--model-dir`: each file's
-//! header and section table are validated with
-//! [`crate::snapshot::peek_snapshot`] and registered as an *unloaded*
-//! slot. The first request that needs the model loads it
+//! Boot does not decode the snapshots in `--model-dir`: each file's
+//! header, section table, required sections and section CRCs are checked
+//! with [`crate::snapshot::verify_snapshot`] (a file that fails is
+//! quarantined), and the file is registered as an *unloaded* slot. The first request that needs the model loads it
 //! ([`Registry::ensure_resident`]); once more than `--max-models` are
 //! resident, the least-recently-touched unpinned model is evicted.
 //!
@@ -44,7 +44,7 @@ use kamino_obs::{Event, ObsHandle};
 use crate::durable::{self, AbortReason, Ledger, LedgerRecord, Manifest};
 use crate::json::Json;
 use crate::pool::{PoolConfig, SamplePool};
-use crate::snapshot::{load_fitted, peek_snapshot, verify_snapshot, write_snapshot_bytes};
+use crate::snapshot::{load_fitted, verify_snapshot, write_snapshot_bytes};
 
 /// A fitted model held in memory together with its sample pool.
 pub struct Resident {
@@ -361,7 +361,7 @@ impl Registry {
         paths.sort();
         let mut foreign = Vec::new();
         for path in paths {
-            if let Err(e) = peek_snapshot(&path).and_then(|_| verify_snapshot(&path)) {
+            if let Err(e) = verify_snapshot(&path) {
                 self.quarantine_file(&path, &e.to_string());
                 continue;
             }

@@ -60,6 +60,8 @@ mod section {
     /// with zeroed sample timings, and readers predating it skip it as an
     /// unknown extra section.
     pub const SAMPLE_TIMINGS: u32 = 8;
+    /// The sections [`super::decode_fitted`] cannot do without.
+    pub const REQUIRED: [u32; 7] = [SCHEMA, DCS, MODEL, PARAMS, CONFIG, SESSION, RNG];
 }
 
 fn section_name(id: u32) -> &'static str {
@@ -486,99 +488,18 @@ pub fn write_snapshot_bytes(bytes: &[u8], path: &Path) -> Result<(), SnapshotErr
     crate::durable::write_atomic(bytes, path).map_err(SnapshotError::Io)
 }
 
-/// Reads a snapshot and verifies every section CRC without decoding any
-/// payload — the boot-scan integrity check behind the quarantine
-/// policy. Strictly stronger than [`peek_snapshot`] (which never reads
-/// the payload): bit rot anywhere in the file surfaces here.
+/// Reads a snapshot and checks its magic, version and section table,
+/// that every section [`decode_fitted`] requires is present, and every
+/// section CRC, without decoding any payload. This is the boot-scan
+/// integrity check behind the quarantine policy: bit rot anywhere in the
+/// file, or a missing section, surfaces here.
 pub fn verify_snapshot(path: &Path) -> Result<(), SnapshotError> {
     let bytes = fs::read(path)?;
-    parse_sections(&bytes)?;
+    let sections = parse_sections(&bytes)?;
+    for required in section::REQUIRED {
+        find(&sections, required)?;
+    }
     Ok(())
-}
-
-/// What [`peek_snapshot`] learns from a snapshot's header and section
-/// table without decoding (or even reading) the payload.
-#[derive(Debug, Clone)]
-pub struct SnapshotSummary {
-    /// Container format version.
-    pub version: u32,
-    /// Section ids present, in table order.
-    pub sections: Vec<u32>,
-    /// Total payload bytes the table accounts for.
-    pub payload_len: u64,
-}
-
-/// Validates a snapshot's magic, version and section table by reading
-/// only the file's header — the cheap boot-time registration check for
-/// the lazy model registry. Every section required by
-/// [`decode_fitted`] must be present; payload CRCs are *not* checked
-/// here (that happens on first load).
-pub fn peek_snapshot(path: &Path) -> Result<SnapshotSummary, SnapshotError> {
-    use std::io::Read;
-    let mut f = fs::File::open(path)?;
-    let file_len = f.metadata()?.len();
-    // magic + version + count
-    let mut fixed = [0u8; 16];
-    f.read_exact(&mut fixed)
-        .map_err(|_| SnapshotError::BadMagic)?;
-    let mut r = ByteReader::new(&fixed);
-    let magic = r.raw(8).map_err(|_| SnapshotError::BadMagic)?;
-    if magic != MAGIC {
-        return Err(SnapshotError::BadMagic);
-    }
-    let version = r.u32()?;
-    if version != FORMAT_VERSION {
-        return Err(SnapshotError::UnsupportedVersion(version));
-    }
-    let count = r.u32()? as usize;
-    if count > 256 {
-        return Err(SnapshotError::BadSectionTable(format!(
-            "{count} sections is beyond any valid snapshot"
-        )));
-    }
-    let mut table = vec![0u8; count * 24];
-    f.read_exact(&mut table)
-        .map_err(|_| SnapshotError::BadSectionTable("truncated section table".into()))?;
-    let mut r = ByteReader::new(&table);
-    let payload_base = 16 + table.len() as u64;
-    let payload_len = file_len.saturating_sub(payload_base);
-    let mut sections = Vec::with_capacity(count);
-    for _ in 0..count {
-        let id = r.u32()?;
-        let offset = r.u64()?;
-        let len = r.u64()?;
-        let _crc = r.u32()?;
-        let end = offset.checked_add(len).ok_or_else(|| {
-            SnapshotError::BadSectionTable(format!("section {id} offset overflow"))
-        })?;
-        if end > payload_len {
-            return Err(SnapshotError::BadSectionTable(format!(
-                "section `{}` [{offset}, {end}) exceeds payload of {payload_len} bytes",
-                section_name(id)
-            )));
-        }
-        sections.push(id);
-    }
-    for required in [
-        section::SCHEMA,
-        section::DCS,
-        section::MODEL,
-        section::PARAMS,
-        section::CONFIG,
-        section::SESSION,
-        section::RNG,
-    ] {
-        if !sections.contains(&required) {
-            return Err(SnapshotError::MissingSection {
-                section: section_name(required),
-            });
-        }
-    }
-    Ok(SnapshotSummary {
-        version,
-        sections,
-        payload_len,
-    })
 }
 
 /// Saves a fitted session to `path` (atomically: write to a `.tmp`
@@ -812,12 +733,7 @@ mod tests {
     #[test]
     fn encoded_snapshot_is_pinned() {
         let fitted = tiny_fitted(12);
-        let bytes = encode_fitted(&fitted);
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in &bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0100_0000_01b3);
-        }
+        let h = kamino_data::wire::fnv1a64(&encode_fitted(&fitted));
         assert_eq!(
             h, 0xa4ff_1141_4cc1_7de4,
             "encoded snapshot drifted: {h:#018x}"
@@ -872,16 +788,13 @@ mod tests {
         let path = dir.join("model.kamino");
         let fitted = tiny_fitted(9);
         save_fitted(&fitted, &path).unwrap();
-        let summary = peek_snapshot(&path).unwrap();
-        assert_eq!(summary.version, FORMAT_VERSION);
-        assert!(summary.sections.contains(&section::RNG));
-        assert!(summary.payload_len > 0);
+        verify_snapshot(&path).unwrap();
 
         // bad magic is caught from the first 16 bytes alone
         let garbage = dir.join("garbage.kamino");
         std::fs::write(&garbage, b"not a snapshot at all").unwrap();
         assert!(matches!(
-            peek_snapshot(&garbage),
+            verify_snapshot(&garbage),
             Err(SnapshotError::BadMagic)
         ));
 
@@ -889,7 +802,15 @@ mod tests {
         let bytes = encode_fitted(&fitted);
         let cut = dir.join("cut.kamino");
         std::fs::write(&cut, &bytes[..bytes.len() / 2]).unwrap();
-        assert!(peek_snapshot(&cut).is_err());
+        assert!(verify_snapshot(&cut).is_err());
+
+        // a correctly sealed container that lacks a required section
+        let no_rng = dir.join("no-rng.kamino");
+        std::fs::write(&no_rng, rebuild_without(&bytes, section::RNG)).unwrap();
+        assert!(matches!(
+            verify_snapshot(&no_rng),
+            Err(SnapshotError::MissingSection { section: "rng" })
+        ));
 
         let _ = std::fs::remove_dir_all(&dir);
     }
