@@ -89,33 +89,6 @@ const MAX_CAT_CANDIDATES: usize = 64;
 /// (§7.3.2 uses 300).
 const AR_MAX_TRIES: usize = 300;
 
-/// How one cell gets its value; fixed for a whole [`synthesize`] call.
-#[derive(Clone, Copy, PartialEq)]
-enum CellRule {
-    /// Algorithm 3: score the candidate set, optionally taking the hard-FD
-    /// lookup fast path.
-    ConstraintAware { hard_fd_lookup: bool },
-    /// RandSampling: sample the candidate set by model probability alone.
-    Model,
-    /// Accept–reject: one model draw at a time, accepted with probability
-    /// `exp(−penalty)`.
-    AcceptReject,
-}
-
-impl CellRule {
-    fn of(cfg: &KaminoConfig) -> CellRule {
-        if cfg.ar_sampling {
-            CellRule::AcceptReject
-        } else if cfg.constraint_aware_sampling {
-            CellRule::ConstraintAware {
-                hard_fd_lookup: cfg.hard_fd_lookup,
-            }
-        } else {
-            CellRule::Model
-        }
-    }
-}
-
 /// Reusable buffers for the sampler's cell loop (a bump-style arena:
 /// every buffer is cleared and refilled per cell, never freed), so the
 /// `n × k` inner loop is allocation-free in steady state. One arena per
@@ -162,8 +135,7 @@ pub fn synthesize<R: Rng + ?Sized>(
 ) -> Instance {
     assert_eq!(dcs.len(), weights.len(), "one weight per DC");
     assert!(n > 0, "cannot synthesize an empty instance");
-    let rule = CellRule::of(cfg);
-    let mcmc_resamples = if rule == CellRule::AcceptReject {
+    let mcmc_resamples = if cfg.ar_sampling {
         0
     } else {
         (cfg.mcmc_ratio * n as f64).round() as usize
@@ -182,9 +154,10 @@ pub fn synthesize<R: Rng + ?Sized>(
             scores,
             weights,
         };
-        match rule {
-            CellRule::AcceptReject => accept_reject(&c, &mut arena, rng),
-            _ => sample_cell(&c, rule, cfg.d_candidates, &mut arena, rng),
+        if cfg.ar_sampling {
+            accept_reject(&c, &mut arena, rng)
+        } else {
+            sample_cell(&c, cfg, &mut arena, rng)
         }
     };
 
@@ -236,12 +209,11 @@ impl Cell<'_> {
     }
 }
 
-/// Draws one cell value by Algorithm 3 or, under [`CellRule::Model`], by
-/// model probability alone.
+/// Draws one cell value by Algorithm 3 or, for RandSampling
+/// (`constraint_aware_sampling` off), by model probability alone.
 fn sample_cell<R: Rng + ?Sized>(
     cell: &Cell<'_>,
-    rule: CellRule,
-    d_candidates: usize,
+    cfg: &KaminoConfig,
     arena: &mut CellArena,
     rng: &mut R,
 ) -> Value {
@@ -254,10 +226,7 @@ fn sample_cell<R: Rng + ?Sized>(
         ..
     } = *cell;
     let target = cell.target();
-    let (constrained, fd_lookup) = match rule {
-        CellRule::ConstraintAware { hard_fd_lookup } => (!scores.is_empty(), hard_fd_lookup),
-        _ => (false, false),
-    };
+    let constrained = cfg.constraint_aware_sampling && !scores.is_empty();
 
     // One probe of the hard counters before the candidate draw (none of
     // it reads the RNG): the values hard FDs on the target force, and the
@@ -276,7 +245,7 @@ fn sample_cell<R: Rng + ?Sized>(
             }
             if c.fd_rhs() == Some(target) {
                 if let Some(v) = c.required_value(&probe) {
-                    if fd_lookup {
+                    if cfg.hard_fd_lookup {
                         return v;
                     }
                     arena.forced.push(v);
@@ -291,7 +260,7 @@ fn sample_cell<R: Rng + ?Sized>(
         }
     }
 
-    candidate_values(cell, d_candidates, arena, rng);
+    candidate_values(cell, cfg.d_candidates, arena, rng);
     let CellArena {
         candidates,
         values,
