@@ -4,7 +4,8 @@
 //! Boot does not decode the snapshots in `--model-dir`: each file's
 //! header, section table, required sections and section CRCs are checked
 //! with [`crate::snapshot::verify_snapshot`] (a file that fails is
-//! quarantined), and the file is registered as an *unloaded* slot. The first request that needs the model loads it
+//! quarantined), and the file is registered as an *unloaded* slot. The
+//! first request that needs the model loads it
 //! ([`Registry::ensure_resident`]); once more than `--max-models` are
 //! resident, the least-recently-touched unpinned model is evicted.
 //!

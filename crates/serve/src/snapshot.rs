@@ -790,7 +790,7 @@ mod tests {
         save_fitted(&fitted, &path).unwrap();
         verify_snapshot(&path).unwrap();
 
-        // bad magic is caught from the first 16 bytes alone
+        // bad magic is rejected before the section table is read
         let garbage = dir.join("garbage.kamino");
         std::fs::write(&garbage, b"not a snapshot at all").unwrap();
         assert!(matches!(
