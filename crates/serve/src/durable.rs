@@ -51,11 +51,15 @@
 //!
 //! ## Fault injection
 //!
-//! The [`chaos`] module gives the crash-recovery harness syscall-level
-//! fault points: `KAMINO_CHAOS_FAULT=<point>[:N]` aborts the process
-//! (SIGKILL-equivalent) at the `N`-th crossing of a named point, and
+//! The [`chaos`] module gives the crash-recovery suite
+//! (`tests/crash_recovery.rs`) syscall-level fault points:
+//! `KAMINO_CHAOS_FAULT=<point>` aborts the process (SIGKILL-equivalent)
+//! the first time execution crosses the named point, and
 //! `KAMINO_CHAOS_DISK_FULL=1` makes [`write_atomic`] fail like a full
-//! disk. Both are inert unless the environment variable is set.
+//! disk. Both are inert unless the environment variable is set. The
+//! points are `fit.after_intent` (in the server's fit job),
+//! `ledger.torn_append` ([`Ledger::append`]), and `snapshot.pre_rename`
+//! and `snapshot.post_rename` ([`write_atomic`]).
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
@@ -313,16 +317,14 @@ impl Ledger {
     }
 
     /// Appends one record durably: the frame is written and fsync'd
-    /// before this returns. Chaos points: `ledger.pre_append` (die with
-    /// nothing written), `ledger.torn_append` (die after half a frame),
-    /// `ledger.post_append` (die with the record durable).
+    /// before this returns. Chaos point: `ledger.torn_append` (die after
+    /// half a frame).
     pub fn append(&mut self, rec: &LedgerRecord) -> io::Result<()> {
         let payload = rec.encode();
         let mut frame = Vec::with_capacity(8 + payload.len());
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         frame.extend_from_slice(&crc32(&payload).to_le_bytes());
         frame.extend_from_slice(&payload);
-        chaos::fault_point("ledger.pre_append");
         if chaos::should_fire("ledger.torn_append") {
             let _ = self.file.write_all(&frame[..frame.len() / 2]);
             let _ = self.file.sync_all();
@@ -333,7 +335,6 @@ impl Ledger {
         if let LedgerRecord::FitIntent { epsilon, .. } = rec {
             self.spent_epsilon += epsilon;
         }
-        chaos::fault_point("ledger.post_append");
         Ok(())
     }
 }
@@ -418,9 +419,10 @@ impl Manifest {
 /// sibling, fsync it, rename over the target, fsync the parent
 /// directory. A crash at any point leaves either the old file or the
 /// new one — never a torn mix — plus at worst a stale tmp that boot
-/// quarantines. Chaos points: `snapshot.pre_rename`,
-/// `snapshot.post_rename`; `KAMINO_CHAOS_DISK_FULL=1` fails the write
-/// up front like a full disk.
+/// quarantines. Chaos points: `snapshot.pre_rename` (die with the tmp
+/// written), `snapshot.post_rename` (die with the target renamed in,
+/// before the directory fsync); `KAMINO_CHAOS_DISK_FULL=1` fails the
+/// write up front like a full disk.
 pub fn write_atomic(bytes: &[u8], path: &Path) -> io::Result<()> {
     use std::sync::atomic::{AtomicU64, Ordering};
     static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -480,59 +482,34 @@ pub fn is_stale_tmp(path: &Path) -> bool {
         .is_some_and(|name| name.contains(".tmp-") && !name.ends_with(".quarantine"))
 }
 
-/// Process-abort fault injection for the crash-recovery harness.
+/// Process-abort fault injection for the crash-recovery suite.
 ///
-/// `KAMINO_CHAOS_FAULT=<point>[:N]` arms exactly one named point; the
-/// `N`-th time execution crosses it (default: the first), the process
-/// aborts — the in-process equivalent of `kill -9` at that syscall
-/// boundary. `KAMINO_CHAOS_DISK_FULL=1` makes [`write_atomic`] fail.
-/// Unset variables make every hook inert and branch-predictable.
+/// `KAMINO_CHAOS_FAULT=<point>` arms exactly one named point; the first
+/// time execution crosses it, the process aborts — the in-process
+/// equivalent of `kill -9` at that syscall boundary.
+/// `KAMINO_CHAOS_DISK_FULL=1` makes [`write_atomic`] fail. Unset
+/// variables make every hook inert and branch-predictable.
 pub mod chaos {
-    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::OnceLock;
 
-    struct Armed {
-        point: String,
-        nth: u64,
-    }
-
-    fn armed() -> Option<&'static Armed> {
-        static ARMED: OnceLock<Option<Armed>> = OnceLock::new();
-        ARMED
-            .get_or_init(|| {
-                let raw = std::env::var("KAMINO_CHAOS_FAULT").ok()?;
-                let (point, nth) = match raw.split_once(':') {
-                    Some((p, n)) => (p.to_string(), n.parse().unwrap_or(1)),
-                    None => (raw, 1),
-                };
-                Some(Armed {
-                    point,
-                    nth: nth.max(1),
-                })
-            })
-            .as_ref()
-    }
-
-    /// Whether the named point is armed and this crossing is the fatal
-    /// one. Used by call sites that need to do damage (e.g. write half a
-    /// frame) before [`abort_now`].
+    /// Whether the named point is the armed one. Used by call sites that
+    /// need to do damage (e.g. write half a frame) before [`abort_now`].
     pub fn should_fire(point: &str) -> bool {
-        static CROSSINGS: AtomicU64 = AtomicU64::new(0);
-        let Some(a) = armed() else { return false };
-        if a.point != point {
-            return false;
-        }
-        CROSSINGS.fetch_add(1, Ordering::AcqRel) + 1 == a.nth
+        static ARMED: OnceLock<Option<String>> = OnceLock::new();
+        ARMED
+            .get_or_init(|| std::env::var("KAMINO_CHAOS_FAULT").ok())
+            .as_deref()
+            == Some(point)
     }
 
     /// Aborts the process like `kill -9` would: no unwinding, no
     /// destructors, no flushes.
     pub fn abort_now(point: &str) -> ! {
-        eprintln!("kamino-chaos: aborting at fault point `{point}`");
+        eprintln!("kamino-serve: aborting at chaos fault point `{point}`");
         std::process::abort()
     }
 
-    /// Dies here if the named fault point is armed for this crossing.
+    /// Dies here if the named fault point is armed.
     pub fn fault_point(point: &str) {
         if should_fire(point) {
             abort_now(point);
@@ -709,9 +686,9 @@ mod tests {
 
     #[test]
     fn chaos_hooks_are_inert_without_env() {
-        // the harness sets the env vars in *spawned* processes only, so
-        // in-process tests must never trip them
-        chaos::fault_point("ledger.pre_append");
+        // the crash-recovery suite sets the env vars in *spawned*
+        // processes only, so in-process tests must never trip them
+        chaos::fault_point("fit.after_intent");
         assert!(!chaos::should_fire("ledger.torn_append"));
         assert!(!chaos::disk_full());
     }

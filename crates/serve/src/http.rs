@@ -103,7 +103,8 @@ fn read_line<R: BufRead>(r: &mut R) -> Result<String, ReadError> {
     }
 }
 
-/// Decodes `%XX` escapes and `+` in a query component.
+/// Decodes `%XX` escapes and `+` in a query component. An escape needs
+/// two ASCII hex digits; any other `%` is kept literally.
 fn percent_decode(s: &str) -> String {
     let bytes = s.as_bytes();
     let mut out = Vec::with_capacity(bytes.len());
@@ -112,10 +113,11 @@ fn percent_decode(s: &str) -> String {
         match bytes[i] {
             b'+' => out.push(b' '),
             b'%' => {
-                let hex = bytes.get(i + 1..i + 3).and_then(|h| {
-                    let h = std::str::from_utf8(h).ok()?;
-                    u8::from_str_radix(h, 16).ok()
-                });
+                // `from_str_radix` alone would accept a sign (`%+5`)
+                let hex = bytes
+                    .get(i + 1..i + 3)
+                    .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
+                    .and_then(|h| u8::from_str_radix(std::str::from_utf8(h).ok()?, 16).ok());
                 match hex {
                     Some(b) => {
                         out.push(b);
@@ -426,6 +428,10 @@ mod tests {
         let r = req("GET /x?name=a%20b+c&pct=%2f HTTP/1.1\r\n\r\n").unwrap();
         assert_eq!(r.query.get("name").map(String::as_str), Some("a b c"));
         assert_eq!(r.query.get("pct").map(String::as_str), Some("/"));
+        // a sign is not a hex digit: the `%` stays literal
+        let r = req("GET /x?plus=%+5&minus=%-1 HTTP/1.1\r\n\r\n").unwrap();
+        assert_eq!(r.query.get("plus").map(String::as_str), Some("% 5"));
+        assert_eq!(r.query.get("minus").map(String::as_str), Some("%-1"));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Crash-recovery chaos suite: the real `kamino-serve` binary is spawned
+//! Crash-recovery suite: the real `kamino-serve` binary is spawned
 //! with `KAMINO_CHAOS_FAULT` set, killed hard (`abort`/SIGKILL) at an
 //! injected fault point, and restarted over the same `--model-dir`. The
 //! invariants after every crash:
@@ -7,7 +7,8 @@
 //!   still reported as spent after recovery, and a crashed fit surfaces
 //!   as a `failed` model rather than vanishing;
 //! * torn ledger tails and stale atomic-install tmp files are truncated
-//!   or quarantined, never fatal and never loaded;
+//!   or quarantined, never fatal and never loaded, while a snapshot
+//!   renamed in before the crash is served;
 //! * a persisted model resumes its sample stream bit-exactly;
 //! * `/healthz` answers after every recovery.
 //!
@@ -15,106 +16,20 @@
 //! deadlines (503 + `Retry-After`, mid-stream trailer termination) and
 //! bounded-queue load shedding (429 + `Retry-After`).
 
+mod common;
+
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use kamino_serve::{Json, ServeConfig, Server};
-
-// ---------------------------------------------------------------- client
-
-fn send_request(
-    addr: SocketAddr,
-    method: &str,
-    path: &str,
-    body: Option<&str>,
-) -> std::io::Result<Vec<u8>> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream
-        .set_read_timeout(Some(Duration::from_secs(180)))
-        .unwrap();
-    let body = body.unwrap_or("");
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nhost: chaos\r\nconnection: close\r\ncontent-length: {}\r\n\r\n{body}",
-        body.len()
-    )?;
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw)?;
-    Ok(raw)
-}
-
-/// One `Connection: close` exchange; panics on transport errors.
-fn request(addr: SocketAddr, method: &str, path: &str, body: Option<&str>) -> (String, String) {
-    let raw = send_request(addr, method, path, body).expect("request");
-    parse_response(&raw)
-}
-
-/// Like [`request`], but tolerates the server dying mid-exchange — used
-/// for the request that rides into an injected crash.
-fn request_lossy(addr: SocketAddr, method: &str, path: &str, body: Option<&str>) {
-    let _ = send_request(addr, method, path, body);
-}
-
-fn parse_response(raw: &[u8]) -> (String, String) {
-    let text = String::from_utf8_lossy(raw).into_owned();
-    let (head, payload) = text
-        .split_once("\r\n\r\n")
-        .unwrap_or_else(|| panic!("no header/body split in {text:?}"));
-    let status = head.lines().next().unwrap_or("").to_string();
-    let body = if head
-        .to_ascii_lowercase()
-        .contains("transfer-encoding: chunked")
-    {
-        dechunk(payload)
-    } else {
-        payload.to_string()
-    };
-    (status, body)
-}
-
-fn dechunk(payload: &str) -> String {
-    let mut out = String::new();
-    let mut rest = payload;
-    while let Some((size_line, after)) = rest.split_once("\r\n") {
-        let size = usize::from_str_radix(size_line.trim(), 16).unwrap_or(0);
-        if size == 0 {
-            break;
-        }
-        out.push_str(&after[..size]);
-        rest = after[size..].strip_prefix("\r\n").unwrap_or(&after[size..]);
-    }
-    out
-}
-
-fn json(body: &str) -> Json {
-    Json::parse(body).unwrap_or_else(|e| panic!("bad JSON {body:?}: {e}"))
-}
-
-fn assert_healthy(addr: SocketAddr, scenario: &str) {
-    let (status, body) = request(addr, "GET", "/healthz", None);
-    assert!(status.contains("200"), "dead after {scenario}: {status}");
-    assert_eq!(
-        json(&body).get("status").and_then(Json::as_str),
-        Some("ok"),
-        "unhealthy after {scenario}"
-    );
-}
-
-/// Value of a `/metrics` gauge/counter line, e.g. `metric_value(&m, "kamino_shed_total")`.
-fn metric_value(metrics: &str, name: &str) -> f64 {
-    let prefix = format!("{name} ");
-    metrics
-        .lines()
-        .find_map(|l| l.strip_prefix(prefix.as_str()))
-        .unwrap_or_else(|| panic!("metric {name} missing:\n{metrics}"))
-        .trim()
-        .parse()
-        .unwrap_or(f64::INFINITY) // `+Inf` renders unparseable by f64::parse
-}
+use common::{
+    assert_healthy, boot, fit_and_wait, json, list_models, metric, read_response, request,
+    request_lossy, scratch_dir, shutdown, wait_ready,
+};
+use kamino_serve::{Json, ServeConfig};
 
 // ------------------------------------------------------------ subprocess
 
@@ -204,48 +119,8 @@ impl Drop for ChaosServer {
     }
 }
 
-fn chaos_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("kamino-crash-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create chaos dir");
-    dir
-}
-
 const FIT_BODY: &str =
     r#"{"corpus":"adult","rows":100,"epsilon":1.0,"seed":11,"train_scale":0.03,"persist":true}"#;
-
-/// Starts a fit and polls the model to a terminal state; returns the id.
-fn fit_and_wait(addr: SocketAddr, body: &str) -> u64 {
-    let (status, reply) = request(addr, "POST", "/fit", Some(body));
-    assert!(status.contains("202"), "fit rejected: {status} {reply}");
-    let id = json(&reply).get("model_id").and_then(Json::as_u64).unwrap();
-    wait_ready(addr, id);
-    id
-}
-
-fn wait_ready(addr: SocketAddr, id: u64) {
-    let deadline = Instant::now() + Duration::from_secs(300);
-    loop {
-        let (_, body) = request(addr, "GET", &format!("/models/{id}"), None);
-        match json(&body).get("status").and_then(Json::as_str) {
-            Some("ready") => return,
-            Some("failed") => panic!("fit failed: {body}"),
-            _ => {
-                assert!(Instant::now() < deadline, "fit never finished");
-                thread::sleep(Duration::from_millis(100));
-            }
-        }
-    }
-}
-
-fn list_models(addr: SocketAddr) -> Vec<Json> {
-    let (status, body) = request(addr, "GET", "/models", None);
-    assert!(status.contains("200"), "{status}");
-    match json(&body) {
-        Json::Arr(items) => items,
-        other => panic!("expected array, got {other:?}"),
-    }
-}
 
 // -------------------------------------------------------------- scenarios
 
@@ -254,7 +129,7 @@ fn list_models(addr: SocketAddr) -> Vec<Json> {
 /// its budgeted ε stays counted as spent, and its id is never reused.
 #[test]
 fn crashed_fit_replays_as_failed_with_budget_spent() {
-    let dir = chaos_dir("mid-fit");
+    let dir = scratch_dir("crash-mid-fit");
     let mut s = ChaosServer::spawn(&dir, &[("KAMINO_CHAOS_FAULT", "fit.after_intent")]);
     request_lossy(s.addr, "POST", "/fit", Some(FIT_BODY));
     s.wait_crash("mid-fit abort");
@@ -278,9 +153,9 @@ fn crashed_fit_replays_as_failed_with_budget_spent() {
     );
 
     let (_, metrics) = request(s.addr, "GET", "/metrics", None);
-    assert_eq!(metric_value(&metrics, "kamino_ledger_replays_total"), 1.0);
+    assert_eq!(metric(&metrics, "kamino_ledger_replays_total"), 1.0);
     assert!(
-        metric_value(&metrics, "kamino_ledger_epsilon_total") >= 1.0,
+        metric(&metrics, "kamino_ledger_epsilon_total") >= 1.0,
         "crashed ε was forgotten"
     );
 
@@ -289,7 +164,7 @@ fn crashed_fit_replays_as_failed_with_budget_spent() {
     let id = fit_and_wait(s.addr, FIT_BODY);
     assert_eq!(id, 2, "crashed model id must never be reused");
     let (_, metrics) = request(s.addr, "GET", "/metrics", None);
-    assert!(metric_value(&metrics, "kamino_ledger_epsilon_total") >= 2.0);
+    assert!(metric(&metrics, "kamino_ledger_epsilon_total") >= 2.0);
 
     s.shutdown_clean("ledger replay scenario");
     let _ = std::fs::remove_dir_all(&dir);
@@ -300,7 +175,7 @@ fn crashed_fit_replays_as_failed_with_budget_spent() {
 /// so no model is surfaced.
 #[test]
 fn torn_ledger_append_is_truncated_on_replay() {
-    let dir = chaos_dir("torn-append");
+    let dir = scratch_dir("crash-torn-append");
     let mut s = ChaosServer::spawn(&dir, &[("KAMINO_CHAOS_FAULT", "ledger.torn_append")]);
     request_lossy(s.addr, "POST", "/fit", Some(FIT_BODY));
     s.wait_crash("torn append abort");
@@ -319,7 +194,7 @@ fn torn_ledger_append_is_truncated_on_replay() {
         "a torn (never-durable) intent must not surface a model"
     );
     let (_, metrics) = request(s.addr, "GET", "/metrics", None);
-    assert_eq!(metric_value(&metrics, "kamino_ledger_replays_total"), 0.0);
+    assert_eq!(metric(&metrics, "kamino_ledger_replays_total"), 0.0);
 
     // the truncated ledger accepts new appends: a fresh fit works
     let id = fit_and_wait(s.addr, FIT_BODY);
@@ -330,7 +205,7 @@ fn torn_ledger_append_is_truncated_on_replay() {
     let mut s = ChaosServer::spawn(&dir, &[]);
     assert_healthy(s.addr, "post-truncation boot");
     let (_, metrics) = request(s.addr, "GET", "/metrics", None);
-    assert_eq!(metric_value(&metrics, "kamino_ledger_replays_total"), 2.0);
+    assert_eq!(metric(&metrics, "kamino_ledger_replays_total"), 2.0);
     s.shutdown_clean("torn append scenario reboot");
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -340,7 +215,7 @@ fn torn_ledger_append_is_truncated_on_replay() {
 /// and hand the next fit a fresh id.
 #[test]
 fn crash_before_snapshot_rename_quarantines_the_stale_tmp() {
-    let dir = chaos_dir("pre-rename");
+    let dir = scratch_dir("crash-pre-rename");
     let mut s = ChaosServer::spawn(&dir, &[("KAMINO_CHAOS_FAULT", "snapshot.pre_rename")]);
     request_lossy(s.addr, "POST", "/fit", Some(FIT_BODY));
     s.wait_crash("pre-rename abort");
@@ -364,12 +239,9 @@ fn crash_before_snapshot_rename_quarantines_the_stale_tmp() {
         "a half-installed snapshot must never appear under its real name"
     );
     let (_, metrics) = request(s.addr, "GET", "/metrics", None);
-    assert_eq!(
-        metric_value(&metrics, "kamino_quarantined_files_total"),
-        1.0
-    );
+    assert_eq!(metric(&metrics, "kamino_quarantined_files_total"), 1.0);
     assert!(
-        metric_value(&metrics, "kamino_ledger_epsilon_total") >= 1.0,
+        metric(&metrics, "kamino_ledger_epsilon_total") >= 1.0,
         "the committed fit's ε must stay spent even though its snapshot is gone"
     );
 
@@ -381,12 +253,64 @@ fn crash_before_snapshot_rename_quarantines_the_stale_tmp() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Kill -9 after the snapshot's atomic rename but before the MANIFEST
+/// is rewritten. The snapshot is complete under its real name, so boot
+/// must register it (nothing to quarantine), serve it, keep its ε spent
+/// and hand the next fit a fresh id.
+#[test]
+fn crash_after_snapshot_rename_serves_the_installed_model() {
+    let dir = scratch_dir("crash-post-rename");
+    let mut s = ChaosServer::spawn(&dir, &[("KAMINO_CHAOS_FAULT", "snapshot.post_rename")]);
+    request_lossy(s.addr, "POST", "/fit", Some(FIT_BODY));
+    s.wait_crash("post-rename abort");
+    assert!(dir.join("model-1.kamino").is_file(), "rename did not land");
+    assert!(
+        !dir.join("MANIFEST").exists(),
+        "the crash must precede the manifest rewrite"
+    );
+
+    let mut s = ChaosServer::spawn(&dir, &[]);
+    assert_healthy(s.addr, "post-rename boot");
+    let (status, rows) = request(
+        s.addr,
+        "POST",
+        "/models/1/synthesize?n=10&batch=5&format=json",
+        None,
+    );
+    assert!(status.contains("200"), "{status}: {rows}");
+    assert_eq!(rows.lines().count(), 10);
+    let (status, body) = request(s.addr, "GET", "/models/1", None);
+    assert!(status.contains("200"), "{status}: {body}");
+    assert_eq!(
+        json(&body).get("status").and_then(Json::as_str),
+        Some("ready")
+    );
+
+    let (_, metrics) = request(s.addr, "GET", "/metrics", None);
+    assert_eq!(metric(&metrics, "kamino_ledger_replays_total"), 2.0);
+    assert!(
+        metric(&metrics, "kamino_ledger_epsilon_total") >= 1.0,
+        "the installed fit's ε must stay spent"
+    );
+    assert_eq!(metric(&metrics, "kamino_quarantined_files_total"), 0.0);
+    let quarantined = std::fs::read_dir(&dir)
+        .unwrap()
+        .filter_map(|e| e.ok())
+        .any(|e| e.file_name().to_string_lossy().ends_with(".quarantine"));
+    assert!(!quarantined, "a complete snapshot must not be quarantined");
+
+    let id = fit_and_wait(s.addr, FIT_BODY);
+    assert_eq!(id, 2);
+    s.shutdown_clean("post-rename scenario");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// SIGKILL with a persisted model, then restart: the reloaded snapshot
 /// must resume the sample stream bit-exactly — the same request yields
 /// byte-identical rows before and after the crash.
 #[test]
 fn sample_streams_resume_bit_exact_after_kill() {
-    let dir = chaos_dir("resume");
+    let dir = scratch_dir("crash-resume");
     let mut s = ChaosServer::spawn(&dir, &[]);
     let id = fit_and_wait(s.addr, FIT_BODY);
     let path = format!("/models/{id}/synthesize?n=60&batch=20&format=csv");
@@ -413,7 +337,7 @@ fn sample_streams_resume_bit_exact_after_kill() {
 /// serve, and shutdown stays graceful.
 #[test]
 fn disk_full_degrades_snapshots_not_liveness() {
-    let dir = chaos_dir("disk-full");
+    let dir = scratch_dir("crash-disk-full");
     let mut s = ChaosServer::spawn(&dir, &[("KAMINO_CHAOS_DISK_FULL", "1")]);
     let id = fit_and_wait(s.addr, FIT_BODY);
     assert!(
@@ -440,30 +364,6 @@ fn disk_full_degrades_snapshots_not_liveness() {
 
 // ---------------------------------------------------- overload (in-proc)
 
-/// Reads one raw HTTP response (head + content-length body) off a
-/// keep-alive connection, returning the unparsed head for header asserts.
-fn read_head_and_body(stream: &mut TcpStream) -> (String, String) {
-    let mut raw = Vec::new();
-    let mut byte = [0u8; 1];
-    while !raw.ends_with(b"\r\n\r\n") {
-        assert_eq!(stream.read(&mut byte).expect("read head"), 1, "eof in head");
-        raw.push(byte[0]);
-        assert!(raw.len() < 64 * 1024, "unterminated head");
-    }
-    let head = String::from_utf8_lossy(&raw).into_owned();
-    let len: usize = head
-        .to_ascii_lowercase()
-        .lines()
-        .find_map(|l| l.strip_prefix("content-length: "))
-        .expect("no content length")
-        .trim()
-        .parse()
-        .unwrap();
-    let mut body = vec![0u8; len];
-    stream.read_exact(&mut body).expect("read body");
-    (head, String::from_utf8_lossy(&body).into_owned())
-}
-
 /// Deadlines and load shedding under a saturated single-worker server:
 /// queued requests past `--max-queue` get 429 + `Retry-After`; requests
 /// that outlive `--request-timeout` get 503 + `Retry-After` (head not
@@ -471,19 +371,15 @@ fn read_head_and_body(stream: &mut TcpStream) -> (String, String) {
 /// and the server drains back to full service afterwards.
 #[test]
 fn overload_sheds_and_deadlines_expire() {
-    let dir = chaos_dir("overload");
-    let server = Server::bind(ServeConfig {
-        listen: "127.0.0.1:0".into(),
+    let dir = scratch_dir("crash-overload");
+    let (addr, handle) = boot(ServeConfig {
         threads: 1,
         max_queue: 2,
         request_timeout: Duration::from_millis(500),
         pool_batches: 0,
         model_dir: Some(dir.clone()),
         ..ServeConfig::default()
-    })
-    .expect("bind");
-    let addr = server.local_addr();
-    let handle = thread::spawn(move || server.run().expect("server run"));
+    });
 
     // calibrate: time a reference fit, then size the worker-occupying
     // fit so the single worker stays busy for several seconds while the
@@ -520,7 +416,7 @@ fn overload_sheds_and_deadlines_expire() {
     let t0 = Instant::now();
     loop {
         let (_, metrics) = request(addr, "GET", "/metrics", None);
-        if metric_value(&metrics, "kamino_queue_depth") == 0.0 {
+        if metric(&metrics, "kamino_queue_depth") == 0.0 {
             break;
         }
         assert!(t0.elapsed() < Duration::from_secs(30), "fit never dequeued");
@@ -561,7 +457,7 @@ fn overload_sheds_and_deadlines_expire() {
         "POST /models/{model}/synthesize?n=10&batch=10&format=csv HTTP/1.1\r\nhost: c\r\ncontent-length: 0\r\n\r\n"
     )
     .unwrap();
-    let (head, body) = read_head_and_body(&mut c2);
+    let (head, body) = read_response(&mut c2);
     assert!(head.starts_with("HTTP/1.1 429"), "shed got {head}");
     assert!(
         head.to_ascii_lowercase().contains("\r\nretry-after: 1\r\n"),
@@ -570,7 +466,7 @@ fn overload_sheds_and_deadlines_expire() {
     assert!(body.contains("overloaded"), "{body}");
 
     // C3 expires with its head unsent: 503 + Retry-After
-    let (head, body) = read_head_and_body(&mut c3);
+    let (head, body) = read_response(&mut c3);
     assert!(head.starts_with("HTTP/1.1 503"), "deadline got {head}");
     assert!(
         head.to_ascii_lowercase().contains("\r\nretry-after: 1\r\n"),
@@ -593,10 +489,10 @@ fn overload_sheds_and_deadlines_expire() {
     // mid-overload metrics: 1 shed, 2 expiries, both queued jobs visible,
     // speculation paused at half the bound
     let (_, metrics) = request(addr, "GET", "/metrics", None);
-    assert_eq!(metric_value(&metrics, "kamino_shed_total"), 1.0);
-    assert_eq!(metric_value(&metrics, "kamino_deadline_expired_total"), 2.0);
-    assert_eq!(metric_value(&metrics, "kamino_queue_depth"), 2.0);
-    assert_eq!(metric_value(&metrics, "kamino_speculation_paused"), 1.0);
+    assert_eq!(metric(&metrics, "kamino_shed_total"), 1.0);
+    assert_eq!(metric(&metrics, "kamino_deadline_expired_total"), 2.0);
+    assert_eq!(metric(&metrics, "kamino_queue_depth"), 2.0);
+    assert_eq!(metric(&metrics, "kamino_speculation_paused"), 1.0);
 
     // the server recovers fully: the slow fit completes, late completions
     // for expired requests are dropped, and a fresh stream serves again
@@ -621,8 +517,6 @@ fn overload_sheds_and_deadlines_expire() {
         thread::sleep(Duration::from_millis(100));
     }
 
-    let (status, _) = request(addr, "POST", "/shutdown", None);
-    assert!(status.contains("200"), "{status}");
-    handle.join().expect("server thread panicked");
+    shutdown(addr, handle);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -5,175 +5,29 @@
 //! a keep-alive connection, answers malformed input with the right
 //! 4xx/5xx, and stays fully live for the next client.
 
+mod common;
+
 use std::io::{Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::net::{Shutdown, TcpStream};
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use kamino_serve::{Json, ServeConfig, Server};
+use common::{
+    assert_healthy, boot, fit_and_wait, json, list_models, metric, read_response, request,
+    scratch_dir, shutdown,
+};
+use kamino_serve::{Json, ServeConfig};
 
-fn request(addr: SocketAddr, method: &str, path: &str, body: Option<&str>) -> (String, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(120)))
-        .unwrap();
-    let body = body.unwrap_or("");
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nhost: test\r\nconnection: close\r\ncontent-length: {}\r\n\r\n{body}",
-        body.len()
-    )
-    .expect("write request");
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).expect("read response");
-    parse_response(&raw)
-}
-
-fn parse_response(raw: &[u8]) -> (String, String) {
-    let text = String::from_utf8_lossy(raw).into_owned();
-    let (head, payload) = text
-        .split_once("\r\n\r\n")
-        .unwrap_or_else(|| panic!("no header/body split in {text:?}"));
-    let status = head.lines().next().unwrap_or("").to_string();
-    let body = if head
-        .to_ascii_lowercase()
-        .contains("transfer-encoding: chunked")
-    {
-        dechunk(payload)
-    } else {
-        payload.to_string()
-    };
-    (status, body)
-}
-
-fn dechunk(payload: &str) -> String {
-    let mut out = String::new();
-    let mut rest = payload;
-    while let Some((size_line, after)) = rest.split_once("\r\n") {
-        let size = usize::from_str_radix(size_line.trim(), 16).unwrap_or(0);
-        if size == 0 {
-            break;
-        }
-        out.push_str(&after[..size]);
-        rest = after[size..].strip_prefix("\r\n").unwrap_or(&after[size..]);
-    }
-    out
-}
-
-fn json(body: &str) -> Json {
-    Json::parse(body).unwrap_or_else(|e| panic!("bad JSON {body:?}: {e}"))
-}
-
-/// The liveness probe run after every fault: the server must still
-/// answer a clean request correctly.
-fn assert_alive(addr: SocketAddr, scenario: &str) {
-    let (status, body) = request(addr, "GET", "/healthz", None);
-    assert!(status.contains("200"), "dead after {scenario}: {status}");
-    assert_eq!(
-        json(&body).get("status").and_then(Json::as_str),
-        Some("ok"),
-        "unhealthy after {scenario}"
-    );
-}
-
-/// Reads one full HTTP response off a keep-alive connection (header +
-/// content-length or chunked body), leaving the stream usable.
-fn read_one_response(stream: &mut TcpStream) -> (String, String) {
-    let mut raw = Vec::new();
-    let mut byte = [0u8; 1];
-    // read the head byte-wise until the blank line
-    while !raw.ends_with(b"\r\n\r\n") {
-        assert_eq!(stream.read(&mut byte).expect("read head"), 1, "eof in head");
-        raw.push(byte[0]);
-        assert!(raw.len() < 64 * 1024, "unterminated head");
-    }
-    let head = String::from_utf8_lossy(&raw).into_owned();
-    let status = head.lines().next().unwrap_or("").to_string();
-    let lower = head.to_ascii_lowercase();
-    if lower.contains("transfer-encoding: chunked") {
-        let mut payload = Vec::new();
-        loop {
-            let mut size_line = Vec::new();
-            while !size_line.ends_with(b"\r\n") {
-                assert_eq!(stream.read(&mut byte).unwrap(), 1, "eof in chunk size");
-                size_line.push(byte[0]);
-            }
-            let size =
-                usize::from_str_radix(String::from_utf8_lossy(&size_line).trim(), 16).unwrap();
-            let mut chunk = vec![0u8; size + 2];
-            stream.read_exact(&mut chunk).expect("read chunk");
-            if size == 0 {
-                break;
-            }
-            payload.extend_from_slice(&chunk[..size]);
-        }
-        (status, String::from_utf8_lossy(&payload).into_owned())
-    } else {
-        let len: usize = lower
-            .lines()
-            .find_map(|l| l.strip_prefix("content-length: "))
-            .expect("no content length")
-            .trim()
-            .parse()
-            .unwrap();
-        let mut body = vec![0u8; len];
-        stream.read_exact(&mut body).expect("read body");
-        (status, String::from_utf8_lossy(&body).into_owned())
-    }
-}
-
-fn boot() -> (SocketAddr, thread::JoinHandle<()>) {
-    let server = Server::bind(ServeConfig {
-        listen: "127.0.0.1:0".into(),
-        threads: 4,
-        ..ServeConfig::default()
-    })
-    .expect("bind");
-    let addr = server.local_addr();
-    let handle = thread::spawn(move || server.run().expect("server run"));
-    (addr, handle)
-}
-
-fn boot_with_dir(dir: &std::path::Path) -> (SocketAddr, thread::JoinHandle<()>) {
-    let server = Server::bind(ServeConfig {
-        listen: "127.0.0.1:0".into(),
-        threads: 2,
-        model_dir: Some(dir.to_path_buf()),
-        ..ServeConfig::default()
-    })
-    .expect("bind");
-    let addr = server.local_addr();
-    let handle = thread::spawn(move || server.run().expect("server run"));
-    (addr, handle)
-}
-
-fn fit_tiny_model(addr: SocketAddr) -> u64 {
-    let (status, body) = request(
-        addr,
-        "POST",
-        "/fit",
-        Some(r#"{"corpus":"adult","rows":100,"epsilon":1.0,"seed":11,"train_scale":0.03}"#),
-    );
-    assert!(status.contains("202"), "{status}: {body}");
-    let id = json(&body).get("model_id").and_then(Json::as_u64).unwrap();
-    let deadline = Instant::now() + Duration::from_secs(180);
-    loop {
-        let (_, body) = request(addr, "GET", &format!("/models/{id}"), None);
-        match json(&body).get("status").and_then(Json::as_str) {
-            Some("ready") => return id,
-            Some("failed") => panic!("fit failed: {body}"),
-            _ => {
-                assert!(Instant::now() < deadline, "fit did not finish");
-                thread::sleep(Duration::from_millis(100));
-            }
-        }
-    }
-}
+const TINY_FIT: &str =
+    r#"{"corpus":"adult","rows":100,"epsilon":1.0,"seed":11,"train_scale":0.03}"#;
 
 #[test]
 fn faults_never_kill_or_desync_the_server() {
-    let (addr, handle) = boot();
-    let id = fit_tiny_model(addr);
+    let (addr, handle) = boot(ServeConfig {
+        threads: 4,
+        ..ServeConfig::default()
+    });
+    let id = fit_and_wait(addr, TINY_FIT);
 
     // --- torn writes: a request dribbled in byte-sized pieces ---------
     {
@@ -187,11 +41,11 @@ fn faults_never_kill_or_desync_the_server() {
         }
         let mut out = Vec::new();
         s.read_to_end(&mut out).unwrap();
-        let (status, body) = parse_response(&out);
-        assert!(status.contains("200"), "torn write got {status}");
+        let (head, body) = read_response(&mut out.as_slice());
+        assert!(head.starts_with("HTTP/1.1 200"), "torn write got {head}");
         assert_eq!(json(&body).get("status").and_then(Json::as_str), Some("ok"));
     }
-    assert_alive(addr, "torn writes");
+    assert_healthy(addr, "torn writes");
 
     // --- torn write split inside the body ----------------------------
     {
@@ -211,11 +65,11 @@ fn faults_never_kill_or_desync_the_server() {
         s.write_all(b).unwrap();
         let mut out = Vec::new();
         s.read_to_end(&mut out).unwrap();
-        let (status, body) = parse_response(&out);
-        assert!(status.contains("400"), "split body got {status}");
+        let (head, body) = read_response(&mut out.as_slice());
+        assert!(head.starts_with("HTTP/1.1 400"), "split body got {head}");
         assert!(body.contains("unknown corpus"));
     }
-    assert_alive(addr, "split body");
+    assert_healthy(addr, "split body");
 
     // --- oversized head: 431, connection closed ----------------------
     {
@@ -238,7 +92,7 @@ fn faults_never_kill_or_desync_the_server() {
             text.lines().next()
         );
     }
-    assert_alive(addr, "oversized head");
+    assert_healthy(addr, "oversized head");
 
     // --- oversized body: 413 from the declared length alone ----------
     {
@@ -248,10 +102,13 @@ fn faults_never_kill_or_desync_the_server() {
             .unwrap();
         let mut out = Vec::new();
         let _ = s.read_to_end(&mut out);
-        let (status, _) = parse_response(&out);
-        assert!(status.contains("413"), "oversized body got {status}");
+        let (head, _) = read_response(&mut out.as_slice());
+        assert!(
+            head.starts_with("HTTP/1.1 413"),
+            "oversized body got {head}"
+        );
     }
-    assert_alive(addr, "oversized body");
+    assert_healthy(addr, "oversized body");
 
     // --- garbage bytes: 400, not a hang or a crash --------------------
     {
@@ -261,13 +118,13 @@ fn faults_never_kill_or_desync_the_server() {
             .unwrap();
         let mut out = Vec::new();
         let _ = s.read_to_end(&mut out);
-        let (status, _) = parse_response(&out);
+        let (head, _) = read_response(&mut out.as_slice());
         assert!(
-            status.contains("400") || status.contains("505"),
-            "garbage got {status}"
+            head.starts_with("HTTP/1.1 400") || head.starts_with("HTTP/1.1 505"),
+            "garbage got {head}"
         );
     }
-    assert_alive(addr, "garbage bytes");
+    assert_healthy(addr, "garbage bytes");
 
     // --- pipelined keep-alive: three requests in one write, three
     // --- responses in order, then a clean reuse of the connection -----
@@ -280,17 +137,20 @@ fn faults_never_kill_or_desync_the_server() {
         );
         s.write_all(format!("{one}{synth}{one}").as_bytes())
             .unwrap();
-        let (st1, _) = read_one_response(&mut s);
-        let (st2, rows) = read_one_response(&mut s);
-        let (st3, _) = read_one_response(&mut s);
-        assert!(st1.contains("200") && st2.contains("200") && st3.contains("200"));
+        let (h1, _) = read_response(&mut s);
+        let (h2, rows) = read_response(&mut s);
+        let (h3, _) = read_response(&mut s);
+        assert!([h1, h2, h3].iter().all(|h| h.starts_with("HTTP/1.1 200")));
         assert_eq!(rows.lines().count(), 12, "pipelined stream desynced");
         // the same connection still serves a fourth request
         s.write_all(one.as_bytes()).unwrap();
-        let (st4, _) = read_one_response(&mut s);
-        assert!(st4.contains("200"), "keep-alive connection desynced");
+        let (h4, _) = read_response(&mut s);
+        assert!(
+            h4.starts_with("HTTP/1.1 200"),
+            "keep-alive connection desynced"
+        );
     }
-    assert_alive(addr, "pipelined keep-alive");
+    assert_healthy(addr, "pipelined keep-alive");
 
     // --- premature disconnect mid-chunked-response --------------------
     {
@@ -307,7 +167,7 @@ fn faults_never_kill_or_desync_the_server() {
         assert!(n > 0, "no stream bytes before disconnect");
         drop(s);
     }
-    assert_alive(addr, "mid-stream disconnect");
+    assert_healthy(addr, "mid-stream disconnect");
 
     // --- half-close mid-stream (FIN while the server streams) ---------
     {
@@ -320,15 +180,15 @@ fn faults_never_kill_or_desync_the_server() {
         .unwrap();
         s.shutdown(Shutdown::Write).unwrap();
         // the response must still arrive complete
-        let (status, body) = read_one_response(&mut s);
-        assert!(status.contains("200"), "half-close got {status}");
+        let (head, body) = read_response(&mut s);
+        assert!(head.starts_with("HTTP/1.1 200"), "half-close got {head}");
         assert_eq!(
             body.lines().count(),
             2001,
             "half-close truncated the stream"
         );
     }
-    assert_alive(addr, "half-close mid-stream");
+    assert_healthy(addr, "half-close mid-stream");
 
     // --- slow reader: drain a stream a few bytes at a time ------------
     {
@@ -351,11 +211,11 @@ fn faults_never_kill_or_desync_the_server() {
                 Err(e) => panic!("slow read failed: {e}"),
             }
         }
-        let (status, body) = parse_response(&raw);
-        assert!(status.contains("200"), "slow reader got {status}");
+        let (head, body) = read_response(&mut raw.as_slice());
+        assert!(head.starts_with("HTTP/1.1 200"), "slow reader got {head}");
         assert_eq!(body.lines().count(), 301, "slow reader lost rows");
     }
-    assert_alive(addr, "slow reader");
+    assert_healthy(addr, "slow reader");
 
     // --- rapid connect/disconnect churn -------------------------------
     for _ in 0..50 {
@@ -370,7 +230,7 @@ fn faults_never_kill_or_desync_the_server() {
             drop(s);
         }
     }
-    assert_alive(addr, "connect/disconnect churn");
+    assert_healthy(addr, "connect/disconnect churn");
 
     // the full fault gauntlet never killed a worker or the loop: a last
     // real synthesize still produces exact rows
@@ -383,9 +243,7 @@ fn faults_never_kill_or_desync_the_server() {
     assert!(status.contains("200"), "{status}");
     assert_eq!(body.lines().count(), 25);
 
-    let (status, _) = request(addr, "POST", "/shutdown", None);
-    assert!(status.contains("200"), "{status}");
-    handle.join().expect("server thread panicked");
+    shutdown(addr, handle);
 }
 
 /// Corrupt model-dir contents at boot: a truncated snapshot, a snapshot
@@ -394,9 +252,7 @@ fn faults_never_kill_or_desync_the_server() {
 /// `*.quarantine`, never load them — and serve the intact snapshot.
 #[test]
 fn corrupt_snapshots_are_quarantined_at_boot_not_fatal() {
-    let dir = std::env::temp_dir().join(format!("kamino-quarantine-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = scratch_dir("quarantine");
 
     let fitted = {
         let d = kamino_datasets::adult_like(80, 3);
@@ -420,17 +276,20 @@ fn corrupt_snapshots_are_quarantined_at_boot_not_fatal() {
     // a stale tmp file from an interrupted atomic install
     std::fs::write(dir.join("model-9.kamino.tmp-777-0"), b"half a snapshot").unwrap();
 
-    let (addr, handle) = boot_with_dir(&dir);
-    assert_alive(addr, "boot over corrupt snapshots");
+    let (addr, handle) = boot(ServeConfig {
+        threads: 2,
+        model_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    });
+    assert_healthy(addr, "boot over corrupt snapshots");
 
     // only the intact snapshot is registered
-    let (status, body) = request(addr, "GET", "/models", None);
-    assert!(status.contains("200"), "{status}");
-    let listed = match json(&body) {
-        Json::Arr(items) => items.len(),
-        other => panic!("expected array, got {other:?}"),
-    };
-    assert_eq!(listed, 1, "corrupt snapshots must not register: {body}");
+    let listed = list_models(addr);
+    assert_eq!(
+        listed.len(),
+        1,
+        "corrupt snapshots must not register: {listed:?}"
+    );
 
     // the corrupt files were renamed aside, not deleted and not loaded
     assert!(dir.join("model-1.kamino.quarantine").is_file());
@@ -441,14 +300,7 @@ fn corrupt_snapshots_are_quarantined_at_boot_not_fatal() {
 
     let (status, body) = request(addr, "GET", "/metrics", None);
     assert!(status.contains("200"), "{status}");
-    assert!(
-        body.contains("kamino_quarantined_files_total 3"),
-        "quarantine counter missing: {}",
-        body.lines()
-            .filter(|l| l.contains("quarantine"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
+    assert_eq!(metric(&body, "kamino_quarantined_files_total"), 3.0);
 
     // the survivor still serves
     let (status, body) = request(
@@ -460,9 +312,7 @@ fn corrupt_snapshots_are_quarantined_at_boot_not_fatal() {
     assert!(status.contains("200"), "{status}: {body}");
     assert_eq!(body.lines().count(), 10);
 
-    let (status, _) = request(addr, "POST", "/shutdown", None);
-    assert!(status.contains("200"), "{status}");
-    handle.join().expect("server thread panicked");
+    shutdown(addr, handle);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -471,8 +321,11 @@ fn corrupt_snapshots_are_quarantined_at_boot_not_fatal() {
 /// and a proper terminating chunk — before the server exits.
 #[test]
 fn shutdown_drains_in_flight_chunked_streams() {
-    let (addr, handle) = boot();
-    let id = fit_tiny_model(addr);
+    let (addr, handle) = boot(ServeConfig {
+        threads: 4,
+        ..ServeConfig::default()
+    });
+    let id = fit_and_wait(addr, TINY_FIT);
 
     let mut s = TcpStream::connect(addr).unwrap();
     s.set_read_timeout(Some(Duration::from_secs(120))).unwrap();
@@ -499,8 +352,8 @@ fn shutdown_drains_in_flight_chunked_streams() {
             Err(e) => panic!("stream died during drain: {e}"),
         }
     }
-    let (status, body) = parse_response(&raw);
-    assert!(status.contains("200"), "{status}");
+    let (head, body) = read_response(&mut raw.as_slice());
+    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
     assert_eq!(
         body.lines().count(),
         3001,
