@@ -9,11 +9,15 @@
 //! produce identical outputs; they should show movement on any host, as
 //! does `scan_count_order_grouped` (the partitioned strict-order layout
 //! on Tax φ₆ᵗ) beside the row-map reference. The
-//! `dpsgd_step_{fused,reference}` pair documents that the fused
-//! clip-accumulate is at worst cost-neutral on a dense single-block model
-//! (the traversal it eliminates is a memset; the win grows with block
-//! count) while staying bit-identical. `synthesize_serial_n512` times the
-//! full Algorithm 3 column walk (hard-DC clean, asserted in setup).
+//! `dpsgd_step_{fused,reference}_b256_d64x64` pair documents that the
+//! fused clip-accumulate is at worst cost-neutral on a dense single-block
+//! model (the traversal it eliminates is a memset; the win grows with
+//! block count) while staying bit-identical; the
+//! `dpsgd_step_{fused,reference}_embed_card500_d16` pair shows its
+//! row-sparse win on an embedding-context model shaped like TPC-H's
+//! `c_custkey` (asserted bit-identical in setup).
+//! `synthesize_serial_n512` times the full Algorithm 3 column walk
+//! (hard-DC clean, asserted in setup).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use kamino_constraints::{
@@ -23,7 +27,7 @@ use kamino_constraints::{
 use kamino_data::Value;
 use kamino_datasets::{adult_like, tax_like};
 use kamino_dp::RdpAccountant;
-use kamino_nn::{DpSgd, ParamBlock, PerExampleModel};
+use kamino_nn::{DpSgd, Embedding, Linear, ParamBlock, PerExampleModel};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -66,6 +70,43 @@ impl PerExampleModel<Vec<f64>> for DenseModel {
 
     fn visit_blocks(&mut self, f: &mut dyn FnMut(&mut ParamBlock)) {
         f(&mut self.w);
+    }
+}
+
+/// Embedding-context model shaped like TPC-H's `c_custkey` context: a
+/// 500×16 lookup table feeding a dense 16→5 linear head with squared
+/// error against a one-hot target. An example touches one table row.
+struct EmbedModel {
+    emb: Embedding,
+    head: Linear,
+}
+
+impl EmbedModel {
+    fn new(card: usize, dim: usize, classes: usize) -> EmbedModel {
+        let mut rng = StdRng::seed_from_u64(9);
+        EmbedModel {
+            emb: Embedding::new(card, dim, &mut rng),
+            head: Linear::new(dim, classes, &mut rng),
+        }
+    }
+}
+
+impl PerExampleModel<(u32, usize)> for EmbedModel {
+    fn forward_backward(&mut self, &(code, class): &(u32, usize)) -> f64 {
+        let x = self.emb.forward(code).to_vec();
+        let mut y = vec![0.0; self.head.n_out()];
+        self.head.forward(&x, &mut y);
+        y[class] -= 1.0;
+        let loss = 0.5 * y.iter().map(|e| e * e).sum::<f64>();
+        let mut dx = vec![0.0; x.len()];
+        self.head.backward(&x, &y, Some(&mut dx));
+        self.emb.backward(code, &dx);
+        loss
+    }
+
+    fn visit_blocks(&mut self, f: &mut dyn FnMut(&mut ParamBlock)) {
+        self.emb.visit_blocks(f);
+        self.head.visit_blocks(f);
     }
 }
 
@@ -263,6 +304,48 @@ fn bench(c: &mut Criterion) {
         });
         g.bench_function("dpsgd_step_fused_b256_d64x64", |b| {
             let mut model = DenseModel::new(dim);
+            let mut rng = StdRng::seed_from_u64(8);
+            b.iter(|| black_box(opt.step(&mut model, &batch, &mut rng)))
+        });
+    }
+
+    // The same step on the embedding-context model: 256 examples over a
+    // 500×16 table (TPC-H's `c_custkey`). The fused kernel visits one
+    // table row per example; the all-dense reference visits all 500.
+    {
+        let mut rng = StdRng::seed_from_u64(10);
+        let batch: Vec<(u32, usize)> = (0..256)
+            .map(|_| (rng.gen_range(0..500u32), rng.gen_range(0..5usize)))
+            .collect();
+        let opt = DpSgd {
+            clip: 1.0,
+            noise_multiplier: 1.1,
+            lr: 0.05,
+            expected_batch: 256.0,
+        };
+        let (mut fused, mut reference) = (EmbedModel::new(500, 16, 5), EmbedModel::new(500, 16, 5));
+        let (mut rf, mut rr) = (StdRng::seed_from_u64(12), StdRng::seed_from_u64(12));
+        for _ in 0..3 {
+            opt.step(&mut fused, &batch, &mut rf);
+            opt.step_reference(&mut reference, &batch, &mut rr);
+        }
+        assert!(
+            fused
+                .emb
+                .table
+                .values
+                .iter()
+                .zip(&reference.emb.table.values)
+                .all(|(a, b)| a.to_bits() == b.to_bits()),
+            "row-sparse DP-SGD step must be bit-identical to the dense reference"
+        );
+        g.bench_function("dpsgd_step_reference_embed_card500_d16", |b| {
+            let mut model = EmbedModel::new(500, 16, 5);
+            let mut rng = StdRng::seed_from_u64(8);
+            b.iter(|| black_box(opt.step_reference(&mut model, &batch, &mut rng)))
+        });
+        g.bench_function("dpsgd_step_fused_embed_card500_d16", |b| {
+            let mut model = EmbedModel::new(500, 16, 5);
             let mut rng = StdRng::seed_from_u64(8);
             b.iter(|| black_box(opt.step(&mut model, &batch, &mut rng)))
         });

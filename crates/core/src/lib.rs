@@ -48,5 +48,5 @@ pub use pipeline::{
 };
 pub use sampler::{synthesize, FD_CYCLE_TOLERANCE_PCT};
 pub use sequence::{active_dcs_by_position, sequence_attrs};
-pub use train::{train_model, TrainConfig};
+pub use train::{train_model, train_model_with_obs, TrainConfig};
 pub use weights::{learn_weights, WeightConfig, HARD_WEIGHT};

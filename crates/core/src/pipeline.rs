@@ -12,7 +12,7 @@ use rand::SeedableRng;
 use crate::params::{search_params_with_obs, PrivacyParams, SearchShape};
 use crate::sampler::synthesize;
 use crate::sequence::{random_sequence, sequence_attrs};
-use crate::train::{count_marginal_releases, count_sgd_models, train_model, TrainConfig};
+use crate::train::{count_marginal_releases, count_sgd_models, train_model_with_obs, TrainConfig};
 use crate::weights::{learn_weights, WeightConfig, HARD_WEIGHT};
 
 /// Configuration for one end-to-end Kamino run. Use
@@ -238,7 +238,7 @@ pub fn fit_kamino(
         seed: cfg.seed,
         ..TrainConfig::default()
     };
-    let model = train_model(schema, instance, &sequence, &train_cfg);
+    let model = train_model_with_obs(schema, instance, &sequence, &train_cfg, obs);
     timings.training = phase_span.finish();
 
     // Line 5: LearnWeight (Algorithm 5).
@@ -579,6 +579,28 @@ mod tests {
         ];
         let digests: Vec<u64> = got.iter().map(|g| g.3).collect();
         assert_eq!(digests, want, "sampled output drifted: {got:#x?}");
+    }
+
+    /// Pins a fitted TPC-H model: FNV-1a over `encode_model` plus the DC
+    /// weights. TPC-H has the largest context embedding tables
+    /// (`c_custkey` has one row per customer, n/10 of them), so it is the
+    /// fit where the row-sparse DP-SGD passes skip the most; any drift in
+    /// training moves this hash.
+    #[test]
+    fn tpch_fit_is_pinned() {
+        let d = kamino_datasets::tpch_like(600, 21);
+        let mut cfg = fast_cfg(Budget::new(1.0, 1e-6), 22);
+        // several DP-SGD steps per sub-model, not one
+        cfg.train_scale = 0.1;
+        let fitted = fit_kamino(&d.schema, &d.instance, &d.dcs, &cfg);
+        let mut w = kamino_data::wire::ByteWriter::new();
+        crate::snapshot::encode_model(fitted.model(), &mut w);
+        w.put_f64s(&fitted.weights);
+        let h = kamino_data::wire::fnv1a64(&w.into_bytes());
+        assert_eq!(
+            h, 0x0f0e_53b0_899e_a078,
+            "fitted TPC-H model drifted: {h:#018x}"
+        );
     }
 
     #[test]

@@ -19,6 +19,7 @@ use kamino_data::{AttrKind, Instance, Quantizer, Schema, Value};
 use kamino_dp::mechanisms::add_gaussian_noise;
 use kamino_dp::poisson_sample;
 use kamino_nn::{Attention, CategoricalHead, DpSgd, GaussianHead};
+use kamino_obs::ObsHandle;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -132,6 +133,9 @@ fn fresh_submodel(
     }
 }
 
+/// DP-SGD-trains one sub-model for `cfg.iters` steps, adding the steps'
+/// work counts to `obs`' `kamino_dpsgd_coords_visited_total` and
+/// `kamino_dpsgd_noise_draws_total` counters.
 fn train_one(
     inst: &Instance,
     store: &mut EmbeddingStore,
@@ -139,6 +143,7 @@ fn train_one(
     cfg: &TrainConfig,
     n: usize,
     rng: &mut StdRng,
+    obs: &ObsHandle,
 ) {
     // Clipping is part of Algorithm 2 regardless of privacy (line 14);
     // only the noise is privacy-specific. It also stabilizes the Gaussian
@@ -150,6 +155,7 @@ fn train_one(
         expected_batch: cfg.batch as f64,
     };
     let rate = (cfg.batch as f64 / n.max(1) as f64).min(1.0);
+    let (mut coords_visited, mut noise_draws) = (0, 0);
     for _ in 0..cfg.iters {
         let ids = poisson_sample(n, rate, rng);
         let rows = training_rows(inst, &sm.context, sm.target, &ids);
@@ -157,8 +163,14 @@ fn train_one(
             store: &mut *store,
             sm: &mut *sm,
         };
-        opt.step(&mut trainer, &rows, rng);
+        let step = opt.step(&mut trainer, &rows, rng);
+        coords_visited += step.coords_visited;
+        noise_draws += step.noise_draws;
     }
+    obs.counter("kamino_dpsgd_coords_visited_total", &[])
+        .add(coords_visited);
+    obs.counter("kamino_dpsgd_noise_draws_total", &[])
+        .add(noise_draws);
 }
 
 /// Trains the full probabilistic data model (Algorithm 2).
@@ -167,6 +179,19 @@ pub fn train_model(
     inst: &Instance,
     sequence: &[usize],
     cfg: &TrainConfig,
+) -> DataModel {
+    train_model_with_obs(schema, inst, sequence, cfg, &ObsHandle::disabled())
+}
+
+/// [`train_model`], adding DP-SGD's deterministic work counters
+/// (`kamino_dpsgd_coords_visited_total`, `kamino_dpsgd_noise_draws_total`)
+/// to `obs`. The returned model is byte-identical to [`train_model`].
+pub fn train_model_with_obs(
+    schema: &Schema,
+    inst: &Instance,
+    sequence: &[usize],
+    cfg: &TrainConfig,
+    obs: &ObsHandle,
 ) -> DataModel {
     assert_eq!(
         sequence.len(),
@@ -201,7 +226,7 @@ pub fn train_model(
                         let mut sm =
                             large_or_disc(schema, inst, &own, context, *target, cfg, &mut trng);
                         if matches!(sm.kind, SubModelKind::Discriminative { .. }) {
-                            train_one(inst, &mut own, &mut sm, cfg, n, &mut trng);
+                            train_one(inst, &mut own, &mut sm, cfg, n, &mut trng, obs);
                             sm.own_store = Some(own);
                         }
                         sm
@@ -218,7 +243,7 @@ pub fn train_model(
         for (context, target) in &plan {
             let mut sm = large_or_disc(schema, inst, &store, context, *target, cfg, &mut rng);
             if matches!(sm.kind, SubModelKind::Discriminative { .. }) {
-                train_one(inst, &mut store, &mut sm, cfg, n, &mut rng);
+                train_one(inst, &mut store, &mut sm, cfg, n, &mut rng, obs);
             }
             submodels.push(sm);
         }

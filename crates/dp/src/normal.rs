@@ -8,9 +8,13 @@ use rand::Rng;
 /// Draws one sample from `N(0, 1)`.
 ///
 /// Uses the basic (trigonometric) Box–Muller transform. The second variate
-/// of each pair is discarded for simplicity — noise generation is nowhere
-/// near the profile of this codebase (violation counting and training are),
-/// and statelessness keeps the API trivially thread-safe.
+/// of each pair is discarded, which keeps the function stateless and so
+/// trivially thread-safe. This is not free: DP-SGD draws one sample per
+/// parameter per step, and those draws, each paying for one `ln`, one
+/// `sqrt` and one `cos`, are most of a fit's time. A TPC-H fit at
+/// n = 5000 makes 17.2M of them: 0.61–0.71 s of a 0.82–0.85 s fit on a
+/// 2-vCPU Xeon container. A cheaper exact sampler would change every
+/// noise value, and so every trained model's bytes.
 #[inline]
 pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     // u1 ∈ (0, 1]: guard against ln(0).

@@ -43,10 +43,7 @@ impl Attention {
     /// Rebuilds attention from persisted score values (snapshot support).
     pub fn from_values(dim: usize, scores: Vec<f64>) -> Attention {
         Attention {
-            scores: ParamBlock {
-                grads: vec![0.0; scores.len()],
-                values: scores,
-            },
+            scores: ParamBlock::from_values(scores),
             dim,
         }
     }

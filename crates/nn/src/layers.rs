@@ -36,14 +36,8 @@ impl Linear {
         assert_eq!(w.len(), n_in * n_out, "weight tensor shape mismatch");
         assert_eq!(b.len(), n_out, "bias tensor shape mismatch");
         Linear {
-            w: ParamBlock {
-                grads: vec![0.0; w.len()],
-                values: w,
-            },
-            b: ParamBlock {
-                grads: vec![0.0; b.len()],
-                values: b,
-            },
+            w: ParamBlock::from_values(w),
+            b: ParamBlock::from_values(b),
             n_in,
             n_out,
         }
@@ -85,6 +79,10 @@ impl Linear {
 
 /// Lookup-table embedding for a categorical attribute: code → `R^d`
 /// (§2.3: "a learnable lookup table mapping embeddings to domain values").
+///
+/// The table is a row-sparse [`ParamBlock`] with rows of `dim`: one
+/// example's backward pass writes exactly one row, so DP-SGD's per-example
+/// clip-and-accumulate visits only that row.
 #[derive(Debug, Clone)]
 pub struct Embedding {
     /// `card × dim` table, row-major.
@@ -98,7 +96,7 @@ impl Embedding {
     pub fn new<R: Rng + ?Sized>(card: usize, dim: usize, rng: &mut R) -> Embedding {
         let scale = (1.0 / dim as f64).sqrt();
         Embedding {
-            table: ParamBlock::uniform(card * dim, scale, rng),
+            table: ParamBlock::uniform(card * dim, scale, rng).row_sparse(dim),
             card,
             dim,
         }
@@ -109,10 +107,7 @@ impl Embedding {
     pub fn from_values(card: usize, dim: usize, table: Vec<f64>) -> Embedding {
         assert_eq!(table.len(), card * dim, "embedding table shape mismatch");
         Embedding {
-            table: ParamBlock {
-                grads: vec![0.0; table.len()],
-                values: table,
-            },
+            table: ParamBlock::from_values(table).row_sparse(dim),
             card,
             dim,
         }
@@ -139,7 +134,8 @@ impl Embedding {
         &self.table.values[c * self.dim..(c + 1) * self.dim]
     }
 
-    /// Accumulates the gradient `dz` into the row for `code`.
+    /// Accumulates the gradient `dz` into the row for `code`, and marks
+    /// that row touched.
     pub fn backward(&mut self, code: u32, dz: &[f64]) {
         let c = code as usize;
         axpy(
@@ -147,6 +143,7 @@ impl Embedding {
             dz,
             &mut self.table.grads[c * self.dim..(c + 1) * self.dim],
         );
+        self.table.touch_row(c);
     }
 
     /// Applies `f` to the table block.
@@ -210,15 +207,11 @@ impl ContinuousEncoder {
         assert_eq!(c.len(), dim, "encoder c shape mismatch");
         assert_eq!(b.len(), dim * dim, "encoder B shape mismatch");
         assert_eq!(d.len(), dim, "encoder d shape mismatch");
-        let block = |values: Vec<f64>| ParamBlock {
-            grads: vec![0.0; values.len()],
-            values,
-        };
         ContinuousEncoder {
-            a: block(a),
-            c: block(c),
-            b: block(b),
-            d: block(d),
+            a: ParamBlock::from_values(a),
+            c: ParamBlock::from_values(c),
+            b: ParamBlock::from_values(b),
+            d: ParamBlock::from_values(d),
             dim,
         }
     }

@@ -45,33 +45,52 @@ pub struct DpSgd {
 /// summation, so every trained parameter depends on it.
 pub const MICROBATCH: usize = 16;
 
+/// What one [`DpSgd::step`] did: the mean example loss plus two
+/// deterministic work counts, taken where the work happens.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct StepReport {
+    /// Mean example loss (0.0 for an empty Poisson batch).
+    pub loss: f64,
+    /// Gradient coordinates visited by the two per-example passes (the
+    /// L2-norm pass and the scale-accumulate pass), summed over examples.
+    pub coords_visited: u64,
+    /// `N(0, 1)` draws made by the noise step: one per parameter when the
+    /// noise multiplier is positive, none otherwise.
+    pub noise_draws: u64,
+}
+
+/// What a per-microbatch clip-and-sum kernel returns: the clipped gradient
+/// sums (shaped like the model's blocks), the total example loss, and the
+/// gradient coordinates its two per-example passes visited.
+type Clipped = (Vec<Vec<f64>>, f64, u64);
+
 /// A per-microbatch clip-and-sum kernel: `(model, microbatch, clip,
-/// block sizes) → (clipped gradient sums, total loss)`.
-type Accumulate<M, E> = fn(&mut M, &[E], f64, &[usize]) -> (Vec<Vec<f64>>, f64);
+/// block sizes) → clipped sums, total loss, coordinates visited`.
+type Accumulate<M, E> = fn(&mut M, &[E], f64, &[usize]) -> Clipped;
 
 /// Accumulates the clipped per-example gradient sums and total loss for
 /// `batch` (one microbatch) into fresh buffers shaped like `sizes`.
 ///
-/// This is the **fused** clip-and-accumulate kernel: after each example's
-/// backward pass, one traversal computes the global L2 norm and a second
-/// fused traversal scales, accumulates into `sums`, *and re-zeroes* the
-/// gradient buffers for the next example — two passes over the gradients
-/// instead of the reference's three (norm, scale-add, zero). The per-sum
-/// arithmetic (`s += scale · g` in block/index order) is exactly that of
-/// [`accumulate_clipped_reference`], so the result is bit-identical; the
-/// parity is property-tested in `tests/proptest_kernels.rs` and pinned by
-/// the `fused_step_matches_reference_step` test below.
-fn accumulate_clipped<E, M>(
-    model: &mut M,
-    batch: &[E],
-    clip: f64,
-    sizes: &[usize],
-) -> (Vec<Vec<f64>>, f64)
+/// This is the **fused, row-sparse** clip-and-accumulate kernel. After
+/// each example's backward pass it makes two passes over the gradients
+/// instead of the reference's three (zero, norm, scale-add): one computes
+/// the global L2 norm, and a second fused one scales, accumulates into
+/// `sums` *and re-zeroes* the gradient buffers for the next example. Both
+/// passes visit every coordinate of a dense block but only the touched
+/// rows of a row-sparse block (an embedding table, where an example
+/// touches one row), in ascending order. The per-sum arithmetic
+/// (`s += scale · g` in block/index order) is exactly that of
+/// [`accumulate_clipped_reference`] minus additions of exact zeros, so the
+/// result is bit-identical (see [`ParamBlock`] for why each skip is an
+/// identity); the parity is property-tested in `tests/proptest_kernels.rs`
+/// and pinned by the `fused_step_matches_reference_step` test below.
+fn accumulate_clipped<E, M>(model: &mut M, batch: &[E], clip: f64, sizes: &[usize]) -> Clipped
 where
     M: PerExampleModel<E>,
 {
     let mut sums: Vec<Vec<f64>> = sizes.iter().map(|&n| vec![0.0; n]).collect();
     let mut total_loss = 0.0;
+    let mut visited = 0;
     // The fused pass below leaves every gradient buffer zeroed after each
     // example, so clearing any caller-left state once up front preserves
     // the trait's "the optimizer zeroes them first" contract.
@@ -80,36 +99,40 @@ where
         total_loss += model.forward_backward(example);
         // Global L2 norm across all blocks, then clip scale.
         let mut sq = 0.0;
-        model.visit_blocks(&mut |b| sq += b.grad_sq_norm());
+        model.visit_blocks(&mut |b| {
+            let (block_sq, coords) = b.live_sq_norm();
+            sq += block_sq;
+            visited += 2 * coords as u64;
+        });
         let norm = sq.sqrt();
         let scale = if norm > clip { clip / norm } else { 1.0 };
         let mut idx = 0;
         model.visit_blocks(&mut |b| {
-            for (s, g) in sums[idx].iter_mut().zip(b.grads.iter_mut()) {
-                *s += scale * *g;
-                *g = 0.0;
-            }
+            b.drain_scaled_into(scale, &mut sums[idx]);
             idx += 1;
         });
     }
-    (sums, total_loss)
+    (sums, total_loss, visited)
 }
 
-/// The unfused serial-reference twin of `accumulate_clipped`: zero the
-/// gradients, backward, norm pass, then a separate scale-and-add pass —
-/// three traversals per example. Kept public so parity tests and the
-/// microbenchmarks can pin the fused kernel against it.
+/// The unfused, all-dense serial-reference twin of `accumulate_clipped`:
+/// zero the gradients, backward, norm pass, then a separate scale-and-add
+/// pass — three traversals of every coordinate per example, row-sparse
+/// blocks included. Kept public so parity tests and the microbenchmarks
+/// can pin the fused kernel against it. Its visit count covers the norm
+/// and scale-add passes, the two the fused kernel also makes.
 pub fn accumulate_clipped_reference<E, M>(
     model: &mut M,
     batch: &[E],
     clip: f64,
     sizes: &[usize],
-) -> (Vec<Vec<f64>>, f64)
+) -> Clipped
 where
     M: PerExampleModel<E>,
 {
     let mut sums: Vec<Vec<f64>> = sizes.iter().map(|&n| vec![0.0; n]).collect();
     let mut total_loss = 0.0;
+    let per_example = 2 * sizes.iter().sum::<usize>() as u64;
     for example in batch {
         model.visit_blocks(&mut |b| b.zero_grad());
         total_loss += model.forward_backward(example);
@@ -125,7 +148,7 @@ where
             idx += 1;
         });
     }
-    (sums, total_loss)
+    (sums, total_loss, per_example * batch.len() as u64)
 }
 
 impl DpSgd {
@@ -139,12 +162,25 @@ impl DpSgd {
         }
     }
 
+    /// Rejects a configuration that could not run as stated. In
+    /// particular a positive noise multiplier needs a finite clip: the
+    /// noise std is `σ_d·C`, and a step must never carry a σ while
+    /// silently adding no noise.
     fn check(&self) {
         assert!(
             self.expected_batch > 0.0,
             "expected batch size must be positive"
         );
         assert!(self.clip > 0.0, "clip threshold must be positive");
+        assert!(
+            self.noise_multiplier.is_finite() && self.noise_multiplier >= 0.0,
+            "noise multiplier must be finite and non-negative, got {}",
+            self.noise_multiplier
+        );
+        assert!(
+            self.noise_multiplier == 0.0 || self.clip.is_finite(),
+            "a positive noise multiplier needs a finite clip (noise std is σ_d·C)"
+        );
     }
 
     /// Block shapes of `model` (stable order, per `visit_blocks`).
@@ -155,36 +191,40 @@ impl DpSgd {
     }
 
     /// Noises the merged gradient sum (σ_d·C per coordinate), averages by
-    /// the expected batch size, and applies the step to `model`.
-    fn apply<E, M, R>(&self, model: &mut M, sums: &[Vec<f64>], rng: &mut R)
+    /// the expected batch size, and applies the step to `model`. Always
+    /// dense: noise on every coordinate *is* the mechanism. Returns the
+    /// number of `N(0, 1)` draws made.
+    fn apply<E, M, R>(&self, model: &mut M, sums: &[Vec<f64>], rng: &mut R) -> u64
     where
         M: PerExampleModel<E>,
         R: Rng + ?Sized,
     {
-        let noise_std = self.noise_multiplier
-            * if self.clip.is_finite() {
-                self.clip
-            } else {
-                0.0
-            };
+        // `check` guarantees a finite clip whenever noise is on.
+        let noisy = self.noise_multiplier > 0.0;
+        let noise_std = self.noise_multiplier * self.clip;
+        let mut draws = 0;
         let mut idx = 0;
         model.visit_blocks(&mut |b| {
             for (i, s) in sums[idx].iter().enumerate() {
-                let noisy = s + if noise_std > 0.0 {
+                let noisy_sum = s + if noisy {
                     noise_std * standard_normal(rng)
                 } else {
                     0.0
                 };
-                b.values[i] -= self.lr * noisy / self.expected_batch;
+                b.values[i] -= self.lr * noisy_sum / self.expected_batch;
+            }
+            if noisy {
+                draws += sums[idx].len() as u64;
             }
             idx += 1;
         });
+        draws
     }
 
     /// Runs one optimizer step on `batch`, returning the mean example loss
     /// (or 0.0 for an empty Poisson batch — the step still applies noise,
-    /// as the mechanism requires).
-    pub fn step<E, M, R>(&self, model: &mut M, batch: &[E], rng: &mut R) -> f64
+    /// as the mechanism requires) and the step's work counts.
+    pub fn step<E, M, R>(&self, model: &mut M, batch: &[E], rng: &mut R) -> StepReport
     where
         M: PerExampleModel<E>,
         R: Rng + ?Sized,
@@ -193,11 +233,11 @@ impl DpSgd {
     }
 
     /// [`DpSgd::step`] built on [`accumulate_clipped_reference`] — the
-    /// unfused three-traversal kernel. Produces bit-identical parameters
-    /// and loss to [`DpSgd::step`]; retained as the reference twin for
-    /// the parity suite and the `micro_substrates` fused-vs-reference
-    /// pair.
-    pub fn step_reference<E, M, R>(&self, model: &mut M, batch: &[E], rng: &mut R) -> f64
+    /// unfused, all-dense three-traversal kernel. Produces bit-identical
+    /// parameters, loss and noise draws to [`DpSgd::step`]; retained as
+    /// the reference twin for the parity suite and the `micro_substrates`
+    /// fused-vs-reference pairs.
+    pub fn step_reference<E, M, R>(&self, model: &mut M, batch: &[E], rng: &mut R) -> StepReport
     where
         M: PerExampleModel<E>,
         R: Rng + ?Sized,
@@ -214,7 +254,7 @@ impl DpSgd {
         batch: &[E],
         rng: &mut R,
         accumulate: Accumulate<M, E>,
-    ) -> f64
+    ) -> StepReport
     where
         M: PerExampleModel<E>,
         R: Rng + ?Sized,
@@ -223,20 +263,27 @@ impl DpSgd {
         let sizes = self.block_sizes::<E, _>(model);
         let mut sums: Vec<Vec<f64>> = sizes.iter().map(|&n| vec![0.0; n]).collect();
         let mut total_loss = 0.0;
+        let mut coords_visited = 0;
         for micro in batch.chunks(MICROBATCH) {
-            let (part, loss) = accumulate(model, micro, self.clip, &sizes);
+            let (part, loss, visited) = accumulate(model, micro, self.clip, &sizes);
             for (s, p) in sums.iter_mut().zip(&part) {
                 for (a, b) in s.iter_mut().zip(p) {
                     *a += b;
                 }
             }
             total_loss += loss;
+            coords_visited += visited;
         }
-        self.apply::<E, _, _>(model, &sums, rng);
-        if batch.is_empty() {
+        let noise_draws = self.apply::<E, _, _>(model, &sums, rng);
+        let loss = if batch.is_empty() {
             0.0
         } else {
             total_loss / batch.len() as f64
+        };
+        StepReport {
+            loss,
+            coords_visited,
+            noise_draws,
         }
     }
 }
@@ -308,11 +355,14 @@ mod tests {
             w: ParamBlock::zeros(1),
         };
         let sizes = vec![1usize];
-        let (fused, fused_loss) = accumulate_clipped(&mut fused_model, &data, 1.0, &sizes);
-        let (reference, ref_loss) =
+        let (fused, fused_loss, fused_visits) =
+            accumulate_clipped(&mut fused_model, &data, 1.0, &sizes);
+        let (reference, ref_loss, ref_visits) =
             accumulate_clipped_reference(&mut ref_model, &data, 1.0, &sizes);
         assert_eq!(fused, reference);
         assert_eq!(fused_loss.to_bits(), ref_loss.to_bits());
+        // a dense model: both kernels visit every coordinate twice
+        assert_eq!((fused_visits, ref_visits), (8, 8));
     }
 
     #[test]
@@ -363,8 +413,9 @@ mod tests {
             lr: 1.0,
             expected_batch: 4.0,
         };
-        let loss = cfg.step::<f64, _, _>(&mut model, &[], &mut rng);
-        assert_eq!(loss, 0.0);
+        let step = cfg.step::<f64, _, _>(&mut model, &[], &mut rng);
+        assert_eq!(step.loss, 0.0);
+        assert_eq!(step.noise_draws, 1);
         assert_ne!(
             model.w.values[0], 0.0,
             "noise must be applied to empty batches"
@@ -444,9 +495,37 @@ mod tests {
             for _ in 0..20 {
                 let lf = cfg.step(&mut fused, &data, &mut rng_f);
                 let lr = cfg.step_reference(&mut reference, &data, &mut rng_r);
-                assert_eq!(lf.to_bits(), lr.to_bits());
+                assert_eq!(lf.loss.to_bits(), lr.loss.to_bits());
+                assert_eq!(lf.noise_draws, lr.noise_draws);
             }
             assert_eq!(fused.w.values[0].to_bits(), reference.w.values[0].to_bits());
+        }
+    }
+
+    /// Lookup model over one row-sparse embedding table: loss(code, y)
+    /// = ‖e_code − y‖²/2, so an example's gradient lives in one row.
+    #[derive(Clone)]
+    struct Lookup {
+        emb: crate::layers::Embedding,
+    }
+
+    impl PerExampleModel<(u32, f64)> for Lookup {
+        fn forward_backward(&mut self, &(code, y): &(u32, f64)) -> f64 {
+            let dz: Vec<f64> = self.emb.forward(code).iter().map(|e| e - y).collect();
+            self.emb.backward(code, &dz);
+            0.5 * dz.iter().map(|d| d * d).sum::<f64>()
+        }
+        fn visit_blocks(&mut self, f: &mut dyn FnMut(&mut ParamBlock)) {
+            self.emb.visit_blocks(f);
+        }
+    }
+
+    fn lookup(card: usize, dim: usize) -> Lookup {
+        let table = (0..card * dim)
+            .map(|i| (i % 7) as f64 / 7.0 - 0.5)
+            .collect();
+        Lookup {
+            emb: crate::layers::Embedding::from_values(card, dim, table),
         }
     }
 
@@ -463,6 +542,105 @@ mod tests {
         let cfg = DpSgd::non_private(0.5, 1.0);
         cfg.step(&mut model, &[0.0], &mut rng);
         assert_eq!(model.w.values[0], 0.0, "stale gradient leaked into step");
+
+        // a row-sparse block with stale gradients in every row *and*
+        // stale touched rows: the step must match a clean model's bits,
+        // and rows no example touched must not move
+        let batch = [(1u32, 0.25), (1, -2.0), (3, 1.0)];
+        let mut clean = lookup(5, 3);
+        let mut stale = clean.clone();
+        stale.emb.table.grads.iter_mut().for_each(|g| *g = 1e9);
+        for row in [0, 4, 4, 2] {
+            stale.emb.table.touch_row(row);
+        }
+        let cfg = DpSgd {
+            clip: 1.0,
+            noise_multiplier: 0.0,
+            lr: 0.5,
+            expected_batch: 3.0,
+        };
+        let clean_step = cfg.step(&mut clean, &batch, &mut rng);
+        let stale_step = cfg.step(&mut stale, &batch, &mut rng);
+        // the stale rows are forgotten, not visited
+        assert_eq!(stale_step.coords_visited, clean_step.coords_visited);
+        let bits =
+            |m: &Lookup| -> Vec<u64> { m.emb.table.values.iter().map(|v| v.to_bits()).collect() };
+        assert_eq!(bits(&stale), bits(&clean), "stale sparse state leaked");
+        let fresh = lookup(5, 3);
+        for row in [0, 2, 4] {
+            assert_eq!(fresh.emb.forward(row), stale.emb.forward(row));
+        }
+        assert!(stale.emb.table.grads.iter().all(|&g| g == 0.0));
+    }
+
+    #[test]
+    fn sparse_step_visits_only_touched_rows_and_matches_reference() {
+        let batch: Vec<(u32, f64)> = (0..40).map(|i| ((i * 7 % 11) as u32, 0.3)).collect();
+        for noise in [0.0, 1.1] {
+            let cfg = DpSgd {
+                clip: 0.5,
+                noise_multiplier: noise,
+                lr: 0.1,
+                expected_batch: 32.0,
+            };
+            let mut fused = lookup(50, 4);
+            let mut reference = fused.clone();
+            let mut rng_f = StdRng::seed_from_u64(29);
+            let mut rng_r = StdRng::seed_from_u64(29);
+            for _ in 0..5 {
+                let f = cfg.step(&mut fused, &batch, &mut rng_f);
+                let r = cfg.step_reference(&mut reference, &batch, &mut rng_r);
+                assert_eq!(f.loss.to_bits(), r.loss.to_bits());
+                // one 4-wide row per example, twice, against the whole
+                // 50×4 table twice
+                assert_eq!(f.coords_visited, 40 * 2 * 4);
+                assert_eq!(r.coords_visited, 40 * 2 * 200);
+                let draws = if noise > 0.0 { 200 } else { 0 };
+                assert_eq!((f.noise_draws, r.noise_draws), (draws, draws));
+            }
+            for (a, b) in fused
+                .emb
+                .table
+                .values
+                .iter()
+                .zip(&reference.emb.table.values)
+            {
+                assert_eq!(a.to_bits(), b.to_bits());
+            }
+        }
+    }
+
+    /// A step that must refuse to run: each of these used to train with
+    /// no noise while carrying a σ.
+    fn must_refuse(clip: f64, noise_multiplier: f64) {
+        let cfg = DpSgd {
+            clip,
+            noise_multiplier,
+            lr: 0.1,
+            expected_batch: 1.0,
+        };
+        let mut model = Quad {
+            w: ParamBlock::zeros(1),
+        };
+        cfg.step(&mut model, &[1.0], &mut StdRng::seed_from_u64(31));
+    }
+
+    #[test]
+    #[should_panic(expected = "needs a finite clip")]
+    fn noise_without_a_finite_clip_is_rejected() {
+        must_refuse(f64::INFINITY, 1.1);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and non-negative")]
+    fn negative_noise_multiplier_is_rejected() {
+        must_refuse(1.0, -1.1);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and non-negative")]
+    fn nan_noise_multiplier_is_rejected() {
+        must_refuse(1.0, f64::NAN);
     }
 
     #[test]
@@ -472,7 +650,7 @@ mod tests {
             w: ParamBlock::zeros(1),
         };
         let cfg = DpSgd::non_private(0.0, 2.0); // lr 0: loss unchanged
-        let loss = cfg.step(&mut model, &[1.0, 3.0], &mut rng);
+        let loss = cfg.step(&mut model, &[1.0, 3.0], &mut rng).loss;
         assert!((loss - (0.5 + 4.5) / 2.0).abs() < 1e-12);
     }
 }

@@ -10,7 +10,7 @@
 use kamino_nn::linalg::{
     matvec, matvec_ref, matvec_t_acc, matvec_t_acc_ref, outer_acc, outer_acc_ref,
 };
-use kamino_nn::{DpSgd, ParamBlock, PerExampleModel};
+use kamino_nn::{DpSgd, Embedding, ParamBlock, PerExampleModel};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -124,14 +124,124 @@ proptest! {
         for step in 0..4 {
             let mut r1 = StdRng::seed_from_u64(seed ^ step);
             let mut r2 = StdRng::seed_from_u64(seed ^ step);
-            let l1 = opt.step(&mut fused, &batch, &mut r1);
-            let l2 = opt.step_reference(&mut reference, &batch, &mut r2);
+            let l1 = opt.step(&mut fused, &batch, &mut r1).loss;
+            let l2 = opt.step_reference(&mut reference, &batch, &mut r2).loss;
             prop_assert!(
                 l1.to_bits() == l2.to_bits(),
                 "loss diverged at step {step}: {l1:?} vs {l2:?}"
             );
             assert_bits_eq(&fused.w.values, &reference.w.values, "weights");
         }
+    }
+
+    /// The row-sparse fused step ≡ the all-dense reference step, to the
+    /// bit, on random embedding models: 1–4 lookup tables plus one dense
+    /// block, codes repeated within a microbatch (and one table touched
+    /// twice per example, out of row order), signed-zero-laden `dz`,
+    /// random clip, noise on and off, over several steps.
+    #[test]
+    fn sparse_dpsgd_step_matches_dense_reference(
+        cards in prop::collection::vec(1usize..64, 1..=4),
+        dims in prop::collection::vec(1usize..8, 4..=4),
+        dense_len in 1usize..6,
+        batch_len in 0usize..40,
+        clip_raw in 1u32..40,
+        noisy in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let clip = clip_raw as f64 / 10.0;
+        let batch: Vec<u64> = (0..batch_len as u64).map(|i| seed.wrapping_add(i % 7)).collect();
+        let opt = DpSgd {
+            clip,
+            noise_multiplier: if noisy { 1.1 } else { 0.0 },
+            lr: 0.1,
+            expected_batch: batch_len.max(1) as f64,
+        };
+        let shapes: Vec<(usize, usize)> = cards.into_iter().zip(dims).collect();
+        let mut fused = Lookups::new(&shapes, dense_len, seed);
+        let mut reference = fused.clone();
+        for step in 0..4 {
+            let mut r1 = StdRng::seed_from_u64(seed ^ step);
+            let mut r2 = StdRng::seed_from_u64(seed ^ step);
+            let s1 = opt.step(&mut fused, &batch, &mut r1);
+            let s2 = opt.step_reference(&mut reference, &batch, &mut r2);
+            prop_assert!(
+                s1.loss.to_bits() == s2.loss.to_bits(),
+                "loss diverged at step {step}: {:?} vs {:?}", s1.loss, s2.loss
+            );
+            prop_assert_eq!(s1.noise_draws, s2.noise_draws);
+            prop_assert!(s1.coords_visited <= s2.coords_visited);
+            for (f, r) in fused.tables.iter().zip(&reference.tables) {
+                assert_bits_eq(&f.table.values, &r.table.values, "table");
+            }
+            assert_bits_eq(&fused.dense.values, &reference.dense.values, "dense");
+        }
+    }
+}
+
+/// Embedding-context model: one row-sparse lookup table per context
+/// attribute plus a dense block, with a loss linear in the looked-up rows
+/// so `dz` is the signed-zero-laden [`fill`] stream itself. An example is
+/// a seed; its codes hash from it, so repeated seeds repeat codes.
+#[derive(Clone)]
+struct Lookups {
+    tables: Vec<Embedding>,
+    dense: ParamBlock,
+}
+
+impl Lookups {
+    fn new(shapes: &[(usize, usize)], dense_len: usize, seed: u64) -> Lookups {
+        let tables = shapes
+            .iter()
+            .enumerate()
+            .map(|(t, &(card, dim))| {
+                Embedding::from_values(card, dim, fill(seed.wrapping_add(t as u64), card * dim))
+            })
+            .collect();
+        Lookups {
+            tables,
+            dense: ParamBlock::from_values(fill(seed.wrapping_add(99), dense_len)),
+        }
+    }
+}
+
+impl PerExampleModel<u64> for Lookups {
+    fn forward_backward(&mut self, &ex: &u64) -> f64 {
+        let mut loss = 0.0;
+        for (t, table) in self.tables.iter_mut().enumerate() {
+            let card = table.card() as u64;
+            let mix = ex
+                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                .rotate_left(t as u32 * 7);
+            let mut codes = vec![(mix % card) as u32];
+            if t == 0 {
+                // a second, possibly equal or lower, row of the same table
+                codes.push(((mix >> 32) % card) as u32);
+            }
+            for (k, &code) in codes.iter().enumerate() {
+                let dz = fill(mix.wrapping_add(k as u64), table.dim());
+                loss += table
+                    .forward(code)
+                    .iter()
+                    .zip(&dz)
+                    .map(|(e, d)| e * d)
+                    .sum::<f64>();
+                table.backward(code, &dz);
+            }
+        }
+        let x = fill(ex.wrapping_add(3), self.dense.len());
+        for ((g, w), xc) in self.dense.grads.iter_mut().zip(&self.dense.values).zip(&x) {
+            loss += w * xc;
+            *g += xc;
+        }
+        loss
+    }
+
+    fn visit_blocks(&mut self, f: &mut dyn FnMut(&mut ParamBlock)) {
+        for table in &mut self.tables {
+            table.visit_blocks(f);
+        }
+        f(&mut self.dense);
     }
 }
 
@@ -147,10 +257,7 @@ struct Ridge {
 impl Ridge {
     fn new(dim: usize, seed: u64) -> Ridge {
         Ridge {
-            w: ParamBlock {
-                values: fill(seed, dim * dim),
-                grads: vec![0.0; dim * dim],
-            },
+            w: ParamBlock::from_values(fill(seed, dim * dim)),
             dim,
         }
     }

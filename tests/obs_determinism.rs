@@ -9,9 +9,11 @@
 
 use std::time::Duration;
 
+use kamino::core::model::{SubModelKind, SubModelTrainer};
 use kamino::core::{fit_kamino, FittedKamino, KaminoConfig, PhaseTimings};
 use kamino::datasets::adult_like;
 use kamino::dp::Budget;
+use kamino::nn::PerExampleModel;
 use kamino::obs::{Event, ObsHandle};
 use kamino::serve::{decode_fitted, encode_fitted};
 
@@ -187,4 +189,55 @@ fn an_accept_reject_draw_traces_its_fill() {
     );
     assert!(fills.iter().all(|s| s.parent == draws[0].id));
     assert!(session.timings.sample_fill > Duration::ZERO);
+}
+
+/// DP-SGD's work counters, read off the handle a fit ran under:
+/// (coordinates visited, noise draws).
+fn dpsgd_work(obs: &ObsHandle) -> (u64, u64) {
+    (
+        obs.counter("kamino_dpsgd_coords_visited_total", &[]).get(),
+        obs.counter("kamino_dpsgd_noise_draws_total", &[]).get(),
+    )
+}
+
+#[test]
+fn identical_traced_fits_record_identical_dpsgd_work() {
+    let runs: Vec<(u64, u64)> = (0..2)
+        .map(|_| {
+            let obs = ObsHandle::enabled();
+            let _ = fit(obs.clone());
+            dpsgd_work(&obs)
+        })
+        .collect();
+    assert_eq!(
+        runs[0], runs[1],
+        "DP-SGD work counters must be deterministic"
+    );
+    assert!(runs[0].0 > 0 && runs[0].1 > 0, "no DP-SGD work counted");
+}
+
+/// The noise counter is the mechanism's exact size: every step of every
+/// DP-SGD-trained sub-model draws one `N(0, 1)` per parameter it trains
+/// (its context embeddings, attention and head).
+#[test]
+fn noise_draws_are_one_per_parameter_per_step() {
+    let obs = ObsHandle::enabled();
+    let fitted = fit(obs.clone());
+    assert!(fitted.params.sigma_d > 0.0, "the fit must be private");
+    let model = fitted.model();
+    let mut store = model.store.clone();
+    let mut params = 0u64;
+    for sm in &model.submodels {
+        if !matches!(sm.kind, SubModelKind::Discriminative { .. }) {
+            continue;
+        }
+        let mut trainer = SubModelTrainer {
+            store: &mut store,
+            sm: &mut sm.clone(),
+        };
+        trainer.visit_blocks(&mut |b| params += b.len() as u64);
+    }
+    assert!(params > 0);
+    let (_, draws) = dpsgd_work(&obs);
+    assert_eq!(draws, fitted.params.t as u64 * params);
 }
