@@ -164,8 +164,8 @@ pub struct KaminoReport {
 /// it never touches the true instance, so every [`FittedKamino::sample`]
 /// call is covered by the (ε, δ) spent at fit time.
 ///
-/// Obtained from [`fit_kamino`]; the `kamino` facade wraps it in the
-/// `Synthesizer` session API.
+/// Obtained from [`fit_kamino`]; `kamino_serve::{save_fitted,
+/// load_fitted}` persist and restore it.
 pub struct FittedKamino {
     /// The schema sequence used (Algorithm 4's output).
     pub sequence: Vec<usize>,
@@ -187,6 +187,26 @@ pub struct FittedKamino {
 /// Runs Algorithm 1's lines 2–5: sequencing → parameter search → model
 /// training → weight learning. The returned [`FittedKamino`] samples any
 /// number of synthetic instances without further budget cost.
+///
+/// # Examples
+///
+/// Fit once, then stream 250 rows as three draws (100 + 100 + 50):
+///
+/// ```
+/// use kamino_core::{fit_kamino, KaminoConfig};
+/// use kamino_datasets::adult_like;
+/// use kamino_dp::Budget;
+///
+/// let data = adult_like(300, 42);
+/// let mut cfg = KaminoConfig::new(Budget::new(1.0, 1e-6));
+/// cfg.train_scale = 0.05; // doc-test speed; use 1.0 for real runs
+/// cfg.seed = 7;
+/// let mut session = fit_kamino(&data.schema, &data.instance, &data.dcs, &cfg);
+///
+/// assert!(session.achieved_epsilon() <= 1.0);
+/// let rows: usize = [100, 100, 50].iter().map(|&n| session.sample(n).n_rows()).sum();
+/// assert_eq!(rows, 250);
+/// ```
 pub fn fit_kamino(
     schema: &Schema,
     instance: &Instance,
@@ -195,6 +215,8 @@ pub fn fit_kamino(
 ) -> FittedKamino {
     let n = instance.n_rows();
     assert!(n > 0, "cannot synthesize from an empty instance");
+    assert!(cfg.train_scale > 0.0, "train scale must be positive");
+    assert!(cfg.mcmc_ratio >= 0.0, "mcmc ratio must be nonnegative");
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x4A31);
     let mut timings = PhaseTimings::default();
     let obs = &cfg.obs;
@@ -363,6 +385,28 @@ impl FittedKamino {
     /// config (Algorithm 3, RandSampling or the Exp. 6 accept–reject
     /// rule), advancing the session's RNG stream. Pure post-processing:
     /// spends no additional budget.
+    ///
+    /// # Examples
+    ///
+    /// Successive draws continue one stream, so two equal-seeded
+    /// sessions replay each other draw for draw:
+    ///
+    /// ```
+    /// use kamino_core::{fit_kamino, KaminoConfig};
+    /// use kamino_datasets::adult_like;
+    /// use kamino_dp::Budget;
+    ///
+    /// let data = adult_like(120, 3);
+    /// let mut cfg = KaminoConfig::new(Budget::new(1.0, 1e-6));
+    /// cfg.train_scale = 0.02; // doc-test speed; use 1.0 for real runs
+    /// cfg.seed = 5;
+    /// let mut a = fit_kamino(&data.schema, &data.instance, &data.dcs, &cfg);
+    /// let mut b = fit_kamino(&data.schema, &data.instance, &data.dcs, &cfg);
+    ///
+    /// assert_eq!(a.sample(50), b.sample(50));
+    /// assert_eq!(a.sample(30), b.sample(30));
+    /// assert_eq!(a.sample(30).n_rows(), 30);
+    /// ```
     pub fn sample(&mut self, n: usize) -> Instance {
         let mut span = self.cfg.obs.span("sample");
         if span.is_active() {
@@ -484,6 +528,24 @@ mod tests {
         cfg.output_n = Some(90);
         let report = run_kamino(&d.schema, &d.instance, &d.dcs, &cfg);
         assert_eq!(report.instance.n_rows(), 90);
+    }
+
+    #[test]
+    #[should_panic(expected = "train scale must be positive")]
+    fn zero_train_scale_is_refused() {
+        let d = adult_like(50, 7);
+        let mut cfg = fast_cfg(Budget::new(1.0, 1e-6), 8);
+        cfg.train_scale = 0.0;
+        fit_kamino(&d.schema, &d.instance, &d.dcs, &cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "mcmc ratio must be nonnegative")]
+    fn negative_mcmc_ratio_is_refused() {
+        let d = adult_like(50, 7);
+        let mut cfg = fast_cfg(Budget::new(1.0, 1e-6), 8);
+        cfg.mcmc_ratio = -0.1;
+        fit_kamino(&d.schema, &d.instance, &d.dcs, &cfg);
     }
 
     #[test]

@@ -39,21 +39,6 @@ pub struct Dataset {
     pub dcs: Vec<DenialConstraint>,
 }
 
-impl Dataset {
-    /// Metric I on the true instance: `(dc name, % violating tuple pairs)`.
-    pub fn truth_violations(&self) -> Vec<(String, f64)> {
-        self.dcs
-            .iter()
-            .map(|dc| {
-                (
-                    dc.name.clone(),
-                    kamino_constraints::violation_percentage(dc, &self.instance),
-                )
-            })
-            .collect()
-    }
-}
-
 /// The four corpora of Table 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Corpus {

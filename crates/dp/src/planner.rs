@@ -9,7 +9,7 @@
 //! Algorithm 6's back-off loop; [`BudgetPlanner`] instead *solves* for the
 //! per-mechanism σ's:
 //!
-//! 1. `σ_w` is calibrated to a fixed share (default 10%) of ε — the single
+//! 1. `σ_w` is calibrated to a fixed share (10%) of ε — the single
 //!    violation-matrix release is cheap and its quality is insensitive to
 //!    small share changes, so it is planned first and held fixed;
 //! 2. `σ_g` and `σ_d` are seeded by per-mechanism calibration at nominal
@@ -121,8 +121,8 @@ pub fn spend_fingerprint(sigma_g: f64, sigma_d: f64, sigma_w: f64, epsilon: f64)
 
 /// Replays a plan against a fresh accountant: the composed (ε, δ)
 /// conversion of `M1 + M2 + M3` under `plan`'s σ's. This is the round-trip
-/// the planner's guarantee is stated in — tests and the `Synthesizer`
-/// session assert `composed_epsilon(..) ≤ ε` through it.
+/// the planner's guarantee is stated in — tests assert
+/// `composed_epsilon(..) ≤ ε` through it, from a fitted session's Ψ.
 pub fn composed_epsilon(shape: &RunShape, plan: &BudgetPlan, delta: f64) -> f64 {
     let mut acc = RdpAccountant::new();
     if shape.histogram_releases > 0 && plan.sigma_g > 0.0 {
@@ -158,29 +158,19 @@ pub fn composed_epsilon(shape: &RunShape, plan: &BudgetPlan, delta: f64) -> f64 
 #[derive(Debug, Clone, Copy)]
 pub struct BudgetPlanner {
     budget: Budget,
-    /// Fixed ε share of the single `M3` release (when it runs).
-    weight_share: f64,
-    /// Nominal ε share seeding `σ_g`'s ratio against `σ_d`.
-    histogram_share: f64,
 }
 
+/// Fixed ε share of the single `M3` release (when it runs).
+const WEIGHT_SHARE: f64 = 0.10;
+/// Nominal ε share seeding `σ_g`'s ratio against `σ_d`.
+const HISTOGRAM_SHARE: f64 = 0.15;
+
 impl BudgetPlanner {
-    /// A planner with the default shares: 10% of ε to `M3` when weights
-    /// are learned, 15% seeding `M1` against `M2` (the shares only fix
+    /// A planner with fixed shares: 10% of ε to `M3` when weights are
+    /// learned, 15% seeding `M1` against `M2` (the shares only fix
     /// ratios — the bisection makes the composed plan tight regardless).
     pub fn new(budget: Budget) -> BudgetPlanner {
-        BudgetPlanner {
-            budget,
-            weight_share: 0.10,
-            histogram_share: 0.15,
-        }
-    }
-
-    /// Overrides the fixed `M3` share.
-    pub fn with_weight_share(mut self, share: f64) -> BudgetPlanner {
-        assert!((0.0..1.0).contains(&share), "share must be in [0, 1)");
-        self.weight_share = share;
-        self
+        BudgetPlanner { budget }
     }
 
     /// The budget this planner fits.
@@ -260,7 +250,7 @@ impl BudgetPlanner {
         // it: the release then costs ≈ the floor, and the bisection
         // absorbs that cost when fitting M1/M2.
         let sigma_w = if shape.weight_sample > 0 {
-            let target = (self.weight_share * eps).max(1.05 * floor);
+            let target = (WEIGHT_SHARE * eps).max(1.05 * floor);
             let sigma = try_calibrate_sgm_sigma(target, delta, shape.weight_rate(), 1)
                 .expect("relaxed M3 target is above the floor by construction");
             obs.event(Event::BudgetCalibration {
@@ -276,11 +266,11 @@ impl BudgetPlanner {
         // Seed σ_g : σ_d ratios by per-mechanism calibration at nominal
         // shares (relaxed to stay feasible); only the ratio matters.
         let g_share = if shape.sgd_steps > 0 {
-            self.histogram_share
+            HISTOGRAM_SHARE
         } else {
-            1.0 - self.weight_share
+            1.0 - WEIGHT_SHARE
         };
-        let d_share = (1.0 - g_share - self.weight_share).max(0.05);
+        let d_share = (1.0 - g_share - WEIGHT_SHARE).max(0.05);
         let seed_sigma = |share: f64, q: f64, count: u64| -> f64 {
             let target = (share * eps).max(1.05 * floor);
             try_calibrate_sgm_sigma(target, delta, q, count)

@@ -9,7 +9,7 @@
 //! exchange.
 
 use std::collections::BTreeMap;
-use std::io::{self, BufRead, Write};
+use std::io::{self, Write};
 
 /// Bound on the request line and on any single header line.
 const MAX_LINE: usize = 8 * 1024;
@@ -60,47 +60,20 @@ impl Request {
     }
 }
 
-/// Why a request could not be read.
-#[derive(Debug)]
-pub enum ReadError {
-    /// The peer closed the connection before a request started — the
-    /// normal end of a keep-alive session.
-    Eof,
-    /// Transport failure mid-request.
-    Io(io::Error),
-    /// The bytes are not valid HTTP within the parser's bounds. The
-    /// payload is the status line to answer with.
-    Bad(&'static str),
-}
+const BAD_REQUEST: &str = "400 Bad Request";
+const HEAD_TOO_LARGE: &str = "431 Request Header Fields Too Large";
 
-impl From<io::Error> for ReadError {
-    fn from(e: io::Error) -> ReadError {
-        ReadError::Io(e)
-    }
-}
-
-fn read_line<R: BufRead>(r: &mut R) -> Result<String, ReadError> {
-    let mut line = Vec::with_capacity(128);
-    loop {
-        let mut byte = [0u8; 1];
-        let n = r.read(&mut byte).map_err(ReadError::Io)?;
-        if n == 0 {
-            if line.is_empty() {
-                return Err(ReadError::Eof);
-            }
-            return Err(ReadError::Bad("400 Bad Request"));
-        }
-        if byte[0] == b'\n' {
-            if line.last() == Some(&b'\r') {
-                line.pop();
-            }
-            return String::from_utf8(line).map_err(|_| ReadError::Bad("400 Bad Request"));
-        }
-        line.push(byte[0]);
+/// Splits a complete head (through its blank line) into lines without
+/// their `\n` and one trailing `\r`, so bare-LF heads parse too. A line
+/// over [`MAX_LINE`] bytes is `431`; one that is not UTF-8 is `400`.
+fn head_lines(head: &[u8]) -> impl Iterator<Item = Result<&str, &'static str>> {
+    head.split(|&b| b == b'\n').map(|line| {
         if line.len() > MAX_LINE {
-            return Err(ReadError::Bad("431 Request Header Fields Too Large"));
+            return Err(HEAD_TOO_LARGE);
         }
-    }
+        let line = line.strip_suffix(b"\r").unwrap_or(line);
+        std::str::from_utf8(line).map_err(|_| BAD_REQUEST)
+    })
 }
 
 /// Decodes `%XX` escapes and `+` in a query component. An escape needs
@@ -145,21 +118,18 @@ fn parse_query(q: &str) -> BTreeMap<String, String> {
     out
 }
 
-/// Parses the request line and headers (through the blank line), leaving
-/// the body unread. Returns the request with an empty body plus the
-/// declared `content-length`. The head parser behind the event loop's
-/// incremental [`try_parse`].
-pub fn read_head<R: BufRead>(r: &mut R) -> Result<(Request, usize), ReadError> {
-    let request_line = read_line(r)?;
+/// Parses a complete head — the request line and headers through the
+/// blank line — into a request with an empty body plus the declared
+/// `content-length`. `Err` carries the status line to refuse with.
+fn parse_head(head: &[u8]) -> Result<(Request, usize), &'static str> {
+    let mut lines = head_lines(head);
+    let request_line = lines.next().ok_or(BAD_REQUEST)??;
     let mut parts = request_line.split_whitespace();
-    let method = parts
-        .next()
-        .ok_or(ReadError::Bad("400 Bad Request"))?
-        .to_ascii_uppercase();
-    let target = parts.next().ok_or(ReadError::Bad("400 Bad Request"))?;
-    let version = parts.next().ok_or(ReadError::Bad("400 Bad Request"))?;
+    let method = parts.next().ok_or(BAD_REQUEST)?.to_ascii_uppercase();
+    let target = parts.next().ok_or(BAD_REQUEST)?;
+    let version = parts.next().ok_or(BAD_REQUEST)?;
     if !version.starts_with("HTTP/1.") {
-        return Err(ReadError::Bad("505 HTTP Version Not Supported"));
+        return Err("505 HTTP Version Not Supported");
     }
 
     let (path, query) = match target.split_once('?') {
@@ -168,17 +138,15 @@ pub fn read_head<R: BufRead>(r: &mut R) -> Result<(Request, usize), ReadError> {
     };
 
     let mut headers = BTreeMap::new();
-    loop {
-        let line = read_line(r)?;
+    for line in lines {
+        let line = line?;
         if line.is_empty() {
             break;
         }
         if headers.len() >= MAX_HEADERS {
-            return Err(ReadError::Bad("431 Request Header Fields Too Large"));
+            return Err(HEAD_TOO_LARGE);
         }
-        let (name, value) = line
-            .split_once(':')
-            .ok_or(ReadError::Bad("400 Bad Request"))?;
+        let (name, value) = line.split_once(':').ok_or(BAD_REQUEST)?;
         headers.insert(name.trim().to_ascii_lowercase(), value.trim().to_string());
     }
 
@@ -186,15 +154,15 @@ pub fn read_head<R: BufRead>(r: &mut R) -> Result<(Request, usize), ReadError> {
     // body as empty would desync the keep-alive stream (the chunk bytes
     // would parse as the next request), so refuse loudly
     if headers.contains_key("transfer-encoding") {
-        return Err(ReadError::Bad("501 Not Implemented"));
+        return Err("501 Not Implemented");
     }
 
     let len = match headers.get("content-length") {
         None => 0,
         Some(v) => {
-            let len: usize = v.parse().map_err(|_| ReadError::Bad("400 Bad Request"))?;
+            let len: usize = v.parse().map_err(|_| BAD_REQUEST)?;
             if len > MAX_BODY {
-                return Err(ReadError::Bad("413 Content Too Large"));
+                return Err("413 Content Too Large");
             }
             len
         }
@@ -231,7 +199,7 @@ pub enum Parse {
 }
 
 /// Finds the end of the request head (the byte after the blank line),
-/// accepting both CRLF and bare-LF line endings like [`read_line`] does.
+/// accepting both CRLF and bare-LF line endings like [`head_lines`] does.
 fn find_head_end(buf: &[u8]) -> Option<usize> {
     let mut i = 0;
     while i < buf.len() {
@@ -252,26 +220,22 @@ fn find_head_end(buf: &[u8]) -> Option<usize> {
 
 /// Attempts to parse one request from the front of `buf` without
 /// blocking: the event loop calls this after every read. The bounded
-/// [`read_head`] parser does the head work once the terminator is
-/// buffered, so torn and pipelined writes converge to the outcome a
-/// single whole-request write gets.
+/// `parse_head` does the head work once the terminator is buffered, so
+/// torn and pipelined writes converge to the outcome a single
+/// whole-request write gets.
 pub fn try_parse(buf: &[u8]) -> Parse {
     let Some(head_end) = find_head_end(buf) else {
         // no terminator yet: bound how much head a client may dribble in
         if buf.len() > MAX_HEAD {
-            return Parse::Bad("431 Request Header Fields Too Large");
+            return Parse::Bad(HEAD_TOO_LARGE);
         }
         return Parse::Partial;
     };
     if head_end > MAX_HEAD {
-        return Parse::Bad("431 Request Header Fields Too Large");
+        return Parse::Bad(HEAD_TOO_LARGE);
     }
-    let mut head = &buf[..head_end];
-    match read_head(&mut head) {
-        // Eof cannot happen (the terminator is present), but treat it as
-        // malformed rather than looping
-        Err(ReadError::Eof) | Err(ReadError::Io(_)) => Parse::Bad("400 Bad Request"),
-        Err(ReadError::Bad(status)) => Parse::Bad(status),
+    match parse_head(&buf[..head_end]) {
+        Err(status) => Parse::Bad(status),
         Ok((mut req, len)) => {
             let total = head_end + len;
             if buf.len() < total {
@@ -486,6 +450,22 @@ mod tests {
             try_parse(b"NOT HTTP AT ALL\r\n\r\n"),
             Parse::Bad(_)
         ));
+    }
+
+    #[test]
+    fn one_header_line_over_max_line_is_431() {
+        let raw = format!("GET / HTTP/1.1\r\nx-long: {}\r\n\r\n", "y".repeat(MAX_LINE));
+        assert!(raw.len() < MAX_HEAD, "the head itself is within bounds");
+        assert!(matches!(
+            req(&raw),
+            Err("431 Request Header Fields Too Large")
+        ));
+    }
+
+    #[test]
+    fn non_utf8_request_line_is_400() {
+        let raw = b"GET /\xff HTTP/1.1\r\n\r\n";
+        assert!(matches!(try_parse(raw), Parse::Bad("400 Bad Request")));
     }
 
     #[test]

@@ -25,8 +25,8 @@
 //!
 //! The `kamino-serve` binary wires [`server::Server`] to `--listen`,
 //! `--model-dir`, `--threads`, `--max-models` and `--pool-batches`
-//! flags; the `kamino` facade re-exports this crate as `kamino::serve`
-//! and adds `save`/`load` methods to its `Synthesizer` session API.
+//! flags; the `kamino` facade re-exports this crate as `kamino::serve`,
+//! and its prelude carries [`save_fitted`] and [`load_fitted`].
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

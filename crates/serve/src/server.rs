@@ -526,7 +526,7 @@ fn worker_loop(state: &Arc<AppState>, rx: &Mutex<mpsc::Receiver<Job>>, done: &Co
         note_queue_depth(state, depth);
         match job {
             Job::Fit { slot, spec } => run_fit(state, &slot, spec),
-            Job::Refill { slot } => run_refill(state, &slot),
+            Job::Refill { slot } => run_refill(&slot),
             Job::Batch {
                 token,
                 gen,
@@ -541,7 +541,7 @@ fn worker_loop(state: &Arc<AppState>, rx: &Mutex<mpsc::Receiver<Job>>, done: &Co
                 // only aligned traffic warrants speculation, and none
                 // does while the queue is under pressure
                 if rows == state.registry.pool_config().rows && !speculation_paused(state) {
-                    maybe_refill(state, &slot);
+                    maybe_refill(&slot);
                 }
             }
             Job::Snapshot { token, gen, slot } => {
@@ -553,15 +553,15 @@ fn worker_loop(state: &Arc<AppState>, rx: &Mutex<mpsc::Receiver<Job>>, done: &Co
 }
 
 /// Claims the refill flag and refills if nobody else already is.
-pub(crate) fn maybe_refill(state: &Arc<AppState>, slot: &Arc<ModelSlot>) {
+pub(crate) fn maybe_refill(slot: &Arc<ModelSlot>) {
     if !slot.refill_queued.swap(true, Ordering::AcqRel) {
-        run_refill(state, slot);
+        run_refill(slot);
     }
 }
 
 /// Refills a resident model's pool to its configured depth, releasing
 /// the model mutex between batches so drains interleave.
-fn run_refill(state: &Arc<AppState>, slot: &Arc<ModelSlot>) {
+fn run_refill(slot: &Arc<ModelSlot>) {
     loop {
         let mut guard = slot.resident.lock().unwrap();
         let Some(r) = guard.as_mut() else { break };
@@ -571,7 +571,6 @@ fn run_refill(state: &Arc<AppState>, slot: &Arc<ModelSlot>) {
         slot.pool_depth.set(r.pool.depth() as f64);
     }
     slot.refill_queued.store(false, Ordering::Release);
-    let _ = state;
 }
 
 /// Maps an [`Registry::ensure_resident`] error to a status line.

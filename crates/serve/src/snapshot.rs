@@ -504,11 +504,63 @@ pub fn verify_snapshot(path: &Path) -> Result<(), SnapshotError> {
 
 /// Saves a fitted session to `path` (atomically: write to a `.tmp`
 /// sibling, then rename).
+///
+/// # Examples
+///
+/// ```
+/// use kamino_core::{fit_kamino, KaminoConfig};
+/// use kamino_datasets::adult_like;
+/// use kamino_dp::Budget;
+/// use kamino_serve::{load_fitted, save_fitted};
+///
+/// let data = adult_like(100, 11);
+/// let mut cfg = KaminoConfig::new(Budget::new(1.0, 1e-6));
+/// cfg.train_scale = 0.02; // doc-test speed; use 1.0 for real runs
+/// cfg.seed = 13;
+/// let session = fit_kamino(&data.schema, &data.instance, &data.dcs, &cfg);
+///
+/// let path = std::env::temp_dir()
+///     .join(format!("kamino-doc-save-{}.kamino", std::process::id()));
+/// save_fitted(&session, &path)?;
+/// assert!(path.exists());
+/// // ε was spent at fit time; the snapshot can be queried forever
+/// let restored = load_fitted(&path)?;
+/// assert_eq!(restored.achieved_epsilon(), session.achieved_epsilon());
+/// # std::fs::remove_file(&path).ok();
+/// # Ok::<(), kamino_serve::SnapshotError>(())
+/// ```
 pub fn save_fitted(fitted: &FittedKamino, path: &Path) -> Result<(), SnapshotError> {
     write_snapshot_bytes(&encode_fitted(fitted), path)
 }
 
-/// Loads a fitted session from `path`.
+/// Loads a fitted session from `path`. The loaded session continues the
+/// sample stream exactly where the saved one stopped, at the ε it
+/// originally spent — loading costs no privacy budget.
+///
+/// # Examples
+///
+/// ```
+/// use kamino_core::{fit_kamino, KaminoConfig};
+/// use kamino_datasets::adult_like;
+/// use kamino_dp::Budget;
+/// use kamino_serve::{load_fitted, save_fitted};
+///
+/// let data = adult_like(100, 7);
+/// let mut cfg = KaminoConfig::new(Budget::new(1.0, 1e-6));
+/// cfg.train_scale = 0.02; // doc-test speed; use 1.0 for real runs
+/// cfg.seed = 9;
+/// let mut session = fit_kamino(&data.schema, &data.instance, &data.dcs, &cfg);
+/// session.sample(10);
+///
+/// let path = std::env::temp_dir()
+///     .join(format!("kamino-doc-load-{}.kamino", std::process::id()));
+/// save_fitted(&session, &path)?;
+/// let mut restored = load_fitted(&path)?;
+/// // both sessions now produce the same next rows
+/// assert_eq!(session.sample(20), restored.sample(20));
+/// # std::fs::remove_file(&path).ok();
+/// # Ok::<(), kamino_serve::SnapshotError>(())
+/// ```
 pub fn load_fitted(path: &Path) -> Result<FittedKamino, SnapshotError> {
     let bytes = fs::read(path)?;
     decode_fitted(&bytes)

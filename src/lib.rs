@@ -23,12 +23,6 @@
 //! | [`serve`] | `.kamino` model snapshots + the pure-std HTTP synthesis server |
 //! | [`obs`] | spans, metric registry, DP budget ledger, Prometheus/chrome-trace export |
 //!
-//! plus the top-level [`synthesizer`] module — the [`Synthesizer`] session
-//! API: fit once under a planner-derived budget, then stream row batches
-//! without further privacy cost. Sessions can be
-//! saved to a `.kamino` snapshot and loaded later (or on another host) —
-//! a loaded session resumes the exact deterministic sample stream.
-//!
 //! ## Quickstart
 //!
 //! ```
@@ -53,6 +47,42 @@
 //!     assert_eq!(violation_percentage(dc, &report.instance), 0.0);
 //! }
 //! ```
+//!
+//! ## Sessions: fit once, sample many times
+//!
+//! [`run_kamino`](core::run_kamino) spends the budget and returns one
+//! instance. [`fit_kamino`](core::fit_kamino) runs only the private fit
+//! (Algorithm 1, lines 2–5) and returns the one session type,
+//! [`FittedKamino`](core::FittedKamino); every
+//! [`sample`](core::FittedKamino::sample) call is post-processing that
+//! spends nothing further and continues one deterministic sample stream.
+//! [`save_fitted`](serve::save_fitted) writes the session as a versioned
+//! `.kamino` snapshot and [`load_fitted`](serve::load_fitted) restores it
+//! at the ε it originally spent, resuming the stream bit-exactly:
+//!
+//! ```
+//! use kamino::datasets::adult_like;
+//! use kamino::prelude::*;
+//!
+//! let data = adult_like(100, 7);
+//! let mut cfg = KaminoConfig::new(Budget::new(1.0, 1e-6));
+//! cfg.train_scale = 0.02; // doc-test speed; use 1.0 for real runs
+//! cfg.seed = 9;
+//! let mut session = fit_kamino(&data.schema, &data.instance, &data.dcs, &cfg);
+//! assert!(session.achieved_epsilon() <= 1.0);
+//! let first = session.sample(30);
+//! assert_eq!(first.n_rows(), 30);
+//!
+//! let path = std::env::temp_dir()
+//!     .join(format!("kamino-doc-session-{}.kamino", std::process::id()));
+//! save_fitted(&session, &path)?;
+//! let mut restored = load_fitted(&path)?;
+//! assert_eq!(restored.achieved_epsilon(), session.achieved_epsilon());
+//! // both sessions now produce the same next rows
+//! assert_eq!(session.sample(20), restored.sample(20));
+//! # std::fs::remove_file(&path).ok();
+//! # Ok::<(), kamino::serve::SnapshotError>(())
+//! ```
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -68,16 +98,11 @@ pub use kamino_nn as nn;
 pub use kamino_obs as obs;
 pub use kamino_serve as serve;
 
-pub mod synthesizer;
-
-pub use synthesizer::{SynthesisSession, Synthesizer, SynthesizerBuilder};
-
 /// Most-used items in one import.
 pub mod prelude {
-    pub use crate::synthesizer::{SynthesisSession, Synthesizer};
     pub use kamino_constraints::{parse_dc, violation_percentage, DenialConstraint, Hardness};
-    pub use kamino_core::{run_kamino, KaminoConfig, KaminoReport};
+    pub use kamino_core::{fit_kamino, run_kamino, FittedKamino, KaminoConfig, KaminoReport};
     pub use kamino_data::{Attribute, Instance, Schema, Value};
     pub use kamino_dp::{Budget, BudgetPlanner, RunShape};
-    pub use kamino_serve::{ServeConfig, Server, SnapshotError};
+    pub use kamino_serve::{load_fitted, save_fitted, ServeConfig, Server, SnapshotError};
 }

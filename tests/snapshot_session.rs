@@ -1,11 +1,10 @@
-//! Session durability through the facade API: save → load → synthesize
+//! Session durability through the facade: fit → save → load → sample
 //! must produce a byte-identical row stream to an uninterrupted session,
 //! and hard-DC guarantees must survive the round trip.
 
 use kamino::constraints::violation_percentage;
 use kamino::datasets::Corpus;
-use kamino::serve::SnapshotError;
-use kamino::Synthesizer;
+use kamino::prelude::*;
 
 fn tmp_path(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("kamino-session-snap-{}", std::process::id()));
@@ -16,29 +15,27 @@ fn tmp_path(name: &str) -> std::path::PathBuf {
 #[test]
 fn saved_session_resumes_byte_identical_stream() {
     let d = Corpus::Adult.generate(200, 21);
-    let mut live = Synthesizer::builder()
-        .epsilon(1.0)
-        .delta(1e-6)
-        .seed(23)
-        .train_scale(0.05)
-        .build()
-        .fit(&d.schema, &d.instance, &d.dcs);
+    let mut cfg = KaminoConfig::new(Budget::new(1.0, 1e-6));
+    cfg.seed = 23;
+    cfg.train_scale = 0.05;
+    let mut live = fit_kamino(&d.schema, &d.instance, &d.dcs, &cfg);
 
     // advance the stream: two batches consumed before the snapshot
-    let consumed: Vec<_> = live.synthesize_batches(120, 60).collect();
-    assert_eq!(consumed.len(), 2);
+    live.sample(60);
+    live.sample(60);
 
     let path = tmp_path("resume.kamino");
-    live.save(&path).unwrap();
-    let mut loaded = Synthesizer::load(&path).unwrap();
+    save_fitted(&live, &path).unwrap();
+    let mut loaded = load_fitted(&path).unwrap();
 
     assert_eq!(loaded.achieved_epsilon(), live.achieved_epsilon());
-    assert_eq!(loaded.sequence(), live.sequence());
-    assert_eq!(loaded.weights(), live.weights());
+    assert_eq!(loaded.sequence, live.sequence);
+    assert_eq!(loaded.weights, live.weights);
 
     // the continuation streams are byte-identical, batch boundaries and all
-    let a: Vec<_> = live.synthesize_batches(150, 40).collect();
-    let b: Vec<_> = loaded.synthesize_batches(150, 40).collect();
+    let sizes = [40, 40, 40, 30];
+    let a: Vec<_> = sizes.iter().map(|&n| live.sample(n)).collect();
+    let b: Vec<_> = sizes.iter().map(|&n| loaded.sample(n)).collect();
     assert_eq!(a, b);
 
     // hard DCs hold in post-restore batches exactly as in live ones
@@ -59,13 +56,13 @@ fn saved_session_resumes_byte_identical_stream() {
 fn loading_garbage_fails_cleanly() {
     let path = tmp_path("garbage.kamino");
     std::fs::write(&path, b"definitely not a snapshot").unwrap();
-    match Synthesizer::load(&path) {
+    match load_fitted(&path) {
         Err(SnapshotError::BadMagic) => {}
         Err(other) => panic!("expected BadMagic, got {other}"),
         Ok(_) => panic!("garbage file loaded"),
     }
     std::fs::remove_file(&path).unwrap();
-    match Synthesizer::load(tmp_path("does-not-exist.kamino")) {
+    match load_fitted(&tmp_path("does-not-exist.kamino")) {
         Err(SnapshotError::Io(_)) => {}
         Err(other) => panic!("expected Io, got {other}"),
         Ok(_) => panic!("missing file loaded"),
