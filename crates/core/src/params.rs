@@ -68,12 +68,6 @@ pub struct SearchShape {
     pub train_scale: f64,
 }
 
-/// Binary-searches the smallest σ such that one SGM release at rate `q`
-/// costs at most `target_eps` at `delta`.
-pub fn calibrate_sigma(target_eps: f64, delta: f64, q: f64) -> f64 {
-    kamino_dp::calibrate_sgm_sigma(target_eps, delta, q, 1)
-}
-
 /// The paper's cap on DP-SGD noise: above this, gradient signal drowns and
 /// it is better to trade iterations away instead.
 const SIGMA_D_CAP: f64 = 1.5;
@@ -229,19 +223,6 @@ mod tests {
         let mut acc = RdpAccountant::new();
         acc.add_sgm(p.sigma_w, 100.0 / 30_000.0, 1);
         assert!(acc.epsilon(1e-6) <= 0.1 + 1e-6);
-    }
-
-    #[test]
-    fn calibrate_sigma_hits_target() {
-        let sigma = calibrate_sigma(0.1, 1e-6, 0.003);
-        let mut acc = RdpAccountant::new();
-        acc.add_sgm(sigma, 0.003, 1);
-        let eps = acc.epsilon(1e-6);
-        assert!(eps <= 0.1 + 1e-9, "eps {eps}");
-        // and not absurdly over-noised: half the σ should blow the target
-        let mut acc2 = RdpAccountant::new();
-        acc2.add_sgm(sigma / 2.0, 0.003, 1);
-        assert!(acc2.epsilon(1e-6) > 0.1);
     }
 
     #[test]

@@ -15,13 +15,13 @@
 //!   paper reports costs ≈0.01 task quality for a 3.5× speedup.
 
 use kamino_data::stats::{histogram, normalize};
-use kamino_data::{AttrKind, Instance, Quantizer, Schema, Value};
+use kamino_data::{AttrKind, Instance, Schema};
 use kamino_dp::mechanisms::add_gaussian_noise;
 use kamino_dp::poisson_sample;
 use kamino_nn::{Attention, CategoricalHead, DpSgd, GaussianHead};
 use kamino_obs::ObsHandle;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 use crate::model::{
     DataModel, EmbeddingStore, Head, SubModel, SubModelKind, SubModelTrainer, TrainRow,
@@ -308,24 +308,11 @@ pub fn count_sgd_models(
         .count()
 }
 
-/// Samples one value of the first attribute from the model's noisy
-/// distribution (bin draw, then uniform within the bin for numeric
-/// domains — Algorithm 3 line 2).
-pub fn sample_first_attr<R: Rng + ?Sized>(
-    schema: &Schema,
-    model: &DataModel,
-    rng: &mut R,
-) -> Value {
-    let attr = model.sequence[0];
-    let q = Quantizer::for_attr(schema.attr(attr));
-    let bin = kamino_data::stats::sample_weighted(&model.first_dist, rng);
-    q.sample_in_bin(bin, rng)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kamino_data::Attribute;
+    use kamino_data::{Attribute, Value};
+    use rand::Rng;
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -491,19 +478,6 @@ mod tests {
         let s = schema();
         assert_eq!(count_marginal_releases(&s, &[0, 1, 2], 256), 1);
         assert_eq!(count_sgd_models(&s, &[0, 1, 2], 256), 2);
-    }
-
-    #[test]
-    fn sample_first_attr_respects_domain() {
-        let s = schema();
-        let inst = toy_instance(&s, 100, 7);
-        let model = train_model(&s, &inst, &[2, 0, 1], &non_private(1));
-        let mut rng = StdRng::seed_from_u64(8);
-        for _ in 0..50 {
-            let v = sample_first_attr(&s, &model, &mut rng);
-            let x = v.num();
-            assert!((0.0..=10.0).contains(&x));
-        }
     }
 
     #[test]

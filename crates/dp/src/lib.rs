@@ -32,7 +32,7 @@ pub mod sampling;
 pub mod sensitivity;
 pub mod snapshot;
 
-pub use mechanisms::{add_gaussian_noise, add_laplace_noise, gaussian_sigma};
+pub use mechanisms::{add_gaussian_noise, add_laplace_noise};
 pub use normal::standard_normal;
 pub use planner::{
     composed_epsilon, mechanism, spend_fingerprint, BudgetPlan, BudgetPlanner, RunShape,

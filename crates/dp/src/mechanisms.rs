@@ -4,25 +4,6 @@ use rand::Rng;
 
 use crate::normal::standard_normal;
 
-/// Gaussian-mechanism calibration for a sensitivity-1 query (§2.4).
-///
-/// For `ε ∈ (0, 1)` this is the classic `σ ≥ √(2 ln(1.25/δ))/ε` bound —
-/// the formula Algorithm 6 uses to seed `σ_w` and bound `σ_g`. The classic
-/// theorem is only *valid* for ε < 1: its proof breaks down at ε ≥ 1 and
-/// the formula then returns a σ too small to actually deliver (ε, δ)-DP.
-/// Budgets with ε ≥ 1 are therefore routed through RDP-based calibration
-/// ([`crate::rdp::calibrate_sgm_sigma`] at sampling rate 1), which is
-/// sound for every ε.
-pub fn gaussian_sigma(epsilon: f64, delta: f64) -> f64 {
-    assert!(epsilon > 0.0, "epsilon must be positive");
-    assert!(delta > 0.0 && delta < 1.0, "delta must be in (0, 1)");
-    if epsilon < 1.0 {
-        (2.0 * (1.25 / delta).ln()).sqrt() / epsilon
-    } else {
-        crate::rdp::calibrate_sgm_sigma(epsilon, delta, 1.0, 1)
-    }
-}
-
 /// Adds `N(0, (sensitivity·σ)²)` noise to each component in place — the
 /// Gaussian mechanism applied to a vector-valued query with L2 sensitivity
 /// `sensitivity` and noise multiplier `sigma`.
@@ -85,49 +66,6 @@ mod tests {
     use rand::SeedableRng;
 
     #[test]
-    fn sigma_matches_closed_form_below_one() {
-        let s = gaussian_sigma(0.5, 1e-6);
-        let expect = (2.0f64 * (1.25e6f64).ln()).sqrt() / 0.5;
-        assert!((s - expect).abs() < 1e-12);
-        // tighter budget ⇒ more noise
-        assert!(gaussian_sigma(0.25, 1e-6) > s);
-        assert!(gaussian_sigma(0.5, 1e-9) > s);
-    }
-
-    #[test]
-    fn sigma_at_large_epsilon_is_rdp_sound() {
-        use crate::rdp::RdpAccountant;
-        for &eps in &[1.0, 2.0, 5.0] {
-            let s = gaussian_sigma(eps, 1e-6);
-            // the returned σ actually delivers (ε, δ)-DP under the
-            // accountant's conversion...
-            let mut acc = RdpAccountant::new();
-            acc.add_gaussian(s, 1);
-            assert!(
-                acc.epsilon(1e-6) <= eps + 1e-9,
-                "eps {eps}: sigma {s} under-noised"
-            );
-            // ...while the classic closed form, invalid here, claims a
-            // smaller σ that blows the budget for ε comfortably above 1
-            let classic = (2.0f64 * (1.25e6f64).ln()).sqrt() / eps;
-            if eps >= 2.0 {
-                let mut acc2 = RdpAccountant::new();
-                acc2.add_gaussian(classic, 1);
-                assert!(
-                    acc2.epsilon(1e-6) > eps,
-                    "eps {eps}: classic formula unexpectedly sufficient"
-                );
-            }
-        }
-        // monotone within the RDP regime, and the seam jump (the RDP
-        // conversion is slightly more conservative than the classic
-        // analysis near ε = 1) stays small
-        assert!(gaussian_sigma(1.0, 1e-6) > gaussian_sigma(1.5, 1e-6));
-        let seam = gaussian_sigma(1.0, 1e-6) / gaussian_sigma(0.999, 1e-6);
-        assert!((0.9..1.1).contains(&seam), "seam ratio {seam}");
-    }
-
-    #[test]
     fn gaussian_noise_statistics() {
         let mut rng = StdRng::seed_from_u64(11);
         let n = 100_000;
@@ -177,11 +115,5 @@ mod tests {
         let mut values = vec![0.0; 100_000];
         add_laplace_noise(&mut values, 1.0, &mut rng);
         assert!(values.iter().all(|v| v.is_finite()));
-    }
-
-    #[test]
-    #[should_panic(expected = "epsilon")]
-    fn sigma_rejects_bad_epsilon() {
-        gaussian_sigma(-1.0, 1e-6);
     }
 }

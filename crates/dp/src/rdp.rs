@@ -371,11 +371,9 @@ mod tests {
 
     #[test]
     fn epsilon_conversion_gaussian_sanity() {
-        // One Gaussian release at the classic calibration for (1, 1e-6)
-        // must satisfy ε ≤ ~1 under RDP conversion (RDP is tight-ish here;
-        // allow it to be within 15% above 1.0 since the classic calibration
-        // and the RDP conversion are different analyses).
-        let sigma = crate::mechanisms::gaussian_sigma(1.0, 1e-6);
+        // One full-rate Gaussian release calibrated for (1, 1e-6) must
+        // convert back to ε ≤ ~1 (within 15%) and not implausibly below.
+        let sigma = calibrate_sgm_sigma(1.0, 1e-6, 1.0, 1);
         let mut acc = RdpAccountant::new();
         acc.add_gaussian(sigma, 1);
         let eps = acc.epsilon(1e-6);

@@ -75,8 +75,6 @@ struct Stream {
     remaining: usize,
     batch: usize,
     format: Format,
-    /// Pre-rendered CSV header to emit right after the response head.
-    csv_header: Option<String>,
     head_sent: bool,
     /// A worker batch is outstanding; the completion resumes the pump.
     awaiting: bool,
@@ -111,12 +109,6 @@ fn content_type(format: Format) -> &'static str {
         Format::Csv => "text/csv",
         Format::Json => "application/x-ndjson",
     }
-}
-
-fn err_body(msg: &str) -> Vec<u8> {
-    Json::obj([("error", Json::Str(msg.to_string()))])
-        .to_string()
-        .into_bytes()
 }
 
 /// Closes out the in-flight request's span and latency sample.
@@ -164,24 +156,22 @@ fn send_reply(c: &mut Conn, state: &AppState, reply: Reply) {
 /// batch so load failures still get a clean JSON error status.
 fn begin_stream(c: &mut Conn, start: StreamStart, close: bool) {
     c.close_after |= close;
-    let mut s = Stream {
+    let head_sent = start.csv_header.is_some();
+    if let Some(header) = start.csv_header {
+        let _ = http::start_chunked(&mut c.write_buf, "200 OK", content_type(start.format));
+        if let Some(h) = header {
+            let _ = http::write_chunk(&mut c.write_buf, h.as_bytes());
+        }
+    }
+    c.phase = Phase::Streaming(Box::new(Stream {
         slot: start.slot,
         _pin: start.pin,
         remaining: start.remaining,
         batch: start.batch,
         format: start.format,
-        csv_header: start.csv_header.flatten(),
-        head_sent: false,
+        head_sent,
         awaiting: false,
-    };
-    if start.meta_known {
-        let _ = http::start_chunked(&mut c.write_buf, "200 OK", content_type(s.format));
-        if let Some(h) = s.csv_header.take() {
-            let _ = http::write_chunk(&mut c.write_buf, h.as_bytes());
-        }
-        s.head_sent = true;
-    }
-    c.phase = Phase::Streaming(Box::new(s));
+    }));
 }
 
 /// Generates stream bytes until the request is satisfied, the write
@@ -196,44 +186,19 @@ fn pump(c: &mut Conn, token: u64, state: &Arc<AppState>, jobs: &mpsc::Sender<Job
         }
         while s.remaining > 0 && c.write_buf.len() < HIGH_WATER {
             let take = s.remaining.min(s.batch);
-            let mut fast = false;
             // pooled fast path: a try_lock miss or a cold ring just means
             // a worker does it instead — the loop never blocks on a model
-            if s.head_sent {
-                if let Ok(mut guard) = s.slot.resident.try_lock() {
-                    if let Some(r) = guard.as_mut() {
-                        if r.pool.has_ready(take, s.format) {
-                            if let Ok((text, rows, _hit)) =
-                                r.pool.take_batch(&mut r.fitted, take, s.format)
-                            {
-                                s.slot.pool_depth.set(r.pool.depth() as f64);
-                                // speculation pauses while the worker
-                                // queue is under pressure
-                                let refill = !server::speculation_paused(state)
-                                    && r.pool.wants_refill()
-                                    && !s.slot.refill_queued.swap(true, Ordering::AcqRel);
-                                drop(guard);
-                                state.registry.pool_hits.inc();
-                                state.metrics.rows.add(rows);
-                                state.registry.touch(&s.slot);
-                                let _ = http::write_chunk(&mut c.write_buf, text.as_bytes());
-                                s.remaining -= take;
-                                if refill {
-                                    server::send_job(
-                                        state,
-                                        jobs,
-                                        Job::Refill {
-                                            slot: Arc::clone(&s.slot),
-                                        },
-                                    );
-                                }
-                                fast = true;
-                            }
-                        }
-                    }
-                }
-            }
-            if !fast {
+            let pooled = if s.head_sent {
+                s.slot.resident.try_lock().ok().and_then(|mut guard| {
+                    let r = guard
+                        .as_mut()
+                        .filter(|r| r.pool.has_ready(take, s.format))?;
+                    server::drain_batch(state, &s.slot, r, take, s.format).ok()
+                })
+            } else {
+                None
+            };
+            let Some((text, rows, refill)) = pooled else {
                 // never shed mid-stream: admission control happens in
                 // dispatch; an admitted stream keeps its worker lane
                 server::send_job(
@@ -250,6 +215,13 @@ fn pump(c: &mut Conn, token: u64, state: &Arc<AppState>, jobs: &mpsc::Sender<Job
                 );
                 s.awaiting = true;
                 return;
+            };
+            state.metrics.rows.add(rows);
+            let _ = http::write_chunk(&mut c.write_buf, text.as_bytes());
+            s.remaining -= take;
+            if refill {
+                let slot = Arc::clone(&s.slot);
+                server::send_job(state, jobs, Job::Refill { slot });
             }
         }
         s.remaining == 0
@@ -288,13 +260,7 @@ fn apply_completion(conns: &mut [Option<Conn>], comp: Completion, state: &Arc<Ap
                     ]),
                     c.close_after,
                 ),
-                Err((status, msg)) => Reply {
-                    status,
-                    content_type: "application/json",
-                    body: err_body(&msg),
-                    close: c.close_after,
-                    retry_after: None,
-                },
+                Err((status, msg)) => Reply::json(status, server::err_json(&msg), c.close_after),
             };
             send_reply(c, state, reply);
         }
@@ -366,17 +332,7 @@ fn apply_batch(
         }
         Outcome::Failed(status, msg, close) => {
             c.phase = Phase::Idle;
-            send_reply(
-                c,
-                state,
-                Reply {
-                    status,
-                    content_type: "application/json",
-                    body: err_body(&msg),
-                    close,
-                    retry_after: None,
-                },
-            );
+            send_reply(c, state, Reply::json(status, server::err_json(&msg), close));
         }
     }
 }
@@ -423,7 +379,7 @@ fn expire_deadline(c: &mut Conn, state: &Arc<AppState>, now: u64, next_gen: &mut
     } else {
         let reply = Reply::json_retry(
             "503 Service Unavailable",
-            Json::obj([("error", Json::Str("deadline expired".into()))]),
+            server::err_json("deadline expired"),
             c.close_after,
             1,
         );
@@ -458,16 +414,9 @@ fn serve_buffered(
             }
             Parse::Bad(status) => {
                 state.metrics.requests.inc();
-                state.metrics.errors.inc();
-                let _ = http::write_response(
-                    &mut c.write_buf,
-                    status,
-                    "application/json",
-                    &err_body("malformed request"),
-                    true,
-                );
+                let reply = Reply::json(status, server::err_json("malformed request"), true);
+                send_reply(c, state, reply);
                 server::observe_request(state, "unparsed", "-", status, 0);
-                c.close_after = true;
                 return;
             }
             Parse::Ready { req, consumed } => {

@@ -96,11 +96,6 @@ impl SamplePool {
         }
     }
 
-    /// The configured shape.
-    pub fn config(&self) -> PoolConfig {
-        self.cfg
-    }
-
     /// Batches currently speculated.
     pub fn depth(&self) -> usize {
         self.ring.len()
@@ -112,7 +107,7 @@ impl SamplePool {
     }
 
     /// Whether `rows` is a pool-eligible batch size.
-    fn aligned(&self, rows: usize) -> bool {
+    pub(crate) fn aligned(&self, rows: usize) -> bool {
         self.cfg.enabled() && rows == self.cfg.rows
     }
 

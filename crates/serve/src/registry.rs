@@ -9,11 +9,14 @@
 //! ([`Registry::ensure_resident`]); once more than `--max-models` are
 //! resident, the least-recently-touched unpinned model is evicted.
 //!
-//! Eviction is cursor-exact: the model's sample pool is rewound (see
-//! [`crate::pool`]), the snapshot is re-encoded with the rewound RNG
-//! cursor and atomically rewritten, and the in-memory model is dropped.
-//! Reloading resumes the observable sample stream bit-for-bit where the
-//! evicted one left it.
+//! Eviction is cursor-exact: `Registry::persist` writes the model at
+//! its canonical RNG cursor (the pool's `persist_state`, which excludes
+//! speculated-but-unserved batches — see [`crate::pool`]), then the
+//! in-memory model and its pool are dropped. Reloading resumes the
+//! observable sample stream bit-for-bit where the evicted one left it.
+//! The same `persist` backs fit completion and `POST
+//! /models/{id}/snapshot`, and one `Registry::install` path makes a
+//! model resident after a fit or a lazy load.
 //!
 //! ## Locking
 //!
@@ -35,17 +38,18 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use kamino_core::FittedKamino;
-use kamino_data::Schema;
 use kamino_obs::metrics::{Counter, Gauge};
 use kamino_obs::{Event, ObsHandle};
 
 use crate::durable::{self, AbortReason, Ledger, LedgerRecord, Manifest};
 use crate::json::Json;
 use crate::pool::{PoolConfig, SamplePool};
-use crate::snapshot::{load_fitted, verify_snapshot, write_snapshot_bytes};
+use crate::snapshot::{
+    encode_fitted, load_fitted, verify_snapshot, write_snapshot_bytes, SnapshotError,
+};
 
 /// A fitted model held in memory together with its sample pool.
 pub struct Resident {
@@ -55,11 +59,24 @@ pub struct Resident {
     pub pool: SamplePool,
 }
 
+impl Resident {
+    /// The model's `.kamino` bytes at the canonical cursor
+    /// ([`SamplePool::persist_state`]): speculated-but-unserved batches
+    /// are excluded, so a reload resumes the observable stream
+    /// bit-exactly. The live cursor and the pool are left as they were.
+    pub fn canonical_bytes(&mut self) -> Vec<u8> {
+        let live = self.fitted.rng_state();
+        self.fitted
+            .set_rng_state(self.pool.persist_state(&self.fitted));
+        let bytes = encode_fitted(&self.fitted);
+        self.fitted.set_rng_state(live);
+        bytes
+    }
+}
+
 /// Cheap, copyable facts about a fitted model, cached in the slot status
 /// so info routes never wait on the model mutex.
 pub struct ModelMeta {
-    /// The schema the model synthesizes for.
-    pub schema: Schema,
     /// Pre-rendered CSV header line (`None` when the schema is not
     /// CSV-serializable).
     pub csv_header: Option<String>,
@@ -117,7 +134,6 @@ impl ModelMeta {
             ),
         ];
         Arc::new(ModelMeta {
-            schema: f.schema().clone(),
             csv_header: kamino_data::csv::header_line(f.schema()).ok(),
             info,
         })
@@ -198,9 +214,8 @@ impl ModelSlot {
         self.path.lock().unwrap().clone()
     }
 
-    /// Records the snapshot path (after a fit persists or `POST
-    /// /models/{id}/snapshot` writes one).
-    pub fn set_snapshot_path(&self, p: PathBuf) {
+    /// Records the snapshot path [`Registry::persist`] wrote.
+    fn set_snapshot_path(&self, p: PathBuf) {
         *self.path.lock().unwrap() = Some(p);
     }
 
@@ -228,13 +243,6 @@ impl ModelSlot {
 /// Keeps a slot safe from eviction while a stream is using it.
 pub struct PinGuard {
     slot: Arc<ModelSlot>,
-}
-
-impl PinGuard {
-    /// The pinned slot.
-    pub fn slot(&self) -> &Arc<ModelSlot> {
-        &self.slot
-    }
 }
 
 impl Drop for PinGuard {
@@ -313,11 +321,6 @@ impl Registry {
             open_models: obs.gauge("kamino_open_models", &[]),
             resident_models: obs.gauge("kamino_resident_models", &[]),
         }
-    }
-
-    /// The pool shape every resident model gets.
-    pub fn pool_config(&self) -> PoolConfig {
-        self.pool_cfg
     }
 
     /// The model directory, when serving with persistence.
@@ -527,8 +530,9 @@ impl Registry {
     }
 
     /// Adds a committed model to the manifest and atomically rewrites
-    /// it on disk. Called after every successful snapshot install.
-    pub fn commit_to_manifest(&self, model_id: u64, path: &Path) {
+    /// it on disk. Called by [`Registry::persist`] after every
+    /// successful snapshot write.
+    fn commit_to_manifest(&self, model_id: u64, path: &Path) {
         let Some(dir) = &self.model_dir else { return };
         let name = path
             .file_name()
@@ -594,8 +598,8 @@ impl Registry {
     }
 
     /// Installs a finished fit into its slot (or records the failure),
-    /// persisting a snapshot when asked. Returns whether the install
-    /// succeeded.
+    /// persisting a snapshot when asked and a model directory exists.
+    /// Returns whether the install succeeded.
     pub fn finish_fit(
         &self,
         slot: &Arc<ModelSlot>,
@@ -608,31 +612,8 @@ impl Registry {
                 false
             }
             Ok(fitted) => {
-                if persist {
-                    if let Some(dir) = &self.model_dir {
-                        let path = dir.join(format!("model-{}.kamino", slot.id));
-                        match crate::snapshot::save_fitted(&fitted, &path) {
-                            Ok(()) => {
-                                self.commit_to_manifest(slot.id, &path);
-                                slot.set_snapshot_path(path);
-                            }
-                            Err(e) => {
-                                eprintln!("kamino-serve: snapshot of model {} failed: {e}", slot.id)
-                            }
-                        }
-                    }
-                }
-                let meta = ModelMeta::new(&fitted);
-                {
-                    let mut resident = slot.resident.lock().unwrap();
-                    *resident = Some(Resident {
-                        fitted: Box::new(fitted),
-                        pool: SamplePool::new(self.pool_cfg),
-                    });
-                    *slot.status.lock().unwrap() = SlotStatus::Ready(meta);
-                }
-                self.touch(slot);
-                self.evict_over_capacity();
+                let persist = persist && self.model_dir.is_some();
+                self.install(slot, slot.resident.lock().unwrap(), fitted, persist);
                 true
             }
         }
@@ -642,45 +623,92 @@ impl Registry {
     /// Blocking (worker threads only — the event loop must not call
     /// this). Returns the error text for a 4xx/5xx reply on failure.
     pub fn ensure_resident(&self, slot: &Arc<ModelSlot>) -> Result<(), String> {
-        {
-            let mut resident = slot.resident.lock().unwrap();
-            if resident.is_some() {
-                return Ok(());
-            }
-            match &*slot.status.lock().unwrap() {
-                SlotStatus::Fitting => return Err("model is still fitting".into()),
-                SlotStatus::Failed(msg) => return Err(format!("model failed to fit: {msg}")),
-                SlotStatus::Ready(_) | SlotStatus::Unloaded(_) => {}
-            }
-            let Some(path) = slot.snapshot_path() else {
-                return Err("model has no snapshot to load".into());
-            };
-            let mut fitted =
-                load_fitted(&path).map_err(|e| format!("loading model {} failed: {e}", slot.id))?;
-            // snapshots carry no handle: without this, reloaded models
-            // would draw with no `sample` spans
-            fitted.set_obs(self.obs.clone());
-            let meta = ModelMeta::new(&fitted);
-            *resident = Some(Resident {
-                fitted: Box::new(fitted),
-                pool: SamplePool::new(self.pool_cfg),
-            });
-            *slot.status.lock().unwrap() = SlotStatus::Ready(meta);
-            self.loads.inc();
+        let resident = slot.resident.lock().unwrap();
+        if resident.is_some() {
+            drop(resident);
+            self.touch(slot);
+            self.evict_over_capacity();
+            return Ok(());
         }
-        self.touch(slot);
-        self.evict_over_capacity();
+        match &*slot.status.lock().unwrap() {
+            SlotStatus::Fitting => return Err("model is still fitting".into()),
+            SlotStatus::Failed(msg) => return Err(format!("model failed to fit: {msg}")),
+            SlotStatus::Ready(_) | SlotStatus::Unloaded(_) => {}
+        }
+        let Some(path) = slot.snapshot_path() else {
+            return Err("model has no snapshot to load".into());
+        };
+        let mut fitted =
+            load_fitted(&path).map_err(|e| format!("loading model {} failed: {e}", slot.id))?;
+        // snapshots carry no handle: without this, reloaded models
+        // would draw with no `sample` spans
+        fitted.set_obs(self.obs.clone());
+        self.loads.inc();
+        self.install(slot, resident, fitted, false);
         Ok(())
     }
 
+    /// The one way a model becomes resident (fit completion and lazy
+    /// load): under the held model mutex, sets the model with an empty
+    /// pool, persists it when asked — so a fit's snapshot is on disk
+    /// before its slot turns `Ready` — and flips the status to `Ready`;
+    /// then touches the slot and evicts down to capacity.
+    fn install(
+        &self,
+        slot: &Arc<ModelSlot>,
+        mut resident: MutexGuard<'_, Option<Resident>>,
+        fitted: FittedKamino,
+        persist: bool,
+    ) {
+        let meta = ModelMeta::new(&fitted);
+        let r = resident.insert(Resident {
+            fitted: Box::new(fitted),
+            pool: SamplePool::new(self.pool_cfg),
+        });
+        if persist {
+            if let Err(e) = self.persist(slot, r) {
+                eprintln!("kamino-serve: snapshot of model {} failed: {e}", slot.id);
+            }
+        }
+        *slot.status.lock().unwrap() = SlotStatus::Ready(meta);
+        drop(resident);
+        self.touch(slot);
+        self.evict_over_capacity();
+    }
+
+    /// The one way a model reaches disk (fit completion, `POST
+    /// /models/{id}/snapshot`, LRU eviction). The caller holds the model
+    /// mutex that guards `r`. Writes [`Resident::canonical_bytes`]
+    /// atomically to the slot's snapshot path — an imported file is
+    /// rewritten in place — or, for a slot without one,
+    /// `model_dir/model-{id}.kamino`; then commits the model to the
+    /// manifest and records the path.
+    pub(crate) fn persist(
+        &self,
+        slot: &ModelSlot,
+        r: &mut Resident,
+    ) -> Result<PathBuf, SnapshotError> {
+        let path = match (slot.snapshot_path(), &self.model_dir) {
+            (Some(p), _) => p,
+            (None, Some(dir)) => dir.join(format!("model-{}.kamino", slot.id)),
+            (None, None) => {
+                return Err(std::io::Error::other("server started without --model-dir").into())
+            }
+        };
+        write_snapshot_bytes(&r.canonical_bytes(), &path)?;
+        self.commit_to_manifest(slot.id, &path);
+        slot.set_snapshot_path(path.clone());
+        Ok(path)
+    }
+
     /// Evicts least-recently-touched unpinned models until at most
-    /// `max_resident` remain. Eviction rewinds the pool, rewrites the
-    /// snapshot with the rewound RNG cursor, and drops the model.
-    /// Models that cannot be persisted (no path and no model dir) and
-    /// models whose mutex is busy are skipped — residency is a soft
-    /// bound under contention, never a correctness risk.
+    /// `max_resident` remain. Eviction persists the model at its
+    /// canonical cursor and drops it. Without a model directory nothing
+    /// can be persisted, so nothing is evicted; models whose mutex is
+    /// busy are skipped — residency is a soft bound under contention,
+    /// never a correctness risk.
     pub fn evict_over_capacity(&self) {
-        if self.max_resident == 0 {
+        if self.max_resident == 0 || self.model_dir.is_none() {
             return;
         }
         loop {
@@ -711,7 +739,7 @@ impl Registry {
     }
 
     /// Attempts to evict one slot. `false` when it is busy, pinned, or
-    /// unpersistable.
+    /// its snapshot write fails (the model then stays resident).
     fn try_evict(&self, slot: &Arc<ModelSlot>) -> bool {
         // try_lock: an actively sampling model is busy by definition —
         // skip it rather than stall whoever triggered the eviction
@@ -724,31 +752,17 @@ impl Registry {
         let Some(r) = resident.as_mut() else {
             return false;
         };
-        let path = match slot.snapshot_path() {
-            Some(p) => p,
-            None => match &self.model_dir {
-                Some(dir) => dir.join(format!("model-{}.kamino", slot.id)),
-                None => return false,
-            },
-        };
-        // discard speculation and persist the canonical cursor so the
-        // reload resumes the observable stream bit-exactly
-        let Resident { fitted, pool } = r;
-        pool.rewind(fitted);
-        slot.pool_depth.set(0.0);
-        let bytes = crate::snapshot::encode_fitted(fitted);
-        if let Err(e) = write_snapshot_bytes(&bytes, &path) {
+        if let Err(e) = self.persist(slot, r) {
             eprintln!(
                 "kamino-serve: evicting model {} failed to persist: {e}",
                 slot.id
             );
             return false;
         }
-        let meta = slot.status.lock().unwrap().meta();
         *resident = None;
-        self.commit_to_manifest(slot.id, &path);
-        slot.set_snapshot_path(path);
-        *slot.status.lock().unwrap() = SlotStatus::Unloaded(meta);
+        slot.pool_depth.set(0.0);
+        let mut status = slot.status.lock().unwrap();
+        *status = SlotStatus::Unloaded(status.meta());
         self.evictions.inc();
         true
     }

@@ -9,7 +9,7 @@
 //! | `GET /models` | list models and their states |
 //! | `GET /models/{id}` | fit status, achieved ε, parameters, timings |
 //! | `POST /models/{id}/synthesize?n=..&batch=..&format=csv\|json` | stream rows (chunked) |
-//! | `POST /models/{id}/snapshot` | persist the model to the `--model-dir` |
+//! | `POST /models/{id}/snapshot` | rewrite the model's own snapshot file (an imported one in place; otherwise `model-{id}.kamino` in the `--model-dir`) |
 //! | `GET /healthz` | liveness |
 //! | `GET /metrics` | Prometheus text exposition of the server's one obs registry: request/row/fit counters, latency histograms, pool/LRU gauges, DP budget ledger (empty when the obs handle is disabled) |
 //! | `POST /debug/trace` | chrome://tracing JSON of recorded spans and events |
@@ -56,7 +56,7 @@ use kamino_obs::ObsHandle;
 use crate::http::Request;
 use crate::json::Json;
 use crate::pool::{Format, PoolConfig};
-use crate::registry::{ModelSlot, PinGuard, Registry, SlotStatus};
+use crate::registry::{ModelSlot, PinGuard, Registry, Resident, SlotStatus};
 use crate::sys;
 
 /// How long an idle keep-alive connection may sit without a request
@@ -334,10 +334,10 @@ pub(crate) struct StreamStart {
     /// CSV header line when the model's schema is already known
     /// (`None` outer: head deferred to the first worker batch).
     pub csv_header: Option<Option<String>>,
-    pub meta_known: bool,
 }
 
-fn err_json(msg: &str) -> Json {
+/// The `{"error": msg}` body of every JSON error reply.
+pub(crate) fn err_json(msg: &str) -> Json {
     Json::obj([("error", Json::Str(msg.to_string()))])
 }
 
@@ -536,12 +536,12 @@ fn worker_loop(state: &Arc<AppState>, rx: &Mutex<mpsc::Receiver<Job>>, done: &Co
                 need_header,
             } => {
                 let result = run_batch(state, &slot, rows, format, need_header);
+                let refill = matches!(result, Ok((_, true)));
+                let result = result.map(|(out, _)| out);
                 done.push(Completion::Batch { token, gen, result });
-                // top the pool back up while the loop streams the bytes;
-                // only aligned traffic warrants speculation, and none
-                // does while the queue is under pressure
-                if rows == state.registry.pool_config().rows && !speculation_paused(state) {
-                    maybe_refill(&slot);
+                // top the pool back up while the loop streams the bytes
+                if refill {
+                    run_refill(&slot);
                 }
             }
             Job::Snapshot { token, gen, slot } => {
@@ -552,15 +552,40 @@ fn worker_loop(state: &Arc<AppState>, rx: &Mutex<mpsc::Receiver<Job>>, done: &Co
     }
 }
 
-/// Claims the refill flag and refills if nobody else already is.
-pub(crate) fn maybe_refill(slot: &Arc<ModelSlot>) {
-    if !slot.refill_queued.swap(true, Ordering::AcqRel) {
-        run_refill(slot);
-    }
+/// Serves the next `rows` of a resident model's stream — the one drain
+/// behind the event loop's pooled fast path and the worker's batch job.
+/// Runs [`crate::pool::SamplePool::take_batch`], sets the pool-depth
+/// gauge, counts the pool hit or miss and touches the slot. Returns the
+/// text, the row count, and whether the caller claimed a refill: the
+/// batch is aligned, the ring is not full, speculation is not paused,
+/// and `refill_queued` was free. The loop then queues a [`Job::Refill`];
+/// a worker refills inline.
+pub(crate) fn drain_batch(
+    state: &AppState,
+    slot: &ModelSlot,
+    r: &mut Resident,
+    rows: usize,
+    format: Format,
+) -> Result<(Arc<str>, u64, bool), String> {
+    let (text, served, hit) = r.pool.take_batch(&mut r.fitted, rows, format)?;
+    slot.pool_depth.set(r.pool.depth() as f64);
+    let counter = if hit {
+        &state.registry.pool_hits
+    } else {
+        &state.registry.pool_misses
+    };
+    counter.inc();
+    state.registry.touch(slot);
+    let refill = r.pool.aligned(rows)
+        && r.pool.wants_refill()
+        && !speculation_paused(state)
+        && !slot.refill_queued.swap(true, Ordering::AcqRel);
+    Ok((text, served, refill))
 }
 
 /// Refills a resident model's pool to its configured depth, releasing
-/// the model mutex between batches so drains interleave.
+/// the model mutex between batches so drains interleave, then releases
+/// the refill claim [`drain_batch`] took.
 fn run_refill(slot: &Arc<ModelSlot>) {
     loop {
         let mut guard = slot.resident.lock().unwrap();
@@ -583,14 +608,14 @@ fn residency_status(msg: &str) -> &'static str {
 }
 
 /// Produces one stream batch on a worker: loads the model if needed,
-/// then drains the pool or samples directly.
+/// then drains it. The flag says whether to refill the pool afterwards.
 fn run_batch(
     state: &Arc<AppState>,
     slot: &Arc<ModelSlot>,
     rows: usize,
     format: Format,
     need_header: bool,
-) -> Result<BatchOut, (&'static str, String)> {
+) -> Result<(BatchOut, bool), (&'static str, String)> {
     state
         .registry
         .ensure_resident(slot)
@@ -620,24 +645,14 @@ fn run_batch(
         } else {
             None
         };
-        let (text, served, hit) = r
-            .pool
-            .take_batch(&mut r.fitted, rows, format)
+        let (text, served, refill) = drain_batch(state, slot, r, rows, format)
             .map_err(|e| ("500 Internal Server Error", e))?;
-        slot.pool_depth.set(r.pool.depth() as f64);
-        drop(guard);
-        let counter = if hit {
-            &state.registry.pool_hits
-        } else {
-            &state.registry.pool_misses
-        };
-        counter.inc();
-        state.registry.touch(slot);
-        return Ok(BatchOut {
+        let out = BatchOut {
             text,
             rows: served,
             header,
-        });
+        };
+        return Ok((out, refill));
     }
     Err((
         "500 Internal Server Error",
@@ -645,41 +660,27 @@ fn run_batch(
     ))
 }
 
-/// Encodes and atomically writes a model snapshot, persisting the
-/// canonical (pool-rewound) RNG cursor without discarding speculation.
+/// `POST /models/{id}/snapshot`: loads the model if needed and
+/// persists it at its canonical cursor without discarding speculation.
+/// `dispatch` has already refused servers without a model directory.
 fn run_snapshot(
     state: &Arc<AppState>,
     slot: &Arc<ModelSlot>,
 ) -> Result<PathBuf, (&'static str, String)> {
-    let Some(dir) = state.registry.model_dir() else {
-        return Err(("409 Conflict", "server started without --model-dir".into()));
-    };
-    let path = dir.join(format!("model-{}.kamino", slot.id));
     state
         .registry
         .ensure_resident(slot)
         .map_err(|msg| (residency_status(&msg), msg))?;
-    let bytes = {
-        let mut guard = slot.resident.lock().unwrap();
-        let Some(r) = guard.as_mut() else {
-            return Err(("409 Conflict", "model not ready".into()));
-        };
-        let live = r.fitted.rng_state();
-        let canonical = r.pool.persist_state(&r.fitted);
-        r.fitted.set_rng_state(canonical);
-        let bytes = crate::snapshot::encode_fitted(&r.fitted);
-        r.fitted.set_rng_state(live);
-        bytes
+    let mut guard = slot.resident.lock().unwrap();
+    let Some(r) = guard.as_mut() else {
+        return Err(("409 Conflict", "model not ready".into()));
     };
-    match crate::snapshot::write_snapshot_bytes(&bytes, &path) {
-        Ok(()) => {
-            state.registry.commit_to_manifest(slot.id, &path);
-            slot.set_snapshot_path(path.clone());
-            state.registry.touch(slot);
-            Ok(path)
-        }
-        Err(e) => Err(("500 Internal Server Error", format!("snapshot failed: {e}"))),
-    }
+    let path = state
+        .registry
+        .persist(slot, r)
+        .map_err(|e| ("500 Internal Server Error", format!("snapshot failed: {e}")))?;
+    state.registry.touch(slot);
+    Ok(path)
 }
 
 /// The async fit job. A panic inside the pipeline (e.g. an infeasible
@@ -1081,7 +1082,6 @@ fn dispatch_synthesize(
         remaining: n,
         batch,
         format,
-        meta_known: csv_header.is_some(),
         csv_header,
     })
 }

@@ -55,7 +55,8 @@ mod section {
     pub const CONFIG: u32 = 5;
     pub const SESSION: u32 = 6;
     pub const RNG: u32 = 7;
-    /// Sample-phase timing breakdown (fill/repair/MCMC), added after v1
+    /// Sample-phase timing breakdown (fill and MCMC; the middle slot is
+    /// a retired repair time, written as zero), added after v1
     /// shipped. Optional on load: files written before it existed decode
     /// with zeroed sample timings, and readers predating it skip it as an
     /// unknown extra section.
@@ -502,8 +503,9 @@ pub fn verify_snapshot(path: &Path) -> Result<(), SnapshotError> {
     Ok(())
 }
 
-/// Saves a fitted session to `path` (atomically: write to a `.tmp`
-/// sibling, then rename).
+/// Saves a fitted session to `path` through
+/// [`write_snapshot_bytes`]'s durable install: a uniquely named tmp
+/// sibling, fsync, rename over `path`, then fsync of the directory.
 ///
 /// # Examples
 ///

@@ -10,7 +10,8 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use common::{
-    assert_healthy, boot, fit_and_wait, json, metric, request, scratch_dir, shutdown, wait_ready,
+    assert_healthy, boot, fit_and_wait, json, list_models, metric, request, scratch_dir, shutdown,
+    wait_ready,
 };
 use kamino_serve::{Json, ServeConfig};
 
@@ -343,5 +344,48 @@ fn model_dir_persists_models_across_restarts() {
     assert!(dir.join("model-1.kamino").is_file());
     assert!(dir.join("model-2.kamino").is_file());
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `POST /models/{id}/snapshot` on a model booted from a foreign file
+/// name rewrites that file in place: the next boot registers the model
+/// once, not once per file.
+#[test]
+fn snapshotting_an_imported_model_keeps_one_file() {
+    let dir = scratch_dir("serve-smoke-imported");
+    let config = || ServeConfig {
+        threads: 2,
+        model_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    };
+    let (addr, handle) = boot(config());
+    let id = fit_and_wait(
+        addr,
+        r#"{"corpus":"adult","rows":100,"epsilon":1.0,"seed":4,"train_scale":0.03}"#,
+    );
+    shutdown(addr, handle);
+    let imported = dir.join("imported.kamino");
+    std::fs::rename(dir.join(format!("model-{id}.kamino")), &imported).unwrap();
+
+    let (addr, handle) = boot(config());
+    let listed = list_models(addr);
+    assert_eq!(listed.len(), 1, "{listed:?}");
+    let id = listed[0].get("model_id").and_then(Json::as_u64).unwrap();
+    let (status, body) = request(addr, "POST", &format!("/models/{id}/snapshot"), None);
+    assert!(status.contains("200"), "{status}: {body}");
+    assert_eq!(
+        json(&body).get("path").and_then(Json::as_str),
+        Some(imported.display().to_string().as_str())
+    );
+    shutdown(addr, handle);
+
+    let (addr, handle) = boot(config());
+    let listed = list_models(addr);
+    assert_eq!(
+        listed.len(),
+        1,
+        "the snapshot duplicated the model: {listed:?}"
+    );
+    shutdown(addr, handle);
     let _ = std::fs::remove_dir_all(&dir);
 }

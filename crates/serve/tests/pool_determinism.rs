@@ -14,6 +14,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use kamino_core::{fit_kamino, FittedKamino, KaminoConfig};
 use kamino_dp::Budget;
 use kamino_serve::pool::{ndjson_rows, Format};
+use kamino_serve::registry::Resident;
 use kamino_serve::snapshot::{decode_fitted, encode_fitted};
 use kamino_serve::{PoolConfig, SamplePool};
 use proptest::prelude::*;
@@ -52,9 +53,10 @@ enum Op {
     TakeAligned(Format),
     /// A background refill tick: speculate one more batch ahead.
     Refill,
-    /// LRU eviction mid-stream: rewind speculation, persist the model to
-    /// snapshot bytes, drop it, and reload from those bytes with an
-    /// empty ring — the registry's `try_evict` in miniature.
+    /// LRU eviction mid-stream: encode the model at its canonical cursor
+    /// with the same `Resident::canonical_bytes` the registry's `persist`
+    /// writes, drop it, and reload from those bytes with an empty ring —
+    /// the registry's `try_evict` in miniature.
     Evict,
 }
 
@@ -115,11 +117,13 @@ fn run_schedule(corpus: u8, seed: u64, cfg: PoolConfig, ops: &[Op]) {
                 pool.refill_one(&mut pooled);
             }
             (Op::Evict, _) => {
-                // the registry's eviction protocol: rewind speculation so
-                // the persisted cursor is the canonical one, snapshot,
-                // reload cold
-                pool.rewind(&mut pooled);
-                let frozen = encode_fitted(&pooled);
+                // the registry's eviction protocol: persist the canonical
+                // cursor, drop the model and its pool, reload cold
+                let mut evicted = Resident {
+                    fitted: Box::new(pooled),
+                    pool,
+                };
+                let frozen = evicted.canonical_bytes();
                 pooled = decode_fitted(&frozen).expect("decode after evict");
                 pool = SamplePool::new(cfg);
             }
@@ -157,9 +161,9 @@ proptest! {
         run_schedule(corpus, seed, PoolConfig { batches, rows }, &ops);
     }
 
-    /// Evicting mid-stream — rewind, persist, reload with a cold pool —
-    /// resumes the stream bit-exactly no matter where in the schedule
-    /// the eviction lands.
+    /// Evicting mid-stream — persist at the canonical cursor, reload
+    /// with a cold pool — resumes the stream bit-exactly no matter where
+    /// in the schedule the eviction lands.
     #[test]
     fn evict_reload_mid_stream_resumes_byte_exactly(
         corpus in 0u8..2,
