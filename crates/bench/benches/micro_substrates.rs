@@ -17,7 +17,11 @@
 //! row-sparse win on an embedding-context model shaped like TPC-H's
 //! `c_custkey` (asserted bit-identical in setup).
 //! `synthesize_serial_n512` times the full Algorithm 3 column walk
-//! (hard-DC clean, asserted in setup).
+//! (hard-DC clean, asserted in setup). The
+//! `gaussian_noise_{polar_pairs,box_muller}_17k` pair times the vector
+//! Gaussian mechanism, which draws Marsaglia polar pairs and uses both
+//! outputs, against a scalar Box–Muller loop (one `ln`, `sqrt` and `cos`
+//! per variate) at the same noise std.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use kamino_constraints::{
@@ -26,7 +30,7 @@ use kamino_constraints::{
 };
 use kamino_data::Value;
 use kamino_datasets::{adult_like, tax_like};
-use kamino_dp::RdpAccountant;
+use kamino_dp::{add_gaussian_noise, standard_normal, RdpAccountant};
 use kamino_nn::{DpSgd, Embedding, Linear, ParamBlock, PerExampleModel};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -387,6 +391,32 @@ fn bench(c: &mut Criterion) {
         g.bench_function("synthesize_serial_n512", |b| {
             let mut rng = StdRng::seed_from_u64(11);
             b.iter(|| black_box(draw(&mut rng)))
+        });
+    }
+
+    {
+        // The vector Gaussian mechanism (Marsaglia polar pairs, both
+        // outputs used) against a scalar Box–Muller loop over the same
+        // 17k coordinates at the same noise std.
+        const N: usize = 17_000;
+        let (sensitivity, sigma) = (1.0, 1.1);
+        g.bench_function("gaussian_noise_polar_pairs_17k", |b| {
+            let mut rng = StdRng::seed_from_u64(13);
+            let mut values = vec![0.0; N];
+            b.iter(|| {
+                add_gaussian_noise(&mut values, sensitivity, sigma, &mut rng);
+                black_box(&values);
+            })
+        });
+        g.bench_function("gaussian_noise_box_muller_17k", |b| {
+            let mut rng = StdRng::seed_from_u64(13);
+            let mut values = vec![0.0; N];
+            b.iter(|| {
+                for v in values.iter_mut() {
+                    *v += sensitivity * sigma * standard_normal(&mut rng);
+                }
+                black_box(&values);
+            })
         });
     }
 

@@ -20,9 +20,11 @@
 //! Kamino cells dominate wall-clock through their DP-SGD fit. The fit is
 //! fully determined by `(dataset, ε, seed, config)`, so the harness
 //! persists each fitted session as a `.kamino` snapshot (via
-//! [`kamino_serve::save_fitted`]) keyed by the dataset id, ε, seed and
-//! [`KaminoConfig::stable_hash`] — which covers every Kamino variant's
-//! knobs, so each variant caches separately. A re-run — or a sweep that
+//! [`kamino_serve::save_fitted`]) keyed by the dataset id, ε, seed,
+//! [`kamino_core::FIT_REVISION`] and [`KaminoConfig::stable_hash`] — which
+//! covers every Kamino variant's knobs, so each variant caches separately,
+//! while the revision keeps a cache warmed by an older fit procedure from
+//! being served. A re-run — or a sweep that
 //! shares cells with a previous run — loads the snapshot and skips the
 //! fit entirely. Snapshots are written *before* sampling, so a cached
 //! session resumes the exact RNG cursor a fresh fit would have: cached
@@ -46,7 +48,7 @@ use std::sync::Mutex;
 
 use kamino_baselines::{DpVae, Independent, NistPgm, PateGan, PrivBayes, Synthesizer};
 use kamino_constraints::discovery::discover_approximate_dcs;
-use kamino_core::{fit_kamino, KaminoConfig, PhaseTimings};
+use kamino_core::{fit_kamino, KaminoConfig, PhaseTimings, FIT_REVISION};
 use kamino_datasets::{Corpus, Dataset};
 use kamino_dp::Budget;
 use kamino_eval::classifiers::Classifier;
@@ -407,14 +409,16 @@ impl ReproConfig {
     }
 
     /// The snapshot path for one Kamino-family cell:
-    /// `{dataset}-n{rows}-eps{ε}-seed{seed}-{config_hash:016x}.kamino`.
+    /// `{dataset}-n{rows}-eps{ε}-seed{seed}-r{FIT_REVISION}-{config_hash:016x}.kamino`.
     /// The row count is part of the key because it sizes the generated
     /// corpus the model was fitted on — the config hash alone cannot see
-    /// it (the corpus is an input to the fit, not a config field).
+    /// it (the corpus is an input to the fit, not a config field). The
+    /// fit revision is part of it because a cache warmed by a build whose
+    /// fit made different bytes from the same config must not be served.
     pub fn cache_path(&self, dataset: &str, epsilon: f64, method: MethodKind) -> PathBuf {
         let hash = self.kamino_config(epsilon, method).stable_hash();
         self.cache_dir.join(format!(
-            "{dataset}-n{}-eps{epsilon}-seed{}-{hash:016x}.kamino",
+            "{dataset}-n{}-eps{epsilon}-seed{}-r{FIT_REVISION}-{hash:016x}.kamino",
             self.rows, self.seed
         ))
     }
@@ -1236,10 +1240,11 @@ mod tests {
     #[test]
     fn default_kamino_cache_path_is_pinned() {
         // the variant knobs must leave the plain Kamino cell's config —
-        // and so every committed cache key — exactly where it was
+        // and so the key's hash segment — exactly where it was; the
+        // revision segment moves only with `FIT_REVISION`
         assert_eq!(
             ReproConfig::fast(17).cache_path("adult", 1.0, MethodKind::Kamino),
-            PathBuf::from("target/repro-cache/adult-n240-eps1-seed17-014252670ddf2568.kamino")
+            PathBuf::from("target/repro-cache/adult-n240-eps1-seed17-r1-014252670ddf2568.kamino")
         );
     }
 

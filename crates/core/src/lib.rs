@@ -44,7 +44,7 @@ pub mod weights;
 pub use model::{DataModel, SubModel};
 pub use params::{search_params, search_params_with_obs, PrivacyParams};
 pub use pipeline::{
-    fit_kamino, run_kamino, FittedKamino, KaminoConfig, KaminoReport, PhaseTimings,
+    fit_kamino, run_kamino, FittedKamino, KaminoConfig, KaminoReport, PhaseTimings, FIT_REVISION,
 };
 pub use sampler::{synthesize, FD_CYCLE_TOLERANCE_PCT};
 pub use sequence::{active_dcs_by_position, sequence_attrs};

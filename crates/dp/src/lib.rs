@@ -1,10 +1,13 @@
 //! Differential-privacy substrate for the Kamino reproduction.
 //!
 //! Provides everything §2.4 and §6 of the paper rely on:
-//! * [`normal`] — a hand-rolled Box–Muller standard-normal sampler (the
-//!   allowed crate set does not include `rand_distr`),
-//! * [`mechanisms`] — the Gaussian mechanism (with the classic
-//!   `σ ≥ √(2 ln(1.25/δ))/ε` calibration) and the Laplace mechanism
+//! * [`normal`] — hand-rolled exact standard-normal samplers (the allowed
+//!   crate set does not include `rand_distr`): scalar Box–Muller for
+//!   one-off draws and Marsaglia polar pairs for vector releases,
+//! * [`mechanisms`] — the one vector Gaussian mechanism,
+//!   [`add_gaussian_noise`], through which DP-SGD, the M1 histograms, the
+//!   M3 weights and the Gaussian baselines all release (its σ comes from
+//!   the [`planner`] or [`rdp`] calibration), and the Laplace mechanism
 //!   (used by the PrivBayes baseline),
 //! * [`rdp`] — a Rényi-DP accountant implementing the Sampled Gaussian
 //!   Mechanism bound of Mironov et al. (2019), RDP composition, and the

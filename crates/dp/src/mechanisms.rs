@@ -2,11 +2,20 @@
 
 use rand::Rng;
 
-use crate::normal::standard_normal;
+use crate::normal::standard_normal_pair;
 
 /// Adds `N(0, (sensitivity·σ)²)` noise to each component in place — the
 /// Gaussian mechanism applied to a vector-valued query with L2 sensitivity
 /// `sensitivity` and noise multiplier `sigma`.
+///
+/// This is the one vector Gaussian mechanism: DP-SGD's per-step noise, the
+/// M1 histograms, the M3 weights and the Gaussian baselines all release
+/// through it. Components are noised in order from consecutive
+/// [`standard_normal_pair`] draws, both outputs of each pair landing in
+/// adjacent components; an odd-length slice discards the last pair's
+/// second output. `sigma = 0` is the identity (whatever the sensitivity,
+/// and without touching `rng`); a positive `sigma` needs a finite
+/// sensitivity.
 pub fn add_gaussian_noise<R: Rng + ?Sized>(
     values: &mut [f64],
     sensitivity: f64,
@@ -17,12 +26,26 @@ pub fn add_gaussian_noise<R: Rng + ?Sized>(
         sensitivity >= 0.0 && sigma >= 0.0,
         "noise parameters must be nonnegative"
     );
+    // Before the product: ∞·0 is NaN.
+    if sigma == 0.0 {
+        return;
+    }
+    assert!(
+        sensitivity.is_finite(),
+        "a positive sigma needs a finite sensitivity, got {sensitivity}"
+    );
     let std = sensitivity * sigma;
     if std == 0.0 {
         return;
     }
-    for v in values {
-        *v += std * standard_normal(rng);
+    let mut pairs = values.chunks_exact_mut(2);
+    for pair in &mut pairs {
+        let (z0, z1) = standard_normal_pair(rng);
+        pair[0] += std * z0;
+        pair[1] += std * z1;
+    }
+    if let [last] = pairs.into_remainder() {
+        *last += std * standard_normal_pair(rng).0;
     }
 }
 
@@ -78,6 +101,142 @@ mod tests {
             (var - 9.0).abs() < 0.2,
             "variance {var}, expected (2·1.5)² = 9"
         );
+    }
+
+    /// 200k unit-variance draws through the mechanism, on a zero vector.
+    fn unit_draws(seed: u64) -> Vec<f64> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut values = vec![0.0; 200_000];
+        add_gaussian_noise(&mut values, 1.0, 1.0, &mut rng);
+        values
+    }
+
+    fn mean_var(xs: &[f64]) -> (f64, f64) {
+        let n = xs.len() as f64;
+        let mean = xs.iter().sum::<f64>() / n;
+        let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n;
+        (mean, var)
+    }
+
+    fn corr(a: &[f64], b: &[f64]) -> f64 {
+        let (ma, va) = mean_var(a);
+        let (mb, vb) = mean_var(b);
+        let cov = a
+            .iter()
+            .zip(b)
+            .map(|(x, y)| (x - ma) * (y - mb))
+            .sum::<f64>()
+            / a.len() as f64;
+        cov / (va * vb).sqrt()
+    }
+
+    /// Φ, through the complementary error function of Numerical Recipes
+    /// (Chebyshev fit, fractional error below 1.2e-7).
+    fn std_normal_cdf(x: f64) -> f64 {
+        let z = (x / std::f64::consts::SQRT_2).abs();
+        let t = 1.0 / (1.0 + 0.5 * z);
+        let poly = -z * z - 1.265_512_23
+            + t * (1.000_023_68
+                + t * (0.374_091_96
+                    + t * (0.096_784_18
+                        + t * (-0.186_288_06
+                            + t * (0.278_868_07
+                                + t * (-1.135_203_98
+                                    + t * (1.488_515_87
+                                        + t * (-0.822_152_23 + t * 0.170_872_77))))))));
+        let erfc = t * poly.exp();
+        if x >= 0.0 {
+            1.0 - 0.5 * erfc
+        } else {
+            0.5 * erfc
+        }
+    }
+
+    #[test]
+    fn paired_draws_have_unit_moments() {
+        let values = unit_draws(101);
+        let (mean, var) = mean_var(&values);
+        assert!(mean.abs() < 0.01, "mean {mean} too far from 0");
+        assert!((var - 1.0).abs() < 0.02, "variance {var} too far from 1");
+        let n = values.len() as f64;
+        let skew = values.iter().map(|v| v.powi(3)).sum::<f64>() / n;
+        let kurt = values.iter().map(|v| v.powi(4)).sum::<f64>() / n;
+        assert!(skew.abs() < 0.03, "third moment {skew}, expected 0");
+        assert!(
+            (kurt - 3.0).abs() < 0.08,
+            "fourth moment {kurt}, expected 3"
+        );
+    }
+
+    #[test]
+    fn paired_draws_pass_kolmogorov_smirnov() {
+        let mut values = unit_draws(102);
+        values.sort_by(f64::total_cmp);
+        let n = values.len() as f64;
+        let d = values
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| {
+                let cdf = std_normal_cdf(v);
+                (cdf - i as f64 / n).max((i + 1) as f64 / n - cdf)
+            })
+            .fold(f64::NEG_INFINITY, f64::max);
+        // the 1% critical value of the one-sample KS statistic
+        let critical = 1.63 / n.sqrt();
+        assert!(d < critical, "KS statistic {d} ≥ {critical}");
+    }
+
+    #[test]
+    fn pair_outputs_are_independent() {
+        // z₀ and z₁ of one polar pair land in components 2k and 2k+1
+        let values = unit_draws(103);
+        let z0: Vec<f64> = values.iter().step_by(2).copied().collect();
+        let z1: Vec<f64> = values.iter().skip(1).step_by(2).copied().collect();
+        // 100k pairs: each correlation has a standard error of ≈0.003
+        let linear = corr(&z0, &z1);
+        assert!(linear.abs() < 0.015, "corr(z₀, z₁) = {linear}");
+        let sq = |z: &[f64]| -> Vec<f64> { z.iter().map(|v| v * v).collect() };
+        let square = corr(&sq(&z0), &sq(&z1));
+        assert!(square.abs() < 0.015, "corr(z₀², z₁²) = {square}");
+    }
+
+    #[test]
+    fn odd_length_noises_every_component_and_draws_a_whole_pair() {
+        for len in [1, 3, 5, 7] {
+            let mut odd_rng = StdRng::seed_from_u64(104);
+            let mut odd = vec![0.0; len];
+            add_gaussian_noise(&mut odd, 1.0, 1.0, &mut odd_rng);
+            assert!(odd.iter().all(|v| *v != 0.0 && v.is_finite()));
+            let mut even_rng = StdRng::seed_from_u64(104);
+            let mut even = vec![0.0; len + 1];
+            add_gaussian_noise(&mut even, 1.0, 1.0, &mut even_rng);
+            // same components, and the last pair's z₁ drawn and discarded
+            assert_eq!(odd[..], even[..len]);
+            assert_eq!(odd_rng.gen::<u64>(), even_rng.gen::<u64>());
+        }
+    }
+
+    #[test]
+    fn paired_draws_are_deterministic_under_seed() {
+        let bits = |v: Vec<f64>| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
+        assert_eq!(bits(unit_draws(105)), bits(unit_draws(105)));
+        assert_ne!(bits(unit_draws(105)), bits(unit_draws(106)));
+    }
+
+    #[test]
+    fn zero_sigma_with_infinite_sensitivity_is_identity() {
+        // ∞·0 is NaN: σ = 0 must return before forming the product
+        let mut rng = StdRng::seed_from_u64(0);
+        let mut values = vec![1.0, 2.0, 3.0];
+        add_gaussian_noise(&mut values, f64::INFINITY, 0.0, &mut rng);
+        assert_eq!(values, vec![1.0, 2.0, 3.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite sensitivity")]
+    fn positive_sigma_rejects_infinite_sensitivity() {
+        let mut rng = StdRng::seed_from_u64(0);
+        add_gaussian_noise(&mut [0.0; 4], f64::INFINITY, 1.0, &mut rng);
     }
 
     #[test]

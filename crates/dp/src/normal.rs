@@ -1,7 +1,11 @@
-//! Standard-normal sampling via the Box–Muller transform.
+//! Standard-normal sampling.
 //!
 //! The allowed dependency set excludes `rand_distr`, so Gaussian noise is
-//! generated here and statistically tested below.
+//! generated here and statistically tested below. Two exact samplers live
+//! here: the scalar [`standard_normal`] (Box–Muller) for one-off draws,
+//! and [`standard_normal_pair`] (Marsaglia polar), which
+//! [`crate::add_gaussian_noise`] uses for every vector release. Both are
+//! floating-point samplers, with the usual caveat (Mironov, CCS 2012).
 
 use rand::Rng;
 
@@ -9,18 +13,37 @@ use rand::Rng;
 ///
 /// Uses the basic (trigonometric) Box–Muller transform. The second variate
 /// of each pair is discarded, which keeps the function stateless and so
-/// trivially thread-safe. This is not free: DP-SGD draws one sample per
-/// parameter per step, and those draws, each paying for one `ln`, one
-/// `sqrt` and one `cos`, are most of a fit's time. A TPC-H fit at
-/// n = 5000 makes 17.2M of them: 0.61–0.71 s of a 0.82–0.85 s fit on a
-/// 2-vCPU Xeon container. A cheaper exact sampler would change every
-/// noise value, and so every trained model's bytes.
+/// trivially thread-safe. It serves scalar draws: the corpus generators,
+/// numeric cells and GAN/VAE latents. A vector release (the DP-SGD noise,
+/// the M1 histograms, the M3 weights) goes through
+/// [`crate::add_gaussian_noise`] instead, which uses both outputs of each
+/// [`standard_normal_pair`].
 #[inline]
 pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     // u1 ∈ (0, 1]: guard against ln(0).
     let u1: f64 = 1.0 - rng.gen::<f64>();
     let u2: f64 = rng.gen();
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
+}
+
+/// Draws two independent samples from `N(0, 1)` with Marsaglia's polar
+/// method.
+///
+/// Draws `x, y` uniform on `[−1, 1)` until `0 < s = x² + y² < 1` (an
+/// acceptance rate of π/4), then returns `x·√(−2 ln s / s)` and
+/// `y·√(−2 ln s / s)`: one `ln` and one `sqrt` per two variates, with no
+/// trigonometry.
+#[inline]
+pub fn standard_normal_pair<R: Rng + ?Sized>(rng: &mut R) -> (f64, f64) {
+    loop {
+        let x = 2.0 * rng.gen::<f64>() - 1.0;
+        let y = 2.0 * rng.gen::<f64>() - 1.0;
+        let s = x * x + y * y;
+        if s > 0.0 && s < 1.0 {
+            let f = (-2.0 * s.ln() / s).sqrt();
+            return (x * f, y * f);
+        }
+    }
 }
 
 /// Draws one sample from `N(mean, std²)`.

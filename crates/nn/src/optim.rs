@@ -10,7 +10,7 @@
 
 use rand::Rng;
 
-use kamino_dp::standard_normal;
+use kamino_dp::add_gaussian_noise;
 
 use crate::param::ParamBlock;
 
@@ -190,31 +190,28 @@ impl DpSgd {
         sizes
     }
 
-    /// Noises the merged gradient sum (σ_d·C per coordinate), averages by
-    /// the expected batch size, and applies the step to `model`. Always
-    /// dense: noise on every coordinate *is* the mechanism. Returns the
-    /// number of `N(0, 1)` draws made.
-    fn apply<E, M, R>(&self, model: &mut M, sums: &[Vec<f64>], rng: &mut R) -> u64
+    /// Noises the merged gradient sums in place through the Gaussian
+    /// mechanism ([`add_gaussian_noise`] at sensitivity `C` and σ_d, one
+    /// call per block), averages by the expected batch size, and applies
+    /// the step to `model`. Always dense: noise on every coordinate *is*
+    /// the mechanism. Returns the number of `N(0, 1)` draws made.
+    fn apply<E, M, R>(&self, model: &mut M, sums: &mut [Vec<f64>], rng: &mut R) -> u64
     where
         M: PerExampleModel<E>,
         R: Rng + ?Sized,
     {
-        // `check` guarantees a finite clip whenever noise is on.
-        let noisy = self.noise_multiplier > 0.0;
-        let noise_std = self.noise_multiplier * self.clip;
         let mut draws = 0;
+        // `check` guarantees a finite clip whenever noise is on.
+        if self.noise_multiplier > 0.0 {
+            for s in sums.iter_mut() {
+                add_gaussian_noise(s, self.clip, self.noise_multiplier, rng);
+                draws += s.len() as u64;
+            }
+        }
         let mut idx = 0;
         model.visit_blocks(&mut |b| {
-            for (i, s) in sums[idx].iter().enumerate() {
-                let noisy_sum = s + if noisy {
-                    noise_std * standard_normal(rng)
-                } else {
-                    0.0
-                };
-                b.values[i] -= self.lr * noisy_sum / self.expected_batch;
-            }
-            if noisy {
-                draws += sums[idx].len() as u64;
+            for (v, s) in b.values.iter_mut().zip(&sums[idx]) {
+                *v -= self.lr * s / self.expected_batch;
             }
             idx += 1;
         });
@@ -274,7 +271,7 @@ impl DpSgd {
             total_loss += loss;
             coords_visited += visited;
         }
-        let noise_draws = self.apply::<E, _, _>(model, &sums, rng);
+        let noise_draws = self.apply::<E, _, _>(model, &mut sums, rng);
         let loss = if batch.is_empty() {
             0.0
         } else {
@@ -420,6 +417,70 @@ mod tests {
             model.w.values[0], 0.0,
             "noise must be applied to empty batches"
         );
+    }
+
+    #[test]
+    fn dense_noise_has_the_calibrated_per_coordinate_std() {
+        // Every coordinate of a 64-wide dense block must move by
+        // lr·σ_d·C/b in std on an empty batch, and adjacent coordinates
+        // (the two outputs of one polar pair) must be uncorrelated: a
+        // dropped pair output zeroes a coordinate's std, an output added
+        // twice doubles it, and one reused across a pair correlates them.
+        struct Dense {
+            w: ParamBlock,
+        }
+        impl PerExampleModel<()> for Dense {
+            fn forward_backward(&mut self, _: &()) -> f64 {
+                0.0
+            }
+            fn visit_blocks(&mut self, f: &mut dyn FnMut(&mut ParamBlock)) {
+                f(&mut self.w);
+            }
+        }
+        let cfg = DpSgd {
+            clip: 2.0,
+            noise_multiplier: 1.5,
+            lr: 0.1,
+            expected_batch: 4.0,
+        };
+        let want = cfg.lr * cfg.noise_multiplier * cfg.clip / cfg.expected_batch;
+        let mut rng = StdRng::seed_from_u64(31);
+        let mut model = Dense {
+            w: ParamBlock::zeros(64),
+        };
+        let steps = 5000;
+        let mut updates = vec![Vec::new(); 64];
+        for _ in 0..steps {
+            let before = model.w.values.clone();
+            let step = cfg.step::<(), _, _>(&mut model, &[], &mut rng);
+            assert_eq!(step.noise_draws, 64);
+            for (i, (a, b)) in model.w.values.iter().zip(&before).enumerate() {
+                updates[i].push(a - b);
+            }
+        }
+        let moments = |u: &[f64]| -> (f64, f64) {
+            let mean = u.iter().sum::<f64>() / u.len() as f64;
+            let var = u.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / u.len() as f64;
+            (mean, var.sqrt())
+        };
+        for (i, u) in updates.iter().enumerate() {
+            let (_, std) = moments(u);
+            assert!(
+                (std / want - 1.0).abs() < 0.05,
+                "coordinate {i}: std {std}, expected {want}"
+            );
+        }
+        for pair in updates.chunks(2) {
+            let ((m0, s0), (m1, s1)) = (moments(&pair[0]), moments(&pair[1]));
+            let cov = pair[0]
+                .iter()
+                .zip(&pair[1])
+                .map(|(a, b)| (a - m0) * (b - m1))
+                .sum::<f64>()
+                / steps as f64;
+            let corr = cov / (s0 * s1);
+            assert!(corr.abs() < 0.07, "adjacent coordinates correlate: {corr}");
+        }
     }
 
     #[test]
