@@ -592,7 +592,7 @@ fn enumerate_cells(cfg: &ReproConfig) -> Vec<Cell> {
 /// cached fit's). Snapshots are saved *before* sampling so the cached RNG
 /// cursor equals the fresh-fit cursor — cached and uncached runs sample
 /// identically.
-fn run_kamino_cell(
+fn draw_kamino_cell(
     d: &Dataset,
     cfg: &ReproConfig,
     epsilon: f64,
@@ -633,7 +633,7 @@ fn run_cell(d: &Dataset, truth_psi: &[(String, f64)], cfg: &ReproConfig, cell: C
         span.arg("epsilon", cell.epsilon.to_string());
     }
     let (synth, achieved, cache, phases) = if cell.method.is_kamino() {
-        let (synth, achieved, cache, phases) = run_kamino_cell(d, cfg, cell.epsilon, cell.method);
+        let (synth, achieved, cache, phases) = draw_kamino_cell(d, cfg, cell.epsilon, cell.method);
         (synth, Some(achieved), cache, Some(phases))
     } else {
         let budget = Budget::new(cell.epsilon, DELTA);

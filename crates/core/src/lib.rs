@@ -25,9 +25,11 @@
 //!    of Experiment 6 is a cell rule of the same engine
 //!    ([`KaminoConfig::ar_sampling`]).
 //!
-//! [`pipeline::run_kamino`] wires these together, exposes the ablation
-//! switches of Experiment 5 (RandSequence / RandSampling / RandBoth) and
-//! reports per-phase timings for Figure 7.
+//! [`pipeline::fit_kamino`] wires lines 2–5 of Algorithm 1 together into
+//! a [`FittedKamino`] session whose [`FittedKamino::sample`] draws line 6
+//! as often as asked; the config exposes the ablation switches of
+//! Experiment 5 (RandSequence / RandSampling / RandBoth) and the session
+//! carries per-phase timings for Figure 7.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -43,9 +45,7 @@ pub mod weights;
 
 pub use model::{DataModel, SubModel};
 pub use params::{search_params, search_params_with_obs, PrivacyParams};
-pub use pipeline::{
-    fit_kamino, run_kamino, FittedKamino, KaminoConfig, KaminoReport, PhaseTimings, FIT_REVISION,
-};
+pub use pipeline::{fit_kamino, FittedKamino, KaminoConfig, PhaseTimings, FIT_REVISION};
 pub use sampler::{synthesize, FD_CYCLE_TOLERANCE_PCT};
 pub use sequence::{active_dcs_by_position, sequence_attrs};
 pub use train::{train_model, train_model_with_obs, TrainConfig};

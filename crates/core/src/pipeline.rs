@@ -64,8 +64,6 @@ pub struct KaminoConfig {
     /// Scales the DP-SGD iteration range of Algorithm 6 (quality knob for
     /// harness runs; always privacy-safe).
     pub train_scale: f64,
-    /// Rows to synthesize (`None` = same as the input instance).
-    pub output_n: Option<usize>,
     /// Domain-size threshold for the §4.3 noisy-marginal fallback.
     pub large_domain_threshold: usize,
     /// Has no effect: every draw runs the one sequential Algorithm 3
@@ -75,9 +73,10 @@ pub struct KaminoConfig {
     /// bytes and cache keys do not depend on it.
     pub shards: usize,
     /// Observability handle: spans, metrics and the DP budget ledger.
-    /// Disabled by default, and strictly off the determinism contract —
-    /// never encoded into snapshots or [`KaminoConfig::stable_hash`], and
-    /// enabling it changes no RNG stream or output byte.
+    /// Disabled by default; never encoded into snapshots or
+    /// [`KaminoConfig::stable_hash`]. Enabling it changes no RNG stream,
+    /// weight or sampled row — only the span-derived [`PhaseTimings`],
+    /// which snapshots store.
     pub obs: ObsHandle,
 }
 
@@ -98,7 +97,6 @@ impl KaminoConfig {
             ar_sampling: false,
             parallel_substrate: true,
             train_scale: 1.0,
-            output_n: None,
             large_domain_threshold: 256,
             shards: 1,
             obs: ObsHandle::disabled(),
@@ -152,21 +150,6 @@ impl PhaseTimings {
     pub fn total(&self) -> Duration {
         self.sequencing + self.training + self.dc_weights + self.sampling
     }
-}
-
-/// Everything a Kamino run produces.
-pub struct KaminoReport {
-    /// The synthetic instance `D'`.
-    pub instance: Instance,
-    /// The schema sequence used.
-    pub sequence: Vec<usize>,
-    /// Final DC weights (aligned with the input DC list).
-    pub weights: Vec<f64>,
-    /// The privacy parameters Ψ selected by Algorithm 6.
-    pub params: PrivacyParams,
-    /// Per-phase wall-clock timings (Figure 7), read off the config's obs
-    /// spans; all zero when [`KaminoConfig::obs`] is disabled.
-    pub timings: PhaseTimings,
 }
 
 /// A trained synthesis session: everything Algorithm 1 produces *before*
@@ -228,6 +211,7 @@ pub fn fit_kamino(
     let n = instance.n_rows();
     assert!(n > 0, "cannot synthesize from an empty instance");
     assert!(cfg.train_scale > 0.0, "train scale must be positive");
+    assert!(cfg.d_candidates >= 1, "candidate-set size must be positive");
     assert!(cfg.mcmc_ratio >= 0.0, "mcmc ratio must be nonnegative");
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x4A31);
     let mut timings = PhaseTimings::default();
@@ -439,29 +423,6 @@ impl FittedKamino {
     }
 }
 
-/// Runs Kamino end-to-end (Algorithm 1): sequencing → parameter search →
-/// model training → weight learning → constraint-aware sampling.
-pub fn run_kamino(
-    schema: &Schema,
-    instance: &Instance,
-    dcs: &[DenialConstraint],
-    cfg: &KaminoConfig,
-) -> KaminoReport {
-    let mut fitted = fit_kamino(schema, instance, dcs, cfg);
-
-    // Line 6: Synthesize.
-    let out_n = cfg.output_n.unwrap_or(fitted.n_input);
-    let instance_out = fitted.sample(out_n);
-
-    KaminoReport {
-        instance: instance_out,
-        sequence: fitted.sequence,
-        weights: fitted.weights,
-        params: fitted.params,
-        timings: fitted.timings,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -481,15 +442,16 @@ mod tests {
     fn end_to_end_private_run_preserves_hard_dcs() {
         let d = adult_like(400, 1);
         let cfg = fast_cfg(Budget::new(1.0, 1e-6), 2);
-        let report = run_kamino(&d.schema, &d.instance, &d.dcs, &cfg);
-        assert_eq!(report.instance.n_rows(), 400);
-        assert!(report.params.achieved_epsilon <= 1.0);
+        let mut fitted = fit_kamino(&d.schema, &d.instance, &d.dcs, &cfg);
+        let out = fitted.sample(400);
+        assert_eq!(out.n_rows(), 400);
+        assert!(fitted.params.achieved_epsilon <= 1.0);
         for dc in &d.dcs {
-            let pct = violation_percentage(dc, &report.instance);
+            let pct = violation_percentage(dc, &out);
             assert_eq!(pct, 0.0, "hard DC {} violated: {pct}%", dc.name);
         }
         // every weight is the hard weight
-        assert!(report.weights.iter().all(|w| w.is_infinite()));
+        assert!(fitted.weights.iter().all(|w| w.is_infinite()));
     }
 
     #[test]
@@ -501,15 +463,16 @@ mod tests {
         let mut cfg = fast_cfg(Budget::non_private(), 4);
         cfg.train_scale = 1.0;
         cfg.lr = 0.3;
-        let report = run_kamino(&d.schema, &d.instance, &d.dcs, &cfg);
-        assert_eq!(report.weights.len(), 3);
+        let mut fitted = fit_kamino(&d.schema, &d.instance, &d.dcs, &cfg);
+        let out = fitted.sample(500);
+        assert_eq!(fitted.weights.len(), 3);
         assert!(
-            report.weights.iter().all(|w| w.is_finite()),
+            fitted.weights.iter().all(|w| w.is_finite()),
             "soft weights must be finite"
         );
         // soft regime: violations allowed but far below the i.i.d. level
         for dc in &d.dcs {
-            let pct = violation_percentage(dc, &report.instance);
+            let pct = violation_percentage(dc, &out);
             assert!(
                 pct < 15.0,
                 "soft DC {} at {pct}% — far outside the soft regime",
@@ -524,22 +487,13 @@ mod tests {
         let mut cfg = fast_cfg(Budget::new(1.0, 1e-6), 6);
         cfg.constraint_aware_sequencing = false;
         cfg.constraint_aware_sampling = false;
-        let report = run_kamino(&d.schema, &d.instance, &d.dcs, &cfg);
+        let mut fitted = fit_kamino(&d.schema, &d.instance, &d.dcs, &cfg);
         // RandBoth still produces a full instance
-        assert_eq!(report.instance.n_rows(), 250);
+        assert_eq!(fitted.sample(250).n_rows(), 250);
         // the random sequence is still a permutation
-        let mut seq = report.sequence.clone();
+        let mut seq = fitted.sequence.clone();
         seq.sort_unstable();
         assert_eq!(seq, (0..d.schema.len()).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn output_n_controls_size() {
-        let d = adult_like(200, 7);
-        let mut cfg = fast_cfg(Budget::new(1.0, 1e-6), 8);
-        cfg.output_n = Some(90);
-        let report = run_kamino(&d.schema, &d.instance, &d.dcs, &cfg);
-        assert_eq!(report.instance.n_rows(), 90);
     }
 
     #[test]
@@ -561,30 +515,43 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "candidate-set size must be positive")]
+    fn zero_candidate_set_is_refused() {
+        let d = adult_like(50, 7);
+        let mut cfg = fast_cfg(Budget::new(1.0, 1e-6), 8);
+        cfg.d_candidates = 0;
+        fit_kamino(&d.schema, &d.instance, &d.dcs, &cfg);
+    }
+
+    #[test]
     fn timings_are_populated() {
         let d = adult_like(200, 9);
         let mut cfg = fast_cfg(Budget::new(1.0, 1e-6), 10);
         cfg.obs = ObsHandle::enabled();
-        let report = run_kamino(&d.schema, &d.instance, &d.dcs, &cfg);
-        assert!(report.timings.training > Duration::ZERO);
-        assert!(report.timings.sampling > Duration::ZERO);
-        assert!(report.timings.sample_fill > Duration::ZERO);
-        assert!(report.timings.total() >= report.timings.training);
+        let mut fitted = fit_kamino(&d.schema, &d.instance, &d.dcs, &cfg);
+        fitted.sample(200);
+        let t = fitted.timings;
+        assert!(t.training > Duration::ZERO);
+        assert!(t.sampling > Duration::ZERO);
+        assert!(t.sample_fill > Duration::ZERO);
+        assert!(t.total() >= t.training);
 
         // a disabled handle reads no clock: every field stays zero
         cfg.obs = ObsHandle::disabled();
-        let report = run_kamino(&d.schema, &d.instance, &d.dcs, &cfg);
-        assert_eq!(report.timings, PhaseTimings::default());
+        let mut fitted = fit_kamino(&d.schema, &d.instance, &d.dcs, &cfg);
+        fitted.sample(200);
+        assert_eq!(fitted.timings, PhaseTimings::default());
     }
 
     #[test]
     fn non_private_run_works() {
         let d = adult_like(200, 11);
         let cfg = fast_cfg(Budget::non_private(), 12);
-        let report = run_kamino(&d.schema, &d.instance, &d.dcs, &cfg);
-        assert!(report.params.non_private);
+        let mut fitted = fit_kamino(&d.schema, &d.instance, &d.dcs, &cfg);
+        let out = fitted.sample(200);
+        assert!(fitted.params.non_private);
         for dc in &d.dcs {
-            assert_eq!(violation_percentage(dc, &report.instance), 0.0);
+            assert_eq!(violation_percentage(dc, &out), 0.0);
         }
     }
 
@@ -593,11 +560,11 @@ mod tests {
         let d = adult_like(200, 13);
         let mut cfg = fast_cfg(Budget::new(1.0, 1e-6), 14);
         cfg.ar_sampling = true;
-        let report = run_kamino(&d.schema, &d.instance, &d.dcs, &cfg);
-        assert_eq!(report.instance.n_rows(), 200);
+        let out = fit_kamino(&d.schema, &d.instance, &d.dcs, &cfg).sample(200);
+        assert_eq!(out.n_rows(), 200);
     }
 
-    /// Pins `run_kamino`'s output for every sampling rule on three
+    /// Pins a fit-then-`sample(n_input)` draw for every sampling rule on three
     /// corpora: {Algorithm 3, MCMC 0.3 + hard-FD lookup, RandSampling} ×
     /// {accept–reject off, on}. Any change to a cell decision or to the
     /// RNG stream of any rule moves a digest.
@@ -623,8 +590,8 @@ mod tests {
                     cfg.hard_fd_lookup = hard_fd_lookup;
                     cfg.constraint_aware_sampling = aware;
                     cfg.ar_sampling = ar;
-                    let report = run_kamino(&d.schema, &d.instance, &d.dcs, &cfg);
-                    got.push((corpus, rule, ar, digest(&report.instance)));
+                    let out = fit_kamino(&d.schema, &d.instance, &d.dcs, &cfg).sample(300);
+                    got.push((corpus, rule, ar, digest(&out)));
                 }
             }
         }
@@ -684,9 +651,9 @@ mod tests {
     fn deterministic_given_seed() {
         let d = adult_like(150, 15);
         let cfg = fast_cfg(Budget::new(1.0, 1e-6), 16);
-        let a = run_kamino(&d.schema, &d.instance, &d.dcs, &cfg);
-        let b = run_kamino(&d.schema, &d.instance, &d.dcs, &cfg);
-        assert_eq!(a.instance, b.instance);
+        let a = fit_kamino(&d.schema, &d.instance, &d.dcs, &cfg).sample(150);
+        let b = fit_kamino(&d.schema, &d.instance, &d.dcs, &cfg).sample(150);
+        assert_eq!(a, b);
     }
 
     #[test]
@@ -729,10 +696,10 @@ mod tests {
         let mut cfg = fast_cfg(Budget::non_private(), 18);
         cfg.train_scale = 1.0;
         cfg.lr = 0.3;
-        let report = run_kamino(&d.schema, &d.instance, &d.dcs, &cfg);
+        let out = fit_kamino(&d.schema, &d.instance, &d.dcs, &cfg).sample(500);
         for dc in &d.dcs {
             let truth = violation_percentage(dc, &d.instance);
-            let synth = violation_percentage(dc, &report.instance);
+            let synth = violation_percentage(dc, &out);
             assert!(
                 synth <= (truth + 2.0) * 5.0,
                 "DC {}: synth {synth}% vs truth {truth}% — not in the same regime",

@@ -173,8 +173,16 @@ pub fn decode_model(r: &mut ByteReader<'_>) -> Result<DataModel, WireError> {
         )));
     }
     let mut submodels = Vec::with_capacity(n.min(1 << 12));
-    for _ in 0..n {
-        submodels.push(decode_submodel(r)?);
+    for j in 1..=n {
+        let sm = decode_submodel(r)?;
+        // the sampler fills sequence position j from exactly the values of
+        // sequence[..j]; any other pairing panics or mixes up domains
+        if sm.target != sequence[j] || sm.context != sequence[..j] {
+            return Err(WireError::Malformed(format!(
+                "sub-model {j} does not predict sequence position {j} from its prefix"
+            )));
+        }
+        submodels.push(sm);
     }
     Ok(DataModel {
         sequence,
@@ -235,13 +243,9 @@ pub fn encode_config(c: &KaminoConfig, w: &mut ByteWriter) {
     w.put_bool(c.ar_sampling);
     w.put_bool(c.parallel_substrate);
     w.put_f64(c.train_scale);
-    match c.output_n {
-        None => w.put_u8(0),
-        Some(n) => {
-            w.put_u8(1);
-            w.put_usize(n);
-        }
-    }
+    // the slot of the retired `output_n` option: always the `None` tag,
+    // so bytes match every config written before it went
+    w.put_u8(0);
     w.put_usize(c.large_domain_threshold);
     // the slot of the retired shard count: always 1, so bytes do not
     // depend on the no-op `KaminoConfig::shards`
@@ -256,6 +260,9 @@ pub fn decode_config(r: &mut ByteReader<'_>) -> Result<KaminoConfig, WireError> 
     cfg.embed_dim = r.usize()?;
     cfg.lr = r.f64()?;
     cfg.d_candidates = r.usize()?;
+    if cfg.d_candidates == 0 {
+        return Err(WireError::Malformed("empty numeric candidate set".into()));
+    }
     cfg.mcmc_ratio = r.f64()?;
     cfg.parallel_training = r.bool()?;
     cfg.constraint_aware_sampling = r.bool()?;
@@ -264,11 +271,14 @@ pub fn decode_config(r: &mut ByteReader<'_>) -> Result<KaminoConfig, WireError> 
     cfg.ar_sampling = r.bool()?;
     cfg.parallel_substrate = r.bool()?;
     cfg.train_scale = r.f64()?;
-    cfg.output_n = match r.u8()? {
-        0 => None,
-        1 => Some(r.usize()?),
+    // files written while the option existed may hold `Some(rows)` here
+    match r.u8()? {
+        0 => {}
+        1 => {
+            let _retired_rows = r.usize()?;
+        }
         tag => return Err(WireError::Malformed(format!("unknown option tag {tag}"))),
-    };
+    }
     cfg.large_domain_threshold = r.usize()?;
     // old files may hold any shard count here; there is one engine now
     let _retired_shards = r.usize()?;
@@ -345,7 +355,6 @@ mod tests {
         };
         let mut cfg = KaminoConfig::new(Budget::new(1.0, 1e-6));
         cfg.seed = 99;
-        cfg.output_n = Some(450);
         cfg.shards = 4;
         let mut w = ByteWriter::new();
         encode_params(&p, &mut w);
@@ -367,20 +376,52 @@ mod tests {
         assert_eq!((p2.b, p2.t, p2.l_w), (32, 120, 100));
         let cfg2 = decode_config(&mut r).unwrap();
         assert_eq!(cfg2.seed, 99);
-        assert_eq!(cfg2.output_n, Some(450));
         let t2 = decode_timings(&mut r).unwrap();
         assert_eq!(t2.training, Duration::from_millis(300));
         assert!(r.is_exhausted());
 
         // the retired shard slot is a constant: 4 shards encode like 1
-        let config_bytes = |c: &KaminoConfig| {
-            let mut w = ByteWriter::new();
-            encode_config(c, &mut w);
-            w.into_bytes()
-        };
         let mut one = cfg.clone();
         one.shards = 1;
         assert_eq!(config_bytes(&cfg), config_bytes(&one));
+    }
+
+    fn config_bytes(c: &KaminoConfig) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        encode_config(c, &mut w);
+        w.into_bytes()
+    }
+
+    /// The output-size option is gone; its slot stays in the layout. A
+    /// default config still encodes to the bytes it always had, and
+    /// files that set a size (tag 1 + a row count) still decode, then
+    /// re-encode with the `None` tag.
+    #[test]
+    fn retired_output_size_slot_reads_old_files() {
+        let cfg = KaminoConfig::new(Budget::new(1.0, 1e-6));
+        let now = config_bytes(&cfg);
+        let fnv = kamino_data::wire::fnv1a64;
+        assert_eq!(fnv(&now), 0x1224_84ea_64af_5b6b, "default encoding drifted");
+        // the tag sits before the threshold and shard-count slots; these
+        // are the bytes the option encoded as `Some(450)`
+        let tag_at = now.len() - 17;
+        assert_eq!(now[tag_at], 0);
+        let old = [
+            &now[..tag_at],
+            &[1],
+            &450u64.to_le_bytes(),
+            &now[tag_at + 1..],
+        ]
+        .concat();
+        assert_eq!(fnv(&old), 0x5eb3_f259_a8d0_dfd1);
+        let mut r = ByteReader::new(&old);
+        let decoded = decode_config(&mut r).unwrap();
+        assert!(r.is_exhausted());
+        assert_eq!(config_bytes(&decoded), now);
+
+        let mut bad_tag = now.clone();
+        bad_tag[tag_at] = 2;
+        assert!(decode_config(&mut ByteReader::new(&bad_tag)).is_err());
     }
 
     #[test]

@@ -269,7 +269,7 @@ fn unordered_reduce(ctx: &FileCtx, out: &mut Vec<RawFinding>) {
                     message: format!(
                         "`.lock().{name}(..)`: appends to a shared locked collection land in scheduling order, which is not deterministic",
                     ),
-                    hint: "collect into per-worker or index-addressed slots and merge in a fixed order (see ScoreSet::merge / the repro matrix slots)".into(),
+                    hint: "write into index-addressed slots and read them back in index order (see the per-cell result slots of kamino-bench's `run_matrix`)".into(),
                 });
             }
             break;

@@ -20,9 +20,10 @@
 //! never allocates, and never changes library behavior, which is how
 //! instrumented code stays byte-identical to uninstrumented code.
 //! Exporters ([`ObsHandle::render_prometheus`],
-//! [`ObsHandle::chrome_trace_json`]) only ever run on explicit request —
-//! no timestamp or counter can leak into snapshots or committed
-//! artifacts.
+//! [`ObsHandle::chrome_trace_json`]) only ever run on explicit request.
+//! The one clock reading that reaches an artifact is deliberate: span
+//! durations become the fit's `PhaseTimings`, which `.kamino` snapshots
+//! store in their SESSION and SAMPLE_TIMINGS sections.
 //!
 //! ```
 //! let obs = kamino_obs::ObsHandle::enabled();

@@ -398,6 +398,28 @@ impl Manifest {
         Ok(Manifest { entries })
     }
 
+    /// Records `name` as model `id`'s snapshot and drops every other id
+    /// mapped to the same file: boot gives imported (foreign-named)
+    /// snapshots a fresh id each time, so an older id for the file is a
+    /// stale alias. Returns whether the entries changed.
+    pub fn commit(&mut self, id: u64, name: &str) -> bool {
+        let before = self.entries.clone();
+        self.entries.retain(|&other, n| other == id || n != name);
+        self.entries.insert(id, name.to_owned());
+        self.entries != before
+    }
+
+    /// The committed entries whose file name is not among `registered`.
+    /// Matched by name, not id: an imported snapshot may come back under
+    /// another id than the one it was committed as.
+    pub fn unbacked<'a>(&'a self, registered: &[String]) -> Vec<(u64, &'a str)> {
+        self.entries
+            .iter()
+            .filter(|(_, name)| !registered.contains(name))
+            .map(|(&id, name)| (id, name.as_str()))
+            .collect()
+    }
+
     /// Loads `dir/MANIFEST`. `Ok(None)` when none exists yet;
     /// `Err` when one exists but does not verify.
     pub fn load(dir: &Path) -> Result<Option<Manifest>, String> {
@@ -650,6 +672,25 @@ mod tests {
         fs::write(&path, &bytes).unwrap();
         assert!(Manifest::load(&dir).is_err());
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn renumbered_import_stays_backed_and_replaces_its_old_id() {
+        // an import committed as model 1, then a fit written as model 2;
+        // on the next boot the import is registered as model 3
+        let mut m = Manifest::default();
+        assert!(m.commit(1, "imported.kamino"));
+        assert!(m.commit(2, "model-2.kamino"));
+        assert!(!m.commit(2, "model-2.kamino"), "a repeat commit is a no-op");
+        let registered = vec!["imported.kamino".to_string(), "model-2.kamino".to_string()];
+        assert!(m.unbacked(&registered).is_empty());
+        // committing it under its new id drops the stale alias
+        assert!(m.commit(3, "imported.kamino"));
+        let ids: Vec<(u64, &str)> = m.entries.iter().map(|(&id, n)| (id, n.as_str())).collect();
+        assert_eq!(ids, [(2, "model-2.kamino"), (3, "imported.kamino")]);
+        // a snapshot that really is gone is still reported
+        let registered = vec!["model-2.kamino".to_string()];
+        assert_eq!(m.unbacked(&registered), vec![(3, "imported.kamino")]);
     }
 
     #[test]

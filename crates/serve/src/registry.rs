@@ -364,11 +364,13 @@ impl Registry {
         }
         paths.sort();
         let mut foreign = Vec::new();
+        let mut registered = Vec::new();
         for path in paths {
             if let Err(e) = verify_snapshot(&path) {
                 self.quarantine_file(&path, &e.to_string());
                 continue;
             }
+            registered.extend(path.file_name().map(|s| s.to_string_lossy().into_owned()));
             match id_from_snapshot_name(&path) {
                 Some(id) if !self.slots.lock().unwrap().contains_key(&id) => {
                     self.insert_unloaded(id, path);
@@ -378,13 +380,11 @@ impl Registry {
         }
         // a committed model whose snapshot vanished (or was quarantined)
         // is an operational loss worth shouting about — but not an outage
-        for (id, name) in &self.manifest.lock().unwrap().entries {
-            if !self.slots.lock().unwrap().contains_key(id) {
-                eprintln!(
-                    "kamino-serve: WARNING: manifest lists committed model {id} \
-                     ({name}) but no verified snapshot backs it"
-                );
-            }
+        for (id, name) in self.manifest.lock().unwrap().unbacked(&registered) {
+            eprintln!(
+                "kamino-serve: WARNING: manifest lists committed model {id} \
+                 ({name}) but no verified snapshot backs it"
+            );
         }
         let max_id = self
             .slots
@@ -529,9 +529,10 @@ impl Registry {
         }
     }
 
-    /// Adds a committed model to the manifest and atomically rewrites
-    /// it on disk. Called by [`Registry::persist`] after every
-    /// successful snapshot write.
+    /// Commits a model to the manifest (dropping any older id for the
+    /// same file) and atomically rewrites it on disk when that changed
+    /// it. Called by [`Registry::persist`] after every successful
+    /// snapshot write.
     fn commit_to_manifest(&self, model_id: u64, path: &Path) {
         let Some(dir) = &self.model_dir else { return };
         let name = path
@@ -539,10 +540,9 @@ impl Registry {
             .map(|s| s.to_string_lossy().into_owned())
             .unwrap_or_default();
         let mut manifest = self.manifest.lock().unwrap();
-        if manifest.entries.get(&model_id) == Some(&name) {
+        if !manifest.commit(model_id, &name) {
             return;
         }
-        manifest.entries.insert(model_id, name);
         if let Err(e) = manifest.store(dir) {
             eprintln!("kamino-serve: manifest update for model {model_id} failed: {e}");
         }

@@ -654,6 +654,22 @@ mod tests {
         core_codec::decode_model(&mut kamino_data::wire::ByteReader::new(&bytes)).unwrap()
     }
 
+    /// `f` with its model replaced by `model`.
+    fn with_model(f: &FittedKamino, model: kamino_core::DataModel) -> FittedKamino {
+        FittedKamino::from_parts(
+            f.sequence.clone(),
+            f.weights.clone(),
+            f.params.clone(),
+            f.timings,
+            f.schema().clone(),
+            f.dcs().to_vec(),
+            model,
+            f.config().clone(),
+            f.n_input(),
+            f.rng_state(),
+        )
+    }
+
     #[test]
     fn out_of_schema_model_indices_are_rejected() {
         // a structurally valid container whose model points outside the
@@ -661,19 +677,7 @@ mod tests {
         let fitted = tiny_fitted(6);
         let mut model = clone_model(&fitted);
         model.submodels[0].target = 1_000_000;
-        let broken = FittedKamino::from_parts(
-            fitted.sequence.clone(),
-            fitted.weights.clone(),
-            fitted.params.clone(),
-            fitted.timings,
-            fitted.schema().clone(),
-            fitted.dcs().to_vec(),
-            model,
-            fitted.config().clone(),
-            fitted.n_input(),
-            fitted.rng_state(),
-        );
-        let bytes = encode_fitted(&broken);
+        let bytes = encode_fitted(&with_model(&fitted, model));
         assert!(matches!(decode_fitted(&bytes), Err(SnapshotError::Wire(_))));
     }
 
@@ -695,6 +699,38 @@ mod tests {
             fitted.rng_state(),
         );
         let bytes = encode_fitted(&diverged);
+        assert!(matches!(decode_fitted(&bytes), Err(SnapshotError::Wire(_))));
+    }
+
+    #[test]
+    fn submodels_out_of_sequence_order_are_rejected() {
+        // each sub-model is self-consistent (attention arity = context
+        // arity, head shaped for its target) and every index is in range,
+        // but sequence position 1 now holds the sub-model for position 2,
+        // which the sampler would run on the wrong context and domain
+        let fitted = tiny_fitted(14);
+        let mut model = clone_model(&fitted);
+        model.submodels.swap(0, 1);
+        let bytes = encode_fitted(&with_model(&fitted, model));
+        assert!(matches!(decode_fitted(&bytes), Err(SnapshotError::Wire(_))));
+    }
+
+    #[test]
+    fn empty_candidate_set_config_is_rejected() {
+        // `d_candidates = 0` would leave every numeric candidate set
+        // empty at sample time
+        let fitted = tiny_fitted(15);
+        let mut cfg = fitted.config().clone();
+        cfg.d_candidates = 0;
+        let bytes = rebuild(&encode_fitted(&fitted), |id, b| {
+            Some(if id == section::CONFIG {
+                let mut w = kamino_data::wire::ByteWriter::new();
+                core_codec::encode_config(&cfg, &mut w);
+                w.into_bytes()
+            } else {
+                b.to_vec()
+            })
+        });
         assert!(matches!(decode_fitted(&bytes), Err(SnapshotError::Wire(_))));
     }
 

@@ -9,7 +9,7 @@
 
 use kamino::baselines::{PrivBayes, Synthesizer};
 use kamino::constraints::violation_percentage;
-use kamino::core::{run_kamino, KaminoConfig};
+use kamino::core::{fit_kamino, KaminoConfig};
 use kamino::data::Instance;
 use kamino::datasets::adult_like;
 use kamino::dp::Budget;
@@ -43,8 +43,8 @@ fn main() {
     cfg.train_scale = 0.4;
     cfg.lr = 0.25;
     cfg.embed_dim = 12;
-    let report = run_kamino(&data.schema, &data.instance, &data.dcs, &cfg);
-    evaluate("Kamino", &data, &report.instance);
+    let synthetic = fit_kamino(&data.schema, &data.instance, &data.dcs, &cfg).sample(800);
+    evaluate("Kamino", &data, &synthetic);
 
     // PrivBayes
     let pb = PrivBayes::default().synthesize(&data.schema, &data.instance, budget, 800, 5);

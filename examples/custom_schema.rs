@@ -88,24 +88,25 @@ north,metro,42,510,51
     let mut cfg = KaminoConfig::new(Budget::new(2.0, 1e-6));
     cfg.seed = 1;
     cfg.train_scale = 0.3;
-    let report = run_kamino(&schema, &instance, &dcs, &cfg);
+    let mut session = fit_kamino(&schema, &instance, &dcs, &cfg);
+    let synthetic = session.sample(instance.n_rows());
 
     println!(
         "synthesized {} rows at epsilon = {:.3}",
-        report.instance.n_rows(),
-        report.params.achieved_epsilon
+        synthetic.n_rows(),
+        session.achieved_epsilon()
     );
     for dc in &dcs {
         println!(
             "  {}: truth {:.2}%, synthetic {:.2}% violating",
             dc.name,
             violation_percentage(dc, &instance),
-            violation_percentage(dc, &report.instance)
+            violation_percentage(dc, &synthetic)
         );
     }
     // show a few synthetic rows
     let mut out = Vec::new();
-    kamino::data::csv::write_csv(&schema, &report.instance, &mut out).unwrap();
+    kamino::data::csv::write_csv(&schema, &synthetic, &mut out).unwrap();
     let text = String::from_utf8(out).unwrap();
     println!("\nfirst synthetic rows:");
     for line in text.lines().take(6) {

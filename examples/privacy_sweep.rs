@@ -7,7 +7,7 @@
 //! ```
 
 use kamino::constraints::violation_percentage;
-use kamino::core::{run_kamino, KaminoConfig};
+use kamino::core::{fit_kamino, KaminoConfig};
 use kamino::datasets::adult_like;
 use kamino::dp::Budget;
 use kamino::eval::marginals::{summarize, tvd_all_singles};
@@ -28,16 +28,13 @@ fn main() {
         let mut cfg = KaminoConfig::new(budget);
         cfg.seed = 13;
         cfg.train_scale = 0.3;
-        let report = run_kamino(&data.schema, &data.instance, &data.dcs, &cfg);
-        let (tvd1, _, _) = summarize(&tvd_all_singles(
-            &data.schema,
-            &data.instance,
-            &report.instance,
-        ));
+        let mut session = fit_kamino(&data.schema, &data.instance, &data.dcs, &cfg);
+        let synthetic = session.sample(data.instance.n_rows());
+        let (tvd1, _, _) = summarize(&tvd_all_singles(&data.schema, &data.instance, &synthetic));
         let viol: f64 = data
             .dcs
             .iter()
-            .map(|dc| violation_percentage(dc, &report.instance))
+            .map(|dc| violation_percentage(dc, &synthetic))
             .sum();
         println!(
             "{:>6}  {:>9.3}  {:>5}  {:>7.2}  {:>7.3}  {:>9.3}  {:>9.2}%",
@@ -46,10 +43,10 @@ fn main() {
             } else {
                 format!("{eps}")
             },
-            report.params.achieved_epsilon,
-            report.params.t,
-            report.params.sigma_d,
-            report.params.sigma_g,
+            session.params.achieved_epsilon,
+            session.params.t,
+            session.params.sigma_d,
+            session.params.sigma_g,
             tvd1,
             viol
         );

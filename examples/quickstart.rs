@@ -6,7 +6,7 @@
 //! ```
 
 use kamino::constraints::violation_percentage;
-use kamino::core::{run_kamino, KaminoConfig};
+use kamino::core::{fit_kamino, KaminoConfig};
 use kamino::datasets::adult_like;
 use kamino::dp::Budget;
 
@@ -27,16 +27,17 @@ fn main() {
     let mut cfg = KaminoConfig::new(Budget::new(1.0, 1e-6));
     cfg.seed = 7;
     cfg.train_scale = 0.3; // fraction of the paper's training budget
-    let report = run_kamino(&data.schema, &data.instance, &data.dcs, &cfg);
+    let mut session = fit_kamino(&data.schema, &data.instance, &data.dcs, &cfg);
+    let synthetic = session.sample(data.instance.n_rows());
 
-    println!("\nsynthesized {} rows", report.instance.n_rows());
+    println!("\nsynthesized {} rows", synthetic.n_rows());
     println!(
         "privacy spent: epsilon = {:.3} (budget 1.0)",
-        report.params.achieved_epsilon
+        session.achieved_epsilon()
     );
     println!(
         "schema sequence: {:?}",
-        report
+        session
             .sequence
             .iter()
             .map(|&a| data.schema.attr(a).name.as_str())
@@ -48,13 +49,13 @@ fn main() {
             "  {}: truth {:.2}%  synthetic {:.2}%",
             dc.name,
             violation_percentage(dc, &data.instance),
-            violation_percentage(dc, &report.instance),
+            violation_percentage(dc, &synthetic),
         );
     }
 
     // Write the synthetic instance out as CSV.
     let mut buf = Vec::new();
-    kamino::data::csv::write_csv(&data.schema, &report.instance, &mut buf).unwrap();
+    kamino::data::csv::write_csv(&data.schema, &synthetic, &mut buf).unwrap();
     let path = std::env::temp_dir().join("kamino_quickstart.csv");
     std::fs::write(&path, &buf).unwrap();
     println!("\nsynthetic data written to {}", path.display());

@@ -9,7 +9,7 @@
 //! ```
 
 use kamino::constraints::violation_percentage;
-use kamino::core::{run_kamino, KaminoConfig};
+use kamino::core::{fit_kamino, KaminoConfig};
 use kamino::datasets::tax_like;
 use kamino::dp::Budget;
 use kamino::obs::ObsHandle;
@@ -21,27 +21,28 @@ fn main() {
     let mut cfg = KaminoConfig::new(Budget::new(1.0, 1e-6));
     cfg.seed = 9;
     cfg.train_scale = 0.3;
-    // report timings are span durations: without a handle they read zero
+    // session timings are span durations: without a handle they read zero
     cfg.obs = ObsHandle::enabled();
 
     for lookup in [false, true] {
         cfg.hard_fd_lookup = lookup;
-        let report = run_kamino(&data.schema, &data.instance, &data.dcs, &cfg);
+        let mut session = fit_kamino(&data.schema, &data.instance, &data.dcs, &cfg);
+        let synthetic = session.sample(data.instance.n_rows());
         println!(
             "hard_fd_lookup = {lookup}: sampled in {:.2}s (total {:.2}s)",
-            report.timings.sampling.as_secs_f64(),
-            report.timings.total().as_secs_f64(),
+            session.timings.sampling.as_secs_f64(),
+            session.timings.total().as_secs_f64(),
         );
         for dc in &data.dcs {
             println!(
                 "  {}: synthetic violations {:.2}%",
                 dc.name,
-                violation_percentage(dc, &report.instance)
+                violation_percentage(dc, &synthetic)
             );
         }
         println!(
             "  sequence: {:?}\n",
-            report
+            session
                 .sequence
                 .iter()
                 .map(|&a| data.schema.attr(a).name.as_str())

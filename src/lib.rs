@@ -27,7 +27,7 @@
 //!
 //! ```
 //! use kamino::datasets::adult_like;
-//! use kamino::core::{run_kamino, KaminoConfig};
+//! use kamino::core::{fit_kamino, KaminoConfig};
 //! use kamino::dp::Budget;
 //! use kamino::constraints::violation_percentage;
 //!
@@ -38,21 +38,21 @@
 //! let mut cfg = KaminoConfig::new(Budget::new(1.0, 1e-6));
 //! cfg.train_scale = 0.05; // doc-test speed; use 1.0 for real runs
 //! cfg.seed = 7;
-//! let report = run_kamino(&data.schema, &data.instance, &data.dcs, &cfg);
+//! let mut session = fit_kamino(&data.schema, &data.instance, &data.dcs, &cfg);
+//! let synthetic = session.sample(300);
 //!
-//! assert_eq!(report.instance.n_rows(), 300);
-//! assert!(report.params.achieved_epsilon <= 1.0);
+//! assert_eq!(synthetic.n_rows(), 300);
+//! assert!(session.achieved_epsilon() <= 1.0);
 //! // the hard constraints hold in the synthetic data
 //! for dc in &data.dcs {
-//!     assert_eq!(violation_percentage(dc, &report.instance), 0.0);
+//!     assert_eq!(violation_percentage(dc, &synthetic), 0.0);
 //! }
 //! ```
 //!
 //! ## Sessions: fit once, sample many times
 //!
-//! [`run_kamino`](core::run_kamino) spends the budget and returns one
-//! instance. [`fit_kamino`](core::fit_kamino) runs only the private fit
-//! (Algorithm 1, lines 2–5) and returns the one session type,
+//! [`fit_kamino`](core::fit_kamino) spends the budget: it runs the
+//! private fit (Algorithm 1, lines 2–5) and returns the one session type,
 //! [`FittedKamino`](core::FittedKamino); every
 //! [`sample`](core::FittedKamino::sample) call is post-processing that
 //! spends nothing further and continues one deterministic sample stream.
@@ -101,7 +101,7 @@ pub use kamino_serve as serve;
 /// Most-used items in one import.
 pub mod prelude {
     pub use kamino_constraints::{parse_dc, violation_percentage, DenialConstraint, Hardness};
-    pub use kamino_core::{fit_kamino, run_kamino, FittedKamino, KaminoConfig, KaminoReport};
+    pub use kamino_core::{fit_kamino, FittedKamino, KaminoConfig};
     pub use kamino_data::{Attribute, Instance, Schema, Value};
     pub use kamino_dp::{Budget, BudgetPlanner, RunShape};
     pub use kamino_serve::{load_fitted, save_fitted, ServeConfig, Server, SnapshotError};

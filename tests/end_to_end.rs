@@ -1,7 +1,7 @@
 //! Cross-crate integration: the full Kamino pipeline on every corpus.
 
 use kamino::constraints::{violation_percentage, Hardness};
-use kamino::core::{run_kamino, KaminoConfig, FD_CYCLE_TOLERANCE_PCT};
+use kamino::core::{fit_kamino, KaminoConfig, FD_CYCLE_TOLERANCE_PCT};
 use kamino::datasets::Corpus;
 use kamino::dp::Budget;
 
@@ -18,22 +18,20 @@ fn every_corpus_round_trips_under_privacy() {
     for corpus in Corpus::all() {
         let d = corpus.generate(250, 3);
         let cfg = fast_cfg(Budget::new(1.0, 1e-6), 5);
-        let report = run_kamino(&d.schema, &d.instance, &d.dcs, &cfg);
-        assert_eq!(report.instance.n_rows(), 250, "{}", corpus.name());
+        let mut session = fit_kamino(&d.schema, &d.instance, &d.dcs, &cfg);
+        let out = session.sample(250);
+        assert_eq!(out.n_rows(), 250, "{}", corpus.name());
         assert!(
-            report.params.achieved_epsilon <= 1.0,
+            session.achieved_epsilon() <= 1.0,
             "{}: spent {} > budget",
             corpus.name(),
-            report.params.achieved_epsilon
+            session.achieved_epsilon()
         );
         // every synthetic cell is schema-conformant
-        for i in 0..report.instance.n_rows() {
+        for i in 0..out.n_rows() {
             for j in 0..d.schema.len() {
                 assert!(
-                    d.schema
-                        .attr(j)
-                        .validate(report.instance.value(i, j))
-                        .is_ok(),
+                    d.schema.attr(j).validate(out.value(i, j)).is_ok(),
                     "{}: cell ({i},{j}) out of domain",
                     corpus.name()
                 );
@@ -56,12 +54,12 @@ fn hard_dcs_hold_on_hard_corpora() {
         let mut cfg = fast_cfg(Budget::new(1.0, 1e-6), 17);
         cfg.train_scale = 0.2;
         cfg.lr = 0.25;
-        let report = run_kamino(&d.schema, &d.instance, &d.dcs, &cfg);
+        let out = fit_kamino(&d.schema, &d.instance, &d.dcs, &cfg).sample(300);
         for dc in &d.dcs {
             if dc.hardness != Hardness::Hard {
                 continue;
             }
-            let pct = violation_percentage(dc, &report.instance);
+            let pct = violation_percentage(dc, &out);
             // An FD whose dependent precedes its determinant (phi_t2's
             // state before areacode) keeps a small residual at harness
             // scale even though the mechanism is correct — the documented
@@ -81,9 +79,9 @@ fn hard_dcs_hold_on_hard_corpora() {
 fn deterministic_end_to_end() {
     let d = Corpus::Adult.generate(150, 11);
     let cfg = fast_cfg(Budget::new(1.0, 1e-6), 13);
-    let a = run_kamino(&d.schema, &d.instance, &d.dcs, &cfg);
-    let b = run_kamino(&d.schema, &d.instance, &d.dcs, &cfg);
-    assert_eq!(a.instance, b.instance);
+    let mut a = fit_kamino(&d.schema, &d.instance, &d.dcs, &cfg);
+    let mut b = fit_kamino(&d.schema, &d.instance, &d.dcs, &cfg);
+    assert_eq!(a.sample(150), b.sample(150));
     assert_eq!(a.weights, b.weights);
     assert_eq!(a.sequence, b.sequence);
 }
@@ -91,19 +89,11 @@ fn deterministic_end_to_end() {
 #[test]
 fn different_seeds_differ() {
     let d = Corpus::Adult.generate(150, 11);
-    let a = run_kamino(
-        &d.schema,
-        &d.instance,
-        &d.dcs,
-        &fast_cfg(Budget::new(1.0, 1e-6), 1),
-    );
-    let b = run_kamino(
-        &d.schema,
-        &d.instance,
-        &d.dcs,
-        &fast_cfg(Budget::new(1.0, 1e-6), 2),
-    );
-    assert_ne!(a.instance, b.instance, "seeds must matter");
+    let draw = |seed| {
+        let cfg = fast_cfg(Budget::new(1.0, 1e-6), seed);
+        fit_kamino(&d.schema, &d.instance, &d.dcs, &cfg).sample(150)
+    };
+    assert_ne!(draw(1), draw(2), "seeds must matter");
 }
 
 #[test]
@@ -115,9 +105,8 @@ fn output_size_decoupled_from_input() {
     // FD-cycle residual when scaled up to 450 rows
     cfg.train_scale = 0.2;
     cfg.lr = 0.25;
-    cfg.output_n = Some(450);
-    let report = run_kamino(&d.schema, &d.instance, &d.dcs, &cfg);
-    assert_eq!(report.instance.n_rows(), 450);
+    let out = fit_kamino(&d.schema, &d.instance, &d.dcs, &cfg).sample(450);
+    assert_eq!(out.n_rows(), 450);
     // FDs must hold in the *larger* output too. phi_h3 (custkey→nation)
     // is the one FD whose dependent precedes its determinant in the
     // synthesis sequence, which leaves a small residual at harness scale
@@ -125,7 +114,7 @@ fn output_size_decoupled_from_input() {
     // hard_dcs_hold_on_hard_corpora); every other DC must be exactly
     // clean.
     for dc in &d.dcs {
-        let pct = violation_percentage(dc, &report.instance);
+        let pct = violation_percentage(dc, &out);
         if dc.name == "phi_h3" {
             assert!(
                 pct < FD_CYCLE_TOLERANCE_PCT,

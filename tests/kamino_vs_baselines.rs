@@ -4,7 +4,7 @@
 
 use kamino::baselines::paper_baselines;
 use kamino::constraints::violation_percentage;
-use kamino::core::{run_kamino, KaminoConfig};
+use kamino::core::{fit_kamino, KaminoConfig};
 use kamino::datasets::Corpus;
 use kamino::dp::Budget;
 use kamino::eval::marginals::{summarize, tvd_all_singles};
@@ -18,7 +18,7 @@ fn kamino_preserves_what_baselines_break() {
     cfg.train_scale = 0.05;
     cfg.embed_dim = 8;
     cfg.seed = 3;
-    let kamino_out = run_kamino(&d.schema, &d.instance, &d.dcs, &cfg).instance;
+    let kamino_out = fit_kamino(&d.schema, &d.instance, &d.dcs, &cfg).sample(300);
     let kamino_viol: f64 = d
         .dcs
         .iter()
@@ -50,7 +50,7 @@ fn kamino_marginals_competitive_non_private() {
     cfg.train_scale = 0.3;
     cfg.lr = 0.25;
     cfg.seed = 7;
-    let out = run_kamino(&d.schema, &d.instance, &d.dcs, &cfg).instance;
+    let out = fit_kamino(&d.schema, &d.instance, &d.dcs, &cfg).sample(400);
     let (mean_tvd, _, max_tvd) = summarize(&tvd_all_singles(&d.schema, &d.instance, &out));
     assert!(mean_tvd < 0.25, "non-private 1-way TVD mean {mean_tvd}");
     assert!(max_tvd < 0.6, "non-private 1-way TVD max {max_tvd}");

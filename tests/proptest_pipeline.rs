@@ -4,7 +4,7 @@
 //! configurations.
 
 use kamino::constraints::{parse_dc, violation_percentage, Hardness};
-use kamino::core::{run_kamino, KaminoConfig};
+use kamino::core::{fit_kamino, KaminoConfig};
 use kamino::data::{Attribute, Instance, Schema, Value};
 use kamino::dp::Budget;
 use proptest::prelude::*;
@@ -85,17 +85,18 @@ proptest! {
         cfg.embed_dim = 4;
         cfg.constraint_aware_sampling = aware;
         cfg.mcmc_ratio = mcmc;
-        let report = run_kamino(&s, &inst, std::slice::from_ref(&dc), &cfg);
+        let mut session = fit_kamino(&s, &inst, std::slice::from_ref(&dc), &cfg);
+        let out = session.sample(inst.n_rows());
 
-        prop_assert_eq!(report.instance.n_rows(), inst.n_rows());
-        prop_assert!(report.params.achieved_epsilon <= budget.epsilon);
-        for i in 0..report.instance.n_rows() {
+        prop_assert_eq!(out.n_rows(), inst.n_rows());
+        prop_assert!(session.achieved_epsilon() <= budget.epsilon);
+        for i in 0..out.n_rows() {
             for j in 0..s.len() {
-                prop_assert!(s.attr(j).validate(report.instance.value(i, j)).is_ok());
+                prop_assert!(s.attr(j).validate(out.value(i, j)).is_ok());
             }
         }
         if aware {
-            prop_assert_eq!(violation_percentage(&dc, &report.instance), 0.0);
+            prop_assert_eq!(violation_percentage(&dc, &out), 0.0);
         }
     }
 }

@@ -14,15 +14,16 @@ fn smoke_cfg(seed: u64) -> KaminoConfig {
 }
 
 #[test]
-fn run_kamino_on_adult_holds_hard_dcs() {
+fn fit_and_sample_on_adult_holds_hard_dcs() {
     let d = adult_like(200, 21);
     let cfg = smoke_cfg(23);
-    let report = run_kamino(&d.schema, &d.instance, &d.dcs, &cfg);
-    assert_eq!(report.instance.n_rows(), 200);
-    assert!(report.params.achieved_epsilon <= 1.0, "budget exceeded");
+    let mut session = fit_kamino(&d.schema, &d.instance, &d.dcs, &cfg);
+    let out = session.sample(200);
+    assert_eq!(out.n_rows(), 200);
+    assert!(session.achieved_epsilon() <= 1.0, "budget exceeded");
     for dc in &d.dcs {
         assert_eq!(
-            violation_percentage(dc, &report.instance),
+            violation_percentage(dc, &out),
             0.0,
             "hard DC {} violated",
             dc.name
@@ -40,11 +41,13 @@ fn parallel_substrate_switch_changes_no_output() {
     let run = |substrate: bool| {
         let mut cfg = smoke_cfg(27);
         cfg.parallel_substrate = substrate;
-        run_kamino(&d.schema, &d.instance, &d.dcs, &cfg)
+        let mut session = fit_kamino(&d.schema, &d.instance, &d.dcs, &cfg);
+        let out = session.sample(200);
+        (out, session)
     };
-    let on = run(true);
-    let off = run(false);
-    assert_eq!(on.instance, off.instance, "sampled instances diverged");
-    assert_eq!(on.weights, off.weights);
-    assert_eq!(on.sequence, off.sequence);
+    let (on, on_session) = run(true);
+    let (off, off_session) = run(false);
+    assert_eq!(on, off, "sampled instances diverged");
+    assert_eq!(on_session.weights, off_session.weights);
+    assert_eq!(on_session.sequence, off_session.sequence);
 }
