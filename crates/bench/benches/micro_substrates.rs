@@ -18,6 +18,11 @@
 //! `c_custkey` (asserted bit-identical in setup).
 //! `synthesize_serial_n512` times the full Algorithm 3 column walk
 //! (hard-DC clean, asserted in setup). The
+//! `predict_column_{reference,predictor}_br2000` pair re-predicts every
+//! cell of a 1,000-row BR2000 draw, once through the per-cell reference
+//! composition (each context value embedded into its own buffer,
+//! `Attention::forward`, the head's `predict`) and once through one
+//! `ColumnPredictor` per column (asserted bit-identical in setup). The
 //! `gaussian_noise_{polar_pairs,box_muller}_17k` pair times the vector
 //! Gaussian mechanism, which draws Marsaglia polar pairs and uses both
 //! outputs, against a scalar Box–Muller loop (one `ln`, `sqrt` and `cos`
@@ -111,6 +116,44 @@ impl PerExampleModel<(u32, usize)> for EmbedModel {
     fn visit_blocks(&mut self, f: &mut dyn FnMut(&mut ParamBlock)) {
         self.emb.visit_blocks(f);
         self.head.visit_blocks(f);
+    }
+}
+
+/// The per-cell reference composition the sampler's `ColumnPredictor`
+/// replaced: embed every context value into its own buffer, combine them
+/// with `Attention::forward`, then the head's `predict` (de-standardised
+/// for a numeric target). Appends the prediction's bits to `out`.
+fn reference_predict(
+    sm: &kamino_core::SubModel,
+    store: &kamino_core::model::EmbeddingStore,
+    ctx: &[Value],
+    out: &mut Vec<u64>,
+) {
+    use kamino_core::model::{Head, SubModelKind};
+    let SubModelKind::Discriminative { attention, head } = &sm.kind else {
+        unreachable!("only discriminative columns are replayed")
+    };
+    let store = sm.own_store.as_ref().unwrap_or(store);
+    let embs: Vec<Vec<f64>> = sm
+        .context
+        .iter()
+        .zip(ctx)
+        .map(|(&attr, &val)| {
+            let mut e = vec![0.0; store.dim()];
+            store.embed(attr, val, &mut e);
+            e
+        })
+        .collect();
+    let refs: Vec<&[f64]> = embs.iter().map(Vec::as_slice).collect();
+    let mut v = vec![0.0; store.dim()];
+    attention.forward(&refs, &mut v);
+    match head {
+        Head::Cat(h) => out.extend(h.predict(&v).iter().map(|p| p.to_bits())),
+        Head::Num(h) => {
+            let (mu, sigma) = h.predict(&v);
+            let std = store.standardizer(sm.target);
+            out.extend([std.inverse(mu).to_bits(), (sigma * std.std).to_bits()]);
+        }
     }
 }
 
@@ -391,6 +434,80 @@ fn bench(c: &mut Criterion) {
         g.bench_function("synthesize_serial_n512", |b| {
             let mut rng = StdRng::seed_from_u64(11);
             b.iter(|| black_box(draw(&mut rng)))
+        });
+    }
+
+    // Prediction: every cell of a 1,000-row BR2000 draw (the
+    // `draw_br2000` shape) re-predicted from its row's prefix, per cell
+    // through the reference composition and per column through one
+    // `ColumnPredictor`; the two agree to the bit (asserted in setup).
+    {
+        use kamino_core::model::{ColumnPredictor, Head, SubModelKind};
+        use kamino_core::{fit_kamino, KaminoConfig, SubModel};
+        use kamino_dp::Budget;
+
+        let data = kamino_datasets::br2000_like(5_000, 1);
+        let mut cfg = KaminoConfig::new(Budget::new(1.0, 1e-6));
+        cfg.seed = 1;
+        let mut session = fit_kamino(&data.schema, &data.instance, &data.dcs, &cfg);
+        let drawn = session.sample(1_000);
+        let model = session.model();
+        // (sub-model, numeric target, one context row per drawn row)
+        let columns: Vec<(&SubModel, bool, Vec<Vec<Value>>)> = (1..model.sequence.len())
+            .filter_map(|j| {
+                let sm = model.submodel_at(j);
+                let SubModelKind::Discriminative { head, .. } = &sm.kind else {
+                    return None;
+                };
+                let rows = (0..drawn.n_rows())
+                    .map(|i| {
+                        model.sequence[..j]
+                            .iter()
+                            .map(|&a| drawn.value(i, a))
+                            .collect()
+                    })
+                    .collect();
+                Some((sm, matches!(head, Head::Num(_)), rows))
+            })
+            .collect();
+        let reference = |out: &mut Vec<u64>| {
+            out.clear();
+            for (sm, _, rows) in &columns {
+                for ctx in rows {
+                    reference_predict(sm, &model.store, ctx, out);
+                }
+            }
+        };
+        let predictor = |out: &mut Vec<u64>| {
+            out.clear();
+            for (sm, numeric, rows) in &columns {
+                let mut p = ColumnPredictor::new(sm, &model.store);
+                for ctx in rows {
+                    if *numeric {
+                        let (mu, sigma) = p.predict_num(ctx);
+                        out.extend([mu.to_bits(), sigma.to_bits()]);
+                    } else {
+                        out.extend(p.predict_cat(ctx).iter().map(|x| x.to_bits()));
+                    }
+                }
+            }
+        };
+        let (mut want, mut got) = (Vec::new(), Vec::new());
+        reference(&mut want);
+        predictor(&mut got);
+        assert!(!want.is_empty());
+        assert_eq!(want, got, "the column predictor must be bit-identical");
+        g.bench_function("predict_column_reference_br2000", |b| {
+            b.iter(|| {
+                reference(&mut want);
+                black_box(&want);
+            })
+        });
+        g.bench_function("predict_column_predictor_br2000", |b| {
+            b.iter(|| {
+                predictor(&mut got);
+                black_box(&got);
+            })
         });
     }
 

@@ -19,18 +19,18 @@ use std::cell::RefCell;
 use kamino_data::stats::Standardizer;
 use kamino_data::{AttrKind, Schema, Value};
 use kamino_nn::layers::EncoderCache;
+use kamino_nn::linalg::axpy;
 use kamino_nn::{
     Attention, CategoricalHead, ContinuousEncoder, Embedding, GaussianHead, ParamBlock,
     PerExampleModel, Scratch,
 };
 use rand::Rng;
 
-/// Per-thread buffer pool for the sub-model hot paths (training
-/// forward/backward and sampling-time prediction). Buffers are re-zeroed
-/// or fully overwritten before every use, so pooling changes no numeric
-/// result — it only removes the per-example/per-cell allocations. Thread
-/// locality keeps the Exp. 10 sub-model trainer threads, and sessions
-/// sampling on different server workers, from contending on a shared pool.
+/// Per-thread buffer pool for sub-model training (forward/backward).
+/// Buffers are re-zeroed or fully overwritten before every use, so
+/// pooling changes no numeric result — it only removes the per-example
+/// allocations. Thread locality keeps the Exp. 10 sub-model trainer
+/// threads from contending on a shared pool.
 #[derive(Default)]
 struct TrainScratch {
     nn: Scratch,
@@ -220,68 +220,19 @@ pub struct SubModel {
 }
 
 impl SubModel {
-    fn context_vector(&self, store: &EmbeddingStore, ctx_values: &[Value]) -> Vec<f64> {
-        let SubModelKind::Discriminative { attention, .. } = &self.kind else {
-            panic!("context_vector on a noisy-marginal sub-model")
-        };
-        assert_eq!(
-            ctx_values.len(),
-            self.context.len(),
-            "context arity mismatch"
-        );
-        let dim = store.dim();
-        let m = self.context.len();
-        // Sampling calls this once per candidate-scored cell; the pooled
-        // buffers keep the prediction path allocation-free apart from the
-        // returned vector.
-        SCRATCH.with(|cell| {
-            let sc = &mut *cell.borrow_mut();
-            let TrainScratch { nn, embs, .. } = sc;
-            embs.resize_with(m, Vec::new);
-            for ((&attr, &val), e) in self.context.iter().zip(ctx_values).zip(embs.iter_mut()) {
-                e.clear();
-                e.resize(dim, 0.0);
-                if let EmbedCtx::Num(cache) = store.embed_pooled(attr, val, e, nn) {
-                    cache.recycle(nn);
-                }
-            }
-            let refs: Vec<&[f64]> = embs.iter().map(Vec::as_slice).collect();
-            let mut v = vec![0.0; dim];
-            let cache = attention.forward_pooled(&refs, &mut v, nn);
-            nn.put(cache.alpha);
-            v
-        })
-    }
-
     /// Class probabilities for a categorical target given context values
-    /// (aligned with `self.context`).
+    /// (aligned with `self.context`). A one-shot [`ColumnPredictor`];
+    /// the sampler keeps one per column instead.
     pub fn predict_cat(&self, store: &EmbeddingStore, ctx_values: &[Value]) -> Vec<f64> {
-        match &self.kind {
-            SubModelKind::NoisyMarginal { dist } => dist.clone(),
-            SubModelKind::Discriminative { head, .. } => {
-                let Head::Cat(h) = head else {
-                    panic!("target is not categorical")
-                };
-                let store = self.own_store.as_ref().unwrap_or(store);
-                let v = self.context_vector(store, ctx_values);
-                h.predict(&v)
-            }
-        }
+        ColumnPredictor::new(self, store)
+            .predict_cat(ctx_values)
+            .to_vec()
     }
 
     /// (μ, σ) in *data units* for a numeric target given context values.
+    /// A one-shot [`ColumnPredictor`], like [`SubModel::predict_cat`].
     pub fn predict_num(&self, store: &EmbeddingStore, ctx_values: &[Value]) -> (f64, f64) {
-        let SubModelKind::Discriminative { head, .. } = &self.kind else {
-            panic!("predict_num on a noisy-marginal sub-model")
-        };
-        let Head::Num(h) = head else {
-            panic!("target is not numeric")
-        };
-        let store = self.own_store.as_ref().unwrap_or(store);
-        let v = self.context_vector(store, ctx_values);
-        let (mu_s, sigma_s) = h.predict(&v);
-        let std = store.standardizer(self.target);
-        (std.inverse(mu_s), sigma_s * std.std)
+        ColumnPredictor::new(self, store).predict_num(ctx_values)
     }
 
     /// The learned attention weights over context attributes (uniform at
@@ -291,6 +242,132 @@ impl SubModel {
             SubModelKind::Discriminative { attention, .. } => Some(attention.weights()),
             SubModelKind::NoisyMarginal { .. } => None,
         }
+    }
+}
+
+/// Sub-model `j`'s predictor for every cell of one column (Algorithm 3
+/// asks it for `Pr(t[S[j]] | t[S_:j])` once per cell).
+///
+/// What does not depend on the cell is resolved once, at construction:
+/// the store the sub-model reads (its own, else the shared one) and the
+/// attention weights `α = softmax(scores)`, which are constant for a
+/// fitted model. Each prediction then builds the context vector in a
+/// reused buffer — `v` zeroed, then `axpy(α_i, e_i, v)` in context order,
+/// with a categorical `e_i` read in place from its embedding row and a
+/// numeric one encoded into a reused buffer — and the head writes into a
+/// reused buffer too. That is the arithmetic, in the order, of
+/// `Attention::forward` followed by the head's `predict`, so predictions
+/// are bit-identical to that composition; prediction draws no RNG, so
+/// the sampler's stream does not depend on how often it predicts.
+pub struct ColumnPredictor<'a> {
+    sm: &'a SubModel,
+    store: &'a EmbeddingStore,
+    /// `softmax(attention.scores)` (empty for a noisy marginal).
+    alpha: Vec<f64>,
+    /// The context vector.
+    v: Vec<f64>,
+    /// One numeric context attribute's embedding.
+    emb: Vec<f64>,
+    /// A categorical head's class probabilities.
+    probs: Vec<f64>,
+    /// The numeric encoders' hidden buffers.
+    nn: Scratch,
+    /// Discriminative predictions made (the sampler's work counter).
+    predicts: u64,
+}
+
+impl<'a> ColumnPredictor<'a> {
+    /// The predictor for `sm`, reading `sm`'s own store if it has one and
+    /// `shared` otherwise.
+    pub fn new(sm: &'a SubModel, shared: &'a EmbeddingStore) -> ColumnPredictor<'a> {
+        let store = sm.own_store.as_ref().unwrap_or(shared);
+        let (alpha, card) = match &sm.kind {
+            SubModelKind::Discriminative { attention, head } => {
+                assert_eq!(
+                    attention.n_context(),
+                    sm.context.len(),
+                    "context arity mismatch"
+                );
+                assert_eq!(
+                    attention.dim(),
+                    store.dim(),
+                    "attention width disagrees with embedding dim"
+                );
+                let card = match head {
+                    Head::Cat(h) => h.card(),
+                    Head::Num(_) => 0,
+                };
+                (attention.weights(), card)
+            }
+            SubModelKind::NoisyMarginal { .. } => (Vec::new(), 0),
+        };
+        ColumnPredictor {
+            sm,
+            store,
+            alpha,
+            v: vec![0.0; store.dim()],
+            emb: vec![0.0; store.dim()],
+            probs: vec![0.0; card],
+            nn: Scratch::new(),
+            predicts: 0,
+        }
+    }
+
+    /// Discriminative predictions made so far.
+    pub fn predicts(&self) -> u64 {
+        self.predicts
+    }
+
+    /// Class probabilities for a categorical target given context values
+    /// (aligned with the sub-model's context); a noisy marginal returns
+    /// its distribution.
+    pub fn predict_cat(&mut self, ctx_values: &[Value]) -> &[f64] {
+        let sm = self.sm;
+        match &sm.kind {
+            SubModelKind::NoisyMarginal { dist } => dist,
+            SubModelKind::Discriminative { head, .. } => {
+                let Head::Cat(h) = head else {
+                    panic!("target is not categorical")
+                };
+                self.context_vector(ctx_values);
+                h.predict_into(&self.v, &mut self.probs);
+                &self.probs
+            }
+        }
+    }
+
+    /// (μ, σ) in *data units* for a numeric target given context values.
+    pub fn predict_num(&mut self, ctx_values: &[Value]) -> (f64, f64) {
+        let sm = self.sm;
+        let SubModelKind::Discriminative { head, .. } = &sm.kind else {
+            panic!("predict_num on a noisy-marginal sub-model")
+        };
+        let Head::Num(h) = head else {
+            panic!("target is not numeric")
+        };
+        self.context_vector(ctx_values);
+        let (mu_s, sigma_s) = h.predict(&self.v);
+        let std = self.store.standardizer(sm.target);
+        (std.inverse(mu_s), sigma_s * std.std)
+    }
+
+    /// Writes `v = Σ α_i e_i` for `ctx_values` into `self.v`.
+    fn context_vector(&mut self, ctx_values: &[Value]) {
+        let (context, store) = (&self.sm.context, self.store);
+        assert_eq!(ctx_values.len(), context.len(), "context arity mismatch");
+        self.v.iter_mut().for_each(|x| *x = 0.0);
+        for ((&attr, &val), &a) in context.iter().zip(ctx_values).zip(&self.alpha) {
+            match (&store.embedders[attr], val) {
+                (AttrEmbedder::Cat(e), Value::Cat(code)) => axpy(a, e.forward(code), &mut self.v),
+                (AttrEmbedder::Num { enc, std }, Value::Num(x)) => {
+                    enc.forward_pooled(std.forward(x), &mut self.emb, &mut self.nn)
+                        .recycle(&mut self.nn);
+                    axpy(a, &self.emb, &mut self.v);
+                }
+                _ => panic!("value kind does not match attribute {attr}'s embedder"),
+            }
+        }
+        self.predicts += 1;
     }
 }
 

@@ -47,7 +47,7 @@ use kamino_data::{AttrKind, Instance, Quantizer, Schema, Value};
 use kamino_obs::ObsHandle;
 use rand::Rng;
 
-use crate::model::{DataModel, SubModel, SubModelKind};
+use crate::model::{ColumnPredictor, DataModel, SubModelKind};
 use crate::pipeline::{KaminoConfig, PhaseTimings};
 use crate::sequence::active_dcs_by_position;
 
@@ -144,7 +144,12 @@ pub fn synthesize<R: Rng + ?Sized>(
     let mut inst = Instance::zeroed(schema, n);
     let active = active_dcs_by_position(&model.sequence, dcs);
     let mut arena = CellArena::default();
-    let mut cell = |inst: &Instance, j: usize, row: usize, scores: &ScoreSet, rng: &mut R| {
+    let mut cell = |inst: &Instance,
+                    j: usize,
+                    row: usize,
+                    scores: &ScoreSet,
+                    predictor: Option<&mut ColumnPredictor<'_>>,
+                    rng: &mut R| {
         let c = Cell {
             schema,
             model,
@@ -155,19 +160,23 @@ pub fn synthesize<R: Rng + ?Sized>(
             weights,
         };
         if cfg.ar_sampling {
-            accept_reject(&c, &mut arena, rng)
+            accept_reject(&c, predictor, &mut arena, rng)
         } else {
-            sample_cell(&c, cfg, &mut arena, rng)
+            sample_cell(&c, cfg, predictor, &mut arena, rng)
         }
     };
 
     for (j, active_j) in active.iter().enumerate().take(k) {
         let target = model.sequence[j];
         let mut scores = ScoreSet::build(active_j, dcs);
+        // Position 0 draws from the released first-attribute
+        // distribution; every later position has a sub-model.
+        let mut predictor =
+            (j > 0).then(|| ColumnPredictor::new(model.submodel_at(j), &model.store));
 
         timed_phase(&cfg.obs, "sample.fill", j, &mut timings.sample_fill, || {
             for i in 0..n {
-                let value = cell(&inst, j, i, &scores, rng);
+                let value = cell(&inst, j, i, &scores, predictor.as_mut(), rng);
                 inst.set(i, target, value);
                 scores.insert(&CandidateRow::committed(&inst, i, target));
             }
@@ -182,11 +191,16 @@ pub fn synthesize<R: Rng + ?Sized>(
             for _ in 0..mcmc_resamples {
                 let r = rng.gen_range(0..n);
                 scores.remove(&CandidateRow::committed(&inst, r, target));
-                let value = cell(&inst, j, r, &scores, rng);
+                let value = cell(&inst, j, r, &scores, predictor.as_mut(), rng);
                 inst.set(r, target, value);
                 scores.insert(&CandidateRow::committed(&inst, r, target));
             }
         });
+        if let Some(p) = &predictor {
+            cfg.obs
+                .counter("kamino_sampler_predicts_total", &[])
+                .add(p.predicts());
+        }
     }
     inst
 }
@@ -214,6 +228,7 @@ impl Cell<'_> {
 fn sample_cell<R: Rng + ?Sized>(
     cell: &Cell<'_>,
     cfg: &KaminoConfig,
+    predictor: Option<&mut ColumnPredictor<'_>>,
     arena: &mut CellArena,
     rng: &mut R,
 ) -> Value {
@@ -260,7 +275,7 @@ fn sample_cell<R: Rng + ?Sized>(
         }
     }
 
-    candidate_values(cell, cfg.d_candidates, arena, rng);
+    candidate_values(cell, cfg.d_candidates, predictor, arena, rng);
     let CellArena {
         candidates,
         values,
@@ -344,9 +359,16 @@ fn sample_cell<R: Rng + ?Sized>(
 
 /// Draws one cell value by accept–reject: a model draw is kept with
 /// probability `exp(−penalty)`; after [`AR_MAX_TRIES`] rejections the
-/// last draw is kept even if it violates (the paper's behaviour).
-fn accept_reject<R: Rng + ?Sized>(cell: &Cell<'_>, arena: &mut CellArena, rng: &mut R) -> Value {
-    let mut last = model_draw(cell, &mut arena.ctx, rng);
+/// last draw is kept even if it violates (the paper's behaviour). The
+/// cell's context is fixed across tries, so it is predicted once.
+fn accept_reject<R: Rng + ?Sized>(
+    cell: &Cell<'_>,
+    predictor: Option<&mut ColumnPredictor<'_>>,
+    arena: &mut CellArena,
+    rng: &mut R,
+) -> Value {
+    let draw = ModelDraw::predict(cell, predictor, &mut arena.ctx);
+    let mut last = draw.sample(rng);
     if cell.scores.is_empty() {
         return last;
     }
@@ -356,41 +378,62 @@ fn accept_reject<R: Rng + ?Sized>(cell: &Cell<'_>, arena: &mut CellArena, rng: &
         if accept >= 1.0 || rng.gen::<f64>() < accept {
             return last;
         }
-        last = model_draw(cell, &mut arena.ctx, rng);
+        last = draw.sample(rng);
     }
     last
 }
 
-/// One value drawn from the model alone (no candidate set, no
-/// constraint reweighting); `ctx` is scratch for the context values.
-fn model_draw<R: Rng + ?Sized>(cell: &Cell<'_>, ctx: &mut Vec<Value>, rng: &mut R) -> Value {
-    let Cell {
-        schema, model, j, ..
-    } = *cell;
-    let attr = schema.attr(cell.target());
-    let q = Quantizer::for_attr(attr);
-    if j == 0 {
-        let b = sample_weighted(&model.first_dist, rng);
-        return q.sample_in_bin(b, rng);
+/// One cell's model distribution (no candidate set, no constraint
+/// reweighting), from which accept–reject draws single values.
+enum ModelDraw<'a> {
+    /// A distribution over the target's quantizer bins: the released
+    /// first-attribute distribution, or a noisy marginal.
+    Bins(&'a [f64], Quantizer),
+    /// Class probabilities of a categorical target.
+    Cat(&'a [f64]),
+    /// `N(μ, σ²)` for a numeric target, clamped into its domain.
+    Num(f64, f64, Quantizer),
+}
+
+impl<'a> ModelDraw<'a> {
+    /// Predicts `cell`'s distribution; `ctx` is scratch for the context
+    /// values. Draws no RNG.
+    fn predict(
+        cell: &Cell<'a>,
+        predictor: Option<&'a mut ColumnPredictor<'_>>,
+        ctx: &mut Vec<Value>,
+    ) -> ModelDraw<'a> {
+        let attr = cell.schema.attr(cell.target());
+        let q = Quantizer::for_attr(attr);
+        let Some(predictor) = predictor else {
+            return ModelDraw::Bins(&cell.model.first_dist, q);
+        };
+        fill_context(cell, ctx);
+        match (&cell.model.submodel_at(cell.j).kind, &attr.kind) {
+            (SubModelKind::NoisyMarginal { dist }, _) => ModelDraw::Bins(dist, q),
+            (SubModelKind::Discriminative { .. }, AttrKind::Categorical { .. }) => {
+                ModelDraw::Cat(predictor.predict_cat(ctx))
+            }
+            (SubModelKind::Discriminative { .. }, AttrKind::Numeric { .. }) => {
+                let (mu, sigma) = predictor.predict_num(ctx);
+                ModelDraw::Num(mu, sigma, q)
+            }
+        }
     }
-    let sm = model.submodel_at(j);
-    fill_context(cell, ctx);
-    match (&sm.kind, &attr.kind) {
-        (SubModelKind::NoisyMarginal { dist }, _) => {
-            let b = sample_weighted(dist, rng);
-            q.sample_in_bin(b, rng)
-        }
-        (SubModelKind::Discriminative { .. }, AttrKind::Categorical { .. }) => {
-            let p = sm.predict_cat(&model.store, ctx);
-            Value::Cat(sample_weighted(&p, rng) as u32)
-        }
-        (SubModelKind::Discriminative { .. }, AttrKind::Numeric { .. }) => {
-            let (mu, sigma) = sm.predict_num(&model.store, ctx);
-            q.clamp(Value::Num(kamino_dp::normal::normal(
+
+    /// One value drawn from the distribution.
+    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Value {
+        match self {
+            ModelDraw::Bins(dist, q) => {
+                let b = sample_weighted(dist, rng);
+                q.sample_in_bin(b, rng)
+            }
+            ModelDraw::Cat(p) => Value::Cat(sample_weighted(p, rng) as u32),
+            ModelDraw::Num(mu, sigma, q) => q.clamp(Value::Num(kamino_dp::normal::normal(
                 rng,
-                mu,
+                *mu,
                 sigma.max(1e-9),
-            )))
+            ))),
         }
     }
 }
@@ -423,6 +466,7 @@ fn placeholder_value(schema: &Schema, attr: usize) -> Value {
 fn candidate_values<R: Rng + ?Sized>(
     cell: &Cell<'_>,
     d_candidates: usize,
+    predictor: Option<&mut ColumnPredictor<'_>>,
     arena: &mut CellArena,
     rng: &mut R,
 ) {
@@ -435,14 +479,14 @@ fn candidate_values<R: Rng + ?Sized>(
     out.clear();
 
     // Position 0 draws from the released first-attribute distribution.
-    if j == 0 {
+    let Some(predictor) = predictor else {
         out.extend(
             (0..model.first_dist.len()).map(|b| (q.sample_in_bin(b, rng), model.first_dist[b])),
         );
         return;
-    }
+    };
 
-    let sm: &SubModel = model.submodel_at(j);
+    let sm = model.submodel_at(j);
     fill_context(cell, &mut arena.ctx);
     let ctx = &arena.ctx;
 
@@ -463,8 +507,8 @@ fn candidate_values<R: Rng + ?Sized>(
             }));
         }
         (SubModelKind::Discriminative { .. }, AttrKind::Categorical { .. }) => {
-            let p = sm.predict_cat(&model.store, ctx);
-            top_k_into(&p, MAX_CAT_CANDIDATES, &mut arena.idx_buf);
+            let p = predictor.predict_cat(ctx);
+            top_k_into(p, MAX_CAT_CANDIDATES, &mut arena.idx_buf);
             out.extend(
                 arena
                     .idx_buf
@@ -473,7 +517,7 @@ fn candidate_values<R: Rng + ?Sized>(
             );
         }
         (SubModelKind::Discriminative { .. }, AttrKind::Numeric { .. }) => {
-            let (mu, sigma) = sm.predict_num(&model.store, ctx);
+            let (mu, sigma) = predictor.predict_num(ctx);
             out.extend((0..d_candidates).map(|_| {
                 let raw = kamino_dp::normal::normal(rng, mu, sigma.max(1e-9));
                 let v = q.clamp(Value::Num(raw));

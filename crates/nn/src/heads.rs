@@ -43,10 +43,16 @@ impl CategoricalHead {
 
     /// Predicted class probabilities for context vector `v`.
     pub fn predict(&self, v: &[f64]) -> Vec<f64> {
-        let mut logits = vec![0.0; self.card()];
-        self.linear.forward(v, &mut logits);
-        softmax_in_place(&mut logits);
-        logits
+        let mut p = vec![0.0; self.card()];
+        self.predict_into(v, &mut p);
+        p
+    }
+
+    /// [`CategoricalHead::predict`] into a caller-owned buffer of length
+    /// [`CategoricalHead::card`]; every element is overwritten.
+    pub fn predict_into(&self, v: &[f64], out: &mut [f64]) {
+        self.linear.forward(v, out);
+        softmax_in_place(out);
     }
 
     /// Training step piece: computes the cross-entropy loss for `target`

@@ -377,6 +377,15 @@ fn validate_model(
         }
         let store = sm.own_store.as_ref().unwrap_or(&model.store);
         let target_attr = schema.attr(sm.target);
+        // the sampler combines context embeddings at the store's width,
+        // so attention of any other width is as malformed as a head's
+        if let kamino_core::model::SubModelKind::Discriminative { attention, .. } = &sm.kind {
+            if attention.dim() != store.dim() {
+                return Err(malformed(
+                    "attention width disagrees with embedding dim".into(),
+                ));
+            }
+        }
         match &sm.kind {
             kamino_core::model::SubModelKind::NoisyMarginal { dist } => {
                 if dist.len() != target_attr.domain_size() {
@@ -571,8 +580,10 @@ pub fn load_fitted(path: &Path) -> Result<FittedKamino, SnapshotError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kamino_core::model::SubModelKind;
     use kamino_core::{fit_kamino, KaminoConfig};
     use kamino_dp::Budget;
+    use kamino_nn::Attention;
 
     fn tiny_fitted(seed: u64) -> FittedKamino {
         let d = kamino_datasets::adult_like(80, 3);
@@ -713,6 +724,30 @@ mod tests {
         model.submodels.swap(0, 1);
         let bytes = encode_fitted(&with_model(&fitted, model));
         assert!(matches!(decode_fitted(&bytes), Err(SnapshotError::Wire(_))));
+    }
+
+    #[test]
+    fn attention_wider_than_the_store_is_rejected() {
+        // a discriminative sub-model whose attention width disagrees with
+        // its store: the head still matches the store, so only the
+        // attention check can catch it before `sample()` does
+        let fitted = tiny_fitted(16);
+        let mut model = clone_model(&fitted);
+        let dim = model.store.dim();
+        let sm = model
+            .submodels
+            .iter_mut()
+            .find(|sm| matches!(sm.kind, SubModelKind::Discriminative { .. }))
+            .expect("a discriminative sub-model");
+        let SubModelKind::Discriminative { attention, .. } = &mut sm.kind else {
+            unreachable!()
+        };
+        *attention = Attention::from_values(dim + 3, attention.scores.values.clone());
+        let bytes = encode_fitted(&with_model(&fitted, model));
+        assert!(matches!(
+            decode_fitted(&bytes),
+            Err(SnapshotError::Wire(WireError::Malformed(msg))) if msg.contains("attention width")
+        ));
     }
 
     #[test]

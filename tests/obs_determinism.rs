@@ -10,12 +10,14 @@
 use std::time::Duration;
 
 use kamino::core::model::{SubModelKind, SubModelTrainer};
-use kamino::core::{fit_kamino, FittedKamino, KaminoConfig, PhaseTimings};
+use kamino::core::{fit_kamino, synthesize, FittedKamino, KaminoConfig, PhaseTimings};
 use kamino::datasets::adult_like;
 use kamino::dp::Budget;
 use kamino::nn::PerExampleModel;
 use kamino::obs::{Event, ObsHandle};
 use kamino::serve::{decode_fitted, encode_fitted};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// The fit every test here runs, under the given handle.
 fn fit(obs: ObsHandle) -> FittedKamino {
@@ -240,4 +242,64 @@ fn noise_draws_are_one_per_parameter_per_step() {
     assert!(params > 0);
     let (_, draws) = dpsgd_work(&obs);
     assert_eq!(draws, fitted.params.t as u64 * params);
+}
+
+/// Sequence positions whose cells a discriminative sub-model predicts.
+fn discriminative_positions(session: &FittedKamino) -> u64 {
+    session
+        .model()
+        .submodels
+        .iter()
+        .filter(|sm| matches!(sm.kind, SubModelKind::Discriminative { .. }))
+        .count() as u64
+}
+
+/// Draws `rows` rows from `session`'s model under its configuration,
+/// with accept–reject switched on or off, and returns the number of
+/// predictions the traced draw counted.
+fn traced_draw_predicts(session: &FittedKamino, ar_sampling: bool, rows: usize) -> u64 {
+    let obs = ObsHandle::enabled();
+    let mut cfg = session.config().clone();
+    cfg.ar_sampling = ar_sampling;
+    cfg.obs = obs.clone();
+    let _ = synthesize(
+        session.schema(),
+        session.model(),
+        session.dcs(),
+        &session.weights,
+        &cfg,
+        rows,
+        &mut StdRng::seed_from_u64(29),
+        &mut PhaseTimings::default(),
+    );
+    obs.counter("kamino_sampler_predicts_total", &[]).get()
+}
+
+#[test]
+fn identical_traced_draws_record_identical_predicts() {
+    let session = fit(ObsHandle::disabled());
+    let a = traced_draw_predicts(&session, false, 60);
+    let b = traced_draw_predicts(&session, false, 60);
+    assert_eq!(a, b, "the prediction counter must be deterministic");
+    assert!(a > 0, "no prediction counted");
+}
+
+/// The default rule (no MCMC, no FD lookup) predicts each cell of every
+/// discriminative position exactly once, and so does accept–reject: it
+/// predicts a cell once however many tries it draws.
+#[test]
+fn every_rule_predicts_each_cell_once() {
+    let session = fit(ObsHandle::disabled());
+    let cfg = session.config();
+    assert!(cfg.mcmc_ratio == 0.0 && !cfg.hard_fd_lookup && !cfg.ar_sampling);
+    let positions = discriminative_positions(&session);
+    assert!(positions > 0, "the fit has no discriminative sub-model");
+    let rows = 60;
+    for ar_sampling in [false, true] {
+        assert_eq!(
+            traced_draw_predicts(&session, ar_sampling, rows),
+            rows as u64 * positions,
+            "ar_sampling = {ar_sampling}"
+        );
+    }
 }
