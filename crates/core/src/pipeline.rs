@@ -212,7 +212,10 @@ pub fn fit_kamino(
     assert!(n > 0, "cannot synthesize from an empty instance");
     assert!(cfg.train_scale > 0.0, "train scale must be positive");
     assert!(cfg.d_candidates >= 1, "candidate-set size must be positive");
-    assert!(cfg.mcmc_ratio >= 0.0, "mcmc ratio must be nonnegative");
+    assert!(
+        cfg.mcmc_ratio >= 0.0 && cfg.mcmc_ratio.is_finite(),
+        "mcmc ratio must be nonnegative and finite"
+    );
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x4A31);
     let mut timings = PhaseTimings::default();
     let obs = &cfg.obs;
@@ -511,6 +514,15 @@ mod tests {
         let d = adult_like(50, 7);
         let mut cfg = fast_cfg(Budget::new(1.0, 1e-6), 8);
         cfg.mcmc_ratio = -0.1;
+        fit_kamino(&d.schema, &d.instance, &d.dcs, &cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "mcmc ratio must be nonnegative and finite")]
+    fn infinite_mcmc_ratio_is_refused() {
+        let d = adult_like(50, 7);
+        let mut cfg = fast_cfg(Budget::new(1.0, 1e-6), 8);
+        cfg.mcmc_ratio = f64::INFINITY;
         fit_kamino(&d.schema, &d.instance, &d.dcs, &cfg);
     }
 

@@ -3,13 +3,14 @@
 //! [`PrivacyParams`], the [`KaminoConfig`] and the fit-phase timings all
 //! round-trip through the shared wire rules. `kamino-serve` assembles
 //! these encodings (plus the schema/DC/RNG sections) into the versioned
-//! snapshot file; this module only knows how to turn each piece into
-//! bytes and back.
+//! snapshot file; this module turns each piece into bytes and back, and
+//! decides whether a decoded model fits the schema it travels with.
 
 use std::time::Duration;
 
 use kamino_data::snapshot::{decode_standardizer, encode_standardizer};
 use kamino_data::wire::{ByteReader, ByteWriter, WireError};
+use kamino_data::Schema;
 use kamino_dp::snapshot::{decode_budget, encode_budget};
 use kamino_nn::snapshot::{
     decode_attention, decode_cat_head, decode_embedding, decode_encoder, decode_gauss_head,
@@ -160,8 +161,9 @@ pub fn encode_model(m: &DataModel, w: &mut ByteWriter) {
     }
 }
 
-/// Decodes a model written by [`encode_model`].
-pub fn decode_model(r: &mut ByteReader<'_>) -> Result<DataModel, WireError> {
+/// Decodes a model written by [`encode_model`] and checks it against
+/// `schema`, the schema it was fitted on.
+pub fn decode_model(r: &mut ByteReader<'_>, schema: &Schema) -> Result<DataModel, WireError> {
     let sequence = r.usizes()?;
     let first_dist = r.f64s()?;
     let store = decode_store(r)?;
@@ -184,12 +186,167 @@ pub fn decode_model(r: &mut ByteReader<'_>) -> Result<DataModel, WireError> {
         }
         submodels.push(sm);
     }
-    Ok(DataModel {
+    let model = DataModel {
         sequence,
         first_dist,
         store,
         submodels,
-    })
+    };
+    validate_model(&model, schema)?;
+    Ok(model)
+}
+
+/// Range-checks every attribute index the model carries against its
+/// schema, so a divergent snapshot fails at decode instead of panicking
+/// inside `sample()` (which would poison a served model's mutex). The
+/// DC section gets the same treatment inside
+/// `kamino_constraints::snapshot::decode_dcs`.
+fn validate_model(model: &DataModel, schema: &Schema) -> Result<(), WireError> {
+    let k = schema.len();
+    if model.sequence.len() != k {
+        return Err(WireError::Malformed(format!(
+            "model sequence covers {} attributes, schema has {k}",
+            model.sequence.len()
+        )));
+    }
+    let mut seen = vec![false; k];
+    for &a in &model.sequence {
+        if a >= k || std::mem::replace(&mut seen[a], true) {
+            return Err(WireError::Malformed(format!(
+                "model sequence is not a permutation of 0..{k}"
+            )));
+        }
+    }
+    if model.first_dist.len() != schema.attr(model.sequence[0]).domain_size() {
+        return Err(WireError::Malformed(format!(
+            "first-attribute distribution has {} entries for a domain of {}",
+            model.first_dist.len(),
+            schema.attr(model.sequence[0]).domain_size()
+        )));
+    }
+    validate_store(&model.store, schema)?;
+    for sm in &model.submodels {
+        if sm.target >= k {
+            return Err(WireError::Malformed(format!(
+                "sub-model target {} out of range",
+                sm.target
+            )));
+        }
+        if let Some(&bad) = sm.context.iter().find(|&&c| c >= k) {
+            return Err(WireError::Malformed(format!(
+                "sub-model context attribute {bad} out of range"
+            )));
+        }
+        if let Some(store) = &sm.own_store {
+            validate_store(store, schema)?;
+        }
+        let store = sm.own_store.as_ref().unwrap_or(&model.store);
+        let target_attr = schema.attr(sm.target);
+        // the sampler combines context embeddings at the store's width,
+        // so attention of any other width is as malformed as a head's
+        if let SubModelKind::Discriminative { attention, .. } = &sm.kind {
+            if attention.dim() != store.dim() {
+                return Err(WireError::Malformed(
+                    "attention width disagrees with embedding dim".into(),
+                ));
+            }
+        }
+        match &sm.kind {
+            SubModelKind::NoisyMarginal { dist } => {
+                if dist.len() != target_attr.domain_size() {
+                    return Err(WireError::Malformed(format!(
+                        "noisy marginal for `{}` has {} entries for a domain of {}",
+                        target_attr.name,
+                        dist.len(),
+                        target_attr.domain_size()
+                    )));
+                }
+            }
+            SubModelKind::Discriminative { head, .. } => match head {
+                Head::Cat(h) => {
+                    if !target_attr.is_categorical() || h.card() != target_attr.domain_size() {
+                        return Err(WireError::Malformed(format!(
+                            "categorical head for `{}` predicts {} classes over a domain of {}",
+                            target_attr.name,
+                            h.card(),
+                            target_attr.domain_size()
+                        )));
+                    }
+                    if h.linear().n_in() != store.dim() {
+                        return Err(WireError::Malformed(
+                            "head width disagrees with embedding dim".into(),
+                        ));
+                    }
+                }
+                Head::Num(h) => {
+                    if target_attr.is_categorical() {
+                        return Err(WireError::Malformed(format!(
+                            "Gaussian head for categorical attribute `{}`",
+                            target_attr.name
+                        )));
+                    }
+                    if h.linear().n_in() != store.dim() {
+                        return Err(WireError::Malformed(
+                            "head width disagrees with embedding dim".into(),
+                        ));
+                    }
+                }
+            },
+        }
+    }
+    Ok(())
+}
+
+/// Checks a store's embedders against the schema: attribute coverage,
+/// kind (categorical vs numeric), domain cardinality and embedding
+/// width — each mismatch would otherwise panic inside `sample()`.
+fn validate_store(store: &EmbeddingStore, schema: &Schema) -> Result<(), WireError> {
+    if store.embedders().len() != schema.len() {
+        return Err(WireError::Malformed(format!(
+            "embedding store covers {} attributes, schema has {}",
+            store.embedders().len(),
+            schema.len()
+        )));
+    }
+    for (attr, embedder) in schema.attrs().iter().zip(store.embedders()) {
+        match embedder {
+            AttrEmbedder::Cat(e) => {
+                if !attr.is_categorical() || e.card() != attr.domain_size() {
+                    return Err(WireError::Malformed(format!(
+                        "embedder for `{}` covers {} codes over a domain of {}",
+                        attr.name,
+                        e.card(),
+                        attr.domain_size()
+                    )));
+                }
+                if e.dim() != store.dim() {
+                    return Err(WireError::Malformed(format!(
+                        "embedder for `{}` has width {} in a dim-{} store",
+                        attr.name,
+                        e.dim(),
+                        store.dim()
+                    )));
+                }
+            }
+            AttrEmbedder::Num { enc, .. } => {
+                if attr.is_categorical() {
+                    return Err(WireError::Malformed(format!(
+                        "numeric encoder for categorical attribute `{}`",
+                        attr.name
+                    )));
+                }
+                if enc.dim() != store.dim() {
+                    return Err(WireError::Malformed(format!(
+                        "encoder for `{}` has width {} in a dim-{} store",
+                        attr.name,
+                        enc.dim(),
+                        store.dim()
+                    )));
+                }
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Encodes the selected privacy parameters Ψ.
@@ -264,6 +421,12 @@ pub fn decode_config(r: &mut ByteReader<'_>) -> Result<KaminoConfig, WireError> 
         return Err(WireError::Malformed("empty numeric candidate set".into()));
     }
     cfg.mcmc_ratio = r.f64()?;
+    if !(cfg.mcmc_ratio >= 0.0 && cfg.mcmc_ratio.is_finite()) {
+        return Err(WireError::Malformed(format!(
+            "mcmc ratio {} is not a nonnegative finite number",
+            cfg.mcmc_ratio
+        )));
+    }
     cfg.parallel_training = r.bool()?;
     cfg.constraint_aware_sampling = r.bool()?;
     cfg.constraint_aware_sequencing = r.bool()?;
@@ -437,7 +600,7 @@ mod tests {
         let mut w = ByteWriter::new();
         encode_model(model, &mut w);
         let bytes = w.into_bytes();
-        let got = decode_model(&mut ByteReader::new(&bytes)).unwrap();
+        let got = decode_model(&mut ByteReader::new(&bytes), &d.schema).unwrap();
         assert_eq!(got.sequence, model.sequence);
         assert_eq!(got.first_dist, model.first_dist);
         assert_eq!(got.submodels.len(), model.submodels.len());
@@ -483,6 +646,7 @@ mod tests {
         w.put_u32(0);
         w.put_u32(5); // wrong: needs exactly 2 sub-models
         let bytes = w.into_bytes();
-        assert!(decode_model(&mut ByteReader::new(&bytes)).is_err());
+        let schema = kamino_datasets::adult_like(10, 1).schema;
+        assert!(decode_model(&mut ByteReader::new(&bytes), &schema).is_err());
     }
 }

@@ -155,7 +155,7 @@ fn bare_instant(ctx: &FileCtx, out: &mut Vec<RawFinding>) {
                 line,
                 col,
                 message: "raw clock read bypasses the kamino_obs::clock choke point, making observability's clock usage unauditable".into(),
-                hint: "call kamino_obs::clock::now_nanos()/secs_since() instead; the choke point itself holds the single allow pragma".into(),
+                hint: "call kamino_obs::clock::now_nanos() instead; the choke point itself holds the single allow pragma".into(),
             });
         }
     }

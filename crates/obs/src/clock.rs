@@ -25,16 +25,6 @@ pub fn now_nanos() -> u64 {
     u64::try_from(anchor.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// [`now_nanos`] scaled to whole seconds (per-second metric buckets).
-pub fn now_secs() -> u64 {
-    now_nanos() / 1_000_000_000
-}
-
-/// Convenience: seconds elapsed since an earlier [`now_nanos`] reading.
-pub fn secs_since(start_nanos: u64) -> f64 {
-    now_nanos().saturating_sub(start_nanos) as f64 / 1e9
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -44,7 +34,5 @@ mod tests {
         let a = now_nanos();
         let b = now_nanos();
         assert!(b >= a);
-        assert!(secs_since(a) >= 0.0);
-        assert!(now_secs() <= now_nanos());
     }
 }

@@ -7,8 +7,8 @@
 //!   non-test clock read routes through it (enforced by `kamino-lint`'s
 //!   `bare_instant` rule).
 //! - [`metrics`] — a lock-cheap registry of counters, gauges and
-//!   fixed-bucket latency histograms (p50/p95/p99 readout), rendered as
-//!   Prometheus text exposition.
+//!   fixed-bucket latency histograms, rendered as Prometheus text
+//!   exposition.
 //! - [`span`] — RAII span guards with per-thread parent/child nesting,
 //!   collected into a bounded ring.
 //! - [`events`] — a bounded ring of typed events, most importantly the

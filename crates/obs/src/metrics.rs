@@ -1,6 +1,5 @@
 //! Lock-cheap metric registry: counters, gauges, and fixed-bucket
-//! histograms with quantile readout, rendered as Prometheus text
-//! exposition.
+//! histograms, rendered as Prometheus text exposition.
 //!
 //! Registration takes the registry lock once and hands back an `Arc`'d
 //! cell; every subsequent `inc`/`observe` is a plain atomic op. Families
@@ -107,36 +106,6 @@ impl Histogram {
         f64::from_bits(self.sum_bits.load(Ordering::Relaxed))
     }
 
-    /// Estimate the `q`-quantile (`0.0 ..= 1.0`) by linear interpolation
-    /// within the owning bucket. Observations in the overflow bucket
-    /// clamp to the last finite bound; an empty histogram reads 0.
-    pub fn quantile(&self, q: f64) -> f64 {
-        let total = self.count();
-        if total == 0 {
-            return 0.0;
-        }
-        let target = (q.clamp(0.0, 1.0) * total as f64).max(1.0);
-        let mut cum = 0u64;
-        for (i, c) in self.counts.iter().enumerate() {
-            let n = c.load(Ordering::Relaxed);
-            if n == 0 {
-                cum += n;
-                continue;
-            }
-            if (cum + n) as f64 >= target {
-                let lo = if i == 0 { 0.0 } else { self.bounds[i - 1] };
-                let hi = match self.bounds.get(i) {
-                    Some(&b) => b,
-                    None => return *self.bounds.last().unwrap_or(&0.0),
-                };
-                let frac = (target - cum as f64) / n as f64;
-                return lo + (hi - lo) * frac.clamp(0.0, 1.0);
-            }
-            cum += n;
-        }
-        *self.bounds.last().unwrap_or(&0.0)
-    }
-
     /// Cumulative `(upper_bound, count)` pairs, ending with `+Inf`.
     pub fn cumulative(&self) -> Vec<(f64, u64)> {
         let mut cum = 0u64;
@@ -160,11 +129,6 @@ impl Histo {
         if let Some(h) = &self.0 {
             h.observe(v);
         }
-    }
-
-    /// Access the underlying histogram, when attached.
-    pub fn inner(&self) -> Option<&Histogram> {
-        self.0.as_deref()
     }
 }
 
@@ -336,29 +300,6 @@ mod tests {
         assert_eq!(h.count(), 4);
         assert!((h.sum() - 12.0).abs() < 1e-12);
         assert_eq!(h.cumulative(), vec![(1.0, 2), (2.0, 3), (f64::INFINITY, 4)]);
-    }
-
-    #[test]
-    fn quantiles_interpolate_and_clamp() {
-        let h = Histogram::new(&[10.0, 20.0, 40.0]);
-        for _ in 0..50 {
-            h.observe(5.0);
-        }
-        for _ in 0..50 {
-            h.observe(15.0);
-        }
-        // p50 sits at the boundary of the first bucket
-        let p50 = h.quantile(0.5);
-        assert!((0.0..=10.0).contains(&p50), "p50={p50}");
-        // p99 lands inside the second bucket
-        let p99 = h.quantile(0.99);
-        assert!((10.0..=20.0).contains(&p99), "p99={p99}");
-        // overflow observations clamp to the last finite bound
-        let h2 = Histogram::new(&[1.0]);
-        h2.observe(100.0);
-        assert_eq!(h2.quantile(0.99), 1.0);
-        // empty histogram reads zero
-        assert_eq!(Histogram::new(&[1.0]).quantile(0.5), 0.0);
     }
 
     #[test]

@@ -1125,4 +1125,25 @@ mod tests {
             assert_eq!(parse(body).err().as_deref(), Some("`shards` must be 1"));
         }
     }
+
+    #[test]
+    fn fit_spec_rejects_out_of_range_values() {
+        let rows = "`rows` must be in [1, 200000]";
+        let cases = [
+            (r#"{"rows":0}"#, rows),
+            (r#"{"rows":200001}"#, rows),
+            (r#"{"epsilon":0}"#, "`epsilon` must be positive"),
+            (r#"{"epsilon":-1}"#, "`epsilon` must be positive"),
+            (r#"{"delta":0}"#, "`delta` must be in (0, 1)"),
+            (r#"{"delta":1}"#, "`delta` must be in (0, 1)"),
+            (r#"{"train_scale":0}"#, "`train_scale` must be in (0, 1]"),
+            (r#"{"train_scale":1.5}"#, "`train_scale` must be in (0, 1]"),
+            (r#"{"mcmc_ratio":-0.1}"#, "`mcmc_ratio` must be in [0, 1]"),
+            (r#"{"mcmc_ratio":1.5}"#, "`mcmc_ratio` must be in [0, 1]"),
+            (r#"{"corpus":"census"}"#, "unknown corpus `census`"),
+        ];
+        for (body, want) in cases {
+            assert_eq!(parse(body).err().as_deref(), Some(want), "{body}");
+        }
+    }
 }

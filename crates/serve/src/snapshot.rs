@@ -288,8 +288,7 @@ pub fn decode_fitted(bytes: &[u8]) -> Result<FittedKamino, SnapshotError> {
     let dcs = kamino_constraints::snapshot::decode_dcs(&mut r, &schema)?;
 
     let mut r = find(&sections, section::MODEL)?;
-    let model = core_codec::decode_model(&mut r)?;
-    validate_model(&model, &schema)?;
+    let model = core_codec::decode_model(&mut r, &schema)?;
 
     let mut r = find(&sections, section::PARAMS)?;
     let params = core_codec::decode_params(&mut r)?;
@@ -325,165 +324,6 @@ pub fn decode_fitted(bytes: &[u8]) -> Result<FittedKamino, SnapshotError> {
     Ok(FittedKamino::from_parts(
         sequence, weights, params, timings, schema, dcs, model, cfg, n_input, rng_state,
     ))
-}
-
-/// Range-checks every attribute index the model carries against the
-/// schema loaded alongside it, so a divergent snapshot fails here
-/// instead of panicking mid-`/synthesize` (which would poison the
-/// model's mutex). The DC section gets the same treatment inside
-/// `kamino_constraints::snapshot::decode_dcs`.
-fn validate_model(
-    model: &kamino_core::DataModel,
-    schema: &kamino_data::Schema,
-) -> Result<(), SnapshotError> {
-    let k = schema.len();
-    let malformed = |msg: String| SnapshotError::Wire(WireError::Malformed(msg));
-    if model.sequence.len() != k {
-        return Err(malformed(format!(
-            "model sequence covers {} attributes, schema has {k}",
-            model.sequence.len()
-        )));
-    }
-    let mut seen = vec![false; k];
-    for &a in &model.sequence {
-        if a >= k || std::mem::replace(&mut seen[a], true) {
-            return Err(malformed(format!(
-                "model sequence is not a permutation of 0..{k}"
-            )));
-        }
-    }
-    if model.first_dist.len() != schema.attr(model.sequence[0]).domain_size() {
-        return Err(malformed(format!(
-            "first-attribute distribution has {} entries for a domain of {}",
-            model.first_dist.len(),
-            schema.attr(model.sequence[0]).domain_size()
-        )));
-    }
-    validate_store(&model.store, schema)?;
-    for sm in &model.submodels {
-        if sm.target >= k {
-            return Err(malformed(format!(
-                "sub-model target {} out of range",
-                sm.target
-            )));
-        }
-        if let Some(&bad) = sm.context.iter().find(|&&c| c >= k) {
-            return Err(malformed(format!(
-                "sub-model context attribute {bad} out of range"
-            )));
-        }
-        if let Some(store) = &sm.own_store {
-            validate_store(store, schema)?;
-        }
-        let store = sm.own_store.as_ref().unwrap_or(&model.store);
-        let target_attr = schema.attr(sm.target);
-        // the sampler combines context embeddings at the store's width,
-        // so attention of any other width is as malformed as a head's
-        if let kamino_core::model::SubModelKind::Discriminative { attention, .. } = &sm.kind {
-            if attention.dim() != store.dim() {
-                return Err(malformed(
-                    "attention width disagrees with embedding dim".into(),
-                ));
-            }
-        }
-        match &sm.kind {
-            kamino_core::model::SubModelKind::NoisyMarginal { dist } => {
-                if dist.len() != target_attr.domain_size() {
-                    return Err(malformed(format!(
-                        "noisy marginal for `{}` has {} entries for a domain of {}",
-                        target_attr.name,
-                        dist.len(),
-                        target_attr.domain_size()
-                    )));
-                }
-            }
-            kamino_core::model::SubModelKind::Discriminative { head, .. } => match head {
-                kamino_core::model::Head::Cat(h) => {
-                    if !target_attr.is_categorical() || h.card() != target_attr.domain_size() {
-                        return Err(malformed(format!(
-                            "categorical head for `{}` predicts {} classes over a domain of {}",
-                            target_attr.name,
-                            h.card(),
-                            target_attr.domain_size()
-                        )));
-                    }
-                    if h.linear().n_in() != store.dim() {
-                        return Err(malformed("head width disagrees with embedding dim".into()));
-                    }
-                }
-                kamino_core::model::Head::Num(h) => {
-                    if target_attr.is_categorical() {
-                        return Err(malformed(format!(
-                            "Gaussian head for categorical attribute `{}`",
-                            target_attr.name
-                        )));
-                    }
-                    if h.linear().n_in() != store.dim() {
-                        return Err(malformed("head width disagrees with embedding dim".into()));
-                    }
-                }
-            },
-        }
-    }
-    Ok(())
-}
-
-/// Checks a store's embedders against the schema: attribute coverage,
-/// kind (categorical vs numeric), domain cardinality and embedding
-/// width — each mismatch would otherwise panic inside `sample()` while
-/// the model mutex is held, poisoning the slot.
-fn validate_store(
-    store: &kamino_core::model::EmbeddingStore,
-    schema: &kamino_data::Schema,
-) -> Result<(), SnapshotError> {
-    use kamino_core::model::AttrEmbedder;
-    let malformed = |msg: String| SnapshotError::Wire(WireError::Malformed(msg));
-    if store.embedders().len() != schema.len() {
-        return Err(malformed(format!(
-            "embedding store covers {} attributes, schema has {}",
-            store.embedders().len(),
-            schema.len()
-        )));
-    }
-    for (attr, embedder) in schema.attrs().iter().zip(store.embedders()) {
-        match embedder {
-            AttrEmbedder::Cat(e) => {
-                if !attr.is_categorical() || e.card() != attr.domain_size() {
-                    return Err(malformed(format!(
-                        "embedder for `{}` covers {} codes over a domain of {}",
-                        attr.name,
-                        e.card(),
-                        attr.domain_size()
-                    )));
-                }
-                if e.dim() != store.dim() {
-                    return Err(malformed(format!(
-                        "embedder for `{}` has width {} in a dim-{} store",
-                        attr.name,
-                        e.dim(),
-                        store.dim()
-                    )));
-                }
-            }
-            AttrEmbedder::Num { enc, .. } => {
-                if attr.is_categorical() {
-                    return Err(malformed(format!(
-                        "numeric encoder for categorical attribute `{}`",
-                        attr.name
-                    )));
-                }
-                if enc.dim() != store.dim() {
-                    return Err(malformed(format!(
-                        "encoder for `{}` has width {} in a dim-{} store",
-                        attr.name,
-                        enc.dim(),
-                        store.dim()
-                    )));
-                }
-            }
-        }
-    }
-    Ok(())
 }
 
 /// Writes already-encoded snapshot bytes to `path` through the durable
@@ -662,7 +502,8 @@ mod tests {
         let mut w = kamino_data::wire::ByteWriter::new();
         core_codec::encode_model(f.model(), &mut w);
         let bytes = w.into_bytes();
-        core_codec::decode_model(&mut kamino_data::wire::ByteReader::new(&bytes)).unwrap()
+        core_codec::decode_model(&mut kamino_data::wire::ByteReader::new(&bytes), f.schema())
+            .unwrap()
     }
 
     /// `f` with its model replaced by `model`.
@@ -757,16 +598,40 @@ mod tests {
         let fitted = tiny_fitted(15);
         let mut cfg = fitted.config().clone();
         cfg.d_candidates = 0;
-        let bytes = rebuild(&encode_fitted(&fitted), |id, b| {
+        let bytes = with_config(&fitted, &cfg);
+        assert!(matches!(decode_fitted(&bytes), Err(SnapshotError::Wire(_))));
+    }
+
+    #[test]
+    fn unbounded_mcmc_ratio_config_is_rejected() {
+        // an infinite ratio asks `sample()` for usize::MAX re-samples per
+        // column, which would spin forever with the model mutex held
+        let fitted = tiny_fitted(15);
+        for ratio in [f64::INFINITY, f64::NAN, -1.0] {
+            let mut cfg = fitted.config().clone();
+            cfg.mcmc_ratio = ratio;
+            let bytes = with_config(&fitted, &cfg);
+            assert!(
+                matches!(
+                    decode_fitted(&bytes),
+                    Err(SnapshotError::Wire(WireError::Malformed(msg))) if msg.contains("mcmc ratio")
+                ),
+                "ratio {ratio} was accepted"
+            );
+        }
+    }
+
+    /// `fitted`'s container with its CONFIG section re-encoded from `cfg`.
+    fn with_config(fitted: &FittedKamino, cfg: &KaminoConfig) -> Vec<u8> {
+        rebuild(&encode_fitted(fitted), |id, b| {
             Some(if id == section::CONFIG {
                 let mut w = kamino_data::wire::ByteWriter::new();
-                core_codec::encode_config(&cfg, &mut w);
+                core_codec::encode_config(cfg, &mut w);
                 w.into_bytes()
             } else {
                 b.to_vec()
             })
-        });
-        assert!(matches!(decode_fitted(&bytes), Err(SnapshotError::Wire(_))));
+        })
     }
 
     /// Rebuilds a container from `bytes`, passing each section through
