@@ -48,7 +48,7 @@ use std::sync::Mutex;
 
 use kamino_baselines::{DpVae, Independent, NistPgm, PateGan, PrivBayes, Synthesizer};
 use kamino_constraints::discovery::discover_approximate_dcs;
-use kamino_core::{fit_kamino, KaminoConfig, PhaseTimings, FIT_REVISION};
+use kamino_core::{fit_kamino, KaminoConfig, PhaseTimings, SamplingRule, FIT_REVISION};
 use kamino_datasets::{Corpus, Dataset};
 use kamino_dp::Budget;
 use kamino_eval::classifiers::Classifier;
@@ -394,14 +394,18 @@ impl ReproConfig {
         cfg.obs = self.obs.clone();
         match method {
             MethodKind::RandSequence => cfg.constraint_aware_sequencing = false,
-            MethodKind::RandSampling => cfg.constraint_aware_sampling = false,
+            MethodKind::RandSampling => cfg.sampling = SamplingRule::RandSampling,
             MethodKind::RandBoth => {
                 cfg.constraint_aware_sequencing = false;
-                cfg.constraint_aware_sampling = false;
+                cfg.sampling = SamplingRule::RandSampling;
             }
-            MethodKind::AcceptReject => cfg.ar_sampling = true,
+            MethodKind::AcceptReject => cfg.sampling = SamplingRule::AcceptReject,
             MethodKind::Mcmc(ratio) => cfg.mcmc_ratio = ratio,
-            MethodKind::HardFdLookup => cfg.hard_fd_lookup = true,
+            MethodKind::HardFdLookup => {
+                cfg.sampling = SamplingRule::Algorithm3 {
+                    hard_fd_lookup: true,
+                }
+            }
             MethodKind::ParallelTraining => cfg.parallel_training = true,
             _ => {}
         }
@@ -1248,6 +1252,46 @@ mod tests {
         );
     }
 
+    /// Every Kamino-family method the §7 studies run keeps its cache key:
+    /// a slip in mapping a method onto its config knobs would re-key (and
+    /// silently re-fit) its study cells.
+    #[test]
+    fn every_study_method_cache_key_is_pinned() {
+        use MethodKind::*;
+        let cfg = ReproConfig::fast(17);
+        let methods = [
+            (Kamino, "014252670ddf2568"),
+            (RandSequence, "0d9c6edac94a175f"),
+            (RandSampling, "46a8fb2663f28799"),
+            (RandBoth, "48781be460f123b2"),
+            (AcceptReject, "8e7b9d6914d0d747"),
+            (Mcmc(0.5), "f0f8ad2abea6b803"),
+            (Mcmc(1.0), "2c95e42605cb5413"),
+            (Mcmc(2.0), "6262709360b93328"),
+            (Mcmc(3.0), "0bdde7f41fb7d5b0"),
+            (HardFdLookup, "128794f1b8732125"),
+            (ParallelTraining, "9b0bcbfb6a952d33"),
+        ];
+        for (method, hash) in methods {
+            assert_eq!(
+                cfg.cache_path("adult", 1.0, method),
+                PathBuf::from(format!(
+                    "target/repro-cache/adult-n240-eps1-seed17-r1-{hash}.kamino"
+                )),
+                "{} re-keyed",
+                method.name()
+            );
+        }
+        // the table covers every Kamino-family method the studies run
+        for study in paper_studies() {
+            assert!(
+                !study.method.is_kamino() || methods.iter().any(|&(m, _)| m == study.method),
+                "{} has no pinned key",
+                study.method.name()
+            );
+        }
+    }
+
     #[test]
     fn method_names() {
         let names: Vec<String> = [
@@ -1279,22 +1323,27 @@ mod tests {
     #[test]
     fn ablation_switch_wiring() {
         let cfg = ReproConfig::fast(17);
+        let algorithm3 = |hard_fd_lookup| SamplingRule::Algorithm3 { hard_fd_lookup };
         let plain = cfg.kamino_config(1.0, MethodKind::Kamino);
-        assert!(plain.constraint_aware_sampling && plain.constraint_aware_sequencing);
+        assert_eq!(plain.sampling, algorithm3(false));
+        assert!(plain.constraint_aware_sequencing);
         let k = cfg.kamino_config(1.0, MethodKind::RandSampling);
-        assert!(!k.constraint_aware_sampling);
+        assert_eq!(k.sampling, SamplingRule::RandSampling);
         assert!(k.constraint_aware_sequencing);
         let k = cfg.kamino_config(1.0, MethodKind::RandBoth);
-        assert!(!k.constraint_aware_sampling);
+        assert_eq!(k.sampling, SamplingRule::RandSampling);
         assert!(!k.constraint_aware_sequencing);
-        assert!(cfg.kamino_config(1.0, MethodKind::AcceptReject).ar_sampling);
+        assert_eq!(
+            cfg.kamino_config(1.0, MethodKind::AcceptReject).sampling,
+            SamplingRule::AcceptReject
+        );
         assert_eq!(
             cfg.kamino_config(1.0, MethodKind::Mcmc(2.0)).mcmc_ratio,
             2.0
         );
-        assert!(
-            cfg.kamino_config(1.0, MethodKind::HardFdLookup)
-                .hard_fd_lookup
+        assert_eq!(
+            cfg.kamino_config(1.0, MethodKind::HardFdLookup).sampling,
+            algorithm3(true)
         );
         assert!(
             cfg.kamino_config(1.0, MethodKind::ParallelTraining)

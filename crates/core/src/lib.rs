@@ -21,9 +21,9 @@
 //! 5. [`sampler`] — constraint-aware sampling (Algorithm 3): candidate
 //!    values are re-weighted by `exp(−Σ w_φ·|V(φ, ·)|)` using the
 //!    incremental counters, with optional constrained-MCMC re-sampling and
-//!    the hard-FD lookup fast path (§7.3.6). The accept–reject alternative
-//!    of Experiment 6 is a cell rule of the same engine
-//!    ([`KaminoConfig::ar_sampling`]).
+//!    the hard-FD lookup fast path (§7.3.6), over 10 candidates per numeric
+//!    cell (§4.2's `d`). [`KaminoConfig::sampling`] picks this rule, the
+//!    Experiment 5 ablation or Experiment 6's accept–reject ([`SamplingRule`]).
 //!
 //! [`pipeline::fit_kamino`] wires lines 2–5 of Algorithm 1 together into
 //! a [`FittedKamino`] session whose [`FittedKamino::sample`] draws line 6
@@ -46,7 +46,7 @@ pub mod weights;
 pub use model::{DataModel, SubModel};
 pub use params::{search_params, search_params_with_obs, PrivacyParams};
 pub use pipeline::{fit_kamino, FittedKamino, KaminoConfig, PhaseTimings, FIT_REVISION};
-pub use sampler::{synthesize, FD_CYCLE_TOLERANCE_PCT};
+pub use sampler::{synthesize, SamplingRule, FD_CYCLE_TOLERANCE_PCT};
 pub use sequence::{active_dcs_by_position, sequence_attrs};
 pub use train::{train_model, train_model_with_obs, TrainConfig};
 pub use weights::{learn_weights, WeightConfig, HARD_WEIGHT};

@@ -10,7 +10,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::params::{search_params_with_obs, PrivacyParams, SearchShape};
-use crate::sampler::synthesize;
+use crate::sampler::{synthesize, SamplingRule};
 use crate::sequence::{random_sequence, sequence_attrs};
 use crate::train::{count_marginal_releases, count_sgd_models, train_model_with_obs, TrainConfig};
 use crate::weights::{learn_weights, WeightConfig, HARD_WEIGHT};
@@ -40,21 +40,15 @@ pub struct KaminoConfig {
     pub embed_dim: usize,
     /// Learning rate `η`.
     pub lr: f64,
-    /// Candidate-set size `d` for continuous targets.
-    pub d_candidates: usize,
     /// MCMC re-sampling amount as a fraction of `n` (`m = ratio·n`,
-    /// Experiment 9's x-axis).
+    /// Experiment 9's x-axis). [`SamplingRule::AcceptReject`] ignores it.
     pub mcmc_ratio: f64,
     /// Train sub-models in parallel with private embeddings (Exp. 10).
     pub parallel_training: bool,
-    /// Constraint-aware sampling on/off (off = "RandSampling").
-    pub constraint_aware_sampling: bool,
+    /// How the sampler draws each cell (Exp. 5, 6 and 10b vary it).
+    pub sampling: SamplingRule,
     /// Constraint-aware sequencing on/off (off = "RandSequence").
     pub constraint_aware_sequencing: bool,
-    /// Hard-FD lookup fast path (Exp. 10).
-    pub hard_fd_lookup: bool,
-    /// Use accept–reject sampling instead of Algorithm 3 (Exp. 6).
-    pub ar_sampling: bool,
     /// Has no effect: every fit and draw runs the serial scoring and
     /// DP-SGD kernels. Kept only because the benchmark package still sets
     /// it; it goes when that package stops naming it. Snapshots still
@@ -88,13 +82,12 @@ impl KaminoConfig {
             seed: 0,
             embed_dim: 16,
             lr: 0.05,
-            d_candidates: 10,
             mcmc_ratio: 0.0,
             parallel_training: false,
-            constraint_aware_sampling: true,
+            sampling: SamplingRule::Algorithm3 {
+                hard_fd_lookup: false,
+            },
             constraint_aware_sequencing: true,
-            hard_fd_lookup: false,
-            ar_sampling: false,
             parallel_substrate: true,
             train_scale: 1.0,
             large_domain_threshold: 256,
@@ -211,7 +204,6 @@ pub fn fit_kamino(
     let n = instance.n_rows();
     assert!(n > 0, "cannot synthesize from an empty instance");
     assert!(cfg.train_scale > 0.0, "train scale must be positive");
-    assert!(cfg.d_candidates >= 1, "candidate-set size must be positive");
     assert!(
         cfg.mcmc_ratio >= 0.0 && cfg.mcmc_ratio.is_finite(),
         "mcmc ratio must be nonnegative and finite"
@@ -381,9 +373,10 @@ impl FittedKamino {
     }
 
     /// Synthesizes `n` rows through [`synthesize`] under the session's
-    /// config (Algorithm 3, RandSampling or the Exp. 6 accept–reject
-    /// rule), advancing the session's RNG stream. Pure post-processing:
-    /// spends no additional budget.
+    /// [`KaminoConfig::sampling`] rule, advancing the session's RNG
+    /// stream. Pure post-processing: spends no additional budget.
+    /// `sample(0)` returns an empty instance and leaves the stream where
+    /// it was.
     ///
     /// # Examples
     ///
@@ -489,7 +482,7 @@ mod tests {
         let d = adult_like(250, 5);
         let mut cfg = fast_cfg(Budget::new(1.0, 1e-6), 6);
         cfg.constraint_aware_sequencing = false;
-        cfg.constraint_aware_sampling = false;
+        cfg.sampling = SamplingRule::RandSampling;
         let mut fitted = fit_kamino(&d.schema, &d.instance, &d.dcs, &cfg);
         // RandBoth still produces a full instance
         assert_eq!(fitted.sample(250).n_rows(), 250);
@@ -527,12 +520,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "candidate-set size must be positive")]
-    fn zero_candidate_set_is_refused() {
-        let d = adult_like(50, 7);
-        let mut cfg = fast_cfg(Budget::new(1.0, 1e-6), 8);
-        cfg.d_candidates = 0;
-        fit_kamino(&d.schema, &d.instance, &d.dcs, &cfg);
+    fn an_empty_draw_leaves_the_stream_where_it_was() {
+        let d = adult_like(120, 23);
+        let mut cfg = fast_cfg(Budget::new(1.0, 1e-6), 24);
+        cfg.mcmc_ratio = 0.5; // round(0.5 · 0) = 0 re-samples
+        let mut a = fit_kamino(&d.schema, &d.instance, &d.dcs, &cfg);
+        let mut b = fit_kamino(&d.schema, &d.instance, &d.dcs, &cfg);
+        let before = a.rng_state();
+        let empty = a.sample(0);
+        assert_eq!((empty.n_rows(), empty.n_cols()), (0, d.schema.len()));
+        assert_eq!(a.rng_state(), before);
+        assert_eq!(a.sample(40), b.sample(40));
     }
 
     #[test]
@@ -571,7 +569,7 @@ mod tests {
     fn ar_sampling_path_runs() {
         let d = adult_like(200, 13);
         let mut cfg = fast_cfg(Budget::new(1.0, 1e-6), 14);
-        cfg.ar_sampling = true;
+        cfg.sampling = SamplingRule::AcceptReject;
         let out = fit_kamino(&d.schema, &d.instance, &d.dcs, &cfg).sample(200);
         assert_eq!(out.n_rows(), 200);
     }
@@ -587,21 +585,36 @@ mod tests {
             ("adult", adult_like(300, 6)),
             ("br2000", br2000_like(300, 7)),
         ];
-        // (name, mcmc_ratio, hard_fd_lookup, constraint_aware_sampling)
+        // (name, mcmc_ratio, rule); each row also runs as accept–reject
+        // at the same ratio, which that rule ignores
         let rules = [
-            ("default", 0.0, false, true),
-            ("mcmc+fd", 0.3, true, true),
-            ("rand", 0.0, false, false),
+            (
+                "default",
+                0.0,
+                SamplingRule::Algorithm3 {
+                    hard_fd_lookup: false,
+                },
+            ),
+            (
+                "mcmc+fd",
+                0.3,
+                SamplingRule::Algorithm3 {
+                    hard_fd_lookup: true,
+                },
+            ),
+            ("rand", 0.0, SamplingRule::RandSampling),
         ];
         let mut got = Vec::new();
         for (corpus, d) in &corpora {
-            for (rule, mcmc_ratio, hard_fd_lookup, aware) in rules {
+            for (rule, mcmc_ratio, sampling) in rules {
                 for ar in [false, true] {
                     let mut cfg = fast_cfg(Budget::new(1.0, 1e-6), 19);
                     cfg.mcmc_ratio = mcmc_ratio;
-                    cfg.hard_fd_lookup = hard_fd_lookup;
-                    cfg.constraint_aware_sampling = aware;
-                    cfg.ar_sampling = ar;
+                    cfg.sampling = if ar {
+                        SamplingRule::AcceptReject
+                    } else {
+                        sampling
+                    };
                     let out = fit_kamino(&d.schema, &d.instance, &d.dcs, &cfg).sample(300);
                     got.push((corpus, rule, ar, digest(&out)));
                 }

@@ -16,21 +16,26 @@
 //! from garbage.
 //!
 //! [`synthesize`] is the one sampling engine. How a cell gets its value is
-//! a rule chosen from the [`KaminoConfig`]:
-//! * Algorithm 3 (the default), with the constrained MCMC step (line 12):
-//!   after each column pass, `m = mcmc_ratio · n` random cells of that
-//!   column are re-sampled conditioned on all other cells, using counter
-//!   `remove`/`insert`; and the §7.3.6 hard-FD lookup fast path: when the
-//!   attribute being sampled is the dependent of a hard FD and the
-//!   determinant group already exists, the forced value is copied directly
-//!   instead of scored;
-//! * the "RandSampling" ablation (Experiment 5,
-//!   `constraint_aware_sampling = false`): samples i.i.d. from the model;
-//! * accept–reject sampling (Experiment 6, §7.3.2, `ar_sampling`): draw
-//!   one value from the model and accept it with probability
-//!   `exp(−Σ w_φ·vio_φ)`, retrying up to 300 times (`AR_MAX_TRIES`) and then
-//!   keeping the last draw — which is how accept–reject ends up
-//!   *producing* violations on hard-DC datasets. It runs no MCMC.
+//! the config's [`SamplingRule`]:
+//! * [`SamplingRule::Algorithm3`] (the default), with the constrained MCMC
+//!   step (line 12): after each column pass, `m = mcmc_ratio · n` random
+//!   cells of that column are re-sampled conditioned on all other cells,
+//!   using counter `remove`/`insert`. With `hard_fd_lookup` it also takes
+//!   the §7.3.6 fast path: when the attribute being sampled is the
+//!   dependent of a hard FD and the determinant group already exists, the
+//!   forced value is copied directly instead of scored;
+//! * [`SamplingRule::RandSampling`], the ablation of Experiment 5: samples
+//!   i.i.d. from the model;
+//! * [`SamplingRule::AcceptReject`] (Experiment 6, §7.3.2): draw one value
+//!   from the model and accept it with probability `exp(−Σ w_φ·vio_φ)`,
+//!   retrying up to 300 times (`AR_MAX_TRIES`) and then keeping the last
+//!   draw — which is how accept–reject ends up *producing* violations on
+//!   hard-DC datasets. It runs no MCMC.
+//!
+//! Every rule reads a cell's model distribution `p_{v|c}` from one place.
+//! The candidate set is every first-attribute bin at position 0, the 64
+//! most probable codes of a categorical target, or 10 draws for a numeric
+//! one (§4.2's fixed `d`).
 //!
 //! Timings are span-derived: [`synthesize`] adds each column's
 //! `sample.fill` / `sample.mcmc` span duration (from [`KaminoConfig::obs`])
@@ -44,6 +49,7 @@ use std::time::Duration;
 use kamino_constraints::{CandidateRow, CellContext, DenialConstraint, ScoreSet};
 use kamino_data::stats::sample_weighted;
 use kamino_data::{AttrKind, Instance, Quantizer, Schema, Value};
+use kamino_dp::normal::normal;
 use kamino_obs::ObsHandle;
 use rand::Rng;
 
@@ -85,9 +91,31 @@ pub const FD_CYCLE_TOLERANCE_PCT: f64 = 2.5;
 /// "selected set of values of size d").
 const MAX_CAT_CANDIDATES: usize = 64;
 
+/// Candidate values drawn per numeric cell (§4.2's candidate-set size `d`).
+/// Snapshots keep it in a config slot and refuse any other value.
+pub(crate) const NUM_CANDIDATES: usize = 10;
+
 /// Model draws per cell before accept–reject keeps its last draw
 /// (§7.3.2 uses 300).
 const AR_MAX_TRIES: usize = 300;
+
+/// How [`synthesize`] draws each cell's value ([`KaminoConfig::sampling`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SamplingRule {
+    /// Algorithm 3, then `mcmc_ratio · n` MCMC re-samples per column. The
+    /// default, with `hard_fd_lookup: false`.
+    Algorithm3 {
+        /// The §7.3.6 fast path (Exp. 10b): copy the value a hard FD
+        /// forces instead of scoring candidates.
+        hard_fd_lookup: bool,
+    },
+    /// The RandSampling ablation (Exp. 5): candidates weighted by model
+    /// probability alone, constraints ignored.
+    RandSampling,
+    /// Accept–reject sampling (Exp. 6): model draws accepted with
+    /// probability `exp(−Σ w_φ·vio_φ)`. It runs no MCMC.
+    AcceptReject,
+}
 
 /// Reusable buffers for the sampler's cell loop (a bump-style arena:
 /// every buffer is cleared and refilled per cell, never freed), so the
@@ -114,8 +142,8 @@ struct CellArena {
     forced: Vec<Value>,
 }
 
-/// Synthesizes `n` tuples from the trained model under `cfg`'s sampling
-/// rule (Algorithm 3, RandSampling or accept–reject).
+/// Synthesizes `n` tuples (none when `n` is 0, drawing no RNG) from the
+/// trained model under `cfg.sampling`.
 ///
 /// `weights` is aligned with `dcs`; hard DCs carry
 /// [`crate::weights::HARD_WEIGHT`]. Per-column spans go through
@@ -134,11 +162,9 @@ pub fn synthesize<R: Rng + ?Sized>(
     timings: &mut PhaseTimings,
 ) -> Instance {
     assert_eq!(dcs.len(), weights.len(), "one weight per DC");
-    assert!(n > 0, "cannot synthesize an empty instance");
-    let mcmc_resamples = if cfg.ar_sampling {
-        0
-    } else {
-        (cfg.mcmc_ratio * n as f64).round() as usize
+    let mcmc_resamples = match cfg.sampling {
+        SamplingRule::AcceptReject => 0,
+        _ => (cfg.mcmc_ratio * n as f64).round() as usize,
     };
     let k = model.sequence.len();
     let mut inst = Instance::zeroed(schema, n);
@@ -159,10 +185,9 @@ pub fn synthesize<R: Rng + ?Sized>(
             scores,
             weights,
         };
-        if cfg.ar_sampling {
-            accept_reject(&c, predictor, &mut arena, rng)
-        } else {
-            sample_cell(&c, cfg, predictor, &mut arena, rng)
+        match cfg.sampling {
+            SamplingRule::AcceptReject => accept_reject(&c, predictor, &mut arena, rng),
+            rule => sample_cell(&c, rule, predictor, &mut arena, rng),
         }
     };
 
@@ -223,11 +248,11 @@ impl Cell<'_> {
     }
 }
 
-/// Draws one cell value by Algorithm 3 or, for RandSampling
-/// (`constraint_aware_sampling` off), by model probability alone.
+/// Draws one cell value by Algorithm 3 or, for RandSampling, by model
+/// probability alone.
 fn sample_cell<R: Rng + ?Sized>(
     cell: &Cell<'_>,
-    cfg: &KaminoConfig,
+    rule: SamplingRule,
     predictor: Option<&mut ColumnPredictor<'_>>,
     arena: &mut CellArena,
     rng: &mut R,
@@ -241,7 +266,8 @@ fn sample_cell<R: Rng + ?Sized>(
         ..
     } = *cell;
     let target = cell.target();
-    let constrained = cfg.constraint_aware_sampling && !scores.is_empty();
+    let constrained = rule != SamplingRule::RandSampling && !scores.is_empty();
+    let lookup = matches!(rule, SamplingRule::Algorithm3 { hard_fd_lookup } if hard_fd_lookup);
 
     // One probe of the hard counters before the candidate draw (none of
     // it reads the RNG): the values hard FDs on the target force, and the
@@ -260,7 +286,7 @@ fn sample_cell<R: Rng + ?Sized>(
             }
             if c.fd_rhs() == Some(target) {
                 if let Some(v) = c.required_value(&probe) {
-                    if cfg.hard_fd_lookup {
+                    if lookup {
                         return v;
                     }
                     arena.forced.push(v);
@@ -275,7 +301,11 @@ fn sample_cell<R: Rng + ?Sized>(
         }
     }
 
-    candidate_values(cell, cfg.d_candidates, predictor, arena, rng);
+    CellDist::predict(cell, predictor, &mut arena.ctx).candidates(
+        &mut arena.candidates,
+        &mut arena.idx_buf,
+        rng,
+    );
     let CellArena {
         candidates,
         values,
@@ -367,8 +397,8 @@ fn accept_reject<R: Rng + ?Sized>(
     arena: &mut CellArena,
     rng: &mut R,
 ) -> Value {
-    let draw = ModelDraw::predict(cell, predictor, &mut arena.ctx);
-    let mut last = draw.sample(rng);
+    let dist = CellDist::predict(cell, predictor, &mut arena.ctx);
+    let mut last = dist.sample(rng);
     if cell.scores.is_empty() {
         return last;
     }
@@ -378,75 +408,111 @@ fn accept_reject<R: Rng + ?Sized>(
         if accept >= 1.0 || rng.gen::<f64>() < accept {
             return last;
         }
-        last = draw.sample(rng);
+        last = dist.sample(rng);
     }
     last
 }
 
-/// One cell's model distribution (no candidate set, no constraint
-/// reweighting), from which accept–reject draws single values.
-enum ModelDraw<'a> {
-    /// A distribution over the target's quantizer bins: the released
-    /// first-attribute distribution, or a noisy marginal.
-    Bins(&'a [f64], Quantizer),
-    /// Class probabilities of a categorical target.
+/// One cell's model distribution `p_{v|c}`, before any constraint
+/// reweighting. Algorithm 3 and RandSampling enumerate their candidate
+/// set from it; accept–reject draws single values from it.
+enum CellDist<'a> {
+    /// Position 0: the released first-attribute distribution over the
+    /// target's quantizer bins. Every bin is a candidate.
+    FirstAttr(&'a [f64], Quantizer),
+    /// Class probabilities of a categorical target (a noisy marginal or a
+    /// discriminative head). The most probable codes are candidates.
     Cat(&'a [f64]),
+    /// A numeric target's noisy marginal over its quantizer bins.
+    NumBins(&'a [f64], Quantizer),
     /// `N(μ, σ²)` for a numeric target, clamped into its domain.
     Num(f64, f64, Quantizer),
 }
 
-impl<'a> ModelDraw<'a> {
-    /// Predicts `cell`'s distribution; `ctx` is scratch for the context
-    /// values. Draws no RNG.
+impl<'a> CellDist<'a> {
+    /// Predicts `cell`'s distribution, running the sub-model at most
+    /// once; `ctx` is scratch for the context values. Draws no RNG.
+    /// Inlined: an out-of-line call measured slower on `draw_br2000`.
+    #[inline(always)]
     fn predict(
         cell: &Cell<'a>,
         predictor: Option<&'a mut ColumnPredictor<'_>>,
         ctx: &mut Vec<Value>,
-    ) -> ModelDraw<'a> {
+    ) -> CellDist<'a> {
+        use AttrKind::{Categorical, Numeric};
+        use SubModelKind::{Discriminative, NoisyMarginal};
+        let Cell {
+            model,
+            j,
+            inst,
+            row,
+            ..
+        } = *cell;
         let attr = cell.schema.attr(cell.target());
         let q = Quantizer::for_attr(attr);
-        let Some(predictor) = predictor else {
-            return ModelDraw::Bins(&cell.model.first_dist, q);
-        };
-        fill_context(cell, ctx);
-        match (&cell.model.submodel_at(cell.j).kind, &attr.kind) {
-            (SubModelKind::NoisyMarginal { dist }, _) => ModelDraw::Bins(dist, q),
-            (SubModelKind::Discriminative { .. }, AttrKind::Categorical { .. }) => {
-                ModelDraw::Cat(predictor.predict_cat(ctx))
+        // position 0 has no sub-model; later ones condition on `t_i[S_:j]`
+        let sub = predictor.map(|p| {
+            ctx.clear();
+            ctx.extend(model.sequence[..j].iter().map(|&a| inst.value(row, a)));
+            (p, &model.submodel_at(j).kind)
+        });
+        match (sub, &attr.kind) {
+            (None, _) => CellDist::FirstAttr(&model.first_dist, q),
+            (Some((_, NoisyMarginal { dist })), Categorical { .. }) => CellDist::Cat(dist),
+            (Some((_, NoisyMarginal { dist })), Numeric { .. }) => CellDist::NumBins(dist, q),
+            (Some((p, Discriminative { .. })), Categorical { .. }) => {
+                CellDist::Cat(p.predict_cat(ctx))
             }
-            (SubModelKind::Discriminative { .. }, AttrKind::Numeric { .. }) => {
-                let (mu, sigma) = predictor.predict_num(ctx);
-                ModelDraw::Num(mu, sigma, q)
+            (Some((p, Discriminative { .. })), Numeric { .. }) => {
+                let (mu, sigma) = p.predict_num(ctx);
+                CellDist::Num(mu, sigma.max(1e-9), q)
             }
+        }
+    }
+
+    /// Writes the candidate set `D(S[j])` with model probabilities into
+    /// `out` (cleared first; `idx_buf` is top-k scratch). Candidate
+    /// construction drives the RNG, so order *is* part of the determinism
+    /// contract.
+    fn candidates<R: Rng + ?Sized>(
+        &self,
+        out: &mut Vec<(Value, f64)>,
+        idx_buf: &mut Vec<(usize, f64)>,
+        rng: &mut R,
+    ) {
+        out.clear();
+        match self {
+            CellDist::FirstAttr(dist, q) => {
+                out.extend((0..dist.len()).map(|b| (q.sample_in_bin(b, rng), dist[b])));
+            }
+            CellDist::Cat(p) => {
+                top_k_into(p, MAX_CAT_CANDIDATES, idx_buf);
+                out.extend(idx_buf.iter().map(|&(c, p)| (Value::Cat(c as u32), p)));
+            }
+            CellDist::NumBins(dist, q) => out.extend((0..NUM_CANDIDATES).map(|_| {
+                let b = sample_weighted(dist, rng);
+                (q.sample_in_bin(b, rng), dist[b])
+            })),
+            &CellDist::Num(mu, sigma, _) => out.extend((0..NUM_CANDIDATES).map(|_| {
+                let v = self.sample(rng);
+                // weight ∝ model density at the (clamped) candidate
+                let z = (v.num() - mu) / sigma;
+                (v, (-0.5 * z * z).exp().max(1e-300))
+            })),
         }
     }
 
     /// One value drawn from the distribution.
     fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Value {
         match self {
-            ModelDraw::Bins(dist, q) => {
+            CellDist::FirstAttr(dist, q) | CellDist::NumBins(dist, q) => {
                 let b = sample_weighted(dist, rng);
                 q.sample_in_bin(b, rng)
             }
-            ModelDraw::Cat(p) => Value::Cat(sample_weighted(p, rng) as u32),
-            ModelDraw::Num(mu, sigma, q) => q.clamp(Value::Num(kamino_dp::normal::normal(
-                rng,
-                *mu,
-                sigma.max(1e-9),
-            ))),
+            CellDist::Cat(p) => Value::Cat(sample_weighted(p, rng) as u32),
+            &CellDist::Num(mu, sigma, ref q) => q.clamp(Value::Num(normal(rng, mu, sigma))),
         }
     }
-}
-
-/// Writes the cell's context-attribute values `t_i[S_:j]` into `ctx`
-/// (cleared first).
-fn fill_context(cell: &Cell<'_>, ctx: &mut Vec<Value>) {
-    ctx.clear();
-    ctx.extend(
-        cell.model.sequence[..cell.j]
-            .iter()
-            .map(|&a| cell.inst.value(cell.row, a)),
-    );
 }
 
 /// A schema-conformant placeholder for probing FD counters (the probe only
@@ -455,77 +521,6 @@ fn placeholder_value(schema: &Schema, attr: usize) -> Value {
     match schema.attr(attr).kind {
         AttrKind::Categorical { .. } => Value::Cat(0),
         AttrKind::Numeric { min, .. } => Value::Num(min),
-    }
-}
-
-/// Builds the candidate set `D(S[j])` with model probabilities into
-/// `arena.candidates` (cleared first; `arena.ctx`/`arena.idx_buf` serve as
-/// scratch). Identical values and probabilities, in identical order, to
-/// the old allocating form — candidate construction drives the RNG, so
-/// order *is* part of the determinism contract.
-fn candidate_values<R: Rng + ?Sized>(
-    cell: &Cell<'_>,
-    d_candidates: usize,
-    predictor: Option<&mut ColumnPredictor<'_>>,
-    arena: &mut CellArena,
-    rng: &mut R,
-) {
-    let Cell {
-        schema, model, j, ..
-    } = *cell;
-    let attr = schema.attr(cell.target());
-    let q = Quantizer::for_attr(attr);
-    let out = &mut arena.candidates;
-    out.clear();
-
-    // Position 0 draws from the released first-attribute distribution.
-    let Some(predictor) = predictor else {
-        out.extend(
-            (0..model.first_dist.len()).map(|b| (q.sample_in_bin(b, rng), model.first_dist[b])),
-        );
-        return;
-    };
-
-    let sm = model.submodel_at(j);
-    fill_context(cell, &mut arena.ctx);
-    let ctx = &arena.ctx;
-
-    match (&sm.kind, &attr.kind) {
-        (SubModelKind::NoisyMarginal { dist }, AttrKind::Categorical { .. }) => {
-            top_k_into(dist, MAX_CAT_CANDIDATES, &mut arena.idx_buf);
-            out.extend(
-                arena
-                    .idx_buf
-                    .iter()
-                    .map(|&(code, p)| (Value::Cat(code as u32), p)),
-            );
-        }
-        (SubModelKind::NoisyMarginal { dist }, AttrKind::Numeric { .. }) => {
-            out.extend((0..d_candidates).map(|_| {
-                let b = sample_weighted(dist, rng);
-                (q.sample_in_bin(b, rng), dist[b])
-            }));
-        }
-        (SubModelKind::Discriminative { .. }, AttrKind::Categorical { .. }) => {
-            let p = predictor.predict_cat(ctx);
-            top_k_into(p, MAX_CAT_CANDIDATES, &mut arena.idx_buf);
-            out.extend(
-                arena
-                    .idx_buf
-                    .iter()
-                    .map(|&(code, p)| (Value::Cat(code as u32), p)),
-            );
-        }
-        (SubModelKind::Discriminative { .. }, AttrKind::Numeric { .. }) => {
-            let (mu, sigma) = predictor.predict_num(ctx);
-            out.extend((0..d_candidates).map(|_| {
-                let raw = kamino_dp::normal::normal(rng, mu, sigma.max(1e-9));
-                let v = q.clamp(Value::Num(raw));
-                // weight ∝ model density at the (clamped) candidate
-                let z = (v.num() - mu) / sigma.max(1e-9);
-                (v, (-0.5 * z * z).exp().max(1e-300))
-            }));
-        }
     }
 }
 
@@ -615,11 +610,17 @@ pub(crate) mod tests {
         KaminoConfig::new(Budget::non_private())
     }
 
+    /// The default config under another sampling rule.
+    fn with_rule(sampling: SamplingRule) -> KaminoConfig {
+        KaminoConfig {
+            sampling,
+            ..aware()
+        }
+    }
+
     /// The accept–reject rule.
     fn accept_reject_cfg() -> KaminoConfig {
-        let mut cfg = aware();
-        cfg.ar_sampling = true;
-        cfg
+        with_rule(SamplingRule::AcceptReject)
     }
 
     /// Draws `n` rows with a fresh RNG seeded by `seed`.
@@ -666,9 +667,15 @@ pub(crate) mod tests {
             "constraint-aware sampling left hard-FD violations"
         );
         // the ablation arm on the same under-trained model violates
-        let mut cfg = aware();
-        cfg.constraint_aware_sampling = false;
-        let blind = draw(&s, &model, &dcs, &weights, &cfg, 250, 4);
+        let blind = draw(
+            &s,
+            &model,
+            &dcs,
+            &weights,
+            &with_rule(SamplingRule::RandSampling),
+            250,
+            4,
+        );
         assert!(
             count_violating_pairs(&dcs[0], &blind) > 0,
             "ablation arm unexpectedly clean — test is vacuous"
@@ -682,8 +689,9 @@ pub(crate) mod tests {
         let model = trained_model(&s, &truth, 10);
         let dcs = vec![fd(&s)];
         let weights = vec![HARD_WEIGHT];
-        let mut cfg = aware();
-        cfg.hard_fd_lookup = true;
+        let cfg = with_rule(SamplingRule::Algorithm3 {
+            hard_fd_lookup: true,
+        });
         let out = draw(&s, &model, &dcs, &weights, &cfg, 250, 6);
         assert_eq!(count_violating_pairs(&dcs[0], &out), 0);
     }
@@ -802,8 +810,7 @@ pub(crate) mod tests {
         let dcs = vec![fd(&s)];
         let weights = vec![HARD_WEIGHT];
         // unconstrained draw for reference
-        let mut blind_cfg = aware();
-        blind_cfg.constraint_aware_sampling = false;
+        let blind_cfg = with_rule(SamplingRule::RandSampling);
         let blind = draw(&s, &m, &dcs, &weights, &blind_cfg, 200, 4);
         let ar = draw(&s, &m, &dcs, &weights, &accept_reject_cfg(), 200, 4);
         let blind_pct = violation_percentage(&dcs[0], &blind);

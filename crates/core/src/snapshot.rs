@@ -20,6 +20,7 @@ use kamino_nn::snapshot::{
 use crate::model::{AttrEmbedder, DataModel, EmbeddingStore, Head, SubModel, SubModelKind};
 use crate::params::PrivacyParams;
 use crate::pipeline::{KaminoConfig, PhaseTimings};
+use crate::sampler::{SamplingRule, NUM_CANDIDATES};
 
 const EMBEDDER_CAT: u8 = 0;
 const EMBEDDER_NUM: u8 = 1;
@@ -391,13 +392,15 @@ pub fn encode_config(c: &KaminoConfig, w: &mut ByteWriter) {
     w.put_u64(c.seed);
     w.put_usize(c.embed_dim);
     w.put_f64(c.lr);
-    w.put_usize(c.d_candidates);
+    // the slot of the retired candidate-set size: always the constant
+    w.put_usize(NUM_CANDIDATES);
     w.put_f64(c.mcmc_ratio);
     w.put_bool(c.parallel_training);
-    w.put_bool(c.constraint_aware_sampling);
+    // the rule travels as the three flags it replaced
+    w.put_bool(c.sampling != SamplingRule::RandSampling);
     w.put_bool(c.constraint_aware_sequencing);
-    w.put_bool(c.hard_fd_lookup);
-    w.put_bool(c.ar_sampling);
+    w.put_bool(matches!(c.sampling, SamplingRule::Algorithm3 { hard_fd_lookup } if hard_fd_lookup));
+    w.put_bool(c.sampling == SamplingRule::AcceptReject);
     w.put_bool(c.parallel_substrate);
     w.put_f64(c.train_scale);
     // the slot of the retired `output_n` option: always the `None` tag,
@@ -416,9 +419,11 @@ pub fn decode_config(r: &mut ByteReader<'_>) -> Result<KaminoConfig, WireError> 
     cfg.seed = r.u64()?;
     cfg.embed_dim = r.usize()?;
     cfg.lr = r.f64()?;
-    cfg.d_candidates = r.usize()?;
-    if cfg.d_candidates == 0 {
-        return Err(WireError::Malformed("empty numeric candidate set".into()));
+    let d = r.usize()?;
+    if d != NUM_CANDIDATES {
+        return Err(WireError::Malformed(format!(
+            "candidate-set size {d} is not {NUM_CANDIDATES}"
+        )));
     }
     cfg.mcmc_ratio = r.f64()?;
     if !(cfg.mcmc_ratio >= 0.0 && cfg.mcmc_ratio.is_finite()) {
@@ -428,10 +433,15 @@ pub fn decode_config(r: &mut ByteReader<'_>) -> Result<KaminoConfig, WireError> 
         )));
     }
     cfg.parallel_training = r.bool()?;
-    cfg.constraint_aware_sampling = r.bool()?;
+    let aware = r.bool()?;
     cfg.constraint_aware_sequencing = r.bool()?;
-    cfg.hard_fd_lookup = r.bool()?;
-    cfg.ar_sampling = r.bool()?;
+    let hard_fd_lookup = r.bool()?;
+    // accept–reject ignores the other two flags, RandSampling the lookup
+    cfg.sampling = match (r.bool()?, aware) {
+        (true, _) => SamplingRule::AcceptReject,
+        (false, false) => SamplingRule::RandSampling,
+        (false, true) => SamplingRule::Algorithm3 { hard_fd_lookup },
+    };
     cfg.parallel_substrate = r.bool()?;
     cfg.train_scale = r.f64()?;
     // files written while the option existed may hold `Some(rows)` here

@@ -237,6 +237,7 @@ mod tests {
         });
         assert_eq!(obs.spans().len(), 1);
         assert_eq!(obs.events().len(), 1);
+        assert_eq!(obs.spans_dropped(), 0);
         let prom = obs.render_prometheus();
         assert!(prom.contains("kamino_total{k=\"v\"} 3"));
         let trace = obs.chrome_trace_json();
@@ -246,5 +247,15 @@ mod tests {
         let clone = obs.clone();
         clone.counter("kamino_total", &[("k", "v")]).inc();
         assert!(obs.render_prometheus().contains("kamino_total{k=\"v\"} 4"));
+    }
+
+    #[test]
+    fn a_full_span_ring_counts_what_it_dropped() {
+        let obs = ObsHandle::with_caps(4, 4);
+        for _ in 0..6 {
+            drop(obs.span("s"));
+        }
+        assert_eq!(obs.spans().len(), 4);
+        assert_eq!(obs.spans_dropped(), 2);
     }
 }

@@ -157,6 +157,9 @@ pub(crate) struct ServerMetrics {
     uptime: Gauge,
     queue_depth: Gauge,
     speculation_paused: Gauge,
+    /// Spans the trace ring overwrote: non-zero means `/debug/trace`
+    /// holds only the newest spans.
+    spans_dropped: Gauge,
 }
 
 impl ServerMetrics {
@@ -174,6 +177,7 @@ impl ServerMetrics {
             uptime: obs.gauge("kamino_uptime_seconds", &[]),
             queue_depth: obs.gauge("kamino_queue_depth", &[]),
             speculation_paused: obs.gauge("kamino_speculation_paused", &[]),
+            spans_dropped: obs.gauge("kamino_trace_spans_dropped", &[]),
         }
     }
 }
@@ -499,6 +503,7 @@ fn render_metrics(state: &AppState) -> String {
         .set(state.queue_depth.load(Ordering::Relaxed) as f64);
     m.speculation_paused
         .set(f64::from(u8::from(speculation_paused(state))));
+    m.spans_dropped.set(state.obs.spans_dropped() as f64);
     state.registry.publish_gauges();
     state.obs.render_prometheus()
 }
@@ -1092,6 +1097,25 @@ mod tests {
 
     fn parse(body: &str) -> Result<FitSpec, String> {
         parse_fit_spec(&Json::parse(body).unwrap(), false)
+    }
+
+    #[test]
+    fn metrics_count_the_spans_a_full_trace_ring_dropped() {
+        let obs = ObsHandle::with_caps(4, 4);
+        let server = Server::bind(ServeConfig {
+            listen: "127.0.0.1:0".into(),
+            obs: obs.clone(),
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        for _ in 0..6 {
+            drop(obs.span("test.span"));
+        }
+        let body = render_metrics(&server.state);
+        assert!(
+            body.lines().any(|l| l == "kamino_trace_spans_dropped 2"),
+            "{body}"
+        );
     }
 
     #[test]

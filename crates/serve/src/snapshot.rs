@@ -421,7 +421,7 @@ pub fn load_fitted(path: &Path) -> Result<FittedKamino, SnapshotError> {
 mod tests {
     use super::*;
     use kamino_core::model::SubModelKind;
-    use kamino_core::{fit_kamino, KaminoConfig};
+    use kamino_core::{fit_kamino, KaminoConfig, SamplingRule};
     use kamino_dp::Budget;
     use kamino_nn::Attention;
 
@@ -591,15 +591,76 @@ mod tests {
         ));
     }
 
+    /// The candidate-set size is a constant of the sampler now; a config
+    /// slot holding any other size asks for draws this build cannot make.
     #[test]
     fn empty_candidate_set_config_is_rejected() {
-        // `d_candidates = 0` would leave every numeric candidate set
-        // empty at sample time
         let fitted = tiny_fitted(15);
-        let mut cfg = fitted.config().clone();
-        cfg.d_candidates = 0;
-        let bytes = with_config(&fitted, &cfg);
-        assert!(matches!(decode_fitted(&bytes), Err(SnapshotError::Wire(_))));
+        for d in [0, 5, 11] {
+            let bytes = legacy_config(fitted.config(), d, [true, false, false]);
+            assert!(
+                matches!(
+                    decode_fitted(&with_config_section(&fitted, &bytes)),
+                    Err(SnapshotError::Wire(WireError::Malformed(msg))) if msg.contains("candidate-set size")
+                ),
+                "candidate slot {d} was accepted"
+            );
+        }
+    }
+
+    /// Builds before [`SamplingRule`] stored the rule as three independent
+    /// flags, so old files may hold any of their eight combinations. Each
+    /// decodes to the rule those builds ran and draws what they drew: the
+    /// hashes are the config section and the CSV of a 60-row draw, both
+    /// as the last such build made them.
+    #[test]
+    fn legacy_flag_combinations_decode_to_the_rule_they_ran() {
+        let fitted = tiny_fitted(17);
+        // ([aware, lookup, ar], mcmc_ratio, rule, section hash, draw hash)
+        let cases = [
+            (
+                [false, true, true],
+                0.3,
+                SamplingRule::AcceptReject,
+                0xf372_b372_d6ac_0d86,
+                0x08c0_f92f_284b_e4ed,
+            ),
+            (
+                [false, true, false],
+                0.0,
+                SamplingRule::RandSampling,
+                0x8eba_ef05_6fba_06c1,
+                0x7a9b_5d1b_5d71_5393,
+            ),
+        ];
+        for (flags, ratio, rule, section_hash, draw_hash) in cases {
+            let mut cfg = fitted.config().clone();
+            cfg.mcmc_ratio = ratio;
+            let bytes = legacy_config(&cfg, 10, flags);
+            assert_eq!(kamino_data::wire::fnv1a64(&bytes), section_hash);
+            let mut loaded = decode_fitted(&with_config_section(&fitted, &bytes)).unwrap();
+            assert_eq!(loaded.config().sampling, rule);
+            let (out, mut csv) = (loaded.sample(60), Vec::new());
+            kamino_data::csv::write_csv(loaded.schema(), &out, &mut csv).unwrap();
+            let h = kamino_data::wire::fnv1a64(&csv);
+            assert_eq!(h, draw_hash, "{flags:?} drew {h:#018x}");
+        }
+    }
+
+    /// `cfg`'s CONFIG section with the candidate slot holding `d` and the
+    /// sampling flags `[aware, lookup, ar]` written as older builds wrote
+    /// them. Offsets count from the end: 26 bytes of later fields follow
+    /// the `ar` flag.
+    fn legacy_config(cfg: &KaminoConfig, d: u64, [aware, lookup, ar]: [bool; 3]) -> Vec<u8> {
+        let mut w = kamino_data::wire::ByteWriter::new();
+        core_codec::encode_config(cfg, &mut w);
+        let mut b = w.into_bytes();
+        let end = b.len();
+        b[end - 47..end - 39].copy_from_slice(&d.to_le_bytes());
+        b[end - 30] = u8::from(aware);
+        b[end - 28] = u8::from(lookup);
+        b[end - 27] = u8::from(ar);
+        b
     }
 
     #[test]
@@ -623,11 +684,16 @@ mod tests {
 
     /// `fitted`'s container with its CONFIG section re-encoded from `cfg`.
     fn with_config(fitted: &FittedKamino, cfg: &KaminoConfig) -> Vec<u8> {
+        let mut w = kamino_data::wire::ByteWriter::new();
+        core_codec::encode_config(cfg, &mut w);
+        with_config_section(fitted, &w.into_bytes())
+    }
+
+    /// `fitted`'s container with `config` as its CONFIG section.
+    fn with_config_section(fitted: &FittedKamino, config: &[u8]) -> Vec<u8> {
         rebuild(&encode_fitted(fitted), |id, b| {
             Some(if id == section::CONFIG {
-                let mut w = kamino_data::wire::ByteWriter::new();
-                core_codec::encode_config(cfg, &mut w);
-                w.into_bytes()
+                config.to_vec()
             } else {
                 b.to_vec()
             })

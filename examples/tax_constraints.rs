@@ -9,7 +9,7 @@
 //! ```
 
 use kamino::constraints::violation_percentage;
-use kamino::core::{fit_kamino, KaminoConfig};
+use kamino::core::{fit_kamino, KaminoConfig, SamplingRule};
 use kamino::datasets::tax_like;
 use kamino::dp::Budget;
 use kamino::obs::ObsHandle;
@@ -25,7 +25,9 @@ fn main() {
     cfg.obs = ObsHandle::enabled();
 
     for lookup in [false, true] {
-        cfg.hard_fd_lookup = lookup;
+        cfg.sampling = SamplingRule::Algorithm3 {
+            hard_fd_lookup: lookup,
+        };
         let mut session = fit_kamino(&data.schema, &data.instance, &data.dcs, &cfg);
         let synthetic = session.sample(data.instance.n_rows());
         println!(

@@ -10,7 +10,9 @@
 use std::time::Duration;
 
 use kamino::core::model::{SubModelKind, SubModelTrainer};
-use kamino::core::{fit_kamino, synthesize, FittedKamino, KaminoConfig, PhaseTimings};
+use kamino::core::{
+    fit_kamino, synthesize, FittedKamino, KaminoConfig, PhaseTimings, SamplingRule,
+};
 use kamino::datasets::adult_like;
 use kamino::dp::Budget;
 use kamino::nn::PerExampleModel;
@@ -166,7 +168,7 @@ fn a_restored_session_traces_its_draws() {
 }
 
 /// Accept–reject runs through the same column loop as Algorithm 3, so a
-/// traced `ar_sampling` draw records one `sample.fill` span per column
+/// traced accept–reject draw records one `sample.fill` span per column
 /// and fills `PhaseTimings::sample_fill`.
 #[test]
 fn an_accept_reject_draw_traces_its_fill() {
@@ -175,7 +177,7 @@ fn an_accept_reject_draw_traces_its_fill() {
     let mut cfg = KaminoConfig::new(Budget::new(1.0, 1e-6));
     cfg.seed = 23;
     cfg.train_scale = 0.05;
-    cfg.ar_sampling = true;
+    cfg.sampling = SamplingRule::AcceptReject;
     cfg.obs = obs.clone();
     let mut session = fit_kamino(&data.schema, &data.instance, &data.dcs, &cfg);
     let _ = session.sample(60);
@@ -254,13 +256,13 @@ fn discriminative_positions(session: &FittedKamino) -> u64 {
         .count() as u64
 }
 
-/// Draws `rows` rows from `session`'s model under its configuration,
-/// with accept–reject switched on or off, and returns the number of
+/// Draws `rows` rows from `session`'s model under its configuration
+/// with the sampling rule `sampling`, and returns the number of
 /// predictions the traced draw counted.
-fn traced_draw_predicts(session: &FittedKamino, ar_sampling: bool, rows: usize) -> u64 {
+fn traced_draw_predicts(session: &FittedKamino, sampling: SamplingRule, rows: usize) -> u64 {
     let obs = ObsHandle::enabled();
     let mut cfg = session.config().clone();
-    cfg.ar_sampling = ar_sampling;
+    cfg.sampling = sampling;
     cfg.obs = obs.clone();
     let _ = synthesize(
         session.schema(),
@@ -278,8 +280,9 @@ fn traced_draw_predicts(session: &FittedKamino, ar_sampling: bool, rows: usize) 
 #[test]
 fn identical_traced_draws_record_identical_predicts() {
     let session = fit(ObsHandle::disabled());
-    let a = traced_draw_predicts(&session, false, 60);
-    let b = traced_draw_predicts(&session, false, 60);
+    let rule = session.config().sampling;
+    let a = traced_draw_predicts(&session, rule, 60);
+    let b = traced_draw_predicts(&session, rule, 60);
     assert_eq!(a, b, "the prediction counter must be deterministic");
     assert!(a > 0, "no prediction counted");
 }
@@ -291,15 +294,18 @@ fn identical_traced_draws_record_identical_predicts() {
 fn every_rule_predicts_each_cell_once() {
     let session = fit(ObsHandle::disabled());
     let cfg = session.config();
-    assert!(cfg.mcmc_ratio == 0.0 && !cfg.hard_fd_lookup && !cfg.ar_sampling);
+    let default_rule = SamplingRule::Algorithm3 {
+        hard_fd_lookup: false,
+    };
+    assert!(cfg.mcmc_ratio == 0.0 && cfg.sampling == default_rule);
     let positions = discriminative_positions(&session);
     assert!(positions > 0, "the fit has no discriminative sub-model");
     let rows = 60;
-    for ar_sampling in [false, true] {
+    for rule in [default_rule, SamplingRule::AcceptReject] {
         assert_eq!(
-            traced_draw_predicts(&session, ar_sampling, rows),
+            traced_draw_predicts(&session, rule, rows),
             rows as u64 * positions,
-            "ar_sampling = {ar_sampling}"
+            "{rule:?}"
         );
     }
 }

@@ -4,7 +4,7 @@
 //! configurations.
 
 use kamino::constraints::{parse_dc, violation_percentage, Hardness};
-use kamino::core::{fit_kamino, KaminoConfig};
+use kamino::core::{fit_kamino, KaminoConfig, SamplingRule};
 use kamino::data::{Attribute, Instance, Schema, Value};
 use kamino::dp::Budget;
 use proptest::prelude::*;
@@ -83,7 +83,11 @@ proptest! {
         cfg.seed = seed;
         cfg.train_scale = 0.05;
         cfg.embed_dim = 4;
-        cfg.constraint_aware_sampling = aware;
+        cfg.sampling = if aware {
+            SamplingRule::Algorithm3 { hard_fd_lookup: false }
+        } else {
+            SamplingRule::RandSampling
+        };
         cfg.mcmc_ratio = mcmc;
         let mut session = fit_kamino(&s, &inst, std::slice::from_ref(&dc), &cfg);
         let out = session.sample(inst.n_rows());
