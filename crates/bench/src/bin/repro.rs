@@ -32,7 +32,7 @@ fn usage() -> ! {
          --fast        CI-sized matrix (Adult+Tax, 2-point ε grid, 3 synthesizers,\n\
          \x20             no studies)\n\
          --seed N      master seed (default 11)\n\
-         --rows N      rows per corpus (default: 240 fast / 800 full; env KAMINO_REPRO_N)\n\
+         --rows N      rows per corpus (default: 2000 fast / 800 full; env KAMINO_REPRO_N)\n\
          --threads N   worker threads (default: available parallelism)\n\
          --cache-dir   snapshot cache directory (default target/repro-cache)\n\
          --out-json    output path (default BENCH_repro.json)\n\
