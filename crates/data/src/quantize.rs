@@ -125,7 +125,12 @@ impl Quantizer {
 
     /// Samples a uniform value within `bin` (Algorithm 3 line 2: "sample a
     /// bin, and randomly take a value from the domain represented by the
-    /// bin").
+    /// bin"), with one RNG draw for a numeric quantizer.
+    ///
+    /// On an integer attribute the value is uniform over the integers of
+    /// `[min, max]` whose [`Quantizer::bin`] is `bin`. A bin narrower than
+    /// one unit may hold no integer; it returns
+    /// [`Quantizer::representative`], its rounded midpoint.
     pub fn sample_in_bin<R: Rng + ?Sized>(&self, bin: usize, rng: &mut R) -> Value {
         match &self.kind {
             QKind::Cat { card } => Value::Cat(bin.min(card - 1) as u32),
@@ -135,16 +140,44 @@ impl Quantizer {
                 bins,
                 integer,
             } => {
+                let u = rng.gen::<f64>();
                 let w = (max - min) / *bins as f64;
-                let lo = min + bin as f64 * w;
-                let x = lo + rng.gen::<f64>() * w;
-                Value::Num(if *integer {
-                    x.round().clamp(*min, *max)
-                } else {
-                    x
-                })
+                if !*integer {
+                    return Value::Num(min + bin as f64 * w + u * w);
+                }
+                let (first, end) = (self.first_integer(bin), self.first_integer(bin + 1));
+                if first >= end {
+                    return self.representative(bin);
+                }
+                let k = first + (u * (end - first)).floor();
+                Value::Num(k.min(end - 1.0))
             }
         }
+    }
+
+    /// The smallest integer of `[min, max]` whose bin is at least `bin`
+    /// (`⌊max⌋ + 1` when there is none), so the integers of bin `b` are
+    /// `[first_integer(b), first_integer(b + 1))`. Starts from the bin's
+    /// real lower edge and steps past any rounding at the boundary.
+    fn first_integer(&self, bin: usize) -> f64 {
+        let QKind::Num { min, max, bins, .. } = self.kind else {
+            unreachable!("integer bins belong to numeric quantizers")
+        };
+        let (lowest, highest) = (min.ceil(), max.floor());
+        if bin >= bins {
+            return highest + 1.0;
+        }
+        let in_bin_or_above = |k: f64| self.bin(Value::Num(k)) >= bin;
+        let mut k = (min + bin as f64 * (max - min) / bins as f64)
+            .ceil()
+            .clamp(lowest, highest + 1.0);
+        while k > lowest && in_bin_or_above(k - 1.0) {
+            k -= 1.0;
+        }
+        while k <= highest && !in_bin_or_above(k) {
+            k += 1.0;
+        }
+        k
     }
 
     /// Clamps (and for integer attributes rounds) a numeric value into the
@@ -224,6 +257,41 @@ mod tests {
                 assert_eq!(q.bin(v), bin, "sampled {v} escaped bin {bin}");
             }
         }
+    }
+
+    #[test]
+    fn integer_sample_in_bin_stays_in_bin() {
+        // bin 0 of a 16-bin [0, 15] attribute spans [0, 0.9375): rounding a
+        // real draw there returned 1, the next bin, about half the time
+        let q = Quantizer::for_attr(&Attribute::integer("x", 0.0, 15.0, 16).unwrap());
+        let mut rng = StdRng::seed_from_u64(7);
+        for bin in 0..16 {
+            for _ in 0..20 {
+                assert_eq!(q.sample_in_bin(bin, &mut rng), Value::Num(bin as f64));
+            }
+        }
+        // wide bins: every integer of the bin is drawn, nothing outside it
+        let q = Quantizer::for_attr(&Attribute::integer("x", 1.0, 16.0, 4).unwrap());
+        for bin in 0..4 {
+            let mut seen = [false; 17];
+            for _ in 0..200 {
+                let v = q.sample_in_bin(bin, &mut rng);
+                assert_eq!(q.bin(v), bin, "sampled {v} escaped bin {bin}");
+                seen[v.num() as usize] = true;
+            }
+            let members = (1..=16).filter(|&k| q.bin(Value::Num(k as f64)) == bin);
+            assert!(members.into_iter().all(|k| seen[k]), "bin {bin}");
+        }
+    }
+
+    #[test]
+    fn integer_bin_without_an_integer_returns_its_representative() {
+        // [0, 3] in 10 bins: bin 1 spans [0.3, 0.6), which holds no integer
+        let q = Quantizer::for_attr(&Attribute::integer("x", 0.0, 3.0, 10).unwrap());
+        let mut rng = StdRng::seed_from_u64(3);
+        assert_eq!(q.sample_in_bin(1, &mut rng), q.representative(1));
+        assert_eq!(q.sample_in_bin(0, &mut rng), Value::Num(0.0));
+        assert_eq!(q.sample_in_bin(9, &mut rng), Value::Num(3.0));
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //!   reference twin and a brute-force feasible band, through interleaved
 //!   inserts and removes.
 //! * CSV round-trips arbitrary instances.
-//! * Quantizer bins stay within range and sample back into themselves.
+//! * Quantizer bins stay within range and sample back into themselves,
+//!   integer attributes included.
 //! * The RDP accountant is monotone in its inputs.
 
 use kamino::constraints::{
@@ -313,7 +314,13 @@ proptest! {
     /// Quantizer: bins are in range, and sampling inside a bin lands back
     /// in that bin.
     #[test]
-    fn quantizer_bin_roundtrip(x in -5.0f64..15.0, bin in 0usize..10, seed in 0u64..1000) {
+    fn quantizer_bin_roundtrip(
+        x in -5.0f64..15.0,
+        bin in 0usize..10,
+        seed in 0u64..1000,
+        hi in 1u32..40,
+        int_bins in 1usize..20,
+    ) {
         use rand::SeedableRng;
         let attr = Attribute::numeric("q", 0.0, 10.0, 10).unwrap();
         let q = Quantizer::for_attr(&attr);
@@ -321,6 +328,21 @@ proptest! {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let v = q.sample_in_bin(bin, &mut rng);
         prop_assert_eq!(q.bin(v), bin);
+
+        // integer attributes: an in-bin draw is an integer of the domain in
+        // that bin; a bin holding no integer returns its representative
+        let attr = Attribute::integer("k", 0.0, f64::from(hi), int_bins).unwrap();
+        let q = Quantizer::for_attr(&attr);
+        let bin = bin % int_bins;
+        let holds_an_integer = (0..=hi).any(|k| q.bin(Value::Num(f64::from(k))) == bin);
+        let v = q.sample_in_bin(bin, &mut rng);
+        if holds_an_integer {
+            let k = v.num();
+            prop_assert!(k == k.round() && (0.0..=f64::from(hi)).contains(&k), "{}", k);
+            prop_assert_eq!(q.bin(v), bin, "{} of [0, {}] in {} bins", k, hi, int_bins);
+        } else {
+            prop_assert_eq!(v, q.representative(bin));
+        }
     }
 
     /// SGM RDP is monotone: more sampling or less noise never costs less.
