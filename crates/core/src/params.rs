@@ -34,8 +34,6 @@ pub struct PrivacyParams {
     pub t: usize,
     /// Per-example clip `C`.
     pub clip: f64,
-    /// Learning rate `η`.
-    pub lr: f64,
     /// Whether Algorithm 5 runs (weights unknown).
     pub learn_weights: bool,
     /// Violation-matrix noise multiplier `σ_w`.
@@ -110,7 +108,6 @@ pub fn search_params_with_obs(
             b,
             t: t_max,
             clip: 1.0,
-            lr: 0.05,
             learn_weights: shape.weights_unknown,
             sigma_w: 0.0,
             l_w: L_W,
@@ -148,7 +145,6 @@ pub fn search_params_with_obs(
         b,
         t,
         clip: 1.0,
-        lr: 0.05,
         learn_weights: shape.weights_unknown,
         sigma_w: plan.sigma_w,
         l_w: L_W,

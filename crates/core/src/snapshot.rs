@@ -358,7 +358,10 @@ pub fn encode_params(p: &PrivacyParams, w: &mut ByteWriter) {
     w.put_usize(p.b);
     w.put_usize(p.t);
     w.put_f64(p.clip);
-    w.put_f64(p.lr);
+    // the slot of the retired `PrivacyParams::lr` (training reads
+    // `KaminoConfig::lr`): always the 0.05 it held, so bytes match every
+    // snapshot written before it went
+    w.put_f64(0.05);
     w.put_bool(p.learn_weights);
     w.put_f64(p.sigma_w);
     w.put_usize(p.l_w);
@@ -369,14 +372,21 @@ pub fn encode_params(p: &PrivacyParams, w: &mut ByteWriter) {
 
 /// Decodes parameters written by [`encode_params`].
 pub fn decode_params(r: &mut ByteReader<'_>) -> Result<PrivacyParams, WireError> {
+    let non_private = r.bool()?;
+    let sigma_g = r.f64()?;
+    let sigma_d = r.f64()?;
+    let b = r.usize()?;
+    let t = r.usize()?;
+    let clip = r.f64()?;
+    // old files hold whatever learning rate was written here
+    let _retired_lr = r.f64()?;
     Ok(PrivacyParams {
-        non_private: r.bool()?,
-        sigma_g: r.f64()?,
-        sigma_d: r.f64()?,
-        b: r.usize()?,
-        t: r.usize()?,
-        clip: r.f64()?,
-        lr: r.f64()?,
+        non_private,
+        sigma_g,
+        sigma_d,
+        b,
+        t,
+        clip,
         learn_weights: r.bool()?,
         sigma_w: r.f64()?,
         l_w: r.usize()?,
@@ -518,7 +528,6 @@ mod tests {
             b: 32,
             t: 120,
             clip: 1.0,
-            lr: 0.05,
             learn_weights: true,
             sigma_w: 2.0,
             l_w: 100,
