@@ -7,8 +7,7 @@
 
 use kamino_data::stats::normalize;
 use kamino_data::{Instance, Schema};
-use kamino_dp::mechanisms::add_gaussian_noise;
-use kamino_dp::{calibrate_sgm_sigma, Budget};
+use kamino_dp::{calibrate_sgm_sigma, release_histogram, Budget};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -44,7 +43,7 @@ impl Synthesizer for Independent {
         let dists: Vec<Vec<f64>> = (0..k)
             .map(|j| {
                 let mut counts = disc.marginal(j);
-                add_gaussian_noise(&mut counts, std::f64::consts::SQRT_2, sigma, &mut rng);
+                release_histogram(&mut counts, sigma, &mut rng);
                 normalize(&counts)
             })
             .collect();

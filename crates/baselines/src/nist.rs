@@ -17,8 +17,7 @@ use std::collections::HashMap;
 
 use kamino_data::stats::{normalize, sample_weighted};
 use kamino_data::{Instance, Schema};
-use kamino_dp::mechanisms::add_gaussian_noise;
-use kamino_dp::{calibrate_sgm_sigma, Budget};
+use kamino_dp::{calibrate_sgm_sigma, release_histogram, Budget};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -103,7 +102,7 @@ impl Synthesizer for NistPgm {
         let oneway: Vec<Vec<f64>> = (0..k)
             .map(|j| {
                 let mut c = disc.marginal(j);
-                add_gaussian_noise(&mut c, std::f64::consts::SQRT_2, sigma, &mut rng);
+                release_histogram(&mut c, sigma, &mut rng);
                 normalize(&c)
             })
             .collect();
@@ -111,7 +110,7 @@ impl Synthesizer for NistPgm {
         let mut twoway: HashMap<(usize, usize), Vec<f64>> = HashMap::new();
         for &(a, b) in &measured {
             let mut c = disc.joint2(a, b);
-            add_gaussian_noise(&mut c, std::f64::consts::SQRT_2, sigma, &mut rng);
+            release_histogram(&mut c, sigma, &mut rng);
             for x in &mut c {
                 *x = x.max(0.0);
             }

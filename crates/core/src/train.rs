@@ -16,8 +16,7 @@
 
 use kamino_data::stats::{histogram, normalize};
 use kamino_data::{AttrKind, Instance, Schema};
-use kamino_dp::mechanisms::add_gaussian_noise;
-use kamino_dp::poisson_sample;
+use kamino_dp::{poisson_sample, release_histogram};
 use kamino_nn::{Attention, CategoricalHead, DpSgd, GaussianHead};
 use kamino_obs::ObsHandle;
 use rand::rngs::StdRng;
@@ -87,8 +86,7 @@ fn noisy_distribution(
     rng: &mut StdRng,
 ) -> Vec<f64> {
     let mut counts = histogram(schema, inst, attr);
-    // neighboring instances (one tuple changed) move two counts by 1 ⇒ √2
-    add_gaussian_noise(&mut counts, std::f64::consts::SQRT_2, sigma_g, rng);
+    release_histogram(&mut counts, sigma_g, rng);
     normalize(&counts)
 }
 

@@ -7,13 +7,14 @@
 //! * [`mechanisms`] — the one vector Gaussian mechanism,
 //!   [`add_gaussian_noise`], through which DP-SGD, the M1 histograms, the
 //!   M3 weights and the Gaussian baselines all release (its σ comes from
-//!   the [`planner`] or [`rdp`] calibration), and the Laplace mechanism
-//!   (used by the PrivBayes baseline),
+//!   the [`planner`] or [`rdp`] calibration); [`release_histogram`], the
+//!   one histogram release at [`HISTOGRAM_SENSITIVITY`]; and the Laplace
+//!   mechanism (used by the PrivBayes baseline),
 //! * [`rdp`] — a Rényi-DP accountant implementing the Sampled Gaussian
 //!   Mechanism bound of Mironov et al. (2019), RDP composition, and the
 //!   RDP→(ε, δ) conversion of the paper's Eqn. (7),
-//! * [`sensitivity`] — L2 sensitivities, including Lemma 1's violation
-//!   matrix bound,
+//! * [`sensitivity`] — L2 sensitivities: a histogram's under the
+//!   replace-one relation, and Lemma 1's violation matrix bound,
 //! * [`sampling`] — Poisson subsampling shared by DP-SGD and Algorithm 5,
 //! * [`planner`] — the [`BudgetPlanner`]: solves per-mechanism σ's for
 //!   Theorem 1's three-way composition (M1 histogram, M2 DP-SGD, M3
@@ -35,7 +36,7 @@ pub mod sampling;
 pub mod sensitivity;
 pub mod snapshot;
 
-pub use mechanisms::{add_gaussian_noise, add_laplace_noise};
+pub use mechanisms::{add_gaussian_noise, add_laplace_noise, release_histogram};
 pub use normal::standard_normal;
 pub use planner::{
     composed_epsilon, mechanism, spend_fingerprint, BudgetPlan, BudgetPlanner, RunShape,
@@ -45,7 +46,7 @@ pub use rdp::{
     CalibrationError, RdpAccountant,
 };
 pub use sampling::poisson_sample;
-pub use sensitivity::violation_matrix_sensitivity;
+pub use sensitivity::{violation_matrix_sensitivity, HISTOGRAM_SENSITIVITY};
 
 /// An (ε, δ) differential-privacy budget.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -3,6 +3,7 @@
 use rand::Rng;
 
 use crate::normal::standard_normal_pair;
+use crate::sensitivity::HISTOGRAM_SENSITIVITY;
 
 /// Adds `N(0, (sensitivity·σ)²)` noise to each component in place — the
 /// Gaussian mechanism applied to a vector-valued query with L2 sensitivity
@@ -47,6 +48,14 @@ pub fn add_gaussian_noise<R: Rng + ?Sized>(
     if let [last] = pairs.into_remainder() {
         *last += std * standard_normal_pair(rng).0;
     }
+}
+
+/// Releases a histogram with the Gaussian mechanism at noise multiplier
+/// `sigma`: [`add_gaussian_noise`] at [`HISTOGRAM_SENSITIVITY`]. Kamino's
+/// M1 marginals and the Gaussian baselines' 1- and 2-way marginals all
+/// release through it, so the neighbouring relation is set in one place.
+pub fn release_histogram<R: Rng + ?Sized>(counts: &mut [f64], sigma: f64, rng: &mut R) {
+    add_gaussian_noise(counts, HISTOGRAM_SENSITIVITY, sigma, rng);
 }
 
 /// Adds `Laplace(0, scale)` noise to each component in place. For a query

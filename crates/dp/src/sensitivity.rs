@@ -1,5 +1,11 @@
 //! L2 sensitivity bounds.
 
+/// L2 sensitivity of a histogram — a vector of counts over any domain,
+/// 1-way or joint — under the replace-one neighbouring relation: changing
+/// one tuple moves one count down by 1 and another up by 1, so
+/// `‖Δ‖₂ = √2`. [`crate::release_histogram`] noises at this scale.
+pub const HISTOGRAM_SENSITIVITY: f64 = std::f64::consts::SQRT_2;
+
 /// Lemma 1 of the paper: the L2 sensitivity of the violation matrix over a
 /// size-`l_w` sample, for a DC set with `n_unary` unary and `n_binary`
 /// binary DCs:
@@ -42,6 +48,21 @@ pub fn clip_l2(v: &mut [f64], c: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn histogram_sensitivity_is_the_largest_replace_one_change() {
+        // every way to change one tuple of a 3-code histogram
+        let mut worst = 0.0f64;
+        for from in 0..3 {
+            for to in 0..3 {
+                let mut delta = [0.0; 3];
+                delta[from] -= 1.0;
+                delta[to] += 1.0;
+                worst = worst.max(l2_norm(&delta));
+            }
+        }
+        assert_eq!(worst, HISTOGRAM_SENSITIVITY);
+    }
 
     #[test]
     fn lemma1_closed_form() {
