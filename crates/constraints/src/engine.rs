@@ -6,18 +6,23 @@
 //!   some orientation `(t_i, t_j)` makes all predicates true. This matches
 //!   Metric I (§7.1), which reports `100·|V(φ, D)| / C(n, 2)`.
 //!
-//! Counting dispatches on DC shape:
-//! * FD-shaped DCs count in O(n) by grouping on the determinant;
-//! * DCs of the shape `equalities ∧ (A strict-op) ∧ (B strict-op)` (e.g.
-//!   φ₂ᵃ, φ₆ᵗ) count in O(n log n) with a Fenwick tree per equality group;
-//! * everything else falls back to the exact O(n²) pair scan — the
-//!   complexity the paper itself states for general binary DCs.
-
-use std::collections::HashMap;
+//! Every count runs through the sampler's own index for the DC's shape,
+//! [`DcCounter::build`], so the zero Algorithm 3 enforces and the Ψ that
+//! Metric I and Algorithm 5's violation matrix report come from one
+//! counter per shape:
+//! * pair totals are Equation (3), `|V(φ, D)| = Σ_i |V(φ, t_i | D_:i)|`:
+//!   each row's `count_new` against the rows before it, then `insert` —
+//!   O(n) for FDs, and the exact O(n²) scan the paper states for general
+//!   binary DCs;
+//! * strict orders (e.g. φ₂ᵃ, φ₆ᵗ) insert every row and count the stored
+//!   pairs in one O(n log n) Fenwick pass per equality partition;
+//! * per-tuple counts insert every row, then read each row's `count_new`;
+//!   every index leaves the row itself out of that count.
 
 use kamino_data::{Instance, Value};
 
-use crate::ast::{CmpOp, DenialConstraint, StrictOrder};
+use crate::ast::DenialConstraint;
+use crate::incremental::{CandidateRow, DcCounter};
 
 /// Stable hashable key for a cell value. Keys are only ever compared
 /// within a single attribute, whose values are all of one kind, so no
@@ -36,6 +41,12 @@ pub(crate) fn value_key(v: Value) -> u64 {
     }
 }
 
+/// The rows of `inst` as stored, in order. (The target attribute of a
+/// committed view only matters for a hypothetical value; 0 is any.)
+fn rows(inst: &Instance) -> impl Iterator<Item = CandidateRow<'_>> {
+    (0..inst.n_rows()).map(move |i| CandidateRow::committed(inst, i, 0))
+}
+
 /// Number of tuples violating a unary DC.
 ///
 /// # Panics
@@ -45,13 +56,8 @@ pub fn count_unary_violations(dc: &DenialConstraint, inst: &Instance) -> u64 {
         !dc.is_binary(),
         "count_unary_violations called with a binary DC"
     );
-    let mut count = 0;
-    for i in 0..inst.n_rows() {
-        if dc.violated_by_tuple(|a| inst.value(i, a)) {
-            count += 1;
-        }
-    }
-    count
+    let counter = DcCounter::build(dc);
+    rows(inst).map(|row| counter.count_new(&row)).sum()
 }
 
 /// Number of unordered tuple pairs violating a binary DC (in either
@@ -64,46 +70,18 @@ pub fn count_violating_pairs(dc: &DenialConstraint, inst: &Instance) -> u64 {
         dc.is_binary(),
         "count_violating_pairs called with a unary DC"
     );
-    if let Some(fd) = dc.as_fd() {
-        return fd_violating_pairs(&fd.lhs, fd.rhs, inst);
+    let mut counter = DcCounter::build(dc);
+    if dc.as_strict_order().is_some() {
+        rows(inst).for_each(|row| counter.insert(&row));
+        return counter
+            .stored_order_pairs()
+            .expect("a strict-order counter");
     }
-    if let Some(shape) = OrderShape::recognize(dc) {
-        return shape.count_pairs(inst);
-    }
-    naive_violating_pairs(dc, inst)
-}
-
-fn naive_violating_pairs(dc: &DenialConstraint, inst: &Instance) -> u64 {
-    let n = inst.n_rows();
-    let mut count = 0;
-    for i in 0..n {
-        for j in (i + 1)..n {
-            if dc.violated_by_pair(&|a| inst.value(i, a), &|a| inst.value(j, a)) {
-                count += 1;
-            }
-        }
-    }
-    count
-}
-
-/// O(n) FD pair counting: for groups with equal determinant values, pairs
-/// that disagree on the dependent violate. `Σ_g [C(g,2) − Σ_v C(c_v,2)]`.
-fn fd_violating_pairs(lhs: &[usize], rhs: usize, inst: &Instance) -> u64 {
-    let mut groups: HashMap<Vec<u64>, HashMap<u64, u64>> = HashMap::new();
-    for i in 0..inst.n_rows() {
-        let key: Vec<u64> = lhs.iter().map(|&a| value_key(inst.value(i, a))).collect();
-        *groups
-            .entry(key)
-            .or_default()
-            .entry(value_key(inst.value(i, rhs)))
-            .or_insert(0) += 1;
-    }
-    let choose2 = |m: u64| m * m.saturating_sub(1) / 2;
-    groups
-        .values()
-        .map(|by_rhs| {
-            let g: u64 = by_rhs.values().sum();
-            choose2(g) - by_rhs.values().map(|&c| choose2(c)).sum::<u64>()
+    rows(inst)
+        .map(|row| {
+            let new = counter.count_new(&row);
+            counter.insert(&row);
+            new
         })
         .sum()
 }
@@ -113,49 +91,9 @@ fn fd_violating_pairs(lhs: &[usize], rhs: usize, inst: &Instance) -> u64 {
 /// DCs 1 if `t_i` itself violates, else 0. This is the column of the
 /// violation matrix Algorithm 5 builds.
 pub fn per_tuple_violations(dc: &DenialConstraint, inst: &Instance) -> Vec<u64> {
-    let n = inst.n_rows();
-    if !dc.is_binary() {
-        return (0..n)
-            .map(|i| u64::from(dc.violated_by_tuple(|a| inst.value(i, a))))
-            .collect();
-    }
-    if let Some(fd) = dc.as_fd() {
-        // partner count = group size − tuples sharing the dependent value
-        let mut groups: HashMap<Vec<u64>, HashMap<u64, u64>> = HashMap::new();
-        let mut keys = Vec::with_capacity(n);
-        for i in 0..n {
-            let key: Vec<u64> = fd
-                .lhs
-                .iter()
-                .map(|&a| value_key(inst.value(i, a)))
-                .collect();
-            let rv = value_key(inst.value(i, fd.rhs));
-            *groups
-                .entry(key.clone())
-                .or_default()
-                .entry(rv)
-                .or_insert(0) += 1;
-            keys.push((key, rv));
-        }
-        return keys
-            .into_iter()
-            .map(|(key, rv)| {
-                let by_rhs = &groups[&key];
-                let g: u64 = by_rhs.values().sum();
-                g - by_rhs[&rv]
-            })
-            .collect();
-    }
-    let mut counts = vec![0u64; n];
-    for i in 0..n {
-        for j in (i + 1)..n {
-            if dc.violated_by_pair(&|a| inst.value(i, a), &|a| inst.value(j, a)) {
-                counts[i] += 1;
-                counts[j] += 1;
-            }
-        }
-    }
-    counts
+    let mut counter = DcCounter::build(dc);
+    rows(inst).for_each(|row| counter.insert(&row));
+    rows(inst).map(|row| counter.count_new(&row)).collect()
 }
 
 /// Metric I: percentage of violating tuple pairs (binary DCs) or violating
@@ -176,106 +114,15 @@ pub fn violation_percentage(dc: &DenialConstraint, inst: &Instance) -> f64 {
     }
 }
 
-/// The strict-order shape (see [`StrictOrder`]) counted with a Fenwick
-/// tree per equality group.
-pub(crate) struct OrderShape {
-    order: StrictOrder,
-}
-
-impl OrderShape {
-    pub(crate) fn recognize(dc: &DenialConstraint) -> Option<OrderShape> {
-        dc.as_strict_order().map(|order| OrderShape { order })
-    }
-
-    /// Counts unordered violating pairs in O(n log n) per equality group.
-    ///
-    /// Canonicalize so that within a pair, `u` is the row with the strictly
-    /// larger `A` value; a violation occurs iff `b_u CMP b_v` where `CMP` is
-    /// `op_b` when `op_a = >`, or the flip of `op_b` when `op_a = <`
-    /// (swapping the roles of `t1`/`t2`). Strictness means equal-`A` or
-    /// equal-`B` pairs never violate, so each violating unordered pair is
-    /// counted exactly once.
-    pub(crate) fn count_pairs(&self, inst: &Instance) -> u64 {
-        let n = inst.n_rows();
-        let mut groups: HashMap<Vec<u64>, Vec<usize>> = HashMap::new();
-        for i in 0..n {
-            let key: Vec<u64> = self
-                .order
-                .eq_attrs
-                .iter()
-                .map(|&a| value_key(inst.value(i, a)))
-                .collect();
-            groups.entry(key).or_default().push(i);
-        }
-        let larger_b_means_violation = match (self.order.a.1, self.order.b.1) {
-            (CmpOp::Gt, op) => op == CmpOp::Lt, // u has larger a; need b_u op b_v
-            (CmpOp::Lt, op) => op == CmpOp::Gt, // u plays t2; flip
-            _ => unreachable!("recognize() only admits strict ops"),
-        };
-        // `larger_b_means_violation == true`  ⇒ violation iff b_u < b_v
-        // (the larger-a row has the *smaller* b) — count inserted rows with
-        // b strictly greater; otherwise count strictly smaller.
-        let mut total = 0u64;
-        for rows in groups.values() {
-            total += self.count_group(inst, rows, larger_b_means_violation);
-        }
-        total
-    }
-
-    fn count_group(&self, inst: &Instance, rows: &[usize], count_greater: bool) -> u64 {
-        let (attr_a, attr_b) = (self.order.a.0, self.order.b.0);
-        // Sort by a ascending; process tie-blocks of equal a together.
-        let mut order: Vec<usize> = rows.to_vec();
-        order.sort_by(|&i, &j| inst.value(i, attr_a).compare(inst.value(j, attr_a)));
-        // Coordinate-compress b.
-        let mut bs: Vec<Value> = rows.iter().map(|&i| inst.value(i, attr_b)).collect();
-        bs.sort_by(|x, y| x.compare(*y));
-        bs.dedup_by(|x, y| x.compare(*y) == std::cmp::Ordering::Equal);
-        let rank = |v: Value| -> usize {
-            bs.partition_point(|&x| x.compare(v) == std::cmp::Ordering::Less)
-        };
-        let mut bit = Fenwick::new(bs.len());
-        let mut total = 0u64;
-        let mut idx = 0;
-        while idx < order.len() {
-            // Identify the tie-block [idx, end) of equal a-values.
-            let mut end = idx + 1;
-            let a_val = inst.value(order[idx], attr_a);
-            while end < order.len()
-                && inst.value(order[end], attr_a).compare(a_val) == std::cmp::Ordering::Equal
-            {
-                end += 1;
-            }
-            // Query the whole block against strictly-smaller-a rows...
-            for &i in &order[idx..end] {
-                let r = rank(inst.value(i, attr_b));
-                total += if count_greater {
-                    bit.total() - bit.prefix(r + 1) // strictly greater b
-                } else {
-                    bit.prefix(r) // strictly smaller b
-                };
-            }
-            // ...then insert the block.
-            for &i in &order[idx..end] {
-                bit.add(rank(inst.value(i, attr_b)));
-            }
-            idx = end;
-        }
-        total
-    }
-}
-
 /// Minimal Fenwick (binary indexed) tree over counts.
 pub(crate) struct Fenwick {
     tree: Vec<u64>,
-    total: u64,
 }
 
 impl Fenwick {
     pub(crate) fn new(n: usize) -> Fenwick {
         Fenwick {
             tree: vec![0; n + 1],
-            total: 0,
         }
     }
 
@@ -286,7 +133,6 @@ impl Fenwick {
             self.tree[i] += 1;
             i += i & i.wrapping_neg();
         }
-        self.total += 1;
     }
 
     /// Count of occurrences at positions `< i` (0-based exclusive bound).
@@ -299,11 +145,6 @@ impl Fenwick {
         }
         s
     }
-
-    /// Total inserted count.
-    pub(crate) fn total(&self) -> u64 {
-        self.total
-    }
 }
 
 #[cfg(test)]
@@ -312,6 +153,20 @@ mod tests {
     use crate::ast::Hardness;
     use crate::parser::parse_dc;
     use kamino_data::{Attribute, Schema};
+
+    /// The reference: every unordered pair, evaluated in both orientations.
+    fn naive_violating_pairs(dc: &DenialConstraint, inst: &Instance) -> u64 {
+        let n = inst.n_rows();
+        let mut count = 0;
+        for i in 0..n {
+            for j in (i + 1)..n {
+                if dc.violated_by_pair(&|a| inst.value(i, a), &|a| inst.value(j, a)) {
+                    count += 1;
+                }
+            }
+        }
+        count
+    }
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -412,7 +267,7 @@ mod tests {
                 (0, 0.0, 5.0, 9.0, 2), // different states: no violation
             ],
         );
-        assert!(OrderShape::recognize(&dc).is_some());
+        assert!(dc.as_strict_order().is_some());
         assert_eq!(
             count_violating_pairs(&dc, &d),
             naive_violating_pairs(&dc, &d)
@@ -430,7 +285,7 @@ mod tests {
             Hardness::Soft,
         )
         .unwrap();
-        assert!(OrderShape::recognize(&dc).is_none());
+        assert!(dc.as_strict_order().is_none());
         let d = inst(&s, &[(0, 0.0, 5.0, 5.0, 0), (0, 0.0, 5.0, 5.0, 0)]);
         // equal rows satisfy >= and <= in both orientations
         assert_eq!(count_violating_pairs(&dc, &d), 1);
@@ -550,7 +405,6 @@ mod tests {
         f.add(2);
         f.add(2);
         f.add(4);
-        assert_eq!(f.total(), 4);
         assert_eq!(f.prefix(0), 0);
         assert_eq!(f.prefix(1), 1);
         assert_eq!(f.prefix(3), 3);

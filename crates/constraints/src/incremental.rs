@@ -20,6 +20,10 @@
 //!   `A_φ`), matching the paper's stated O(n) per-candidate complexity for
 //!   general binary DCs.
 //!
+//! The full-instance counts of [`crate::engine`] — Metric I and
+//! Algorithm 5's violation matrix — run through these same counters, so
+//! each DC shape has one violation count.
+//!
 //! ## Read/write split
 //!
 //! * [`FdIndex`] and [`ScanIndex`] are the **prefix indexes**. All scoring
@@ -40,7 +44,7 @@ use std::collections::HashMap;
 use kamino_data::{Instance, Value};
 
 use crate::ast::{CmpOp, DenialConstraint, Fd, StrictOrder};
-use crate::engine::value_key;
+use crate::engine::{value_key, Fenwick};
 
 /// A view of one tuple where the `target` attribute takes a hypothetical
 /// `value` and every other attribute reads from the (partially filled)
@@ -624,6 +628,29 @@ impl OrderTable {
         }
     }
 
+    /// Unordered violating pairs among the stored rows, in O(n log n). A
+    /// pair violates exactly when one row lies strictly below the other on
+    /// both flipped keys, so one case covers every operator pair: walk each
+    /// partition in `a` order and, per block of equal `a`, count the
+    /// earlier rows with a strictly smaller `b` before adding the block.
+    fn stored_pairs(&self) -> u64 {
+        let mut total = 0;
+        for part in &self.parts {
+            let mut bs = part.b.clone();
+            bs.sort_unstable();
+            bs.dedup();
+            let rank = |slot: usize| bs.partition_point(|&b| b < part.b[slot]);
+            let mut by_a: Vec<usize> = (0..part.ids.len()).collect();
+            by_a.sort_unstable_by_key(|&slot| part.a[slot]);
+            let mut below = Fenwick::new(bs.len());
+            for block in by_a.chunk_by(|&s, &t| part.a[s] == part.a[t]) {
+                total += block.iter().map(|&s| below.prefix(rank(s))).sum::<u64>();
+                block.iter().for_each(|&s| below.add(rank(s)));
+            }
+        }
+        total
+    }
+
     fn insert(&mut self, cand: &CandidateRow<'_>) {
         let found = with_key(&self.order.eq_attrs, cand, |key| {
             self.part_of.get(key).copied()
@@ -1002,6 +1029,18 @@ impl DcCounter {
     /// Whether no rows are inserted.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// For a strict-order counter, the unordered violating pairs among
+    /// the inserted rows, counted in O(n log n); `None` for other shapes.
+    pub(crate) fn stored_order_pairs(&self) -> Option<u64> {
+        match self {
+            DcCounter::Scan(ScanIndex {
+                layout: ScanLayout::Order(t),
+                ..
+            }) => Some(t.stored_pairs()),
+            _ => None,
+        }
     }
 }
 

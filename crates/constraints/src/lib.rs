@@ -11,7 +11,8 @@
 //!   (`!(t1.edu == t2.edu & t1.edu_num != t2.edu_num)`),
 //! * a full-instance counting [`engine`] (violating pairs, per-tuple
 //!   violation vectors for Algorithm 5's violation matrix, percentage
-//!   metrics) with an O(n) fast path for FD-shaped DCs,
+//!   metrics) that drives the incremental counters below, so each DC shape
+//!   is counted by one index,
 //! * [`incremental`] counters implementing `V(φ, t_i | D_:i)` — the quantity
 //!   Algorithm 3 queries per candidate value — with a hash-index fast path
 //!   for FDs and an exact scan fallback matching the paper's stated
