@@ -2,7 +2,8 @@
 //!
 //! * Eqn. (3): the incremental counters' chain rule matches full-instance
 //!   counting for random instances and random DC shapes.
-//! * The engine's FD/order fast paths agree with the naive pair scan.
+//! * The engine's pair totals and per-tuple counts agree with brute-force
+//!   pair scans for every DC shape.
 //! * The partitioned strict-order scan layout answers like its generic
 //!   reference twin and a brute-force feasible band, through interleaved
 //!   inserts and removes.
@@ -12,8 +13,8 @@
 //! * The RDP accountant is monotone in its inputs.
 
 use kamino::constraints::{
-    count_violating_pairs, parse_dc, CandidateRow, CmpOp, DcCounter, DenialConstraint, Hardness,
-    Operand, Predicate, ScanIndexRef, ScoreSet, TupleRef,
+    count_violating_pairs, parse_dc, per_tuple_violations, CandidateRow, CmpOp, DcCounter,
+    DenialConstraint, Hardness, Operand, Predicate, ScanIndexRef, ScoreSet, TupleRef,
 };
 use kamino::data::{csv, Attribute, Instance, Quantizer, Schema, Value};
 use kamino::dp::{sgm_rdp, RdpAccountant};
@@ -247,6 +248,30 @@ proptest! {
                 naive_pairs(dc, &inst),
                 "{}", dc.name
             );
+        }
+    }
+
+    /// Per-tuple counts (Algorithm 5's violation-matrix columns) equal a
+    /// brute-force partner count for every DC shape: FD, strict order
+    /// (categorical included), non-strict order and unary.
+    #[test]
+    fn per_tuple_counts_match_brute_force(inst in arb_instance(30)) {
+        let n = inst.n_rows();
+        for dc in &dc_pool() {
+            let brute: Vec<u64> = (0..n)
+                .map(|i| {
+                    if !dc.is_binary() {
+                        return u64::from(dc.violated_by_tuple(|a| inst.value(i, a)));
+                    }
+                    (0..n)
+                        .filter(|&j| j != i)
+                        .filter(|&j| {
+                            dc.violated_by_pair(&|a| inst.value(i, a), &|a| inst.value(j, a))
+                        })
+                        .count() as u64
+                })
+                .collect();
+            prop_assert_eq!(per_tuple_violations(dc, &inst), brute, "{}", dc.name);
         }
     }
 
