@@ -1048,7 +1048,6 @@ impl DcCounter {
 mod tests {
     use super::*;
     use crate::ast::Hardness;
-    use crate::engine::count_violating_pairs;
     use crate::parser::parse_dc;
     use kamino_data::{Attribute, Instance, Schema};
 
@@ -1091,7 +1090,7 @@ mod tests {
     }
 
     /// Eqn. (3): the sum of incremental counts over the tuple sequence
-    /// equals the total violation count.
+    /// equals the total violation count of a pair scan.
     fn check_chain_rule(dc: &DenialConstraint, d: &Instance, target: usize) {
         let mut counter = DcCounter::build(dc);
         let mut incremental_sum = 0;
@@ -1100,11 +1099,11 @@ mod tests {
             incremental_sum += counter.count_new(&cand);
             counter.insert(&cand);
         }
-        assert_eq!(
-            incremental_sum,
-            count_violating_pairs(dc, d),
-            "chain rule violated"
-        );
+        let pairs = (0..d.n_rows())
+            .flat_map(|i| (i + 1..d.n_rows()).map(move |j| (i, j)))
+            .filter(|&(i, j)| dc.violated_by_pair(&|a| d.value(i, a), &|a| d.value(j, a)))
+            .count() as u64;
+        assert_eq!(incremental_sum, pairs, "chain rule violated");
     }
 
     #[test]

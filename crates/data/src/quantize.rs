@@ -261,8 +261,9 @@ mod tests {
 
     #[test]
     fn integer_sample_in_bin_stays_in_bin() {
-        // bin 0 of a 16-bin [0, 15] attribute spans [0, 0.9375): rounding a
-        // real draw there returned 1, the next bin, about half the time
+        // bin b of a 16-bin [0, 15] attribute spans [0.9375·b, 0.9375·(b+1)),
+        // so b is its only integer: rounding a real draw lands in a
+        // neighbour
         let q = Quantizer::for_attr(&Attribute::integer("x", 0.0, 15.0, 16).unwrap());
         let mut rng = StdRng::seed_from_u64(7);
         for bin in 0..16 {
