@@ -526,14 +526,20 @@ fn placeholder_value(schema: &Schema, attr: usize) -> Value {
 
 /// The `k` most probable codes with their probabilities (all codes when
 /// the domain is small), written into a reused buffer (cleared first).
-/// The sort is stable and keyed only on the input, so buffer reuse cannot
-/// change the selection.
+/// A wide domain is partitioned around its `k`-th code and only the kept
+/// `k` are sorted. The order (probability descending by `total_cmp`, then
+/// code ascending) is a strict total order, so the result is exactly a
+/// stable sort's by probability, and buffer reuse cannot change it.
 fn top_k_into(dist: &[f64], k: usize, out: &mut Vec<(usize, f64)>) {
     out.clear();
     out.extend(dist.iter().copied().enumerate());
     if out.len() > k {
-        out.sort_by(|a, b| b.1.total_cmp(&a.1));
+        let by_mass = |a: &(usize, f64), b: &(usize, f64)| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0));
+        if k > 0 {
+            out.select_nth_unstable_by(k - 1, by_mass);
+        }
         out.truncate(k);
+        out.sort_unstable_by(by_mass);
     }
 }
 
@@ -755,6 +761,31 @@ pub(crate) mod tests {
         let out = draw(&s, &model, &dcs, &[HARD_WEIGHT], &aware(), 300, 14);
         for i in 0..out.n_rows() {
             assert!(out.num(i, 2) <= 8.0, "unary DC violated at row {i}");
+        }
+    }
+
+    proptest::proptest! {
+        /// The partitioned top-k equals the stable sort it replaced, on
+        /// domains full of ties, signed zeros and subnormals.
+        #[test]
+        fn top_k_matches_a_stable_sort(
+            dist in proptest::collection::vec(
+                proptest::sample::select(vec![0.0, -0.0, 0.25, 0.5, 1e-310, 0.125, 1.0]),
+                0..200,
+            ),
+            k in 0usize..80,
+        ) {
+            let mut want: Vec<(usize, f64)> = dist.iter().copied().enumerate().collect();
+            if want.len() > k {
+                want.sort_by(|a, b| b.1.total_cmp(&a.1));
+                want.truncate(k);
+            }
+            let mut got = vec![(7, 3.0)];
+            top_k_into(&dist, k, &mut got);
+            let bits = |v: &[(usize, f64)]| -> Vec<(usize, u64)> {
+                v.iter().map(|&(i, p)| (i, p.to_bits())).collect()
+            };
+            proptest::prop_assert_eq!(bits(&got), bits(&want));
         }
     }
 
