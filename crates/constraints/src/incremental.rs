@@ -43,7 +43,7 @@ use std::collections::HashMap;
 
 use kamino_data::{Instance, Value};
 
-use crate::ast::{CmpOp, DenialConstraint, Fd, StrictOrder};
+use crate::ast::{CmpOp, DenialConstraint, Fd, Operand, StrictOrder, TupleRef};
 use crate::engine::{value_key, Fenwick};
 
 /// A view of one tuple where the `target` attribute takes a hypothetical
@@ -405,13 +405,13 @@ fn flipped_key(v: Value, op: CmpOp) -> i64 {
 
 /// The generic scan layout: each inserted row restricted to `A_φ` in one
 /// contiguous row-major table (stride = `|A_φ|`), scored by running the
-/// DC's predicates over every stored row.
+/// DC's predicates, compiled to positions in that stride, over every
+/// stored row.
 struct RowTable {
     attrs: Vec<usize>,
-    /// Attribute id → position in `attrs`, pre-resolved so the per-pair
-    /// scan loop does a direct index instead of a linear search on every
-    /// operand access (`usize::MAX` marks attributes outside `A_φ`).
-    pos_of: Vec<usize>,
+    /// The DC's predicates with each attribute operand resolved once, at
+    /// build time, to its position in `attrs`.
+    preds: Vec<(Slot, CmpOp, Slot)>,
     /// Row-major values aligned with `attrs`; slot `s` occupies
     /// `data[s * attrs.len() .. (s + 1) * attrs.len()]`.
     data: Vec<Value>,
@@ -421,41 +421,77 @@ struct RowTable {
     slot_of: HashMap<usize, usize>,
 }
 
+/// A predicate operand of a [`RowTable`]: a position in the first or the
+/// second tuple's `A_φ` values, or a constant.
+#[derive(Clone, Copy)]
+enum Slot {
+    T1(usize),
+    T2(usize),
+    Const(Value),
+}
+
+impl Slot {
+    #[inline]
+    fn read(self, t1: &[Value], t2: &[Value]) -> Value {
+        match self {
+            Slot::T1(p) => t1[p],
+            Slot::T2(p) => t2[p],
+            Slot::Const(v) => v,
+        }
+    }
+}
+
 impl RowTable {
     fn new(dc: &DenialConstraint) -> RowTable {
         let attrs: Vec<usize> = dc.attrs().into_iter().collect();
-        let mut pos_of = vec![usize::MAX; attrs.iter().max().map_or(0, |&a| a + 1)];
-        for (p, &a) in attrs.iter().enumerate() {
-            pos_of[a] = p;
-        }
+        let slot = |o: Operand| match o {
+            Operand::Attr { tuple, attr } => {
+                let p = attrs
+                    .binary_search(&attr)
+                    .expect("operand attribute is in A_phi");
+                match tuple {
+                    TupleRef::T1 => Slot::T1(p),
+                    TupleRef::T2 => Slot::T2(p),
+                }
+            }
+            Operand::Const(v) => Slot::Const(v),
+        };
+        let preds = dc
+            .predicates
+            .iter()
+            .map(|p| (slot(p.lhs), p.op, slot(p.rhs)))
+            .collect();
         RowTable {
             attrs,
-            pos_of,
+            preds,
             data: Vec::new(),
             row_ids: Vec::new(),
             slot_of: HashMap::new(),
         }
     }
 
+    /// [`DenialConstraint::violated_by_pair`] for the stored row `t1`
+    /// and the candidate `t2`, both as values aligned with `attrs`.
     #[inline]
-    fn pos(&self, attr: usize) -> usize {
-        let p = self.pos_of.get(attr).copied().unwrap_or(usize::MAX);
-        assert_ne!(p, usize::MAX, "attribute not in A_phi");
-        p
+    fn violated_by_pair(&self, t1: &[Value], t2: &[Value]) -> bool {
+        let holds = |t1: &[Value], t2: &[Value]| {
+            self.preds
+                .iter()
+                .all(|&(l, op, r)| op.eval(l.read(t1, t2), r.read(t1, t2)))
+        };
+        holds(t1, t2) || holds(t2, t1)
     }
 
-    fn count_new(&self, dc: &DenialConstraint, cand: &CandidateRow<'_>) -> u64 {
+    fn count_new(&self, cand: &CandidateRow<'_>) -> u64 {
+        // the candidate's row, read once per probe
+        let mine: Vec<Value> = self.attrs.iter().map(|&a| cand.get(a)).collect();
         let rows = self
             .row_ids
             .iter()
             .zip(self.data.chunks_exact(self.attrs.len().max(1)));
         let mut count = 0;
         for (&row_id, stored) in rows {
-            if row_id == cand.row() {
-                continue;
-            }
-            let stored_get = |a: usize| stored[self.pos(a)];
-            if dc.violated_by_pair(&stored_get, &|a| cand.get(a)) {
+            if row_id != cand.row() && self.violated_by_pair(stored, &mine) {
                 count += 1;
             }
         }
@@ -719,23 +755,22 @@ enum ScanLayout {
 /// a fold that is independent of iteration order (violation counts sum,
 /// feasible bounds are min/max), so the layout cannot change any answer.
 pub struct ScanIndex {
-    dc: DenialConstraint,
     layout: ScanLayout,
 }
 
 impl ScanIndex {
-    fn new(dc: DenialConstraint) -> ScanIndex {
+    fn new(dc: &DenialConstraint) -> ScanIndex {
         let layout = match dc.as_strict_order() {
             Some(order) => ScanLayout::Order(OrderTable::new(order)),
-            None => ScanLayout::Rows(RowTable::new(&dc)),
+            None => ScanLayout::Rows(RowTable::new(dc)),
         };
-        ScanIndex { dc, layout }
+        ScanIndex { layout }
     }
 
     /// New violations the candidate would introduce against the prefix.
     pub fn count_new(&self, cand: &CandidateRow<'_>) -> u64 {
         match &self.layout {
-            ScanLayout::Rows(t) => t.count_new(&self.dc, cand),
+            ScanLayout::Rows(t) => t.count_new(cand),
             ScanLayout::Order(t) => t.count_new(cand),
         }
     }
@@ -937,7 +972,7 @@ impl DcCounter {
         if let Some(fd) = dc.as_fd() {
             return DcCounter::Fd(FdIndex::new(fd));
         }
-        DcCounter::Scan(ScanIndex::new(dc.clone()))
+        DcCounter::Scan(ScanIndex::new(dc))
     }
 
     /// The read-only scoring view over the current prefix index.
