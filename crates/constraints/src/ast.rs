@@ -36,8 +36,14 @@ impl CmpOp {
     /// Evaluates the operator on two values of the same kind.
     #[inline]
     pub fn eval(self, a: Value, b: Value) -> bool {
+        self.holds(a.compare(b))
+    }
+
+    /// Whether the operator holds between two values that compare as
+    /// `ord`.
+    #[inline]
+    pub fn holds(self, ord: std::cmp::Ordering) -> bool {
         use std::cmp::Ordering::*;
-        let ord = a.compare(b);
         match self {
             CmpOp::Eq => ord == Equal,
             CmpOp::Ne => ord != Equal,

@@ -404,17 +404,18 @@ fn flipped_key(v: Value, op: CmpOp) -> i64 {
 }
 
 /// The generic scan layout: each inserted row restricted to `A_φ` in one
-/// contiguous row-major table (stride = `|A_φ|`), scored by running the
-/// DC's predicates, compiled to positions in that stride, over every
-/// stored row.
+/// contiguous row-major table (stride = `|A_φ|`) of [`order_key`]s, scored
+/// by running the DC's predicates, compiled to positions in that stride,
+/// over every stored row.
 struct RowTable {
     attrs: Vec<usize>,
     /// The DC's predicates with each attribute operand resolved once, at
     /// build time, to its position in `attrs`.
     preds: Vec<(Slot, CmpOp, Slot)>,
-    /// Row-major values aligned with `attrs`; slot `s` occupies
-    /// `data[s * attrs.len() .. (s + 1) * attrs.len()]`.
-    data: Vec<Value>,
+    /// Row-major order keys aligned with `attrs`; slot `s` occupies
+    /// `data[s * attrs.len() .. (s + 1) * attrs.len()]`. Keys compare as
+    /// their values do, so every predicate is an integer comparison.
+    data: Vec<i64>,
     /// Slot → row id, parallel to the rows of `data`.
     row_ids: Vec<usize>,
     /// Row id → slot, maintained across swap-removes.
@@ -422,21 +423,21 @@ struct RowTable {
 }
 
 /// A predicate operand of a [`RowTable`]: a position in the first or the
-/// second tuple's `A_φ` values, or a constant.
+/// second tuple's `A_φ` keys, or a constant's key.
 #[derive(Clone, Copy)]
 enum Slot {
     T1(usize),
     T2(usize),
-    Const(Value),
+    Const(i64),
 }
 
 impl Slot {
     #[inline]
-    fn read(self, t1: &[Value], t2: &[Value]) -> Value {
+    fn read(self, t1: &[i64], t2: &[i64]) -> i64 {
         match self {
             Slot::T1(p) => t1[p],
             Slot::T2(p) => t2[p],
-            Slot::Const(v) => v,
+            Slot::Const(k) => k,
         }
     }
 }
@@ -454,7 +455,7 @@ impl RowTable {
                     TupleRef::T2 => Slot::T2(p),
                 }
             }
-            Operand::Const(v) => Slot::Const(v),
+            Operand::Const(v) => Slot::Const(order_key(v)),
         };
         let preds = dc
             .predicates
@@ -471,20 +472,20 @@ impl RowTable {
     }
 
     /// [`DenialConstraint::violated_by_pair`] for the stored row `t1`
-    /// and the candidate `t2`, both as values aligned with `attrs`.
+    /// and the candidate `t2`, both as keys aligned with `attrs`.
     #[inline]
-    fn violated_by_pair(&self, t1: &[Value], t2: &[Value]) -> bool {
-        let holds = |t1: &[Value], t2: &[Value]| {
+    fn violated_by_pair(&self, t1: &[i64], t2: &[i64]) -> bool {
+        let holds = |t1: &[i64], t2: &[i64]| {
             self.preds
                 .iter()
-                .all(|&(l, op, r)| op.eval(l.read(t1, t2), r.read(t1, t2)))
+                .all(|&(l, op, r)| op.holds(l.read(t1, t2).cmp(&r.read(t1, t2))))
         };
         holds(t1, t2) || holds(t2, t1)
     }
 
     fn count_new(&self, cand: &CandidateRow<'_>) -> u64 {
         // the candidate's row, read once per probe
-        let mine: Vec<Value> = self.attrs.iter().map(|&a| cand.get(a)).collect();
+        let mine: Vec<i64> = self.attrs.iter().map(|&a| order_key(cand.get(a))).collect();
         let rows = self
             .row_ids
             .iter()
@@ -502,7 +503,8 @@ impl RowTable {
         let prev = self.slot_of.insert(cand.row(), self.row_ids.len());
         assert!(prev.is_none(), "row {} inserted twice", cand.row());
         self.row_ids.push(cand.row());
-        self.data.extend(self.attrs.iter().map(|&a| cand.get(a)));
+        self.data
+            .extend(self.attrs.iter().map(|&a| order_key(cand.get(a))));
     }
 
     fn remove(&mut self, cand: &CandidateRow<'_>) {
