@@ -190,6 +190,7 @@ impl Synthesizer for DpVae {
                 .collect();
             opt.step(&mut model, &batch, &mut rng);
         }
+        opt.finish(&mut model, &mut rng);
 
         // decode latent-prior samples
         let mut out = Instance::zeroed(schema, n_out);

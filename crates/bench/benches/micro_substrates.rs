@@ -117,6 +117,14 @@ impl PerExampleModel<(u32, usize)> for EmbedModel {
         self.emb.visit_blocks(f);
         self.head.visit_blocks(f);
     }
+
+    fn visit_read_rows(
+        &mut self,
+        &(code, _): &(u32, usize),
+        f: &mut dyn FnMut(&mut ParamBlock, usize),
+    ) {
+        self.emb.visit_row(code, f);
+    }
 }
 
 /// The per-cell reference composition the sampler's `ColumnPredictor`

@@ -1248,7 +1248,7 @@ mod tests {
         // revision segment moves only with `FIT_REVISION`
         assert_eq!(
             ReproConfig::fast(17).cache_path("adult", 1.0, MethodKind::Kamino),
-            PathBuf::from("target/repro-cache/adult-n2000-eps1-seed17-r1-014252670ddf2568.kamino")
+            PathBuf::from("target/repro-cache/adult-n2000-eps1-seed17-r2-014252670ddf2568.kamino")
         );
     }
 
@@ -1276,7 +1276,7 @@ mod tests {
             assert_eq!(
                 cfg.cache_path("adult", 1.0, method),
                 PathBuf::from(format!(
-                    "target/repro-cache/adult-n2000-eps1-seed17-r1-{hash}.kamino"
+                    "target/repro-cache/adult-n2000-eps1-seed17-r2-{hash}.kamino"
                 )),
                 "{} re-keyed",
                 method.name()

@@ -168,6 +168,20 @@ impl EmbeddingStore {
         }
     }
 
+    /// Calls `f(table, row)` for the embedding-table row that embedding
+    /// `v` (a value of attribute `attr`) reads. A numeric attribute's
+    /// encoder is dense and reads no such row.
+    pub fn visit_read_row(
+        &mut self,
+        attr: usize,
+        v: Value,
+        f: &mut dyn FnMut(&mut ParamBlock, usize),
+    ) {
+        if let (AttrEmbedder::Cat(e), Value::Cat(code)) = (&mut self.embedders[attr], v) {
+            e.visit_row(code, f);
+        }
+    }
+
     /// Visits the parameter blocks of one attribute's embedder.
     pub fn visit_attr_blocks(&mut self, attr: usize, f: &mut dyn FnMut(&mut ParamBlock)) {
         match &mut self.embedders[attr] {
@@ -470,6 +484,12 @@ impl PerExampleModel<TrainRow> for SubModelTrainer<'_> {
         match head {
             Head::Cat(h) => h.visit_blocks(f),
             Head::Num(h) => h.visit_blocks(f),
+        }
+    }
+
+    fn visit_read_rows(&mut self, row: &TrainRow, f: &mut dyn FnMut(&mut ParamBlock, usize)) {
+        for (&attr, &val) in self.sm.context.iter().zip(&row.context) {
+            self.store.visit_read_row(attr, val, f);
         }
     }
 }

@@ -17,7 +17,7 @@
 use kamino_data::stats::{histogram, normalize};
 use kamino_data::{AttrKind, Instance, Schema};
 use kamino_dp::{poisson_sample, release_histogram};
-use kamino_nn::{Attention, CategoricalHead, DpSgd, GaussianHead};
+use kamino_nn::{Attention, CategoricalHead, DpSgd, GaussianHead, StepReport};
 use kamino_obs::ObsHandle;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -131,9 +131,11 @@ fn fresh_submodel(
     }
 }
 
-/// DP-SGD-trains one sub-model for `cfg.iters` steps, adding the steps'
-/// work counts to `obs`' `kamino_dpsgd_coords_visited_total` and
-/// `kamino_dpsgd_noise_draws_total` counters.
+/// DP-SGD-trains one sub-model for `cfg.iters` steps and settles the
+/// embedding-table noise the steps deferred, adding the work counts to
+/// `obs`' `kamino_dpsgd_coords_visited_total`,
+/// `kamino_dpsgd_noise_draws_total` and `kamino_dpsgd_rows_settled_total`
+/// counters.
 fn train_one(
     inst: &Instance,
     store: &mut EmbeddingStore,
@@ -153,22 +155,25 @@ fn train_one(
         expected_batch: cfg.batch as f64,
     };
     let rate = (cfg.batch as f64 / n.max(1) as f64).min(1.0);
-    let (mut coords_visited, mut noise_draws) = (0, 0);
+    let mut trainer = SubModelTrainer { store, sm };
+    let mut work = StepReport::default();
+    let mut count = |step: StepReport| {
+        work.coords_visited += step.coords_visited;
+        work.noise_draws += step.noise_draws;
+        work.rows_settled += step.rows_settled;
+    };
     for _ in 0..cfg.iters {
         let ids = poisson_sample(n, rate, rng);
-        let rows = training_rows(inst, &sm.context, sm.target, &ids);
-        let mut trainer = SubModelTrainer {
-            store: &mut *store,
-            sm: &mut *sm,
-        };
-        let step = opt.step(&mut trainer, &rows, rng);
-        coords_visited += step.coords_visited;
-        noise_draws += step.noise_draws;
+        let rows = training_rows(inst, &trainer.sm.context, trainer.sm.target, &ids);
+        count(opt.step(&mut trainer, &rows, rng));
     }
+    count(opt.finish(&mut trainer, rng));
     obs.counter("kamino_dpsgd_coords_visited_total", &[])
-        .add(coords_visited);
+        .add(work.coords_visited);
     obs.counter("kamino_dpsgd_noise_draws_total", &[])
-        .add(noise_draws);
+        .add(work.noise_draws);
+    obs.counter("kamino_dpsgd_rows_settled_total", &[])
+        .add(work.rows_settled);
 }
 
 /// Trains the full probabilistic data model (Algorithm 2).
@@ -182,8 +187,9 @@ pub fn train_model(
 }
 
 /// [`train_model`], adding DP-SGD's deterministic work counters
-/// (`kamino_dpsgd_coords_visited_total`, `kamino_dpsgd_noise_draws_total`)
-/// to `obs`. The returned model is byte-identical to [`train_model`].
+/// (`kamino_dpsgd_coords_visited_total`, `kamino_dpsgd_noise_draws_total`,
+/// `kamino_dpsgd_rows_settled_total`) to `obs`. The returned model is
+/// byte-identical to [`train_model`].
 pub fn train_model_with_obs(
     schema: &Schema,
     inst: &Instance,

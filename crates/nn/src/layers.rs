@@ -150,6 +150,19 @@ impl Embedding {
     pub fn visit_blocks(&mut self, f: &mut dyn FnMut(&mut ParamBlock)) {
         f(&mut self.table);
     }
+
+    /// Applies `f` to the table block and the row [`Embedding::forward`]
+    /// reads for `code`: what a model reports from
+    /// [`crate::PerExampleModel::visit_read_rows`].
+    pub fn visit_row(&mut self, code: u32, f: &mut dyn FnMut(&mut ParamBlock, usize)) {
+        let c = code as usize;
+        assert!(
+            c < self.card,
+            "code {c} out of range for cardinality {}",
+            self.card
+        );
+        f(&mut self.table, c);
+    }
 }
 
 /// Encoder for a (standardized) continuous scalar, per §2.3:

@@ -7,6 +7,21 @@
 //! Plain SGD is recovered with `noise_multiplier = 0` and `clip = ∞`, so
 //! private and non-private training share one code path (the ε = ∞ runs of
 //! Figure 6 use exactly that).
+//!
+//! **Deferred noise on row-sparse blocks.** An embedding table row that no
+//! example reads for `k` steps would receive `k` independent noise draws
+//! `−(lr/b)·σ_d·C·z` per coordinate and nothing else. Their sum is one
+//! Gaussian with `k` times the variance, so a step adds no noise to a
+//! row-sparse [`ParamBlock`]; it counts one more owed step instead. Before
+//! a step's per-example passes, [`DpSgd::step`] *settles* every row the
+//! batch will read (the model reports them through
+//! [`PerExampleModel::visit_read_rows`]): it adds `−(lr/b)·σ_d·C·√k·z` to
+//! each coordinate, one draw per coordinate however large `k` is. After
+//! the last step, [`DpSgd::finish`] settles every row still owing noise.
+//! No row is read while it owes noise (the fused kernel panics if one is),
+//! and the final model is the release, so the released parameters have
+//! exactly the distribution of the all-dense mechanism and the privacy
+//! guarantee is unchanged. Dense blocks are noised in full every step.
 
 use rand::Rng;
 
@@ -24,6 +39,14 @@ pub trait PerExampleModel<E: ?Sized> {
     fn forward_backward(&mut self, example: &E) -> f64;
     /// Enumerates all trainable parameter blocks in a stable order.
     fn visit_blocks(&mut self, f: &mut dyn FnMut(&mut ParamBlock));
+    /// Calls `f(block, row)` for every row of a row-sparse block that
+    /// `forward_backward(example)` will read, in a stable order, so DP-SGD
+    /// can settle the row's deferred noise first. A model with only dense
+    /// blocks reads no such row, which is the default. A model that leaves
+    /// out a row it then writes makes a private step panic.
+    fn visit_read_rows(&mut self, example: &E, f: &mut dyn FnMut(&mut ParamBlock, usize)) {
+        let _ = (example, f);
+    }
 }
 
 /// DP-SGD configuration (the relevant slice of the paper's Ψ).
@@ -40,13 +63,13 @@ pub struct DpSgd {
 }
 
 /// Fixed per-example-gradient microbatch size. A step accumulates
-/// clipped gradients microbatch-by-microbatch into fresh partial sums and
+/// clipped gradients microbatch-by-microbatch into partial sums and
 /// merges them in microbatch order; that order fixes the floating-point
 /// summation, so every trained parameter depends on it.
 pub const MICROBATCH: usize = 16;
 
-/// What one [`DpSgd::step`] did: the mean example loss plus two
-/// deterministic work counts, taken where the work happens.
+/// What one [`DpSgd::step`] (or [`DpSgd::finish`]) did: the mean example
+/// loss plus deterministic work counts, taken where the work happens.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StepReport {
     /// Mean example loss (0.0 for an empty Poisson batch).
@@ -54,22 +77,24 @@ pub struct StepReport {
     /// Gradient coordinates visited by the two per-example passes (the
     /// L2-norm pass and the scale-accumulate pass), summed over examples.
     pub coords_visited: u64,
-    /// `N(0, 1)` draws made by the noise step: one per parameter when the
-    /// noise multiplier is positive, none otherwise.
+    /// `N(0, 1)` draws made: one per parameter of every dense block, and
+    /// one per coordinate of every row-sparse row settled. None when the
+    /// noise multiplier is 0.
     pub noise_draws: u64,
+    /// Row-sparse rows whose owed noise was settled.
+    pub rows_settled: u64,
 }
 
-/// What a per-microbatch clip-and-sum kernel returns: the clipped gradient
-/// sums (shaped like the model's blocks), the total example loss, and the
-/// gradient coordinates its two per-example passes visited.
-type Clipped = (Vec<Vec<f64>>, f64, u64);
-
 /// A per-microbatch clip-and-sum kernel: `(model, microbatch, clip,
-/// block sizes) → clipped sums, total loss, coordinates visited`.
-type Accumulate<M, E> = fn(&mut M, &[E], f64, &[usize]) -> Clipped;
+/// partial sums) → total loss, coordinates visited`. It adds the clipped
+/// per-example gradients into the partial sums (shaped like the model's
+/// blocks, `+0.0` on entry) and counts the gradient coordinates its two
+/// per-example passes visited.
+type Accumulate<M, E> = fn(&mut M, &[E], f64, &mut [Vec<f64>]) -> (f64, u64);
 
-/// Accumulates the clipped per-example gradient sums and total loss for
-/// `batch` (one microbatch) into fresh buffers shaped like `sizes`.
+/// Accumulates the clipped per-example gradient sums for `batch` (one
+/// microbatch) into `sums`, returning the total loss and the coordinates
+/// visited.
 ///
 /// This is the **fused, row-sparse** clip-and-accumulate kernel. After
 /// each example's backward pass it makes two passes over the gradients
@@ -84,11 +109,15 @@ type Accumulate<M, E> = fn(&mut M, &[E], f64, &[usize]) -> Clipped;
 /// result is bit-identical (see [`ParamBlock`] for why each skip is an
 /// identity); the parity is property-tested in `tests/proptest_kernels.rs`
 /// and pinned by the `fused_step_matches_reference_step` test below.
-fn accumulate_clipped<E, M>(model: &mut M, batch: &[E], clip: f64, sizes: &[usize]) -> Clipped
+fn accumulate_clipped<E, M>(
+    model: &mut M,
+    batch: &[E],
+    clip: f64,
+    sums: &mut [Vec<f64>],
+) -> (f64, u64)
 where
     M: PerExampleModel<E>,
 {
-    let mut sums: Vec<Vec<f64>> = sizes.iter().map(|&n| vec![0.0; n]).collect();
     let mut total_loss = 0.0;
     let mut visited = 0;
     // The fused pass below leaves every gradient buffer zeroed after each
@@ -112,7 +141,7 @@ where
             idx += 1;
         });
     }
-    (sums, total_loss, visited)
+    (total_loss, visited)
 }
 
 /// The unfused, all-dense serial-reference twin of `accumulate_clipped`:
@@ -125,14 +154,13 @@ pub fn accumulate_clipped_reference<E, M>(
     model: &mut M,
     batch: &[E],
     clip: f64,
-    sizes: &[usize],
-) -> Clipped
+    sums: &mut [Vec<f64>],
+) -> (f64, u64)
 where
     M: PerExampleModel<E>,
 {
-    let mut sums: Vec<Vec<f64>> = sizes.iter().map(|&n| vec![0.0; n]).collect();
     let mut total_loss = 0.0;
-    let per_example = 2 * sizes.iter().sum::<usize>() as u64;
+    let per_example = 2 * sums.iter().map(Vec::len).sum::<usize>() as u64;
     for example in batch {
         model.visit_blocks(&mut |b| b.zero_grad());
         total_loss += model.forward_backward(example);
@@ -145,10 +173,11 @@ where
             for (s, g) in sums[idx].iter_mut().zip(&b.grads) {
                 *s += scale * g;
             }
+            b.keep_touched_rows();
             idx += 1;
         });
     }
-    (sums, total_loss, per_example * batch.len() as u64)
+    (total_loss, per_example * batch.len() as u64)
 }
 
 impl DpSgd {
@@ -171,6 +200,11 @@ impl DpSgd {
             self.expected_batch > 0.0,
             "expected batch size must be positive"
         );
+        assert!(
+            self.lr.is_finite() && self.lr >= 0.0,
+            "learning rate must be finite and non-negative, got {}",
+            self.lr
+        );
         assert!(self.clip > 0.0, "clip threshold must be positive");
         assert!(
             self.noise_multiplier.is_finite() && self.noise_multiplier >= 0.0,
@@ -183,44 +217,77 @@ impl DpSgd {
         );
     }
 
-    /// Block shapes of `model` (stable order, per `visit_blocks`).
-    fn block_sizes<E, M: PerExampleModel<E>>(&self, model: &mut M) -> Vec<usize> {
-        let mut sizes = Vec::new();
-        model.visit_blocks(&mut |b| sizes.push(b.len()));
-        sizes
+    /// Zeroed buffers shaped like `model`'s blocks (stable order, per
+    /// `visit_blocks`).
+    fn zeroed_like<E, M: PerExampleModel<E>>(&self, model: &mut M) -> Vec<Vec<f64>> {
+        let mut bufs = Vec::new();
+        model.visit_blocks(&mut |b| bufs.push(vec![0.0; b.len()]));
+        bufs
     }
 
-    /// Noises the merged gradient sums in place through the Gaussian
-    /// mechanism ([`add_gaussian_noise`] at sensitivity `C` and σ_d, one
-    /// call per block), averages by the expected batch size, and applies
-    /// the step to `model`. Always dense: noise on every coordinate *is*
-    /// the mechanism. Returns the number of `N(0, 1)` draws made.
+    /// Settles the noise `row` of `block` owes for its `k` unsettled
+    /// private steps: [`add_gaussian_noise`] at sensitivity `C·√k` and
+    /// σ_d draws the sum of their `k` Gaussians as one, into `z`, and the
+    /// row takes it like [`DpSgd::apply`]'s update, `v −= lr · z / b`.
+    /// Adds the draws to `report` (none for a settled row or a dense
+    /// block).
+    fn settle<R: Rng + ?Sized>(
+        &self,
+        block: &mut ParamBlock,
+        row: usize,
+        z: &mut Vec<f64>,
+        report: &mut StepReport,
+        rng: &mut R,
+    ) {
+        let owed = block.settle_row(row);
+        let Some(w) = block.row_width().filter(|_| owed > 0) else {
+            return;
+        };
+        z.clear();
+        z.resize(w, 0.0);
+        let sensitivity = self.clip * (owed as f64).sqrt();
+        add_gaussian_noise(z, sensitivity, self.noise_multiplier, rng);
+        for (v, z) in block.values[row * w..(row + 1) * w].iter_mut().zip(&*z) {
+            *v -= self.lr * z / self.expected_batch;
+        }
+        report.noise_draws += w as u64;
+        report.rows_settled += 1;
+    }
+
+    /// Noises the merged gradient sums of every dense block in place
+    /// through the Gaussian mechanism ([`add_gaussian_noise`] at
+    /// sensitivity `C` and σ_d, one call per block), counts the step as
+    /// owed on every row-sparse block (see the module doc), averages by
+    /// the expected batch size, and applies the step to `model`. Returns
+    /// the number of `N(0, 1)` draws made.
     fn apply<E, M, R>(&self, model: &mut M, sums: &mut [Vec<f64>], rng: &mut R) -> u64
     where
         M: PerExampleModel<E>,
         R: Rng + ?Sized,
     {
         let mut draws = 0;
-        // `check` guarantees a finite clip whenever noise is on.
-        if self.noise_multiplier > 0.0 {
-            for s in sums.iter_mut() {
-                add_gaussian_noise(s, self.clip, self.noise_multiplier, rng);
-                draws += s.len() as u64;
-            }
-        }
         let mut idx = 0;
         model.visit_blocks(&mut |b| {
-            for (v, s) in b.values.iter_mut().zip(&sums[idx]) {
-                *v -= self.lr * s / self.expected_batch;
+            let s = &mut sums[idx];
+            // `check` guarantees a finite clip whenever noise is on.
+            if self.noise_multiplier > 0.0 {
+                if b.row_width().is_some() {
+                    b.owe_step();
+                } else {
+                    add_gaussian_noise(s, self.clip, self.noise_multiplier, rng);
+                    draws += s.len() as u64;
+                }
             }
+            b.descend(s, self.lr, self.expected_batch);
             idx += 1;
         });
         draws
     }
 
     /// Runs one optimizer step on `batch`, returning the mean example loss
-    /// (or 0.0 for an empty Poisson batch — the step still applies noise,
-    /// as the mechanism requires) and the step's work counts.
+    /// (or 0.0 for an empty Poisson batch — the step still noises, or owes
+    /// noise on, every parameter, as the mechanism requires) and the
+    /// step's work counts. Call [`DpSgd::finish`] after the last step.
     pub fn step<E, M, R>(&self, model: &mut M, batch: &[E], rng: &mut R) -> StepReport
     where
         M: PerExampleModel<E>,
@@ -242,9 +309,32 @@ impl DpSgd {
         self.step_with(model, batch, rng, accumulate_clipped_reference)
     }
 
+    /// Settles every row of `model`'s row-sparse blocks that still owes
+    /// noise, in block order and then row order, so the trained model
+    /// carries the noise of every step. Call it once after the last step,
+    /// with the configuration the steps ran under, and before the model
+    /// is read or released.
+    pub fn finish<E, M, R>(&self, model: &mut M, rng: &mut R) -> StepReport
+    where
+        M: PerExampleModel<E>,
+        R: Rng + ?Sized,
+    {
+        self.check();
+        let mut report = StepReport::default();
+        let mut z = Vec::new();
+        model.visit_blocks(&mut |b| {
+            let Some(w) = b.row_width() else { return };
+            for row in 0..b.len() / w {
+                self.settle(b, row, &mut z, &mut report, rng);
+            }
+        });
+        report
+    }
+
     /// One step with `accumulate` as the per-microbatch clip-and-sum
-    /// kernel: partial sums merge in microbatch order, then noise and
-    /// apply.
+    /// kernel: settle the rows the batch reads, accumulate each
+    /// microbatch's partial sums and merge them in microbatch order, then
+    /// noise and apply.
     fn step_with<E, M, R>(
         &self,
         model: &mut M,
@@ -257,31 +347,31 @@ impl DpSgd {
         R: Rng + ?Sized,
     {
         self.check();
-        let sizes = self.block_sizes::<E, _>(model);
-        let mut sums: Vec<Vec<f64>> = sizes.iter().map(|&n| vec![0.0; n]).collect();
+        let mut report = StepReport::default();
+        let mut z = Vec::new();
+        for example in batch {
+            model.visit_read_rows(example, &mut |b, row| {
+                self.settle(b, row, &mut z, &mut report, rng)
+            });
+        }
+        let mut sums = self.zeroed_like::<E, _>(model);
+        let mut part = self.zeroed_like::<E, _>(model);
         let mut total_loss = 0.0;
-        let mut coords_visited = 0;
         for micro in batch.chunks(MICROBATCH) {
-            let (part, loss, visited) = accumulate(model, micro, self.clip, &sizes);
-            for (s, p) in sums.iter_mut().zip(&part) {
-                for (a, b) in s.iter_mut().zip(p) {
-                    *a += b;
-                }
-            }
+            let (loss, visited) = accumulate(model, micro, self.clip, &mut part);
+            let mut idx = 0;
+            model.visit_blocks(&mut |b| {
+                b.merge_partial(&mut part[idx], &mut sums[idx]);
+                idx += 1;
+            });
             total_loss += loss;
-            coords_visited += visited;
+            report.coords_visited += visited;
         }
-        let noise_draws = self.apply::<E, _, _>(model, &mut sums, rng);
-        let loss = if batch.is_empty() {
-            0.0
-        } else {
-            total_loss / batch.len() as f64
-        };
-        StepReport {
-            loss,
-            coords_visited,
-            noise_draws,
+        report.noise_draws += self.apply::<E, _, _>(model, &mut sums, rng);
+        if !batch.is_empty() {
+            report.loss = total_loss / batch.len() as f64;
         }
+        report
     }
 }
 
@@ -351,11 +441,11 @@ mod tests {
         let mut ref_model = Quad {
             w: ParamBlock::zeros(1),
         };
-        let sizes = vec![1usize];
-        let (fused, fused_loss, fused_visits) =
-            accumulate_clipped(&mut fused_model, &data, 1.0, &sizes);
-        let (reference, ref_loss, ref_visits) =
-            accumulate_clipped_reference(&mut ref_model, &data, 1.0, &sizes);
+        let (mut fused, mut reference) = (vec![vec![0.0]], vec![vec![0.0]]);
+        let (fused_loss, fused_visits) =
+            accumulate_clipped(&mut fused_model, &data, 1.0, &mut fused);
+        let (ref_loss, ref_visits) =
+            accumulate_clipped_reference(&mut ref_model, &data, 1.0, &mut reference);
         assert_eq!(fused, reference);
         assert_eq!(fused_loss.to_bits(), ref_loss.to_bits());
         // a dense model: both kernels visit every coordinate twice
@@ -458,11 +548,6 @@ mod tests {
                 updates[i].push(a - b);
             }
         }
-        let moments = |u: &[f64]| -> (f64, f64) {
-            let mean = u.iter().sum::<f64>() / u.len() as f64;
-            let var = u.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / u.len() as f64;
-            (mean, var.sqrt())
-        };
         for (i, u) in updates.iter().enumerate() {
             let (_, std) = moments(u);
             assert!(
@@ -471,16 +556,28 @@ mod tests {
             );
         }
         for pair in updates.chunks(2) {
-            let ((m0, s0), (m1, s1)) = (moments(&pair[0]), moments(&pair[1]));
-            let cov = pair[0]
-                .iter()
-                .zip(&pair[1])
-                .map(|(a, b)| (a - m0) * (b - m1))
-                .sum::<f64>()
-                / steps as f64;
-            let corr = cov / (s0 * s1);
+            let corr = correlation(&pair[0], &pair[1]);
             assert!(corr.abs() < 0.07, "adjacent coordinates correlate: {corr}");
         }
+    }
+
+    /// Sample mean and standard deviation.
+    fn moments(u: &[f64]) -> (f64, f64) {
+        let mean = u.iter().sum::<f64>() / u.len() as f64;
+        let var = u.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / u.len() as f64;
+        (mean, var.sqrt())
+    }
+
+    /// Sample correlation of two equally long series.
+    fn correlation(a: &[f64], b: &[f64]) -> f64 {
+        let ((ma, sa), (mb, sb)) = (moments(a), moments(b));
+        let cov = a
+            .iter()
+            .zip(b)
+            .map(|(x, y)| (x - ma) * (y - mb))
+            .sum::<f64>()
+            / a.len() as f64;
+        cov / (sa * sb)
     }
 
     #[test]
@@ -579,6 +676,13 @@ mod tests {
         fn visit_blocks(&mut self, f: &mut dyn FnMut(&mut ParamBlock)) {
             self.emb.visit_blocks(f);
         }
+        fn visit_read_rows(
+            &mut self,
+            &(code, _): &(u32, f64),
+            f: &mut dyn FnMut(&mut ParamBlock, usize),
+        ) {
+            self.emb.visit_row(code, f);
+        }
     }
 
     fn lookup(card: usize, dim: usize) -> Lookup {
@@ -648,7 +752,7 @@ mod tests {
             let mut reference = fused.clone();
             let mut rng_f = StdRng::seed_from_u64(29);
             let mut rng_r = StdRng::seed_from_u64(29);
-            for _ in 0..5 {
+            for step in 0..5 {
                 let f = cfg.step(&mut fused, &batch, &mut rng_f);
                 let r = cfg.step_reference(&mut reference, &batch, &mut rng_r);
                 assert_eq!(f.loss.to_bits(), r.loss.to_bits());
@@ -656,9 +760,18 @@ mod tests {
                 // 50×4 table twice
                 assert_eq!(f.coords_visited, 40 * 2 * 4);
                 assert_eq!(r.coords_visited, 40 * 2 * 200);
-                let draws = if noise > 0.0 { 200 } else { 0 };
-                assert_eq!((f.noise_draws, r.noise_draws), (draws, draws));
+                // the batch reads 11 distinct rows, each owing the one
+                // step before it (the first step owes nothing)
+                let settled = if noise > 0.0 && step > 0 { 11 } else { 0 };
+                assert_eq!((f.rows_settled, r.rows_settled), (settled, settled));
+                assert_eq!((f.noise_draws, r.noise_draws), (4 * settled, 4 * settled));
             }
+            // after the last step every one of the 50 rows owes noise
+            let f = cfg.finish(&mut fused, &mut rng_f);
+            let r = cfg.finish(&mut reference, &mut rng_r);
+            let settled = if noise > 0.0 { 50 } else { 0 };
+            assert_eq!((f.rows_settled, r.rows_settled), (settled, settled));
+            assert_eq!((f.noise_draws, r.noise_draws), (4 * settled, 4 * settled));
             for (a, b) in fused
                 .emb
                 .table
@@ -669,6 +782,224 @@ mod tests {
                 assert_eq!(a.to_bits(), b.to_bits());
             }
         }
+    }
+
+    /// One embedding table whose examples read a row and write it a zero
+    /// gradient, so that without noise no value ever moves. Each read
+    /// records the row as the forward pass saw it.
+    struct Probe {
+        emb: crate::layers::Embedding,
+        seen: Vec<(u32, Vec<f64>)>,
+    }
+
+    impl PerExampleModel<u32> for Probe {
+        fn forward_backward(&mut self, &code: &u32) -> f64 {
+            let row = self.emb.forward(code).to_vec();
+            self.emb.backward(code, &vec![0.0; row.len()]);
+            self.seen.push((code, row));
+            0.0
+        }
+        fn visit_blocks(&mut self, f: &mut dyn FnMut(&mut ParamBlock)) {
+            self.emb.visit_blocks(f);
+        }
+        fn visit_read_rows(&mut self, &code: &u32, f: &mut dyn FnMut(&mut ParamBlock, usize)) {
+            self.emb.visit_row(code, f);
+        }
+    }
+
+    #[test]
+    fn deferred_noise_has_the_dense_distribution_at_every_read_and_at_the_end() {
+        // Row 0 is read at steps 0 and 5, row 1 at step 2, row 2 at step
+        // 7, row 3 never. With zero gradients the noise-free trajectory is
+        // the initial table, so a coordinate read at step t must have
+        // deviated by the dense mechanism's t steps of noise, std
+        // lr·σ_d·C/b·√t, and after `finish` every coordinate by all T of
+        // them. Adjacent coordinates (the two outputs of a polar pair)
+        // must be uncorrelated. A dropped settle or `finish` leaves rows
+        // short of noise; settling at sensitivity C·k instead of C·√k
+        // gives a row read at step t too much by √t.
+        let cfg = DpSgd {
+            clip: 2.0,
+            noise_multiplier: 1.5,
+            lr: 0.1,
+            expected_batch: 4.0,
+        };
+        let per_step = cfg.lr * cfg.noise_multiplier * cfg.clip / cfg.expected_batch;
+        let (rows, width, steps) = (4, 3, 8);
+        let schedule: [&[u32]; 8] = [&[0], &[], &[1], &[], &[], &[0], &[], &[2]];
+        let init: Vec<f64> = (0..rows * width).map(|i| i as f64 / 8.0 - 0.75).collect();
+        let trials = 4000;
+        // deviations per (read index, coordinate in the row), and per
+        // table coordinate after `finish`
+        let mut at_read = vec![vec![Vec::new(); width]; 4];
+        let mut at_end = vec![Vec::new(); rows * width];
+        for trial in 0..trials {
+            let mut rng = StdRng::seed_from_u64(trial);
+            let mut model = Probe {
+                emb: crate::layers::Embedding::from_values(rows, width, init.clone()),
+                seen: Vec::new(),
+            };
+            for batch in schedule {
+                cfg.step(&mut model, batch, &mut rng);
+            }
+            let done = cfg.finish(&mut model, &mut rng);
+            assert_eq!(
+                done.rows_settled, rows as u64,
+                "every row owes the last step"
+            );
+            for (read, (code, row)) in model.seen.iter().enumerate() {
+                let base = *code as usize * width;
+                for (k, v) in row.iter().enumerate() {
+                    at_read[read][k].push(v - init[base + k]);
+                }
+            }
+            for (i, v) in model.emb.table.values.iter().enumerate() {
+                at_end[i].push(v - init[i]);
+            }
+        }
+        let read_steps = [0, 2, 5, 7];
+        for (read, coords) in at_read.iter().enumerate() {
+            let want = per_step * (read_steps[read] as f64).sqrt();
+            for (k, u) in coords.iter().enumerate() {
+                let (_, std) = moments(u);
+                if want == 0.0 {
+                    assert_eq!(std, 0.0, "read {read}: a step-0 read owes nothing");
+                } else {
+                    assert!(
+                        (std / want - 1.0).abs() < 0.05,
+                        "read {read} (step {}), coordinate {k}: std {std}, expected {want}",
+                        read_steps[read]
+                    );
+                }
+            }
+            if want > 0.0 {
+                let corr = correlation(&coords[0], &coords[1]);
+                assert!(
+                    corr.abs() < 0.07,
+                    "read {read}: adjacent coordinates correlate: {corr}"
+                );
+            }
+        }
+        let want = per_step * (steps as f64).sqrt();
+        for (i, u) in at_end.iter().enumerate() {
+            let (_, std) = moments(u);
+            assert!(
+                (std / want - 1.0).abs() < 0.05,
+                "coordinate {i} after finish: std {std}, expected {want}"
+            );
+        }
+        for row in at_end.chunks(width) {
+            let corr = correlation(&row[0], &row[1]);
+            assert!(
+                corr.abs() < 0.07,
+                "adjacent coordinates correlate after finish: {corr}"
+            );
+        }
+    }
+
+    /// [`Lookup`] without [`PerExampleModel::visit_read_rows`]: it reads
+    /// rows the optimizer is never told about.
+    struct Unreported(Lookup);
+
+    impl PerExampleModel<(u32, f64)> for Unreported {
+        fn forward_backward(&mut self, example: &(u32, f64)) -> f64 {
+            self.0.forward_backward(example)
+        }
+        fn visit_blocks(&mut self, f: &mut dyn FnMut(&mut ParamBlock)) {
+            self.0.visit_blocks(f);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "while it owes 1 steps of DP-SGD noise")]
+    fn reading_a_row_that_owes_noise_panics() {
+        let cfg = DpSgd {
+            clip: 1.0,
+            noise_multiplier: 1.1,
+            lr: 0.1,
+            expected_batch: 2.0,
+        };
+        let mut model = Unreported(lookup(5, 3));
+        let mut rng = StdRng::seed_from_u64(37);
+        // the first step owes nothing; the second reads an owing row
+        for _ in 0..2 {
+            cfg.step(&mut model, &[(2, 0.5)], &mut rng);
+        }
+    }
+
+    /// The step before noise was deferred, written out densely: per
+    /// example zero, backward, norm and scale-add over every coordinate;
+    /// fresh partial sums per microbatch merged in order; every
+    /// coordinate updated. Noise-free only.
+    fn dense_non_private_step<E, M: PerExampleModel<E>>(cfg: &DpSgd, model: &mut M, batch: &[E]) {
+        let mut sums = Vec::new();
+        model.visit_blocks(&mut |b| sums.push(vec![0.0; b.len()]));
+        for micro in batch.chunks(MICROBATCH) {
+            let mut part: Vec<Vec<f64>> = sums.iter().map(|s| vec![0.0; s.len()]).collect();
+            for example in micro {
+                model.visit_blocks(&mut |b| b.zero_grad());
+                model.forward_backward(example);
+                let mut sq = 0.0;
+                model.visit_blocks(&mut |b| sq += b.grad_sq_norm());
+                let norm = sq.sqrt();
+                let scale = if norm > cfg.clip {
+                    cfg.clip / norm
+                } else {
+                    1.0
+                };
+                let mut idx = 0;
+                model.visit_blocks(&mut |b| {
+                    for (p, g) in part[idx].iter_mut().zip(&b.grads) {
+                        *p += scale * g;
+                    }
+                    idx += 1;
+                });
+            }
+            for (s, p) in sums.iter_mut().zip(&part) {
+                for (a, b) in s.iter_mut().zip(p) {
+                    *a += b;
+                }
+            }
+        }
+        let mut idx = 0;
+        model.visit_blocks(&mut |b| {
+            for (v, s) in b.values.iter_mut().zip(&sums[idx]) {
+                *v -= cfg.lr * s / cfg.expected_batch;
+            }
+            idx += 1;
+        });
+    }
+
+    #[test]
+    fn non_private_steps_draw_nothing_and_match_the_dense_step_bit_for_bit() {
+        // three microbatches over a table with signed zeros in it, where
+        // most rows are never read: the sparse merge and update must
+        // leave every untouched value's bits alone
+        let batch: Vec<(u32, f64)> = (0..40).map(|i| ((i * 7 % 11) as u32, 0.3)).collect();
+        let cfg = DpSgd {
+            clip: 0.5,
+            noise_multiplier: 0.0,
+            lr: 0.1,
+            expected_batch: 32.0,
+        };
+        let mut sparse = lookup(50, 4);
+        for (i, v) in sparse.emb.table.values.iter_mut().enumerate() {
+            if i % 5 == 0 {
+                *v = -0.0;
+            }
+        }
+        let mut dense = sparse.clone();
+        let mut rng = StdRng::seed_from_u64(41);
+        for _ in 0..5 {
+            let step = cfg.step(&mut sparse, &batch, &mut rng);
+            assert_eq!((step.noise_draws, step.rows_settled), (0, 0));
+            dense_non_private_step(&cfg, &mut dense, &batch);
+        }
+        let done = cfg.finish(&mut sparse, &mut rng);
+        assert_eq!((done.noise_draws, done.rows_settled), (0, 0));
+        let bits =
+            |m: &Lookup| -> Vec<u64> { m.emb.table.values.iter().map(|v| v.to_bits()).collect() };
+        assert_eq!(bits(&sparse), bits(&dense));
     }
 
     /// A step that must refuse to run: each of these used to train with
@@ -702,6 +1033,17 @@ mod tests {
     #[should_panic(expected = "finite and non-negative")]
     fn nan_noise_multiplier_is_rejected() {
         must_refuse(1.0, f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "learning rate must be finite and non-negative")]
+    fn negative_learning_rate_is_rejected() {
+        // the sparse update skips untouched rows because `v − lr·(+0.0)/b`
+        // is `v`, which needs `lr ≥ 0`
+        let mut model = Quad {
+            w: ParamBlock::zeros(1),
+        };
+        DpSgd::non_private(-0.1, 1.0).step(&mut model, &[1.0], &mut StdRng::seed_from_u64(43));
     }
 
     #[test]

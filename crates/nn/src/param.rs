@@ -10,9 +10,16 @@ use rand::Rng;
 /// [`crate::Embedding`] table) is rows of a fixed width, and its backward
 /// pass marks each row it writes as touched. Between gradient clears,
 /// every coordinate outside the touched rows is exactly `+0.0`, so the
-/// fused DP-SGD kernel visits only the touched rows. Code that writes a
-/// row-sparse block's `grads` directly must go through that backward
-/// pass, or the kernel will miss the write.
+/// fused DP-SGD kernel visits only the touched rows, and a step's
+/// gradient sums, their merge and the update visit only the rows touched
+/// that step. Code that writes a row-sparse block's `grads` directly must
+/// go through that backward pass, or the kernel will miss the write.
+///
+/// A row-sparse block also carries DP-SGD's deferred noise: a private
+/// step adds none to it, but counts one more step that every row owes.
+/// [`crate::DpSgd`] settles a row's owed noise (one Gaussian for all its
+/// owed steps) before any example reads the row, and every row at the end
+/// of training, so no value is read or released while it owes noise.
 #[derive(Debug, Clone)]
 pub struct ParamBlock {
     /// Parameter values.
@@ -20,17 +27,47 @@ pub struct ParamBlock {
     /// Gradient accumulator (per-example during DP-SGD).
     pub grads: Vec<f64>,
     /// `None` for a dense block. Boxed so a dense block stays small.
-    sparse: Option<Box<TouchedRows>>,
+    sparse: Option<Box<RowSparse>>,
 }
 
 /// The row-sparse state of a [`ParamBlock`].
 #[derive(Debug, Clone)]
-struct TouchedRows {
+struct RowSparse {
     /// Coordinates per row.
     width: usize,
     /// Rows written since the gradient was last cleared, in write order
     /// and possibly repeated.
     rows: Vec<usize>,
+    /// Rows drained into this step's gradient sums, possibly repeated:
+    /// outside them every sum is exactly `+0.0`.
+    step_rows: Vec<usize>,
+    /// Private DP-SGD steps applied to the block.
+    steps: u64,
+    /// Per row, how many of those steps' noise its values already carry.
+    settled: Vec<u64>,
+}
+
+impl RowSparse {
+    /// Panics unless `row` carries the noise of every step so far: a row
+    /// read while it owes noise would train on (and could release) an
+    /// under-noised value.
+    #[inline]
+    fn assert_settled(&self, row: usize) {
+        let owed = self.steps - self.settled[row];
+        assert!(
+            owed == 0,
+            "row {row} of a row-sparse block was read while it owes {owed} steps of \
+             DP-SGD noise; the model must report it through \
+             `PerExampleModel::visit_read_rows`"
+        );
+    }
+
+    /// This step's live rows, sorted and deduplicated in place.
+    fn step_rows(&mut self) -> &[usize] {
+        self.step_rows.sort_unstable();
+        self.step_rows.dedup();
+        &self.step_rows
+    }
 }
 
 impl ParamBlock {
@@ -67,12 +104,21 @@ impl ParamBlock {
             self.len()
         );
         self.sparse = (row_width > 0).then(|| {
-            Box::new(TouchedRows {
+            Box::new(RowSparse {
                 width: row_width,
                 rows: Vec::new(),
+                step_rows: Vec::new(),
+                steps: 0,
+                settled: vec![0; self.len() / row_width],
             })
         });
         self
+    }
+
+    /// The row width of a row-sparse block; `None` for a dense one.
+    #[inline]
+    pub fn row_width(&self) -> Option<usize> {
+        self.sparse.as_ref().map(|t| t.width)
     }
 
     /// Marks `row` as written since the last gradient clear. A no-op on a
@@ -82,6 +128,26 @@ impl ParamBlock {
         if let Some(t) = &mut self.sparse {
             t.rows.push(row);
         }
+    }
+
+    /// Counts one more private step whose noise every row of a row-sparse
+    /// block owes. A no-op on a dense block, which is noised in full.
+    pub(crate) fn owe_step(&mut self) {
+        if let Some(t) = &mut self.sparse {
+            t.steps += 1;
+        }
+    }
+
+    /// Marks `row` as carrying all noise so far and returns how many
+    /// steps' noise it owed, for the caller to add. A dense block owes
+    /// nothing.
+    pub(crate) fn settle_row(&mut self, row: usize) -> u64 {
+        let Some(t) = self.sparse.as_deref_mut() else {
+            return 0;
+        };
+        let owed = t.steps - t.settled[row];
+        t.settled[row] = t.steps;
+        owed
     }
 
     /// Number of parameters.
@@ -115,10 +181,11 @@ impl ParamBlock {
     /// over only the coordinates that can be nonzero, plus how many
     /// coordinates it visited. A dense block visits every coordinate; a
     /// row-sparse one sorts and dedups its touched rows and visits those,
-    /// in ascending order. Since every skipped `g·g` is `+0.0` and the
-    /// running sum (seeded `-0.0`, like `Sum for f64`) becomes `+0.0` or
-    /// positive on its first addition, the result matches the dense pass
-    /// bit for bit once it is added into a `+0.0`-seeded total.
+    /// in ascending order, panicking if one still owes noise. Since every
+    /// skipped `g·g` is `+0.0` and the running sum (seeded `-0.0`, like
+    /// `Sum for f64`) becomes `+0.0` or positive on its first addition,
+    /// the result matches the dense pass bit for bit once it is added into
+    /// a `+0.0`-seeded total.
     pub(crate) fn live_sq_norm(&mut self) -> (f64, usize) {
         let Some(t) = self.sparse.as_deref_mut() else {
             return (self.grad_sq_norm(), self.len());
@@ -130,7 +197,10 @@ impl ParamBlock {
         let sq = t
             .rows
             .iter()
-            .flat_map(|&r| &grads[r * w..(r + 1) * w])
+            .flat_map(|&r| {
+                t.assert_settled(r);
+                &grads[r * w..(r + 1) * w]
+            })
             .map(|g| g * g)
             .sum();
         (sq, t.rows.len() * w)
@@ -138,10 +208,10 @@ impl ParamBlock {
 
     /// The fused DP-SGD kernel's second pass, over the coordinates
     /// [`ParamBlock::live_sq_norm`] just visited: `sums += scale · grads`,
-    /// then those gradients are re-zeroed and the touched rows forgotten.
-    /// Each skipped coordinate would have added `scale · +0.0 = +0.0` to a
-    /// sum seeded `+0.0`, which can never be `-0.0`, so skipping it is an
-    /// exact identity.
+    /// then those gradients are re-zeroed and the touched rows handed to
+    /// the step's live rows. Each skipped coordinate would have added
+    /// `scale · +0.0 = +0.0` to a sum seeded `+0.0`, which can never be
+    /// `-0.0`, so skipping it is an exact identity.
     pub(crate) fn drain_scaled_into(&mut self, scale: f64, sums: &mut [f64]) {
         let drain = |s: &mut [f64], g: &mut [f64]| {
             for (s, g) in s.iter_mut().zip(g) {
@@ -158,7 +228,65 @@ impl ParamBlock {
             let rows = r * w..(r + 1) * w;
             drain(&mut sums[rows.clone()], &mut self.grads[rows]);
         }
-        t.rows.clear();
+        t.step_rows.append(&mut t.rows);
+    }
+
+    /// The all-dense reference kernel's counterpart of
+    /// [`ParamBlock::drain_scaled_into`]'s bookkeeping: after an example's
+    /// dense scale-and-add, hands its touched rows to the step's live
+    /// rows, panicking if one still owes noise.
+    pub(crate) fn keep_touched_rows(&mut self) {
+        if let Some(t) = self.sparse.as_deref_mut() {
+            for &r in &t.rows {
+                t.assert_settled(r);
+            }
+            t.step_rows.append(&mut t.rows);
+        }
+    }
+
+    /// Merges one microbatch's gradient sums `part` into the step's
+    /// `sums` (`sums += part`), re-zeroing `part` for the next microbatch.
+    /// A row-sparse block visits only the step's live rows: elsewhere
+    /// `part` is `+0.0`, and adding `+0.0` to a sum that was seeded `+0.0`
+    /// (so is never `-0.0`) is an exact identity.
+    pub(crate) fn merge_partial(&mut self, part: &mut [f64], sums: &mut [f64]) {
+        let merge = |s: &mut [f64], p: &mut [f64]| {
+            for (s, p) in s.iter_mut().zip(p) {
+                *s += *p;
+                *p = 0.0;
+            }
+        };
+        let Some(t) = self.sparse.as_deref_mut() else {
+            merge(sums, part);
+            return;
+        };
+        let w = t.width;
+        for &r in t.step_rows() {
+            let rows = r * w..(r + 1) * w;
+            merge(&mut sums[rows.clone()], &mut part[rows]);
+        }
+    }
+
+    /// The gradient step `values -= lr · sums / batch`, then the step's
+    /// live rows are forgotten. A row-sparse block visits only those rows:
+    /// elsewhere the sum is `+0.0`, and `v − lr · (+0.0) / batch` is `v`
+    /// for a non-negative `lr`, so skipping it is an exact identity.
+    pub(crate) fn descend(&mut self, sums: &[f64], lr: f64, batch: f64) {
+        let step = |v: &mut [f64], s: &[f64]| {
+            for (v, s) in v.iter_mut().zip(s) {
+                *v -= lr * s / batch;
+            }
+        };
+        let Some(t) = self.sparse.as_deref_mut() else {
+            step(&mut self.values, sums);
+            return;
+        };
+        let w = t.width;
+        for &r in t.step_rows() {
+            let rows = r * w..(r + 1) * w;
+            step(&mut self.values[rows.clone()], &sums[rows]);
+        }
+        t.step_rows.clear();
     }
 }
 

@@ -138,7 +138,8 @@ proptest! {
     /// bit, on random embedding models: 1–4 lookup tables plus one dense
     /// block, codes repeated within a microbatch (and one table touched
     /// twice per example, out of row order), signed-zero-laden `dz`,
-    /// random clip, noise on and off, over several steps.
+    /// random clip, noise on and off, over several steps and the final
+    /// settle of deferred noise.
     #[test]
     fn sparse_dpsgd_step_matches_dense_reference(
         cards in prop::collection::vec(1usize..64, 1..=4),
@@ -176,6 +177,15 @@ proptest! {
             }
             assert_bits_eq(&fused.dense.values, &reference.dense.values, "dense");
         }
+        // both settle the same owed rows from the same stream
+        let mut r1 = StdRng::seed_from_u64(seed ^ 4);
+        let mut r2 = StdRng::seed_from_u64(seed ^ 4);
+        let f1 = opt.finish(&mut fused, &mut r1);
+        let f2 = opt.finish(&mut reference, &mut r2);
+        prop_assert_eq!(f1.noise_draws, f2.noise_draws);
+        for (f, r) in fused.tables.iter().zip(&reference.tables) {
+            assert_bits_eq(&f.table.values, &r.table.values, "finished table");
+        }
     }
 }
 
@@ -205,19 +215,26 @@ impl Lookups {
     }
 }
 
+/// The rows example `ex` reads from table `t` of `card` rows, and the
+/// hash they derive from.
+fn codes(ex: u64, t: usize, card: usize) -> (u64, Vec<u32>) {
+    let card = card as u64;
+    let mix = ex
+        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .rotate_left(t as u32 * 7);
+    let mut codes = vec![(mix % card) as u32];
+    if t == 0 {
+        // a second, possibly equal or lower, row of the same table
+        codes.push(((mix >> 32) % card) as u32);
+    }
+    (mix, codes)
+}
+
 impl PerExampleModel<u64> for Lookups {
     fn forward_backward(&mut self, &ex: &u64) -> f64 {
         let mut loss = 0.0;
         for (t, table) in self.tables.iter_mut().enumerate() {
-            let card = table.card() as u64;
-            let mix = ex
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                .rotate_left(t as u32 * 7);
-            let mut codes = vec![(mix % card) as u32];
-            if t == 0 {
-                // a second, possibly equal or lower, row of the same table
-                codes.push(((mix >> 32) % card) as u32);
-            }
+            let (mix, codes) = codes(ex, t, table.card());
             for (k, &code) in codes.iter().enumerate() {
                 let dz = fill(mix.wrapping_add(k as u64), table.dim());
                 loss += table
@@ -242,6 +259,14 @@ impl PerExampleModel<u64> for Lookups {
             table.visit_blocks(f);
         }
         f(&mut self.dense);
+    }
+
+    fn visit_read_rows(&mut self, &ex: &u64, f: &mut dyn FnMut(&mut ParamBlock, usize)) {
+        for (t, table) in self.tables.iter_mut().enumerate() {
+            for code in codes(ex, t, table.card()).1 {
+                table.visit_row(code, f);
+            }
+        }
     }
 }
 

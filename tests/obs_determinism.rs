@@ -23,10 +23,15 @@ use rand::SeedableRng;
 
 /// The fit every test here runs, under the given handle.
 fn fit(obs: ObsHandle) -> FittedKamino {
+    fit_scaled(obs, 0.05)
+}
+
+/// [`fit`] with its DP-SGD steps scaled by `train_scale`.
+fn fit_scaled(obs: ObsHandle, train_scale: f64) -> FittedKamino {
     let data = adult_like(120, 5);
     let mut cfg = KaminoConfig::new(Budget::new(1.0, 1e-6));
     cfg.seed = 23;
-    cfg.train_scale = 0.05;
+    cfg.train_scale = train_scale;
     cfg.obs = obs;
     fit_kamino(&data.schema, &data.instance, &data.dcs, &cfg)
 }
@@ -220,17 +225,23 @@ fn identical_traced_fits_record_identical_dpsgd_work() {
     assert!(runs[0].0 > 0 && runs[0].1 > 0, "no DP-SGD work counted");
 }
 
-/// The noise counter is the mechanism's exact size: every step of every
-/// DP-SGD-trained sub-model draws one `N(0, 1)` per parameter it trains
-/// (its context embeddings, attention and head).
+/// The noise counter is the mechanism's exact size. Every step of every
+/// DP-SGD-trained sub-model draws one `N(0, 1)` per dense parameter it
+/// trains (attention, head, numeric encoders). Embedding rows defer their
+/// noise: each settle draws one per coordinate of the row, and every
+/// sub-model's last settle covers every row of its context tables.
 #[test]
-fn noise_draws_are_one_per_parameter_per_step() {
+fn noise_draws_are_dense_params_per_step_plus_settled_rows() {
     let obs = ObsHandle::enabled();
-    let fitted = fit(obs.clone());
+    let fitted = fit_scaled(obs.clone(), 0.5);
     assert!(fitted.params.sigma_d > 0.0, "the fit must be private");
+    assert!(
+        fitted.params.t > 1,
+        "the steps after the first must settle rows"
+    );
     let model = fitted.model();
     let mut store = model.store.clone();
-    let mut params = 0u64;
+    let (mut dense, mut table_rows) = (0u64, 0u64);
     for sm in &model.submodels {
         if !matches!(sm.kind, SubModelKind::Discriminative { .. }) {
             continue;
@@ -239,11 +250,20 @@ fn noise_draws_are_one_per_parameter_per_step() {
             store: &mut store,
             sm: &mut sm.clone(),
         };
-        trainer.visit_blocks(&mut |b| params += b.len() as u64);
+        trainer.visit_blocks(&mut |b| match b.row_width() {
+            None => dense += b.len() as u64,
+            Some(w) => table_rows += (b.len() / w) as u64,
+        });
     }
-    assert!(params > 0);
+    assert!(dense > 0 && table_rows > 0);
     let (_, draws) = dpsgd_work(&obs);
-    assert_eq!(draws, fitted.params.t as u64 * params);
+    let settled = obs.counter("kamino_dpsgd_rows_settled_total", &[]).get();
+    assert!(
+        settled > table_rows,
+        "{settled} rows settled: the finishing settles alone are {table_rows}"
+    );
+    let width = store.dim() as u64;
+    assert_eq!(draws, fitted.params.t as u64 * dense + settled * width);
 }
 
 /// Sequence positions whose cells a discriminative sub-model predicts.
