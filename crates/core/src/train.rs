@@ -429,6 +429,36 @@ mod tests {
     }
 
     #[test]
+    fn private_training_leaves_no_row_owing_noise() {
+        // the trained model is the release, so every embedding row must
+        // carry the noise of all its steps, in both training modes
+        let s = schema();
+        let inst = toy_instance(&s, 200, 4);
+        for parallel in [false, true] {
+            let cfg = TrainConfig {
+                iters: 30,
+                parallel,
+                ..TrainConfig::default()
+            };
+            let mut model = train_model(&s, &inst, &[0, 1, 2], &cfg);
+            let own = model
+                .submodels
+                .iter_mut()
+                .filter_map(|sm| sm.own_store.as_mut());
+            for store in own.chain([&mut model.store]) {
+                for attr in 0..s.len() {
+                    store.visit_attr_blocks(attr, &mut |b| {
+                        assert!(
+                            !b.owes_noise(),
+                            "attribute {attr} owes noise (parallel: {parallel})"
+                        )
+                    });
+                }
+            }
+        }
+    }
+
+    #[test]
     fn parallel_training_produces_private_stores() {
         let s = schema();
         let inst = toy_instance(&s, 200, 5);

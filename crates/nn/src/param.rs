@@ -138,6 +138,14 @@ impl ParamBlock {
         }
     }
 
+    /// Whether a row of a row-sparse block still owes deferred DP-SGD
+    /// noise ([`crate::DpSgd::finish`] settles them all).
+    pub fn owes_noise(&self) -> bool {
+        self.sparse
+            .as_ref()
+            .is_some_and(|t| t.settled.iter().any(|&s| s < t.steps))
+    }
+
     /// Marks `row` as carrying all noise so far and returns how many
     /// steps' noise it owed, for the caller to add. A dense block owes
     /// nothing.
