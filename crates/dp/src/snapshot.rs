@@ -1,12 +1,12 @@
-//! Snapshot codec for the privacy layer: [`Budget`] and [`BudgetPlan`]
-//! round-trip through the shared wire rules. A persisted model must carry
-//! its budget and solved σ's so a loaded session reports the *original*
-//! achieved ε — reloading spends nothing (sampling is post-processing),
-//! and re-planning could silently drift if planner defaults ever change.
+//! Snapshot codec for the privacy layer: a [`Budget`] round-trips
+//! through the shared wire rules. A persisted model carries its budget
+//! here and its solved σ's and achieved ε in the pipeline layer's privacy
+//! parameters, so a loaded session reports the *original* achieved ε —
+//! reloading spends nothing (sampling is post-processing), and
+//! re-planning could silently drift if planner defaults ever change.
 
 use kamino_data::wire::{ByteReader, ByteWriter, WireError};
 
-use crate::planner::BudgetPlan;
 use crate::Budget;
 
 /// Encodes a budget. ε = ∞ (non-private) survives as the IEEE bit
@@ -28,24 +28,6 @@ pub fn decode_budget(r: &mut ByteReader<'_>) -> Result<Budget, WireError> {
         return Err(WireError::Malformed(format!("invalid delta {delta}")));
     }
     Ok(Budget { epsilon, delta })
-}
-
-/// Encodes a solved plan (per-mechanism σ's + achieved ε).
-pub fn encode_plan(p: &BudgetPlan, w: &mut ByteWriter) {
-    w.put_f64(p.sigma_g);
-    w.put_f64(p.sigma_d);
-    w.put_f64(p.sigma_w);
-    w.put_f64(p.achieved_epsilon);
-}
-
-/// Decodes a plan written by [`encode_plan`].
-pub fn decode_plan(r: &mut ByteReader<'_>) -> Result<BudgetPlan, WireError> {
-    Ok(BudgetPlan {
-        sigma_g: r.f64()?,
-        sigma_d: r.f64()?,
-        sigma_w: r.f64()?,
-        achieved_epsilon: r.f64()?,
-    })
 }
 
 #[cfg(test)]
@@ -76,23 +58,5 @@ mod tests {
         w.put_f64(2.0); // δ out of range
         let bytes = w.into_bytes();
         assert!(decode_budget(&mut ByteReader::new(&bytes)).is_err());
-    }
-
-    #[test]
-    fn plan_roundtrip() {
-        let p = BudgetPlan {
-            sigma_g: 1.25,
-            sigma_d: 0.8,
-            sigma_w: 0.0,
-            achieved_epsilon: 0.97,
-        };
-        let mut w = ByteWriter::new();
-        encode_plan(&p, &mut w);
-        let bytes = w.into_bytes();
-        let got = decode_plan(&mut ByteReader::new(&bytes)).unwrap();
-        assert_eq!(
-            (got.sigma_g, got.sigma_d, got.sigma_w, got.achieved_epsilon),
-            (1.25, 0.8, 0.0, 0.97)
-        );
     }
 }
