@@ -1244,11 +1244,12 @@ mod tests {
     #[test]
     fn default_kamino_cache_path_is_pinned() {
         // the variant knobs must leave the plain Kamino cell's config —
-        // and so the key's hash segment — exactly where it was; the
-        // revision segment moves only with `FIT_REVISION`
+        // and so the key's hash segment — exactly where it was; that
+        // segment moves only with the config's snapshot encoding, the
+        // revision segment only with `FIT_REVISION`
         assert_eq!(
             ReproConfig::fast(17).cache_path("adult", 1.0, MethodKind::Kamino),
-            PathBuf::from("target/repro-cache/adult-n2000-eps1-seed17-r2-014252670ddf2568.kamino")
+            PathBuf::from("target/repro-cache/adult-n2000-eps1-seed17-r2-0f1715d3c635c7b9.kamino")
         );
     }
 
@@ -1260,17 +1261,17 @@ mod tests {
         use MethodKind::*;
         let cfg = ReproConfig::fast(17);
         let methods = [
-            (Kamino, "014252670ddf2568"),
-            (RandSequence, "0d9c6edac94a175f"),
-            (RandSampling, "46a8fb2663f28799"),
-            (RandBoth, "48781be460f123b2"),
-            (AcceptReject, "8e7b9d6914d0d747"),
-            (Mcmc(0.5), "f0f8ad2abea6b803"),
-            (Mcmc(1.0), "2c95e42605cb5413"),
-            (Mcmc(2.0), "6262709360b93328"),
-            (Mcmc(3.0), "0bdde7f41fb7d5b0"),
-            (HardFdLookup, "128794f1b8732125"),
-            (ParallelTraining, "9b0bcbfb6a952d33"),
+            (Kamino, "0f1715d3c635c7b9"),
+            (RandSequence, "6adb63d9487dc016"),
+            (RandSampling, "a9dac5042ecea6c3"),
+            (RandBoth, "30eb9d0b10721178"),
+            (AcceptReject, "53705fb6f7ddf21e"),
+            (Mcmc(0.5), "354204a19d85e952"),
+            (Mcmc(1.0), "6d8d6d109df66382"),
+            (Mcmc(2.0), "ca4242e0aba84ef9"),
+            (Mcmc(3.0), "0ebbf5cd9e2511d1"),
+            (HardFdLookup, "2698e59d533231f4"),
+            (ParallelTraining, "0ac39f06f2c317ae"),
         ];
         for (method, hash) in methods {
             assert_eq!(

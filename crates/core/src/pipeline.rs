@@ -57,9 +57,9 @@ pub struct KaminoConfig {
     pub constraint_aware_sequencing: bool,
     /// Has no effect: every fit and draw runs the serial scoring and
     /// DP-SGD kernels. Kept only because the benchmark package still sets
-    /// it; it goes when that package stops naming it. Snapshots still
-    /// encode it and [`KaminoConfig::stable_hash`] normalizes it, so
-    /// `.kamino` bytes and cache keys do not depend on it.
+    /// it; it goes when that package stops naming it. Snapshots do not
+    /// encode it, so `.kamino` bytes and [`KaminoConfig::stable_hash`] do
+    /// not depend on it.
     pub parallel_substrate: bool,
     /// Scales the DP-SGD iteration range of Algorithm 6 (quality knob for
     /// harness runs; always privacy-safe).
@@ -68,9 +68,9 @@ pub struct KaminoConfig {
     pub large_domain_threshold: usize,
     /// Has no effect: every draw runs the one sequential Algorithm 3
     /// sampler. Kept only because the benchmark package still sets it; it
-    /// goes when that package stops naming it. Snapshots write a constant
-    /// `1` in its slot and ignore what old files hold there, so `.kamino`
-    /// bytes and cache keys do not depend on it.
+    /// goes when that package stops naming it. Snapshots do not encode
+    /// it, so `.kamino` bytes and [`KaminoConfig::stable_hash`] do not
+    /// depend on it.
     pub shards: usize,
     /// Observability handle: spans, metrics and the DP budget ledger.
     /// Disabled by default; never encoded into snapshots or
@@ -104,19 +104,15 @@ impl KaminoConfig {
 
     /// A stable 64-bit fingerprint of every knob that can change the
     /// fitted model or its deterministic sample stream: FNV-1a over the
-    /// config's snapshot encoding (the fields
-    /// [`crate::snapshot::encode_config`] persists), with
-    /// `parallel_substrate` (which has no effect) normalized out first;
-    /// the encoding already writes `shards` as a constant. Snapshot
+    /// config's snapshot encoding, which holds exactly those fields (the
+    /// no-op `parallel_substrate` and `shards` are not in it). Snapshot
     /// caches (the `kamino-repro` harness) key on this, so equal hashes
     /// mean a cached fit is interchangeable with a fresh one. Note the corpus
     /// itself is an input to the fit, not a config field — cache keys
     /// must add it (rows, generator seed) alongside this hash.
     pub fn stable_hash(&self) -> u64 {
-        let mut normalized = self.clone();
-        normalized.parallel_substrate = true;
         let mut w = kamino_data::wire::ByteWriter::new();
-        crate::snapshot::encode_config(&normalized, &mut w);
+        crate::snapshot::encode_config(self, &mut w);
         kamino_data::wire::fnv1a64(&w.into_bytes())
     }
 }
@@ -657,9 +653,10 @@ mod tests {
     /// weights. TPC-H has the largest context embedding tables
     /// (`c_custkey` has one row per customer, n/10 of them), so it is the
     /// fit where the row-sparse DP-SGD passes skip the most; any drift in
-    /// training moves this hash. The pin is paired with [`FIT_REVISION`]:
-    /// a fit change that moves the hash also bumps the revision, or warm
-    /// snapshot caches keep serving the old fit.
+    /// training moves this hash. So does a change to the MODEL section's
+    /// layout, which the snapshot format version (not [`FIT_REVISION`])
+    /// versions. A fit change that moves the hash also bumps
+    /// [`FIT_REVISION`], or warm snapshot caches keep serving the old fit.
     #[test]
     fn tpch_fit_is_pinned() {
         let d = kamino_datasets::tpch_like(600, 21);
@@ -673,8 +670,9 @@ mod tests {
         let h = kamino_data::wire::fnv1a64(&w.into_bytes());
         assert_eq!(
             (FIT_REVISION, h),
-            (2, 0xd66a_f084_9ac6_4692),
-            "fitted TPC-H model drifted: {h:#018x} (re-pin with a FIT_REVISION bump)"
+            (2, 0x11ed_ac5c_a856_0e23),
+            "fitted TPC-H model drifted: {h:#018x} (re-pin with a FIT_REVISION bump if the \
+             fit moved, or with a snapshot FORMAT_VERSION bump if the MODEL layout did)"
         );
     }
 

@@ -92,8 +92,7 @@ pub const FD_CYCLE_TOLERANCE_PCT: f64 = 2.5;
 const MAX_CAT_CANDIDATES: usize = 64;
 
 /// Candidate values drawn per numeric cell (§4.2's candidate-set size `d`).
-/// Snapshots keep it in a config slot and refuse any other value.
-pub(crate) const NUM_CANDIDATES: usize = 10;
+const NUM_CANDIDATES: usize = 10;
 
 /// Model draws per cell before accept–reject keeps its last draw
 /// (§7.3.2 uses 300).

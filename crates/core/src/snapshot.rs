@@ -1,6 +1,6 @@
 //! Snapshot codec for the pipeline layer: the trained [`DataModel`]
 //! (embedding stores, attention, heads, noisy marginals), the selected
-//! [`PrivacyParams`], the [`KaminoConfig`] and the fit-phase timings all
+//! [`PrivacyParams`], the [`KaminoConfig`] and the phase timings all
 //! round-trip through the shared wire rules. `kamino-serve` assembles
 //! these encodings (plus the schema/DC/RNG sections) into the versioned
 //! snapshot file; this module turns each piece into bytes and back, and
@@ -12,6 +12,7 @@ use kamino_data::snapshot::{decode_standardizer, encode_standardizer};
 use kamino_data::wire::{ByteReader, ByteWriter, WireError};
 use kamino_data::Schema;
 use kamino_dp::snapshot::{decode_budget, encode_budget};
+use kamino_dp::Budget;
 use kamino_nn::snapshot::{
     decode_attention, decode_cat_head, decode_embedding, decode_encoder, decode_gauss_head,
     encode_attention, encode_cat_head, encode_embedding, encode_encoder, encode_gauss_head,
@@ -20,7 +21,7 @@ use kamino_nn::snapshot::{
 use crate::model::{AttrEmbedder, DataModel, EmbeddingStore, Head, SubModel, SubModelKind};
 use crate::params::PrivacyParams;
 use crate::pipeline::{KaminoConfig, PhaseTimings};
-use crate::sampler::{SamplingRule, NUM_CANDIDATES};
+use crate::sampler::SamplingRule;
 
 const EMBEDDER_CAT: u8 = 0;
 const EMBEDDER_NUM: u8 = 1;
@@ -58,9 +59,6 @@ fn encode_store(s: &EmbeddingStore, w: &mut ByteWriter) {
     w.put_usize(s.dim());
     w.put_u32(s.embedders().len() as u32);
     for e in s.embedders() {
-        // Option tag 1: every store embeds every attribute. The tag stays
-        // so the format is unchanged.
-        w.put_u8(1);
         encode_embedder(e, w);
     }
 }
@@ -70,15 +68,7 @@ fn decode_store(r: &mut ByteReader<'_>) -> Result<EmbeddingStore, WireError> {
     let n = r.len_prefix()?;
     let mut embedders = Vec::with_capacity(n.min(1 << 12));
     for _ in 0..n {
-        match r.u8()? {
-            1 => embedders.push(decode_embedder(r)?),
-            0 => {
-                return Err(WireError::Malformed(
-                    "embedding store lacks an attribute's embedder".into(),
-                ))
-            }
-            tag => return Err(WireError::Malformed(format!("unknown option tag {tag}"))),
-        }
+        embedders.push(decode_embedder(r)?);
     }
     Ok(EmbeddingStore::from_parts(embedders, dim))
 }
@@ -358,10 +348,6 @@ pub fn encode_params(p: &PrivacyParams, w: &mut ByteWriter) {
     w.put_usize(p.b);
     w.put_usize(p.t);
     w.put_f64(p.clip);
-    // the slot of the retired `PrivacyParams::lr` (training reads
-    // `KaminoConfig::lr`): always the 0.05 it held, so bytes match every
-    // snapshot written before it went
-    w.put_f64(0.05);
     w.put_bool(p.learn_weights);
     w.put_f64(p.sigma_w);
     w.put_usize(p.l_w);
@@ -370,71 +356,80 @@ pub fn encode_params(p: &PrivacyParams, w: &mut ByteWriter) {
     w.put_f64(p.achieved_epsilon);
 }
 
-/// Decodes parameters written by [`encode_params`].
-pub fn decode_params(r: &mut ByteReader<'_>) -> Result<PrivacyParams, WireError> {
-    let non_private = r.bool()?;
-    let sigma_g = r.f64()?;
-    let sigma_d = r.f64()?;
-    let b = r.usize()?;
-    let t = r.usize()?;
-    let clip = r.f64()?;
-    // old files hold whatever learning rate was written here
-    let _retired_lr = r.f64()?;
-    Ok(PrivacyParams {
-        non_private,
-        sigma_g,
-        sigma_d,
-        b,
-        t,
-        clip,
+/// Decodes parameters written by [`encode_params`] and checks them
+/// against `budget`, the budget they were planned for: a restored session
+/// reports the decoded ε, so it must be one the fit could have spent.
+pub fn decode_params(r: &mut ByteReader<'_>, budget: &Budget) -> Result<PrivacyParams, WireError> {
+    let p = PrivacyParams {
+        non_private: r.bool()?,
+        sigma_g: r.f64()?,
+        sigma_d: r.f64()?,
+        b: r.usize()?,
+        t: r.usize()?,
+        clip: r.f64()?,
         learn_weights: r.bool()?,
         sigma_w: r.f64()?,
         l_w: r.usize()?,
         b_w: r.usize()?,
         t_w: r.usize()?,
         achieved_epsilon: r.f64()?,
-    })
+    };
+    if p.non_private != budget.is_non_private() {
+        return Err(WireError::Malformed(format!(
+            "non-private flag {} under a budget of ε = {}",
+            p.non_private, budget.epsilon
+        )));
+    }
+    // ε = ∞ passes only here: the budget is then non-private too
+    if !(p.achieved_epsilon > 0.0 && p.achieved_epsilon <= budget.epsilon) {
+        return Err(WireError::Malformed(format!(
+            "achieved ε {} is not in (0, {}]",
+            p.achieved_epsilon, budget.epsilon
+        )));
+    }
+    if let Some(s) = [p.sigma_g, p.sigma_d, p.sigma_w]
+        .into_iter()
+        .find(|s| !(*s >= 0.0 && s.is_finite()))
+    {
+        return Err(WireError::Malformed(format!(
+            "noise multiplier {s} is not a nonnegative finite number"
+        )));
+    }
+    if !p.non_private && (p.b == 0 || p.t == 0) {
+        return Err(WireError::Malformed(format!(
+            "a private fit with batch {} and {} steps",
+            p.b, p.t
+        )));
+    }
+    Ok(p)
 }
 
-/// Encodes the pipeline configuration (budget included).
+/// Encodes the pipeline configuration (budget included). The sampling
+/// rule is one tag: 0 and 1 are Algorithm 3 without and with the hard-FD
+/// lookup, 2 is RandSampling, 3 accept–reject.
 pub fn encode_config(c: &KaminoConfig, w: &mut ByteWriter) {
     encode_budget(&c.budget, w);
     w.put_u64(c.seed);
     w.put_usize(c.embed_dim);
     w.put_f64(c.lr);
-    // the slot of the retired candidate-set size: always the constant
-    w.put_usize(NUM_CANDIDATES);
     w.put_f64(c.mcmc_ratio);
     w.put_bool(c.parallel_training);
-    // the rule travels as the three flags it replaced
-    w.put_bool(c.sampling != SamplingRule::RandSampling);
+    w.put_u8(match c.sampling {
+        SamplingRule::Algorithm3 { hard_fd_lookup } => u8::from(hard_fd_lookup),
+        SamplingRule::RandSampling => 2,
+        SamplingRule::AcceptReject => 3,
+    });
     w.put_bool(c.constraint_aware_sequencing);
-    w.put_bool(matches!(c.sampling, SamplingRule::Algorithm3 { hard_fd_lookup } if hard_fd_lookup));
-    w.put_bool(c.sampling == SamplingRule::AcceptReject);
-    w.put_bool(c.parallel_substrate);
     w.put_f64(c.train_scale);
-    // the slot of the retired `output_n` option: always the `None` tag,
-    // so bytes match every config written before it went
-    w.put_u8(0);
     w.put_usize(c.large_domain_threshold);
-    // the slot of the retired shard count: always 1, so bytes do not
-    // depend on the no-op `KaminoConfig::shards`
-    w.put_usize(1);
 }
 
 /// Decodes a configuration written by [`encode_config`].
 pub fn decode_config(r: &mut ByteReader<'_>) -> Result<KaminoConfig, WireError> {
-    let budget = decode_budget(r)?;
-    let mut cfg = KaminoConfig::new(budget);
+    let mut cfg = KaminoConfig::new(decode_budget(r)?);
     cfg.seed = r.u64()?;
     cfg.embed_dim = r.usize()?;
     cfg.lr = r.f64()?;
-    let d = r.usize()?;
-    if d != NUM_CANDIDATES {
-        return Err(WireError::Malformed(format!(
-            "candidate-set size {d} is not {NUM_CANDIDATES}"
-        )));
-    }
     cfg.mcmc_ratio = r.f64()?;
     if !(cfg.mcmc_ratio >= 0.0 && cfg.mcmc_ratio.is_finite()) {
         return Err(WireError::Malformed(format!(
@@ -443,79 +438,53 @@ pub fn decode_config(r: &mut ByteReader<'_>) -> Result<KaminoConfig, WireError> 
         )));
     }
     cfg.parallel_training = r.bool()?;
-    let aware = r.bool()?;
-    cfg.constraint_aware_sequencing = r.bool()?;
-    let hard_fd_lookup = r.bool()?;
-    // accept–reject ignores the other two flags, RandSampling the lookup
-    cfg.sampling = match (r.bool()?, aware) {
-        (true, _) => SamplingRule::AcceptReject,
-        (false, false) => SamplingRule::RandSampling,
-        (false, true) => SamplingRule::Algorithm3 { hard_fd_lookup },
-    };
-    cfg.parallel_substrate = r.bool()?;
-    cfg.train_scale = r.f64()?;
-    // files written while the option existed may hold `Some(rows)` here
-    match r.u8()? {
-        0 => {}
-        1 => {
-            let _retired_rows = r.usize()?;
+    cfg.sampling = match r.u8()? {
+        tag @ (0 | 1) => SamplingRule::Algorithm3 {
+            hard_fd_lookup: tag == 1,
+        },
+        2 => SamplingRule::RandSampling,
+        3 => SamplingRule::AcceptReject,
+        tag => {
+            return Err(WireError::Malformed(format!(
+                "unknown sampling rule tag {tag}"
+            )))
         }
-        tag => return Err(WireError::Malformed(format!("unknown option tag {tag}"))),
-    }
+    };
+    cfg.constraint_aware_sequencing = r.bool()?;
+    cfg.train_scale = r.f64()?;
     cfg.large_domain_threshold = r.usize()?;
-    // old files may hold any shard count here; there is one engine now
-    let _retired_shards = r.usize()?;
     Ok(cfg)
 }
 
-/// Encodes fit-phase timings as nanosecond counts. The wire layout is
-/// frozen at the original four fields so old readers and old snapshots
-/// stay compatible; the sample-side breakdown travels separately via
-/// [`encode_sample_timings`] (containers put it in an optional section).
+/// Encodes the phase timings as nanosecond counts.
 pub fn encode_timings(t: &PhaseTimings, w: &mut ByteWriter) {
-    for d in [t.sequencing, t.training, t.dc_weights, t.sampling] {
+    for d in [
+        t.sequencing,
+        t.training,
+        t.dc_weights,
+        t.sampling,
+        t.sample_fill,
+        t.sample_mcmc,
+    ] {
         w.put_u64(d.as_nanos().min(u128::from(u64::MAX)) as u64);
     }
 }
 
-/// Decodes timings written by [`encode_timings`]; the sample-side
-/// breakdown stays zero unless [`decode_sample_timings`] fills it in.
+/// Decodes timings written by [`encode_timings`].
 pub fn decode_timings(r: &mut ByteReader<'_>) -> Result<PhaseTimings, WireError> {
     Ok(PhaseTimings {
         sequencing: Duration::from_nanos(r.u64()?),
         training: Duration::from_nanos(r.u64()?),
         dc_weights: Duration::from_nanos(r.u64()?),
         sampling: Duration::from_nanos(r.u64()?),
-        ..PhaseTimings::default()
+        sample_fill: Duration::from_nanos(r.u64()?),
+        sample_mcmc: Duration::from_nanos(r.u64()?),
     })
-}
-
-/// Encodes the sample-side phase breakdown (fill/MCMC) as nanosecond
-/// counts — the payload of the container's optional sample-timings
-/// section. The middle slot belonged to the retired repair pass and is
-/// written as zero.
-pub fn encode_sample_timings(t: &PhaseTimings, w: &mut ByteWriter) {
-    for d in [t.sample_fill, Duration::ZERO, t.sample_mcmc] {
-        w.put_u64(d.as_nanos().min(u128::from(u64::MAX)) as u64);
-    }
-}
-
-/// Decodes a breakdown written by [`encode_sample_timings`] into an
-/// already-decoded [`PhaseTimings`].
-pub fn decode_sample_timings(
-    r: &mut ByteReader<'_>,
-    t: &mut PhaseTimings,
-) -> Result<(), WireError> {
-    t.sample_fill = Duration::from_nanos(r.u64()?);
-    let _retired_repair = r.u64()?;
-    t.sample_mcmc = Duration::from_nanos(r.u64()?);
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kamino_dp::Budget;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -537,7 +506,6 @@ mod tests {
         };
         let mut cfg = KaminoConfig::new(Budget::new(1.0, 1e-6));
         cfg.seed = 99;
-        cfg.shards = 4;
         let mut w = ByteWriter::new();
         encode_params(&p, &mut w);
         encode_config(&cfg, &mut w);
@@ -553,7 +521,7 @@ mod tests {
         );
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes);
-        let p2 = decode_params(&mut r).unwrap();
+        let p2 = decode_params(&mut r, &cfg.budget).unwrap();
         assert_eq!(p2.achieved_epsilon, 0.93);
         assert_eq!((p2.b, p2.t, p2.l_w), (32, 120, 100));
         let cfg2 = decode_config(&mut r).unwrap();
@@ -561,49 +529,27 @@ mod tests {
         let t2 = decode_timings(&mut r).unwrap();
         assert_eq!(t2.training, Duration::from_millis(300));
         assert!(r.is_exhausted());
-
-        // the retired shard slot is a constant: 4 shards encode like 1
-        let mut one = cfg.clone();
-        one.shards = 1;
-        assert_eq!(config_bytes(&cfg), config_bytes(&one));
     }
 
-    fn config_bytes(c: &KaminoConfig) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        encode_config(c, &mut w);
-        w.into_bytes()
-    }
-
-    /// The output-size option is gone; its slot stays in the layout. A
-    /// default config still encodes to the bytes it always had, and
-    /// files that set a size (tag 1 + a row count) still decode, then
-    /// re-encode with the `None` tag.
+    /// Tags 0..=3 are the four sampling rules; every other tag is refused.
     #[test]
-    fn retired_output_size_slot_reads_old_files() {
-        let cfg = KaminoConfig::new(Budget::new(1.0, 1e-6));
-        let now = config_bytes(&cfg);
-        let fnv = kamino_data::wire::fnv1a64;
-        assert_eq!(fnv(&now), 0x1224_84ea_64af_5b6b, "default encoding drifted");
-        // the tag sits before the threshold and shard-count slots; these
-        // are the bytes the option encoded as `Some(450)`
-        let tag_at = now.len() - 17;
-        assert_eq!(now[tag_at], 0);
-        let old = [
-            &now[..tag_at],
-            &[1],
-            &450u64.to_le_bytes(),
-            &now[tag_at + 1..],
-        ]
-        .concat();
-        assert_eq!(fnv(&old), 0x5eb3_f259_a8d0_dfd1);
-        let mut r = ByteReader::new(&old);
-        let decoded = decode_config(&mut r).unwrap();
-        assert!(r.is_exhausted());
-        assert_eq!(config_bytes(&decoded), now);
-
-        let mut bad_tag = now.clone();
-        bad_tag[tag_at] = 2;
-        assert!(decode_config(&mut ByteReader::new(&bad_tag)).is_err());
+    fn unknown_sampling_rule_tags_are_malformed() {
+        let mut w = ByteWriter::new();
+        encode_config(&KaminoConfig::new(Budget::new(1.0, 1e-6)), &mut w);
+        let mut bytes = w.into_bytes();
+        // the tag precedes a bool, `train_scale` and the threshold
+        let at = bytes.len() - 18;
+        assert_eq!(bytes[at], 0);
+        for tag in 4..=u8::MAX {
+            bytes[at] = tag;
+            assert!(
+                matches!(
+                    decode_config(&mut ByteReader::new(&bytes)),
+                    Err(WireError::Malformed(msg)) if msg.contains("sampling rule tag")
+                ),
+                "rule tag {tag} was accepted"
+            );
+        }
     }
 
     #[test]

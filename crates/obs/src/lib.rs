@@ -23,7 +23,7 @@
 //! [`ObsHandle::chrome_trace_json`]) only ever run on explicit request.
 //! The one clock reading that reaches an artifact is deliberate: span
 //! durations become the fit's `PhaseTimings`, which `.kamino` snapshots
-//! store in their SESSION and SAMPLE_TIMINGS sections.
+//! store in their SESSION section.
 //!
 //! ```
 //! let obs = kamino_obs::ObsHandle::enabled();

@@ -6,7 +6,7 @@
 //! ```text
 //! ┌─────────────────────────────────────────────────────────┐
 //! │ magic  "KAMSNAP\0"                              8 bytes │
-//! │ format version (u32 LE, currently 1)            4 bytes │
+//! │ format version (u32 LE, currently 2)            4 bytes │
 //! │ section count   (u32 LE)                        4 bytes │
 //! │ section table: id u32 · offset u64 · len u64 · crc u32  │
 //! │ payload: the sections, back to back                     │
@@ -18,18 +18,27 @@
 //! verifies every checksum before decoding a single byte of payload, so
 //! bit rot surfaces as [`SnapshotError::CrcMismatch`] instead of a
 //! garbage model. Unknown *extra* sections are ignored on load — future
-//! versions can append sections without breaking old readers — while a
-//! bumped version number (incompatible layout) is refused outright.
+//! versions can append sections without breaking old readers — while any
+//! other version number (an incompatible layout, version 1 included) is
+//! refused outright as [`SnapshotError::UnsupportedVersion`].
 //!
-//! The sections persist everything [`FittedKamino`] is made of: the
-//! schema (which determines quantizers/encoders), the DC list with
-//! hardness, the trained model tensors, the selected privacy parameters,
-//! the pipeline configuration (budget included), the session trail
-//! (sequence, learned DC weights, input size, fit timings) and the RNG
-//! cursor. Loading therefore resumes the *exact* deterministic sample
-//! stream the saved session would have produced next — sampling spends
-//! no privacy budget, so a snapshot can be shared and queried forever at
-//! the ε it was fitted under.
+//! The sections persist everything [`FittedKamino`] is made of, each
+//! field once:
+//!
+//! | id | section | holds                                                   |
+//! |----|---------|---------------------------------------------------------|
+//! | 1  | SCHEMA  | the schema (which determines quantizers/encoders)       |
+//! | 2  | DCS     | the DC list with hardness                               |
+//! | 3  | MODEL   | the sequence and the trained model tensors              |
+//! | 4  | PARAMS  | the selected privacy parameters and the achieved ε      |
+//! | 5  | CONFIG  | the pipeline configuration (budget included)            |
+//! | 6  | SESSION | learned DC weights, input size, the six phase timings   |
+//! | 7  | RNG     | the sample stream's cursor                              |
+//!
+//! Loading therefore resumes the *exact* deterministic sample stream the
+//! saved session would have produced next — sampling spends no privacy
+//! budget, so a snapshot can be shared and queried forever at the ε it
+//! was fitted under.
 
 use std::fmt;
 use std::fs;
@@ -44,9 +53,11 @@ use kamino_data::wire::{crc32, ByteReader, ByteWriter, WireError};
 pub const MAGIC: [u8; 8] = *b"KAMSNAP\0";
 
 /// Current container format version.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
-/// Section ids of format version 1.
+/// Section ids of format version 2. Id 8 held version 1's sample-phase
+/// timings; it is never reused, so a reader cannot mistake such bytes
+/// for a later section.
 mod section {
     pub const SCHEMA: u32 = 1;
     pub const DCS: u32 = 2;
@@ -55,12 +66,6 @@ mod section {
     pub const CONFIG: u32 = 5;
     pub const SESSION: u32 = 6;
     pub const RNG: u32 = 7;
-    /// Sample-phase timing breakdown (fill and MCMC; the middle slot is
-    /// a retired repair time, written as zero), added after v1
-    /// shipped. Optional on load: files written before it existed decode
-    /// with zeroed sample timings, and readers predating it skip it as an
-    /// unknown extra section.
-    pub const SAMPLE_TIMINGS: u32 = 8;
     /// The sections [`super::decode_fitted`] cannot do without.
     pub const REQUIRED: [u32; 7] = [SCHEMA, DCS, MODEL, PARAMS, CONFIG, SESSION, RNG];
 }
@@ -74,7 +79,6 @@ fn section_name(id: u32) -> &'static str {
         section::CONFIG => "config",
         section::SESSION => "session",
         section::RNG => "rng",
-        section::SAMPLE_TIMINGS => "sample_timings",
         _ => "unknown",
     }
 }
@@ -154,7 +158,7 @@ impl From<WireError> for SnapshotError {
 
 /// Serializes a fitted session to the container format in memory.
 pub fn encode_fitted(fitted: &FittedKamino) -> Vec<u8> {
-    let mut sections: Vec<(u32, Vec<u8>)> = Vec::with_capacity(8);
+    let mut sections: Vec<(u32, Vec<u8>)> = Vec::with_capacity(section::REQUIRED.len());
 
     let mut w = ByteWriter::new();
     kamino_data::snapshot::encode_schema(fitted.schema(), &mut w);
@@ -177,7 +181,6 @@ pub fn encode_fitted(fitted: &FittedKamino) -> Vec<u8> {
     sections.push((section::CONFIG, w.into_bytes()));
 
     let mut w = ByteWriter::new();
-    w.put_usizes(&fitted.sequence);
     w.put_f64s(&fitted.weights);
     w.put_usize(fitted.n_input());
     core_codec::encode_timings(&fitted.timings, &mut w);
@@ -188,10 +191,6 @@ pub fn encode_fitted(fitted: &FittedKamino) -> Vec<u8> {
         w.put_u64(s);
     }
     sections.push((section::RNG, w.into_bytes()));
-
-    let mut w = ByteWriter::new();
-    core_codec::encode_sample_timings(&fitted.timings, &mut w);
-    sections.push((section::SAMPLE_TIMINGS, w.into_bytes()));
 
     let mut header = ByteWriter::new();
     header.put_raw(&MAGIC);
@@ -290,21 +289,16 @@ pub fn decode_fitted(bytes: &[u8]) -> Result<FittedKamino, SnapshotError> {
     let mut r = find(&sections, section::MODEL)?;
     let model = core_codec::decode_model(&mut r, &schema)?;
 
-    let mut r = find(&sections, section::PARAMS)?;
-    let params = core_codec::decode_params(&mut r)?;
-
     let mut r = find(&sections, section::CONFIG)?;
     let cfg = core_codec::decode_config(&mut r)?;
 
+    let mut r = find(&sections, section::PARAMS)?;
+    let params = core_codec::decode_params(&mut r, &cfg.budget)?;
+
     let mut r = find(&sections, section::SESSION)?;
-    let sequence = r.usizes()?;
     let weights = r.f64s()?;
     let n_input = r.usize()?;
-    let mut timings = core_codec::decode_timings(&mut r)?;
-    // optional: absent from snapshots written before the section existed
-    if let Ok(mut r) = find(&sections, section::SAMPLE_TIMINGS) {
-        core_codec::decode_sample_timings(&mut r, &mut timings)?;
-    }
+    let timings = core_codec::decode_timings(&mut r)?;
     if weights.len() != dcs.len() {
         return Err(SnapshotError::Wire(WireError::Malformed(format!(
             "{} weights for {} DCs",
@@ -312,15 +306,11 @@ pub fn decode_fitted(bytes: &[u8]) -> Result<FittedKamino, SnapshotError> {
             dcs.len()
         ))));
     }
-    if sequence != model.sequence {
-        return Err(SnapshotError::Wire(WireError::Malformed(
-            "session sequence disagrees with the model's sequence".into(),
-        )));
-    }
 
     let mut r = find(&sections, section::RNG)?;
     let rng_state = [r.u64()?, r.u64()?, r.u64()?, r.u64()?];
 
+    let sequence = model.sequence.clone();
     Ok(FittedKamino::from_parts(
         sequence, weights, params, timings, schema, dcs, model, cfg, n_input, rng_state,
     ))
@@ -421,16 +411,26 @@ pub fn load_fitted(path: &Path) -> Result<FittedKamino, SnapshotError> {
 mod tests {
     use super::*;
     use kamino_core::model::SubModelKind;
-    use kamino_core::{fit_kamino, KaminoConfig, SamplingRule};
+    use kamino_core::{fit_kamino, KaminoConfig};
+    use kamino_data::{AttrKind, Value};
     use kamino_dp::Budget;
     use kamino_nn::Attention;
 
     fn tiny_fitted(seed: u64) -> FittedKamino {
+        fit_under(
+            Budget::new(1.0, 1e-6),
+            seed,
+            kamino_obs::ObsHandle::disabled(),
+        )
+    }
+
+    fn fit_under(budget: Budget, seed: u64, obs: kamino_obs::ObsHandle) -> FittedKamino {
         let d = kamino_datasets::adult_like(80, 3);
-        let mut cfg = KaminoConfig::new(Budget::new(1.0, 1e-6));
+        let mut cfg = KaminoConfig::new(budget);
         cfg.train_scale = 0.02;
         cfg.embed_dim = 8;
         cfg.seed = seed;
+        cfg.obs = obs;
         fit_kamino(&d.schema, &d.instance, &d.dcs, &cfg)
     }
 
@@ -534,27 +534,6 @@ mod tests {
     }
 
     #[test]
-    fn session_model_sequence_divergence_is_rejected() {
-        let fitted = tiny_fitted(7);
-        let mut sequence = fitted.sequence.clone();
-        sequence.swap(0, 1);
-        let diverged = FittedKamino::from_parts(
-            sequence,
-            fitted.weights.clone(),
-            fitted.params.clone(),
-            fitted.timings,
-            fitted.schema().clone(),
-            fitted.dcs().to_vec(),
-            clone_model(&fitted),
-            fitted.config().clone(),
-            fitted.n_input(),
-            fitted.rng_state(),
-        );
-        let bytes = encode_fitted(&diverged);
-        assert!(matches!(decode_fitted(&bytes), Err(SnapshotError::Wire(_))));
-    }
-
-    #[test]
     fn submodels_out_of_sequence_order_are_rejected() {
         // each sub-model is self-consistent (attention arity = context
         // arity, head shaped for its target) and every index is in range,
@@ -591,78 +570,6 @@ mod tests {
         ));
     }
 
-    /// The candidate-set size is a constant of the sampler now; a config
-    /// slot holding any other size asks for draws this build cannot make.
-    #[test]
-    fn empty_candidate_set_config_is_rejected() {
-        let fitted = tiny_fitted(15);
-        for d in [0, 5, 11] {
-            let bytes = legacy_config(fitted.config(), d, [true, false, false]);
-            assert!(
-                matches!(
-                    decode_fitted(&with_config_section(&fitted, &bytes)),
-                    Err(SnapshotError::Wire(WireError::Malformed(msg))) if msg.contains("candidate-set size")
-                ),
-                "candidate slot {d} was accepted"
-            );
-        }
-    }
-
-    /// Builds before [`SamplingRule`] stored the rule as three independent
-    /// flags, so old files may hold any of their eight combinations. Each
-    /// decodes to the rule those builds ran and draws what they drew: the
-    /// hashes are the config section and the CSV of a 60-row draw, both
-    /// as the last such build made them.
-    #[test]
-    fn legacy_flag_combinations_decode_to_the_rule_they_ran() {
-        let fitted = tiny_fitted(17);
-        // ([aware, lookup, ar], mcmc_ratio, rule, section hash, draw hash)
-        let cases = [
-            (
-                [false, true, true],
-                0.3,
-                SamplingRule::AcceptReject,
-                0xf372_b372_d6ac_0d86,
-                0xe2ac_8c90_2eb5_d772,
-            ),
-            (
-                [false, true, false],
-                0.0,
-                SamplingRule::RandSampling,
-                0x8eba_ef05_6fba_06c1,
-                0x4ab7_2fc7_284b_51eb,
-            ),
-        ];
-        for (flags, ratio, rule, section_hash, draw_hash) in cases {
-            let mut cfg = fitted.config().clone();
-            cfg.mcmc_ratio = ratio;
-            let bytes = legacy_config(&cfg, 10, flags);
-            assert_eq!(kamino_data::wire::fnv1a64(&bytes), section_hash);
-            let mut loaded = decode_fitted(&with_config_section(&fitted, &bytes)).unwrap();
-            assert_eq!(loaded.config().sampling, rule);
-            let (out, mut csv) = (loaded.sample(60), Vec::new());
-            kamino_data::csv::write_csv(loaded.schema(), &out, &mut csv).unwrap();
-            let h = kamino_data::wire::fnv1a64(&csv);
-            assert_eq!(h, draw_hash, "{flags:?} drew {h:#018x}");
-        }
-    }
-
-    /// `cfg`'s CONFIG section with the candidate slot holding `d` and the
-    /// sampling flags `[aware, lookup, ar]` written as older builds wrote
-    /// them. Offsets count from the end: 26 bytes of later fields follow
-    /// the `ar` flag.
-    fn legacy_config(cfg: &KaminoConfig, d: u64, [aware, lookup, ar]: [bool; 3]) -> Vec<u8> {
-        let mut w = kamino_data::wire::ByteWriter::new();
-        core_codec::encode_config(cfg, &mut w);
-        let mut b = w.into_bytes();
-        let end = b.len();
-        b[end - 47..end - 39].copy_from_slice(&d.to_le_bytes());
-        b[end - 30] = u8::from(aware);
-        b[end - 28] = u8::from(lookup);
-        b[end - 27] = u8::from(ar);
-        b
-    }
-
     #[test]
     fn unbounded_mcmc_ratio_config_is_rejected() {
         // an infinite ratio asks `sample()` for usize::MAX re-samples per
@@ -686,18 +593,109 @@ mod tests {
     fn with_config(fitted: &FittedKamino, cfg: &KaminoConfig) -> Vec<u8> {
         let mut w = kamino_data::wire::ByteWriter::new();
         core_codec::encode_config(cfg, &mut w);
-        with_config_section(fitted, &w.into_bytes())
-    }
-
-    /// `fitted`'s container with `config` as its CONFIG section.
-    fn with_config_section(fitted: &FittedKamino, config: &[u8]) -> Vec<u8> {
+        let config = w.into_bytes();
         rebuild(&encode_fitted(fitted), |id, b| {
             Some(if id == section::CONFIG {
-                config.to_vec()
+                config.clone()
             } else {
                 b.to_vec()
             })
         })
+    }
+
+    /// Byte widths of the PARAMS fields in layout order: `non_private`,
+    /// σ_g, σ_d, `b`, `t`, `clip`, `learn_weights`, σ_w, `l_w`, `b_w`,
+    /// `t_w`, achieved ε.
+    const PARAMS_WIDTHS: [usize; 12] = [1, 8, 8, 8, 8, 8, 1, 8, 8, 8, 8, 8];
+    /// Byte widths of the CONFIG fields in layout order: ε, δ, `seed`,
+    /// `embed_dim`, `lr`, `mcmc_ratio`, `parallel_training`, the sampling
+    /// rule tag, `constraint_aware_sequencing`, `train_scale`,
+    /// `large_domain_threshold`.
+    const CONFIG_WIDTHS: [usize; 11] = [8, 8, 8, 8, 8, 8, 1, 1, 1, 8, 8];
+
+    /// Hostile values for a field of `width` bytes: for 8-byte fields NaN,
+    /// ±∞, −0.0, −1.0 and 0.0 as f64s plus 0 and `usize::MAX` as
+    /// integers; for 1-byte fields 0 and 255.
+    fn hostile_values(width: usize) -> Vec<Vec<u8>> {
+        if width == 1 {
+            return vec![vec![0], vec![u8::MAX]];
+        }
+        [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, -1.0, 0.0]
+            .map(|x| x.to_le_bytes().to_vec())
+            .into_iter()
+            .chain([0u64, usize::MAX as u64].map(|v| v.to_le_bytes().to_vec()))
+            .collect()
+    }
+
+    /// Every value of `out` lies in its attribute's domain.
+    fn assert_in_domain(f: &FittedKamino, out: &kamino_data::Instance) {
+        for (j, attr) in f.schema().attrs().iter().enumerate() {
+            for row in 0..out.n_rows() {
+                let v = out.value(row, j);
+                attr.validate(v).unwrap();
+                if let (AttrKind::Numeric { min, max, .. }, Value::Num(x)) = (&attr.kind, v) {
+                    assert!((*min..=*max).contains(&x), "`{}` = {x}", attr.name);
+                }
+            }
+        }
+    }
+
+    /// A CRC-valid file whose PARAMS or CONFIG field holds a hostile value
+    /// either fails decode as `Malformed` or decodes to a session that
+    /// draws 20 rows inside their domains: it never panics, hangs or
+    /// reports an ε the fit could not have spent.
+    #[test]
+    fn hostile_params_and_config_fields_are_refused_or_sample() {
+        let sessions = [
+            tiny_fitted(18),
+            fit_under(Budget::non_private(), 18, kamino_obs::ObsHandle::disabled()),
+        ];
+        for fitted in &sessions {
+            let bytes = encode_fitted(fitted);
+            for (id, widths) in [
+                (section::PARAMS, &PARAMS_WIDTHS[..]),
+                (section::CONFIG, &CONFIG_WIDTHS[..]),
+            ] {
+                let mut at = 0;
+                for (field, &width) in widths.iter().enumerate() {
+                    for value in hostile_values(width) {
+                        let patched = rebuild(&bytes, |sid, b| {
+                            let mut b = b.to_vec();
+                            if sid == id {
+                                assert_eq!(b.len(), widths.iter().sum::<usize>(), "layout drifted");
+                                b[at..at + width].copy_from_slice(&value);
+                            }
+                            Some(b)
+                        });
+                        let what = format!("{} field {field} = {value:02x?}", section_name(id));
+                        match decode_fitted(&patched) {
+                            Err(SnapshotError::Wire(WireError::Malformed(_))) => {}
+                            Err(e) => panic!("{what}: {e}"),
+                            Ok(mut loaded) => {
+                                let eps = loaded.achieved_epsilon();
+                                let budget = loaded.config().budget.epsilon;
+                                assert!(eps > 0.0 && eps <= budget, "{what}: ε {eps}");
+                                let out = loaded.sample(20);
+                                assert_eq!(out.n_rows(), 20, "{what}");
+                                assert_in_domain(&loaded, &out);
+                            }
+                        }
+                    }
+                    at += width;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn traced_session_timings_roundtrip() {
+        let mut live = fit_under(Budget::new(1.0, 1e-6), 19, kamino_obs::ObsHandle::enabled());
+        let _ = live.sample(10);
+        let t = live.timings;
+        assert!(t.training > std::time::Duration::ZERO);
+        assert!(t.sample_fill > std::time::Duration::ZERO);
+        let loaded = decode_fitted(&encode_fitted(&live)).unwrap();
+        assert_eq!(loaded.timings, t);
     }
 
     /// Rebuilds a container from `bytes`, passing each section through
@@ -727,25 +725,19 @@ mod tests {
         out
     }
 
-    /// Rebuilds a container without section `drop_id` — a stand-in for
-    /// files written by older builds.
-    fn rebuild_without(bytes: &[u8], drop_id: u32) -> Vec<u8> {
-        rebuild(bytes, |id, b| (id != drop_id).then(|| b.to_vec()))
-    }
-
-    /// Rewrites a model section so the store's embedder for `attr` is
-    /// marked absent (option tag `0`) and its bytes are dropped.
-    fn unmaterialise_embedder(model: &[u8], attr: usize) -> Vec<u8> {
+    /// Rewrites a model section so the shared store lists one embedder
+    /// fewer: the embedder for `attr` is cut out and the count drops by 1.
+    fn drop_embedder(model: &[u8], attr: usize) -> Vec<u8> {
         let mut r = ByteReader::new(model);
         r.usizes().unwrap(); // sequence
         r.f64s().unwrap(); // first-attribute distribution
         r.usize().unwrap(); // embedding dim
+        let count_at = model.len() - r.remaining();
         let n = r.len_prefix().unwrap();
         assert!(attr < n);
         let mut start = 0;
-        for a in 0..=attr {
+        for _ in 0..=attr {
             start = model.len() - r.remaining();
-            assert_eq!(r.u8().unwrap(), 1, "embedder {a} is not materialised");
             match r.u8().unwrap() {
                 0 => {
                     kamino_nn::snapshot::decode_embedding(&mut r).unwrap();
@@ -757,7 +749,14 @@ mod tests {
             }
         }
         let end = model.len() - r.remaining();
-        [&model[..start], &[0u8], &model[end..]].concat()
+        let count = (n as u32 - 1).to_le_bytes();
+        [
+            &model[..count_at],
+            &count,
+            &model[count_at + 4..start],
+            &model[end..],
+        ]
+        .concat()
     }
 
     #[test]
@@ -774,12 +773,15 @@ mod tests {
             .unwrap();
         let bytes = rebuild(&encode_fitted(&fitted), |id, b| {
             Some(if id == section::MODEL {
-                unmaterialise_embedder(b, attr)
+                drop_embedder(b, attr)
             } else {
                 b.to_vec()
             })
         });
-        assert!(matches!(decode_fitted(&bytes), Err(SnapshotError::Wire(_))));
+        assert!(matches!(
+            decode_fitted(&bytes),
+            Err(SnapshotError::Wire(WireError::Malformed(msg))) if msg.contains("embedding store covers")
+        ));
     }
 
     /// FNV-1a fingerprint of the `.kamino` bytes of a small seeded,
@@ -791,50 +793,9 @@ mod tests {
         let fitted = tiny_fitted(12);
         let h = kamino_data::wire::fnv1a64(&encode_fitted(&fitted));
         assert_eq!(
-            h, 0xaf9f_0c93_894f_475f,
+            h, 0xb116_9b92_80bb_b13d,
             "encoded snapshot drifted: {h:#018x}"
         );
-    }
-
-    #[test]
-    fn old_snapshots_without_sample_timings_still_load() {
-        let mut live = tiny_fitted(8);
-        // traced, so the dropped section really held non-zero timings
-        live.set_obs(kamino_obs::ObsHandle::enabled());
-        let _ = live.sample(10);
-        assert!(live.timings.sample_fill > std::time::Duration::ZERO);
-        let old_format = rebuild_without(&encode_fitted(&live), section::SAMPLE_TIMINGS);
-        let mut loaded = decode_fitted(&old_format).unwrap();
-        // sample timings default to zero; everything else round-trips,
-        // including the exact RNG stream
-        assert_eq!(loaded.timings.sample_fill, std::time::Duration::ZERO);
-        assert_eq!(loaded.timings.sample_mcmc, std::time::Duration::ZERO);
-        assert_eq!(live.sample(24), loaded.sample(24));
-    }
-
-    /// Files written while sharded sampling existed may hold any shard
-    /// count in the config's last slot and a repair time in the middle
-    /// sample-timings slot; both are read and dropped.
-    #[test]
-    fn old_snapshots_with_a_shard_count_still_load() {
-        let mut live = tiny_fitted(13);
-        let _ = live.sample(10);
-        let patch_u64 = |b: &[u8], at: usize, v: u64| {
-            let mut out = b.to_vec();
-            out[at..at + 8].copy_from_slice(&v.to_le_bytes());
-            out
-        };
-        let old_format = rebuild(&encode_fitted(&live), |id, b| {
-            Some(match id {
-                section::CONFIG => patch_u64(b, b.len() - 8, 4),
-                section::SAMPLE_TIMINGS => patch_u64(b, 8, 5_000_000),
-                _ => b.to_vec(),
-            })
-        });
-        assert_ne!(old_format, encode_fitted(&live));
-        let mut loaded = decode_fitted(&old_format).unwrap();
-        assert_eq!(encode_fitted(&loaded), encode_fitted(&live));
-        assert_eq!(live.sample(24), loaded.sample(24));
     }
 
     #[test]
@@ -862,7 +823,8 @@ mod tests {
 
         // a correctly sealed container that lacks a required section
         let no_rng = dir.join("no-rng.kamino");
-        std::fs::write(&no_rng, rebuild_without(&bytes, section::RNG)).unwrap();
+        let without_rng = rebuild(&bytes, |id, b| (id != section::RNG).then(|| b.to_vec()));
+        std::fs::write(&no_rng, without_rng).unwrap();
         assert!(matches!(
             verify_snapshot(&no_rng),
             Err(SnapshotError::MissingSection { section: "rng" })

@@ -10,6 +10,8 @@
 //!   or quarantined, never fatal and never loaded, while a snapshot
 //!   renamed in before the crash is served;
 //! * a persisted model resumes its sample stream bit-exactly;
+//! * a snapshot of an unsupported format version is quarantined at boot
+//!   while the models beside it keep serving;
 //! * `/healthz` answers after every recovery.
 //!
 //! The final test drives the overload surface in-process: per-request
@@ -329,6 +331,42 @@ fn sample_streams_resume_bit_exact_after_kill() {
         "snapshot reload must resume the stream bit-exactly"
     );
     s.shutdown_clean("bit-exact resume scenario");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A format-1 snapshot (one an older build wrote) left beside a served
+/// model: boot quarantines it, counts it, and keeps serving the current
+/// model's stream bit-exactly.
+#[test]
+fn format_one_snapshot_is_quarantined_at_boot() {
+    let dir = scratch_dir("crash-format-1");
+    let mut s = ChaosServer::spawn(&dir, &[]);
+    let id = fit_and_wait(s.addr, FIT_BODY);
+    let path = format!("/models/{id}/synthesize?n=40&batch=20&format=csv");
+    let (status, before) = request(s.addr, "POST", &path, None);
+    assert!(status.contains("200"), "{status}");
+    s.kill_hard();
+
+    let mut old = std::fs::read(dir.join(format!("model-{id}.kamino"))).unwrap();
+    assert_eq!(
+        &old[..12],
+        b"KAMSNAP\0\x02\0\0\0",
+        "served snapshot is not format 2"
+    );
+    old[8..12].copy_from_slice(&1u32.to_le_bytes());
+    std::fs::write(dir.join("format-1.kamino"), &old).unwrap();
+
+    let mut s = ChaosServer::spawn(&dir, &[]);
+    assert_healthy(s.addr, "boot beside a format-1 snapshot");
+    assert!(dir.join("format-1.kamino.quarantine").is_file());
+    assert!(!dir.join("format-1.kamino").exists());
+    let (_, metrics) = request(s.addr, "GET", "/metrics", None);
+    assert_eq!(metric(&metrics, "kamino_quarantined_files_total"), 1.0);
+    let (status, after) = request(s.addr, "POST", &path, None);
+    assert!(status.contains("200"), "{status}");
+    assert_eq!(before, after, "the format-2 model must serve the same rows");
+    assert_healthy(s.addr, "serving beside a quarantined snapshot");
+    s.shutdown_clean("format-1 quarantine scenario");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -4,7 +4,7 @@
 //! wrong-version files must fail loudly instead of yielding a wrong
 //! model.
 
-use kamino_core::{fit_kamino, FittedKamino, KaminoConfig};
+use kamino_core::{fit_kamino, FittedKamino, KaminoConfig, SamplingRule};
 use kamino_data::{Attribute, Instance, Schema, Value};
 use kamino_dp::Budget;
 use kamino_serve::snapshot::{decode_fitted, encode_fitted, SnapshotError};
@@ -59,6 +59,30 @@ fn fit(
     fit_seed: u64,
     epsilon: f64,
 ) -> FittedKamino {
+    fit_with(
+        card_a,
+        card_b,
+        bins,
+        rows,
+        data_seed,
+        fit_seed,
+        epsilon,
+        |_| {},
+    )
+}
+
+/// [`fit`] with `tweak` applied to the config before the fit.
+#[allow(clippy::too_many_arguments)]
+fn fit_with(
+    card_a: usize,
+    card_b: usize,
+    bins: usize,
+    rows: usize,
+    data_seed: u64,
+    fit_seed: u64,
+    epsilon: f64,
+    tweak: impl FnOnce(&mut KaminoConfig),
+) -> FittedKamino {
     let (schema, instance, dcs) = build_dataset(card_a, card_b, bins, rows, data_seed);
     let mut cfg = KaminoConfig::new(if epsilon.is_infinite() {
         Budget::non_private()
@@ -68,15 +92,28 @@ fn fit(
     cfg.train_scale = 0.02;
     cfg.embed_dim = 8;
     cfg.seed = fit_seed;
+    tweak(&mut cfg);
     fit_kamino(&schema, &instance, &dcs, &cfg)
 }
+
+const RULES: [SamplingRule; 4] = [
+    SamplingRule::Algorithm3 {
+        hard_fd_lookup: false,
+    },
+    SamplingRule::Algorithm3 {
+        hard_fd_lookup: true,
+    },
+    SamplingRule::RandSampling,
+    SamplingRule::AcceptReject,
+];
 
 proptest! {
     // each case fits a real (tiny) model, so keep the count modest
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Arbitrary schema/weights/params → save → load → the next 64
-    /// sampled rows are bit-identical to the unsaved session's.
+    /// Arbitrary schema/weights/params/sampling rule → save → load → every
+    /// stored config field round-trips and the next 64 sampled rows are
+    /// bit-identical to the unsaved session's.
     #[test]
     fn save_load_resumes_bit_identical_stream(
         card_a in 2usize..5,
@@ -87,8 +124,13 @@ proptest! {
         fit_seed in 0u64..1000,
         epsilon in prop::sample::select(vec![0.8, 1.0, f64::INFINITY]),
         warmup in prop::sample::select(vec![0usize, 13]),
+        sampling in prop::sample::select(RULES.to_vec()),
+        mcmc_ratio in prop::sample::select(vec![0.0, 0.5]),
     ) {
-        let mut live = fit(card_a, card_b, bins, rows, data_seed, fit_seed, epsilon);
+        let mut live = fit_with(card_a, card_b, bins, rows, data_seed, fit_seed, epsilon, |cfg| {
+            cfg.sampling = sampling;
+            cfg.mcmc_ratio = mcmc_ratio;
+        });
         if warmup > 0 {
             // snapshots taken mid-stream must also resume exactly
             let _ = live.sample(warmup);
@@ -96,6 +138,14 @@ proptest! {
         let bytes = encode_fitted(&live);
         let mut loaded = decode_fitted(&bytes).expect("snapshot must decode");
         prop_assert_eq!(loaded.achieved_epsilon().to_bits(), live.achieved_epsilon().to_bits());
+        // every config field the snapshot stores, in a comparable form
+        let stored = |c: &KaminoConfig| (
+            (c.budget.epsilon.to_bits(), c.budget.delta.to_bits()),
+            (c.seed, c.embed_dim, c.lr.to_bits(), c.mcmc_ratio.to_bits()),
+            (c.parallel_training, c.sampling, c.constraint_aware_sequencing),
+            (c.train_scale.to_bits(), c.large_domain_threshold),
+        );
+        prop_assert_eq!(stored(loaded.config()), stored(live.config()));
         prop_assert_eq!(&loaded.sequence, &live.sequence);
         prop_assert_eq!(loaded.n_input(), live.n_input());
         prop_assert_eq!(loaded.rng_state(), live.rng_state());
@@ -142,12 +192,12 @@ proptest! {
 fn wrong_version_is_refused_with_a_clear_error() {
     let live = fit(3, 3, 6, 35, 1, 2, 1.0);
     let mut bytes = encode_fitted(&live);
-    // bump the version field (bytes 8..12, little-endian)
-    bytes[8] = 2;
+    // mark the file as format 1 (bytes 8..12, little-endian)
+    bytes[8] = 1;
     match decode_fitted(&bytes) {
-        Err(SnapshotError::UnsupportedVersion(2)) => {}
-        Err(other) => panic!("expected UnsupportedVersion(2), got {other:?}"),
-        Ok(_) => panic!("expected UnsupportedVersion(2), got a loaded model"),
+        Err(SnapshotError::UnsupportedVersion(1)) => {}
+        Err(other) => panic!("expected UnsupportedVersion(1), got {other:?}"),
+        Ok(_) => panic!("expected UnsupportedVersion(1), got a loaded model"),
     }
 }
 
