@@ -50,30 +50,9 @@ fn build_dataset(
     (schema, instance, vec![dc])
 }
 
-fn fit(
-    card_a: usize,
-    card_b: usize,
-    bins: usize,
-    rows: usize,
-    data_seed: u64,
-    fit_seed: u64,
-    epsilon: f64,
-) -> FittedKamino {
-    fit_with(
-        card_a,
-        card_b,
-        bins,
-        rows,
-        data_seed,
-        fit_seed,
-        epsilon,
-        |_| {},
-    )
-}
-
-/// [`fit`] with `tweak` applied to the config before the fit.
+/// Fits [`build_dataset`]'s corpus with `tweak` applied to the config.
 #[allow(clippy::too_many_arguments)]
-fn fit_with(
+fn fit(
     card_a: usize,
     card_b: usize,
     bins: usize,
@@ -127,7 +106,7 @@ proptest! {
         sampling in prop::sample::select(RULES.to_vec()),
         mcmc_ratio in prop::sample::select(vec![0.0, 0.5]),
     ) {
-        let mut live = fit_with(card_a, card_b, bins, rows, data_seed, fit_seed, epsilon, |cfg| {
+        let mut live = fit(card_a, card_b, bins, rows, data_seed, fit_seed, epsilon, |cfg| {
             cfg.sampling = sampling;
             cfg.mcmc_ratio = mcmc_ratio;
         });
@@ -164,7 +143,7 @@ proptest! {
         bit in 0u8..8,
         data_seed in 0u64..100,
     ) {
-        let live = fit(3, 3, 6, 35, data_seed, 7, 1.0);
+        let live = fit(3, 3, 6, 35, data_seed, 7, 1.0, |_| {});
         let bytes = encode_fitted(&live);
         let mut corrupt = bytes.clone();
         let pos = ((bytes.len() - 1) as f64 * pos_frac) as usize;
@@ -190,7 +169,7 @@ proptest! {
 
 #[test]
 fn wrong_version_is_refused_with_a_clear_error() {
-    let live = fit(3, 3, 6, 35, 1, 2, 1.0);
+    let live = fit(3, 3, 6, 35, 1, 2, 1.0, |_| {});
     let mut bytes = encode_fitted(&live);
     // mark the file as format 1 (bytes 8..12, little-endian)
     bytes[8] = 1;
@@ -203,7 +182,7 @@ fn wrong_version_is_refused_with_a_clear_error() {
 
 #[test]
 fn truncation_is_refused() {
-    let live = fit(3, 4, 8, 40, 3, 4, 1.0);
+    let live = fit(3, 4, 8, 40, 3, 4, 1.0, |_| {});
     let bytes = encode_fitted(&live);
     for cut in [0, 7, 12, 16, bytes.len() / 3, bytes.len() - 1] {
         assert!(decode_fitted(&bytes[..cut]).is_err(), "cut at {cut} loaded");
