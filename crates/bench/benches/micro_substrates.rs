@@ -336,10 +336,10 @@ fn bench(c: &mut Criterion) {
         });
     }
 
-    // One DP-SGD step on a dense 64×64 model over a 256-example batch
-    // (16 microbatches): fused clip-and-accumulate vs. the two-pass
-    // reference kernel. Same gradients to the bit (pinned by a test in
-    // kamino_nn::optim), fewer traversals of every gradient buffer.
+    // One DP-SGD step on a dense 64×64 model over a 256-example batch:
+    // fused clip-and-accumulate vs. the three-pass reference kernel. Same
+    // gradients to the bit (pinned by a test in kamino_nn::optim), fewer
+    // traversals of every gradient buffer.
     {
         let dim = 64;
         let mut rng = StdRng::seed_from_u64(7);

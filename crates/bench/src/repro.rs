@@ -1249,7 +1249,7 @@ mod tests {
         // revision segment only with `FIT_REVISION`
         assert_eq!(
             ReproConfig::fast(17).cache_path("adult", 1.0, MethodKind::Kamino),
-            PathBuf::from("target/repro-cache/adult-n2000-eps1-seed17-r2-0f1715d3c635c7b9.kamino")
+            PathBuf::from("target/repro-cache/adult-n2000-eps1-seed17-r3-0f1715d3c635c7b9.kamino")
         );
     }
 
@@ -1277,7 +1277,7 @@ mod tests {
             assert_eq!(
                 cfg.cache_path("adult", 1.0, method),
                 PathBuf::from(format!(
-                    "target/repro-cache/adult-n2000-eps1-seed17-r2-{hash}.kamino"
+                    "target/repro-cache/adult-n2000-eps1-seed17-r3-{hash}.kamino"
                 )),
                 "{} re-keyed",
                 method.name()

@@ -45,7 +45,9 @@ pub mod weights;
 
 pub use model::{DataModel, SubModel};
 pub use params::{search_params, search_params_with_obs, PrivacyParams};
-pub use pipeline::{fit_kamino, FittedKamino, KaminoConfig, PhaseTimings, FIT_REVISION};
+pub use pipeline::{
+    fit_kamino, FittedKamino, KaminoConfig, PhaseTimings, FIT_REVISION, MAX_MCMC_RATIO,
+};
 pub use sampler::{synthesize, SamplingRule, FD_CYCLE_TOLERANCE_PCT};
 pub use sequence::{active_dcs_by_position, sequence_attrs};
 pub use train::{train_model, train_model_with_obs, TrainConfig};

@@ -31,7 +31,18 @@ use crate::weights::{learn_weights, WeightConfig, HARD_WEIGHT};
 /// next reads it and after the last step (see [`kamino_nn::optim`]), so
 /// private fits draw a different noise stream. Non-private fits are
 /// unchanged.
-pub const FIT_REVISION: u32 = 2;
+///
+/// Revision 3: DP-SGD adds every clipped per-example gradient of a step
+/// straight into one sum per parameter block, in batch order, instead of
+/// merging 16-example partial sums, so the floating-point sums of
+/// batches over 16 examples round differently, private or not.
+pub const FIT_REVISION: u32 = 3;
+
+/// The largest [`KaminoConfig::mcmc_ratio`] a fit or a decoded snapshot
+/// accepts. A draw of `n` rows runs `ratio·n` MCMC re-samples per column,
+/// so an unbounded ratio lets a config, or a crafted snapshot, stall a
+/// draw indefinitely. Experiment 9 sweeps ratios 0–3.
+pub const MAX_MCMC_RATIO: f64 = 10.0;
 
 /// Configuration for one end-to-end Kamino run. Use
 /// [`KaminoConfig::new`] and adjust fields; defaults match the paper's
@@ -47,7 +58,8 @@ pub struct KaminoConfig {
     /// Learning rate `η`.
     pub lr: f64,
     /// MCMC re-sampling amount as a fraction of `n` (`m = ratio·n`,
-    /// Experiment 9's x-axis). [`SamplingRule::AcceptReject`] ignores it.
+    /// Experiment 9's x-axis), in `[0, MAX_MCMC_RATIO]`.
+    /// [`SamplingRule::AcceptReject`] ignores it.
     pub mcmc_ratio: f64,
     /// Train sub-models in parallel with private embeddings (Exp. 10).
     pub parallel_training: bool,
@@ -207,8 +219,9 @@ pub fn fit_kamino(
     assert!(n > 0, "cannot synthesize from an empty instance");
     assert!(cfg.train_scale > 0.0, "train scale must be positive");
     assert!(
-        cfg.mcmc_ratio >= 0.0 && cfg.mcmc_ratio.is_finite(),
-        "mcmc ratio must be nonnegative and finite"
+        (0.0..=MAX_MCMC_RATIO).contains(&cfg.mcmc_ratio),
+        "mcmc ratio must be nonnegative and finite, and at most {MAX_MCMC_RATIO}; got {}",
+        cfg.mcmc_ratio
     );
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x4A31);
     let mut timings = PhaseTimings::default();
@@ -522,6 +535,15 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "at most 10; got 1000000000")]
+    fn mcmc_ratio_above_the_maximum_is_refused() {
+        let d = adult_like(50, 7);
+        let mut cfg = fast_cfg(Budget::new(1.0, 1e-6), 8);
+        cfg.mcmc_ratio = 1e9;
+        fit_kamino(&d.schema, &d.instance, &d.dcs, &cfg);
+    }
+
+    #[test]
     fn an_empty_draw_leaves_the_stream_where_it_was() {
         let d = adult_like(120, 23);
         let mut cfg = fast_cfg(Budget::new(1.0, 1e-6), 24);
@@ -624,19 +646,19 @@ mod tests {
         }
         let want: [u64; 18] = [
             // tax: {default, mcmc+fd, rand} × {AR off, AR on}
-            0x0ea3_b041_ebb1_930d,
-            0xc32d_c5cd_827e_1e84,
-            0xf1ee_d2c9_f778_afd6,
-            0xc32d_c5cd_827e_1e84,
-            0x3bde_2744_f9ca_6b27,
-            0xc32d_c5cd_827e_1e84,
+            0x2acb_33da_446b_c65b,
+            0x0b56_ed72_5af1_a161,
+            0x961c_7089_e035_ec5e,
+            0x0b56_ed72_5af1_a161,
+            0x52ac_cfad_1abf_a35a,
+            0x0b56_ed72_5af1_a161,
             // adult: {default, mcmc+fd, rand} × {AR off, AR on}
-            0xd08a_6170_9fd4_c4c2,
-            0x6fb9_b31b_9514_4dc8,
-            0x5e6b_276a_7647_c67a,
-            0x6fb9_b31b_9514_4dc8,
-            0x2851_2a6d_9f4e_df85,
-            0x6fb9_b31b_9514_4dc8,
+            0x852e_3684_196f_5427,
+            0x34fb_9af6_372c_14a5,
+            0x07eb_39c9_a0d3_e876,
+            0x34fb_9af6_372c_14a5,
+            0xd963_94d2_f342_d82e,
+            0x34fb_9af6_372c_14a5,
             // br2000: {default, mcmc+fd, rand} × {AR off, AR on}
             0x765f_7562_60c5_d958,
             0x0039_acd0_c6af_7b4e,
@@ -670,7 +692,7 @@ mod tests {
         let h = kamino_data::wire::fnv1a64(&w.into_bytes());
         assert_eq!(
             (FIT_REVISION, h),
-            (2, 0x11ed_ac5c_a856_0e23),
+            (3, 0x5f92_716d_483f_f2eb),
             "fitted TPC-H model drifted: {h:#018x} (re-pin with a FIT_REVISION bump if the \
              fit moved, or with a snapshot FORMAT_VERSION bump if the MODEL layout did)"
         );

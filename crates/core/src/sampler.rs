@@ -902,7 +902,7 @@ pub(crate) mod tests {
         let out = draw(&s, &model, &dcs, &w, &cfg, 60, 32);
         let h = digest(&out);
         assert_eq!(
-            h, 0x02bb_d1e8_fced_961c,
+            h, 0xe1b4_a125_c4e5_49da,
             "sequential sampler output drifted: {h:#018x}"
         );
     }

@@ -20,7 +20,7 @@ use kamino_nn::snapshot::{
 
 use crate::model::{AttrEmbedder, DataModel, EmbeddingStore, Head, SubModel, SubModelKind};
 use crate::params::PrivacyParams;
-use crate::pipeline::{KaminoConfig, PhaseTimings};
+use crate::pipeline::{KaminoConfig, PhaseTimings, MAX_MCMC_RATIO};
 use crate::sampler::SamplingRule;
 
 const EMBEDDER_CAT: u8 = 0;
@@ -431,9 +431,9 @@ pub fn decode_config(r: &mut ByteReader<'_>) -> Result<KaminoConfig, WireError> 
     cfg.embed_dim = r.usize()?;
     cfg.lr = r.f64()?;
     cfg.mcmc_ratio = r.f64()?;
-    if !(cfg.mcmc_ratio >= 0.0 && cfg.mcmc_ratio.is_finite()) {
+    if !(0.0..=MAX_MCMC_RATIO).contains(&cfg.mcmc_ratio) {
         return Err(WireError::Malformed(format!(
-            "mcmc ratio {} is not a nonnegative finite number",
+            "mcmc ratio {} is not in [0, {MAX_MCMC_RATIO}]",
             cfg.mcmc_ratio
         )));
     }

@@ -48,9 +48,9 @@ pub struct TrainConfig {
     /// This changes the trained model (no embedding reuse across
     /// sub-models).
     pub parallel: bool,
-    /// Has no effect: every DP-SGD step runs the serial microbatch
-    /// kernel. Kept only because the benchmark package still sets it;
-    /// it goes when that package stops naming it.
+    /// Has no effect: every DP-SGD step sums the batch serially into one
+    /// gradient sum per parameter block. Kept only because the benchmark
+    /// package still sets it; it goes when that package stops naming it.
     pub microbatch_parallel: bool,
     /// Domains larger than this use the §4.3 noisy-marginal fallback.
     pub large_domain_threshold: usize,

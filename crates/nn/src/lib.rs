@@ -44,7 +44,7 @@ pub use attention::Attention;
 pub use heads::{CategoricalHead, GaussianHead};
 pub use layers::{ContinuousEncoder, Embedding, Linear};
 pub use mlp::Mlp;
-pub use optim::{DpSgd, PerExampleModel, StepReport, MICROBATCH};
+pub use optim::{DpSgd, PerExampleModel, StepReport};
 pub use param::ParamBlock;
 pub use scratch::Scratch;
 

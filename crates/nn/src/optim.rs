@@ -8,6 +8,12 @@
 //! private and non-private training share one code path (the ε = ∞ runs of
 //! Figure 6 use exactly that).
 //!
+//! **One gradient sum per block.** Each [`ParamBlock`] keeps the step's
+//! sum in one buffer, allocated on the block's first step and reused by
+//! every later one. A step adds each clipped per-example gradient into it
+//! in batch order, so that order alone fixes the floating-point sum; the
+//! update re-zeroes what it consumed, and [`DpSgd::finish`] frees it.
+//!
 //! **Deferred noise on row-sparse blocks.** An embedding table row that no
 //! example reads for `k` steps would receive `k` independent noise draws
 //! `−(lr/b)·σ_d·C·z` per coordinate and nothing else. Their sum is one
@@ -62,12 +68,6 @@ pub struct DpSgd {
     pub expected_batch: f64,
 }
 
-/// Fixed per-example-gradient microbatch size. A step accumulates
-/// clipped gradients microbatch-by-microbatch into partial sums and
-/// merges them in microbatch order; that order fixes the floating-point
-/// summation, so every trained parameter depends on it.
-pub const MICROBATCH: usize = 16;
-
 /// What one [`DpSgd::step`] (or [`DpSgd::finish`]) did: the mean example
 /// loss plus deterministic work counts, taken where the work happens.
 #[derive(Debug, Clone, Copy, Default)]
@@ -85,22 +85,20 @@ pub struct StepReport {
     pub rows_settled: u64,
 }
 
-/// A per-microbatch clip-and-sum kernel: `(model, microbatch, clip,
-/// partial sums) → total loss, coordinates visited`. It adds the clipped
-/// per-example gradients into the partial sums (shaped like the model's
-/// blocks, `+0.0` on entry) and counts the gradient coordinates its two
-/// per-example passes visited.
-type Accumulate<M, E> = fn(&mut M, &[E], f64, &mut [Vec<f64>]) -> (f64, u64);
+/// A clip-and-sum kernel: `(model, batch, clip) → total loss, coordinates
+/// visited`. It adds the clipped per-example gradients, in batch order,
+/// into each block's gradient sum (allocated, `+0.0` on entry) and counts
+/// the gradient coordinates its two per-example passes visited.
+type Accumulate<M, E> = fn(&mut M, &[E], f64) -> (f64, u64);
 
-/// Accumulates the clipped per-example gradient sums for `batch` (one
-/// microbatch) into `sums`, returning the total loss and the coordinates
-/// visited.
+/// Adds the clipped per-example gradients of `batch` into each block's
+/// gradient sum, returning the total loss and the coordinates visited.
 ///
 /// This is the **fused, row-sparse** clip-and-accumulate kernel. After
 /// each example's backward pass it makes two passes over the gradients
 /// instead of the reference's three (zero, norm, scale-add): one computes
 /// the global L2 norm, and a second fused one scales, accumulates into
-/// `sums` *and re-zeroes* the gradient buffers for the next example. Both
+/// the sums *and re-zeroes* the gradient buffers for the next example. Both
 /// passes visit every coordinate of a dense block but only the touched
 /// rows of a row-sparse block (an embedding table, where an example
 /// touches one row), in ascending order. The per-sum arithmetic
@@ -109,12 +107,7 @@ type Accumulate<M, E> = fn(&mut M, &[E], f64, &mut [Vec<f64>]) -> (f64, u64);
 /// result is bit-identical (see [`ParamBlock`] for why each skip is an
 /// identity); the parity is property-tested in `tests/proptest_kernels.rs`
 /// and pinned by the `fused_step_matches_reference_step` test below.
-fn accumulate_clipped<E, M>(
-    model: &mut M,
-    batch: &[E],
-    clip: f64,
-    sums: &mut [Vec<f64>],
-) -> (f64, u64)
+fn accumulate_clipped<E, M>(model: &mut M, batch: &[E], clip: f64) -> (f64, u64)
 where
     M: PerExampleModel<E>,
 {
@@ -135,11 +128,7 @@ where
         });
         let norm = sq.sqrt();
         let scale = if norm > clip { clip / norm } else { 1.0 };
-        let mut idx = 0;
-        model.visit_blocks(&mut |b| {
-            b.drain_scaled_into(scale, &mut sums[idx]);
-            idx += 1;
-        });
+        model.visit_blocks(&mut |b| b.drain_scaled(scale));
     }
     (total_loss, visited)
 }
@@ -147,20 +136,17 @@ where
 /// The unfused, all-dense serial-reference twin of `accumulate_clipped`:
 /// zero the gradients, backward, norm pass, then a separate scale-and-add
 /// pass — three traversals of every coordinate per example, row-sparse
-/// blocks included. Kept public so parity tests and the microbenchmarks
-/// can pin the fused kernel against it. Its visit count covers the norm
-/// and scale-add passes, the two the fused kernel also makes.
-pub fn accumulate_clipped_reference<E, M>(
-    model: &mut M,
-    batch: &[E],
-    clip: f64,
-    sums: &mut [Vec<f64>],
-) -> (f64, u64)
+/// blocks included. [`DpSgd::step_reference`] runs it, so the parity tests
+/// and the microbenchmarks can pin the fused kernel against it. Its visit
+/// count covers the norm and scale-add passes, the two the fused kernel
+/// also makes.
+fn accumulate_clipped_reference<E, M>(model: &mut M, batch: &[E], clip: f64) -> (f64, u64)
 where
     M: PerExampleModel<E>,
 {
     let mut total_loss = 0.0;
-    let per_example = 2 * sums.iter().map(Vec::len).sum::<usize>() as u64;
+    let mut per_example = 0;
+    model.visit_blocks(&mut |b| per_example += 2 * b.len() as u64);
     for example in batch {
         model.visit_blocks(&mut |b| b.zero_grad());
         total_loss += model.forward_backward(example);
@@ -168,14 +154,7 @@ where
         model.visit_blocks(&mut |b| sq += b.grad_sq_norm());
         let norm = sq.sqrt();
         let scale = if norm > clip { clip / norm } else { 1.0 };
-        let mut idx = 0;
-        model.visit_blocks(&mut |b| {
-            for (s, g) in sums[idx].iter_mut().zip(&b.grads) {
-                *s += scale * g;
-            }
-            b.keep_touched_rows();
-            idx += 1;
-        });
+        model.visit_blocks(&mut |b| b.add_scaled(scale));
     }
     (total_loss, per_example * batch.len() as u64)
 }
@@ -217,14 +196,6 @@ impl DpSgd {
         );
     }
 
-    /// Zeroed buffers shaped like `model`'s blocks (stable order, per
-    /// `visit_blocks`).
-    fn zeroed_like<E, M: PerExampleModel<E>>(&self, model: &mut M) -> Vec<Vec<f64>> {
-        let mut bufs = Vec::new();
-        model.visit_blocks(&mut |b| bufs.push(vec![0.0; b.len()]));
-        bufs
-    }
-
     /// Settles the noise `row` of `block` owes for its `k` unsettled
     /// private steps: [`add_gaussian_noise`] at sensitivity `C·√k` and
     /// σ_d draws the sum of their `k` Gaussians as one, into `z`, and the
@@ -254,32 +225,30 @@ impl DpSgd {
         report.rows_settled += 1;
     }
 
-    /// Noises the merged gradient sums of every dense block in place
-    /// through the Gaussian mechanism ([`add_gaussian_noise`] at
-    /// sensitivity `C` and σ_d, one call per block), counts the step as
-    /// owed on every row-sparse block (see the module doc), averages by
-    /// the expected batch size, and applies the step to `model`. Returns
-    /// the number of `N(0, 1)` draws made.
-    fn apply<E, M, R>(&self, model: &mut M, sums: &mut [Vec<f64>], rng: &mut R) -> u64
+    /// Noises the gradient sum of every dense block in place through the
+    /// Gaussian mechanism ([`add_gaussian_noise`] at sensitivity `C` and
+    /// σ_d, one call per block), counts the step as owed on every
+    /// row-sparse block (see the module doc), averages by the expected
+    /// batch size, and applies the step to `model`. Returns the number of
+    /// `N(0, 1)` draws made.
+    fn apply<E, M, R>(&self, model: &mut M, rng: &mut R) -> u64
     where
         M: PerExampleModel<E>,
         R: Rng + ?Sized,
     {
         let mut draws = 0;
-        let mut idx = 0;
         model.visit_blocks(&mut |b| {
-            let s = &mut sums[idx];
             // `check` guarantees a finite clip whenever noise is on.
             if self.noise_multiplier > 0.0 {
                 if b.row_width().is_some() {
                     b.owe_step();
                 } else {
-                    add_gaussian_noise(s, self.clip, self.noise_multiplier, rng);
-                    draws += s.len() as u64;
+                    let sums = b.sums_mut();
+                    add_gaussian_noise(sums, self.clip, self.noise_multiplier, rng);
+                    draws += sums.len() as u64;
                 }
             }
-            b.descend(s, self.lr, self.expected_batch);
-            idx += 1;
+            b.descend(self.lr, self.expected_batch);
         });
         draws
     }
@@ -296,7 +265,7 @@ impl DpSgd {
         self.step_with(model, batch, rng, accumulate_clipped)
     }
 
-    /// [`DpSgd::step`] built on [`accumulate_clipped_reference`] — the
+    /// [`DpSgd::step`] built on `accumulate_clipped_reference` — the
     /// unfused, all-dense three-traversal kernel. Produces bit-identical
     /// parameters, loss and noise draws to [`DpSgd::step`]; retained as
     /// the reference twin for the parity suite and the `micro_substrates`
@@ -311,9 +280,9 @@ impl DpSgd {
 
     /// Settles every row of `model`'s row-sparse blocks that still owes
     /// noise, in block order and then row order, so the trained model
-    /// carries the noise of every step. Call it once after the last step,
-    /// with the configuration the steps ran under, and before the model
-    /// is read or released.
+    /// carries the noise of every step, and frees every block's gradient
+    /// sum. Call it once after the last step, with the configuration the
+    /// steps ran under, and before the model is read or released.
     pub fn finish<E, M, R>(&self, model: &mut M, rng: &mut R) -> StepReport
     where
         M: PerExampleModel<E>,
@@ -323,6 +292,7 @@ impl DpSgd {
         let mut report = StepReport::default();
         let mut z = Vec::new();
         model.visit_blocks(&mut |b| {
+            b.free_sums();
             let Some(w) = b.row_width() else { return };
             for row in 0..b.len() / w {
                 self.settle(b, row, &mut z, &mut report, rng);
@@ -331,10 +301,10 @@ impl DpSgd {
         report
     }
 
-    /// One step with `accumulate` as the per-microbatch clip-and-sum
-    /// kernel: settle the rows the batch reads, accumulate each
-    /// microbatch's partial sums and merge them in microbatch order, then
-    /// noise and apply.
+    /// One step with `accumulate` as the clip-and-sum kernel: settle the
+    /// rows the batch reads, allocate any block's gradient sum on its
+    /// first step, accumulate the batch into the sums, then noise and
+    /// apply.
     fn step_with<E, M, R>(
         &self,
         model: &mut M,
@@ -354,20 +324,10 @@ impl DpSgd {
                 self.settle(b, row, &mut z, &mut report, rng)
             });
         }
-        let mut sums = self.zeroed_like::<E, _>(model);
-        let mut part = self.zeroed_like::<E, _>(model);
-        let mut total_loss = 0.0;
-        for micro in batch.chunks(MICROBATCH) {
-            let (loss, visited) = accumulate(model, micro, self.clip, &mut part);
-            let mut idx = 0;
-            model.visit_blocks(&mut |b| {
-                b.merge_partial(&mut part[idx], &mut sums[idx]);
-                idx += 1;
-            });
-            total_loss += loss;
-            report.coords_visited += visited;
-        }
-        report.noise_draws += self.apply::<E, _, _>(model, &mut sums, rng);
+        model.visit_blocks(&mut |b| b.alloc_sums());
+        let (total_loss, visited) = accumulate(model, batch, self.clip);
+        report.coords_visited = visited;
+        report.noise_draws += self.apply::<E, _, _>(model, rng);
         if !batch.is_empty() {
             report.loss = total_loss / batch.len() as f64;
         }
@@ -432,24 +392,34 @@ mod tests {
 
     #[test]
     fn fused_accumulate_matches_reference_twin() {
-        // direct twin pairing: the fused two-pass accumulate must agree
-        // bit-for-bit with the three-pass reference on the same batch
-        let data = [1.0, -3.0, 250.0, 0.25];
-        let mut fused_model = Quad {
-            w: ParamBlock::zeros(1),
+        // direct twin pairing: the fused two-pass accumulate must leave the
+        // same gradient sums, bit for bit, as the three-pass reference, on
+        // a row-sparse table and a dense block alike
+        let data: Vec<(u32, f64)> = [(1, 0.5), (3, -3.0), (1, 250.0), (0, 0.25), (3, 0.0)].into();
+        let mut fused = Biased {
+            lookup: lookup(5, 3),
+            bias: ParamBlock::from_values(vec![0.1, -0.2, 0.3]),
         };
-        let mut ref_model = Quad {
-            w: ParamBlock::zeros(1),
+        let mut reference = fused.clone();
+        let sums = |m: &mut Biased| -> Vec<Vec<u64>> {
+            let mut out = Vec::new();
+            m.visit_blocks(&mut |b| out.push(b.sums_mut().iter().map(|s| s.to_bits()).collect()));
+            out
         };
-        let (mut fused, mut reference) = (vec![vec![0.0]], vec![vec![0.0]]);
-        let (fused_loss, fused_visits) =
-            accumulate_clipped(&mut fused_model, &data, 1.0, &mut fused);
-        let (ref_loss, ref_visits) =
-            accumulate_clipped_reference(&mut ref_model, &data, 1.0, &mut reference);
-        assert_eq!(fused, reference);
+        for m in [&mut fused, &mut reference] {
+            m.visit_blocks(&mut |b| b.alloc_sums());
+        }
+        let (fused_loss, fused_visits) = accumulate_clipped(&mut fused, &data, 1.0);
+        let (ref_loss, ref_visits) = accumulate_clipped_reference(&mut reference, &data, 1.0);
+        let fused_sums = sums(&mut fused);
+        assert_eq!(fused_sums, sums(&mut reference));
         assert_eq!(fused_loss.to_bits(), ref_loss.to_bits());
-        // a dense model: both kernels visit every coordinate twice
-        assert_eq!((fused_visits, ref_visits), (8, 8));
+        // both blocks summed something, and the table's unread rows nothing
+        assert!(fused_sums.iter().all(|s| s.iter().any(|&b| b != 0)));
+        assert!(fused_sums[0][2 * 3..3 * 3].iter().all(|&b| b == 0));
+        // the fused kernel visits one table row and the bias per example,
+        // twice; the reference visits every coordinate twice
+        assert_eq!((fused_visits, ref_visits), (5 * 2 * 6, 5 * 2 * 18));
     }
 
     #[test]
@@ -694,6 +664,42 @@ mod tests {
         }
     }
 
+    /// [`Lookup`] plus a dense bias: loss(code, y) = ‖e_code + bias −
+    /// y‖²/2, so an example's gradient lives in one row and the bias.
+    #[derive(Clone)]
+    struct Biased {
+        lookup: Lookup,
+        bias: ParamBlock,
+    }
+
+    impl PerExampleModel<(u32, f64)> for Biased {
+        fn forward_backward(&mut self, &(code, y): &(u32, f64)) -> f64 {
+            let emb = &mut self.lookup.emb;
+            let dz: Vec<f64> = emb
+                .forward(code)
+                .iter()
+                .zip(&self.bias.values)
+                .map(|(e, b)| e + b - y)
+                .collect();
+            emb.backward(code, &dz);
+            for (g, d) in self.bias.grads.iter_mut().zip(&dz) {
+                *g += d;
+            }
+            0.5 * dz.iter().map(|d| d * d).sum::<f64>()
+        }
+        fn visit_blocks(&mut self, f: &mut dyn FnMut(&mut ParamBlock)) {
+            self.lookup.visit_blocks(f);
+            f(&mut self.bias);
+        }
+        fn visit_read_rows(
+            &mut self,
+            example: &(u32, f64),
+            f: &mut dyn FnMut(&mut ParamBlock, usize),
+        ) {
+            self.lookup.visit_read_rows(example, f);
+        }
+    }
+
     #[test]
     fn fused_step_clears_stale_gradients() {
         // forward_backward accumulates, so any caller-left gradient state
@@ -928,38 +934,30 @@ mod tests {
     }
 
     /// The step before noise was deferred, written out densely: per
-    /// example zero, backward, norm and scale-add over every coordinate;
-    /// fresh partial sums per microbatch merged in order; every
-    /// coordinate updated. Noise-free only.
+    /// example zero, backward, norm and scale-add over every coordinate
+    /// into one flat sum in batch order; every coordinate updated.
+    /// Noise-free only.
     fn dense_non_private_step<E, M: PerExampleModel<E>>(cfg: &DpSgd, model: &mut M, batch: &[E]) {
         let mut sums = Vec::new();
         model.visit_blocks(&mut |b| sums.push(vec![0.0; b.len()]));
-        for micro in batch.chunks(MICROBATCH) {
-            let mut part: Vec<Vec<f64>> = sums.iter().map(|s| vec![0.0; s.len()]).collect();
-            for example in micro {
-                model.visit_blocks(&mut |b| b.zero_grad());
-                model.forward_backward(example);
-                let mut sq = 0.0;
-                model.visit_blocks(&mut |b| sq += b.grad_sq_norm());
-                let norm = sq.sqrt();
-                let scale = if norm > cfg.clip {
-                    cfg.clip / norm
-                } else {
-                    1.0
-                };
-                let mut idx = 0;
-                model.visit_blocks(&mut |b| {
-                    for (p, g) in part[idx].iter_mut().zip(&b.grads) {
-                        *p += scale * g;
-                    }
-                    idx += 1;
-                });
-            }
-            for (s, p) in sums.iter_mut().zip(&part) {
-                for (a, b) in s.iter_mut().zip(p) {
-                    *a += b;
+        for example in batch {
+            model.visit_blocks(&mut |b| b.zero_grad());
+            model.forward_backward(example);
+            let mut sq = 0.0;
+            model.visit_blocks(&mut |b| sq += b.grad_sq_norm());
+            let norm = sq.sqrt();
+            let scale = if norm > cfg.clip {
+                cfg.clip / norm
+            } else {
+                1.0
+            };
+            let mut idx = 0;
+            model.visit_blocks(&mut |b| {
+                for (s, g) in sums[idx].iter_mut().zip(&b.grads) {
+                    *s += scale * g;
                 }
-            }
+                idx += 1;
+            });
         }
         let mut idx = 0;
         model.visit_blocks(&mut |b| {
@@ -972,15 +970,21 @@ mod tests {
 
     #[test]
     fn non_private_steps_draw_nothing_and_match_the_dense_step_bit_for_bit() {
-        // three microbatches over a table with signed zeros in it, where
-        // most rows are never read: the sparse merge and update must
-        // leave every untouched value's bits alone
-        let batch: Vec<(u32, f64)> = (0..40).map(|i| ((i * 7 % 11) as u32, 0.3)).collect();
+        // 40 examples over a table with signed zeros in it, where most
+        // rows are never read: the sparse update must leave every
+        // untouched value's bits alone. Each example has its own target,
+        // so the examples that share a row add distinct gradients, whose
+        // sum depends on its grouping; and `lr/b` is large enough that a
+        // last-bit change in a sum still reaches the updated values (at
+        // 0.1/32 it rounds away, and a 16-example regrouping passed).
+        let batch: Vec<(u32, f64)> = (0..40)
+            .map(|i| ((i * 7 % 11) as u32, (i % 13) as f64 / 6.0 - 1.0))
+            .collect();
         let cfg = DpSgd {
             clip: 0.5,
             noise_multiplier: 0.0,
-            lr: 0.1,
-            expected_batch: 32.0,
+            lr: 0.5,
+            expected_batch: 2.0,
         };
         let mut sparse = lookup(50, 4);
         for (i, v) in sparse.emb.table.values.iter_mut().enumerate() {
@@ -997,6 +1001,10 @@ mod tests {
         }
         let done = cfg.finish(&mut sparse, &mut rng);
         assert_eq!((done.noise_draws, done.rows_settled), (0, 0));
+        assert!(
+            sparse.emb.table.sums_mut().is_empty(),
+            "finish frees the sum"
+        );
         let bits =
             |m: &Lookup| -> Vec<u64> { m.emb.table.values.iter().map(|v| v.to_bits()).collect() };
         assert_eq!(bits(&sparse), bits(&dense));

@@ -11,23 +11,37 @@ use rand::Rng;
 /// pass marks each row it writes as touched. Between gradient clears,
 /// every coordinate outside the touched rows is exactly `+0.0`, so the
 /// fused DP-SGD kernel visits only the touched rows, and a step's
-/// gradient sums, their merge and the update visit only the rows touched
-/// that step. Code that writes a row-sparse block's `grads` directly must
-/// go through that backward pass, or the kernel will miss the write.
+/// gradient sum and update visit only the rows touched that step. Code
+/// that writes a row-sparse block's `grads` directly must go through that
+/// backward pass, or the kernel will miss the write.
 ///
 /// A row-sparse block also carries DP-SGD's deferred noise: a private
 /// step adds none to it, but counts one more step that every row owes.
 /// [`crate::DpSgd`] settles a row's owed noise (one Gaussian for all its
 /// owed steps) before any example reads the row, and every row at the end
 /// of training, so no value is read or released while it owes noise.
+///
+/// During training every block also holds DP-SGD's gradient sum: the sum
+/// of the step's clipped per-example gradients, `+0.0` between steps. It
+/// is allocated on the block's first step and freed by
+/// [`crate::DpSgd::finish`], so a trained model carries none.
 #[derive(Debug, Clone)]
 pub struct ParamBlock {
     /// Parameter values.
     pub values: Vec<f64>,
     /// Gradient accumulator (per-example during DP-SGD).
     pub grads: Vec<f64>,
-    /// `None` for a dense block. Boxed so a dense block stays small.
-    sparse: Option<Box<RowSparse>>,
+    /// Boxed so a block stays small.
+    dp: Box<DpState>,
+}
+
+/// The DP-SGD state of a [`ParamBlock`].
+#[derive(Debug, Clone, Default)]
+struct DpState {
+    /// The gradient sum; empty outside training.
+    sums: Vec<f64>,
+    /// `None` for a dense block.
+    sparse: Option<RowSparse>,
 }
 
 /// The row-sparse state of a [`ParamBlock`].
@@ -38,8 +52,8 @@ struct RowSparse {
     /// Rows written since the gradient was last cleared, in write order
     /// and possibly repeated.
     rows: Vec<usize>,
-    /// Rows drained into this step's gradient sums, possibly repeated:
-    /// outside them every sum is exactly `+0.0`.
+    /// Rows drained into this step's gradient sum, possibly repeated:
+    /// outside them the sum is exactly `+0.0`.
     step_rows: Vec<usize>,
     /// Private DP-SGD steps applied to the block.
     steps: u64,
@@ -61,13 +75,6 @@ impl RowSparse {
              `PerExampleModel::visit_read_rows`"
         );
     }
-
-    /// This step's live rows, sorted and deduplicated in place.
-    fn step_rows(&mut self) -> &[usize] {
-        self.step_rows.sort_unstable();
-        self.step_rows.dedup();
-        &self.step_rows
-    }
 }
 
 impl ParamBlock {
@@ -76,7 +83,7 @@ impl ParamBlock {
         ParamBlock {
             grads: vec![0.0; values.len()],
             values,
-            sparse: None,
+            dp: Box::default(),
         }
     }
 
@@ -103,14 +110,12 @@ impl ParamBlock {
             "row width {row_width} does not divide block length {}",
             self.len()
         );
-        self.sparse = (row_width > 0).then(|| {
-            Box::new(RowSparse {
-                width: row_width,
-                rows: Vec::new(),
-                step_rows: Vec::new(),
-                steps: 0,
-                settled: vec![0; self.len() / row_width],
-            })
+        self.dp.sparse = (row_width > 0).then(|| RowSparse {
+            width: row_width,
+            rows: Vec::new(),
+            step_rows: Vec::new(),
+            steps: 0,
+            settled: vec![0; self.len() / row_width],
         });
         self
     }
@@ -118,14 +123,14 @@ impl ParamBlock {
     /// The row width of a row-sparse block; `None` for a dense one.
     #[inline]
     pub fn row_width(&self) -> Option<usize> {
-        self.sparse.as_ref().map(|t| t.width)
+        self.dp.sparse.as_ref().map(|t| t.width)
     }
 
     /// Marks `row` as written since the last gradient clear. A no-op on a
     /// dense block.
     #[inline]
     pub(crate) fn touch_row(&mut self, row: usize) {
-        if let Some(t) = &mut self.sparse {
+        if let Some(t) = &mut self.dp.sparse {
             t.rows.push(row);
         }
     }
@@ -133,7 +138,7 @@ impl ParamBlock {
     /// Counts one more private step whose noise every row of a row-sparse
     /// block owes. A no-op on a dense block, which is noised in full.
     pub(crate) fn owe_step(&mut self) {
-        if let Some(t) = &mut self.sparse {
+        if let Some(t) = &mut self.dp.sparse {
             t.steps += 1;
         }
     }
@@ -141,7 +146,8 @@ impl ParamBlock {
     /// Whether a row of a row-sparse block still owes deferred DP-SGD
     /// noise ([`crate::DpSgd::finish`] settles them all).
     pub fn owes_noise(&self) -> bool {
-        self.sparse
+        self.dp
+            .sparse
             .as_ref()
             .is_some_and(|t| t.settled.iter().any(|&s| s < t.steps))
     }
@@ -150,7 +156,7 @@ impl ParamBlock {
     /// steps' noise it owed, for the caller to add. A dense block owes
     /// nothing.
     pub(crate) fn settle_row(&mut self, row: usize) -> u64 {
-        let Some(t) = self.sparse.as_deref_mut() else {
+        let Some(t) = &mut self.dp.sparse else {
             return 0;
         };
         let owed = t.steps - t.settled[row];
@@ -174,7 +180,7 @@ impl ParamBlock {
     #[inline]
     pub fn zero_grad(&mut self) {
         self.grads.iter_mut().for_each(|g| *g = 0.0);
-        if let Some(t) = &mut self.sparse {
+        if let Some(t) = &mut self.dp.sparse {
             t.rows.clear();
         }
     }
@@ -195,7 +201,7 @@ impl ParamBlock {
     /// the result matches the dense pass bit for bit once it is added into
     /// a `+0.0`-seeded total.
     pub(crate) fn live_sq_norm(&mut self) -> (f64, usize) {
-        let Some(t) = self.sparse.as_deref_mut() else {
+        let Some(t) = &mut self.dp.sparse else {
             return (self.grad_sq_norm(), self.len());
         };
         t.rows.sort_unstable();
@@ -214,37 +220,60 @@ impl ParamBlock {
         (sq, t.rows.len() * w)
     }
 
+    /// Allocates the block's gradient sum, all `+0.0`, unless it has one.
+    pub(crate) fn alloc_sums(&mut self) {
+        if self.dp.sums.len() != self.len() {
+            self.dp.sums = vec![0.0; self.len()];
+        }
+    }
+
+    /// Frees the gradient sum.
+    pub(crate) fn free_sums(&mut self) {
+        self.dp.sums = Vec::new();
+    }
+
+    /// The gradient sum; empty unless [`ParamBlock::alloc_sums`] ran.
+    pub(crate) fn sums_mut(&mut self) -> &mut [f64] {
+        &mut self.dp.sums
+    }
+
     /// The fused DP-SGD kernel's second pass, over the coordinates
     /// [`ParamBlock::live_sq_norm`] just visited: `sums += scale · grads`,
     /// then those gradients are re-zeroed and the touched rows handed to
     /// the step's live rows. Each skipped coordinate would have added
-    /// `scale · +0.0 = +0.0` to a sum seeded `+0.0`, which can never be
-    /// `-0.0`, so skipping it is an exact identity.
-    pub(crate) fn drain_scaled_into(&mut self, scale: f64, sums: &mut [f64]) {
+    /// `scale · +0.0 = +0.0` to a sum that is `+0.0` between steps and can
+    /// never become `-0.0`, so skipping it is an exact identity.
+    pub(crate) fn drain_scaled(&mut self, scale: f64) {
         let drain = |s: &mut [f64], g: &mut [f64]| {
             for (s, g) in s.iter_mut().zip(g) {
                 *s += scale * *g;
                 *g = 0.0;
             }
         };
-        let Some(t) = self.sparse.as_deref_mut() else {
-            drain(sums, &mut self.grads);
+        let dp = &mut *self.dp;
+        let Some(t) = &mut dp.sparse else {
+            drain(&mut dp.sums, &mut self.grads);
             return;
         };
         let w = t.width;
         for &r in &t.rows {
             let rows = r * w..(r + 1) * w;
-            drain(&mut sums[rows.clone()], &mut self.grads[rows]);
+            drain(&mut dp.sums[rows.clone()], &mut self.grads[rows]);
         }
         t.step_rows.append(&mut t.rows);
     }
 
     /// The all-dense reference kernel's counterpart of
-    /// [`ParamBlock::drain_scaled_into`]'s bookkeeping: after an example's
-    /// dense scale-and-add, hands its touched rows to the step's live
-    /// rows, panicking if one still owes noise.
-    pub(crate) fn keep_touched_rows(&mut self) {
-        if let Some(t) = self.sparse.as_deref_mut() {
+    /// [`ParamBlock::drain_scaled`]: `sums += scale · grads` over every
+    /// coordinate, then the touched rows are handed to the step's live
+    /// rows, panicking if one still owes noise. The gradients are left for
+    /// the next example's clear.
+    pub(crate) fn add_scaled(&mut self, scale: f64) {
+        let dp = &mut *self.dp;
+        for (s, g) in dp.sums.iter_mut().zip(&self.grads) {
+            *s += scale * g;
+        }
+        if let Some(t) = &mut dp.sparse {
             for &r in &t.rows {
                 t.assert_settled(r);
             }
@@ -252,47 +281,29 @@ impl ParamBlock {
         }
     }
 
-    /// Merges one microbatch's gradient sums `part` into the step's
-    /// `sums` (`sums += part`), re-zeroing `part` for the next microbatch.
-    /// A row-sparse block visits only the step's live rows: elsewhere
-    /// `part` is `+0.0`, and adding `+0.0` to a sum that was seeded `+0.0`
-    /// (so is never `-0.0`) is an exact identity.
-    pub(crate) fn merge_partial(&mut self, part: &mut [f64], sums: &mut [f64]) {
-        let merge = |s: &mut [f64], p: &mut [f64]| {
-            for (s, p) in s.iter_mut().zip(p) {
-                *s += *p;
-                *p = 0.0;
-            }
-        };
-        let Some(t) = self.sparse.as_deref_mut() else {
-            merge(sums, part);
-            return;
-        };
-        let w = t.width;
-        for &r in t.step_rows() {
-            let rows = r * w..(r + 1) * w;
-            merge(&mut sums[rows.clone()], &mut part[rows]);
-        }
-    }
-
-    /// The gradient step `values -= lr · sums / batch`, then the step's
-    /// live rows are forgotten. A row-sparse block visits only those rows:
-    /// elsewhere the sum is `+0.0`, and `v − lr · (+0.0) / batch` is `v`
-    /// for a non-negative `lr`, so skipping it is an exact identity.
-    pub(crate) fn descend(&mut self, sums: &[f64], lr: f64, batch: f64) {
-        let step = |v: &mut [f64], s: &[f64]| {
+    /// The gradient step `values -= lr · sums / batch`, re-zeroing the sum
+    /// it consumed, then the step's live rows are forgotten. A row-sparse
+    /// block visits only those rows: elsewhere the sum is `+0.0`, and
+    /// `v − lr · (+0.0) / batch` is `v` for a non-negative `lr`, so
+    /// skipping it is an exact identity.
+    pub(crate) fn descend(&mut self, lr: f64, batch: f64) {
+        let step = |v: &mut [f64], s: &mut [f64]| {
             for (v, s) in v.iter_mut().zip(s) {
-                *v -= lr * s / batch;
+                *v -= lr * *s / batch;
+                *s = 0.0;
             }
         };
-        let Some(t) = self.sparse.as_deref_mut() else {
-            step(&mut self.values, sums);
+        let dp = &mut *self.dp;
+        let Some(t) = &mut dp.sparse else {
+            step(&mut self.values, &mut dp.sums);
             return;
         };
         let w = t.width;
-        for &r in t.step_rows() {
+        t.step_rows.sort_unstable();
+        t.step_rows.dedup();
+        for &r in &t.step_rows {
             let rows = r * w..(r + 1) * w;
-            step(&mut self.values[rows.clone()], &sums[rows]);
+            step(&mut self.values[rows.clone()], &mut dp.sums[rows]);
         }
         t.step_rows.clear();
     }
@@ -344,11 +355,12 @@ mod tests {
         let (sq_d, visited_d) = dense.live_sq_norm();
         assert_eq!(sq_s.to_bits(), sq_d.to_bits());
         assert_eq!((visited_s, visited_d), (6, 12));
-        let (mut sums_s, mut sums_d) = (vec![0.0; 12], vec![0.0; 12]);
-        sparse.drain_scaled_into(0.5, &mut sums_s);
-        dense.drain_scaled_into(0.5, &mut sums_d);
+        for b in [&mut sparse, &mut dense] {
+            b.alloc_sums();
+            b.drain_scaled(0.5);
+        }
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&sums_s), bits(&sums_d));
+        assert_eq!(bits(sparse.sums_mut()), bits(dense.sums_mut()));
         assert!(sparse.grads.iter().all(|&g| g == 0.0));
         // the touched rows were forgotten: nothing left to visit
         assert_eq!(sparse.live_sq_norm().1, 0);

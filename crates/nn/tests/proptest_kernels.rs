@@ -136,7 +136,7 @@ proptest! {
 
     /// The row-sparse fused step ≡ the all-dense reference step, to the
     /// bit, on random embedding models: 1–4 lookup tables plus one dense
-    /// block, codes repeated within a microbatch (and one table touched
+    /// block, codes repeated within a batch (and one table touched
     /// twice per example, out of row order), signed-zero-laden `dz`,
     /// random clip, noise on and off, over several steps and the final
     /// settle of deferred noise.

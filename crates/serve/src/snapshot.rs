@@ -573,9 +573,11 @@ mod tests {
     #[test]
     fn unbounded_mcmc_ratio_config_is_rejected() {
         // an infinite ratio asks `sample()` for usize::MAX re-samples per
-        // column, which would spin forever with the model mutex held
+        // column, and 1e9 for 2e10 at n = 20: either would spin with the
+        // model mutex held
         let fitted = tiny_fitted(15);
-        for ratio in [f64::INFINITY, f64::NAN, -1.0] {
+        let above_max = f64::from_bits(kamino_core::MAX_MCMC_RATIO.to_bits() + 1);
+        for ratio in [f64::INFINITY, f64::NAN, -1.0, 1e9, above_max] {
             let mut cfg = fitted.config().clone();
             cfg.mcmc_ratio = ratio;
             let bytes = with_config(&fitted, &cfg);
@@ -793,7 +795,7 @@ mod tests {
         let fitted = tiny_fitted(12);
         let h = kamino_data::wire::fnv1a64(&encode_fitted(&fitted));
         assert_eq!(
-            h, 0xb116_9b92_80bb_b13d,
+            h, 0xcdf2_b4bb_5da4_3171,
             "encoded snapshot drifted: {h:#018x}"
         );
     }
