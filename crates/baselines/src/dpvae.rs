@@ -198,7 +198,7 @@ impl Synthesizer for DpVae {
             let z: Vec<f64> = (0..self.latent)
                 .map(|_| standard_normal(&mut rng))
                 .collect();
-            let y = model.dec.infer(&z);
+            let y = model.dec.forward(&z, &mut MlpCache::default());
             let row = enc.decode_sampled(schema, &y, &mut rng);
             for (j, v) in row.into_iter().enumerate() {
                 out.set(i, j, v);

@@ -69,7 +69,7 @@ fn sgd_single(net: &mut Mlp, x: &[f64], dlogit: f64, lr: f64) -> Vec<f64> {
 }
 
 fn logit(net: &Mlp, x: &[f64]) -> f64 {
-    net.infer(x)[0]
+    net.forward(x, &mut MlpCache::default())[0]
 }
 
 impl Synthesizer for PateGan {
@@ -112,7 +112,7 @@ impl Synthesizer for PateGan {
 
         let gen_fake = |g: &Mlp, rng: &mut StdRng| -> (Vec<f64>, Vec<f64>) {
             let z: Vec<f64> = (0..self.latent).map(|_| standard_normal(rng)).collect();
-            let x = g.infer(&z);
+            let x = g.forward(&z, &mut MlpCache::default());
             (z, x)
         };
 

@@ -36,7 +36,7 @@ use kamino_constraints::{
 use kamino_data::Value;
 use kamino_datasets::{adult_like, tax_like};
 use kamino_dp::{add_gaussian_noise, standard_normal, RdpAccountant};
-use kamino_nn::{DpSgd, Embedding, Linear, ParamBlock, PerExampleModel};
+use kamino_nn::{DpSgd, Embedding, Linear, ParamBlock, PerExampleModel, Scratch};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -142,21 +142,26 @@ fn reference_predict(
         unreachable!("only discriminative columns are replayed")
     };
     let store = sm.own_store.as_ref().unwrap_or(store);
+    let mut scratch = Scratch::new();
     let embs: Vec<Vec<f64>> = sm
         .context
         .iter()
         .zip(ctx)
         .map(|(&attr, &val)| {
             let mut e = vec![0.0; store.dim()];
-            store.embed(attr, val, &mut e);
+            store.embed(attr, val, &mut e, &mut scratch);
             e
         })
         .collect();
     let refs: Vec<&[f64]> = embs.iter().map(Vec::as_slice).collect();
     let mut v = vec![0.0; store.dim()];
-    attention.forward(&refs, &mut v);
+    attention.forward(&refs, &mut v, &mut scratch);
     match head {
-        Head::Cat(h) => out.extend(h.predict(&v).iter().map(|p| p.to_bits())),
+        Head::Cat(h) => {
+            let mut p = vec![0.0; h.card()];
+            h.predict(&v, &mut p);
+            out.extend(p.iter().map(|p| p.to_bits()));
+        }
         Head::Num(h) => {
             let (mu, sigma) = h.predict(&v);
             let std = store.standardizer(sm.target);

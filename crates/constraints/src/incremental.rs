@@ -26,14 +26,14 @@
 //!
 //! ## Read/write split
 //!
-//! * [`FdIndex`] and [`ScanIndex`] are the **prefix indexes**. All scoring
-//!   entry points take `&self`: an index does not change during a scoring
-//!   pass.
-//! * [`DcCounter`] owns an index and adds the **mutation API**
-//!   ([`DcCounter::insert`] / [`DcCounter::remove`], used when a cell is
-//!   committed or MCMC re-opens one). Between mutations it hands out
-//!   [`DcScorer`] — a `Copy` read-only view — and answers batch queries
-//!   via [`DcCounter::score_candidates`].
+//! * [`FdIndex`] and [`ScanIndex`] are the **prefix indexes**. Every query
+//!   takes `&self`: an index does not change during a scoring pass.
+//! * [`DcCounter`] owns an index and is the one entry point for both
+//!   sides: the queries ([`DcCounter::count_new`],
+//!   [`DcCounter::required_value`], [`DcCounter::feasible_range`],
+//!   [`DcCounter::fd_rhs`]) take `&self`, and the **mutation API**
+//!   ([`DcCounter::insert`] / [`DcCounter::remove`]) runs when a cell is
+//!   committed or MCMC re-opens one.
 //!
 //! Counters support [`DcCounter::remove`] so the constrained MCMC step
 //! (Algorithm 3 line 12) can take one tuple out, re-sample its cell
@@ -304,7 +304,7 @@ impl FdIndex {
     }
 
     /// New violations the candidate would introduce against the prefix.
-    pub fn count_new(&self, cand: &CandidateRow<'_>) -> u64 {
+    fn count_new(&self, cand: &CandidateRow<'_>) -> u64 {
         let Some(group) = self.group(cand) else {
             return 0;
         };
@@ -314,18 +314,13 @@ impl FdIndex {
     /// The dependent value every member of the candidate's determinant
     /// group carries, if the group exists and is internally consistent
     /// (§7.3.6 hard-FD lookup).
-    pub fn required_value(&self, cand: &CandidateRow<'_>) -> Option<Value> {
+    fn required_value(&self, cand: &CandidateRow<'_>) -> Option<Value> {
         let group = self.group(cand)?;
         if group.by_rhs.len() == 1 {
             Some(group.by_rhs[0].2)
         } else {
             None
         }
-    }
-
-    /// The FD's dependent (right-hand-side) attribute.
-    pub fn rhs(&self) -> usize {
-        self.fd.rhs
     }
 
     fn insert(&mut self, cand: &CandidateRow<'_>) {
@@ -748,7 +743,7 @@ enum ScanLayout {
 ///   in the loop;
 /// * every other binary DC keeps each row restricted to `A_φ` in one
 ///   contiguous row-major table and evaluates the DC's predicates against
-///   every stored row — batch `score_candidates` walks adjacent memory
+///   every stored row, so scoring a candidate set walks adjacent memory
 ///   instead of chasing hash-map buckets.
 ///
 /// Every method takes `&self`; mutation goes through the owning
@@ -770,7 +765,7 @@ impl ScanIndex {
     }
 
     /// New violations the candidate would introduce against the prefix.
-    pub fn count_new(&self, cand: &CandidateRow<'_>) -> u64 {
+    fn count_new(&self, cand: &CandidateRow<'_>) -> u64 {
         match &self.layout {
             ScanLayout::Rows(t) => t.count_new(cand),
             ScanLayout::Order(t) => t.count_new(cand),
@@ -819,7 +814,7 @@ impl ScanIndex {
     /// closed bounds `[lo, hi]` such that any `v ∈ [lo, hi]` creates no
     /// violation with the candidate's equality partition. `None` for other
     /// DC shapes and for a categorical target.
-    pub fn feasible_range(&self, cand: &CandidateRow<'_>, target: usize) -> Option<(f64, f64)> {
+    fn feasible_range(&self, cand: &CandidateRow<'_>, target: usize) -> Option<(f64, f64)> {
         match &self.layout {
             ScanLayout::Rows(_) => None,
             ScanLayout::Order(t) => t.feasible_range(cand, target),
@@ -862,7 +857,7 @@ impl ScanIndexRef {
 
     /// New violations the candidate would introduce against the prefix.
     /// Hash-map iteration order is arbitrary, but the count is a sum, so
-    /// the answer matches [`ScanIndex::count_new`] exactly.
+    /// the answer matches [`DcCounter::count_new`] exactly.
     pub fn count_new(&self, cand: &CandidateRow<'_>) -> u64 {
         let mut count = 0;
         for (&row_id, stored) in &self.rows {
@@ -894,9 +889,11 @@ impl ScanIndexRef {
     }
 }
 
-/// A `Copy` read-only view of one counter's prefix index — the handle
-/// batch scoring evaluates every candidate through.
-/// Obtained from [`DcCounter::scorer`]; lives only between mutations.
+/// A `Copy` read-only view naming one counter's shape and prefix index,
+/// from [`DcCounter::scorer`]. Scoring goes through [`DcCounter`] itself;
+/// the view is kept for the benchmark package's constraint replay, which
+/// matches on the variant and reads [`DcScorer::scan_cost`] as its work
+/// counter.
 #[derive(Clone, Copy)]
 pub enum DcScorer<'a> {
     /// Unary DC: stateless evaluation of the candidate row.
@@ -909,39 +906,6 @@ pub enum DcScorer<'a> {
 }
 
 impl DcScorer<'_> {
-    /// `|V(φ, t_i | D_:i)|` if the candidate row were committed.
-    pub fn count_new(&self, cand: &CandidateRow<'_>) -> u64 {
-        match self {
-            DcScorer::Unary(dc) => u64::from(dc.violated_by_tuple(|a| cand.get(a))),
-            DcScorer::Fd(ix) => ix.count_new(cand),
-            DcScorer::Scan(ix) => ix.count_new(cand),
-        }
-    }
-
-    /// Hard-FD lookup value (see [`DcCounter::required_value`]).
-    pub fn required_value(&self, cand: &CandidateRow<'_>) -> Option<Value> {
-        match self {
-            DcScorer::Fd(ix) => ix.required_value(cand),
-            _ => None,
-        }
-    }
-
-    /// Order-DC feasible band (see [`DcCounter::feasible_range`]).
-    pub fn feasible_range(&self, cand: &CandidateRow<'_>, target: usize) -> Option<(f64, f64)> {
-        match self {
-            DcScorer::Scan(ix) => ix.feasible_range(cand, target),
-            _ => None,
-        }
-    }
-
-    /// FD dependent attribute (see [`DcCounter::fd_rhs`]).
-    pub fn fd_rhs(&self) -> Option<usize> {
-        match self {
-            DcScorer::Fd(ix) => Some(ix.rhs()),
-            _ => None,
-        }
-    }
-
     /// Prefix rows one candidate score visits (1 for O(1) counters) — the
     /// per-candidate work estimate.
     pub fn scan_cost(&self) -> usize {
@@ -977,7 +941,7 @@ impl DcCounter {
         DcCounter::Scan(ScanIndex::new(dc))
     }
 
-    /// The read-only scoring view over the current prefix index.
+    /// The read-only view naming this counter's shape and index.
     pub fn scorer(&self) -> DcScorer<'_> {
         match self {
             DcCounter::Unary(dc) => DcScorer::Unary(dc),
@@ -990,17 +954,11 @@ impl DcCounter {
     /// of new violations against currently inserted rows (for binary DCs),
     /// or whether the row itself violates (for unary DCs).
     pub fn count_new(&self, cand: &CandidateRow<'_>) -> u64 {
-        self.scorer().count_new(cand)
-    }
-
-    /// Batch form of [`Self::count_new`]: the violation count for every
-    /// candidate value of the cell, in input order.
-    pub fn score_candidates(&self, cell: CellContext<'_>, values: &[Value]) -> Vec<u64> {
-        let scorer = self.scorer();
-        values
-            .iter()
-            .map(|&v| scorer.count_new(&cell.with(v)))
-            .collect()
+        match self {
+            DcCounter::Unary(dc) => u64::from(dc.violated_by_tuple(|a| cand.get(a))),
+            DcCounter::Fd(ix) => ix.count_new(cand),
+            DcCounter::Scan(ix) => ix.count_new(cand),
+        }
     }
 
     /// Commits the candidate row into the prefix state.
@@ -1027,7 +985,10 @@ impl DcCounter {
     /// and is internally consistent. `None` for non-FD counters, unseen
     /// groups, or inconsistent groups.
     pub fn required_value(&self, cand: &CandidateRow<'_>) -> Option<Value> {
-        self.scorer().required_value(cand)
+        match self {
+            DcCounter::Fd(ix) => ix.required_value(cand),
+            _ => None,
+        }
     }
 
     /// For FD counters, the dependent (right-hand-side) attribute of the
@@ -1035,7 +996,10 @@ impl DcCounter {
     /// [`Self::required_value`] when the attribute being sampled *is* the
     /// dependent.
     pub fn fd_rhs(&self) -> Option<usize> {
-        self.scorer().fd_rhs()
+        match self {
+            DcCounter::Fd(ix) => Some(ix.fd.rhs),
+            _ => None,
+        }
     }
 
     /// For strict-order DCs (`¬(eqs ∧ A≶ ∧ B≶)`), the closed interval of
@@ -1050,7 +1014,10 @@ impl DcCounter {
     /// other(r₂)`, consistency of `(r₁, r₂)` forces their target values to
     /// be ordered compatibly.
     pub fn feasible_range(&self, cand: &CandidateRow<'_>, target: usize) -> Option<(f64, f64)> {
-        self.scorer().feasible_range(cand, target)
+        match self {
+            DcCounter::Scan(ix) => ix.feasible_range(cand, target),
+            _ => None,
+        }
     }
 
     /// Number of rows currently inserted (0 for unary counters, which keep
@@ -1258,91 +1225,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_scoring_matches_single_candidate_path() {
-        let s = schema();
-        let dc = fd_dc(&s);
-        let d = inst(
-            &s,
-            &[(0, 10.0, 0.0, 0.0), (0, 10.0, 0.0, 0.0), (1, 5.0, 0.0, 0.0)],
-        );
-        let mut counter = DcCounter::build(&dc);
-        for i in 0..3 {
-            counter.insert(&CandidateRow::committed(&d, i, 1));
-        }
-        let probe = inst(
-            &s,
-            &[
-                (0, 10.0, 0.0, 0.0),
-                (0, 10.0, 0.0, 0.0),
-                (1, 5.0, 0.0, 0.0),
-                (0, 0.0, 0.0, 0.0),
-            ],
-        );
-        let cell = CellContext::new(&probe, 3, 1);
-        let values: Vec<Value> = (1..=16).map(|k| Value::Num(k as f64)).collect();
-        let batch = counter.score_candidates(cell, &values);
-        for (v, got) in values.iter().zip(&batch) {
-            assert_eq!(*got, counter.count_new(&cell.with(*v)));
-        }
-        // and the same through the order-DC scan index
-        let ord = ord_dc(&s);
-        let d2 = inst(
-            &s,
-            &[
-                (0, 0.0, 10.0, 1.0),
-                (0, 0.0, 5.0, 9.0),
-                (0, 0.0, 7.0, 7.0),
-                (0, 0.0, 0.0, 0.0),
-            ],
-        );
-        let mut scan = DcCounter::build(&ord);
-        for i in 0..3 {
-            scan.insert(&CandidateRow::committed(&d2, i, 3));
-        }
-        let cell2 = CellContext::new(&d2, 3, 3);
-        let values2: Vec<Value> = (0..20).map(|k| Value::Num(k as f64)).collect();
-        let batch2 = scan.score_candidates(cell2, &values2);
-        for (v, got) in values2.iter().zip(&batch2) {
-            assert_eq!(*got, scan.count_new(&cell2.with(*v)));
-        }
-    }
-
-    #[test]
-    fn scorer_view_answers_like_the_counter() {
-        let s = schema();
-        let dc = ord_dc(&s);
-        let d = inst(
-            &s,
-            &[(0, 0.0, 10.0, 1.0), (0, 0.0, 5.0, 9.0), (0, 0.0, 7.0, 7.0)],
-        );
-        let mut counter = DcCounter::build(&dc);
-        for i in 0..2 {
-            counter.insert(&CandidateRow::committed(&d, i, 3));
-        }
-        let scorer = counter.scorer();
-        let cand = CandidateRow::new(&d, 2, 3, Value::Num(7.0));
-        assert_eq!(scorer.count_new(&cand), counter.count_new(&cand));
-        assert_eq!(
-            scorer.feasible_range(&cand, 3),
-            counter.feasible_range(&cand, 3)
-        );
-        assert_eq!(scorer.fd_rhs(), None);
-        assert_eq!(scorer.scan_cost(), 2);
-        // the view is Copy + Send + Sync: fan it across threads
-        let copies = [scorer; 4];
-        let counts: Vec<u64> = std::thread::scope(|sc| {
-            copies
-                .iter()
-                .map(|sv| sc.spawn(move || sv.count_new(&cand)))
-                .collect::<Vec<_>>()
-                .into_iter()
-                .map(|h| h.join().unwrap())
-                .collect()
-        });
-        assert!(counts.iter().all(|&c| c == counter.count_new(&cand)));
-    }
-
-    #[test]
     fn fd_required_value_lookup() {
         let s = schema();
         let dc = fd_dc(&s);
@@ -1357,6 +1239,12 @@ mod tests {
         let probe = inst(&s, &[(0, 0.0, 0.0, 0.0)]);
         let cand = CandidateRow::new(&probe, 0, 1, Value::Num(0.0));
         assert_eq!(counter.required_value(&cand), Some(Value::Num(10.0)));
+        assert_eq!(counter.fd_rhs(), Some(1));
+        // only an FD counter has a dependent or a required value
+        let mut ord = DcCounter::build(&ord_dc(&s));
+        ord.insert(&CandidateRow::committed(&d, 0, 1));
+        assert_eq!(ord.fd_rhs(), None);
+        assert_eq!(ord.required_value(&cand), None);
         // inconsistent group → None
         let d2 = inst(&s, &[(2, 1.0, 0.0, 0.0), (2, 2.0, 0.0, 0.0)]);
         let mut c2 = DcCounter::build(&dc);

@@ -17,8 +17,8 @@
 //!   Algorithm 3 queries per candidate value — with a hash-index fast path
 //!   for FDs and an exact scan fallback matching the paper's stated
 //!   complexity,
-//! * batch candidate scoring ([`score`]): a read-only scoring view over
-//!   the incremental counters that evaluates whole candidate sets at once,
+//! * batch candidate scoring ([`score`]): the weighted penalty of whole
+//!   candidate sets, read from the incremental counters,
 //! * approximate-DC [`discovery`] used by Experiment 8 to scale `|Φ|`.
 
 #![warn(missing_docs)]

@@ -4,9 +4,9 @@
 //! the weighted violation penalty `Σ_{φ ∈ Φ_{S[j]}} w_φ · |V(φ, t_i[S[j]]=v
 //! | D'_:i)|`. [`ScoreSet`] owns the incremental counters for the active
 //! DCs of one sequence position and answers that query **in batch** over a
-//! whole candidate set through the counters' `&self` scoring views
-//! ([`DcScorer`]): the zero-weight filter and the scorer views are set up
-//! once per cell, then every candidate is scored in input order.
+//! whole candidate set: every candidate is scored in input order, each by
+//! one walk over the counters that skips the zero-weight DCs. Nothing is
+//! allocated per cell or per candidate.
 //!
 //! Determinism: scoring is pure (no RNG, no mutation), so a batch returns
 //! exactly the penalties [`ScoreSet::penalty`] gives one candidate at a
@@ -15,7 +15,7 @@
 use kamino_data::Value;
 
 use crate::ast::DenialConstraint;
-use crate::incremental::{CandidateRow, CellContext, DcCounter, DcScorer};
+use crate::incremental::{CandidateRow, CellContext, DcCounter};
 
 /// The incremental counters for the DCs active at one sequence position,
 /// plus the batch scoring entry point the sampler drives.
@@ -62,9 +62,22 @@ impl ScoreSet {
         }
     }
 
-    /// The weighted violation penalty of a single hypothesis.
+    /// The weighted violation penalty of a single hypothesis. A
+    /// zero-weight DC adds exactly `+0.0` to every penalty, so it is left
+    /// out of the walk.
     pub fn penalty(&self, cand: &CandidateRow<'_>, weights: &[f64]) -> f64 {
-        penalty_with(&self.scorers(weights), cand, weights)
+        let mut penalty = 0.0;
+        for (l, c) in &self.counters {
+            let w = weights[*l];
+            if w == 0.0 {
+                continue;
+            }
+            let vio = c.count_new(cand);
+            if vio > 0 {
+                penalty += w * vio as f64;
+            }
+        }
+        penalty
     }
 
     /// Batch scoring: the weighted violation penalty for **every**
@@ -95,39 +108,8 @@ impl ScoreSet {
         out: &mut Vec<f64>,
     ) {
         out.clear();
-        let scorers = self.scorers(weights);
-        out.extend(
-            values
-                .iter()
-                .map(|&v| penalty_with(&scorers, &cell.with(v), weights)),
-        );
+        out.extend(values.iter().map(|&v| self.penalty(&cell.with(v), weights)));
     }
-
-    /// The scoring views of the counters that can move a penalty. A
-    /// zero-weight DC adds exactly `+0.0` to every penalty, so it is left
-    /// out of the scan.
-    fn scorers(&self, weights: &[f64]) -> Vec<(usize, DcScorer<'_>)> {
-        self.counters
-            .iter()
-            .filter(|(l, _)| weights[*l] != 0.0)
-            .map(|(l, c)| (*l, c.scorer()))
-            .collect()
-    }
-}
-
-fn penalty_with(
-    scorers: &[(usize, DcScorer<'_>)],
-    cand: &CandidateRow<'_>,
-    weights: &[f64],
-) -> f64 {
-    let mut penalty = 0.0;
-    for (l, s) in scorers {
-        let vio = s.count_new(cand);
-        if vio > 0 {
-            penalty += weights[*l] * vio as f64;
-        }
-    }
-    penalty
 }
 
 #[cfg(test)]

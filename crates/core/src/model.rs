@@ -14,8 +14,6 @@
 //! and the privacy accounting in [`crate::params`] charges it as an extra
 //! full-rate Gaussian release.
 
-use std::cell::RefCell;
-
 use kamino_data::stats::Standardizer;
 use kamino_data::{AttrKind, Schema, Value};
 use kamino_nn::layers::EncoderCache;
@@ -26,11 +24,11 @@ use kamino_nn::{
 };
 use rand::Rng;
 
-/// Per-thread buffer pool for sub-model training (forward/backward).
-/// Buffers are re-zeroed or fully overwritten before every use, so
-/// pooling changes no numeric result — it only removes the per-example
-/// allocations. Thread locality keeps the Exp. 10 sub-model trainer
-/// threads from contending on a shared pool.
+/// A [`SubModelTrainer`]'s buffer pool for forward/backward. Buffers are
+/// re-zeroed or fully overwritten before every use, so pooling changes no
+/// numeric result — it only removes the per-example allocations. Each
+/// trainer owns its pool, so the Exp. 10 sub-model trainer threads never
+/// share one.
 #[derive(Default)]
 struct TrainScratch {
     nn: Scratch,
@@ -39,10 +37,6 @@ struct TrainScratch {
     d_embs: Vec<Vec<f64>>,
     v: Vec<f64>,
     dv: Vec<f64>,
-}
-
-thread_local! {
-    static SCRATCH: RefCell<TrainScratch> = RefCell::new(TrainScratch::default());
 }
 
 /// Embeds one attribute's values into `R^dim`.
@@ -111,50 +105,30 @@ impl EmbeddingStore {
         EmbeddingStore { embedders, dim }
     }
 
-    /// Embeds `v` (a value of attribute `attr`) into `out`.
-    pub fn embed(&self, attr: usize, v: Value, out: &mut [f64]) -> EmbedCtx {
-        self.embed_pooled(attr, v, out, &mut Scratch::new())
-    }
-
-    /// [`EmbeddingStore::embed`] with the numeric encoder's hidden buffer
-    /// drawn from `scratch`; retire the returned `EmbedCtx::Num` cache via
-    /// [`EncoderCache::recycle`] once backward is done with it.
-    pub fn embed_pooled(
-        &self,
-        attr: usize,
-        v: Value,
-        out: &mut [f64],
-        scratch: &mut Scratch,
-    ) -> EmbedCtx {
+    /// Embeds `v` (a value of attribute `attr`) into `out`. A numeric
+    /// encoder's hidden buffer is drawn from `scratch`; retire the returned
+    /// `EmbedCtx::Num` cache via [`EncoderCache::recycle`] once backward is
+    /// done with it.
+    pub fn embed(&self, attr: usize, v: Value, out: &mut [f64], scratch: &mut Scratch) -> EmbedCtx {
         match (&self.embedders[attr], v) {
             (AttrEmbedder::Cat(e), Value::Cat(code)) => {
                 out.copy_from_slice(e.forward(code));
                 EmbedCtx::Cat(code)
             }
             (AttrEmbedder::Num { enc, std }, Value::Num(x)) => {
-                EmbedCtx::Num(enc.forward_pooled(std.forward(x), out, scratch))
+                EmbedCtx::Num(enc.forward(std.forward(x), out, scratch))
             }
             _ => panic!("value kind does not match attribute {attr}'s embedder"),
         }
     }
 
-    /// Backpropagates `dz` through the embedder used in [`Self::embed`].
-    pub fn backward(&mut self, attr: usize, ctx: &EmbedCtx, dz: &[f64]) {
-        self.backward_pooled(attr, ctx, dz, &mut Scratch::new())
-    }
-
-    /// [`EmbeddingStore::backward`] with intermediates pooled in `scratch`.
-    pub fn backward_pooled(
-        &mut self,
-        attr: usize,
-        ctx: &EmbedCtx,
-        dz: &[f64],
-        scratch: &mut Scratch,
-    ) {
+    /// Backpropagates `dz` through the embedder used in [`Self::embed`],
+    /// with intermediates pooled in `scratch`.
+    pub fn backward(&mut self, attr: usize, ctx: &EmbedCtx, dz: &[f64], scratch: &mut Scratch) {
         match (&mut self.embedders[attr], ctx) {
             (AttrEmbedder::Cat(e), EmbedCtx::Cat(code)) => e.backward(*code, dz),
             (AttrEmbedder::Num { enc, .. }, EmbedCtx::Num(cache)) => {
-                enc.backward_pooled(cache, dz, scratch)
+                enc.backward(cache, dz, scratch)
             }
             _ => panic!("embed context does not match attribute {attr}'s embedder"),
         }
@@ -344,7 +318,7 @@ impl<'a> ColumnPredictor<'a> {
                     panic!("target is not categorical")
                 };
                 self.context_vector(ctx_values);
-                h.predict_into(&self.v, &mut self.probs);
+                h.predict(&self.v, &mut self.probs);
                 &self.probs
             }
         }
@@ -374,7 +348,7 @@ impl<'a> ColumnPredictor<'a> {
             match (&store.embedders[attr], val) {
                 (AttrEmbedder::Cat(e), Value::Cat(code)) => axpy(a, e.forward(code), &mut self.v),
                 (AttrEmbedder::Num { enc, std }, Value::Num(x)) => {
-                    enc.forward_pooled(std.forward(x), &mut self.emb, &mut self.nn)
+                    enc.forward(std.forward(x), &mut self.emb, &mut self.nn)
                         .recycle(&mut self.nn);
                     axpy(a, &self.emb, &mut self.v);
                 }
@@ -400,6 +374,18 @@ pub struct SubModelTrainer<'a> {
     pub store: &'a mut EmbeddingStore,
     /// The discriminative sub-model being trained.
     pub sm: &'a mut SubModel,
+    scratch: TrainScratch,
+}
+
+impl<'a> SubModelTrainer<'a> {
+    /// A trainer for `sm` against `store`, with an empty buffer pool.
+    pub fn new(store: &'a mut EmbeddingStore, sm: &'a mut SubModel) -> SubModelTrainer<'a> {
+        SubModelTrainer {
+            store,
+            sm,
+            scratch: TrainScratch::default(),
+        }
+    }
 }
 
 impl PerExampleModel<TrainRow> for SubModelTrainer<'_> {
@@ -409,68 +395,65 @@ impl PerExampleModel<TrainRow> for SubModelTrainer<'_> {
         };
         let dim = self.store.dim();
         let m = self.sm.context.len();
-        // All intermediates come from the per-thread pool; every buffer is
+        // All intermediates come from the trainer's pool; every buffer is
         // zeroed/overwritten before use, so the arithmetic is identical to
         // the allocating formulation — just without the ~4·|context| heap
         // allocations per example.
-        SCRATCH.with(|cell| {
-            let sc = &mut *cell.borrow_mut();
-            let TrainScratch {
-                nn,
-                embs,
-                ctxs,
-                d_embs,
-                v,
-                dv,
-            } = sc;
-            // embed contexts (owned copies so the store can be mutated later)
-            embs.resize_with(m, Vec::new);
-            ctxs.clear();
-            for ((&attr, &val), e) in self
-                .sm
-                .context
-                .iter()
-                .zip(&row.context)
-                .zip(embs.iter_mut())
-            {
-                e.clear();
-                e.resize(dim, 0.0);
-                ctxs.push(self.store.embed_pooled(attr, val, e, nn));
+        let TrainScratch {
+            nn,
+            embs,
+            ctxs,
+            d_embs,
+            v,
+            dv,
+        } = &mut self.scratch;
+        // embed contexts (owned copies so the store can be mutated later)
+        embs.resize_with(m, Vec::new);
+        ctxs.clear();
+        for ((&attr, &val), e) in self
+            .sm
+            .context
+            .iter()
+            .zip(&row.context)
+            .zip(embs.iter_mut())
+        {
+            e.clear();
+            e.resize(dim, 0.0);
+            ctxs.push(self.store.embed(attr, val, e, nn));
+        }
+        let refs: Vec<&[f64]> = embs.iter().map(Vec::as_slice).collect();
+        v.clear();
+        v.resize(dim, 0.0);
+        let att_cache = attention.forward(&refs, v, nn);
+        // head loss + gradient at the context vector
+        dv.clear();
+        dv.resize(dim, 0.0);
+        let loss = match head {
+            Head::Cat(h) => h.loss_backward(v, row.target.cat(), dv, nn),
+            Head::Num(h) => {
+                let std = self.store.standardizer(self.sm.target);
+                h.loss_backward(v, std.forward(row.target.num()), dv)
             }
-            let refs: Vec<&[f64]> = embs.iter().map(Vec::as_slice).collect();
-            v.clear();
-            v.resize(dim, 0.0);
-            let att_cache = attention.forward_pooled(&refs, v, nn);
-            // head loss + gradient at the context vector
-            dv.clear();
-            dv.resize(dim, 0.0);
-            let loss = match head {
-                Head::Cat(h) => h.loss_backward_pooled(v, row.target.cat(), dv, nn),
-                Head::Num(h) => {
-                    let std = self.store.standardizer(self.sm.target);
-                    h.loss_backward(v, std.forward(row.target.num()), dv)
-                }
-            };
-            // attention backward → per-context embedding grads
-            d_embs.resize_with(m, Vec::new);
-            for de in d_embs.iter_mut() {
-                de.clear();
-                de.resize(dim, 0.0);
+        };
+        // attention backward → per-context embedding grads
+        d_embs.resize_with(m, Vec::new);
+        for de in d_embs.iter_mut() {
+            de.clear();
+            de.resize(dim, 0.0);
+        }
+        attention.backward(&refs, &att_cache, dv, d_embs, nn);
+        drop(refs);
+        nn.put(att_cache.alpha);
+        for ((&attr, ctx), de) in self.sm.context.iter().zip(ctxs.iter()).zip(d_embs.iter()) {
+            self.store.backward(attr, ctx, de, nn);
+        }
+        // retire the numeric encoder caches back into the pool
+        for ctx in ctxs.drain(..) {
+            if let EmbedCtx::Num(cache) = ctx {
+                cache.recycle(nn);
             }
-            attention.backward_pooled(&refs, &att_cache, dv, d_embs, nn);
-            drop(refs);
-            nn.put(att_cache.alpha);
-            for ((&attr, ctx), de) in self.sm.context.iter().zip(ctxs.iter()).zip(d_embs.iter()) {
-                self.store.backward_pooled(attr, ctx, de, nn);
-            }
-            // retire the numeric encoder caches back into the pool
-            for ctx in ctxs.drain(..) {
-                if let EmbedCtx::Num(cache) = ctx {
-                    cache.recycle(nn);
-                }
-            }
-            loss
-        })
+        }
+        loss
     }
 
     fn visit_blocks(&mut self, f: &mut dyn FnMut(&mut ParamBlock)) {
@@ -562,9 +545,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let store = EmbeddingStore::new(&s, 8, &mut rng);
         let mut out = vec![0.0; 8];
-        store.embed(0, Value::Cat(2), &mut out);
+        let mut scratch = Scratch::new();
+        store.embed(0, Value::Cat(2), &mut out, &mut scratch);
         assert!(out.iter().any(|&x| x != 0.0));
-        store.embed(1, Value::Num(5.0), &mut out);
+        store.embed(1, Value::Num(5.0), &mut out, &mut scratch);
         assert!(out.iter().all(|x| x.is_finite()));
     }
 
@@ -575,7 +559,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let store = EmbeddingStore::new(&s, 4, &mut rng);
         let mut out = vec![0.0; 4];
-        store.embed(0, Value::Num(1.0), &mut out);
+        store.embed(0, Value::Num(1.0), &mut out, &mut Scratch::new());
     }
 
     #[test]
@@ -638,10 +622,7 @@ mod tests {
             .collect();
         let cfg = DpSgd::non_private(0.3, rows.len() as f64);
         for _ in 0..150 {
-            let mut trainer = SubModelTrainer {
-                store: &mut store,
-                sm: &mut sm,
-            };
+            let mut trainer = SubModelTrainer::new(&mut store, &mut sm);
             cfg.step(&mut trainer, &rows, &mut rng);
         }
         let p_yes = sm.predict_cat(&store, &[Value::Cat(1), Value::Num(5.0)]);
@@ -675,10 +656,7 @@ mod tests {
             expected_batch: rows.len() as f64,
         };
         for _ in 0..600 {
-            let mut trainer = SubModelTrainer {
-                store: &mut store,
-                sm: &mut sm,
-            };
+            let mut trainer = SubModelTrainer::new(&mut store, &mut sm);
             cfg.step(&mut trainer, &rows, &mut rng);
         }
         for a in 0..3u32 {
@@ -712,10 +690,7 @@ mod tests {
             context: vec![Value::Cat(1), Value::Num(7.0)],
             target: Value::Cat(1),
         };
-        let mut trainer = SubModelTrainer {
-            store: &mut store,
-            sm: &mut sm,
-        };
+        let mut trainer = SubModelTrainer::new(&mut store, &mut sm);
         kamino_nn::testutil::finite_diff_check(
             &mut |t: &mut SubModelTrainer<'_>| {
                 // loss via a throwaway gradient pass (grads zeroed after)
@@ -724,17 +699,20 @@ mod tests {
                         unreachable!()
                     };
                     let dim = t.store.dim();
+                    let mut scratch = Scratch::new();
                     let mut embs: Vec<Vec<f64>> = Vec::new();
                     for (&attr, &v) in t.sm.context.iter().zip(&row.context) {
                         let mut e = vec![0.0; dim];
-                        t.store.embed(attr, v, &mut e);
+                        t.store.embed(attr, v, &mut e, &mut scratch);
                         embs.push(e);
                     }
                     let refs: Vec<&[f64]> = embs.iter().map(Vec::as_slice).collect();
                     let mut v = vec![0.0; dim];
-                    attention.forward(&refs, &mut v);
+                    attention.forward(&refs, &mut v, &mut scratch);
                     let Head::Cat(h) = head else { unreachable!() };
-                    -h.predict(&v)[1].ln()
+                    let mut p = vec![0.0; h.card()];
+                    h.predict(&v, &mut p);
+                    -p[1].ln()
                 };
                 sm_kind_loss
             },

@@ -8,6 +8,7 @@
 
 use std::time::Duration;
 
+use kamino_constraints::{DenialConstraint, Hardness};
 use kamino_data::snapshot::{decode_standardizer, encode_standardizer};
 use kamino_data::wire::{ByteReader, ByteWriter, WireError};
 use kamino_data::Schema;
@@ -22,6 +23,7 @@ use crate::model::{AttrEmbedder, DataModel, EmbeddingStore, Head, SubModel, SubM
 use crate::params::PrivacyParams;
 use crate::pipeline::{KaminoConfig, PhaseTimings, MAX_MCMC_RATIO};
 use crate::sampler::SamplingRule;
+use crate::weights::HARD_WEIGHT;
 
 const EMBEDDER_CAT: u8 = 0;
 const EMBEDDER_NUM: u8 = 1;
@@ -335,6 +337,34 @@ fn validate_store(store: &EmbeddingStore, schema: &Schema) -> Result<(), WireErr
                     )));
                 }
             }
+        }
+    }
+    Ok(())
+}
+
+/// Checks a session's DC weights against its DCs: one weight per DC,
+/// [`HARD_WEIGHT`] for a hard DC and a finite weight ≥ 0 for a soft one
+/// (what Algorithm 5 releases). Anything else would change what a draw
+/// enforces: scoring skips a zero-weight DC and only an infinite weight
+/// triggers the forced-value probe, so a hard DC at `0.0` would be off.
+pub fn validate_weights(weights: &[f64], dcs: &[DenialConstraint]) -> Result<(), WireError> {
+    if weights.len() != dcs.len() {
+        return Err(WireError::Malformed(format!(
+            "{} weights for {} DCs",
+            weights.len(),
+            dcs.len()
+        )));
+    }
+    for (dc, &w) in dcs.iter().zip(weights) {
+        let valid = match dc.hardness {
+            Hardness::Hard => w == HARD_WEIGHT,
+            Hardness::Soft => w.is_finite() && w >= 0.0,
+        };
+        if !valid {
+            return Err(WireError::Malformed(format!(
+                "{:?} DC `{}` has weight {w}",
+                dc.hardness, dc.name
+            )));
         }
     }
     Ok(())

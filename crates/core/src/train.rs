@@ -155,7 +155,7 @@ fn train_one(
         expected_batch: cfg.batch as f64,
     };
     let rate = (cfg.batch as f64 / n.max(1) as f64).min(1.0);
-    let mut trainer = SubModelTrainer { store, sm };
+    let mut trainer = SubModelTrainer::new(store, sm);
     let mut work = StepReport::default();
     let mut count = |step: StepReport| {
         work.coords_visited += step.coords_visited;

@@ -13,7 +13,7 @@
 
 use kamino_core::model::{ColumnPredictor, EmbeddingStore, Head, SubModel, SubModelKind};
 use kamino_data::{AttrKind, Attribute, Schema, Value};
-use kamino_nn::{Attention, CategoricalHead, GaussianHead};
+use kamino_nn::{Attention, CategoricalHead, GaussianHead, Scratch};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -110,21 +110,26 @@ fn reference(sm: &SubModel, shared: &EmbeddingStore, ctx: &[Value]) -> Vec<u64> 
         unreachable!("the property builds discriminative sub-models")
     };
     let store = sm.own_store.as_ref().unwrap_or(shared);
+    let mut scratch = Scratch::new();
     let embs: Vec<Vec<f64>> = sm
         .context
         .iter()
         .zip(ctx)
         .map(|(&attr, &val)| {
             let mut e = vec![0.0; store.dim()];
-            store.embed(attr, val, &mut e);
+            store.embed(attr, val, &mut e, &mut scratch);
             e
         })
         .collect();
     let refs: Vec<&[f64]> = embs.iter().map(Vec::as_slice).collect();
     let mut v = vec![0.0; store.dim()];
-    attention.forward(&refs, &mut v);
+    attention.forward(&refs, &mut v, &mut scratch);
     match head {
-        Head::Cat(h) => h.predict(&v).iter().map(|p| p.to_bits()).collect(),
+        Head::Cat(h) => {
+            let mut p = vec![0.0; h.card()];
+            h.predict(&v, &mut p);
+            p.iter().map(|p| p.to_bits()).collect()
+        }
         Head::Num(h) => {
             let (mu, sigma) = h.predict(&v);
             let std = store.standardizer(sm.target);

@@ -350,6 +350,34 @@ mod tests {
         assert!((3.0..5.0).contains(&ratio), "ratio {ratio} not ≈ 4");
     }
 
+    /// `sgm_rdp` at α = 2 and 3 against the binomial sums written out:
+    /// `R(2) = ln(1 + q²(e^{1/σ²} − 1))` and
+    /// `R(3) = ½·ln((1−q)³ + 3q(1−q)² + 3q²(1−q)e^{1/σ²} + q³e^{3/σ²})`.
+    /// The plain binomial weights sum to 1, so the references take the
+    /// argument as `1 + x` and use `ln_1p`/`exp_m1` to keep a small cost's
+    /// digits. The log-sum-exp under test keeps relative error ≤ 1e-12
+    /// down to a cost of 1e-3; below that its error is absolute (≤ 1e-15:
+    /// at q = 1e-4, σ = 10 the relative error is ~1e-6), so the bound is
+    /// `1e-12 · max(R, 1e-3)`.
+    #[test]
+    fn sgm_low_orders_match_their_binomial_sums() {
+        for q in [1e-4, 1e-3, 0.01, 0.016, 0.05, 0.1, 0.25, 0.5, 0.9, 0.99f64] {
+            for sigma in [0.5, 0.8, 1.0, 1.1, 2.0, 3.0, 5.0, 10.0f64] {
+                let e1 = (1.0 / (sigma * sigma)).exp_m1();
+                let e3 = (3.0 / (sigma * sigma)).exp_m1();
+                let r2 = (q * q * e1).ln_1p();
+                let r3 = 0.5 * (3.0 * q * q * (1.0 - q) * e1 + q * q * q * e3).ln_1p();
+                for (alpha, want) in [(2, r2), (3, r3)] {
+                    let got = sgm_rdp(alpha, sigma, q);
+                    assert!(
+                        (got - want).abs() <= 1e-12 * want.max(1e-3),
+                        "R({alpha}) at q = {q}, σ = {sigma}: {got:e} vs {want:e}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn sgm_stable_at_large_alpha() {
         let r = sgm_rdp(512, 1.1, 0.001);

@@ -72,7 +72,7 @@ impl Classifier for MlpClassifier {
 
     fn predict_one(&self, x: &[f64]) -> bool {
         match &self.net {
-            Some(net) => net.infer(x)[0] > 0.0,
+            Some(net) => net.forward(x, &mut MlpCache::default())[0] > 0.0,
             None => self.fallback,
         }
     }

@@ -66,15 +66,10 @@ impl Attention {
     }
 
     /// Combines context embeddings into the context vector
-    /// `v = Σ α_i e_i`, `α = softmax(scores)`.
-    pub fn forward(&self, embeddings: &[&[f64]], v: &mut [f64]) -> AttentionCache {
-        let mut scratch = Scratch::new();
-        self.forward_pooled(embeddings, v, &mut scratch)
-    }
-
-    /// [`Attention::forward`] with the cache's `α` buffer drawn from
-    /// `scratch`; retire it with `scratch.put(cache.alpha)` after backward.
-    pub fn forward_pooled(
+    /// `v = Σ α_i e_i`, `α = softmax(scores)`. The cache's `α` buffer is
+    /// drawn from `scratch`; retire it with `scratch.put(cache.alpha)`
+    /// after backward.
+    pub fn forward(
         &self,
         embeddings: &[&[f64]],
         v: &mut [f64],
@@ -100,21 +95,9 @@ impl Attention {
     /// each context embedding's gradient into `d_embeddings`.
     ///
     /// With `g_i = e_i · dv`: `de_i = α_i·dv` and
-    /// `ds_i = α_i (g_i − Σ_j α_j g_j)` (softmax Jacobian).
+    /// `ds_i = α_i (g_i − Σ_j α_j g_j)` (softmax Jacobian); the `g` buffer
+    /// is drawn from (and returned to) `scratch`.
     pub fn backward(
-        &mut self,
-        embeddings: &[&[f64]],
-        cache: &AttentionCache,
-        dv: &[f64],
-        d_embeddings: &mut [Vec<f64>],
-    ) {
-        let mut scratch = Scratch::new();
-        self.backward_pooled(embeddings, cache, dv, d_embeddings, &mut scratch);
-    }
-
-    /// [`Attention::backward`] with the `g_i = e_i · dv` intermediate drawn
-    /// from (and returned to) `scratch`.
-    pub fn backward_pooled(
         &mut self,
         embeddings: &[&[f64]],
         cache: &AttentionCache,
@@ -162,7 +145,7 @@ mod tests {
         let e1 = [1.0, 2.0];
         let e2 = [10.0, 20.0];
         let mut v = [0.0; 2];
-        attn.forward(&[&e1, &e2], &mut v);
+        attn.forward(&[&e1, &e2], &mut v, &mut Scratch::new());
         // all mass on the first embedding
         assert!((v[0] - 1.0).abs() < 1e-12 && (v[1] - 2.0).abs() < 1e-12);
     }
@@ -177,14 +160,15 @@ mod tests {
         finite_diff_check(
             &mut |a: &mut Attention| {
                 let mut v = [0.0; 3];
-                a.forward(&[&e1, &e2, &e3], &mut v);
+                a.forward(&[&e1, &e2, &e3], &mut v, &mut Scratch::new());
                 0.5 * v.iter().map(|x| x * x).sum::<f64>()
             },
             &mut |a: &mut Attention| {
                 let mut v = [0.0; 3];
-                let cache = a.forward(&[&e1, &e2, &e3], &mut v);
+                let mut scratch = Scratch::new();
+                let cache = a.forward(&[&e1, &e2, &e3], &mut v, &mut scratch);
                 let mut de = vec![vec![0.0; 3]; 3];
-                a.backward(&[&e1, &e2, &e3], &cache, &v, &mut de);
+                a.backward(&[&e1, &e2, &e3], &cache, &v, &mut de, &mut scratch);
             },
             &mut |a, f| a.visit_blocks(f),
             &mut attn,
@@ -198,9 +182,10 @@ mod tests {
         let e1 = [1.0, 0.0];
         let e2 = [0.0, 1.0];
         let mut v = [0.0; 2];
-        let cache = attn.forward(&[&e1, &e2], &mut v);
+        let mut scratch = Scratch::new();
+        let cache = attn.forward(&[&e1, &e2], &mut v, &mut scratch);
         let mut de = vec![vec![0.0; 2]; 2];
-        attn.backward(&[&e1, &e2], &cache, &[2.0, 4.0], &mut de);
+        attn.backward(&[&e1, &e2], &cache, &[2.0, 4.0], &mut de, &mut scratch);
         assert!((de[0][0] - 1.0).abs() < 1e-12 && (de[0][1] - 2.0).abs() < 1e-12);
         assert!((de[1][0] - 1.0).abs() < 1e-12 && (de[1][1] - 2.0).abs() < 1e-12);
     }
@@ -211,6 +196,6 @@ mod tests {
         let attn = Attention::new(2, 2);
         let e1 = [0.0, 0.0];
         let mut v = [0.0; 2];
-        attn.forward(&[&e1], &mut v);
+        attn.forward(&[&e1], &mut v, &mut Scratch::new());
     }
 }

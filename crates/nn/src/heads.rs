@@ -41,30 +41,17 @@ impl CategoricalHead {
         self.linear.n_out()
     }
 
-    /// Predicted class probabilities for context vector `v`.
-    pub fn predict(&self, v: &[f64]) -> Vec<f64> {
-        let mut p = vec![0.0; self.card()];
-        self.predict_into(v, &mut p);
-        p
-    }
-
-    /// [`CategoricalHead::predict`] into a caller-owned buffer of length
-    /// [`CategoricalHead::card`]; every element is overwritten.
-    pub fn predict_into(&self, v: &[f64], out: &mut [f64]) {
+    /// Class probabilities for context vector `v`, written into `out`
+    /// (length [`CategoricalHead::card`]; every element is overwritten).
+    pub fn predict(&self, v: &[f64], out: &mut [f64]) {
         self.linear.forward(v, out);
         softmax_in_place(out);
     }
 
     /// Training step piece: computes the cross-entropy loss for `target`
-    /// and accumulates parameter gradients; writes `∂L/∂v` into `dv`.
-    pub fn loss_backward(&mut self, v: &[f64], target: u32, dv: &mut [f64]) -> f64 {
-        let mut scratch = Scratch::new();
-        self.loss_backward_pooled(v, target, dv, &mut scratch)
-    }
-
-    /// [`CategoricalHead::loss_backward`] with the logit buffers drawn
-    /// from (and returned to) `scratch`.
-    pub fn loss_backward_pooled(
+    /// and accumulates parameter gradients; writes `∂L/∂v` into `dv`. The
+    /// logit buffers are drawn from (and returned to) `scratch`.
+    pub fn loss_backward(
         &mut self,
         v: &[f64],
         target: u32,
@@ -155,11 +142,18 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// The class probabilities of `h` at `v`.
+    fn probs(h: &CategoricalHead, v: &[f64]) -> Vec<f64> {
+        let mut p = vec![0.0; h.card()];
+        h.predict(v, &mut p);
+        p
+    }
+
     #[test]
     fn categorical_predict_is_distribution() {
         let mut rng = StdRng::seed_from_u64(0);
         let head = CategoricalHead::new(4, 5, &mut rng);
-        let p = head.predict(&[0.1, -0.3, 0.8, 0.0]);
+        let p = probs(&head, &[0.1, -0.3, 0.8, 0.0]);
         assert_eq!(p.len(), 5);
         assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-12);
         assert!(p.iter().all(|&x| x >= 0.0));
@@ -171,13 +165,10 @@ mod tests {
         let v = [0.2, -0.5, 0.9];
         let mut head = CategoricalHead::new(3, 4, &mut rng);
         finite_diff_check(
-            &mut |h: &mut CategoricalHead| {
-                let p = h.predict(&v);
-                -p[2].ln()
-            },
+            &mut |h: &mut CategoricalHead| -probs(h, &v)[2].ln(),
             &mut |h: &mut CategoricalHead| {
                 let mut dv = [0.0; 3];
-                h.loss_backward(&v, 2, &mut dv);
+                h.loss_backward(&v, 2, &mut dv, &mut Scratch::new());
             },
             &mut |h, f| h.visit_blocks(f),
             &mut head,
@@ -190,15 +181,15 @@ mod tests {
         let mut head = CategoricalHead::new(3, 4, &mut rng);
         let v = [0.2, -0.5, 0.9];
         let mut dv = [0.0; 3];
-        head.loss_backward(&v, 1, &mut dv);
+        head.loss_backward(&v, 1, &mut dv, &mut Scratch::new());
         let h = 1e-6;
         for i in 0..3 {
             let mut vp = v;
             vp[i] += h;
             let mut vm = v;
             vm[i] -= h;
-            let lp = -head.predict(&vp)[1].ln();
-            let lm = -head.predict(&vm)[1].ln();
+            let lp = -probs(&head, &vp)[1].ln();
+            let lm = -probs(&head, &vm)[1].ln();
             let num = (lp - lm) / (2.0 * h);
             assert!((num - dv[i]).abs() < 1e-5, "dv[{i}] {num} vs {}", dv[i]);
         }
@@ -210,11 +201,12 @@ mod tests {
         // on the head alone must learn it.
         let mut rng = StdRng::seed_from_u64(3);
         let mut head = CategoricalHead::new(2, 2, &mut rng);
+        let mut scratch = Scratch::new();
         for _ in 0..300 {
             for (v, t) in [([1.0, 0.0], 0u32), ([0.0, 1.0], 1u32)] {
                 let mut dv = [0.0; 2];
                 head.visit_blocks(&mut |b| b.zero_grad());
-                head.loss_backward(&v, t, &mut dv);
+                head.loss_backward(&v, t, &mut dv, &mut scratch);
                 head.visit_blocks(&mut |b| {
                     for i in 0..b.len() {
                         b.values[i] -= 0.5 * b.grads[i];
@@ -222,8 +214,8 @@ mod tests {
                 });
             }
         }
-        assert!(head.predict(&[1.0, 0.0])[0] > 0.9);
-        assert!(head.predict(&[0.0, 1.0])[1] > 0.9);
+        assert!(probs(&head, &[1.0, 0.0])[0] > 0.9);
+        assert!(probs(&head, &[0.0, 1.0])[1] > 0.9);
     }
 
     #[test]

@@ -190,7 +190,7 @@ pub struct EncoderCache {
 
 impl EncoderCache {
     /// Retires the cache's hidden buffer back into `scratch` once backward
-    /// no longer needs it (pairs with [`ContinuousEncoder::forward_pooled`]).
+    /// no longer needs it (pairs with [`ContinuousEncoder::forward`]).
     pub fn recycle(self, scratch: &mut Scratch) {
         scratch.put(self.hidden);
     }
@@ -235,19 +235,10 @@ impl ContinuousEncoder {
     }
 
     /// Computes `z = B·relu(A·x + c) + d`, returning the cache for backward.
-    pub fn forward(&self, x: f64, z: &mut [f64]) -> EncoderCache {
-        self.forward_with_hidden(x, z, vec![0.0; self.dim])
-    }
-
-    /// Like [`ContinuousEncoder::forward`], but the cache's hidden buffer
-    /// comes from `scratch`; retire the cache with
+    /// The cache's hidden buffer comes from `scratch`; retire the cache with
     /// [`EncoderCache::recycle`] when backward is done with it.
-    pub fn forward_pooled(&self, x: f64, z: &mut [f64], scratch: &mut Scratch) -> EncoderCache {
-        self.forward_with_hidden(x, z, scratch.take(self.dim))
-    }
-
-    fn forward_with_hidden(&self, x: f64, z: &mut [f64], mut hidden: Vec<f64>) -> EncoderCache {
-        debug_assert_eq!(hidden.len(), self.dim);
+    pub fn forward(&self, x: f64, z: &mut [f64], scratch: &mut Scratch) -> EncoderCache {
+        let mut hidden = scratch.take(self.dim);
         for ((h, &a), &c) in hidden.iter_mut().zip(&self.a.values).zip(&self.c.values) {
             *h = (a * x + c).max(0.0);
         }
@@ -256,15 +247,10 @@ impl ContinuousEncoder {
         EncoderCache { x, hidden }
     }
 
-    /// Accumulates parameter gradients given the output gradient `dz`.
-    pub fn backward(&mut self, cache: &EncoderCache, dz: &[f64]) {
-        let mut scratch = Scratch::new();
-        self.backward_pooled(cache, dz, &mut scratch);
-    }
-
-    /// [`ContinuousEncoder::backward`] with the intermediate `dh` buffer
-    /// drawn from (and returned to) `scratch`.
-    pub fn backward_pooled(&mut self, cache: &EncoderCache, dz: &[f64], scratch: &mut Scratch) {
+    /// Accumulates parameter gradients given the output gradient `dz`,
+    /// with the intermediate `dh` buffer drawn from (and returned to)
+    /// `scratch`.
+    pub fn backward(&mut self, cache: &EncoderCache, dz: &[f64], scratch: &mut Scratch) {
         // z = B·h + d
         outer_acc(&mut self.b.grads, dz, &cache.hidden);
         axpy(1.0, dz, &mut self.d.grads);
@@ -389,13 +375,14 @@ mod tests {
         finite_diff_check(
             &mut |e: &mut ContinuousEncoder| {
                 let mut z = vec![0.0; 5];
-                e.forward(x, &mut z);
+                e.forward(x, &mut z, &mut Scratch::new());
                 0.5 * z.iter().map(|v| v * v).sum::<f64>()
             },
             &mut |e: &mut ContinuousEncoder| {
                 let mut z = vec![0.0; 5];
-                let cache = e.forward(x, &mut z);
-                e.backward(&cache, &z);
+                let mut scratch = Scratch::new();
+                let cache = e.forward(x, &mut z, &mut scratch);
+                e.backward(&cache, &z, &mut scratch);
             },
             &mut |e, f| e.visit_blocks(f),
             &mut enc,

@@ -22,8 +22,9 @@
 //!   average, Algorithm 2 lines 13–16); plain SGD is the
 //!   `noise = 0, clip = ∞` special case so private and non-private runs
 //!   share one code path,
-//! * [`scratch`] — a recycling buffer pool backing the `*_pooled` layer
-//!   variants so the per-example hot loops stay allocation-free.
+//! * [`scratch`] — a recycling buffer pool that the encoder, attention and
+//!   categorical-head kernels take from their caller, so the per-example
+//!   hot loops stay allocation-free.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

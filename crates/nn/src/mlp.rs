@@ -8,7 +8,6 @@ use rand::Rng;
 
 use crate::layers::Linear;
 use crate::param::ParamBlock;
-use crate::scratch::Scratch;
 
 /// A feed-forward network `linear → relu → … → linear`.
 #[derive(Debug, Clone)]
@@ -77,35 +76,15 @@ impl Mlp {
         cache.acts[n].clone()
     }
 
-    /// Inference-only forward (no cache retained).
-    pub fn infer(&self, x: &[f64]) -> Vec<f64> {
-        let mut cache = MlpCache::default();
-        self.forward(x, &mut cache)
-    }
-
     /// Backpropagates `dout` (gradient at the network output), accumulating
     /// parameter gradients, and returns the gradient at the input.
     pub fn backward(&mut self, cache: &MlpCache, dout: &[f64]) -> Vec<f64> {
-        let mut scratch = Scratch::new();
-        self.backward_pooled(cache, dout, &mut scratch)
-    }
-
-    /// [`Mlp::backward`] with all intermediate gradient buffers drawn from
-    /// `scratch`; the returned input gradient can be retired back into the
-    /// pool by the caller.
-    pub fn backward_pooled(
-        &mut self,
-        cache: &MlpCache,
-        dout: &[f64],
-        scratch: &mut Scratch,
-    ) -> Vec<f64> {
         assert_eq!(
             cache.acts.len(),
             self.layers.len() + 1,
             "cache does not match forward"
         );
-        let mut grad = scratch.take(dout.len());
-        grad.copy_from_slice(dout);
+        let mut grad = dout.to_vec();
         let last = self.layers.len() - 1;
         for (i, layer) in self.layers.iter_mut().enumerate().rev() {
             // ReLU backward for hidden layers (the cached act is post-ReLU)
@@ -115,9 +94,8 @@ impl Mlp {
                     *g = if a > 0.0 { *g } else { 0.0 };
                 }
             }
-            let mut dx = scratch.take(layer.n_in());
+            let mut dx = vec![0.0; layer.n_in()];
             layer.backward(&cache.acts[i], &grad, Some(&mut dx));
-            scratch.put(grad);
             grad = dx;
         }
         grad
@@ -138,22 +116,28 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// A forward pass through a fresh cache.
+    fn infer(mlp: &Mlp, x: &[f64]) -> Vec<f64> {
+        mlp.forward(x, &mut MlpCache::default())
+    }
+
     #[test]
     fn shapes() {
         let mut rng = StdRng::seed_from_u64(0);
         let mlp = Mlp::new(&[3, 8, 2], &mut rng);
         assert_eq!(mlp.n_in(), 3);
         assert_eq!(mlp.n_out(), 2);
-        assert_eq!(mlp.infer(&[0.1, 0.2, 0.3]).len(), 2);
+        assert_eq!(infer(&mlp, &[0.1, 0.2, 0.3]).len(), 2);
     }
 
     #[test]
-    fn forward_matches_infer() {
+    fn reused_cache_matches_a_fresh_one() {
         let mut rng = StdRng::seed_from_u64(1);
         let mlp = Mlp::new(&[4, 6, 3], &mut rng);
         let x = [0.5, -0.5, 0.2, 0.9];
         let mut cache = MlpCache::default();
-        assert_eq!(mlp.forward(&x, &mut cache), mlp.infer(&x));
+        mlp.forward(&[1.0, 2.0, 3.0, 4.0], &mut cache);
+        assert_eq!(mlp.forward(&x, &mut cache), infer(&mlp, &x));
     }
 
     #[test]
@@ -163,7 +147,7 @@ mod tests {
         let mut mlp = Mlp::new(&[3, 5, 4, 2], &mut rng);
         finite_diff_check(
             &mut |m: &mut Mlp| {
-                let y = m.infer(&x);
+                let y = infer(m, &x);
                 0.5 * y.iter().map(|v| v * v).sum::<f64>()
             },
             &mut |m: &mut Mlp| {
@@ -190,8 +174,8 @@ mod tests {
             xp[i] += h;
             let mut xm = x;
             xm[i] -= h;
-            let lp = 0.5 * mlp.infer(&xp)[0].powi(2);
-            let lm = 0.5 * mlp.infer(&xm)[0].powi(2);
+            let lp = 0.5 * infer(&mlp, &xp)[0].powi(2);
+            let lm = 0.5 * infer(&mlp, &xm)[0].powi(2);
             let num = (lp - lm) / (2.0 * h);
             assert!((num - dx[i]).abs() < 1e-5, "dx[{i}] {num} vs {}", dx[i]);
         }
@@ -223,7 +207,7 @@ mod tests {
             }
         }
         for (x, t) in data {
-            let p = 1.0 / (1.0 + (-mlp.infer(&x)[0]).exp());
+            let p = 1.0 / (1.0 + (-infer(&mlp, &x)[0]).exp());
             assert!((p - t).abs() < 0.2, "xor({x:?}) predicted {p}, want {t}");
         }
     }

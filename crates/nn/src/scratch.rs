@@ -1,16 +1,16 @@
 //! A tiny buffer pool for the per-example hot loops.
 //!
-//! Every forward/backward pass through the sub-model stack used to
-//! allocate a handful of short `Vec<f64>`s (encoder hidden layers, head
-//! logits, attention dot products, MLP intermediates). At DP-SGD batch
-//! sizes that is thousands of allocations per optimizer step. [`Scratch`]
-//! recycles those vectors: `take(len)` hands out a zeroed buffer (reusing
-//! a retired one when available) and `put` retires it again.
+//! The encoder, attention and categorical-head kernels need a handful of
+//! short `Vec<f64>` intermediates (encoder hidden layers, head logits,
+//! attention dot products). At DP-SGD batch sizes that would be thousands
+//! of allocations per optimizer step, so each of those kernels takes the
+//! caller's [`Scratch`]: `take(len)` hands out a zeroed buffer (reusing a
+//! retired one when available) and `put` retires it again.
 //!
 //! The pool is purely an allocation cache — buffers are re-zeroed on
 //! `take`, no numeric state leaks between uses, and nothing about the
-//! pool touches RNG streams or summation order, so pooled code paths are
-//! bit-identical to their allocating twins (see the determinism notes in
+//! pool touches RNG streams or summation order, so a kernel's result does
+//! not depend on the pool it draws from (see the determinism notes in
 //! ARCHITECTURE.md).
 
 /// A recycling pool of `Vec<f64>` buffers.

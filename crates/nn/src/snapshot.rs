@@ -157,8 +157,9 @@ mod tests {
         let enc2 = decode_encoder(&mut r).unwrap();
         assert_eq!(e.forward(3), e2.forward(3));
         let (mut z1, mut z2) = (vec![0.0; 4], vec![0.0; 4]);
-        enc.forward(0.7, &mut z1);
-        enc2.forward(0.7, &mut z2);
+        let mut scratch = crate::Scratch::new();
+        enc.forward(0.7, &mut z1, &mut scratch);
+        enc2.forward(0.7, &mut z2, &mut scratch);
         assert_eq!(z1, z2);
     }
 
@@ -180,7 +181,10 @@ mod tests {
         let gh2 = decode_gauss_head(&mut r).unwrap();
         assert_eq!(a.weights(), a2.weights());
         let v = [0.1, 0.2, -0.3, 0.4];
-        assert_eq!(ch.predict(&v), ch2.predict(&v));
+        let (mut p1, mut p2) = ([0.0; 6], [0.0; 6]);
+        ch.predict(&v, &mut p1);
+        ch2.predict(&v, &mut p2);
+        assert_eq!(p1, p2);
         assert_eq!(gh.predict(&v), gh2.predict(&v));
         assert!(r.is_exhausted());
     }

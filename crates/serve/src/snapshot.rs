@@ -299,13 +299,7 @@ pub fn decode_fitted(bytes: &[u8]) -> Result<FittedKamino, SnapshotError> {
     let weights = r.f64s()?;
     let n_input = r.usize()?;
     let timings = core_codec::decode_timings(&mut r)?;
-    if weights.len() != dcs.len() {
-        return Err(SnapshotError::Wire(WireError::Malformed(format!(
-            "{} weights for {} DCs",
-            weights.len(),
-            dcs.len()
-        ))));
-    }
+    core_codec::validate_weights(&weights, &dcs)?;
 
     let mut r = find(&sections, section::RNG)?;
     let rng_state = [r.u64()?, r.u64()?, r.u64()?, r.u64()?];
@@ -410,6 +404,7 @@ pub fn load_fitted(path: &Path) -> Result<FittedKamino, SnapshotError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kamino_constraints::Hardness;
     use kamino_core::model::SubModelKind;
     use kamino_core::{fit_kamino, KaminoConfig};
     use kamino_data::{AttrKind, Value};
@@ -425,7 +420,25 @@ mod tests {
     }
 
     fn fit_under(budget: Budget, seed: u64, obs: kamino_obs::ObsHandle) -> FittedKamino {
-        let d = kamino_datasets::adult_like(80, 3);
+        fit_on(&kamino_datasets::adult_like(80, 3), budget, seed, obs)
+    }
+
+    /// A small BR2000 fit: its DCs are all soft, so it learns its weights.
+    fn tiny_soft_fitted(seed: u64) -> FittedKamino {
+        fit_on(
+            &kamino_datasets::br2000_like(80, 3),
+            Budget::new(1.0, 1e-6),
+            seed,
+            kamino_obs::ObsHandle::disabled(),
+        )
+    }
+
+    fn fit_on(
+        d: &kamino_datasets::Dataset,
+        budget: Budget,
+        seed: u64,
+        obs: kamino_obs::ObsHandle,
+    ) -> FittedKamino {
         let mut cfg = KaminoConfig::new(budget);
         cfg.train_scale = 0.02;
         cfg.embed_dim = 8;
@@ -642,7 +655,52 @@ mod tests {
         }
     }
 
-    /// A CRC-valid file whose PARAMS or CONFIG field holds a hostile value
+    /// The bytes of section `id` of a container.
+    fn section_bytes(bytes: &[u8], id: u32) -> Vec<u8> {
+        let sections = parse_sections(bytes).unwrap();
+        sections.iter().find(|s| s.id == id).unwrap().bytes.to_vec()
+    }
+
+    /// The fields of `f`'s container (`bytes`) that the hostile test
+    /// patches, as (section, byte offset, width): every PARAMS and CONFIG
+    /// field, every SESSION weight and `n_input`, and every entry of
+    /// MODEL's first-attribute distribution. Panics if a layout drifted.
+    fn hostile_fields(f: &FittedKamino, bytes: &[u8]) -> Vec<(u32, usize, usize)> {
+        let mut fields = Vec::new();
+        for (id, widths) in [
+            (section::PARAMS, &PARAMS_WIDTHS[..]),
+            (section::CONFIG, &CONFIG_WIDTHS[..]),
+        ] {
+            let len = section_bytes(bytes, id).len();
+            assert_eq!(len, widths.iter().sum::<usize>(), "layout drifted");
+            let mut at = 0;
+            for &width in widths {
+                fields.push((id, at, width));
+                at += width;
+            }
+        }
+        // SESSION: the weights' length prefix, the weights, then `n_input`
+        let session = section_bytes(bytes, section::SESSION);
+        let word = |b: &[u8], at: usize| u64::from_le_bytes(b[at..at + 8].try_into().unwrap());
+        let n_weights = f.weights.len();
+        for (l, w) in f.weights.iter().enumerate() {
+            assert_eq!(word(&session, 4 + 8 * l), w.to_bits(), "layout drifted");
+            fields.push((section::SESSION, 4 + 8 * l, 8));
+        }
+        assert_eq!(word(&session, 4 + 8 * n_weights), f.n_input() as u64);
+        fields.push((section::SESSION, 4 + 8 * n_weights, 8));
+        // MODEL: the sequence, then the first-attribute distribution
+        let model = section_bytes(bytes, section::MODEL);
+        let first = 4 + 8 * f.model().sequence.len() + 4;
+        for (i, p) in f.model().first_dist.iter().enumerate() {
+            assert_eq!(word(&model, first + 8 * i), p.to_bits(), "layout drifted");
+            fields.push((section::MODEL, first + 8 * i, 8));
+        }
+        fields
+    }
+
+    /// A CRC-valid file whose PARAMS, CONFIG or SESSION field, or an entry
+    /// of MODEL's first-attribute distribution, holds a hostile value
     /// either fails decode as `Malformed` or decodes to a session that
     /// draws 20 rows inside their domains: it never panics, hangs or
     /// reports an ε the fit could not have spent.
@@ -651,39 +709,69 @@ mod tests {
         let sessions = [
             tiny_fitted(18),
             fit_under(Budget::non_private(), 18, kamino_obs::ObsHandle::disabled()),
+            tiny_soft_fitted(18),
         ];
         for fitted in &sessions {
             let bytes = encode_fitted(fitted);
-            for (id, widths) in [
-                (section::PARAMS, &PARAMS_WIDTHS[..]),
-                (section::CONFIG, &CONFIG_WIDTHS[..]),
-            ] {
-                let mut at = 0;
-                for (field, &width) in widths.iter().enumerate() {
-                    for value in hostile_values(width) {
-                        let patched = rebuild(&bytes, |sid, b| {
-                            let mut b = b.to_vec();
-                            if sid == id {
-                                assert_eq!(b.len(), widths.iter().sum::<usize>(), "layout drifted");
-                                b[at..at + width].copy_from_slice(&value);
-                            }
-                            Some(b)
-                        });
-                        let what = format!("{} field {field} = {value:02x?}", section_name(id));
-                        match decode_fitted(&patched) {
-                            Err(SnapshotError::Wire(WireError::Malformed(_))) => {}
-                            Err(e) => panic!("{what}: {e}"),
-                            Ok(mut loaded) => {
-                                let eps = loaded.achieved_epsilon();
-                                let budget = loaded.config().budget.epsilon;
-                                assert!(eps > 0.0 && eps <= budget, "{what}: ε {eps}");
-                                let out = loaded.sample(20);
-                                assert_eq!(out.n_rows(), 20, "{what}");
-                                assert_in_domain(&loaded, &out);
-                            }
+            for (id, at, width) in hostile_fields(fitted, &bytes) {
+                for value in hostile_values(width) {
+                    let patched = rebuild(&bytes, |sid, b| {
+                        let mut b = b.to_vec();
+                        if sid == id {
+                            b[at..at + width].copy_from_slice(&value);
+                        }
+                        Some(b)
+                    });
+                    let what = format!("{} byte {at} = {value:02x?}", section_name(id));
+                    match decode_fitted(&patched) {
+                        Err(SnapshotError::Wire(WireError::Malformed(_))) => {}
+                        Err(e) => panic!("{what}: {e}"),
+                        Ok(mut loaded) => {
+                            let eps = loaded.achieved_epsilon();
+                            let budget = loaded.config().budget.epsilon;
+                            assert!(eps > 0.0 && eps <= budget, "{what}: ε {eps}");
+                            let out = loaded.sample(20);
+                            assert_eq!(out.n_rows(), 20, "{what}");
+                            assert_in_domain(&loaded, &out);
                         }
                     }
-                    at += width;
+                }
+            }
+        }
+    }
+
+    /// A CRC-valid file cannot switch a hard DC off or make a soft one
+    /// hard: a hard DC's weight must be +∞ and a soft DC's finite and
+    /// ≥ 0, or decode refuses the file.
+    #[test]
+    fn session_weights_must_match_their_dcs_hardness() {
+        let hard = tiny_fitted(18);
+        let soft = tiny_soft_fitted(18);
+        assert!(hard.dcs().iter().all(|dc| dc.hardness == Hardness::Hard));
+        assert!(soft.dcs().iter().all(|dc| dc.hardness == Hardness::Soft));
+        for (fitted, bad) in [
+            (&hard, &[0.0, 1.0, f64::NAN, -1.0][..]),
+            (&soft, &[f64::NAN, -1.0, f64::INFINITY][..]),
+        ] {
+            let bytes = encode_fitted(fitted);
+            assert!(decode_fitted(&bytes).is_ok());
+            for l in 0..fitted.weights.len() {
+                for &w in bad {
+                    let patched = rebuild(&bytes, |id, b| {
+                        let mut b = b.to_vec();
+                        if id == section::SESSION {
+                            b[4 + 8 * l..12 + 8 * l].copy_from_slice(&w.to_le_bytes());
+                        }
+                        Some(b)
+                    });
+                    assert!(
+                        matches!(
+                            decode_fitted(&patched),
+                            Err(SnapshotError::Wire(WireError::Malformed(msg))) if msg.contains("weight")
+                        ),
+                        "`{}` at weight {w} was not refused",
+                        fitted.dcs()[l].name
+                    );
                 }
             }
         }

@@ -246,10 +246,8 @@ fn noise_draws_are_dense_params_per_step_plus_settled_rows() {
         if !matches!(sm.kind, SubModelKind::Discriminative { .. }) {
             continue;
         }
-        let mut trainer = SubModelTrainer {
-            store: &mut store,
-            sm: &mut sm.clone(),
-        };
+        let mut sm = sm.clone();
+        let mut trainer = SubModelTrainer::new(&mut store, &mut sm);
         trainer.visit_blocks(&mut |b| match b.row_width() {
             None => dense += b.len() as u64,
             Some(w) => table_rows += (b.len() / w) as u64,
