@@ -935,7 +935,10 @@ impl DcCounter {
         if !dc.is_binary() {
             return DcCounter::Unary(dc.clone());
         }
-        if let Some(fd) = dc.as_fd() {
+        // An FD whose dependent is also a determinant can never be
+        // violated, and its groups would move with the value being scored:
+        // the generic scan counts it (always 0) and it forces no value.
+        if let Some(fd) = dc.as_fd().filter(|fd| !fd.lhs.contains(&fd.rhs)) {
             return DcCounter::Fd(FdIndex::new(fd));
         }
         DcCounter::Scan(ScanIndex::new(dc))

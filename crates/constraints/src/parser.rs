@@ -22,7 +22,7 @@
 //! !(t1.state == 'CA' & t1.rate > 9)                   -- conditional (CFD-like)
 //! ```
 
-use kamino_data::{AttrKind, DataError, Schema, Value};
+use kamino_data::{DataError, Schema, Value};
 
 use crate::ast::{CmpOp, DenialConstraint, Hardness, Operand, Predicate, TupleRef};
 
@@ -47,10 +47,10 @@ use crate::ast::{CmpOp, DenialConstraint, Hardness, Operand, Predicate, TupleRef
 /// ```
 ///
 /// # Errors
-/// Returns [`DataError::Parse`] on malformed syntax,
-/// [`DataError::UnknownAttribute`]/[`DataError::UnknownLabel`] when names do
-/// not resolve, and [`DataError::TypeMismatch`] when a predicate compares
-/// incompatible kinds (e.g. a categorical attribute with `<`).
+/// Returns [`DataError::Parse`] on malformed syntax and when a predicate
+/// compares incompatible kinds (e.g. a categorical attribute with `<`),
+/// and [`DataError::UnknownAttribute`]/[`DataError::UnknownLabel`] when
+/// names do not resolve.
 pub fn parse_dc(
     schema: &Schema,
     name: &str,
@@ -127,8 +127,11 @@ fn parse_predicate(schema: &Schema, name: &str, raw: &str) -> Result<Predicate, 
                     )));
                 }
                 let (lhs, rhs) = resolve_operands(schema, name, lhs_txt, rhs_txt)?;
-                check_types(schema, name, raw, &lhs, op, &rhs)?;
-                return Ok(Predicate { lhs, op, rhs });
+                let pred = Predicate { lhs, op, rhs };
+                check_types(schema, &pred).map_err(|why| {
+                    DataError::Parse(format!("`{name}`: predicate `{raw}` {why}"))
+                })?;
+                return Ok(pred);
             }
         }
     }
@@ -206,48 +209,33 @@ fn resolve_operands(
     Ok((finish(lhs, l_other)?, finish(rhs, r_other)?))
 }
 
-fn kind_of<'a>(schema: &'a Schema, o: &Operand) -> Option<&'a AttrKind> {
-    match o {
-        Operand::Attr { attr, .. } => Some(&schema.attr(*attr).kind),
-        Operand::Const(_) => None,
-    }
-}
-
-fn check_types(
-    schema: &Schema,
-    name: &str,
-    raw: &str,
-    lhs: &Operand,
-    op: CmpOp,
-    rhs: &Operand,
-) -> Result<(), DataError> {
-    let l_cat = match (kind_of(schema, lhs), lhs) {
-        (Some(AttrKind::Categorical { .. }), _) => Some(true),
-        (Some(AttrKind::Numeric { .. }), _) => Some(false),
-        (None, Operand::Const(Value::Cat(_))) => Some(true),
-        (None, Operand::Const(Value::Num(_))) => Some(false),
-        _ => None,
+/// The type rules every predicate obeys, whether parsed or decoded from a
+/// snapshot: both operands have one kind, categorical values compare only
+/// by `==`/`!=`, and a categorical constant lies in the domain of the
+/// attribute it is compared with. The error completes "predicate … ".
+pub(crate) fn check_types(schema: &Schema, p: &Predicate) -> Result<(), String> {
+    let is_cat = |o: Operand| match o {
+        Operand::Attr { attr, .. } => schema.attr(attr).is_categorical(),
+        Operand::Const(v) => matches!(v, Value::Cat(_)),
     };
-    let r_cat = match (kind_of(schema, rhs), rhs) {
-        (Some(AttrKind::Categorical { .. }), _) => Some(true),
-        (Some(AttrKind::Numeric { .. }), _) => Some(false),
-        (None, Operand::Const(Value::Cat(_))) => Some(true),
-        (None, Operand::Const(Value::Num(_))) => Some(false),
-        _ => None,
-    };
-    match (l_cat, r_cat) {
-        (Some(a), Some(b)) if a != b => {
-            return Err(DataError::Parse(format!(
-                "`{name}`: predicate `{raw}` compares categorical and numeric operands"
-            )));
-        }
-        _ => {}
+    let categorical = is_cat(p.lhs);
+    if categorical != is_cat(p.rhs) {
+        return Err("compares categorical and numeric operands".into());
     }
     // Ordered comparison of categorical attributes is ill-defined.
-    if l_cat == Some(true) && !matches!(op, CmpOp::Eq | CmpOp::Ne) {
-        return Err(DataError::Parse(format!(
-            "`{name}`: predicate `{raw}` orders categorical values; only ==/!= are allowed"
-        )));
+    if categorical && !matches!(p.op, CmpOp::Eq | CmpOp::Ne) {
+        return Err("orders categorical values; only ==/!= are allowed".into());
+    }
+    for (this, other) in [(p.lhs, p.rhs), (p.rhs, p.lhs)] {
+        if let (Operand::Const(v @ Value::Cat(_)), Operand::Attr { attr, .. }) = (this, other) {
+            let attr = schema.attr(attr);
+            if attr.validate(v).is_err() {
+                return Err(format!(
+                    "compares `{}` with {v}, outside its domain",
+                    attr.name
+                ));
+            }
+        }
     }
     Ok(())
 }

@@ -8,6 +8,28 @@
 //! one walk over the counters that skips the zero-weight DCs. Nothing is
 //! allocated per cell or per candidate.
 //!
+//! The sampler probes the hard counters once per cell before it scores,
+//! and [`ScoreSet::score_decided_into`] takes what that probe decided, the
+//! cell's *verdict*, so the walk skips work whose answer is already known:
+//!
+//! * **a forced value `v`**: every hard FD on the target whose determinant
+//!   group exists forces the one dependent the group carries, and they all
+//!   agree on `v`. A candidate whose key differs from `v`'s (the equality
+//!   [`DcCounter::count_new`] uses for an FD) scores `+∞` without a walk:
+//!   the forcing FD counts at least one violation (its group is not
+//!   empty) at weight `+∞`, and every other term is `≥ 0`. The candidates
+//!   equal to `v` share one walk: every counter keys a value the same way,
+//!   so they score alike;
+//! * **banded DCs**: a hard strict-order DC's `feasible_range` is closed
+//!   and exact, so a candidate inside it adds exactly 0 for that DC, and
+//!   the walk skips it. The caller names only the DCs whose bands contain
+//!   every candidate.
+//!
+//! Every other counter is walked in DC order, so a decided score equals
+//! the undecided one bit for bit (given weights that are `+∞` or finite
+//! and `≥ 0`), and [`ScoreSet::score_candidates_into`] is the empty
+//! verdict.
+//!
 //! Determinism: scoring is pure (no RNG, no mutation), so a batch returns
 //! exactly the penalties [`ScoreSet::penalty`] gives one candidate at a
 //! time.
@@ -15,6 +37,7 @@
 use kamino_data::Value;
 
 use crate::ast::DenialConstraint;
+use crate::engine::value_key;
 use crate::incremental::{CandidateRow, CellContext, DcCounter};
 
 /// The incremental counters for the DCs active at one sequence position,
@@ -66,10 +89,17 @@ impl ScoreSet {
     /// zero-weight DC adds exactly `+0.0` to every penalty, so it is left
     /// out of the walk.
     pub fn penalty(&self, cand: &CandidateRow<'_>, weights: &[f64]) -> f64 {
+        self.walk(cand, weights, &[])
+    }
+
+    /// The one scoring walk: every counter in DC order except the
+    /// zero-weight DCs and the `banded` ones (DC indices), whose count is
+    /// known to be 0 for this candidate.
+    fn walk(&self, cand: &CandidateRow<'_>, weights: &[f64], banded: &[usize]) -> f64 {
         let mut penalty = 0.0;
         for (l, c) in &self.counters {
             let w = weights[*l];
-            if w == 0.0 {
+            if w == 0.0 || banded.contains(l) {
                 continue;
             }
             let vio = c.count_new(cand);
@@ -107,8 +137,31 @@ impl ScoreSet {
         _parallel: bool,
         out: &mut Vec<f64>,
     ) {
+        self.score_decided_into(cell, values, weights, None, &[], out);
+    }
+
+    /// Batch scoring under the cell's verdict (see the module docs):
+    /// `forced` is the value every hard FD on the target forces, and
+    /// `banded` the hard strict-order DCs whose feasible band contains
+    /// every candidate. Writes the same penalties as
+    /// [`ScoreSet::score_candidates_into`], into `out` (cleared first).
+    pub fn score_decided_into(
+        &self,
+        cell: CellContext<'_>,
+        values: &[Value],
+        weights: &[f64],
+        forced: Option<Value>,
+        banded: &[usize],
+        out: &mut Vec<f64>,
+    ) {
         out.clear();
-        out.extend(values.iter().map(|&v| self.penalty(&cell.with(v), weights)));
+        let forced = forced.map(value_key);
+        let mut shared = None;
+        out.extend(values.iter().map(|&v| match forced {
+            Some(k) if value_key(v) != k => f64::INFINITY,
+            Some(_) => *shared.get_or_insert_with(|| self.walk(&cell.with(v), weights, banded)),
+            None => self.walk(&cell.with(v), weights, banded),
+        }));
     }
 }
 

@@ -10,6 +10,7 @@ use kamino_data::wire::{ByteReader, ByteWriter, WireError};
 use kamino_data::Schema;
 
 use crate::ast::{CmpOp, DenialConstraint, Hardness, Operand, Predicate, TupleRef};
+use crate::parser::check_types;
 
 const OPERAND_ATTR: u8 = 0;
 const OPERAND_CONST: u8 = 1;
@@ -90,8 +91,11 @@ pub fn encode_dc(dc: &DenialConstraint, w: &mut ByteWriter) {
     }
 }
 
-/// Decodes a constraint written by [`encode_dc`], validating attribute
-/// indices against `schema`.
+/// Decodes a constraint written by [`encode_dc`], validating it against
+/// `schema` as the parser does: attribute indices in range, and every
+/// predicate passing the parser's type rules (no categorical–numeric
+/// comparison, no ordered categorical comparison, categorical constants
+/// inside their attribute's domain).
 pub fn decode_dc(r: &mut ByteReader<'_>, schema: &Schema) -> Result<DenialConstraint, WireError> {
     let name = r.string()?;
     let hardness = match r.u8()? {
@@ -106,11 +110,14 @@ pub fn decode_dc(r: &mut ByteReader<'_>, schema: &Schema) -> Result<DenialConstr
         )));
     }
     let mut predicates = Vec::with_capacity(n.min(1 << 8));
-    for _ in 0..n {
+    for i in 0..n {
         let lhs = decode_operand(r, schema.len())?;
         let op = cmp_from_tag(r.u8()?)?;
         let rhs = decode_operand(r, schema.len())?;
-        predicates.push(Predicate { lhs, op, rhs });
+        let pred = Predicate { lhs, op, rhs };
+        check_types(schema, &pred)
+            .map_err(|why| WireError::Malformed(format!("DC `{name}`: predicate {i} {why}")))?;
+        predicates.push(pred);
     }
     Ok(DenialConstraint::new(name, predicates, hardness))
 }
@@ -140,7 +147,7 @@ pub fn decode_dcs(
 mod tests {
     use super::*;
     use crate::parser::parse_dc;
-    use kamino_data::Attribute;
+    use kamino_data::{Attribute, Value};
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -170,6 +177,33 @@ mod tests {
         let bytes = w.into_bytes();
         let got = decode_dcs(&mut ByteReader::new(&bytes), &s).unwrap();
         assert_eq!(got, dcs);
+    }
+
+    #[test]
+    fn ill_typed_predicates_are_rejected() {
+        let s = schema();
+        let attr = |tuple, attr| Operand::Attr { tuple, attr };
+        let t1 = |a| attr(TupleRef::T1, a);
+        let t2 = |a| attr(TupleRef::T2, a);
+        for (lhs, op, rhs) in [
+            (t1(0), CmpOp::Lt, Operand::Const(Value::Num(2.5))),
+            (t1(0), CmpOp::Eq, t2(2)),
+            (t1(0), CmpOp::Lt, t2(0)),
+            (t1(0), CmpOp::Eq, Operand::Const(Value::Cat(3))),
+            (Operand::Const(Value::Cat(999)), CmpOp::Ne, t1(1)),
+        ] {
+            let dc = DenialConstraint::new("bad", vec![Predicate { lhs, op, rhs }], Hardness::Hard);
+            let mut w = ByteWriter::new();
+            encode_dcs(&[dc], &mut w);
+            let bytes = w.into_bytes();
+            assert!(
+                matches!(
+                    decode_dcs(&mut ByteReader::new(&bytes), &s),
+                    Err(WireError::Malformed(_))
+                ),
+                "{lhs:?} {op:?} {rhs:?} decoded"
+            );
+        }
     }
 
     #[test]

@@ -37,13 +37,46 @@
 //! most probable codes of a categorical target, or 10 draws for a numeric
 //! one (§4.2's fixed `d`).
 //!
+//! ## What the hard-DC probe decides
+//!
+//! Before Algorithm 3 scores a cell it probes the hard counters once: the
+//! values hard FDs on the target force (`required_value`) and the band
+//! hard strict-order DCs leave a numeric target (`feasible_range`). That
+//! probe is the cell's *verdict*, and the cell skips every piece of work
+//! the verdict already decides, without changing an arithmetic result, an
+//! RNG draw or the candidate order, so every draw is bit-identical to
+//! scoring everything:
+//!
+//! 1. a position's counters are built only for its active DCs whose
+//!    weight is not 0.0 (a zero-weight DC adds exactly `+0.0`);
+//! 2. a noisy-marginal categorical column's top-64 codes are ranked once
+//!    per column, not per cell (its distribution never changes);
+//! 3. when the hard FDs force one value `v`, every candidate with another
+//!    key scores `+∞` without a counter walk, and the candidates equal to
+//!    `v` share one walk ([`ScoreSet::score_decided_into`]);
+//! 4. when the band clamp ran, each order DC whose band holds every
+//!    clamped candidate adds exactly 0, so the walk skips it;
+//! 5. under 3, a categorical target's candidate list is not built: `v`'s
+//!    slot in it is found without ranking (`forced_slot`), and
+//!    `sample_weighted` runs on the one weight that is not 0, drawing the
+//!    same single uniform. The list is built only if the draw lands on
+//!    another slot or `v` itself violates a hard DC.
+//!
+//! Rules 3 and 5 need weights that are `+∞` or finite and `≥ 0` (what a
+//! fit or a decoded snapshot holds); a draw given any other weight walks
+//! every candidate.
+//!
 //! Timings are span-derived: [`synthesize`] adds each column's
 //! `sample.fill` / `sample.mcmc` span duration (from [`KaminoConfig::obs`])
 //! to the matching [`PhaseTimings`] field, which gains zero with a
-//! disabled handle.
+//! disabled handle. Each column also adds its work to the handle's
+//! counters: `kamino_sampler_predicts_total` (sub-model predictions) and
+//! `kamino_sampler_cells_total{kind}`, why each drawn cell got its value
+//! (see `CellKind`).
 //!
 //! [`DcCounter`]: kamino_constraints::DcCounter
 
+use std::cmp::Ordering;
 use std::time::Duration;
 
 use kamino_constraints::{CandidateRow, CellContext, DenialConstraint, ScoreSet};
@@ -139,6 +172,43 @@ struct CellArena {
     idx_buf: Vec<(usize, f64)>,
     /// Values the hard FDs on the target force, in counter order.
     forced: Vec<Value>,
+    /// The hard strict-order DCs (DC indices) whose band the clamp used.
+    banded: Vec<usize>,
+}
+
+/// Why a cell got its value, counted as `kamino_sampler_cells_total{kind}`.
+/// A cell gets exactly one kind; when several apply, the first listed
+/// here wins.
+#[derive(Clone, Copy)]
+enum CellKind {
+    /// Every candidate violated a hard DC (or weighed 0): the
+    /// least-violating, most probable candidate was kept.
+    Fallback,
+    /// The value a hard FD on the target forces, whether scored or copied
+    /// by the hard-FD lookup.
+    FdInjection,
+    /// A numeric value drawn after the candidates were clamped into the
+    /// band hard order DCs leave.
+    OrderClamp,
+    /// A draw from the model distribution, reweighted by the DCs or not.
+    Model,
+}
+
+impl CellKind {
+    /// The `kind` labels of the cell counter, indexed by `kind as usize`.
+    const LABELS: [&'static str; 4] = ["fallback", "fd_injection", "order_clamp", "model"];
+}
+
+/// What every cell of one sequence position shares.
+struct Column {
+    j: usize,
+    /// Counters for the position's active DCs whose weight is not 0.0.
+    scores: ScoreSet,
+    /// Whether the position has active DCs at all (zero-weight ones
+    /// included): Algorithm 3 then draws through the scored branch.
+    constrained: bool,
+    /// A noisy-marginal categorical target's candidates, ranked once.
+    ranked: Option<Vec<(Value, f64)>>,
 }
 
 /// Synthesizes `n` tuples (none when `n` is 0, drawing no RNG) from the
@@ -168,21 +238,22 @@ pub fn synthesize<R: Rng + ?Sized>(
     let k = model.sequence.len();
     let mut inst = Instance::zeroed(schema, n);
     let active = active_dcs_by_position(&model.sequence, dcs);
+    // the verdict's rules hold for weights a fit or a snapshot can hold
+    let decide = weights.iter().all(|&w| w >= 0.0);
     let mut arena = CellArena::default();
     let mut cell = |inst: &Instance,
-                    j: usize,
+                    col: &Column,
                     row: usize,
-                    scores: &ScoreSet,
                     predictor: Option<&mut ColumnPredictor<'_>>,
                     rng: &mut R| {
         let c = Cell {
             schema,
             model,
-            j,
+            col,
             inst,
             row,
-            scores,
             weights,
+            decide,
         };
         match cfg.sampling {
             SamplingRule::AcceptReject => accept_reject(&c, predictor, &mut arena, rng),
@@ -192,17 +263,30 @@ pub fn synthesize<R: Rng + ?Sized>(
 
     for (j, active_j) in active.iter().enumerate().take(k) {
         let target = model.sequence[j];
-        let mut scores = ScoreSet::build(active_j, dcs);
+        let weighted: Vec<usize> = active_j
+            .iter()
+            .copied()
+            .filter(|&l| weights[l] != 0.0)
+            .collect();
+        let mut col = Column {
+            j,
+            scores: ScoreSet::build(&weighted, dcs),
+            constrained: !active_j.is_empty(),
+            ranked: ranked_marginal(schema, model, j),
+        };
         // Position 0 draws from the released first-attribute
         // distribution; every later position has a sub-model.
         let mut predictor =
             (j > 0).then(|| ColumnPredictor::new(model.submodel_at(j), &model.store));
+        let mut kinds = [0u64; CellKind::LABELS.len()];
 
         timed_phase(&cfg.obs, "sample.fill", j, &mut timings.sample_fill, || {
             for i in 0..n {
-                let value = cell(&inst, j, i, &scores, predictor.as_mut(), rng);
+                let (value, kind) = cell(&inst, &col, i, predictor.as_mut(), rng);
+                kinds[kind as usize] += 1;
                 inst.set(i, target, value);
-                scores.insert(&CandidateRow::committed(&inst, i, target));
+                col.scores
+                    .insert(&CandidateRow::committed(&inst, i, target));
             }
         });
 
@@ -214,10 +298,13 @@ pub fn synthesize<R: Rng + ?Sized>(
         timed_phase(&cfg.obs, "sample.mcmc", j, &mut timings.sample_mcmc, || {
             for _ in 0..mcmc_resamples {
                 let r = rng.gen_range(0..n);
-                scores.remove(&CandidateRow::committed(&inst, r, target));
-                let value = cell(&inst, j, r, &scores, predictor.as_mut(), rng);
+                col.scores
+                    .remove(&CandidateRow::committed(&inst, r, target));
+                let (value, kind) = cell(&inst, &col, r, predictor.as_mut(), rng);
+                kinds[kind as usize] += 1;
                 inst.set(r, target, value);
-                scores.insert(&CandidateRow::committed(&inst, r, target));
+                col.scores
+                    .insert(&CandidateRow::committed(&inst, r, target));
             }
         });
         if let Some(p) = &predictor {
@@ -225,8 +312,38 @@ pub fn synthesize<R: Rng + ?Sized>(
                 .counter("kamino_sampler_predicts_total", &[])
                 .add(p.predicts());
         }
+        for (kind, &cells) in CellKind::LABELS.iter().zip(&kinds) {
+            cfg.obs
+                .counter("kamino_sampler_cells_total", &[("kind", kind)])
+                .add(cells);
+        }
     }
     inst
+}
+
+/// The candidates of sequence position `j` when its target is categorical
+/// and drawn from a noisy marginal: that distribution is the same for
+/// every cell, so its top codes are ranked once per column. `None`
+/// otherwise.
+fn ranked_marginal(schema: &Schema, model: &DataModel, j: usize) -> Option<Vec<(Value, f64)>> {
+    if j == 0
+        || !matches!(
+            schema.attr(model.sequence[j]).kind,
+            AttrKind::Categorical { .. }
+        )
+    {
+        return None;
+    }
+    let SubModelKind::NoisyMarginal { dist } = &model.submodel_at(j).kind else {
+        return None;
+    };
+    let mut top = Vec::new();
+    top_k_into(dist, MAX_CAT_CANDIDATES, &mut top);
+    Some(
+        top.iter()
+            .map(|&(c, p)| (Value::Cat(c as u32), p))
+            .collect(),
+    )
 }
 
 /// One cell being sampled: row `row` at sequence position `j`, against the
@@ -234,38 +351,40 @@ pub fn synthesize<R: Rng + ?Sized>(
 struct Cell<'a> {
     schema: &'a Schema,
     model: &'a DataModel,
-    j: usize,
+    col: &'a Column,
     inst: &'a Instance,
     row: usize,
-    scores: &'a ScoreSet,
     weights: &'a [f64],
+    /// Whether the probe's verdict may decide scores: every weight is
+    /// `+∞` or finite and `≥ 0`.
+    decide: bool,
 }
 
 impl Cell<'_> {
     fn target(&self) -> usize {
-        self.model.sequence[self.j]
+        self.model.sequence[self.col.j]
     }
 }
 
 /// Draws one cell value by Algorithm 3 or, for RandSampling, by model
-/// probability alone.
+/// probability alone, and says why the cell got it.
 fn sample_cell<R: Rng + ?Sized>(
     cell: &Cell<'_>,
     rule: SamplingRule,
     predictor: Option<&mut ColumnPredictor<'_>>,
     arena: &mut CellArena,
     rng: &mut R,
-) -> Value {
+) -> (Value, CellKind) {
     let Cell {
         schema,
         inst,
         row,
-        scores,
         weights,
         ..
     } = *cell;
+    let scores = &cell.col.scores;
     let target = cell.target();
-    let constrained = rule != SamplingRule::RandSampling && !scores.is_empty();
+    let constrained = rule != SamplingRule::RandSampling && cell.col.constrained;
     let lookup = matches!(rule, SamplingRule::Algorithm3 { hard_fd_lookup } if hard_fd_lookup);
 
     // One probe of the hard counters before the candidate draw (none of
@@ -274,6 +393,7 @@ fn sample_cell<R: Rng + ?Sized>(
     // the hard-FD lookup fast path (§7.3.6), the first forced value is
     // copied as is.
     arena.forced.clear();
+    arena.banded.clear();
     let mut band = (f64::NEG_INFINITY, f64::INFINITY);
     let mut bounded = false;
     if constrained {
@@ -286,7 +406,7 @@ fn sample_cell<R: Rng + ?Sized>(
             if c.fd_rhs() == Some(target) {
                 if let Some(v) = c.required_value(&probe) {
                     if lookup {
-                        return v;
+                        return (v, CellKind::FdInjection);
                     }
                     arena.forced.push(v);
                 }
@@ -295,39 +415,77 @@ fn sample_cell<R: Rng + ?Sized>(
                 if let Some((l_b, h_b)) = c.feasible_range(&probe, target) {
                     band = (band.0.max(l_b), band.1.min(h_b));
                     bounded = true;
+                    arena.banded.push(l);
                 }
             }
         }
     }
+    // The verdict's forced value: the one value every forcing FD agrees on
+    // (equal values share a counter key).
+    let forced = match arena.forced.split_first() {
+        Some((&v, rest))
+            if cell.decide && rest.iter().all(|&f| f.compare(v) == Ordering::Equal) =>
+        {
+            Some(v)
+        }
+        _ => None,
+    };
 
-    CellDist::predict(cell, predictor, &mut arena.ctx).candidates(
-        &mut arena.candidates,
-        &mut arena.idx_buf,
-        rng,
-    );
+    let dist = CellDist::predict(cell, predictor, &mut arena.ctx);
     let CellArena {
         candidates,
         values,
         penalties,
         scored,
-        forced,
+        idx_buf,
+        forced: forcing,
+        banded,
         ..
     } = arena;
     if !constrained {
+        dist.candidates(candidates, idx_buf, rng);
         scored.clear();
         scored.extend(candidates.iter().map(|&(_, p)| p));
-        return candidates[sample_weighted(scored, rng)].0;
+        return (candidates[sample_weighted(scored, rng)].0, CellKind::Model);
     }
+
+    // A forced categorical value needs no candidate list: every other
+    // candidate weighs p·exp(−∞) = 0, so the draw is `sample_weighted`
+    // over that one weight at the slot the list would give `v`.
+    let mut drawn = None;
+    if let (Some(v @ Value::Cat(code)), CellDist::Cat(p, _)) = (forced, &dist) {
+        if let Some((len, slot, p_v)) = forced_slot(p, code as usize) {
+            let penalty = scores.penalty(&CandidateRow::new(inst, row, target, v), weights);
+            let w = p_v * (-penalty).exp();
+            if w > 0.0 && w.is_finite() {
+                scored.clear();
+                scored.resize(len, 0.0);
+                scored[slot] = w;
+                let idx = sample_weighted(scored, rng);
+                if idx == slot {
+                    return (v, CellKind::FdInjection);
+                }
+                drawn = Some(idx);
+            } else if penalty.is_finite() {
+                // the fallback keeps the one candidate scoring below +∞
+                return (v, CellKind::Fallback);
+            }
+            // otherwise `v` violates a hard DC as well, and the fallback
+            // over the whole list below decides
+        }
+    }
+
+    dist.candidates(candidates, idx_buf, rng);
 
     // For hard FDs whose dependent is the attribute being sampled, the
     // only violation-free value is the one the determinant group already
     // carries. Continuous candidate sets almost never contain it by
     // chance, so inject it (this is the "selected set of values" of §4.2:
     // candidates the model alone would miss but the constraints demand).
-    for &v in forced.iter() {
+    for &v in forcing.iter() {
         if !candidates
             .iter()
-            .any(|&(cv, _)| cv.compare(v) == std::cmp::Ordering::Equal)
+            .any(|&(cv, _)| cv.compare(v) == Ordering::Equal)
         {
             // kamino-lint: allow(float_fold) -- max accumulator: 0.0 is the identity for max over non-negative values, not a sum seed
             let p = candidates.iter().map(|&(_, p)| p).fold(0.0, f64::max);
@@ -341,7 +499,8 @@ fn sample_cell<R: Rng + ?Sized>(
     // within-band preferences). This is the order-DC analogue of the FD
     // value injection above.
     let (lo, hi) = band;
-    if bounded && lo <= hi {
+    let clamped = bounded && lo <= hi;
+    if clamped {
         let integer = matches!(
             schema.attr(target).kind,
             AttrKind::Numeric { integer: true, .. }
@@ -361,14 +520,37 @@ fn sample_cell<R: Rng + ?Sized>(
             *v = Value::Num(adjusted);
         }
     }
+    let kind = |value: Value| {
+        if forcing.iter().any(|&f| f.compare(value) == Ordering::Equal) {
+            CellKind::FdInjection
+        } else if clamped {
+            CellKind::OrderClamp
+        } else {
+            CellKind::Model
+        }
+    };
+    if let Some(idx) = drawn {
+        let value = candidates[idx].0;
+        return (value, kind(value));
+    }
 
     // Score candidates: P[v] ∝ p_{v|c} · exp(−Σ w_φ·vio_φ). The whole
-    // candidate set goes through batch scoring in one call, so the
-    // scorer views are built once per cell.
+    // candidate set goes through batch scoring in one call. A banded DC
+    // adds 0 only for candidates inside its band, so the clamp's DCs are
+    // skipped only when every candidate landed in [lo, hi].
+    let banded: &[usize] = if clamped
+        && candidates
+            .iter()
+            .all(|&(v, _)| (lo..=hi).contains(&v.num()))
+    {
+        banded
+    } else {
+        &[]
+    };
     let ctx = CellContext::new(inst, row, target);
     values.clear();
     values.extend(candidates.iter().map(|&(v, _)| v));
-    scores.score_candidates_into(ctx, values, weights, false, penalties);
+    scores.score_decided_into(ctx, values, weights, forced, banded, penalties);
     scored.clear();
     let mut best_fallback = (f64::INFINITY, f64::NEG_INFINITY, 0usize); // (penalty, p, idx)
     for (idx, (&(_, p), &penalty)) in candidates.iter().zip(penalties.iter()).enumerate() {
@@ -379,10 +561,11 @@ fn sample_cell<R: Rng + ?Sized>(
     }
     let total: f64 = scored.iter().sum();
     if total > 0.0 && total.is_finite() {
-        candidates[sample_weighted(scored, rng)].0
+        let value = candidates[sample_weighted(scored, rng)].0;
+        (value, kind(value))
     } else {
         // every candidate violates a hard DC: take the least-violating one
-        candidates[best_fallback.2].0
+        (candidates[best_fallback.2].0, CellKind::Fallback)
     }
 }
 
@@ -395,21 +578,22 @@ fn accept_reject<R: Rng + ?Sized>(
     predictor: Option<&mut ColumnPredictor<'_>>,
     arena: &mut CellArena,
     rng: &mut R,
-) -> Value {
+) -> (Value, CellKind) {
     let dist = CellDist::predict(cell, predictor, &mut arena.ctx);
     let mut last = dist.sample(rng);
-    if cell.scores.is_empty() {
-        return last;
+    let scores = &cell.col.scores;
+    if scores.is_empty() {
+        return (last, CellKind::Model);
     }
     for _ in 0..AR_MAX_TRIES {
         let cand = CandidateRow::new(cell.inst, cell.row, cell.target(), last);
-        let accept = (-cell.scores.penalty(&cand, cell.weights)).exp();
+        let accept = (-scores.penalty(&cand, cell.weights)).exp();
         if accept >= 1.0 || rng.gen::<f64>() < accept {
-            return last;
+            return (last, CellKind::Model);
         }
         last = dist.sample(rng);
     }
-    last
+    (last, CellKind::Model)
 }
 
 /// One cell's model distribution `p_{v|c}`, before any constraint
@@ -420,8 +604,9 @@ enum CellDist<'a> {
     /// target's quantizer bins. Every bin is a candidate.
     FirstAttr(&'a [f64], Quantizer),
     /// Class probabilities of a categorical target (a noisy marginal or a
-    /// discriminative head). The most probable codes are candidates.
-    Cat(&'a [f64]),
+    /// discriminative head). The most probable codes are candidates, and
+    /// a noisy marginal brings them ranked ([`Column::ranked`]).
+    Cat(&'a [f64], Option<&'a [(Value, f64)]>),
     /// A numeric target's noisy marginal over its quantizer bins.
     NumBins(&'a [f64], Quantizer),
     /// `N(μ, σ²)` for a numeric target, clamped into its domain.
@@ -441,12 +626,9 @@ impl<'a> CellDist<'a> {
         use AttrKind::{Categorical, Numeric};
         use SubModelKind::{Discriminative, NoisyMarginal};
         let Cell {
-            model,
-            j,
-            inst,
-            row,
-            ..
+            model, inst, row, ..
         } = *cell;
+        let j = cell.col.j;
         let attr = cell.schema.attr(cell.target());
         let q = Quantizer::for_attr(attr);
         // position 0 has no sub-model; later ones condition on `t_i[S_:j]`
@@ -457,10 +639,12 @@ impl<'a> CellDist<'a> {
         });
         match (sub, &attr.kind) {
             (None, _) => CellDist::FirstAttr(&model.first_dist, q),
-            (Some((_, NoisyMarginal { dist })), Categorical { .. }) => CellDist::Cat(dist),
+            (Some((_, NoisyMarginal { dist })), Categorical { .. }) => {
+                CellDist::Cat(dist, cell.col.ranked.as_deref())
+            }
             (Some((_, NoisyMarginal { dist })), Numeric { .. }) => CellDist::NumBins(dist, q),
             (Some((p, Discriminative { .. })), Categorical { .. }) => {
-                CellDist::Cat(p.predict_cat(ctx))
+                CellDist::Cat(p.predict_cat(ctx), None)
             }
             (Some((p, Discriminative { .. })), Numeric { .. }) => {
                 let (mu, sigma) = p.predict_num(ctx);
@@ -484,7 +668,8 @@ impl<'a> CellDist<'a> {
             CellDist::FirstAttr(dist, q) => {
                 out.extend((0..dist.len()).map(|b| (q.sample_in_bin(b, rng), dist[b])));
             }
-            CellDist::Cat(p) => {
+            CellDist::Cat(_, Some(ranked)) => out.extend_from_slice(ranked),
+            CellDist::Cat(p, None) => {
                 top_k_into(p, MAX_CAT_CANDIDATES, idx_buf);
                 out.extend(idx_buf.iter().map(|&(c, p)| (Value::Cat(c as u32), p)));
             }
@@ -508,7 +693,7 @@ impl<'a> CellDist<'a> {
                 let b = sample_weighted(dist, rng);
                 q.sample_in_bin(b, rng)
             }
-            CellDist::Cat(p) => Value::Cat(sample_weighted(p, rng) as u32),
+            CellDist::Cat(p, _) => Value::Cat(sample_weighted(p, rng) as u32),
             &CellDist::Num(mu, sigma, ref q) => q.clamp(Value::Num(normal(rng, mu, sigma))),
         }
     }
@@ -540,6 +725,37 @@ fn top_k_into(dist: &[f64], k: usize, out: &mut Vec<(usize, f64)>) {
         out.truncate(k);
         out.sort_unstable_by(by_mass);
     }
+}
+
+/// Where the candidate list of a categorical cell with probabilities `p`
+/// puts the forced code `v`, without ranking: `(list length, v's slot,
+/// v's model weight)`. The list is [`top_k_into`]`(p, 64)`, plus `v`
+/// appended with weight `max(max p, 1e-12)` when it is not among those
+/// codes. So `v`'s slot is its code when `p` has at most 64 codes, else
+/// its rank in `top_k_into`'s order if that is below 64, else the appended
+/// slot 64. `None` when `p` holds a value that is not finite.
+fn forced_slot(p: &[f64], v: usize) -> Option<(usize, usize, f64)> {
+    let k = MAX_CAT_CANDIDATES;
+    let p_v = p.get(v).copied();
+    let (mut max, mut rank) = (0.0f64, 0usize);
+    for (c, &q) in p.iter().enumerate() {
+        if !q.is_finite() {
+            return None;
+        }
+        max = max.max(q);
+        if let Some(p_v) = p_v {
+            rank += usize::from(q.total_cmp(&p_v).then(v.cmp(&c)) == Ordering::Greater);
+        }
+    }
+    let appended = max.max(1e-12);
+    Some(match p_v {
+        Some(p_v) if p.len() <= k => (p.len(), v, p_v),
+        Some(p_v) if rank < k => (k, rank, p_v),
+        _ => {
+            let len = p.len().min(k);
+            (len + 1, len, appended)
+        }
+    })
 }
 
 #[cfg(test)]
@@ -785,6 +1001,45 @@ pub(crate) mod tests {
                 v.iter().map(|&(i, p)| (i, p.to_bits())).collect()
             };
             proptest::prop_assert_eq!(bits(&got), bits(&want));
+        }
+    }
+
+    proptest::proptest! {
+        /// `forced_slot` finds where the candidate list puts a forced code
+        /// (`top_k_into`'s ranking, then the injection of a missing code)
+        /// without ranking, on domains full of ties and zeros, around the
+        /// 64-code cap, and for codes outside the distribution.
+        #[test]
+        fn forced_slot_matches_the_ranked_list(
+            card in proptest::sample::select(vec![1usize, 63, 64, 65, 120, 400]),
+            seed in proptest::arbitrary::any::<u64>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let levels = [0.0, 0.0, 0.125, 0.25, 0.5, 1e-13, rng.gen::<f64>()];
+            let p: Vec<f64> = (0..card)
+                .map(|_| levels[rng.gen_range(0..levels.len())])
+                .collect();
+            let v = rng.gen_range(0..card + 2);
+            let mut list = Vec::new();
+            top_k_into(&p, MAX_CAT_CANDIDATES, &mut list);
+            if !list.iter().any(|&(c, _)| c == v) {
+                // kamino-lint: allow(float_fold) -- max accumulator, as in the sampler's injection
+                let max = list.iter().map(|&(_, q)| q).fold(0.0, f64::max);
+                list.push((v, max.max(1e-12)));
+            }
+            let slot = list.iter().position(|&(c, _)| c == v).unwrap();
+            let (len, got, p_v) = forced_slot(&p, v).unwrap();
+            proptest::prop_assert_eq!(
+                (len, got, p_v.to_bits()),
+                (list.len(), slot, list[slot].1.to_bits())
+            );
+        }
+    }
+
+    #[test]
+    fn forced_slot_declines_a_distribution_that_is_not_finite() {
+        for bad in [f64::NAN, f64::INFINITY] {
+            assert_eq!(forced_slot(&[0.5, bad, 0.5], 0), None);
         }
     }
 

@@ -777,6 +777,59 @@ mod tests {
         }
     }
 
+    /// A CRC-valid file whose DCS section holds a predicate the parser
+    /// would refuse is `Malformed`. A unary `t1.state < 2.5` on a Tax
+    /// session used to decode, and its first draw then panicked comparing
+    /// a state code with a number.
+    #[test]
+    fn ill_typed_dcs_are_refused() {
+        use kamino_constraints::{CmpOp, DenialConstraint, Operand, Predicate, TupleRef};
+        let fitted = fit_on(
+            &kamino_datasets::tax_like(80, 3),
+            Budget::new(1.0, 1e-6),
+            18,
+            kamino_obs::ObsHandle::disabled(),
+        );
+        let bytes = encode_fitted(&fitted);
+        assert!(decode_fitted(&bytes).is_ok());
+        let attr = |tuple, name| Operand::Attr {
+            tuple,
+            attr: fitted.schema().index_of(name).unwrap(),
+        };
+        let state = || attr(TupleRef::T1, "state");
+        for (lhs, op, rhs) in [
+            (state(), CmpOp::Lt, Operand::Const(Value::Num(2.5))),
+            (state(), CmpOp::Eq, attr(TupleRef::T2, "salary")),
+            (state(), CmpOp::Lt, attr(TupleRef::T2, "state")),
+            (state(), CmpOp::Eq, Operand::Const(Value::Cat(999))),
+        ] {
+            let mut dcs = fitted.dcs().to_vec();
+            let first = &dcs[0];
+            dcs[0] = DenialConstraint::new(
+                first.name.clone(),
+                vec![Predicate { lhs, op, rhs }],
+                first.hardness,
+            );
+            let mut w = ByteWriter::new();
+            kamino_constraints::snapshot::encode_dcs(&dcs, &mut w);
+            let dcs_bytes = w.into_bytes();
+            let patched = rebuild(&bytes, |id, b| {
+                Some(if id == section::DCS {
+                    dcs_bytes.clone()
+                } else {
+                    b.to_vec()
+                })
+            });
+            assert!(
+                matches!(
+                    decode_fitted(&patched),
+                    Err(SnapshotError::Wire(WireError::Malformed(_)))
+                ),
+                "{lhs:?} {op:?} {rhs:?} was not refused"
+            );
+        }
+    }
+
     #[test]
     fn traced_session_timings_roundtrip() {
         let mut live = fit_under(Budget::new(1.0, 1e-6), 19, kamino_obs::ObsHandle::enabled());

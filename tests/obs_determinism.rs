@@ -13,7 +13,7 @@ use kamino::core::model::{SubModelKind, SubModelTrainer};
 use kamino::core::{
     fit_kamino, synthesize, FittedKamino, KaminoConfig, PhaseTimings, SamplingRule,
 };
-use kamino::datasets::adult_like;
+use kamino::datasets::{adult_like, tax_like};
 use kamino::dp::Budget;
 use kamino::nn::PerExampleModel;
 use kamino::obs::{Event, ObsHandle};
@@ -326,4 +326,70 @@ fn every_rule_predicts_each_cell_once() {
             "{rule:?}"
         );
     }
+}
+
+/// The `kind` labels of `kamino_sampler_cells_total`.
+const CELL_KINDS: [&str; 4] = ["model", "fd_injection", "order_clamp", "fallback"];
+
+/// Cells counted under each of [`CELL_KINDS`] on `obs`.
+fn cell_kinds(obs: &ObsHandle) -> [u64; 4] {
+    CELL_KINDS.map(|kind| {
+        obs.counter("kamino_sampler_cells_total", &[("kind", kind)])
+            .get()
+    })
+}
+
+/// A small Tax fit: chained hard FDs and the hard order DC φ_t6.
+fn tax_fit() -> FittedKamino {
+    let data = tax_like(300, 5);
+    let mut cfg = KaminoConfig::new(Budget::new(1.0, 1e-6));
+    cfg.seed = 23;
+    cfg.train_scale = 0.05;
+    fit_kamino(&data.schema, &data.instance, &data.dcs, &cfg)
+}
+
+/// Every cell of a default-rule draw is counted once, under the one kind
+/// that says why it got its value; a Tax draw has cells that a hard FD
+/// forced and cells clamped into φ_t6's band, and equal draws count
+/// alike, restored sessions included.
+#[test]
+fn every_drawn_cell_is_counted_once_by_kind() {
+    let session = tax_fit();
+    assert!(session.config().mcmc_ratio == 0.0);
+    let rows = 200;
+    let traced_draw = || {
+        let obs = ObsHandle::enabled();
+        let mut cfg = session.config().clone();
+        cfg.obs = obs.clone();
+        let _ = synthesize(
+            session.schema(),
+            session.model(),
+            session.dcs(),
+            &session.weights,
+            &cfg,
+            rows,
+            &mut StdRng::seed_from_u64(29),
+            &mut PhaseTimings::default(),
+        );
+        cell_kinds(&obs)
+    };
+    let kinds = traced_draw();
+    assert_eq!(kinds, traced_draw(), "cell kinds must be deterministic");
+    let cells = (rows * session.sequence.len()) as u64;
+    assert_eq!(kinds.iter().sum::<u64>(), cells, "{kinds:?}");
+    let (fd_injection, order_clamp) = (kinds[1], kinds[2]);
+    assert!(fd_injection > 0 && order_clamp > 0, "{kinds:?}");
+
+    // a restored session draws the same rows and counts the same kinds
+    let snapshot = encode_fitted(&session);
+    let restored_kinds = |mut s: FittedKamino| {
+        let obs = ObsHandle::enabled();
+        s.set_obs(obs.clone());
+        let _ = s.sample(rows);
+        cell_kinds(&obs)
+    };
+    let live = restored_kinds(session);
+    assert_eq!(live.iter().sum::<u64>(), cells);
+    let restored = decode_fitted(&snapshot).expect("snapshot round-trip");
+    assert_eq!(restored_kinds(restored), live);
 }
