@@ -237,6 +237,62 @@ mod tests {
         assert!(p.achieved_epsilon <= 0.05);
     }
 
+    /// `search_params` is pinned bit for bit on the three perfbench shapes
+    /// (TPC-H, Tax at `train_scale` 0.2, BR2000 with weights), each at
+    /// ε ∈ {0.4, 1, 4}, δ = 1e-6: the accepted T, then σ_g, σ_d, σ_w and
+    /// the achieved ε as `f64::to_bits` in hex.
+    #[test]
+    fn search_is_pinned_bit_for_bit() {
+        // T, then σ_g, σ_d, σ_w and the achieved ε
+        const PINS: &[&str] = &[
+            // tpch: ε = 0.4, 1, 4
+            "313 40582875cd6aa285 4010b1c8a768d201 0000000000000000 3fd999999999995b",
+            "313 404483881d860bdd 3ffd315dd6c7b6ba 0000000000000000 3fefffffffffff8f",
+            "1563 4024c8470e6a9cda 3ff30410b773701e 0000000000000000 400ffffffffffd22",
+            // tax: ε = 0.4, 1, 4
+            "25 405846481e2acc86 400d2d045744f694 0000000000000000 3fd9999999999992",
+            "25 40455821750146c3 3ffbb0c8e9db6c26 0000000000000000 3feffffffffffff0",
+            "125 40254c944ccabf03 3ff1d2eb51d99085 0000000000000000 400fffffffffffa9",
+            // br2000: ε = 0.4, 1, 4
+            "313 405109fee8b7c4cd 40167dcd0e49e809 40202e4fdf11d5e3 3fd999999999998e",
+            "313 403c9c226d449f86 4002f5e0d2e6f5f8 4016c2e518404b23 3fefffffffffff5d",
+            "1563 401cb78c737d0d66 3ff7d2bc7c834fad 4001d15601b72ab6 400ffffffffffe2c",
+        ];
+        let mut got = Vec::new();
+        // (name, n, SGD models, histogram releases, weights unknown, train_scale)
+        for (name, n, models, releases, weights_unknown, train_scale) in [
+            ("tpch", 5_000, 7, 2, false, 1.0),
+            ("tax", 2_000, 10, 2, false, 0.2),
+            ("br2000", 5_000, 13, 1, true, 1.0),
+        ] {
+            for eps in [0.4, 1.0, 4.0] {
+                let shape = SearchShape {
+                    n,
+                    n_sgd_models: models,
+                    n_marginal_releases: releases,
+                    first_attr_domain: 16,
+                    weights_unknown,
+                    train_scale,
+                };
+                let p = search_params(Budget::new(eps, 1e-6), shape);
+                let bits = [p.sigma_g, p.sigma_d, p.sigma_w, p.achieved_epsilon]
+                    .map(|v| format!("{:016x}", v.to_bits()));
+                got.push((
+                    format!("{name} eps={eps}"),
+                    format!("{} {}", p.t, bits.join(" ")),
+                ));
+            }
+        }
+        let table: String = got
+            .iter()
+            .map(|(name, pin)| format!("\"{pin}\", // {name}\n"))
+            .collect();
+        assert_eq!(got.len(), PINS.len(), "today's table:\n{table}");
+        for ((name, pin), want) in got.iter().zip(PINS) {
+            assert_eq!(pin, want, "{name}: search moved; today's table:\n{table}");
+        }
+    }
+
     #[test]
     fn more_submodels_cost_more() {
         let small = search_params(Budget::new(1.0, 1e-6), shape(32_561));

@@ -345,6 +345,7 @@ impl BudgetPlanner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RdpAccountant;
 
     fn shape() -> RunShape {
         RunShape {
@@ -499,6 +500,108 @@ mod tests {
         assert!(prom.contains("kamino_dp_plans_total 1"));
         assert!(prom.contains("kamino_dp_sigma{mechanism=\"m2_dpsgd\"}"));
         assert!(prom.contains("kamino_dp_epsilon{kind=\"achieved\"}"));
+    }
+
+    /// The plans the pins below hold: the three perfbench shapes (TPC-H,
+    /// Tax at `train_scale` 0.2, BR2000 with weights) at the first
+    /// (`T_max`) and last (`T_min`) plan of Algorithm 6's T-walk, each at
+    /// ε ∈ {0.4, 1, 4}, δ = 1e-6; then the loose and near-floor shapes of
+    /// the tests above.
+    fn pinned_plans() -> Vec<(String, RunShape, Budget)> {
+        let mut out = Vec::new();
+        // (name, n, histogram releases, SGD models, T_max, T_min, L_w)
+        for (name, n, hist, models, t_max, t_min, weight_sample) in [
+            ("tpch", 5_000, 2, 7, 1_563, 313, 0),
+            ("tax", 2_000, 2, 10, 125, 25, 0),
+            ("br2000", 5_000, 1, 13, 1_563, 313, 100),
+        ] {
+            for t in [t_max, t_min] {
+                for eps in [0.4, 1.0, 4.0] {
+                    let shape = RunShape {
+                        n,
+                        histogram_releases: hist,
+                        sgd_steps: t * models,
+                        batch: 32,
+                        weight_sample,
+                    };
+                    out.push((
+                        format!("{name} T={t} eps={eps}"),
+                        shape,
+                        Budget::new(eps, 1e-6),
+                    ));
+                }
+            }
+        }
+        let mut loose = shape();
+        loose.sgd_steps = 0;
+        loose.weight_sample = 0;
+        out.push(("loose".into(), loose, Budget::new(50.0, 1e-6)));
+        let near_floor = RunShape {
+            n: 2_000,
+            histogram_releases: 1,
+            sgd_steps: 500,
+            batch: 16,
+            weight_sample: 0,
+        };
+        out.push(("near_floor".into(), near_floor, Budget::new(0.05, 1e-9)));
+        out
+    }
+
+    /// `BudgetPlanner::plan` is pinned bit for bit: σ_g, σ_d, σ_w and the
+    /// achieved ε of every [`pinned_plans`] entry, as `f64::to_bits` in
+    /// hex. A change to the accountant's arithmetic or to the bisection
+    /// that moves any bit of any plan fails here (and would move every
+    /// fit pin downstream).
+    #[test]
+    fn plans_are_pinned_bit_for_bit() {
+        // σ_g, σ_d, σ_w and the achieved ε, in `pinned_plans` order
+        const PINS: &[&str] = &[
+            // tpch T=1563: ε = 0.4, 1, 4
+            "405807255cb6cb5d 402244458934faac 0000000000000000 3fd99999999997df",
+            "4043fcd9434438c3 400dec5753884cc2 0000000000000000 3fefffffffffff32",
+            "4024c8470e6a9cda 3ff30410b773701e 0000000000000000 400ffffffffffd22",
+            // tpch T=313: ε = 0.4, 1, 4
+            "40582875cd6aa285 4010b1c8a768d201 0000000000000000 3fd999999999995b",
+            "404483881d860bdd 3ffd315dd6c7b6ba 0000000000000000 3fefffffffffff8f",
+            "40264f1e228aef94 3feaaed757f7e670 0000000000000000 400fffffffffffc5",
+            // tax T=125: ε = 0.4, 1, 4
+            "40580d75c21ea4a0 401f16ad51fc2eb7 0000000000000000 3fd999999999996a",
+            "4044145affbb5b58 4009d74e8937b34d 0000000000000000 3fefffffffffffee",
+            "40254c944ccabf03 3ff1d2eb51d99085 0000000000000000 400fffffffffffa9",
+            // tax T=25: ε = 0.4, 1, 4
+            "405846481e2acc86 400d2d045744f694 0000000000000000 3fd9999999999992",
+            "40455821750146c3 3ffbb0c8e9db6c26 0000000000000000 3feffffffffffff0",
+            "40269796c0d76717 3fec0380f6c9e3e2 0000000000000000 400ffffffffffffa",
+            // br2000 T=1563: ε = 0.4, 1, 4
+            "4050fd1cd91c6132 4028d88bbf3ddf37 40202e4fdf11d5e3 3fd9999999999906",
+            "403c2bee27ad58d7 40142bc8461ad777 4016c2e518404b23 3feffffffffff848",
+            "401cb78c737d0d66 3ff7d2bc7c834fad 4001d15601b72ab6 400ffffffffffe2c",
+            // br2000 T=313: ε = 0.4, 1, 4
+            "405109fee8b7c4cd 40167dcd0e49e809 40202e4fdf11d5e3 3fd999999999998e",
+            "403c9c226d449f86 4002f5e0d2e6f5f8 4016c2e518404b23 3fefffffffffff5d",
+            "401efec8b33467bf 3fed3e3e05a6f7fc 4001d15601b72ab6 400fffffffffffc8",
+            // loose
+            "3fc547649d43f131 0000000000000000 0000000000000000 4049000000000000",
+            // near_floor
+            "406d1d00d98c0aac 4044d7efc551a464 0000000000000000 3fa999999999999a",
+        ];
+        let got: Vec<(String, String)> = pinned_plans()
+            .into_iter()
+            .map(|(name, shape, budget)| {
+                let p = BudgetPlanner::new(budget).plan(&shape);
+                let bits = [p.sigma_g, p.sigma_d, p.sigma_w, p.achieved_epsilon]
+                    .map(|v| format!("{:016x}", v.to_bits()));
+                (name, bits.join(" "))
+            })
+            .collect();
+        let table: String = got
+            .iter()
+            .map(|(name, bits)| format!("\"{bits}\", // {name}\n"))
+            .collect();
+        assert_eq!(got.len(), PINS.len(), "today's table:\n{table}");
+        for ((name, bits), pin) in got.iter().zip(PINS) {
+            assert_eq!(bits, pin, "{name}: plan moved; today's table:\n{table}");
+        }
     }
 
     #[test]

@@ -52,6 +52,57 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// The Bernoulli-per-row draw as `rng.gen::<f64>() < rate`, the form
+    /// [`poisson_sample`]'s integer threshold replaces.
+    fn poisson_sample_ref(n: usize, rate: f64, rng: &mut StdRng) -> Vec<usize> {
+        let rate = rate.clamp(0.0, 1.0);
+        if rate == 0.0 {
+            return Vec::new();
+        }
+        if rate == 1.0 {
+            return (0..n).collect();
+        }
+        (0..n).filter(|_| rng.gen::<f64>() < rate).collect()
+    }
+
+    /// Same indices and the same generator state afterwards as
+    /// [`poisson_sample_ref`], at rates whose `rate·2⁵³` is and is not an
+    /// integer, at the smallest and largest rates below 1, and at the
+    /// clamped edges.
+    #[test]
+    fn poisson_sample_matches_the_float_comparison() {
+        let mut rates = vec![
+            1.0 / 5000.0,
+            32.0 / 5000.0,
+            32.0 / 2000.0,
+            100.0 / 5000.0,
+            0.3,
+            1e-300,
+            f64::MIN_POSITIVE,
+            1.0 - f64::EPSILON,
+            1.0 - f64::EPSILON / 2.0,
+            0.0,
+            1.0,
+            -0.5,
+            1.5,
+        ];
+        rates.extend((1..=53).map(|k| 0.5f64.powi(k)));
+        for (i, &rate) in rates.iter().enumerate() {
+            for n in [0, 1, 7, 2_000, 5_000] {
+                let mut a = StdRng::seed_from_u64(1_000 + i as u64);
+                let mut b = StdRng::seed_from_u64(1_000 + i as u64);
+                for _ in 0..3 {
+                    assert_eq!(
+                        poisson_sample(n, rate, &mut a),
+                        poisson_sample_ref(n, rate, &mut b),
+                        "rate {rate:e}, n {n}"
+                    );
+                    assert_eq!(a.state(), b.state(), "rate {rate:e}, n {n}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn expected_sample_size() {
         let mut rng = StdRng::seed_from_u64(17);
