@@ -26,16 +26,20 @@
 //! `gaussian_noise_{polar_pairs,box_muller}_17k` pair times the vector
 //! Gaussian mechanism, which draws Marsaglia polar pairs and uses both
 //! outputs, against a scalar Box–Muller loop (one `ln`, `sqrt` and `cos`
-//! per variate) at the same noise std.
+//! per variate) at the same noise std. `search_params_tpch_shape` runs
+//! Algorithm 6's whole σ search (the T-walk and its planner bisections)
+//! on fit_tpch's shape, beside `rdp_accountant_5000_sgm_steps`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use kamino_constraints::{
     count_violating_pairs, parse_dc, CandidateRow, CellContext, DcCounter, Hardness, ScanIndexRef,
     ScoreSet,
 };
+use kamino_core::params::SearchShape;
+use kamino_core::search_params;
 use kamino_data::Value;
 use kamino_datasets::{adult_like, tax_like};
-use kamino_dp::{add_gaussian_noise, standard_normal, RdpAccountant};
+use kamino_dp::{add_gaussian_noise, standard_normal, Budget, RdpAccountant};
 use kamino_nn::{DpSgd, Embedding, Linear, ParamBlock, PerExampleModel, Scratch};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -556,6 +560,19 @@ fn bench(c: &mut Criterion) {
             acc.add_sgm(1.1, 0.001, 5_000);
             black_box(acc.epsilon(1e-6))
         })
+    });
+    // Algorithm 6's whole σ search on fit_tpch's shape: TPC-H at n = 5000,
+    // 7 DP-SGD sub-models, 2 histogram releases, ε = 1
+    let tpch = SearchShape {
+        n: 5_000,
+        n_sgd_models: 7,
+        n_marginal_releases: 2,
+        first_attr_domain: 16,
+        weights_unknown: false,
+        train_scale: 1.0,
+    };
+    g.bench_function("search_params_tpch_shape", |b| {
+        b.iter(|| black_box(search_params(Budget::new(1.0, 1e-6), tpch)))
     });
     g.finish();
 }

@@ -86,7 +86,10 @@ pub fn search_params(budget: Budget, shape: SearchShape) -> PrivacyParams {
 /// [`search_params`], recording the accepted plan's σ calibrations and
 /// composed ε/δ spend on `obs`' budget ledger. Back-off iterations the
 /// search discards are not recorded — the ledger reflects what the run
-/// actually spends. The returned Ψ is byte-identical to [`search_params`].
+/// actually spends. The planner's work over the whole T-walk, rejected
+/// plans included, is added to the `kamino_dp_planner_rdp_evals_total`
+/// counter: one per `(order, σ)` evaluation of the SGM's RDP. The
+/// returned Ψ is byte-identical to [`search_params`].
 pub fn search_params_with_obs(
     budget: Budget,
     shape: SearchShape,
@@ -127,11 +130,14 @@ pub fn search_params_with_obs(
     };
 
     let mut t = t_max;
-    let mut plan = planner.plan(&run_shape(t));
+    let mut rdp_evals = 0;
+    let mut plan = planner.plan_counting(&run_shape(t), &mut rdp_evals);
     while plan.sigma_d > SIGMA_D_CAP && t > t_min {
         t = ((t as f64 * 0.7) as usize).max(t_min);
-        plan = planner.plan(&run_shape(t));
+        plan = planner.plan_counting(&run_shape(t), &mut rdp_evals);
     }
+    obs.counter("kamino_dp_planner_rdp_evals_total", &[])
+        .add(rdp_evals);
     if obs.is_enabled() {
         // replay the accepted plan with the ledger attached; planning is
         // deterministic, so this changes nothing but records everything

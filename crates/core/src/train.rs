@@ -90,21 +90,6 @@ fn noisy_distribution(
     normalize(&counts)
 }
 
-/// Extracts the training rows (context values + target) for one sub-model.
-fn training_rows(
-    inst: &Instance,
-    context: &[usize],
-    target: usize,
-    ids: &[usize],
-) -> Vec<TrainRow> {
-    ids.iter()
-        .map(|&i| TrainRow {
-            context: context.iter().map(|&a| inst.value(i, a)).collect(),
-            target: inst.value(i, target),
-        })
-        .collect()
-}
-
 fn fresh_submodel(
     schema: &Schema,
     store: &EmbeddingStore,
@@ -162,10 +147,27 @@ fn train_one(
         work.noise_draws += step.noise_draws;
         work.rows_settled += step.rows_settled;
     };
+    // One batch buffer for every step: row j of a step overwrites the
+    // j-th `TrainRow`, reusing its `context` vector.
+    let mut rows: Vec<TrainRow> = Vec::new();
     for _ in 0..cfg.iters {
         let ids = poisson_sample(n, rate, rng);
-        let rows = training_rows(inst, &trainer.sm.context, trainer.sm.target, &ids);
-        count(opt.step(&mut trainer, &rows, rng));
+        let (context, target) = (&trainer.sm.context, trainer.sm.target);
+        for (j, &i) in ids.iter().enumerate() {
+            let values = context.iter().map(|&a| inst.value(i, a));
+            match rows.get_mut(j) {
+                Some(row) => {
+                    row.context.clear();
+                    row.context.extend(values);
+                    row.target = inst.value(i, target);
+                }
+                None => rows.push(TrainRow {
+                    context: values.collect(),
+                    target: inst.value(i, target),
+                }),
+            }
+        }
+        count(opt.step(&mut trainer, &rows[..ids.len()], rng));
     }
     count(opt.finish(&mut trainer, rng));
     obs.counter("kamino_dpsgd_coords_visited_total", &[])

@@ -15,20 +15,43 @@
 //! 2. `σ_g` and `σ_d` are seeded by per-mechanism calibration at nominal
 //!    shares of ε (these only set their *ratio*), then a single global
 //!    scale `s` on `(σ_g, σ_d)` is bisected so the **composed** RDP cost —
-//!    all three mechanisms on one [`RdpAccountant`] — converts to the
-//!    largest ε' ≤ ε the grid admits.
+//!    all three mechanisms summed as one [`RdpAccountant`](crate::RdpAccountant)
+//!    sums them — converts to the largest ε' ≤ ε the grid admits.
 //!
 //! Step 2 is what makes the plan tight: per-mechanism calibration triple-
 //! counts the `ln(1/δ)/(α−1)` conversion overhead, so summing three
 //! individually-fitted ε shares would leave budget on the table. The
 //! bisection recovers it. The composed ε can never go below the grid's
 //! [`conversion_floor`]; budgets at or under the floor (plus the fixed
-//! `σ_w` cost) are rejected loudly.
+//! `σ_w` cost) are rejected loudly, and a plan whose [`composed_epsilon`]
+//! exceeds ε panics in every build (no tolerance).
+//!
+//! Every plan is bit-identical to the plain bisection on the full
+//! composed ε — 60 steps, each converting all 23 orders — while doing a
+//! fraction of its work:
+//! * a step only asks whether the scale fits, and the min over orders is
+//!   a selection, so it asks the orders one at a time (the one that fitted
+//!   last first) and stops at the first whose
+//!   `cost_i + ln(1/δ)/(α_i − 1)` is ≤ ε; each order's cost is summed by
+//!   the one function [`composed_epsilon`] also folds over (`0.0`, then
+//!   `M1`, `M2`, `M3`, as the accountant adds them);
+//! * `M3`'s per-order cost has a fixed `σ_w`, so it is computed once per
+//!   plan;
+//! * a bisection stops once its midpoint rounds to `hi`, or to a `lo`
+//!   already seen over budget: no later step could move either end;
+//! * [`sgm_rdp`] itself skips only the work that rounds away (see its
+//!   docs).
+//!
+//! [`BudgetPlanner::plan_counting`] reports the work as the number of
+//! `(order, σ)` `sgm_rdp` evaluations.
 
 use kamino_obs::events::Event;
 use kamino_obs::ObsHandle;
 
-use crate::rdp::{conversion_floor, try_calibrate_sgm_sigma, RdpAccountant};
+use crate::rdp::{
+    bisect, calibrate, conversion_floor, converted, gaussian_rdp, ln_inv_delta, sgm_rdp,
+    some_order_fits, ALPHA_GRID,
+};
 use crate::Budget;
 
 /// Mechanism ids used across the budget-ledger event stream and the
@@ -124,17 +147,61 @@ pub fn spend_fingerprint(sigma_g: f64, sigma_d: f64, sigma_w: f64, epsilon: f64)
 /// the planner's guarantee is stated in — tests assert
 /// `composed_epsilon(..) ≤ ε` through it, from a fitted session's Ψ.
 pub fn composed_epsilon(shape: &RunShape, plan: &BudgetPlan, delta: f64) -> f64 {
-    let mut acc = RdpAccountant::new();
-    if shape.histogram_releases > 0 && plan.sigma_g > 0.0 {
-        acc.add_gaussian(plan.sigma_g, shape.histogram_releases);
+    composed_epsilon_counted(shape, plan, delta, &mut 0)
+}
+
+/// [`composed_epsilon`], adding its [`sgm_rdp`] evaluations to `rdp_evals`.
+fn composed_epsilon_counted(
+    shape: &RunShape,
+    plan: &BudgetPlan,
+    delta: f64,
+    rdp_evals: &mut u64,
+) -> f64 {
+    let ln_inv_delta = ln_inv_delta(delta);
+    (0..ALPHA_GRID.len())
+        .map(|i| {
+            let m3 = m3_cost(shape, plan.sigma_w, i, rdp_evals);
+            let cost = composed_cost(shape, plan.sigma_g, plan.sigma_d, m3, i, rdp_evals);
+            converted(cost, ln_inv_delta, i)
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// `M3`'s RDP cost at grid order `i` — `None` when `M3` does not run.
+fn m3_cost(shape: &RunShape, sigma_w: f64, i: usize, rdp_evals: &mut u64) -> Option<f64> {
+    (shape.weight_sample > 0 && sigma_w > 0.0).then(|| {
+        *rdp_evals += 1;
+        sgm_rdp(ALPHA_GRID[i], sigma_w, shape.weight_rate())
+    })
+}
+
+/// Theorem 1's composed RDP cost at grid order `i`: `M1`, then `M2`, then
+/// `M3` (its cost `m3` at that order, from [`m3_cost`]), each added to
+/// `0.0` exactly as an [`RdpAccountant`](crate::RdpAccountant) adds them.
+/// This is the one place the composition order lives:
+/// [`composed_epsilon`]'s fold and the planner's per-order "does this
+/// scale fit?" both sum through it, so the two see the same bits.
+fn composed_cost(
+    shape: &RunShape,
+    sigma_g: f64,
+    sigma_d: f64,
+    m3: Option<f64>,
+    i: usize,
+    rdp_evals: &mut u64,
+) -> f64 {
+    let alpha = ALPHA_GRID[i];
+    let mut cost = 0.0;
+    if shape.histogram_releases > 0 && sigma_g > 0.0 {
+        cost += shape.histogram_releases as f64 * gaussian_rdp(alpha as f64, sigma_g);
     }
-    if shape.sgd_steps > 0 && plan.sigma_d > 0.0 {
-        acc.add_sgm(plan.sigma_d, shape.sgd_rate(), shape.sgd_steps);
+    if shape.sgd_steps > 0 && sigma_d > 0.0 {
+        *rdp_evals += 1;
+        cost += shape.sgd_steps as f64 * sgm_rdp(alpha, sigma_d, shape.sgd_rate());
     }
-    if shape.weight_sample > 0 && plan.sigma_w > 0.0 {
-        acc.add_sgm(plan.sigma_w, shape.weight_rate(), 1);
+    if let Some(m3) = m3 {
+        cost += m3;
     }
-    acc.epsilon(delta)
+    cost
 }
 
 /// Solves per-mechanism σ's for Theorem 1's three-way composition under
@@ -182,7 +249,15 @@ impl BudgetPlanner {
     /// or below the grid's conversion floor (plus the fixed `M3` cost) —
     /// since silently returning a non-fitting plan would fake a guarantee.
     pub fn plan(&self, shape: &RunShape) -> BudgetPlan {
-        self.plan_with_obs(shape, &ObsHandle::disabled())
+        self.plan_inner(shape, &ObsHandle::disabled(), &mut 0)
+    }
+
+    /// [`Self::plan`], adding to `rdp_evals` the number of `(order, σ)`
+    /// [`sgm_rdp`] evaluations planning made — the planner's work as a
+    /// deterministic count (Algorithm 6 reports its T-walk's total as
+    /// `kamino_dp_planner_rdp_evals_total`).
+    pub fn plan_counting(&self, shape: &RunShape, rdp_evals: &mut u64) -> BudgetPlan {
+        self.plan_inner(shape, &ObsHandle::disabled(), rdp_evals)
     }
 
     /// [`Self::plan`], with every σ calibration and the composed ε/δ
@@ -191,7 +266,7 @@ impl BudgetPlanner {
     /// `kamino_dp_plans_total` counter). Planning itself is byte-identical
     /// whether or not `obs` is enabled.
     pub fn plan_with_obs(&self, shape: &RunShape, obs: &ObsHandle) -> BudgetPlan {
-        let plan = self.plan_inner(shape, obs);
+        let plan = self.plan_inner(shape, obs, &mut 0);
         if obs.is_enabled() {
             let delta = self.budget.delta;
             for (mech, sigma) in [
@@ -228,7 +303,7 @@ impl BudgetPlanner {
         plan
     }
 
-    fn plan_inner(&self, shape: &RunShape, obs: &ObsHandle) -> BudgetPlan {
+    fn plan_inner(&self, shape: &RunShape, obs: &ObsHandle, rdp_evals: &mut u64) -> BudgetPlan {
         assert!(shape.n > 0, "run shape needs at least one tuple");
         if self.budget.is_non_private() {
             return BudgetPlan {
@@ -251,7 +326,7 @@ impl BudgetPlanner {
         // absorbs that cost when fitting M1/M2.
         let sigma_w = if shape.weight_sample > 0 {
             let target = (WEIGHT_SHARE * eps).max(1.05 * floor);
-            let sigma = try_calibrate_sgm_sigma(target, delta, shape.weight_rate(), 1)
+            let sigma = calibrate(target, delta, shape.weight_rate(), 1, rdp_evals)
                 .expect("relaxed M3 target is above the floor by construction");
             obs.event(Event::BudgetCalibration {
                 mechanism: mechanism::M3,
@@ -271,9 +346,9 @@ impl BudgetPlanner {
             1.0 - WEIGHT_SHARE
         };
         let d_share = (1.0 - g_share - WEIGHT_SHARE).max(0.05);
-        let seed_sigma = |share: f64, q: f64, count: u64| -> f64 {
+        let mut seed_sigma = |share: f64, q: f64, count: u64| -> f64 {
             let target = (share * eps).max(1.05 * floor);
-            try_calibrate_sgm_sigma(target, delta, q, count)
+            calibrate(target, delta, q, count, rdp_evals)
                 .expect("relaxed seed target is above the floor by construction")
         };
         let sigma_g_hat = if shape.histogram_releases > 0 {
@@ -301,17 +376,25 @@ impl BudgetPlanner {
 
         // Bisect the global scale s on (σ_g, σ_d): composed ε is strictly
         // decreasing in s, so find the smallest s whose composed cost fits.
-        let plan_at = |s: f64| BudgetPlan {
-            sigma_g: sigma_g_hat * s,
-            sigma_d: sigma_d_hat * s,
-            sigma_w,
-            achieved_epsilon: f64::NAN,
+        // Each "does s fit?" asks the orders one at a time
+        // (`some_order_fits`), summing each order's cost through
+        // `composed_cost`, and M3's fixed-σ_w cost is computed once here:
+        // the plan is bit-identical to bisecting the full `composed_epsilon`.
+        let m3: [Option<f64>; ALPHA_GRID.len()] =
+            std::array::from_fn(|i| m3_cost(shape, sigma_w, i, rdp_evals));
+        let ln_inv_delta = ln_inv_delta(delta);
+        let mut last = ALPHA_GRID.len() - 1;
+        let mut fits = |s: f64| {
+            let (sigma_g, sigma_d) = (sigma_g_hat * s, sigma_d_hat * s);
+            some_order_fits(&mut last, |i| {
+                let cost = composed_cost(shape, sigma_g, sigma_d, m3[i], i, rdp_evals);
+                converted(cost, ln_inv_delta, i) <= eps
+            })
         };
-        let eps_of = |s: f64| composed_epsilon(shape, &plan_at(s), delta);
 
         let mut hi = 1.0;
         let mut grow = 0;
-        while eps_of(hi) > eps {
+        while !fits(hi) {
             hi *= 2.0;
             grow += 1;
             assert!(
@@ -322,22 +405,26 @@ impl BudgetPlanner {
             );
         }
         let mut lo = hi * 0.5;
-        while lo > 1e-9 && eps_of(lo) <= eps {
+        while lo > 1e-9 && fits(lo) {
             hi = lo;
             lo *= 0.5;
         }
-        for _ in 0..60 {
-            let mid = 0.5 * (lo + hi);
-            if eps_of(mid) > eps {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
+        let s = bisect(lo, hi, lo > 1e-9, |s| !fits(s));
 
-        let mut plan = plan_at(hi);
-        plan.achieved_epsilon = composed_epsilon(shape, &plan, delta);
-        debug_assert!(plan.achieved_epsilon <= eps + 1e-9);
+        let mut plan = BudgetPlan {
+            sigma_g: sigma_g_hat * s,
+            sigma_d: sigma_d_hat * s,
+            sigma_w,
+            achieved_epsilon: f64::NAN,
+        };
+        plan.achieved_epsilon = composed_epsilon_counted(shape, &plan, delta, rdp_evals);
+        // every `hi` the search kept was seen to fit, and `fits` sums the
+        // same bits the full fold does: the ledger is never over budget
+        assert!(
+            plan.achieved_epsilon <= eps,
+            "plan over budget: composed epsilon {} > {eps}",
+            plan.achieved_epsilon
+        );
         plan
     }
 }

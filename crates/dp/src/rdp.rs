@@ -6,6 +6,17 @@
 //! SGM release of the violation matrix at rate `L_w/n` (`M3`). The total
 //! RDP cost at each order α is the sum of the per-step costs; Eqn. (7)
 //! converts to (ε, δ) by minimizing `R(α) + ln(1/δ)/(α−1)` over α.
+//!
+//! Everything here is exact to the bit against the plain formulation,
+//! and the speed comes only from work that cannot change a result:
+//! [`sgm_rdp`] reads its binomial logs from a table and skips the `exp`s
+//! that round away (its docs give the rules), and the σ calibration
+//! ([`try_calibrate_sgm_sigma`]) asks "does σ fit?" one order at a time —
+//! `min_α ε_α ≤ target` holds exactly when some order's `ε_α` does — and
+//! stops bisecting once no step can move its bracket. Its σ is the one a
+//! 60-step bisection on [`RdpAccountant::epsilon`] returns.
+
+use std::sync::OnceLock;
 
 /// Integer Rényi orders the accountant tracks. The SGM bound below is the
 /// integer-α binomial form; the grid spans the range useful for
@@ -35,6 +46,20 @@ pub fn gaussian_rdp(alpha: f64, sigma: f64) -> f64 {
 /// The paper's Lemma 2 prints `e^{(α²−α)/(2σ²)}` inside the sum — constant
 /// in `k`, which would erase the subsampling amplification; this is the
 /// corrected standard bound (see DESIGN.md).
+///
+/// The result is bit-identical to the plain log-sum-exp (every term's
+/// `exp`, summed in k order from `-0.0`), while doing less work:
+/// * `ln C(α, k)` comes from a table built once per [`ALPHA_GRID`] order
+///   by the same running recurrence `C(α,k) = C(α,k−1)·(α−k+1)/k`, so its
+///   bits are the ones the per-term `ln` produced (an off-grid α builds
+///   its row per call);
+/// * one pass finds the largest term and a second recomputes each term
+///   (the same expression) and sums the `exp`s, with no buffer;
+/// * a term's `exp` is skipped only when adding it cannot change the sum:
+///   when `t − max < −746` (`exp` underflows to exactly `+0.0` below
+///   −745.13), or, once the largest term has been added and the sum is
+///   ≥ 1, when `t − max < −38` (`e^{−38} ≈ 3.1e-17` is under half an ulp
+///   of any sum ≥ 1, so the sum rounds back to itself).
 pub fn sgm_rdp(alpha: u64, sigma: f64, q: f64) -> f64 {
     assert!(sigma > 0.0, "sigma must be positive");
     assert!((0.0..=1.0).contains(&q), "sampling rate must be in [0, 1]");
@@ -45,25 +70,57 @@ pub fn sgm_rdp(alpha: u64, sigma: f64, q: f64) -> f64 {
     if q == 1.0 {
         return gaussian_rdp(alpha as f64, sigma);
     }
+    match ALPHA_GRID.binary_search(&alpha) {
+        Ok(i) => sgm_log_sum_exp(&ln_binom_table()[i], sigma, q),
+        Err(_) => sgm_log_sum_exp(&ln_binom_row(alpha), sigma, q),
+    }
+}
+
+/// `ln C(α, k)` for `k = 0..=α`, by the running recurrence `sgm_rdp`'s sum
+/// has always used.
+fn ln_binom_row(alpha: u64) -> Vec<f64> {
     let a = alpha as f64;
+    let mut ln_binom = 0.0; // ln C(α, 0)
+    (0..=alpha)
+        .map(|k| {
+            if k > 0 {
+                // C(α,k) = C(α,k−1)·(α−k+1)/k
+                ln_binom += ((a - k as f64 + 1.0) / k as f64).ln();
+            }
+            ln_binom
+        })
+        .collect()
+}
+
+/// [`ln_binom_row`] of every [`ALPHA_GRID`] order (1,367 values), built on
+/// first use.
+fn ln_binom_table() -> &'static [Vec<f64>] {
+    static TABLE: OnceLock<Vec<Vec<f64>>> = OnceLock::new();
+    TABLE.get_or_init(|| ALPHA_GRID.iter().map(|&a| ln_binom_row(a)).collect())
+}
+
+/// `sgm_rdp`'s log-sum-exp for `0 < q < 1`, over the `ln C(α, k)` row
+/// `ln_binom` (α = `ln_binom.len() − 1`).
+fn sgm_log_sum_exp(ln_binom: &[f64], sigma: f64, q: f64) -> f64 {
+    let a = (ln_binom.len() - 1) as f64;
     let ln_q = q.ln();
     let ln_1mq = (-q).ln_1p();
     let inv_2s2 = 1.0 / (2.0 * sigma * sigma);
-    // log-sum-exp over k = 0..=α
-    let mut max_term = f64::NEG_INFINITY;
-    let mut terms = Vec::with_capacity(alpha as usize + 1);
-    let mut ln_binom = 0.0; // ln C(α, 0)
-    for k in 0..=alpha {
-        if k > 0 {
-            // C(α,k) = C(α,k−1)·(α−k+1)/k
-            ln_binom += ((a - k as f64 + 1.0) / k as f64).ln();
-        }
+    let term = |k: usize| {
         let kf = k as f64;
-        let t = ln_binom + (a - kf) * ln_1mq + kf * ln_q + kf * (kf - 1.0) * inv_2s2;
-        max_term = max_term.max(t);
-        terms.push(t);
+        ln_binom[k] + (a - kf) * ln_1mq + kf * ln_q + kf * (kf - 1.0) * inv_2s2
+    };
+    let max_term = (0..ln_binom.len()).fold(f64::NEG_INFINITY, |m, k| m.max(term(k)));
+    let mut sum = -0.0;
+    let mut past_max = false;
+    for k in 0..ln_binom.len() {
+        let d = term(k) - max_term;
+        if d < -746.0 || (past_max && d < -38.0) {
+            continue;
+        }
+        sum += d.exp();
+        past_max |= d == 0.0;
     }
-    let sum: f64 = terms.iter().map(|t| (t - max_term).exp()).sum();
     (max_term + sum.ln()) / (a - 1.0)
 }
 
@@ -124,14 +181,72 @@ impl RdpAccountant {
     /// The (ε, δ) guarantee implied by the accumulated cost:
     /// `ε(δ) = min_α [R(α) + ln(1/δ)/(α−1)]` (Eqn. 7).
     pub fn epsilon(&self, delta: f64) -> f64 {
-        assert!(delta > 0.0 && delta < 1.0, "delta must be in (0, 1)");
-        let ln_inv_delta = (1.0 / delta).ln();
-        ALPHA_GRID
-            .iter()
-            .enumerate()
-            .map(|(i, &alpha)| self.costs[i] + ln_inv_delta / (alpha as f64 - 1.0))
+        let ln_inv_delta = ln_inv_delta(delta);
+        (0..ALPHA_GRID.len())
+            .map(|i| converted(self.costs[i], ln_inv_delta, i))
             .fold(f64::INFINITY, f64::min)
     }
+}
+
+/// `ln(1/δ)`, the numerator of Eqn. (7)'s conversion term.
+pub(crate) fn ln_inv_delta(delta: f64) -> f64 {
+    assert!(delta > 0.0 && delta < 1.0, "delta must be in (0, 1)");
+    (1.0 / delta).ln()
+}
+
+/// Eqn. (7)'s ε at grid order `i` for an accumulated RDP cost `cost`:
+/// `cost + ln(1/δ)/(α_i − 1)`. [`RdpAccountant::epsilon`] is the min of
+/// this over the grid.
+pub(crate) fn converted(cost: f64, ln_inv_delta: f64, i: usize) -> f64 {
+    cost + ln_inv_delta / (ALPHA_GRID[i] as f64 - 1.0)
+}
+
+/// Whether `ε(δ) ≤ target`, asked one order at a time: `fits(i)` says
+/// whether order `i`'s [`converted`] ε is ≤ the target. The min over the
+/// grid is a selection, so "min ≤ target" is exactly "some order fits"
+/// (an order whose ε is NaN never fits, as `f64::min` never selects it).
+/// Tries `*last` first — the order that fitted the previous question —
+/// then the others in grid order, stops at the first that fits and
+/// remembers it in `*last`.
+pub(crate) fn some_order_fits(last: &mut usize, mut fits: impl FnMut(usize) -> bool) -> bool {
+    let n = ALPHA_GRID.len();
+    match (0..n).map(|j| (*last + j) % n).find(|&i| fits(i)) {
+        Some(i) => {
+            *last = i;
+            true
+        }
+        None => false,
+    }
+}
+
+/// Up to 60 bisection steps between an over-budget `lo` and a fitting
+/// `hi`, keeping the fitting end: `over(mid)` moves `lo` up, otherwise
+/// `hi` down. Returns the final `hi`.
+///
+/// It stops as soon as no further step can move either end, so it
+/// returns exactly what all 60 steps would: when the midpoint rounds to
+/// `hi` (either answer leaves `hi` where it is), or when it rounds to a
+/// `lo` already seen over budget (`lo_over`: the answer is known, and
+/// leaves both ends in place). A `lo` nobody tested is still asked.
+pub(crate) fn bisect(
+    mut lo: f64,
+    mut hi: f64,
+    mut lo_over: bool,
+    mut over: impl FnMut(f64) -> bool,
+) -> f64 {
+    for _ in 0..60 {
+        let mid = 0.5 * (lo + hi);
+        if mid == hi || (mid == lo && lo_over) {
+            break;
+        }
+        if over(mid) {
+            lo = mid;
+            lo_over = true;
+        } else {
+            hi = mid;
+        }
+    }
+    hi
 }
 
 /// The smallest ε the grid's RDP→(ε, δ) conversion can express at `delta`
@@ -192,21 +307,43 @@ pub fn try_calibrate_sgm_sigma(
     q: f64,
     count: u64,
 ) -> Result<f64, CalibrationError> {
+    calibrate(target_eps, delta, q, count, &mut 0)
+}
+
+/// [`try_calibrate_sgm_sigma`], adding the number of `(order, σ)`
+/// [`sgm_rdp`] evaluations it made to `rdp_evals`.
+///
+/// Each "does σ fit?" question asks the orders one at a time
+/// ([`some_order_fits`]), summing each order's cost as
+/// [`RdpAccountant::add_sgm`] does, and the bisection stops once it can no
+/// longer move ([`bisect`]): the σ returned is bit-identical to a plain
+/// 60-step bisection on the accountant's full ε.
+pub(crate) fn calibrate(
+    target_eps: f64,
+    delta: f64,
+    q: f64,
+    count: u64,
+    rdp_evals: &mut u64,
+) -> Result<f64, CalibrationError> {
     assert!(
         target_eps > 0.0 && target_eps.is_finite(),
         "target epsilon must be positive"
     );
-    let eps_of = |sigma: f64| {
-        let mut acc = RdpAccountant::new();
-        acc.add_sgm(sigma, q, count);
-        acc.epsilon(delta)
+    let ln_inv_delta = ln_inv_delta(delta);
+    let mut last = ALPHA_GRID.len() - 1;
+    let mut fits = |sigma: f64| {
+        some_order_fits(&mut last, |i| {
+            *rdp_evals += 1;
+            let cost = 0.0 + count as f64 * sgm_rdp(ALPHA_GRID[i], sigma, q);
+            converted(cost, ln_inv_delta, i) <= target_eps
+        })
     };
     // Upper bracket: grow until the budget fits. ε(σ) is decreasing in σ
     // but bounded below by the conversion floor, so a cap that never fits
     // means the target is infeasible — error out rather than silently
     // returning a σ that does not meet the budget.
     let mut hi = 2.0;
-    while eps_of(hi) > target_eps {
+    while !fits(hi) {
         hi *= 2.0;
         if hi > 1e7 {
             return Err(CalibrationError { target_eps, delta });
@@ -214,21 +351,14 @@ pub fn try_calibrate_sgm_sigma(
     }
     // Lower bracket: shrink until it *overshoots* the target. Pinning
     // `lo = 0.3` silently over-noised loose budgets whose true σ* < 0.3
-    // (the search would converge to ≈ lo instead of σ*).
+    // (the search would converge to ≈ lo instead of σ*). A `lo` the loop
+    // leaves at ≤ 1e-9 was never tested.
     let mut lo = hi.min(0.3);
-    while lo > 1e-9 && eps_of(lo) <= target_eps {
+    while lo > 1e-9 && fits(lo) {
         hi = lo;
         lo *= 0.5;
     }
-    for _ in 0..60 {
-        let mid = 0.5 * (lo + hi);
-        if eps_of(mid) > target_eps {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    Ok(hi)
+    Ok(bisect(lo, hi, lo > 1e-9, |sigma| !fits(sigma)))
 }
 
 #[cfg(test)]

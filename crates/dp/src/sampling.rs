@@ -10,6 +10,11 @@ use rand::Rng;
 
 /// Returns the indices of a Poisson subsample of `0..n`, each index
 /// included independently with probability `rate` (clamped to [0, 1]).
+///
+/// Each index takes one `next_u64` and is kept when its top 53 bits fall
+/// below `⌈rate·2⁵³⌉`. That is exactly the test `rng.gen::<f64>() < rate`
+/// without the conversion: `gen::<f64>()` is `(x >> 11)·2⁻⁵³`, scaling by
+/// 2⁵³ is exact, and for an integer `m`, `m < r ⟺ m < ⌈r⌉`.
 pub fn poisson_sample<R: Rng + ?Sized>(n: usize, rate: f64, rng: &mut R) -> Vec<usize> {
     let rate = rate.clamp(0.0, 1.0);
     if rate == 0.0 {
@@ -18,9 +23,10 @@ pub fn poisson_sample<R: Rng + ?Sized>(n: usize, rate: f64, rng: &mut R) -> Vec<
     if rate == 1.0 {
         return (0..n).collect();
     }
+    let threshold = (rate * (1u64 << 53) as f64).ceil() as u64;
     let mut out = Vec::with_capacity((n as f64 * rate * 1.5) as usize + 4);
     for i in 0..n {
-        if rng.gen::<f64>() < rate {
+        if rng.next_u64() >> 11 < threshold {
             out.push(i);
         }
     }

@@ -305,6 +305,21 @@ fn identical_traced_draws_record_identical_predicts() {
     assert!(a > 0, "no prediction counted");
 }
 
+/// The planner's work is a deterministic count: two identical private
+/// fits add the same, non-zero number of `(order, σ)` RDP evaluations to
+/// `kamino_dp_planner_rdp_evals_total`.
+#[test]
+fn identical_fits_record_identical_planner_work() {
+    let evals = || {
+        let obs = ObsHandle::enabled();
+        fit(obs.clone());
+        obs.counter("kamino_dp_planner_rdp_evals_total", &[]).get()
+    };
+    let (a, b) = (evals(), evals());
+    assert_eq!(a, b, "the planner's work counter must be deterministic");
+    assert!(a > 0, "no planner work counted");
+}
+
 /// The default rule (no MCMC, no FD lookup) predicts each cell of every
 /// discriminative position exactly once, and so does accept–reject: it
 /// predicts a cell once however many tries it draws.
