@@ -17,7 +17,7 @@
 //!   `σ_w ≈ 0.05`, whose RDP cost alone exceeds any practical ε (the
 //!   classic formula is only valid for ε < 1 in the first place).
 
-use kamino_dp::{Budget, BudgetPlanner, RunShape};
+use kamino_dp::{sgm_rdp_evaluations, Budget, BudgetPlanner, RunShape};
 
 /// The searched parameter set Ψ.
 #[derive(Debug, Clone)]
@@ -86,10 +86,12 @@ pub fn search_params(budget: Budget, shape: SearchShape) -> PrivacyParams {
 /// [`search_params`], recording the accepted plan's σ calibrations and
 /// composed ε/δ spend on `obs`' budget ledger. Back-off iterations the
 /// search discards are not recorded — the ledger reflects what the run
-/// actually spends. The planner's work over the whole T-walk, rejected
-/// plans included, is added to the `kamino_dp_planner_rdp_evals_total`
-/// counter: one per `(order, σ)` evaluation of the SGM's RDP. The
-/// returned Ψ is byte-identical to [`search_params`].
+/// actually spends — and the accepted plan is recorded as the walk made
+/// it, not planned again. The planner's work over the whole T-walk,
+/// rejected plans included, is added to the
+/// `kamino_dp_planner_rdp_evals_total` counter: one per `(order, σ)`
+/// evaluation of the SGM's RDP. The returned Ψ is byte-identical to
+/// [`search_params`].
 pub fn search_params_with_obs(
     budget: Budget,
     shape: SearchShape,
@@ -129,20 +131,16 @@ pub fn search_params_with_obs(
         weight_sample: if shape.weights_unknown { L_W } else { 0 },
     };
 
+    let evals_before = sgm_rdp_evaluations();
     let mut t = t_max;
-    let mut rdp_evals = 0;
-    let mut plan = planner.plan_counting(&run_shape(t), &mut rdp_evals);
-    while plan.sigma_d > SIGMA_D_CAP && t > t_min {
+    let mut planned = planner.calibrated(&run_shape(t));
+    while planned.plan.sigma_d > SIGMA_D_CAP && t > t_min {
         t = ((t as f64 * 0.7) as usize).max(t_min);
-        plan = planner.plan_counting(&run_shape(t), &mut rdp_evals);
+        planned = planner.calibrated(&run_shape(t));
     }
     obs.counter("kamino_dp_planner_rdp_evals_total", &[])
-        .add(rdp_evals);
-    if obs.is_enabled() {
-        // replay the accepted plan with the ledger attached; planning is
-        // deterministic, so this changes nothing but records everything
-        plan = planner.plan_with_obs(&run_shape(t), obs);
-    }
+        .add(sgm_rdp_evaluations() - evals_before);
+    let plan = planner.record(planned, obs);
 
     PrivacyParams {
         non_private: false,
@@ -296,6 +294,70 @@ mod tests {
         assert_eq!(got.len(), PINS.len(), "today's table:\n{table}");
         for ((name, pin), want) in got.iter().zip(PINS) {
             assert_eq!(pin, want, "{name}: search moved; today's table:\n{table}");
+        }
+    }
+
+    /// A traced search records the accepted plan as the walk made it:
+    /// it evaluates the SGM's RDP exactly as often as the silent search
+    /// (re-planning the accepted T for the ledger would double the work of
+    /// a one-plan walk), reports that count, returns the same Ψ, and
+    /// records the ledger the accepted plan records on its own.
+    #[test]
+    fn a_traced_search_plans_each_walked_t_once() {
+        // TPC-H's shape: ε = 1 walks T down twice, ε = 4 accepts T_max
+        for eps in [1.0, 4.0] {
+            let budget = Budget::new(eps, 1e-6);
+            let shape = SearchShape {
+                n: 5_000,
+                n_sgd_models: 7,
+                n_marginal_releases: 2,
+                first_attr_domain: 16,
+                weights_unknown: false,
+                train_scale: 1.0,
+            };
+            let before = sgm_rdp_evaluations();
+            let silent = search_params(budget, shape);
+            let silent_evals = sgm_rdp_evaluations() - before;
+            let obs = kamino_obs::ObsHandle::enabled();
+            let before = sgm_rdp_evaluations();
+            let traced = search_params_with_obs(budget, shape, &obs);
+            let traced_evals = sgm_rdp_evaluations() - before;
+            assert_eq!(
+                traced_evals, silent_evals,
+                "eps {eps}: the traced search re-planned"
+            );
+            let counted = obs.counter("kamino_dp_planner_rdp_evals_total", &[]).get();
+            assert_eq!(counted, silent_evals, "eps {eps}");
+            let bits = |p: &PrivacyParams| {
+                [p.sigma_g, p.sigma_d, p.sigma_w, p.achieved_epsilon].map(f64::to_bits)
+            };
+            assert_eq!((traced.t, bits(&traced)), (silent.t, bits(&silent)));
+
+            let reference = kamino_obs::ObsHandle::enabled();
+            let planner = BudgetPlanner::new(budget);
+            planner.record(
+                planner.calibrated(&RunShape {
+                    n: shape.n,
+                    histogram_releases: 2,
+                    sgd_steps: (traced.t * 7) as u64,
+                    batch: traced.b,
+                    weight_sample: 0,
+                }),
+                &reference,
+            );
+            let events = |o: &kamino_obs::ObsHandle| -> Vec<_> {
+                o.events().into_iter().map(|r| r.event).collect()
+            };
+            assert_eq!(events(&obs), events(&reference), "eps {eps}");
+            let ledger = |o: &kamino_obs::ObsHandle| -> Vec<String> {
+                o.render_prometheus()
+                    .lines()
+                    .filter(|l| l.starts_with("kamino_dp_") && !l.contains("rdp_evals"))
+                    .map(str::to_owned)
+                    .collect()
+            };
+            assert_eq!(ledger(&obs), ledger(&reference), "eps {eps}");
+            assert!(!ledger(&obs).is_empty());
         }
     }
 

@@ -39,11 +39,12 @@ pub mod snapshot;
 pub use mechanisms::{add_gaussian_noise, add_laplace_noise, release_histogram};
 pub use normal::standard_normal;
 pub use planner::{
-    composed_epsilon, mechanism, spend_fingerprint, BudgetPlan, BudgetPlanner, RunShape,
+    composed_epsilon, mechanism, spend_fingerprint, BudgetPlan, BudgetPlanner, CalibratedPlan,
+    RunShape,
 };
 pub use rdp::{
-    calibrate_sgm_sigma, conversion_floor, gaussian_rdp, sgm_rdp, try_calibrate_sgm_sigma,
-    CalibrationError, RdpAccountant,
+    calibrate_sgm_sigma, conversion_floor, gaussian_rdp, sgm_rdp, sgm_rdp_evaluations,
+    try_calibrate_sgm_sigma, CalibrationError, RdpAccountant,
 };
 pub use sampling::poisson_sample;
 pub use sensitivity::{violation_matrix_sensitivity, HISTOGRAM_SENSITIVITY};

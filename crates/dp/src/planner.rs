@@ -42,15 +42,15 @@
 //! * [`sgm_rdp`] itself skips only the work that rounds away (see its
 //!   docs).
 //!
-//! [`BudgetPlanner::plan_counting`] reports the work as the number of
-//! `(order, σ)` `sgm_rdp` evaluations.
+//! [`sgm_rdp_evaluations`](crate::rdp::sgm_rdp_evaluations) counts the
+//! work as the number of `(order, σ)` `sgm_rdp` evaluations.
 
 use kamino_obs::events::Event;
 use kamino_obs::ObsHandle;
 
 use crate::rdp::{
-    bisect, calibrate, conversion_floor, converted, gaussian_rdp, ln_inv_delta, sgm_rdp,
-    some_order_fits, ALPHA_GRID,
+    bisect, conversion_floor, converted, gaussian_rdp, ln_inv_delta, sgm_rdp, some_order_fits,
+    try_calibrate_sgm_sigma, ALPHA_GRID,
 };
 use crate::Budget;
 
@@ -129,6 +129,18 @@ impl BudgetPlan {
     }
 }
 
+/// A plan and the σ calibrations that produced it, not yet on any
+/// ledger: [`BudgetPlanner::calibrated`] makes it and
+/// [`BudgetPlanner::record`] records it.
+#[derive(Debug, Clone)]
+pub struct CalibratedPlan {
+    /// The planned σ's and achieved ε.
+    pub plan: BudgetPlan,
+    /// The `BudgetCalibration` events planning made: `M3`, `M1`, `M2`,
+    /// each when it runs.
+    calibrations: Vec<Event>,
+}
+
 /// FNV-1a over the exact bit patterns of a plan's noise multipliers and
 /// achieved ε. Two spends fingerprint equal iff every σ and the
 /// composed ε are bit-identical — the same equality the determinism
@@ -147,32 +159,20 @@ pub fn spend_fingerprint(sigma_g: f64, sigma_d: f64, sigma_w: f64, epsilon: f64)
 /// the planner's guarantee is stated in — tests assert
 /// `composed_epsilon(..) ≤ ε` through it, from a fitted session's Ψ.
 pub fn composed_epsilon(shape: &RunShape, plan: &BudgetPlan, delta: f64) -> f64 {
-    composed_epsilon_counted(shape, plan, delta, &mut 0)
-}
-
-/// [`composed_epsilon`], adding its [`sgm_rdp`] evaluations to `rdp_evals`.
-fn composed_epsilon_counted(
-    shape: &RunShape,
-    plan: &BudgetPlan,
-    delta: f64,
-    rdp_evals: &mut u64,
-) -> f64 {
     let ln_inv_delta = ln_inv_delta(delta);
     (0..ALPHA_GRID.len())
         .map(|i| {
-            let m3 = m3_cost(shape, plan.sigma_w, i, rdp_evals);
-            let cost = composed_cost(shape, plan.sigma_g, plan.sigma_d, m3, i, rdp_evals);
+            let m3 = m3_cost(shape, plan.sigma_w, i);
+            let cost = composed_cost(shape, plan.sigma_g, plan.sigma_d, m3, i);
             converted(cost, ln_inv_delta, i)
         })
         .fold(f64::INFINITY, f64::min)
 }
 
 /// `M3`'s RDP cost at grid order `i` — `None` when `M3` does not run.
-fn m3_cost(shape: &RunShape, sigma_w: f64, i: usize, rdp_evals: &mut u64) -> Option<f64> {
-    (shape.weight_sample > 0 && sigma_w > 0.0).then(|| {
-        *rdp_evals += 1;
-        sgm_rdp(ALPHA_GRID[i], sigma_w, shape.weight_rate())
-    })
+fn m3_cost(shape: &RunShape, sigma_w: f64, i: usize) -> Option<f64> {
+    (shape.weight_sample > 0 && sigma_w > 0.0)
+        .then(|| sgm_rdp(ALPHA_GRID[i], sigma_w, shape.weight_rate()))
 }
 
 /// Theorem 1's composed RDP cost at grid order `i`: `M1`, then `M2`, then
@@ -181,21 +181,13 @@ fn m3_cost(shape: &RunShape, sigma_w: f64, i: usize, rdp_evals: &mut u64) -> Opt
 /// This is the one place the composition order lives:
 /// [`composed_epsilon`]'s fold and the planner's per-order "does this
 /// scale fit?" both sum through it, so the two see the same bits.
-fn composed_cost(
-    shape: &RunShape,
-    sigma_g: f64,
-    sigma_d: f64,
-    m3: Option<f64>,
-    i: usize,
-    rdp_evals: &mut u64,
-) -> f64 {
+fn composed_cost(shape: &RunShape, sigma_g: f64, sigma_d: f64, m3: Option<f64>, i: usize) -> f64 {
     let alpha = ALPHA_GRID[i];
     let mut cost = 0.0;
     if shape.histogram_releases > 0 && sigma_g > 0.0 {
         cost += shape.histogram_releases as f64 * gaussian_rdp(alpha as f64, sigma_g);
     }
     if shape.sgd_steps > 0 && sigma_d > 0.0 {
-        *rdp_evals += 1;
         cost += shape.sgd_steps as f64 * sgm_rdp(alpha, sigma_d, shape.sgd_rate());
     }
     if let Some(m3) = m3 {
@@ -249,25 +241,29 @@ impl BudgetPlanner {
     /// or below the grid's conversion floor (plus the fixed `M3` cost) —
     /// since silently returning a non-fitting plan would fake a guarantee.
     pub fn plan(&self, shape: &RunShape) -> BudgetPlan {
-        self.plan_inner(shape, &ObsHandle::disabled(), &mut 0)
+        self.calibrated(shape).plan
     }
 
-    /// [`Self::plan`], adding to `rdp_evals` the number of `(order, σ)`
-    /// [`sgm_rdp`] evaluations planning made — the planner's work as a
-    /// deterministic count (Algorithm 6 reports its T-walk's total as
-    /// `kamino_dp_planner_rdp_evals_total`).
-    pub fn plan_counting(&self, shape: &RunShape, rdp_evals: &mut u64) -> BudgetPlan {
-        self.plan_inner(shape, &ObsHandle::disabled(), rdp_evals)
+    /// [`Self::plan`], keeping the σ calibrations planning made so that
+    /// [`Self::record`] can put them on a ledger later. Algorithm 6 plans
+    /// several shapes and records only the one it accepts.
+    pub fn calibrated(&self, shape: &RunShape) -> CalibratedPlan {
+        let mut calibrations = Vec::new();
+        let plan = self.plan_inner(shape, &mut calibrations);
+        CalibratedPlan { plan, calibrations }
     }
 
-    /// [`Self::plan`], with every σ calibration and the composed ε/δ
-    /// spend recorded on `obs`' budget ledger (events plus
-    /// `kamino_dp_sigma`/`kamino_dp_epsilon` gauges and a
-    /// `kamino_dp_plans_total` counter). Planning itself is byte-identical
-    /// whether or not `obs` is enabled.
-    pub fn plan_with_obs(&self, shape: &RunShape, obs: &ObsHandle) -> BudgetPlan {
-        let plan = self.plan_inner(shape, obs, &mut 0);
+    /// Records `planned` on `obs`' budget ledger and returns its plan: every
+    /// σ calibration planning made, then the composed ε/δ spend (events
+    /// plus `kamino_dp_sigma`/`kamino_dp_epsilon` gauges and a
+    /// `kamino_dp_plans_total` counter). Nothing is planned again, and a
+    /// disabled `obs` records nothing.
+    pub fn record(&self, planned: CalibratedPlan, obs: &ObsHandle) -> BudgetPlan {
+        let plan = planned.plan;
         if obs.is_enabled() {
+            for event in planned.calibrations {
+                obs.event(event);
+            }
             let delta = self.budget.delta;
             for (mech, sigma) in [
                 (mechanism::M1, plan.sigma_g),
@@ -303,7 +299,7 @@ impl BudgetPlanner {
         plan
     }
 
-    fn plan_inner(&self, shape: &RunShape, obs: &ObsHandle, rdp_evals: &mut u64) -> BudgetPlan {
+    fn plan_inner(&self, shape: &RunShape, calibrations: &mut Vec<Event>) -> BudgetPlan {
         assert!(shape.n > 0, "run shape needs at least one tuple");
         if self.budget.is_non_private() {
             return BudgetPlan {
@@ -326,9 +322,9 @@ impl BudgetPlanner {
         // absorbs that cost when fitting M1/M2.
         let sigma_w = if shape.weight_sample > 0 {
             let target = (WEIGHT_SHARE * eps).max(1.05 * floor);
-            let sigma = calibrate(target, delta, shape.weight_rate(), 1, rdp_evals)
+            let sigma = try_calibrate_sgm_sigma(target, delta, shape.weight_rate(), 1)
                 .expect("relaxed M3 target is above the floor by construction");
-            obs.event(Event::BudgetCalibration {
+            calibrations.push(Event::BudgetCalibration {
                 mechanism: mechanism::M3,
                 sigma,
                 epsilon_share: target,
@@ -346,14 +342,14 @@ impl BudgetPlanner {
             1.0 - WEIGHT_SHARE
         };
         let d_share = (1.0 - g_share - WEIGHT_SHARE).max(0.05);
-        let mut seed_sigma = |share: f64, q: f64, count: u64| -> f64 {
+        let seed_sigma = |share: f64, q: f64, count: u64| -> f64 {
             let target = (share * eps).max(1.05 * floor);
-            calibrate(target, delta, q, count, rdp_evals)
+            try_calibrate_sgm_sigma(target, delta, q, count)
                 .expect("relaxed seed target is above the floor by construction")
         };
         let sigma_g_hat = if shape.histogram_releases > 0 {
             let sigma = seed_sigma(g_share, 1.0, shape.histogram_releases);
-            obs.event(Event::BudgetCalibration {
+            calibrations.push(Event::BudgetCalibration {
                 mechanism: mechanism::M1,
                 sigma,
                 epsilon_share: g_share * eps,
@@ -364,7 +360,7 @@ impl BudgetPlanner {
         };
         let sigma_d_hat = if shape.sgd_steps > 0 {
             let sigma = seed_sigma(d_share, shape.sgd_rate(), shape.sgd_steps);
-            obs.event(Event::BudgetCalibration {
+            calibrations.push(Event::BudgetCalibration {
                 mechanism: mechanism::M2,
                 sigma,
                 epsilon_share: d_share * eps,
@@ -381,13 +377,13 @@ impl BudgetPlanner {
         // `composed_cost`, and M3's fixed-σ_w cost is computed once here:
         // the plan is bit-identical to bisecting the full `composed_epsilon`.
         let m3: [Option<f64>; ALPHA_GRID.len()] =
-            std::array::from_fn(|i| m3_cost(shape, sigma_w, i, rdp_evals));
+            std::array::from_fn(|i| m3_cost(shape, sigma_w, i));
         let ln_inv_delta = ln_inv_delta(delta);
         let mut last = ALPHA_GRID.len() - 1;
         let mut fits = |s: f64| {
             let (sigma_g, sigma_d) = (sigma_g_hat * s, sigma_d_hat * s);
             some_order_fits(&mut last, |i| {
-                let cost = composed_cost(shape, sigma_g, sigma_d, m3[i], i, rdp_evals);
+                let cost = composed_cost(shape, sigma_g, sigma_d, m3[i], i);
                 converted(cost, ln_inv_delta, i) <= eps
             })
         };
@@ -417,7 +413,7 @@ impl BudgetPlanner {
             sigma_w,
             achieved_epsilon: f64::NAN,
         };
-        plan.achieved_epsilon = composed_epsilon_counted(shape, &plan, delta, rdp_evals);
+        plan.achieved_epsilon = composed_epsilon(shape, &plan, delta);
         // every `hi` the search kept was seen to fit, and `fits` sums the
         // same bits the full fold does: the ledger is never over budget
         assert!(
@@ -543,7 +539,7 @@ mod tests {
     fn ledger_records_every_mechanism_and_matches_silent_plan() {
         let planner = BudgetPlanner::new(Budget::new(1.0, 1e-6));
         let obs = ObsHandle::enabled();
-        let plan = planner.plan_with_obs(&shape(), &obs);
+        let plan = planner.record(planner.calibrated(&shape()), &obs);
         // the ledger must not perturb the plan itself
         assert_eq!(plan, planner.plan(&shape()));
 

@@ -16,6 +16,7 @@
 //! stops bisecting once no step can move its bracket. Its σ is the one a
 //! 60-step bisection on [`RdpAccountant::epsilon`] returns.
 
+use std::cell::Cell;
 use std::sync::OnceLock;
 
 /// Integer Rényi orders the accountant tracks. The SGM bound below is the
@@ -31,6 +32,19 @@ pub fn gaussian_rdp(alpha: f64, sigma: f64) -> f64 {
     assert!(sigma > 0.0, "sigma must be positive");
     assert!(alpha > 1.0, "alpha must exceed 1");
     alpha / (2.0 * sigma * sigma)
+}
+
+thread_local! {
+    static SGM_RDP_EVALS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// How many times [`sgm_rdp`] has been evaluated on the calling thread.
+///
+/// The difference across a call is that call's RDP work as a
+/// deterministic count: one per `(order, σ)` evaluation. Algorithm 6
+/// reports its planner's as `kamino_dp_planner_rdp_evals_total`.
+pub fn sgm_rdp_evaluations() -> u64 {
+    SGM_RDP_EVALS.with(Cell::get)
 }
 
 /// RDP of the Sampled Gaussian Mechanism at integer order α with sampling
@@ -61,6 +75,7 @@ pub fn gaussian_rdp(alpha: f64, sigma: f64) -> f64 {
 ///   ≥ 1, when `t − max < −38` (`e^{−38} ≈ 3.1e-17` is under half an ulp
 ///   of any sum ≥ 1, so the sum rounds back to itself).
 pub fn sgm_rdp(alpha: u64, sigma: f64, q: f64) -> f64 {
+    SGM_RDP_EVALS.with(|evals| evals.set(evals.get() + 1));
     assert!(sigma > 0.0, "sigma must be positive");
     assert!((0.0..=1.0).contains(&q), "sampling rate must be in [0, 1]");
     assert!(alpha >= 2, "alpha must be an integer ≥ 2");
@@ -301,29 +316,16 @@ pub fn calibrate_sgm_sigma(target_eps: f64, delta: f64, q: f64, count: u64) -> f
 
 /// Fallible form of [`calibrate_sgm_sigma`]: `Err` when no σ can meet the
 /// target instead of silently returning a non-fitting multiplier.
+///
+/// Each "does σ fit?" question asks the orders one at a time, summing
+/// each order's cost as [`RdpAccountant::add_sgm`] does, and the
+/// bisection stops once it can no longer move: the σ returned is bit-identical to a plain
+/// 60-step bisection on the accountant's full ε.
 pub fn try_calibrate_sgm_sigma(
     target_eps: f64,
     delta: f64,
     q: f64,
     count: u64,
-) -> Result<f64, CalibrationError> {
-    calibrate(target_eps, delta, q, count, &mut 0)
-}
-
-/// [`try_calibrate_sgm_sigma`], adding the number of `(order, σ)`
-/// [`sgm_rdp`] evaluations it made to `rdp_evals`.
-///
-/// Each "does σ fit?" question asks the orders one at a time
-/// ([`some_order_fits`]), summing each order's cost as
-/// [`RdpAccountant::add_sgm`] does, and the bisection stops once it can no
-/// longer move ([`bisect`]): the σ returned is bit-identical to a plain
-/// 60-step bisection on the accountant's full ε.
-pub(crate) fn calibrate(
-    target_eps: f64,
-    delta: f64,
-    q: f64,
-    count: u64,
-    rdp_evals: &mut u64,
 ) -> Result<f64, CalibrationError> {
     assert!(
         target_eps > 0.0 && target_eps.is_finite(),
@@ -333,7 +335,6 @@ pub(crate) fn calibrate(
     let mut last = ALPHA_GRID.len() - 1;
     let mut fits = |sigma: f64| {
         some_order_fits(&mut last, |i| {
-            *rdp_evals += 1;
             let cost = 0.0 + count as f64 * sgm_rdp(ALPHA_GRID[i], sigma, q);
             converted(cost, ln_inv_delta, i) <= target_eps
         })
