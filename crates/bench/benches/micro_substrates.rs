@@ -23,10 +23,12 @@
 //! composition (each context value embedded into its own buffer,
 //! `Attention::forward`, the head's `predict`) and once through one
 //! `ColumnPredictor` per column (asserted bit-identical in setup). The
-//! `gaussian_noise_{polar_pairs,box_muller}_17k` pair times the vector
-//! Gaussian mechanism, which draws Marsaglia polar pairs and uses both
-//! outputs, against a scalar Box–Muller loop (one `ln`, `sqrt` and `cos`
-//! per variate) at the same noise std. `search_params_tpch_shape` runs
+//! `gaussian_noise_{ziggurat,box_muller}_17k` pair times the vector
+//! Gaussian mechanism, which draws one 256-layer ziggurat variate per
+//! coordinate, against a scalar Box–Muller loop (one `ln`, `sqrt` and
+//! `cos` per variate) at the same noise std. `poisson_sample_n5000_b32`
+//! times one DP-SGD batch draw at fit_tpch's rate (n = 5000, b = 32),
+//! which takes about one word per kept row. `search_params_tpch_shape` runs
 //! Algorithm 6's whole σ search (the T-walk and its planner bisections)
 //! on fit_tpch's shape, beside `rdp_accountant_5000_sgm_steps`.
 
@@ -39,7 +41,7 @@ use kamino_core::params::SearchShape;
 use kamino_core::search_params;
 use kamino_data::Value;
 use kamino_datasets::{adult_like, tax_like};
-use kamino_dp::{add_gaussian_noise, standard_normal, Budget, RdpAccountant};
+use kamino_dp::{add_gaussian_noise, poisson_sample, standard_normal, Budget, RdpAccountant};
 use kamino_nn::{DpSgd, Embedding, Linear, ParamBlock, PerExampleModel, Scratch};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -529,12 +531,12 @@ fn bench(c: &mut Criterion) {
     }
 
     {
-        // The vector Gaussian mechanism (Marsaglia polar pairs, both
-        // outputs used) against a scalar Box–Muller loop over the same
-        // 17k coordinates at the same noise std.
+        // The vector Gaussian mechanism (one ziggurat variate per
+        // coordinate) against a scalar Box–Muller loop over the same 17k
+        // coordinates at the same noise std.
         const N: usize = 17_000;
         let (sensitivity, sigma) = (1.0, 1.1);
-        g.bench_function("gaussian_noise_polar_pairs_17k", |b| {
+        g.bench_function("gaussian_noise_ziggurat_17k", |b| {
             let mut rng = StdRng::seed_from_u64(13);
             let mut values = vec![0.0; N];
             b.iter(|| {
@@ -554,6 +556,11 @@ fn bench(c: &mut Criterion) {
         });
     }
 
+    // One DP-SGD batch draw at fit_tpch's rate b/n = 32/5000.
+    g.bench_function("poisson_sample_n5000_b32", |b| {
+        let mut rng = StdRng::seed_from_u64(17);
+        b.iter(|| black_box(poisson_sample(5_000, 32.0 / 5_000.0, &mut rng)))
+    });
     g.bench_function("rdp_accountant_5000_sgm_steps", |b| {
         b.iter(|| {
             let mut acc = RdpAccountant::new();

@@ -36,7 +36,14 @@ use crate::weights::{learn_weights, WeightConfig, HARD_WEIGHT};
 /// straight into one sum per parameter block, in batch order, instead of
 /// merging 16-example partial sums, so the floating-point sums of
 /// batches over 16 examples round differently, private or not.
-pub const FIT_REVISION: u32 = 3;
+///
+/// Revision 4: [`kamino_dp::add_gaussian_noise`] draws one 256-layer
+/// ziggurat variate per component instead of polar pairs, and
+/// [`kamino_dp::poisson_sample`] draws batches by geometric gaps (about
+/// one word per kept row) instead of one word per row, so private fits
+/// draw different batches and noise. σ's, `T` and the achieved ε are
+/// unchanged.
+pub const FIT_REVISION: u32 = 4;
 
 /// The largest [`KaminoConfig::mcmc_ratio`] a fit or a decoded snapshot
 /// accepts. A draw of `n` rows runs `ratio·n` MCMC re-samples per column,
@@ -646,26 +653,26 @@ mod tests {
         }
         let want: [u64; 18] = [
             // tax: {default, mcmc+fd, rand} × {AR off, AR on}
-            0x2acb_33da_446b_c65b,
-            0x0b56_ed72_5af1_a161,
-            0x961c_7089_e035_ec5e,
-            0x0b56_ed72_5af1_a161,
-            0x52ac_cfad_1abf_a35a,
-            0x0b56_ed72_5af1_a161,
+            0x7270_e494_fd87_e65b,
+            0xa611_c5f9_f871_783d,
+            0x36b0_18a9_7264_0c4c,
+            0xa611_c5f9_f871_783d,
+            0x0988_0963_00d5_57fd,
+            0xa611_c5f9_f871_783d,
             // adult: {default, mcmc+fd, rand} × {AR off, AR on}
-            0x852e_3684_196f_5427,
-            0x34fb_9af6_372c_14a5,
-            0x07eb_39c9_a0d3_e876,
-            0x34fb_9af6_372c_14a5,
-            0xd963_94d2_f342_d82e,
-            0x34fb_9af6_372c_14a5,
+            0x4426_cf75_5bcd_5104,
+            0x75f7_ac20_950c_f843,
+            0xd1a1_5bfd_4173_7d07,
+            0x75f7_ac20_950c_f843,
+            0x99c5_57a6_e814_f1c5,
+            0x75f7_ac20_950c_f843,
             // br2000: {default, mcmc+fd, rand} × {AR off, AR on}
-            0x765f_7562_60c5_d958,
-            0x0039_acd0_c6af_7b4e,
-            0x13ab_db42_8edc_dec5,
-            0x0039_acd0_c6af_7b4e,
-            0x765f_7562_60c5_d958,
-            0x0039_acd0_c6af_7b4e,
+            0xa431_b5fb_0059_ab91,
+            0x1a61_fee8_ea7a_cf34,
+            0x492b_716c_dd06_5184,
+            0x1a61_fee8_ea7a_cf34,
+            0xa431_b5fb_0059_ab91,
+            0x1a61_fee8_ea7a_cf34,
         ];
         let digests: Vec<u64> = got.iter().map(|g| g.3).collect();
         assert_eq!(digests, want, "sampled output drifted: {got:#x?}");
@@ -692,7 +699,7 @@ mod tests {
         let h = kamino_data::wire::fnv1a64(&w.into_bytes());
         assert_eq!(
             (FIT_REVISION, h),
-            (3, 0x5f92_716d_483f_f2eb),
+            (4, 0x4872_b943_9a19_8509),
             "fitted TPC-H model drifted: {h:#018x} (re-pin with a FIT_REVISION bump if the \
              fit moved, or with a snapshot FORMAT_VERSION bump if the MODEL layout did)"
         );

@@ -1,9 +1,10 @@
 //! Differential-privacy substrate for the Kamino reproduction.
 //!
 //! Provides everything §2.4 and §6 of the paper rely on:
-//! * [`normal`] — hand-rolled exact standard-normal samplers (the allowed
-//!   crate set does not include `rand_distr`): scalar Box–Muller for
-//!   one-off draws and Marsaglia polar pairs for vector releases,
+//! * [`normal`] — hand-rolled standard-normal samplers (the allowed crate
+//!   set does not include `rand_distr`): scalar Box–Muller for one-off
+//!   draws, and Marsaglia & Tsang's 256-layer ziggurat, one variate per
+//!   component, for every vector release,
 //! * [`mechanisms`] — the one vector Gaussian mechanism,
 //!   [`add_gaussian_noise`], through which DP-SGD, the M1 histograms, the
 //!   M3 weights and the Gaussian baselines all release (its σ comes from
@@ -16,9 +17,17 @@
 //! * [`sensitivity`] — L2 sensitivities: a histogram's under the
 //!   replace-one relation, and Lemma 1's violation matrix bound,
 //! * [`sampling`] — Poisson subsampling shared by DP-SGD and Algorithm 5,
+//!   drawn by geometric gaps between kept rows at a rate `q′` a hair
+//!   below the charged rate, so no row is kept more often than the
+//!   accountant assumes,
 //! * [`planner`] — the [`BudgetPlanner`]: solves per-mechanism σ's for
 //!   Theorem 1's three-way composition (M1 histogram, M2 DP-SGD, M3
 //!   weights) under one (ε, δ) budget, replacing hand-tuned constants.
+//!
+//! Both samplers compute in floating point, so, like every textbook
+//! sampler, they only approximate the ideal mechanisms the accountant
+//! charges: see Mironov (CCS 2012) on floating-point Laplace noise and
+//! Jin et al. (S&P 2022) on floating-point Gaussian samplers.
 //!
 //! Note on the paper's Lemma 2: as printed, the binomial sum carries
 //! `exp((α²−α)/2σ²)` independent of the summation index, which collapses to
@@ -35,6 +44,8 @@ pub mod rdp;
 pub mod sampling;
 pub mod sensitivity;
 pub mod snapshot;
+#[cfg(test)]
+pub(crate) mod testkit;
 
 pub use mechanisms::{add_gaussian_noise, add_laplace_noise, release_histogram};
 pub use normal::standard_normal;

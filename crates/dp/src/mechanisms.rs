@@ -2,7 +2,7 @@
 
 use rand::Rng;
 
-use crate::normal::standard_normal_pair;
+use crate::normal::ziggurat;
 use crate::sensitivity::HISTOGRAM_SENSITIVITY;
 
 /// Adds `N(0, (sensitivity·σ)²)` noise to each component in place — the
@@ -11,12 +11,11 @@ use crate::sensitivity::HISTOGRAM_SENSITIVITY;
 ///
 /// This is the one vector Gaussian mechanism: DP-SGD's per-step noise, the
 /// M1 histograms, the M3 weights and the Gaussian baselines all release
-/// through it. Components are noised in order from consecutive
-/// [`standard_normal_pair`] draws, both outputs of each pair landing in
-/// adjacent components; an odd-length slice discards the last pair's
-/// second output. `sigma = 0` is the identity (whatever the sensitivity,
-/// and without touching `rng`); a positive `sigma` needs a finite
-/// sensitivity.
+/// through it. Components are noised in order, one
+/// [`standard_normal_ziggurat`](crate::normal::standard_normal_ziggurat)
+/// variate each, and no draw is discarded. `sigma = 0` is the identity
+/// (whatever the sensitivity, and without touching `rng`); a positive
+/// `sigma` needs a finite sensitivity.
 pub fn add_gaussian_noise<R: Rng + ?Sized>(
     values: &mut [f64],
     sensitivity: f64,
@@ -39,14 +38,9 @@ pub fn add_gaussian_noise<R: Rng + ?Sized>(
     if std == 0.0 {
         return;
     }
-    let mut pairs = values.chunks_exact_mut(2);
-    for pair in &mut pairs {
-        let (z0, z1) = standard_normal_pair(rng);
-        pair[0] += std * z0;
-        pair[1] += std * z1;
-    }
-    if let [last] = pairs.into_remainder() {
-        *last += std * standard_normal_pair(rng).0;
+    let zig = ziggurat();
+    for v in values {
+        *v += std * zig.sample(rng);
     }
 }
 
@@ -94,6 +88,8 @@ impl Ln1pWorkaround for f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::normal::standard_normal_ziggurat;
+    use crate::testkit::normal_cdf;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -139,28 +135,8 @@ mod tests {
         cov / (va * vb).sqrt()
     }
 
-    /// Φ, through the complementary error function of Numerical Recipes
-    /// (Chebyshev fit, fractional error below 1.2e-7).
-    fn std_normal_cdf(x: f64) -> f64 {
-        let z = (x / std::f64::consts::SQRT_2).abs();
-        let t = 1.0 / (1.0 + 0.5 * z);
-        let poly = -z * z - 1.265_512_23
-            + t * (1.000_023_68
-                + t * (0.374_091_96
-                    + t * (0.096_784_18
-                        + t * (-0.186_288_06
-                            + t * (0.278_868_07
-                                + t * (-1.135_203_98
-                                    + t * (1.488_515_87
-                                        + t * (-0.822_152_23 + t * 0.170_872_77))))))));
-        let erfc = t * poly.exp();
-        if x >= 0.0 {
-            1.0 - 0.5 * erfc
-        } else {
-            0.5 * erfc
-        }
-    }
-
+    /// The mechanism's unit-variance draws (one ziggurat variate per
+    /// component) have the moments of `N(0, 1)`.
     #[test]
     fn paired_draws_have_unit_moments() {
         let values = unit_draws(101);
@@ -177,6 +153,8 @@ mod tests {
         );
     }
 
+    /// The mechanism's unit-variance draws pass a one-sample KS test
+    /// against Φ at the 1% level.
     #[test]
     fn paired_draws_pass_kolmogorov_smirnov() {
         let mut values = unit_draws(102);
@@ -186,7 +164,7 @@ mod tests {
             .iter()
             .enumerate()
             .map(|(i, &v)| {
-                let cdf = std_normal_cdf(v);
+                let cdf = normal_cdf(v);
                 (cdf - i as f64 / n).max((i + 1) as f64 / n - cdf)
             })
             .fold(f64::NEG_INFINITY, f64::max);
@@ -195,33 +173,40 @@ mod tests {
         assert!(d < critical, "KS statistic {d} ≥ {critical}");
     }
 
+    /// Consecutive components are independent: over 200k draws the
+    /// lag-1 and lag-2 correlations of the values and of their squares
+    /// are within ≈ 5 standard errors (≈ 0.0022 each) of 0. A draw reused
+    /// across components, or a sampler that pairs its outputs, shows here.
     #[test]
-    fn pair_outputs_are_independent() {
-        // z₀ and z₁ of one polar pair land in components 2k and 2k+1
+    fn consecutive_draws_are_independent() {
         let values = unit_draws(103);
-        let z0: Vec<f64> = values.iter().step_by(2).copied().collect();
-        let z1: Vec<f64> = values.iter().skip(1).step_by(2).copied().collect();
-        // 100k pairs: each correlation has a standard error of ≈0.003
-        let linear = corr(&z0, &z1);
-        assert!(linear.abs() < 0.015, "corr(z₀, z₁) = {linear}");
-        let sq = |z: &[f64]| -> Vec<f64> { z.iter().map(|v| v * v).collect() };
-        let square = corr(&sq(&z0), &sq(&z1));
-        assert!(square.abs() < 0.015, "corr(z₀², z₁²) = {square}");
+        let sq: Vec<f64> = values.iter().map(|v| v * v).collect();
+        for lag in [1, 2] {
+            let n = values.len() - lag;
+            let linear = corr(&values[..n], &values[lag..]);
+            assert!(linear.abs() < 0.011, "lag-{lag} corr(z, z′) = {linear}");
+            let square = corr(&sq[..n], &sq[lag..]);
+            assert!(square.abs() < 0.011, "lag-{lag} corr(z², z′²) = {square}");
+        }
     }
 
+    /// Each component takes exactly one ziggurat variate, in order: the
+    /// noise of any length is the scaled prefix of one draw sequence, and
+    /// the generator ends where that many draws leave it.
     #[test]
-    fn odd_length_noises_every_component_and_draws_a_whole_pair() {
-        for len in [1, 3, 5, 7] {
-            let mut odd_rng = StdRng::seed_from_u64(104);
-            let mut odd = vec![0.0; len];
-            add_gaussian_noise(&mut odd, 1.0, 1.0, &mut odd_rng);
-            assert!(odd.iter().all(|v| *v != 0.0 && v.is_finite()));
-            let mut even_rng = StdRng::seed_from_u64(104);
-            let mut even = vec![0.0; len + 1];
-            add_gaussian_noise(&mut even, 1.0, 1.0, &mut even_rng);
-            // same components, and the last pair's z₁ drawn and discarded
-            assert_eq!(odd[..], even[..len]);
-            assert_eq!(odd_rng.gen::<u64>(), even_rng.gen::<u64>());
+    fn every_component_takes_one_draw_in_order() {
+        let (sensitivity, sigma) = (2.0, 1.5);
+        for len in [1, 2, 3, 7, 64] {
+            let mut rng = StdRng::seed_from_u64(104);
+            let mut values = vec![0.0; len];
+            add_gaussian_noise(&mut values, sensitivity, sigma, &mut rng);
+            let mut reference = StdRng::seed_from_u64(104);
+            let want: Vec<f64> = (0..len)
+                .map(|_| sensitivity * sigma * standard_normal_ziggurat(&mut reference))
+                .collect();
+            assert_eq!(values, want, "len {len}");
+            assert_eq!(rng.state(), reference.state(), "len {len}");
+            assert!(values.iter().all(|v| *v != 0.0 && v.is_finite()));
         }
     }
 

@@ -483,9 +483,9 @@ mod tests {
     fn dense_noise_has_the_calibrated_per_coordinate_std() {
         // Every coordinate of a 64-wide dense block must move by
         // lr·σ_d·C/b in std on an empty batch, and adjacent coordinates
-        // (the two outputs of one polar pair) must be uncorrelated: a
-        // dropped pair output zeroes a coordinate's std, an output added
-        // twice doubles it, and one reused across a pair correlates them.
+        // (consecutive draws) must be uncorrelated: a dropped draw zeroes
+        // a coordinate's std, a draw added twice doubles it, and one
+        // reused across coordinates correlates them.
         struct Dense {
             w: ParamBlock,
         }
@@ -820,8 +820,8 @@ mod tests {
         // the initial table, so a coordinate read at step t must have
         // deviated by the dense mechanism's t steps of noise, std
         // lr·σ_d·C/b·√t, and after `finish` every coordinate by all T of
-        // them. Adjacent coordinates (the two outputs of a polar pair)
-        // must be uncorrelated. A dropped settle or `finish` leaves rows
+        // them. Adjacent coordinates (consecutive draws) must be
+        // uncorrelated. A dropped settle or `finish` leaves rows
         // short of noise; settling at sensitivity C·k instead of C·√k
         // gives a row read at step t too much by √t.
         let cfg = DpSgd {

@@ -936,7 +936,7 @@ mod tests {
         let fitted = tiny_fitted(12);
         let h = kamino_data::wire::fnv1a64(&encode_fitted(&fitted));
         assert_eq!(
-            h, 0xcdf2_b4bb_5da4_3171,
+            h, 0xf871_81aa_5139_bd61,
             "encoded snapshot drifted: {h:#018x}"
         );
     }
