@@ -22,7 +22,10 @@
 //! cell of a 1,000-row BR2000 draw, once through the per-cell reference
 //! composition (each context value embedded into its own buffer,
 //! `Attention::forward`, the head's `predict`) and once through one
-//! `ColumnPredictor` per column (asserted bit-identical in setup). The
+//! `ColumnPredictor` per column (asserted bit-identical in setup), and
+//! `synthesize_br2000_n1000` times that whole draw, which predicts each
+//! distinct prefix once (its traced prediction count is asserted against
+//! a brute-force count of the drawn prefixes in setup). The
 //! `gaussian_noise_{ziggurat,box_muller}_17k` pair times the vector
 //! Gaussian mechanism, which draws one 256-layer ziggurat variate per
 //! coordinate, against a scalar Box–Muller loop (one `ln`, `sqrt` and
@@ -527,6 +530,53 @@ fn bench(c: &mut Criterion) {
                 predictor(&mut got);
                 black_box(&got);
             })
+        });
+
+        // The whole draw of the same shape, which predicts each distinct
+        // prefix of a discriminative position once: the traced counter
+        // must equal the distinct prefixes of the drawn rows, fewer than
+        // one prediction per cell.
+        let draw = |obs: kamino_obs::ObsHandle| {
+            let mut cfg = session.config().clone();
+            cfg.obs = obs;
+            kamino_core::synthesize(
+                session.schema(),
+                model,
+                session.dcs(),
+                &session.weights,
+                &cfg,
+                1_000,
+                &mut StdRng::seed_from_u64(1),
+                &mut kamino_core::PhaseTimings::default(),
+            )
+        };
+        let obs = kamino_obs::ObsHandle::enabled();
+        let drawn = draw(obs.clone());
+        let predicts = obs.counter("kamino_sampler_predicts_total", &[]).get();
+        let distinct: usize = columns
+            .iter()
+            .map(|(sm, _, _)| {
+                let prefixes: std::collections::BTreeSet<Vec<u64>> = (0..drawn.n_rows())
+                    .map(|i| {
+                        sm.context
+                            .iter()
+                            .map(|&a| match drawn.value(i, a) {
+                                Value::Cat(c) => u64::from(c),
+                                Value::Num(x) => x.to_bits(),
+                            })
+                            .collect()
+                    })
+                    .collect();
+                prefixes.len()
+            })
+            .sum();
+        assert_eq!(
+            predicts, distinct as u64,
+            "one prediction per distinct prefix"
+        );
+        assert!(distinct < drawn.n_rows() * columns.len());
+        g.bench_function("synthesize_br2000_n1000", |b| {
+            b.iter(|| black_box(draw(kamino_obs::ObsHandle::disabled())))
         });
     }
 

@@ -64,19 +64,44 @@
 //!
 //! Rules 3 and 5 need weights that are `+∞` or finite and `≥ 0` (what a
 //! fit or a decoded snapshot holds); a draw given any other weight walks
-//! every candidate.
+//! every candidate. A penalty of 0 or `+∞` decides its factor
+//! `exp(−penalty)` (1.0 or +0.0) without calling `exp`; every Tax DC is
+//! hard, so a Tax draw never calls it.
+//!
+//! ## What a prefix decides
+//!
+//! A discriminative sub-model's distribution for `t_i[S[j]]` is a pure
+//! function of the prefix `t_i[S_:j]` and draws no RNG, so rows that
+//! share a prefix share one prediction. Every row carries a `u32` prefix
+//! id (`PrefixIds`): all rows start at id 0, and after column `j`'s fill
+//! and MCMC pass a row's id becomes the interned pair (old id, bits of its
+//! value of `S[j]`). Two rows share an id at position `j` exactly when
+//! they agree on every value of `S_:j` (a numeric value by
+//! `f64::to_bits`, which keeps −0.0 and +0.0 apart).
+//!
+//! Before a column's fill, `PrefixMemo` counts each id's rows. A cell
+//! whose id has a stored prediction reads it; otherwise the sub-model
+//! runs, and its output is stored only when the fill has more rows of
+//! that id to come. An id's slot is freed after its last row, so the
+//! arena, sized to the exact peak, holds only predictions still to be
+//! read. An MCMC re-sample after the fill predicts again. Every rule
+//! reads its distribution through the memo, and the values it returns
+//! are the sub-model's to the bit, so every draw is unchanged.
 //!
 //! Timings are span-derived: [`synthesize`] adds each column's
 //! `sample.fill` / `sample.mcmc` span duration (from [`KaminoConfig::obs`])
 //! to the matching [`PhaseTimings`] field, which gains zero with a
 //! disabled handle. Each column also adds its work to the handle's
-//! counters: `kamino_sampler_predicts_total` (sub-model predictions) and
+//! counters: `kamino_sampler_predicts_total` (sub-model evaluations: one
+//! per distinct prefix of a fill, plus one per MCMC re-sample) and
 //! `kamino_sampler_cells_total{kind}`, why each drawn cell got its value
 //! (see `CellKind`).
 //!
 //! [`DcCounter`]: kamino_constraints::DcCounter
 
 use std::cmp::Ordering;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::time::Duration;
 
 use kamino_constraints::{CandidateRow, CellContext, DenialConstraint, ScoreSet};
@@ -86,7 +111,7 @@ use kamino_dp::normal::normal;
 use kamino_obs::ObsHandle;
 use rand::Rng;
 
-use crate::model::{ColumnPredictor, DataModel, SubModelKind};
+use crate::model::{ColumnPredictor, DataModel, Head, SubModelKind};
 use crate::pipeline::{KaminoConfig, PhaseTimings};
 use crate::sequence::active_dcs_by_position;
 
@@ -166,8 +191,6 @@ struct CellArena {
     /// Final sampling weights `p · exp(−penalty)` (also reused for the
     /// plain model probabilities on the constraint-unaware path).
     scored: Vec<f64>,
-    /// Context-attribute values for the sub-model predictors.
-    ctx: Vec<Value>,
     /// Scratch for top-k candidate selection over categorical domains.
     idx_buf: Vec<(usize, f64)>,
     /// Values the hard FDs on the target force, in counter order.
@@ -241,10 +264,12 @@ pub fn synthesize<R: Rng + ?Sized>(
     // the verdict's rules hold for weights a fit or a snapshot can hold
     let decide = weights.iter().all(|&w| w >= 0.0);
     let mut arena = CellArena::default();
+    let mut prefixes = PrefixIds::new(n);
     let mut cell = |inst: &Instance,
                     col: &Column,
                     row: usize,
-                    predictor: Option<&mut ColumnPredictor<'_>>,
+                    prefix: u32,
+                    memo: Option<&mut PrefixMemo<'_>>,
                     rng: &mut R| {
         let c = Cell {
             schema,
@@ -252,12 +277,13 @@ pub fn synthesize<R: Rng + ?Sized>(
             col,
             inst,
             row,
+            prefix,
             weights,
             decide,
         };
         match cfg.sampling {
-            SamplingRule::AcceptReject => accept_reject(&c, predictor, &mut arena, rng),
-            rule => sample_cell(&c, rule, predictor, &mut arena, rng),
+            SamplingRule::AcceptReject => accept_reject(&c, memo, rng),
+            rule => sample_cell(&c, rule, memo, &mut arena, rng),
         }
     };
 
@@ -276,13 +302,15 @@ pub fn synthesize<R: Rng + ?Sized>(
         };
         // Position 0 draws from the released first-attribute
         // distribution; every later position has a sub-model.
-        let mut predictor =
-            (j > 0).then(|| ColumnPredictor::new(model.submodel_at(j), &model.store));
+        let mut memo = (j > 0).then(|| PrefixMemo::new(model, j, &prefixes));
         let mut kinds = [0u64; CellKind::LABELS.len()];
 
         timed_phase(&cfg.obs, "sample.fill", j, &mut timings.sample_fill, || {
             for i in 0..n {
-                let (value, kind) = cell(&inst, &col, i, predictor.as_mut(), rng);
+                let (value, kind) = cell(&inst, &col, i, prefixes.ids[i], memo.as_mut(), rng);
+                if let Some(m) = memo.as_mut() {
+                    m.release(prefixes.ids[i]);
+                }
                 kinds[kind as usize] += 1;
                 inst.set(i, target, value);
                 col.scores
@@ -300,17 +328,21 @@ pub fn synthesize<R: Rng + ?Sized>(
                 let r = rng.gen_range(0..n);
                 col.scores
                     .remove(&CandidateRow::committed(&inst, r, target));
-                let (value, kind) = cell(&inst, &col, r, predictor.as_mut(), rng);
+                let (value, kind) = cell(&inst, &col, r, prefixes.ids[r], memo.as_mut(), rng);
                 kinds[kind as usize] += 1;
                 inst.set(r, target, value);
                 col.scores
                     .insert(&CandidateRow::committed(&inst, r, target));
             }
         });
-        if let Some(p) = &predictor {
+        // the column's final values extend every row's prefix
+        if j + 1 < k {
+            prefixes.extend(&inst, target);
+        }
+        if let Some(m) = &memo {
             cfg.obs
                 .counter("kamino_sampler_predicts_total", &[])
-                .add(p.predicts());
+                .add(m.predictor.predicts());
         }
         for (kind, &cells) in CellKind::LABELS.iter().zip(&kinds) {
             cfg.obs
@@ -346,6 +378,226 @@ fn ranked_marginal(schema: &Schema, model: &DataModel, j: usize) -> Option<Vec<(
     )
 }
 
+/// Every row's prefix id: at sequence position `j`, two rows share an id
+/// exactly when they agree on every value of `S_:j` (module doc).
+struct PrefixIds {
+    /// Each row's id, dense in `0..len`.
+    ids: Vec<u32>,
+    /// How many ids there are.
+    len: usize,
+    /// `(id, value bits) → id` for the column being interned, reused.
+    intern: HashMap<(u32, u64), u32, BuildHasherDefault<PairHasher>>,
+}
+
+impl PrefixIds {
+    /// Every one of `n` rows at the empty prefix, id 0.
+    fn new(n: usize) -> PrefixIds {
+        PrefixIds {
+            ids: vec![0; n],
+            len: usize::from(n > 0),
+            intern: HashMap::default(),
+        }
+    }
+
+    /// Extends every row's prefix by its value of `attr`: the new id
+    /// interns the pair (old id, the value's bits). A numeric value is
+    /// keyed by `f64::to_bits`, which is exact and keeps −0.0 and +0.0
+    /// apart.
+    fn extend(&mut self, inst: &Instance, attr: usize) {
+        self.intern.clear();
+        for (row, id) in self.ids.iter_mut().enumerate() {
+            let bits = match inst.value(row, attr) {
+                Value::Cat(c) => u64::from(c),
+                Value::Num(x) => x.to_bits(),
+            };
+            let next = self.intern.len() as u32;
+            *id = *self.intern.entry((*id, bits)).or_insert(next);
+        }
+        self.len = self.intern.len();
+    }
+}
+
+/// The interning map's hasher: each word goes through one folded
+/// 64×64 → 128-bit multiply, so every key bit reaches the bucket index
+/// (an integer-valued float's low mantissa bits are all 0).
+#[derive(Default)]
+struct PairHasher(u64);
+
+impl Hasher for PairHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(u64::from(b)));
+    }
+
+    fn write_u32(&mut self, x: u32) {
+        self.write_u64(u64::from(x));
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        let p = u128::from(self.0 ^ x) * 0x9e37_79b9_7f4a_7c15;
+        self.0 = p as u64 ^ (p >> 64) as u64;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// No arena slot ([`PrefixMemo::slot`]).
+const NO_SLOT: u32 = u32::MAX;
+
+/// One sequence position's sub-model predictions, each distinct prefix
+/// predicted once during the fill (module doc). A prediction is stored
+/// only for a prefix id with two or more rows, and its slot goes back to
+/// the free list after that id's last row, so the arena holds only
+/// predictions still to be read; it is sized to the exact peak.
+struct PrefixMemo<'m> {
+    predictor: ColumnPredictor<'m>,
+    /// The prefix attributes `S_:j`, in sequence order.
+    attrs: &'m [usize],
+    /// Scratch for the context values.
+    ctx: Vec<Value>,
+    /// Rows of each prefix id the fill has still to draw.
+    left: Vec<u32>,
+    /// Each prefix id's arena slot, or [`NO_SLOT`].
+    slot: Vec<u32>,
+    /// Slots holding no prediction; the next one taken is popped.
+    free: Vec<u32>,
+    /// `f64`s per slot: a categorical head's class count, or 2 for
+    /// `(μ, σ)`.
+    width: usize,
+    arena: Vec<f64>,
+}
+
+/// Where [`PrefixMemo::slot`] finds a cell's prediction.
+enum Slot {
+    /// Stored in this slot.
+    Hit(usize),
+    /// To be predicted and stored in this slot.
+    Fill(usize),
+    /// To be predicted and not stored.
+    Skip,
+}
+
+impl<'m> PrefixMemo<'m> {
+    /// The memo for sequence position `j > 0`, whose rows carry the ids
+    /// of `prefixes`. A noisy marginal predicts nothing, so it counts no
+    /// rows and gets no arena.
+    fn new(model: &'m DataModel, j: usize, prefixes: &PrefixIds) -> PrefixMemo<'m> {
+        let sm = model.submodel_at(j);
+        let width = match &sm.kind {
+            SubModelKind::Discriminative { head, .. } => match head {
+                Head::Cat(h) => h.card(),
+                Head::Num(_) => 2,
+            },
+            SubModelKind::NoisyMarginal { .. } => 0,
+        };
+        let (mut left, mut peak) = (Vec::new(), 0);
+        if width > 0 {
+            left.resize(prefixes.len, 0u32);
+            for &id in &prefixes.ids {
+                left[id as usize] += 1;
+            }
+            // replay the fill's stores and frees to find the peak
+            let mut rest = left.clone();
+            let mut live = 0usize;
+            for &id in &prefixes.ids {
+                let (total, r) = (left[id as usize], &mut rest[id as usize]);
+                if total >= 2 && *r == total {
+                    live += 1;
+                    peak = peak.max(live);
+                }
+                *r -= 1;
+                if total >= 2 && *r == 0 {
+                    live -= 1;
+                }
+            }
+        }
+        PrefixMemo {
+            predictor: ColumnPredictor::new(sm, &model.store),
+            attrs: &model.sequence[..j],
+            ctx: Vec::with_capacity(j),
+            slot: vec![NO_SLOT; left.len()],
+            left,
+            free: (0..peak as u32).rev().collect(),
+            width,
+            arena: vec![0.0; peak * width],
+        }
+    }
+
+    /// Where `id`'s prediction is, or is to be stored: a slot is taken
+    /// when the prediction is missing and the fill has rows of `id` left
+    /// after this one.
+    fn slot(&mut self, id: u32) -> Slot {
+        let id = id as usize;
+        match self.slot[id] {
+            NO_SLOT if self.left[id] >= 2 => {
+                let slot = self.free.pop().expect("the arena holds the peak");
+                self.slot[id] = slot;
+                Slot::Fill(slot as usize)
+            }
+            NO_SLOT => Slot::Skip,
+            slot => Slot::Hit(slot as usize),
+        }
+    }
+
+    /// Counts a filled row of prefix id `id`, freeing the id's slot after
+    /// its last row. The fill calls it for every row, whether or not the
+    /// cell read a prediction; MCMC does not, so after the fill every
+    /// re-sample predicts again.
+    fn release(&mut self, id: u32) {
+        let id = id as usize;
+        if self.width == 0 {
+            return;
+        }
+        self.left[id] -= 1;
+        if self.left[id] == 0 && self.slot[id] != NO_SLOT {
+            self.free.push(self.slot[id]);
+            self.slot[id] = NO_SLOT;
+        }
+    }
+
+    /// Writes row `row`'s context values into `self.ctx`.
+    fn context(&mut self, inst: &Instance, row: usize) {
+        self.ctx.clear();
+        self.ctx
+            .extend(self.attrs.iter().map(|&a| inst.value(row, a)));
+    }
+
+    /// A categorical target's class probabilities for row `row`, whose
+    /// prefix id is `id`.
+    fn predict_cat(&mut self, inst: &Instance, row: usize, id: u32) -> &[f64] {
+        let slot = self.slot(id);
+        let w = self.width;
+        if !matches!(slot, Slot::Hit(_)) {
+            self.context(inst, row);
+        }
+        match slot {
+            Slot::Hit(s) => &self.arena[s * w..][..w],
+            Slot::Fill(s) => {
+                let p = self.predictor.predict_cat(&self.ctx);
+                let out = &mut self.arena[s * w..][..w];
+                out.copy_from_slice(p);
+                out
+            }
+            Slot::Skip => self.predictor.predict_cat(&self.ctx),
+        }
+    }
+
+    /// A numeric target's `(μ, σ)` for row `row`, whose prefix id is `id`.
+    fn predict_num(&mut self, inst: &Instance, row: usize, id: u32) -> (f64, f64) {
+        let slot = self.slot(id);
+        if let Slot::Hit(s) = slot {
+            return (self.arena[2 * s], self.arena[2 * s + 1]);
+        }
+        self.context(inst, row);
+        let (mu, sigma) = self.predictor.predict_num(&self.ctx);
+        if let Slot::Fill(s) = slot {
+            self.arena[2 * s..][..2].copy_from_slice(&[mu, sigma]);
+        }
+        (mu, sigma)
+    }
+}
+
 /// One cell being sampled: row `row` at sequence position `j`, against the
 /// column's prefix counters.
 struct Cell<'a> {
@@ -354,6 +606,8 @@ struct Cell<'a> {
     col: &'a Column,
     inst: &'a Instance,
     row: usize,
+    /// The row's prefix id ([`PrefixIds`]).
+    prefix: u32,
     weights: &'a [f64],
     /// Whether the probe's verdict may decide scores: every weight is
     /// `+∞` or finite and `≥ 0`.
@@ -371,7 +625,7 @@ impl Cell<'_> {
 fn sample_cell<R: Rng + ?Sized>(
     cell: &Cell<'_>,
     rule: SamplingRule,
-    predictor: Option<&mut ColumnPredictor<'_>>,
+    memo: Option<&mut PrefixMemo<'_>>,
     arena: &mut CellArena,
     rng: &mut R,
 ) -> (Value, CellKind) {
@@ -431,7 +685,7 @@ fn sample_cell<R: Rng + ?Sized>(
         _ => None,
     };
 
-    let dist = CellDist::predict(cell, predictor, &mut arena.ctx);
+    let dist = CellDist::predict(cell, memo);
     let CellArena {
         candidates,
         values,
@@ -456,7 +710,7 @@ fn sample_cell<R: Rng + ?Sized>(
     if let (Some(v @ Value::Cat(code)), CellDist::Cat(p, _)) = (forced, &dist) {
         if let Some((len, slot, p_v)) = forced_slot(p, code as usize) {
             let penalty = scores.penalty(&CandidateRow::new(inst, row, target, v), weights);
-            let w = p_v * (-penalty).exp();
+            let w = p_v * penalty_factor(penalty);
             if w > 0.0 && w.is_finite() {
                 scored.clear();
                 scored.resize(len, 0.0);
@@ -554,7 +808,7 @@ fn sample_cell<R: Rng + ?Sized>(
     scored.clear();
     let mut best_fallback = (f64::INFINITY, f64::NEG_INFINITY, 0usize); // (penalty, p, idx)
     for (idx, (&(_, p), &penalty)) in candidates.iter().zip(penalties.iter()).enumerate() {
-        scored.push(p * (-penalty).exp());
+        scored.push(p * penalty_factor(penalty));
         if penalty < best_fallback.0 || (penalty == best_fallback.0 && p > best_fallback.1) {
             best_fallback = (penalty, p, idx);
         }
@@ -575,11 +829,10 @@ fn sample_cell<R: Rng + ?Sized>(
 /// cell's context is fixed across tries, so it is predicted once.
 fn accept_reject<R: Rng + ?Sized>(
     cell: &Cell<'_>,
-    predictor: Option<&mut ColumnPredictor<'_>>,
-    arena: &mut CellArena,
+    memo: Option<&mut PrefixMemo<'_>>,
     rng: &mut R,
 ) -> (Value, CellKind) {
-    let dist = CellDist::predict(cell, predictor, &mut arena.ctx);
+    let dist = CellDist::predict(cell, memo);
     let mut last = dist.sample(rng);
     let scores = &cell.col.scores;
     if scores.is_empty() {
@@ -587,7 +840,7 @@ fn accept_reject<R: Rng + ?Sized>(
     }
     for _ in 0..AR_MAX_TRIES {
         let cand = CandidateRow::new(cell.inst, cell.row, cell.target(), last);
-        let accept = (-scores.penalty(&cand, cell.weights)).exp();
+        let accept = penalty_factor(scores.penalty(&cand, cell.weights));
         if accept >= 1.0 || rng.gen::<f64>() < accept {
             return (last, CellKind::Model);
         }
@@ -615,39 +868,31 @@ enum CellDist<'a> {
 
 impl<'a> CellDist<'a> {
     /// Predicts `cell`'s distribution, running the sub-model at most
-    /// once; `ctx` is scratch for the context values. Draws no RNG.
-    /// Inlined: an out-of-line call measured slower on `draw_br2000`.
+    /// once, and only when `memo` holds no prediction for the cell's
+    /// prefix. Draws no RNG. Inlined: an out-of-line call measured slower
+    /// on `draw_br2000`.
     #[inline(always)]
-    fn predict(
-        cell: &Cell<'a>,
-        predictor: Option<&'a mut ColumnPredictor<'_>>,
-        ctx: &mut Vec<Value>,
-    ) -> CellDist<'a> {
+    fn predict(cell: &Cell<'a>, memo: Option<&'a mut PrefixMemo<'_>>) -> CellDist<'a> {
         use AttrKind::{Categorical, Numeric};
         use SubModelKind::{Discriminative, NoisyMarginal};
         let Cell {
             model, inst, row, ..
         } = *cell;
-        let j = cell.col.j;
         let attr = cell.schema.attr(cell.target());
         let q = Quantizer::for_attr(attr);
         // position 0 has no sub-model; later ones condition on `t_i[S_:j]`
-        let sub = predictor.map(|p| {
-            ctx.clear();
-            ctx.extend(model.sequence[..j].iter().map(|&a| inst.value(row, a)));
-            (p, &model.submodel_at(j).kind)
-        });
+        let sub = memo.map(|m| (m, &model.submodel_at(cell.col.j).kind));
         match (sub, &attr.kind) {
             (None, _) => CellDist::FirstAttr(&model.first_dist, q),
             (Some((_, NoisyMarginal { dist })), Categorical { .. }) => {
                 CellDist::Cat(dist, cell.col.ranked.as_deref())
             }
             (Some((_, NoisyMarginal { dist })), Numeric { .. }) => CellDist::NumBins(dist, q),
-            (Some((p, Discriminative { .. })), Categorical { .. }) => {
-                CellDist::Cat(p.predict_cat(ctx), None)
+            (Some((m, Discriminative { .. })), Categorical { .. }) => {
+                CellDist::Cat(m.predict_cat(inst, row, cell.prefix), None)
             }
-            (Some((p, Discriminative { .. })), Numeric { .. }) => {
-                let (mu, sigma) = p.predict_num(ctx);
+            (Some((m, Discriminative { .. })), Numeric { .. }) => {
+                let (mu, sigma) = m.predict_num(inst, row, cell.prefix);
                 CellDist::Num(mu, sigma.max(1e-9), q)
             }
         }
@@ -696,6 +941,20 @@ impl<'a> CellDist<'a> {
             CellDist::Cat(p, _) => Value::Cat(sample_weighted(p, rng) as u32),
             &CellDist::Num(mu, sigma, ref q) => q.clamp(Value::Num(normal(rng, mu, sigma))),
         }
+    }
+}
+
+/// `exp(−penalty)`, the factor a penalty puts on a model weight. `exp`
+/// runs only when the penalty does not decide the factor: a penalty of 0
+/// gives exactly 1.0 and +∞ (a hard violation) gives +0.0, which is what
+/// `exp(−0.0)` and `exp(−∞)` return, so the result is the same to the bit.
+fn penalty_factor(penalty: f64) -> f64 {
+    if penalty == 0.0 {
+        1.0
+    } else if penalty == f64::INFINITY {
+        0.0
+    } else {
+        (-penalty).exp()
     }
 }
 

@@ -78,6 +78,10 @@ pub fn normalize(weights: &[f64]) -> Vec<f64> {
 /// All-zero weights fall back to uniform. Every sampler in the workspace
 /// (Algorithm 3's reweighted draw, baselines, generators) funnels through
 /// this.
+///
+/// Otherwise the index always has a positive weight: when rounding in the
+/// running subtraction walks `u` past every weight, the last positive one
+/// is returned (Algorithm 3 gives a hard-violating candidate weight 0).
 pub fn sample_weighted<R: Rng + ?Sized>(weights: &[f64], rng: &mut R) -> usize {
     debug_assert!(!weights.is_empty());
     let total: f64 = weights.iter().map(|&w| w.max(0.0)).sum();
@@ -92,7 +96,8 @@ pub fn sample_weighted<R: Rng + ?Sized>(weights: &[f64], rng: &mut R) -> usize {
         }
         u -= w;
     }
-    weights.len() - 1
+    // `total > 0`, so some weight is positive
+    weights.iter().rposition(|&w| w > 0.0).unwrap_or(0)
 }
 
 /// Mean and standard deviation of one numeric column, used to standardize
@@ -294,5 +299,31 @@ mod tests {
         }
         // single-element vector
         assert_eq!(sample_weighted(&[0.4], &mut rng), 0);
+    }
+
+    /// A generator whose every word is `u64::MAX`, so `gen::<f64>()` is
+    /// `1 − 2⁻⁵³`, the largest uniform.
+    struct Top;
+
+    impl rand::RngCore for Top {
+        fn next_u64(&mut self) -> u64 {
+            u64::MAX
+        }
+    }
+
+    #[test]
+    fn sample_weighted_never_returns_a_zero_weight_when_rounding_overshoots() {
+        // `u = (1 − 2⁻⁵³) · total` survives the running subtraction past
+        // the three positive weights, so the walk falls off the end
+        let weights = [0.2, 0.551204754915506, 0.7291692649955287, 0.0];
+        assert_eq!(sample_weighted(&weights, &mut Top), 2);
+        // zero weights between positive ones are skipped as well
+        assert_eq!(
+            sample_weighted(
+                &[0.2, 0.551204754915506, 0.7291692649955287, 0.0, -1.0, 0.0],
+                &mut Top
+            ),
+            2
+        );
     }
 }

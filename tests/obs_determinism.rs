@@ -7,12 +7,14 @@
 //! allowed to perturb the sample stream or leak a timestamp into an
 //! artifact.
 
+use std::collections::BTreeSet;
 use std::time::Duration;
 
 use kamino::core::model::{SubModelKind, SubModelTrainer};
 use kamino::core::{
     fit_kamino, synthesize, FittedKamino, KaminoConfig, PhaseTimings, SamplingRule,
 };
+use kamino::data::{Instance, Value};
 use kamino::datasets::{adult_like, tax_like};
 use kamino::dp::Budget;
 use kamino::nn::PerExampleModel;
@@ -278,11 +280,16 @@ fn discriminative_positions(session: &FittedKamino) -> u64 {
 /// with the sampling rule `sampling`, and returns the number of
 /// predictions the traced draw counted.
 fn traced_draw_predicts(session: &FittedKamino, sampling: SamplingRule, rows: usize) -> u64 {
+    traced_draw(session, sampling, rows).1
+}
+
+/// [`traced_draw_predicts`], also returning the drawn rows.
+fn traced_draw(session: &FittedKamino, sampling: SamplingRule, rows: usize) -> (Instance, u64) {
     let obs = ObsHandle::enabled();
     let mut cfg = session.config().clone();
     cfg.sampling = sampling;
     cfg.obs = obs.clone();
-    let _ = synthesize(
+    let inst = synthesize(
         session.schema(),
         session.model(),
         session.dcs(),
@@ -292,7 +299,34 @@ fn traced_draw_predicts(session: &FittedKamino, sampling: SamplingRule, rows: us
         &mut StdRng::seed_from_u64(29),
         &mut PhaseTimings::default(),
     );
-    obs.counter("kamino_sampler_predicts_total", &[]).get()
+    let predicts = obs.counter("kamino_sampler_predicts_total", &[]).get();
+    (inst, predicts)
+}
+
+/// The number of distinct prefixes `t[S_:j]` in `inst`, summed over the
+/// sequence positions `j` whose sub-model is discriminative, counted by
+/// brute force (numeric values by their bits).
+fn distinct_prefixes(session: &FittedKamino, inst: &Instance) -> u64 {
+    let model = session.model();
+    let mut total = 0;
+    for (j, sm) in (1..).zip(&model.submodels) {
+        if !matches!(sm.kind, SubModelKind::Discriminative { .. }) {
+            continue;
+        }
+        let prefixes: BTreeSet<Vec<u64>> = (0..inst.n_rows())
+            .map(|row| {
+                model.sequence[..j]
+                    .iter()
+                    .map(|&a| match inst.value(row, a) {
+                        Value::Cat(c) => u64::from(c),
+                        Value::Num(x) => x.to_bits(),
+                    })
+                    .collect()
+            })
+            .collect();
+        total += prefixes.len() as u64;
+    }
+    total
 }
 
 #[test]
@@ -320,11 +354,12 @@ fn identical_fits_record_identical_planner_work() {
     assert!(a > 0, "no planner work counted");
 }
 
-/// The default rule (no MCMC, no FD lookup) predicts each cell of every
-/// discriminative position exactly once, and so does accept–reject: it
-/// predicts a cell once however many tries it draws.
+/// The default rule (no MCMC, no FD lookup) runs a discriminative
+/// sub-model once per distinct prefix `t[S_:j]` of its position, and so
+/// does accept–reject, however many tries it draws: rows that share a
+/// prefix share one prediction.
 #[test]
-fn every_rule_predicts_each_cell_once() {
+fn every_rule_predicts_each_distinct_prefix_once() {
     let session = fit(ObsHandle::disabled());
     let cfg = session.config();
     let default_rule = SamplingRule::Algorithm3 {
@@ -335,10 +370,12 @@ fn every_rule_predicts_each_cell_once() {
     assert!(positions > 0, "the fit has no discriminative sub-model");
     let rows = 60;
     for rule in [default_rule, SamplingRule::AcceptReject] {
-        assert_eq!(
-            traced_draw_predicts(&session, rule, rows),
-            rows as u64 * positions,
-            "{rule:?}"
+        let (inst, predicts) = traced_draw(&session, rule, rows);
+        let distinct = distinct_prefixes(&session, &inst);
+        assert_eq!(predicts, distinct, "{rule:?}");
+        assert!(
+            distinct < rows as u64 * positions,
+            "{rule:?}: every row has its own prefix, so the draw shows no sharing"
         );
     }
 }
