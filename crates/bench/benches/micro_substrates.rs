@@ -18,6 +18,11 @@
 //! `c_custkey` (asserted bit-identical in setup).
 //! `synthesize_serial_n512` times the full Algorithm 3 column walk
 //! (hard-DC clean, asserted in setup). The
+//! The `dpsgd_step_submodel_{batched,reference}_tpch_ctx8` pair times one
+//! step of TPC-H's `o_orderdate` sub-model (8 context attributes, one
+//! numeric, and a Gaussian head): the sub-model trainer's whole-batch
+//! clip-and-sum from factored gradients against the reference step
+//! (asserted bit-identical after four noisy steps in setup). The
 //! `predict_column_{reference,predictor}_br2000` pair re-predicts every
 //! cell of a 1,000-row BR2000 draw, once through the per-cell reference
 //! composition (each context value embedded into its own buffer,
@@ -417,6 +422,87 @@ fn bench(c: &mut Criterion) {
             let mut model = EmbedModel::new(500, 16, 5);
             let mut rng = StdRng::seed_from_u64(8);
             b.iter(|| black_box(opt.step(&mut model, &batch, &mut rng)))
+        });
+    }
+
+    // One DP-SGD step of TPC-H's `o_orderdate` sub-model (8 context
+    // attributes, one of them numeric, and a Gaussian head) on a Poisson
+    // batch at fit_tpch's rate: the sub-model trainer's whole-batch kernel
+    // against the reference step over `forward_backward`. Setup asserts
+    // every parameter bit-identical after a few noisy steps.
+    {
+        use kamino_core::model::{
+            EmbeddingStore, Head, SubModel, SubModelKind, SubModelTrainer, TrainRow,
+        };
+        use kamino_nn::{Attention, GaussianHead};
+
+        let d = kamino_datasets::tpch_like(5000, 1);
+        let sequence = kamino_core::sequence_attrs(&d.schema, &d.dcs);
+        let target = d.schema.index_of("o_orderdate").unwrap();
+        let j = sequence.iter().position(|&a| a == target).unwrap();
+        let context = &sequence[..j];
+        assert_eq!(context.len(), 8, "o_orderdate's context");
+        let mut rng = StdRng::seed_from_u64(14);
+        let store = EmbeddingStore::new(&d.schema, 16, &mut rng);
+        let sm = SubModel {
+            target,
+            context: context.to_vec(),
+            kind: SubModelKind::Discriminative {
+                attention: Attention::new(context.len(), 16),
+                head: Head::Num(GaussianHead::new(16, &mut rng)),
+            },
+            own_store: None,
+        };
+        let batch: Vec<TrainRow> = poisson_sample(5000, 32.0 / 5000.0, &mut rng)
+            .into_iter()
+            .map(|i| TrainRow {
+                context: context.iter().map(|&a| d.instance.value(i, a)).collect(),
+                target: d.instance.value(i, target),
+            })
+            .collect();
+        let opt = DpSgd {
+            clip: 1.0,
+            noise_multiplier: 1.1,
+            lr: 0.05,
+            expected_batch: 32.0,
+        };
+        let params = |store: &mut EmbeddingStore, sm: &mut SubModel| -> Vec<u64> {
+            let mut bits = Vec::new();
+            SubModelTrainer::new(store, sm)
+                .visit_blocks(&mut |b| bits.extend(b.values.iter().map(|v| v.to_bits())));
+            bits
+        };
+        let (mut store_b, mut sm_b) = (store.clone(), sm.clone());
+        let (mut store_r, mut sm_r) = (store.clone(), sm.clone());
+        let (mut rb, mut rr) = (StdRng::seed_from_u64(15), StdRng::seed_from_u64(15));
+        for _ in 0..4 {
+            opt.step(
+                &mut SubModelTrainer::new(&mut store_b, &mut sm_b),
+                &batch,
+                &mut rb,
+            );
+            opt.step_reference(
+                &mut SubModelTrainer::new(&mut store_r, &mut sm_r),
+                &batch,
+                &mut rr,
+            );
+        }
+        assert_eq!(
+            params(&mut store_b, &mut sm_b),
+            params(&mut store_r, &mut sm_r),
+            "the batched sub-model step must be bit-identical to the reference"
+        );
+        g.bench_function("dpsgd_step_submodel_reference_tpch_ctx8", |b| {
+            let (mut store, mut sm) = (store.clone(), sm.clone());
+            let mut trainer = SubModelTrainer::new(&mut store, &mut sm);
+            let mut rng = StdRng::seed_from_u64(16);
+            b.iter(|| black_box(opt.step_reference(&mut trainer, &batch, &mut rng)))
+        });
+        g.bench_function("dpsgd_step_submodel_batched_tpch_ctx8", |b| {
+            let (mut store, mut sm) = (store.clone(), sm.clone());
+            let mut trainer = SubModelTrainer::new(&mut store, &mut sm);
+            let mut rng = StdRng::seed_from_u64(16);
+            b.iter(|| black_box(opt.step(&mut trainer, &batch, &mut rng)))
         });
     }
 

@@ -16,10 +16,11 @@
 
 use kamino_data::stats::Standardizer;
 use kamino_data::{AttrKind, Schema, Value};
+use kamino_nn::attention::score_grads;
 use kamino_nn::layers::EncoderCache;
-use kamino_nn::linalg::axpy;
+use kamino_nn::linalg::{add_sq_norms, axpy, dot, softmax_in_place};
 use kamino_nn::{
-    Attention, CategoricalHead, ContinuousEncoder, Embedding, GaussianHead, ParamBlock,
+    Attention, CategoricalHead, ContinuousEncoder, Embedding, GaussianHead, Linear, ParamBlock,
     PerExampleModel, Scratch,
 };
 use rand::Rng;
@@ -37,6 +38,45 @@ struct TrainScratch {
     d_embs: Vec<Vec<f64>>,
     v: Vec<f64>,
     dv: Vec<f64>,
+    batch: BatchFactors,
+}
+
+/// The factored per-example gradients of one batch (see
+/// [`SubModelTrainer`]'s `clip_and_sum`), reused across steps. With `b`
+/// examples, `m` context positions, embedding width `d` and `n` head
+/// outputs, a per-example vector of example `i` sits at `i·len`, and a
+/// per-position one of position `k` at `(k·b + i)·len`: each position's
+/// batch lies back to back, as the block passes read it.
+#[derive(Default)]
+struct BatchFactors {
+    /// `softmax(attention.scores)`, `m`.
+    alpha: Vec<f64>,
+    /// Context vectors `v_i`, `b × d`.
+    v: Vec<f64>,
+    /// Head output gradients `∂L/∂(W·v + b)`, `b × n`.
+    dy: Vec<f64>,
+    /// Attention score gradients, `b × m`.
+    ds: Vec<f64>,
+    /// Embedding gradients `α_k·∂L/∂v`, `m × b × d`.
+    de: Vec<f64>,
+    /// The table row each categorical position read, `m × b`.
+    rows: Vec<usize>,
+    /// Numeric positions' post-ReLU encoder layers, `m × b × d`.
+    hidden: Vec<f64>,
+    /// Numeric positions' encoder `a` and `c` gradients, `m × b × d` each.
+    ga: Vec<f64>,
+    gc: Vec<f64>,
+    /// One example's numeric embeddings, `m × d`.
+    emb: Vec<f64>,
+    /// Squared gradient norms, then clip scales, `b`.
+    sq: Vec<f64>,
+}
+
+/// `buf` holding `len` elements, all `+0.0`.
+fn zeroed(buf: &mut Vec<f64>, len: usize) -> &mut [f64] {
+    buf.clear();
+    buf.resize(len, 0.0);
+    buf
 }
 
 /// Embeds one attribute's values into `R^dim`.
@@ -172,6 +212,23 @@ pub enum Head {
     Cat(CategoricalHead),
     /// Gaussian (μ, σ) regression for numeric targets (standardized units).
     Num(GaussianHead),
+}
+
+impl Head {
+    /// The head's output layer (logits, or `(μ, ln σ)`).
+    pub fn linear(&self) -> &Linear {
+        match self {
+            Head::Cat(h) => h.linear(),
+            Head::Num(h) => h.linear(),
+        }
+    }
+
+    fn linear_mut(&mut self) -> &mut Linear {
+        match self {
+            Head::Cat(h) => h.linear_mut(),
+            Head::Num(h) => h.linear_mut(),
+        }
+    }
 }
 
 /// How a sub-model predicts its target.
@@ -406,6 +463,7 @@ impl PerExampleModel<TrainRow> for SubModelTrainer<'_> {
             d_embs,
             v,
             dv,
+            ..
         } = &mut self.scratch;
         // embed contexts (owned copies so the store can be mutated later)
         embs.resize_with(m, Vec::new);
@@ -454,6 +512,150 @@ impl PerExampleModel<TrainRow> for SubModelTrainer<'_> {
             }
         }
         loss
+    }
+
+    /// The whole-batch clip-and-sum kernel. `α = softmax(scores)` is
+    /// computed once per step, and each example's gradient is kept in
+    /// factored form instead of being written into the blocks' gradient
+    /// buffers: a `Linear` weight's as its `(dy, x)` pair (the head's `W`,
+    /// a numeric encoder's `B`), a bias's, the attention scores' and an
+    /// encoder's `a`/`c`/`d` as short vectors, and an embedding table's as
+    /// its one row and `α_k·∂L/∂v`. Each example's squared norm is then
+    /// read from the factors block by block in
+    /// [`PerExampleModel::visit_blocks`] order, each coordinate computed as
+    /// the backward pass writes it (with its `d == 0.0` skip, and up to the
+    /// sign of a zero, which no square or sum can see), so every clip
+    /// scale is the generic fused kernel's bit for bit. Finally one pass
+    /// per block adds `scale_i · g_i` into the block's sum, per coordinate
+    /// in batch order, the order that kernel's drain gives each
+    /// coordinate. The sums, the loss, the marked table rows and the visit
+    /// count (two per live coordinate per example) equal the generic
+    /// kernel's; `tests/proptest_trainer.rs` pins them against it and
+    /// against [`DpSgd::step_reference`](kamino_nn::DpSgd::step_reference).
+    fn clip_and_sum(&mut self, batch: &[TrainRow], clip: f64) -> (f64, u64) {
+        let SubModelKind::Discriminative { attention, head } = &mut self.sm.kind else {
+            panic!("training a noisy-marginal sub-model")
+        };
+        let (b, m, dim) = (batch.len(), self.sm.context.len(), self.store.dim());
+        assert_eq!(attention.n_context(), m, "context arity mismatch");
+        assert_eq!(
+            attention.dim(),
+            dim,
+            "attention width disagrees with embedding dim"
+        );
+        if b == 0 {
+            return (0.0, 0);
+        }
+        let n_out = head.linear().n_out();
+        let TrainScratch {
+            nn, dv, batch: f, ..
+        } = &mut self.scratch;
+        f.alpha.clear();
+        f.alpha.extend_from_slice(&attention.scores.values);
+        softmax_in_place(&mut f.alpha);
+        // every slot below is written before it is read, so stale values
+        // from an earlier step are never seen
+        f.v.resize(b * dim, 0.0);
+        f.dy.resize(b * n_out, 0.0);
+        f.ds.resize(b * m, 0.0);
+        for buf in [&mut f.de, &mut f.hidden, &mut f.ga, &mut f.gc] {
+            buf.resize(m * b * dim, 0.0);
+        }
+        f.emb.resize(m * dim, 0.0);
+        f.rows.resize(m * b, 0);
+        let store = &*self.store;
+        let mut total_loss = 0.0;
+        for (i, row) in batch.iter().enumerate() {
+            assert_eq!(row.context.len(), m, "context arity mismatch");
+            let slot = |k: usize| (k * b + i) * dim..(k * b + i + 1) * dim;
+            // the context vector v = Σ α_k e_k, as `Attention::forward`
+            let v = &mut f.v[i * dim..(i + 1) * dim];
+            v.iter_mut().for_each(|x| *x = 0.0);
+            for (k, (&attr, &val)) in self.sm.context.iter().zip(&row.context).enumerate() {
+                let e = match (&store.embedders[attr], val) {
+                    (AttrEmbedder::Cat(e), Value::Cat(code)) => {
+                        f.rows[k * b + i] = code as usize;
+                        e.forward(code)
+                    }
+                    (AttrEmbedder::Num { enc, std }, Value::Num(x)) => {
+                        let z = &mut f.emb[k * dim..(k + 1) * dim];
+                        enc.forward_into(std.forward(x), &mut f.hidden[slot(k)], z);
+                        z
+                    }
+                    _ => panic!("value kind does not match attribute {attr}'s embedder"),
+                };
+                axpy(f.alpha[k], e, v);
+            }
+            // the head's loss, output gradient and ∂L/∂v
+            let dy = &mut f.dy[i * n_out..(i + 1) * n_out];
+            let dv = zeroed(dv, dim);
+            total_loss += match head {
+                Head::Cat(h) => h.loss_grad(v, row.target.cat(), dy, dv, nn),
+                Head::Num(h) => {
+                    let y = store.standardizer(self.sm.target).forward(row.target.num());
+                    h.loss_grad(v, y, dy, dv)
+                }
+            };
+            // attention backward: score gradients, then each position's
+            // embedding gradient α_k·dv and a numeric encoder's a/c factors
+            let ds = &mut f.ds[i * m..(i + 1) * m];
+            for (k, (&attr, &val)) in self.sm.context.iter().zip(&row.context).enumerate() {
+                let e = match (&store.embedders[attr], val) {
+                    (AttrEmbedder::Cat(e), Value::Cat(code)) => e.forward(code),
+                    _ => &f.emb[k * dim..(k + 1) * dim],
+                };
+                ds[k] = dot(e, dv);
+            }
+            score_grads(&f.alpha, ds);
+            for (k, (&attr, &val)) in self.sm.context.iter().zip(&row.context).enumerate() {
+                let de = &mut f.de[slot(k)];
+                for (g, &d) in de.iter_mut().zip(&*dv) {
+                    *g = f.alpha[k] * d;
+                }
+                if let (AttrEmbedder::Num { enc, std }, Value::Num(x)) =
+                    (&store.embedders[attr], val)
+                {
+                    let (ga, gc) = (&mut f.ga[slot(k)], &mut f.gc[slot(k)]);
+                    enc.grad_factors(std.forward(x), &f.hidden[slot(k)], de, ga, gc);
+                }
+            }
+        }
+        // each example's squared norm, block by block in visit order
+        let per_pos = |k: usize| k * b * dim..(k + 1) * b * dim;
+        let sq = zeroed(&mut f.sq, b);
+        for (k, &attr) in self.sm.context.iter().enumerate() {
+            let (de, hidden) = (&f.de[per_pos(k)], &f.hidden[per_pos(k)]);
+            match &store.embedders[attr] {
+                AttrEmbedder::Cat(_) => add_sq_norms(sq, de),
+                AttrEmbedder::Num { enc, .. } => {
+                    let (ga, gc) = (&f.ga[per_pos(k)], &f.gc[per_pos(k)]);
+                    enc.add_factor_sq_norms(sq, ga, gc, de, hidden);
+                }
+            }
+        }
+        add_sq_norms(sq, &f.ds);
+        head.linear().add_factor_sq_norms(sq, &f.dy, &f.v);
+        for s in sq.iter_mut() {
+            let norm = s.sqrt();
+            *s = if norm > clip { clip / norm } else { 1.0 };
+        }
+        // one pass per block: scale_i · g_i into the sum, in batch order
+        let scales = &f.sq;
+        for (k, &attr) in self.sm.context.iter().enumerate() {
+            let (de, hidden) = (&f.de[per_pos(k)], &f.hidden[per_pos(k)]);
+            match &mut self.store.embedders[attr] {
+                AttrEmbedder::Cat(e) => e.table.sum_rows(&f.rows[k * b..(k + 1) * b], scales, de),
+                AttrEmbedder::Num { enc, .. } => {
+                    let (ga, gc) = (&f.ga[per_pos(k)], &f.gc[per_pos(k)]);
+                    enc.sum_factors(scales, ga, gc, de, hidden);
+                }
+            }
+        }
+        attention.scores.sum_dense(scales, &f.ds);
+        head.linear_mut().sum_factors(scales, &f.dy, &f.v);
+        let mut live = 0;
+        self.visit_blocks(&mut |blk| live += blk.row_width().unwrap_or(blk.len()) as u64);
+        (total_loss, 2 * live * b as u64)
     }
 
     fn visit_blocks(&mut self, f: &mut dyn FnMut(&mut ParamBlock)) {

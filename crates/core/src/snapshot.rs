@@ -191,8 +191,10 @@ pub fn decode_model(r: &mut ByteReader<'_>, schema: &Schema) -> Result<DataModel
 
 /// Range-checks every attribute index the model carries against its
 /// schema, so a divergent snapshot fails at decode instead of panicking
-/// inside `sample()` (which would poison a served model's mutex). The
-/// DC section gets the same treatment inside
+/// inside `sample()` (which would poison a served model's mutex), and
+/// refuses non-finite parameters and released distributions with a
+/// non-finite or negative entry, which would draw cells outside their
+/// domains. The DC section gets the same treatment inside
 /// `kamino_constraints::snapshot::decode_dcs`.
 fn validate_model(model: &DataModel, schema: &Schema) -> Result<(), WireError> {
     let k = schema.len();
@@ -217,6 +219,7 @@ fn validate_model(model: &DataModel, schema: &Schema) -> Result<(), WireError> {
             schema.attr(model.sequence[0]).domain_size()
         )));
     }
+    check_distribution("first-attribute distribution", &model.first_dist)?;
     validate_store(&model.store, schema)?;
     for sm in &model.submodels {
         if sm.target >= k {
@@ -237,15 +240,20 @@ fn validate_model(model: &DataModel, schema: &Schema) -> Result<(), WireError> {
         let target_attr = schema.attr(sm.target);
         // the sampler combines context embeddings at the store's width,
         // so attention of any other width is as malformed as a head's
-        if let SubModelKind::Discriminative { attention, .. } = &sm.kind {
+        if let SubModelKind::Discriminative { attention, head } = &sm.kind {
             if attention.dim() != store.dim() {
                 return Err(WireError::Malformed(
                     "attention width disagrees with embedding dim".into(),
                 ));
             }
+            let linear = head.linear();
+            check_finite("attention score", &attention.scores.values)?;
+            check_finite("head weight", &linear.w.values)?;
+            check_finite("head bias", &linear.b.values)?;
         }
         match &sm.kind {
             SubModelKind::NoisyMarginal { dist } => {
+                check_distribution("noisy marginal", dist)?;
                 if dist.len() != target_attr.domain_size() {
                     return Err(WireError::Malformed(format!(
                         "noisy marginal for `{}` has {} entries for a domain of {}",
@@ -290,9 +298,29 @@ fn validate_model(model: &DataModel, schema: &Schema) -> Result<(), WireError> {
     Ok(())
 }
 
+/// Refuses a non-finite model parameter: a NaN or infinite weight decodes
+/// as bytes, but the predictions it feeds are NaN, so a draw would emit
+/// cells outside their domains.
+fn check_finite(what: &str, values: &[f64]) -> Result<(), WireError> {
+    match values.iter().find(|v| !v.is_finite()) {
+        Some(v) => Err(WireError::Malformed(format!("{what} {v} is not finite"))),
+        None => Ok(()),
+    }
+}
+
+/// Refuses a released distribution with a non-finite or negative entry,
+/// which `normalize` never produces.
+fn check_distribution(what: &str, dist: &[f64]) -> Result<(), WireError> {
+    match dist.iter().find(|p| !(p.is_finite() && **p >= 0.0)) {
+        Some(p) => Err(WireError::Malformed(format!("{what} has entry {p}"))),
+        None => Ok(()),
+    }
+}
+
 /// Checks a store's embedders against the schema: attribute coverage,
-/// kind (categorical vs numeric), domain cardinality and embedding
-/// width — each mismatch would otherwise panic inside `sample()`.
+/// kind (categorical vs numeric), domain cardinality, embedding width and
+/// finite parameters — each mismatch would otherwise panic inside
+/// `sample()` or draw cells outside their domains.
 fn validate_store(store: &EmbeddingStore, schema: &Schema) -> Result<(), WireError> {
     if store.embedders().len() != schema.len() {
         return Err(WireError::Malformed(format!(
@@ -320,6 +348,7 @@ fn validate_store(store: &EmbeddingStore, schema: &Schema) -> Result<(), WireErr
                         store.dim()
                     )));
                 }
+                check_finite("embedding", &e.table.values)?;
             }
             AttrEmbedder::Num { enc, .. } => {
                 if attr.is_categorical() {
@@ -335,6 +364,9 @@ fn validate_store(store: &EmbeddingStore, schema: &Schema) -> Result<(), WireErr
                         enc.dim(),
                         store.dim()
                     )));
+                }
+                for block in [&enc.a, &enc.c, &enc.b, &enc.d] {
+                    check_finite("encoder parameter", &block.values)?;
                 }
             }
         }
@@ -628,6 +660,62 @@ mod tests {
                     b.predict_num(&got.store, &ctx)
                 );
             }
+        }
+    }
+
+    #[test]
+    fn non_finite_parameters_and_bad_distributions_are_refused() {
+        let d = kamino_datasets::adult_like(120, 5);
+        let mut cfg = KaminoConfig::new(Budget::new(1.0, 1e-6));
+        cfg.train_scale = 0.02;
+        cfg.embed_dim = 8;
+        cfg.seed = 3;
+        let fitted = crate::pipeline::fit_kamino(&d.schema, &d.instance, &d.dcs, &cfg);
+        let decode = |model: &DataModel| {
+            let mut w = ByteWriter::new();
+            encode_model(model, &mut w);
+            decode_model(&mut ByteReader::new(&w.into_bytes()), &d.schema)
+        };
+        let model = fitted.model();
+        assert!(decode(model).is_ok());
+        // a noisy marginal in place of a categorical sub-model
+        let j = model
+            .submodels
+            .iter()
+            .position(|sm| d.schema.attr(sm.target).is_categorical())
+            .unwrap();
+        let card = d.schema.attr(model.submodels[j].target).domain_size();
+        let with_marginal = |p: f64| {
+            let mut m = clone_model(model);
+            let mut dist = vec![1.0 / card as f64; card];
+            dist[0] = p;
+            m.submodels[j].kind = SubModelKind::NoisyMarginal { dist };
+            m
+        };
+        assert!(decode(&with_marginal(0.0)).is_ok());
+        for bad in [f64::NAN, f64::INFINITY, -1.0, -1e-300] {
+            assert!(decode(&with_marginal(bad)).is_err(), "noisy marginal {bad}");
+            let mut m = clone_model(model);
+            m.first_dist[0] = bad;
+            assert!(decode(&m).is_err(), "first distribution {bad}");
+        }
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut m = clone_model(model);
+            let SubModelKind::Discriminative { attention, .. } = &mut m.submodels[j].kind else {
+                unreachable!("fitted sub-models are discriminative")
+            };
+            attention.scores.values[0] = bad;
+            assert!(decode(&m).is_err(), "attention score {bad}");
+        }
+    }
+
+    /// A copy of `m` (a `DataModel` is not `Clone`).
+    fn clone_model(m: &DataModel) -> DataModel {
+        DataModel {
+            sequence: m.sequence.clone(),
+            first_dist: m.first_dist.clone(),
+            store: m.store.clone(),
+            submodels: m.submodels.clone(),
         }
     }
 

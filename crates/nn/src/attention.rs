@@ -111,9 +111,9 @@ impl Attention {
         for (gi, e) in g.iter_mut().zip(embeddings) {
             *gi = dot(e, dv);
         }
-        let mean: f64 = cache.alpha.iter().zip(&g).map(|(a, gi)| a * gi).sum();
+        score_grads(&cache.alpha, &mut g);
         for i in 0..m {
-            self.scores.grads[i] += cache.alpha[i] * (g[i] - mean);
+            self.scores.grads[i] += g[i];
             d_embeddings[i].iter_mut().for_each(|x| *x = 0.0);
             axpy(cache.alpha[i], dv, &mut d_embeddings[i]);
         }
@@ -123,6 +123,16 @@ impl Attention {
     /// Applies `f` to the score block.
     pub fn visit_blocks(&mut self, f: &mut dyn FnMut(&mut ParamBlock)) {
         f(&mut self.scores);
+    }
+}
+
+/// The softmax Jacobian of [`Attention::backward`], in place: given
+/// `g_i = e_i · dv`, overwrites each `g_i` with the score gradient
+/// `α_i (g_i − Σ_j α_j g_j)`.
+pub fn score_grads(alpha: &[f64], g: &mut [f64]) {
+    let mean: f64 = alpha.iter().zip(&*g).map(|(a, gi)| a * gi).sum();
+    for (gi, a) in g.iter_mut().zip(alpha) {
+        *gi = a * (*gi - mean);
     }
 }
 

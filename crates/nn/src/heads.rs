@@ -6,7 +6,7 @@
 use rand::Rng;
 
 use crate::layers::Linear;
-use crate::linalg::softmax_in_place;
+use crate::linalg::{matvec_t_acc, softmax_in_place};
 use crate::loss::{gaussian_nll, softmax_cross_entropy};
 use crate::param::ParamBlock;
 use crate::scratch::Scratch;
@@ -36,6 +36,11 @@ impl CategoricalHead {
         &self.linear
     }
 
+    /// The logit layer, for DP-SGD's batched clip-and-sum kernel.
+    pub fn linear_mut(&mut self) -> &mut Linear {
+        &mut self.linear
+    }
+
     /// Number of classes.
     pub fn card(&self) -> usize {
         self.linear.n_out()
@@ -58,14 +63,31 @@ impl CategoricalHead {
         dv: &mut [f64],
         scratch: &mut Scratch,
     ) -> f64 {
+        let mut dlogits = scratch.take(self.card());
+        let loss = self.loss_grad(v, target, &mut dlogits, dv, scratch);
+        self.linear.backward(v, &dlogits, None);
+        scratch.put(dlogits);
+        loss
+    }
+
+    /// [`CategoricalHead::loss_backward`] in factored form, touching no
+    /// gradient: returns the loss and writes `∂L/∂logits` into `dlogits`
+    /// (the weight gradient is `dlogits ⊗ v`, the bias gradient
+    /// `dlogits`) and `∂L/∂v` into `dv`.
+    pub fn loss_grad(
+        &self,
+        v: &[f64],
+        target: u32,
+        dlogits: &mut [f64],
+        dv: &mut [f64],
+        scratch: &mut Scratch,
+    ) -> f64 {
         let mut logits = scratch.take(self.card());
         self.linear.forward(v, &mut logits);
-        let mut dlogits = scratch.take(self.card());
-        let loss = softmax_cross_entropy(&logits, target as usize, &mut dlogits);
-        dv.iter_mut().for_each(|x| *x = 0.0);
-        self.linear.backward(v, &dlogits, Some(dv));
+        let loss = softmax_cross_entropy(&logits, target as usize, dlogits);
         scratch.put(logits);
-        scratch.put(dlogits);
+        dv.iter_mut().for_each(|x| *x = 0.0);
+        matvec_t_acc(&self.linear.w.values, dlogits, dv);
         loss
     }
 
@@ -107,6 +129,11 @@ impl GaussianHead {
         &self.linear
     }
 
+    /// The (μ, ln σ) layer, for DP-SGD's batched clip-and-sum kernel.
+    pub fn linear_mut(&mut self) -> &mut Linear {
+        &mut self.linear
+    }
+
     /// Predicted (μ, σ) in standardized units.
     pub fn predict(&self, v: &[f64]) -> (f64, f64) {
         let mut out = [0.0; 2];
@@ -118,14 +145,26 @@ impl GaussianHead {
     /// Computes the Gaussian NLL of target `y` (standardized), accumulates
     /// parameter gradients, writes `∂L/∂v` into `dv`.
     pub fn loss_backward(&mut self, v: &[f64], y: f64, dv: &mut [f64]) -> f64 {
+        let mut dout = [0.0; 2];
+        let loss = self.loss_grad(v, y, &mut dout, dv);
+        self.linear.backward(v, &dout, None);
+        loss
+    }
+
+    /// [`GaussianHead::loss_backward`] in factored form, touching no
+    /// gradient: returns the loss and writes `∂L/∂(μ, ln σ)` into `dout`
+    /// (the weight gradient is `dout ⊗ v`, the bias gradient `dout`) and
+    /// `∂L/∂v` into `dv`.
+    pub fn loss_grad(&self, v: &[f64], y: f64, dout: &mut [f64], dv: &mut [f64]) -> f64 {
         let mut out = [0.0; 2];
         self.linear.forward(v, &mut out);
         let clamped = out[1].clamp(LOG_SIGMA_RANGE.0, LOG_SIGMA_RANGE.1);
         let (loss, dmu, dls) = gaussian_nll(out[0], clamped, y);
         // gradient does not flow through an active clamp
         let dls = if out[1] == clamped { dls } else { 0.0 };
+        dout.copy_from_slice(&[dmu, dls]);
         dv.iter_mut().for_each(|x| *x = 0.0);
-        self.linear.backward(v, &[dmu, dls], Some(dv));
+        matvec_t_acc(&self.linear.w.values, dout, dv);
         loss
     }
 

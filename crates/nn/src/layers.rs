@@ -3,7 +3,7 @@
 use rand::Rng;
 
 use crate::init::xavier;
-use crate::linalg::{axpy, matvec, matvec_t_acc, outer_acc};
+use crate::linalg::{add_outer_sq_norms, add_sq_norms, axpy, matvec, matvec_t_acc, outer_acc};
 use crate::param::ParamBlock;
 use crate::scratch::Scratch;
 
@@ -74,6 +74,22 @@ impl Linear {
     pub fn visit_blocks(&mut self, f: &mut dyn FnMut(&mut ParamBlock)) {
         f(&mut self.w);
         f(&mut self.b);
+    }
+
+    /// `sq[i] +=` the squared norm of the gradient [`Linear::backward`]
+    /// writes for output gradient `dy_i` at input `x_i` (the `W` block's
+    /// `dy_i ⊗ x_i`, then the bias block's `dy_i`), for each example of a
+    /// batch whose factors lie back to back in `dys` and `xs`.
+    pub fn add_factor_sq_norms(&self, sq: &mut [f64], dys: &[f64], xs: &[f64]) {
+        add_outer_sq_norms(sq, dys, xs);
+        add_sq_norms(sq, dys);
+    }
+
+    /// Adds `scales[i]` times that gradient into each block's DP-SGD
+    /// gradient sum, in batch order.
+    pub fn sum_factors(&mut self, scales: &[f64], dys: &[f64], xs: &[f64]) {
+        self.w.sum_outer(scales, dys, xs);
+        self.b.sum_dense(scales, dys);
     }
 }
 
@@ -239,12 +255,69 @@ impl ContinuousEncoder {
     /// [`EncoderCache::recycle`] when backward is done with it.
     pub fn forward(&self, x: f64, z: &mut [f64], scratch: &mut Scratch) -> EncoderCache {
         let mut hidden = scratch.take(self.dim);
+        self.forward_into(x, &mut hidden, z);
+        EncoderCache { x, hidden }
+    }
+
+    /// [`ContinuousEncoder::forward`] with the post-ReLU hidden layer
+    /// written into the caller's `hidden`.
+    pub fn forward_into(&self, x: f64, hidden: &mut [f64], z: &mut [f64]) {
         for ((h, &a), &c) in hidden.iter_mut().zip(&self.a.values).zip(&self.c.values) {
             *h = (a * x + c).max(0.0);
         }
-        matvec(&self.b.values, &hidden, z);
+        matvec(&self.b.values, hidden, z);
         axpy(1.0, &self.d.values, z);
-        EncoderCache { x, hidden }
+    }
+
+    /// The gradient [`ContinuousEncoder::backward`] writes for output
+    /// gradient `dz` at input `x` (post-ReLU layer `hidden`), in factored
+    /// form: `B`'s is `dz ⊗ hidden` and `d`'s is `dz`, while `a`'s and
+    /// `c`'s, `dh·x` and `dh` on the live hidden units (`dh = Bᵀ·dz`) and
+    /// `+0.0` elsewhere, are written into `ga` and `gc`.
+    pub fn grad_factors(&self, x: f64, hidden: &[f64], dz: &[f64], ga: &mut [f64], gc: &mut [f64]) {
+        gc.iter_mut().for_each(|g| *g = 0.0);
+        matvec_t_acc(&self.b.values, dz, gc);
+        for ((ga, gc), &h) in ga.iter_mut().zip(gc.iter_mut()).zip(hidden) {
+            if h > 0.0 {
+                *ga = *gc * x;
+            } else {
+                (*ga, *gc) = (0.0, 0.0);
+            }
+        }
+    }
+
+    /// `sq[i] +=` the squared norm of example `i`'s encoder gradient, block
+    /// by block in [`ContinuousEncoder::visit_blocks`] order, from the
+    /// factors [`ContinuousEncoder::grad_factors`] describes (each lying
+    /// back to back over the batch).
+    pub fn add_factor_sq_norms(
+        &self,
+        sq: &mut [f64],
+        ga: &[f64],
+        gc: &[f64],
+        dz: &[f64],
+        hidden: &[f64],
+    ) {
+        add_sq_norms(sq, ga);
+        add_sq_norms(sq, gc);
+        add_outer_sq_norms(sq, dz, hidden);
+        add_sq_norms(sq, dz);
+    }
+
+    /// Adds `scales[i]` times example `i`'s encoder gradient into each
+    /// block's DP-SGD gradient sum, in batch order.
+    pub fn sum_factors(
+        &mut self,
+        scales: &[f64],
+        ga: &[f64],
+        gc: &[f64],
+        dz: &[f64],
+        hidden: &[f64],
+    ) {
+        self.a.sum_dense(scales, ga);
+        self.c.sum_dense(scales, gc);
+        self.b.sum_outer(scales, dz, hidden);
+        self.d.sum_dense(scales, dz);
     }
 
     /// Accumulates parameter gradients given the output gradient `dz`,

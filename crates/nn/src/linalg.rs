@@ -208,6 +208,82 @@ pub fn outer_acc(w_grad: &mut [f64], dy: &[f64], x: &[f64]) {
     }
 }
 
+/// `sq[i] += Σ_j g_ij²` for each example `i` of a batch whose vectors
+/// `g_i` lie back to back in `gs`: the squared norm of a dense gradient
+/// block, folded in coordinate order like [`dot`]`(g, g)`.
+pub fn add_sq_norms(sq: &mut [f64], gs: &[f64]) {
+    if sq.is_empty() {
+        return;
+    }
+    let len = gs.len() / sq.len();
+    debug_assert_eq!(gs.len(), sq.len() * len);
+    for (s, g) in sq.iter_mut().zip(gs.chunks_exact(len.max(1))) {
+        *s += dot(g, g);
+    }
+}
+
+/// `sq[i] += ‖dy_i ⊗ x_i‖²` for each example `i` of a batch, the factors
+/// lying back to back in `dys` and `xs`: the squared norm of the
+/// gradient [`outer_acc`] writes into a zeroed `W_grad`, read from its
+/// factors. Each example's sum folds `(dy_o·x_j)²` in row-major order and
+/// skips a row exactly where `outer_acc` does (`dy_o == 0.0`, which keeps
+/// `0·∞` out of the sum). A skipped coordinate is `+0.0` and its square
+/// adds nothing but the sign of an all-zero fold, which the `+0.0`-seeded
+/// total in `sq` absorbs; so the result matches the norm of the written
+/// gradient bit for bit. Each example's fold is one serial chain, so up to
+/// eight examples run side by side, each chain in its own order.
+pub fn add_outer_sq_norms(sq: &mut [f64], dys: &[f64], xs: &[f64]) {
+    let b = sq.len();
+    if b == 0 {
+        return;
+    }
+    let (n_out, n_in) = (dys.len() / b, xs.len() / b);
+    debug_assert_eq!((dys.len(), xs.len()), (b * n_out, b * n_in));
+    let mut i = 0;
+    while i < b {
+        let lanes = match b - i {
+            8.. => 8,
+            4.. => 4,
+            _ => 1,
+        };
+        let (sq, dys, xs) = (
+            &mut sq[i..i + lanes],
+            &dys[i * n_out..(i + lanes) * n_out],
+            &xs[i * n_in..(i + lanes) * n_in],
+        );
+        match lanes {
+            8 => outer_sq_norm_lanes::<8>(sq, dys, xs),
+            4 => outer_sq_norm_lanes::<4>(sq, dys, xs),
+            _ => outer_sq_norm_lanes::<1>(sq, dys, xs),
+        }
+        i += lanes;
+    }
+}
+
+/// [`add_outer_sq_norms`] for exactly `N` examples, their chains side by
+/// side.
+fn outer_sq_norm_lanes<const N: usize>(sq: &mut [f64], dys: &[f64], xs: &[f64]) {
+    let (n_out, n_in) = (dys.len() / N, xs.len() / N);
+    let x: [&[f64]; N] = std::array::from_fn(|e| &xs[e * n_in..][..n_in]);
+    let mut acc = [-0.0; N];
+    for o in 0..n_out {
+        let d: [f64; N] = std::array::from_fn(|e| dys[e * n_out + o]);
+        // a zero row adds `+0.0` terms in place of its `0·x`
+        let live = d.map(|d| d != 0.0);
+        let all_live = live.iter().all(|&l| l);
+        for (j, _) in x[0].iter().enumerate() {
+            let xj: [f64; N] = std::array::from_fn(|e| x[e][j]);
+            for ((acc, (&d, &y)), &l) in acc.iter_mut().zip(d.iter().zip(&xj)).zip(&live) {
+                let t = if all_live || l { d * y } else { 0.0 };
+                *acc += t * t;
+            }
+        }
+    }
+    for (s, a) in sq.iter_mut().zip(acc) {
+        *s += a;
+    }
+}
+
 /// Dot product.
 #[inline]
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
@@ -346,6 +422,44 @@ mod tests {
         let mut wg = [-0.0, -0.0, 0.0, 0.0];
         outer_acc(&mut wg, &[0.0, 0.0], &[1.0, 1.0]);
         assert_eq!(wg[0].to_bits(), (-0.0f64).to_bits(), "skipped row mutated");
+    }
+
+    #[test]
+    fn factored_norms_match_the_written_gradient_bit_for_bit() {
+        // each example's outer-product gradient, written by `outer_acc`
+        // into a zeroed buffer and summed by the dense pass, against the
+        // norm read from its factors; batches straddle the lane count,
+        // and zero output gradients meet infinite inputs, where only the
+        // skip keeps `0·∞ = NaN` out of the sum
+        for &(b, n_out, n_in) in &[(1usize, 3usize, 2usize), (4, 5, 7), (7, 2, 3), (9, 4, 1)] {
+            let dys = fill(b as u64 * 13 + n_out as u64, b * n_out);
+            let mut xs = fill(b as u64 * 17 + n_in as u64, b * n_in);
+            for i in (0..b).step_by(2) {
+                xs[i * n_in] = f64::INFINITY;
+            }
+            let mut want = fill(3, b);
+            let mut got = want.clone();
+            for i in 0..b {
+                let mut g = vec![0.0; n_out * n_in];
+                outer_acc(
+                    &mut g,
+                    &dys[i * n_out..(i + 1) * n_out],
+                    &xs[i * n_in..(i + 1) * n_in],
+                );
+                want[i] += g.iter().map(|g| g * g).sum::<f64>();
+            }
+            add_outer_sq_norms(&mut got, &dys, &xs);
+            for (a, w) in got.iter().zip(&want) {
+                assert_eq!(a.to_bits(), w.to_bits(), "b {b}, {n_out}x{n_in}");
+            }
+            let mut dense = want.clone();
+            add_sq_norms(&mut dense, &xs);
+            for i in 0..b {
+                let x = &xs[i * n_in..(i + 1) * n_in];
+                want[i] += x.iter().map(|x| x * x).sum::<f64>();
+            }
+            assert_eq!(dense, want);
+        }
     }
 
     #[test]

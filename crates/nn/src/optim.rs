@@ -13,6 +13,23 @@
 //! every later one. A step adds each clipped per-example gradient into it
 //! in batch order, so that order alone fixes the floating-point sum; the
 //! update re-zeroes what it consumed, and [`DpSgd::finish`] frees it.
+//! [`DpSgd::step`] runs the model's
+//! [`PerExampleModel::clip_and_sum`] to fill the sums. Its default is
+//! the generic fused per-example kernel: one `forward_backward` into the
+//! blocks' gradient buffers, a norm pass and a scale-add-and-rezero pass
+//! per example. A model may override it with a whole-batch kernel that
+//! keeps each example's gradient in factored form (a linear layer's
+//! weight gradient as its `(dy, x)` pair, a table's as one row and a
+//! short vector), reads each example's squared norm from the factors with
+//! [`crate::linalg::add_outer_sq_norms`] and
+//! [`crate::linalg::add_sq_norms`], and makes one pass per block with
+//! [`ParamBlock::sum_dense`], [`ParamBlock::sum_outer`] and
+//! [`ParamBlock::sum_rows`], each adding `scale_i · g_i` per coordinate
+//! in batch order. Both fix the same sums, loss and work counts bit for
+//! bit: every coordinate is computed as the backward pass writes it, and
+//! every block's norm is folded in the generic kernel's block and
+//! coordinate order. `kamino-core`'s sub-model trainer is the one model
+//! that overrides it.
 //!
 //! **Deferred noise on row-sparse blocks.** An embedding table row that no
 //! example reads for `k` steps would receive `k` independent noise draws
@@ -53,6 +70,20 @@ pub trait PerExampleModel<E: ?Sized> {
     fn visit_read_rows(&mut self, example: &E, f: &mut dyn FnMut(&mut ParamBlock, usize)) {
         let _ = (example, f);
     }
+    /// The clip-and-sum kernel [`DpSgd::step`] runs: adds every clipped
+    /// per-example gradient of `batch`, in batch order, into each block's
+    /// gradient sum (allocated, `+0.0` on entry), and returns the total
+    /// loss and the gradient coordinates visited, two per live coordinate
+    /// per example. The default is the generic fused per-example kernel
+    /// (see the module doc). A model that overrides it must produce the
+    /// same sums, loss and count bit for bit, and mark the row-sparse rows
+    /// it sums into as that kernel does.
+    fn clip_and_sum(&mut self, batch: &[E], clip: f64) -> (f64, u64)
+    where
+        E: Sized,
+    {
+        accumulate_clipped(self, batch, clip)
+    }
 }
 
 /// DP-SGD configuration (the relevant slice of the paper's Ψ).
@@ -74,8 +105,11 @@ pub struct DpSgd {
 pub struct StepReport {
     /// Mean example loss (0.0 for an empty Poisson batch).
     pub loss: f64,
-    /// Gradient coordinates visited by the two per-example passes (the
-    /// L2-norm pass and the scale-accumulate pass), summed over examples.
+    /// Gradient coordinates visited by the norm pass and the
+    /// scale-accumulate pass: two per live coordinate (every coordinate of
+    /// a dense block, the touched rows of a row-sparse one) per example,
+    /// whether the kernel reads them from gradient buffers or, in a
+    /// whole-batch kernel, from factors.
     pub coords_visited: u64,
     /// `N(0, 1)` draws made: one per parameter of every dense block, and
     /// one per coordinate of every row-sparse row settled. None when the
@@ -86,9 +120,7 @@ pub struct StepReport {
 }
 
 /// A clip-and-sum kernel: `(model, batch, clip) → total loss, coordinates
-/// visited`. It adds the clipped per-example gradients, in batch order,
-/// into each block's gradient sum (allocated, `+0.0` on entry) and counts
-/// the gradient coordinates its two per-example passes visited.
+/// visited`, with the contract of [`PerExampleModel::clip_and_sum`].
 type Accumulate<M, E> = fn(&mut M, &[E], f64) -> (f64, u64);
 
 /// Adds the clipped per-example gradients of `batch` into each block's
@@ -109,7 +141,7 @@ type Accumulate<M, E> = fn(&mut M, &[E], f64) -> (f64, u64);
 /// and pinned by the `fused_step_matches_reference_step` test below.
 fn accumulate_clipped<E, M>(model: &mut M, batch: &[E], clip: f64) -> (f64, u64)
 where
-    M: PerExampleModel<E>,
+    M: PerExampleModel<E> + ?Sized,
 {
     let mut total_loss = 0.0;
     let mut visited = 0;
@@ -253,7 +285,8 @@ impl DpSgd {
         draws
     }
 
-    /// Runs one optimizer step on `batch`, returning the mean example loss
+    /// Runs one optimizer step on `batch` with the model's
+    /// [`PerExampleModel::clip_and_sum`], returning the mean example loss
     /// (or 0.0 for an empty Poisson batch — the step still noises, or owes
     /// noise on, every parameter, as the mechanism requires) and the
     /// step's work counts. Call [`DpSgd::finish`] after the last step.
@@ -262,14 +295,15 @@ impl DpSgd {
         M: PerExampleModel<E>,
         R: Rng + ?Sized,
     {
-        self.step_with(model, batch, rng, accumulate_clipped)
+        self.step_with(model, batch, rng, M::clip_and_sum)
     }
 
     /// [`DpSgd::step`] built on `accumulate_clipped_reference` — the
-    /// unfused, all-dense three-traversal kernel. Produces bit-identical
+    /// unfused, all-dense three-traversal kernel over `forward_backward`,
+    /// whatever `clip_and_sum` the model has. Produces bit-identical
     /// parameters, loss and noise draws to [`DpSgd::step`]; retained as
-    /// the reference twin for the parity suite and the `micro_substrates`
-    /// fused-vs-reference pairs.
+    /// the reference twin for the parity suites and the `micro_substrates`
+    /// pairs.
     pub fn step_reference<E, M, R>(&self, model: &mut M, batch: &[E], rng: &mut R) -> StepReport
     where
         M: PerExampleModel<E>,

@@ -263,6 +263,68 @@ impl ParamBlock {
         t.step_rows.append(&mut t.rows);
     }
 
+    /// A batched clip-and-sum kernel's pass over a dense block: for each
+    /// example `i` in batch order, `sums += scales[i] · g_i`, the
+    /// gradients `g_i` lying back to back in `grads`. Every coordinate
+    /// gets its terms in batch order, as [`ParamBlock::drain_scaled`]
+    /// gives them, so the sum is bit-identical to draining each example's
+    /// gradient in turn.
+    pub fn sum_dense(&mut self, scales: &[f64], grads: &[f64]) {
+        debug_assert!(self.dp.sparse.is_none() && grads.len() == scales.len() * self.len());
+        for (&scale, g) in scales.iter().zip(grads.chunks_exact(self.len().max(1))) {
+            for (s, g) in self.dp.sums.iter_mut().zip(g) {
+                *s += scale * g;
+            }
+        }
+    }
+
+    /// [`ParamBlock::sum_dense`] for a block whose gradient is an outer
+    /// product, `g_i = dy_i ⊗ x_i` (a [`crate::Linear`] weight), read from
+    /// its factors: `sums[o][j] += scales[i] · (dy_io · x_ij)` in batch
+    /// order. A row with `dy_io == 0.0` is skipped, as `outer_acc` skips
+    /// writing it; the `+0.0` it would have held adds nothing to a sum.
+    pub fn sum_outer(&mut self, scales: &[f64], dys: &[f64], xs: &[f64]) {
+        let b = scales.len();
+        if b == 0 {
+            return;
+        }
+        let (n_out, n_in) = (dys.len() / b, xs.len() / b);
+        debug_assert!(self.dp.sparse.is_none() && n_out * n_in == self.len());
+        for ((&scale, dy), x) in scales
+            .iter()
+            .zip(dys.chunks_exact(n_out))
+            .zip(xs.chunks_exact(n_in))
+        {
+            for (&d, row) in dy.iter().zip(self.dp.sums.chunks_exact_mut(n_in)) {
+                if d == 0.0 {
+                    continue;
+                }
+                for (s, &xj) in row.iter_mut().zip(x) {
+                    *s += scale * (d * xj);
+                }
+            }
+        }
+    }
+
+    /// A batched clip-and-sum kernel's pass over a row-sparse block where
+    /// example `i` wrote only row `rows[i]`, with gradient `g_i` (back to
+    /// back in `grads`): `sums[rows[i]] += scales[i] · g_i` in batch order,
+    /// each row handed to the step's live rows. Panics if a row still owes
+    /// noise, like [`ParamBlock::live_sq_norm`].
+    pub fn sum_rows(&mut self, rows: &[usize], scales: &[f64], grads: &[f64]) {
+        let dp = &mut *self.dp;
+        let t = dp.sparse.as_mut().expect("sum_rows on a dense block");
+        let w = t.width;
+        debug_assert!(rows.len() == scales.len() && grads.len() == scales.len() * w);
+        for ((&r, &scale), g) in rows.iter().zip(scales).zip(grads.chunks_exact(w)) {
+            t.assert_settled(r);
+            t.step_rows.push(r);
+            for (s, g) in dp.sums[r * w..(r + 1) * w].iter_mut().zip(g) {
+                *s += scale * g;
+            }
+        }
+    }
+
     /// The all-dense reference kernel's counterpart of
     /// [`ParamBlock::drain_scaled`]: `sums += scale · grads` over every
     /// coordinate, then the touched rows are handed to the step's live
@@ -312,6 +374,7 @@ impl ParamBlock {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::linalg::{axpy, outer_acc};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -364,6 +427,72 @@ mod tests {
         assert!(sparse.grads.iter().all(|&g| g == 0.0));
         // the touched rows were forgotten: nothing left to visit
         assert_eq!(sparse.live_sq_norm().1, 0);
+    }
+
+    #[test]
+    fn factored_sums_match_the_drained_gradients_bit_for_bit() {
+        // three examples' gradients drained one by one, against the same
+        // gradients summed from their factors: an outer product (with a
+        // zero output gradient), a dense vector, and one table row each
+        // (a row read twice)
+        let (dys, xs) = (
+            [0.5, 0.0, -2.0, 1.5, 3.0, -0.25],
+            [0.1, 7.0, -3.0, 0.5, 2.0, -1.0],
+        );
+        let (rows, gs) = (
+            [2usize, 0, 2],
+            [0.5, -0.0, 3.0, 1.0, 2.0, -1.0, 1.0, 0.0, -2.0],
+        );
+        let scales = [1.0, 0.3, 0.7];
+        let mut drained = [
+            ParamBlock::zeros(4),
+            ParamBlock::zeros(2),
+            ParamBlock::zeros(9).row_sparse(3),
+        ];
+        for b in &mut drained {
+            b.alloc_sums();
+        }
+        for (i, &scale) in scales.iter().enumerate() {
+            outer_acc(
+                &mut drained[0].grads,
+                &dys[2 * i..2 * i + 2],
+                &xs[2 * i..2 * i + 2],
+            );
+            axpy(1.0, &dys[2 * i..2 * i + 2], &mut drained[1].grads);
+            let r = rows[i];
+            axpy(
+                1.0,
+                &gs[3 * i..3 * i + 3],
+                &mut drained[2].grads[3 * r..3 * r + 3],
+            );
+            drained[2].touch_row(r);
+            for b in &mut drained {
+                b.live_sq_norm();
+                b.drain_scaled(scale);
+            }
+        }
+        let mut factored = [
+            ParamBlock::zeros(4),
+            ParamBlock::zeros(2),
+            ParamBlock::zeros(9).row_sparse(3),
+        ];
+        for b in &mut factored {
+            b.alloc_sums();
+        }
+        factored[0].sum_outer(&scales, &dys, &xs);
+        factored[1].sum_dense(&scales, &dys);
+        factored[2].sum_rows(&rows, &scales, &gs);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (d, f) in drained.iter_mut().zip(&mut factored) {
+            assert_eq!(bits(d.sums_mut()), bits(f.sums_mut()));
+        }
+        // both hand the rows to the step, so the update visits them
+        for b in [&mut drained[2], &mut factored[2]] {
+            b.descend(1.0, 1.0);
+        }
+        assert_eq!(bits(&drained[2].values), bits(&factored[2].values));
+        assert!(factored[2].values[3..6].iter().all(|&v| v == 0.0));
+        assert!(factored[2].values[6..].iter().any(|&v| v != 0.0));
     }
 
     #[test]

@@ -663,8 +663,13 @@ mod tests {
 
     /// The fields of `f`'s container (`bytes`) that the hostile test
     /// patches, as (section, byte offset, width): every PARAMS and CONFIG
-    /// field, every SESSION weight and `n_input`, and every entry of
-    /// MODEL's first-attribute distribution. Panics if a layout drifted.
+    /// field, every SESSION weight and `n_input`, every entry of MODEL's
+    /// first-attribute distribution, and one MODEL parameter of each kind
+    /// the model has (an embedding table, a numeric encoder's `a`, `c`,
+    /// `B` and `d`, attention scores, a categorical and a Gaussian head's
+    /// weights and bias, a noisy marginal), found as the first value of
+    /// that kind whose 8 bytes occur once in MODEL. Panics if a layout
+    /// drifted.
     fn hostile_fields(f: &FittedKamino, bytes: &[u8]) -> Vec<(u32, usize, usize)> {
         let mut fields = Vec::new();
         for (id, widths) in [
@@ -696,14 +701,60 @@ mod tests {
             assert_eq!(word(&model, first + 8 * i), p.to_bits(), "layout drifted");
             fields.push((section::MODEL, first + 8 * i, 8));
         }
+        for kind in model_param_kinds(f.model()) {
+            if kind.is_empty() {
+                continue;
+            }
+            let at = kind.iter().find_map(|v| {
+                let mut hits = model
+                    .windows(8)
+                    .enumerate()
+                    .filter(|(_, w)| *w == v.to_le_bytes());
+                match (hits.next(), hits.next()) {
+                    (Some((at, _)), None) => Some(at),
+                    _ => None,
+                }
+            });
+            fields.push((section::MODEL, at.expect("layout drifted"), 8));
+        }
         fields
     }
 
-    /// A CRC-valid file whose PARAMS, CONFIG or SESSION field, or an entry
-    /// of MODEL's first-attribute distribution, holds a hostile value
-    /// either fails decode as `Malformed` or decodes to a session that
-    /// draws 20 rows inside their domains: it never panics, hangs or
-    /// reports an ε the fit could not have spent.
+    /// A model's parameters grouped by kind: embedding tables, encoder
+    /// `a`, `c`, `B` and `d`, attention scores, categorical head weights
+    /// and biases, Gaussian head weights and biases, noisy marginals.
+    fn model_param_kinds(m: &kamino_core::model::DataModel) -> [Vec<f64>; 11] {
+        use kamino_core::model::{AttrEmbedder, Head};
+        let mut kinds: [Vec<f64>; 11] = Default::default();
+        for e in m.store.embedders() {
+            match e {
+                AttrEmbedder::Cat(e) => kinds[0].extend(&e.table.values),
+                AttrEmbedder::Num { enc, .. } => {
+                    for (k, block) in [&enc.a, &enc.c, &enc.b, &enc.d].into_iter().enumerate() {
+                        kinds[1 + k].extend(&block.values);
+                    }
+                }
+            }
+        }
+        for sm in &m.submodels {
+            match &sm.kind {
+                SubModelKind::Discriminative { attention, head } => {
+                    kinds[5].extend(&attention.scores.values);
+                    let k = if matches!(head, Head::Cat(_)) { 6 } else { 8 };
+                    kinds[k].extend(&head.linear().w.values);
+                    kinds[k + 1].extend(&head.linear().b.values);
+                }
+                SubModelKind::NoisyMarginal { dist } => kinds[10].extend(dist),
+            }
+        }
+        kinds
+    }
+
+    /// A CRC-valid file whose PARAMS, CONFIG or SESSION field, an entry
+    /// of MODEL's first-attribute distribution, or a MODEL parameter of
+    /// any kind holds a hostile value either fails decode as `Malformed`
+    /// or decodes to a session that draws 20 rows inside their domains: it
+    /// never panics, hangs or reports an ε the fit could not have spent.
     #[test]
     fn hostile_params_and_config_fields_are_refused_or_sample() {
         let sessions = [
